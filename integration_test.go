@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -174,6 +175,60 @@ func TestClusterSurvivesServerAndDataNodeFailure(t *testing.T) {
 		if _, err := cl.Get(bg, "t", "g", key); err != nil {
 			t.Fatalf("Get %d after second failover: %v", i, err)
 		}
+	}
+}
+
+// TestClusterCompactAfterSplitKeepsRows is the cluster twin of core's
+// TestCompactAfterSplitKeepsRows: rows written before a tablet split
+// carry the parent's tablet id in the log, and a whole-log compaction
+// afterwards must keep every one of them.
+func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
+	c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{
+		NumServers: 2,
+		Tables:     []logbase.TableSpec{{Name: "t", Groups: []string{"g"}}},
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	cl := logbase.NewClusterClient(c)
+	defer cl.Close()
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := cl.Put(bg, "t", "g", []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	scan := func() []string {
+		var rows []string
+		err := cl.ScanFunc(bg, "t", "g", nil, nil, func(r logbase.Row) bool {
+			rows = append(rows, string(r.Key)+"="+string(r.Value))
+			return true
+		})
+		if err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		return rows
+	}
+	before := scan()
+	if len(before) != n {
+		t.Fatalf("scan before split = %d rows, want %d", len(before), n)
+	}
+	router, err := c.Router("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, ok := router.Lookup([]byte("k0000"))
+	if !ok {
+		t.Fatal("no tablet for k0000")
+	}
+	if _, _, err := c.SplitTablet(tab.ID); err != nil {
+		t.Fatalf("SplitTablet: %v", err)
+	}
+	if err := c.CompactAll(); err != nil {
+		t.Fatalf("CompactAll: %v", err)
+	}
+	if after := scan(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("scan after split+compaction = %d rows, want the %d pre-compaction rows", len(after), len(before))
 	}
 }
 

@@ -78,6 +78,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return v, true
 }
 
+// Contains reports whether key is cached, without counting a hit or
+// touching the replacement policy.
+func (c *Cache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
+}
+
 // Put inserts or replaces a value, evicting as needed. Values larger
 // than the whole capacity are not cached.
 func (c *Cache) Put(key string, value []byte) {

@@ -191,9 +191,8 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 	// The destination's replicas declare the tablet before the routing
 	// flip: the first post-flip write ships immediately, and a record
 	// arriving before its tablet declaration would be skipped for good.
-	// Their watermark reads 0 (open topology sync) until the tablet's
-	// pre-move history — which lives in the SOURCE's log — is replayed
-	// onto them after the flip.
+	// Their watermark reads 0 (open topology sync) while the tablet's
+	// pre-move history is replayed into the destination's log.
 	destReps := c.replicasOf(destID)
 	for _, rp := range destReps {
 		rp.rep.BeginTopologySync()
@@ -264,21 +263,11 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 	c.epoch++
 	c.mu.Unlock()
 	src.RemoveTablet(tabletID)
-	// Install the tablet's pre-move history on the destination's
-	// replicas from the source's log (frozen above, so one replay covers
-	// it all); post-flip writes ship through the destination's feed with
-	// disjoint, newer timestamps. The foreign mark pins each replica to
-	// the source log's lifetime (no re-bootstrap can rebuild this).
+	// The destination's replicas need no backfill: they declared the
+	// tablet before the bulk phase, so the destination's own log ships
+	// them the whole replayed history. Closing the sync restarts their
+	// watermark from 0 until that history has drained.
 	for _, rp := range destReps {
-		rs2, err := rp.rep.Server().NewReplaySession(src.Log(), wal.Position{}, []partition.Tablet{spec})
-		if err == nil {
-			_, err = rs2.CatchUp()
-		}
-		if err != nil {
-			rp.rep.MarkFailed(fmt.Errorf("cluster: replica backfill of %s from %s: %w", tabletID, srcID, err))
-		} else {
-			rp.rep.MarkForeign()
-		}
 		rp.rep.EndTopologySync()
 	}
 	for _, rp := range c.replicasOf(srcID) {

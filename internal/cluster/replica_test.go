@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/query"
 	"repro/internal/readopt"
 )
@@ -288,5 +289,89 @@ func TestClusterReplicaSplitAndMoveMirror(t *testing.T) {
 		if n != before[id] {
 			t.Fatalf("primary %s log reads moved %d -> %d after split+move; replicas did not serve", id, before[id], n)
 		}
+	}
+}
+
+// TestMoveTabletHoldsReplicaWatermarkUntilDrained stalls the
+// destination replica's apply loop across a live migration: the moved
+// tablet's replayed history is still in the shipping pipe when the move
+// returns, so the replica's pre-move watermark (which already covered
+// the pin) must not be re-exposed until that history has drained.
+func TestMoveTabletHoldsReplicaWatermarkUntilDrained(t *testing.T) {
+	faults := fault.New(1)
+	c, err := New(t.TempDir(), Config{
+		NumServers: 2,
+		Replicas:   1,
+		Tables:     []TableSpec{{Name: "t", Groups: []string{"g"}}},
+		Server:     core.Config{Faults: faults},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	cl := c.NewClient()
+	ctx := context.Background()
+	const n = 200
+	for i := 0; i < n; i++ {
+		k := []byte(fmt.Sprintf("k%04d", i))
+		if err := cl.Put("t", "g", k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := c.Coord().LastTimestamp()
+	if err := c.WaitForReplicaTS(ts, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := cl.TabletFor("t", []byte("k0000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	destID := "ts00"
+	if c.Assignments()[tab] == destID {
+		destID = "ts01"
+	}
+	rep := c.Replicas(destID)[0]
+
+	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before c.Close: a stalled replica cannot stop
+	faults.Arm("repl."+rep.BaseID()+".apply", fault.Policy{OnFire: func() { <-gate }})
+
+	if err := c.MoveTablet(tab, destID); err != nil {
+		t.Fatal(err)
+	}
+	tip := c.Server(destID).Log().NextLSN() - 1
+	if wm := rep.WatermarkTS(); wm != 0 {
+		t.Fatalf("watermark %d exposed with the moved tablet's history unapplied (applied LSN %d, destination tip %d)",
+			wm, rep.AppliedLSN(), tip)
+	}
+	// The pin is served in full meanwhile — by the primary.
+	count := func() int {
+		rows := 0
+		if err := cl.ScanOpts(ctx, "t", "g", nil, nil, readopt.Options{Snapshot: ts}, func(core.Row) bool {
+			rows++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	if rows := count(); rows != n {
+		t.Fatalf("pinned scan with a stalled replica = %d rows, want %d", rows, n)
+	}
+
+	release()
+	if err := rep.WaitForTS(ts, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.AppliedLSN(); got < tip {
+		t.Fatalf("watermark %d republished at applied LSN %d, below the destination tip %d", rep.WatermarkTS(), got, tip)
+	}
+	if rows := rep.Server().IndexLen(tab, "g"); rows != n {
+		t.Fatalf("replica holds %d of the moved tablet's %d rows", rows, n)
+	}
+	if rows := count(); rows != n {
+		t.Fatalf("pinned scan after catch-up = %d rows, want %d", rows, n)
 	}
 }

@@ -207,12 +207,9 @@ func (s *Server) auditGarbage() {
 				continue
 			}
 			live := false
-			if t, ok := s.resolveTablet(rec.Table, rec.Tablet, rec.Key); ok {
-				if g, gerr := t.group(rec.Group); gerr == nil {
-					if e, ok := g.tree().Get(rec.Key, rec.TS); ok && e.Ptr == sc.Ptr() {
-						live = true
-					}
-				}
+			if _, g, ok := s.resolveGroup(rec.Table, rec.Tablet, rec.Group, rec.Key); ok {
+				e, ok := g.tree().Get(rec.Key, rec.TS)
+				live = ok && e.Ptr == sc.Ptr()
 			}
 			if !live {
 				dead += int64(sc.Ptr().Len)
@@ -346,13 +343,8 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 			switch rec.Kind {
 			case wal.KindWrite:
 				st.RecordsIn++
-				t, ok := s.resolveTablet(rec.Table, rec.Tablet, rec.Key)
+				_, g, ok := s.resolveGroup(rec.Table, rec.Tablet, rec.Group, rec.Key)
 				if !ok {
-					droppedWrite(rec.LSN)
-					continue
-				}
-				g, gerr := t.group(rec.Group)
-				if gerr != nil {
 					droppedWrite(rec.LSN)
 					continue
 				}
@@ -477,13 +469,8 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 	s.installMu.Lock()
 	var staleBytes int64
 	for _, rp := range repoints {
-		t, ok := s.resolveTablet(rp.table, rp.tablet, rp.key)
+		_, g, ok := s.resolveGroup(rp.table, rp.tablet, rp.group, rp.key)
 		if !ok {
-			staleBytes += int64(rp.new.Len)
-			continue
-		}
-		g, err := t.group(rp.group)
-		if err != nil {
 			staleBytes += int64(rp.new.Len)
 			continue
 		}
@@ -499,12 +486,8 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 	// only while the entry still points at the vacuumed record, so a
 	// racing same-(key,ts) rewrite is never deleted).
 	for _, pr := range pruned {
-		t, ok := s.resolveTablet(pr.table, pr.tablet, pr.key)
+		_, g, ok := s.resolveGroup(pr.table, pr.tablet, pr.group, pr.key)
 		if !ok {
-			continue
-		}
-		g, err := t.group(pr.group)
-		if err != nil {
 			continue
 		}
 		if e, ok := g.tree().Get(pr.key, pr.ts); ok && e.Ptr == pr.old {
@@ -589,7 +572,7 @@ func (s *Server) repointSecondariesMoved(moved []recordMove) {
 			if m.prepared || si.group != m.group {
 				continue
 			}
-			t, ok := s.resolveTablet(m.table, m.tablet, m.key)
+			t, ok := s.resolve(m.table, m.tablet, m.key, nil)
 			if !ok || si.tablet != t.id {
 				continue
 			}

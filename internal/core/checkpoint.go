@@ -176,12 +176,12 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err != nil {
 		return st, err
 	}
-	var from wal.Position
-	maxLSN := uint64(0)
+	// The checkpoint (if any) seeds the redo: where it starts, and the
+	// LSN and timestamp high marks it continues from.
+	rs := newReplaySession(s, s.log, wal.Position{}, nil)
 	if md != nil {
 		st.UsedCheckpoint = true
-		from = md.pos
-		maxLSN = md.lastLSN
+		rs.pos, rs.maxLSN = md.pos, md.lastLSN
 		// Incremental compaction may have reclaimed segments AFTER the
 		// checkpoint was written: checkpointed entries pointing into
 		// removed segments are pruned. Relocated records re-add their
@@ -209,8 +209,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			tree.Ascend(func(e index.Entry) bool {
 				if !liveSegs[e.Ptr.Seg] {
 					stale = append(stale, e)
-				} else if e.TS > st.MaxTS {
-					st.MaxTS = e.TS
+				} else if e.TS > rs.maxTS {
+					rs.maxTS = e.TS
 				}
 				return true
 			})
@@ -223,101 +223,14 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 	}
 
-	// Redo pass 1: find commit records in the tail so transactional
-	// writes are only replayed when durable commits exist, and collect
-	// the highest delete LSN per key. Incremental compaction relocates
-	// records into higher-numbered sorted segments while keeping their
-	// original LSNs, so segment order is NOT replay order — deletes must
-	// apply by LSN, not by scan position, or a relocated old tombstone
-	// would destroy newer data (and a relocated old write would
-	// resurrect a deleted row).
-	committed := map[uint64]bool{}
-	maxDel := map[string]uint64{}
-	type txnDel struct {
-		key   string
-		lsn   uint64
-		txnID uint64
-	}
-	var txnDels []txnDel
-	sc := s.log.NewScanner(from)
-	for sc.Next() {
-		if p := sc.Ptr(); p.Seg == from.Seg && p.Off < from.Off {
-			continue
-		}
-		rec := sc.Record()
-		switch rec.Kind {
-		case wal.KindCommit:
-			committed[rec.TxnID] = true
-		case wal.KindDelete:
-			if rec.TxnID != 0 {
-				// Commit visibility is only known once the pass finishes.
-				txnDels = append(txnDels, txnDel{key: replayKey(&rec), lsn: rec.LSN, txnID: rec.TxnID})
-				continue
-			}
-			if k := replayKey(&rec); rec.LSN > maxDel[k] {
-				maxDel[k] = rec.LSN
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	// Redo the tail in place: one replay round over this server's own
+	// log.
+	if err := rs.round(logEnd, nil, s.redo); err != nil {
 		return st, err
 	}
-	for _, td := range txnDels {
-		if committed[td.txnID] && td.lsn > maxDel[td.key] {
-			maxDel[td.key] = td.lsn
-		}
-	}
-
-	// Redo pass 2: apply the tail. Writes older than the key's newest
-	// tombstone are dead; tombstones remove only strictly-older entries
-	// (DeleteKeyBelow), so the outcome is order-independent: exactly the
-	// writes with LSN above every covering delete survive.
-	sc = s.log.NewScanner(from)
-	for sc.Next() {
-		p := sc.Ptr()
-		if p.Seg == from.Seg && p.Off < from.Off {
-			continue
-		}
-		rec := sc.Record()
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
-		if rec.Kind != wal.KindWrite && rec.Kind != wal.KindDelete {
-			continue
-		}
-		st.RecordsScanned++
-		if rec.TxnID != 0 && !committed[rec.TxnID] {
-			continue
-		}
-		if rec.TS > st.MaxTS {
-			st.MaxTS = rec.TS
-		}
-		// Resolve by range, not just id: records written before a tablet
-		// split carry the parent's id but belong to a served child.
-		t, ok := s.resolveTablet(rec.Table, rec.Tablet, rec.Key)
-		if !ok {
-			continue
-		}
-		g, gerr := t.group(rec.Group)
-		if gerr != nil {
-			continue
-		}
-		switch rec.Kind {
-		case wal.KindWrite:
-			if rec.LSN < maxDel[replayKey(&rec)] {
-				continue // invalidated by a later delete
-			}
-			if g.tree().Put(index.Entry{Key: rec.Key, TS: rec.TS, Ptr: p, LSN: rec.LSN}) {
-				st.EntriesRestored++
-			}
-		case wal.KindDelete:
-			g.tree().DeleteKeyBelow(rec.Key, rec.LSN)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, err
-	}
-	s.log.SetNextLSN(maxLSN + 1)
+	st.RecordsScanned, st.MaxTS = rs.scanned, rs.maxTS
+	st.EntriesRestored += rs.applied
+	s.log.SetNextLSN(rs.maxLSN + 1)
 	// Indexes now reflect the log: index-probe-driven compaction is safe.
 	s.indexReady.Store(true)
 	st.Elapsed = time.Since(start)
@@ -330,17 +243,11 @@ func (s *Server) Recover() (RecoveryStats, error) {
 // committed records for the adopted tablets into this server's own log
 // — the "log is scanned ... and split into separate files for each
 // tablet" failover path of paper §3.8. The tablets must already be
-// declared here via AddTablet. Records are matched by tablet RANGE (via
-// ReplaySession), so logs written before a tablet split replay into the
-// right children.
+// declared here via AddTablet.
 func (s *Server) RecoverTablets(srcServerID string, srcStart wal.Position, tabletIDs []string) (int, error) {
-	specs := make([]partition.Tablet, 0, len(tabletIDs))
-	for _, id := range tabletIDs {
-		t, err := s.tablet(id)
-		if err != nil {
-			return 0, err
-		}
-		specs = append(specs, partition.Tablet{ID: t.id, Table: t.table, Range: t.rng})
+	specs := make([]partition.Tablet, len(tabletIDs))
+	for i, id := range tabletIDs {
+		specs[i].ID = id
 	}
 	srcLog, err := s.OpenPeerLog(srcServerID)
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -26,7 +28,8 @@ type CompactionStats struct {
 // indexes over the new locations, atomically installs them, and removes
 // the superseded segments. Reads and writes proceed during all but the
 // brief install step; writes arriving mid-compaction land in new tail
-// segments that are reconciled at install time via the LSN redo rule.
+// segments that are reconciled at install time. Both the input and the
+// tail are read through the shared replay (apply.go).
 func (s *Server) Compact() (CompactionStats, error) {
 	var st CompactionStats
 	// One compaction at a time: the whole-log rewrite and the
@@ -38,8 +41,17 @@ func (s *Server) Compact() (CompactionStats, error) {
 	// every segment in the snapshot is immutable and appends from here
 	// on go to fresh segments outside the set. (Without the rotation, a
 	// write racing into the still-open tail segment would be deleted
-	// along with the compaction input.)
+	// along with the compaction input.) The 2PC preparations registered
+	// at that instant are noted under the same exclusive hold of the
+	// install latch: PrepareTxn appends and registers, and CommitTxn
+	// appends and retires, under one shared hold each, so a commit-less
+	// transaction in the frozen input is either in this list or dead.
+	s.installMu.Lock()
 	s.log.Rotate()
+	s.prepMu.Lock()
+	registered := slices.Sorted(maps.Keys(s.prepared))
+	s.prepMu.Unlock()
+	s.installMu.Unlock()
 	// The whole-log rewrite vacuums tombstones and commit records and
 	// strips TxnIDs — a feed resuming anywhere inside the input could
 	// miss deletes or mis-attribute transactional cursors. The prune
@@ -49,12 +61,10 @@ func (s *Server) Compact() (CompactionStats, error) {
 		s.raisePruneHorizon(next - 1)
 	}
 	inputInfos := s.log.Segments()
-	inputSet := make(map[uint32]bool, len(inputInfos))
 	var inputNums []uint32
 	var inputBytes int64
 	maxInput := uint32(0)
 	for _, si := range inputInfos {
-		inputSet[si.Num] = true
 		inputNums = append(inputNums, si.Num)
 		inputBytes += si.Size
 		if si.Num > maxInput {
@@ -66,102 +76,48 @@ func (s *Server) Compact() (CompactionStats, error) {
 		return st, nil
 	}
 
-	// Pass 1: find committed transactions within the input.
-	committed := map[uint64]bool{}
-	sc := s.log.NewScanner(wal.Position{})
-	for sc.Next() {
-		if !inputSet[sc.Ptr().Seg] {
-			continue
-		}
-		if sc.Record().Kind == wal.KindCommit {
-			committed[sc.Record().TxnID] = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, err
-	}
-
-	// Pass 2: collect live records (with their current locations, so
-	// secondary-index pointers can be redirected at install).
+	// Collect: one replay round over the frozen input yields the
+	// committed writes no tombstone covers, each resolved to the column
+	// group that owns its key NOW (pre-split records carry the parent's
+	// id) and kept with its location for the secondary-index redirect.
 	type recAt struct {
 		rec wal.Record
 		ptr wal.Ptr
+		g   *columnGroup
 	}
-	type keyState struct {
-		table    string
-		versions []recAt
-		deleteTS int64 // max committed delete timestamp
-	}
-	states := map[string]*keyState{}
-	// Registered 2PC preparations survive the vacuum verbatim.
-	regTxns := map[uint64]bool{}
-	s.prepMu.Lock()
-	for id := range s.prepared {
-		regTxns[id] = true
-	}
-	s.prepMu.Unlock()
-	var preserved []recAt
-	keyOf := func(r wal.Record) string {
-		return r.Table + "\x00" + r.Group + "\x00" + string(r.Key)
-	}
-	sc = s.log.NewScanner(wal.Position{})
-	for sc.Next() {
-		p := sc.Ptr()
-		if !inputSet[p.Seg] {
-			continue
+	versions := map[string][]recAt{}
+	rs := newReplaySession(s, s.log, wal.Position{}, nil)
+	err := rs.round(wal.Position{Seg: maxInput + 1}, nil, func(rec *wal.Record, ptr wal.Ptr) (bool, error) {
+		// Stray records (no tablet served here covers them) go with the
+		// garbage; tombstones did their work when the round resolved them.
+		_, g, ok := s.resolveGroup(rec.Table, rec.Tablet, rec.Group, rec.Key)
+		if !ok || rec.Kind != wal.KindWrite {
+			return false, nil
 		}
-		rec := sc.Record()
-		switch rec.Kind {
-		case wal.KindWrite, wal.KindDelete:
-		default:
-			continue
-		}
-		st.RecordsIn++
-		if rec.TxnID != 0 && !committed[rec.TxnID] {
-			// Uncommitted: vacuumed (paper §3.7.2) — except registered 2PC
-			// preparations, whose commit may land mid-compaction or later;
-			// their records are carried verbatim and re-installed or
-			// repointed at the install step.
-			if regTxns[rec.TxnID] {
-				preserved = append(preserved, recAt{rec: rec, ptr: p})
-			}
-			continue
-		}
-		// Only records for tablets served here are retained; stray
-		// records (none in practice) are dropped with the garbage.
-		if _, err := s.tablet(rec.Tablet); err != nil {
-			continue
-		}
-		k := keyOf(rec)
-		ks := states[k]
-		if ks == nil {
-			ks = &keyState{table: rec.Table}
-			states[k] = ks
-		}
-		if rec.Kind == wal.KindDelete {
-			if rec.TS > ks.deleteTS {
-				ks.deleteTS = rec.TS
-			}
-			continue
-		}
-		ks.versions = append(ks.versions, recAt{rec: rec, ptr: p})
-	}
-	if err := sc.Err(); err != nil {
+		k := replayKey(rec)
+		versions[k] = append(versions[k], recAt{rec: *rec, ptr: ptr, g: g})
+		return true, nil
+	})
+	if err != nil {
 		return st, err
 	}
+	st.RecordsIn = rs.scanned
+	// Uncommitted transactional writes are vacuumed (paper §3.7.2),
+	// except the preparations registered when the input froze: their
+	// commit may still land, or has landed in the tail while the round
+	// ran. The round parked them; they are carried verbatim.
+	for id := range rs.pending {
+		if _, ok := slices.BinarySearch(registered, id); !ok {
+			delete(rs.pending, id)
+		}
+	}
+	prepTxns := slices.Sorted(maps.Keys(rs.pending))
 
-	// Select survivors: committed versions newer than the key's last
-	// delete, bounded by the table's retention policy (or the global
-	// CompactKeepVersions default).
+	// Select survivors, bounded by the table's retention policy (or the
+	// global CompactKeepVersions default).
 	bounds := s.retentionBounds()
 	var keep []recAt
-	for _, ks := range states {
-		live := ks.versions[:0]
-		for _, v := range ks.versions {
-			if v.rec.TS > ks.deleteTS {
-				live = append(live, v)
-			}
-		}
+	for _, live := range versions {
 		sort.Slice(live, func(i, j int) bool { return live[i].rec.TS < live[j].rec.TS })
 		// Keep only the latest version per (key, ts): same-ts rewrites
 		// are superseded by the highest LSN.
@@ -175,7 +131,7 @@ func (s *Server) Compact() (CompactionStats, error) {
 			}
 			dedup = append(dedup, v)
 		}
-		b := bounds(ks.table)
+		b := bounds(live[0].rec.Table)
 		if b.keep > 0 && len(dedup) > b.keep {
 			dedup = dedup[len(dedup)-b.keep:]
 		}
@@ -209,11 +165,7 @@ func (s *Server) Compact() (CompactionStats, error) {
 	// rewritten as plain writes (their commit records are vacuumed, so
 	// the TxnID must not survive or recovery would discard them).
 	sw := s.log.NewSegmentWriter(true)
-	type rebuiltEntry struct {
-		tablet, group string
-		e             index.Entry
-	}
-	rebuilt := make([]rebuiltEntry, 0, len(keep))
+	entriesByCG := map[*columnGroup][]index.Entry{}
 	remap := make(map[wal.Ptr]wal.Ptr, len(keep))
 	for i := range keep {
 		rec := keep[i].rec
@@ -223,10 +175,8 @@ func (s *Server) Compact() (CompactionStats, error) {
 			return st, err
 		}
 		remap[keep[i].ptr] = ptr
-		rebuilt = append(rebuilt, rebuiltEntry{
-			tablet: rec.Tablet, group: rec.Group,
-			e: index.Entry{Key: rec.Key, TS: rec.TS, Ptr: ptr, LSN: rec.LSN},
-		})
+		g := keep[i].g
+		entriesByCG[g] = append(entriesByCG[g], index.Entry{Key: rec.Key, TS: rec.TS, Ptr: ptr, LSN: rec.LSN})
 	}
 	if err := sw.Close(); err != nil {
 		return st, err
@@ -236,149 +186,70 @@ func (s *Server) Compact() (CompactionStats, error) {
 	// sorted segment's footer invariant (every record in key order) is
 	// what the clustered scan planner trusts. Once committed, their
 	// index entries point into the unsorted segment and scans reach them
-	// through the index overlay. Record their (tablet, group, entry)
-	// shape so a commit that landed during this compaction can be
-	// re-installed into the rebuilt trees, and a commit still to come
-	// finds repointed locations in its Prepared.
-	type prepEntry struct {
-		tablet, group string
-		key           []byte
-		del           bool
-		e             index.Entry
-	}
-	prepByTxn := map[uint64][]prepEntry{}
-	var prepSegs []uint32
-	if len(preserved) > 0 {
+	// through the index overlay.
+	ownOutput := map[uint32]bool{}
+	if len(prepTxns) > 0 {
 		swPrep := s.log.NewSegmentWriter(false)
-		for i := range preserved {
-			rec := preserved[i].rec
-			ptr, err := swPrep.Append(&rec)
-			if err != nil {
-				return st, err
+		for _, id := range prepTxns {
+			for i := range rs.pending[id] {
+				ptr, err := swPrep.Append(&rs.pending[id][i].rec)
+				if err != nil {
+					return st, err
+				}
+				remap[rs.pending[id][i].ptr] = ptr
 			}
-			remap[preserved[i].ptr] = ptr
-			prepByTxn[rec.TxnID] = append(prepByTxn[rec.TxnID], prepEntry{
-				tablet: rec.Tablet, group: rec.Group, key: rec.Key, del: rec.Kind == wal.KindDelete,
-				e: index.Entry{Key: rec.Key, TS: rec.TS, Ptr: ptr, LSN: rec.LSN},
-			})
 		}
 		if err := swPrep.Close(); err != nil {
 			return st, err
 		}
-		prepSegs = swPrep.Segments()
+		for _, n := range swPrep.Segments() {
+			ownOutput[n] = true
+		}
 	}
-	st.SegmentsOut = len(sw.Segments()) + len(prepSegs)
+	for _, n := range sw.Segments() {
+		ownOutput[n] = true
+	}
+	st.SegmentsOut = len(ownOutput)
 
-	// Build fresh trees over the sorted segments.
-	type cgKey struct{ tablet, group string }
-	entriesByCG := map[cgKey][]index.Entry{}
-	for _, re := range rebuilt {
-		k := cgKey{re.tablet, re.group}
-		entriesByCG[k] = append(entriesByCG[k], re.e)
-	}
-	newTrees := map[cgKey]*index.Tree{}
-	for k, entries := range entriesByCG {
-		sort.Slice(entries, func(i, j int) bool {
-			if c := bytes.Compare(entries[i].Key, entries[j].Key); c != 0 {
-				return c < 0
-			}
-			return entries[i].TS < entries[j].TS
-		})
-		newTrees[k] = index.Bulk(entries)
+	// Build fresh trees over the sorted segments (keep is in clustering
+	// order, so each column group's entries already are too).
+	newTrees := map[*columnGroup]*index.Tree{}
+	for g, entries := range entriesByCG {
+		newTrees[g] = index.Bulk(entries)
 	}
 
 	// Crash point: the sorted output segments are durable alongside the
 	// still-live inputs; the in-memory install has not begun. Recovery
-	// over the doubled log must be idempotent (same key/ts entries
-	// replace, deletes apply by LSN).
+	// over the doubled log must be idempotent.
 	if err := s.cfg.Faults.FireErr("crash.compact.pre-install"); err != nil {
 		return st, err
 	}
 
-	// Install: block mutations, replay the tail (records appended since
-	// the snapshot) into the new trees, swap, release. Tail segments are
-	// exactly those newer than the frozen input, minus our own sorted
-	// output.
+	// Install: block mutations, replay the tail (every segment newer
+	// than the frozen input, minus our own output) into the new trees,
+	// swap, release. A preparation whose commit landed in the tail was
+	// installed by CommitTxn into the trees about to be replaced, so the
+	// round applies its parked records here, at their relocated homes.
 	s.installMu.Lock()
-	tailCommitted := map[uint64]bool{}
-	tsc := s.log.NewScanner(wal.Position{Seg: maxInput + 1})
-	var tail []struct {
-		rec wal.Record
-		ptr wal.Ptr
-	}
-	for tsc.Next() {
-		p := tsc.Ptr()
-		if inputSet[p.Seg] {
-			continue
+	err = rs.round(logEnd, ownOutput, func(rec *wal.Record, ptr wal.Ptr) (bool, error) {
+		_, g, ok := s.resolveGroup(rec.Table, rec.Tablet, rec.Group, rec.Key)
+		if !ok {
+			return false, nil
 		}
-		if containsU32(sw.Segments(), p.Seg) || containsU32(prepSegs, p.Seg) {
-			// Our own output: the sorted rewrite, and the preserved
-			// prepared records (those are reconciled via prepByTxn below,
-			// with LSN-guarded deletes — the blind tail replay would let a
-			// relocated old tombstone destroy newer tail writes).
-			continue
+		tree := newTrees[g]
+		if tree == nil {
+			tree = index.New()
+			newTrees[g] = tree
 		}
-		rec := tsc.Record()
-		if rec.Kind == wal.KindCommit {
-			tailCommitted[rec.TxnID] = true
+		if moved, ok := remap[ptr]; ok {
+			ptr = moved
 		}
-		tail = append(tail, struct {
-			rec wal.Record
-			ptr wal.Ptr
-		}{rec, p})
-	}
-	if err := tsc.Err(); err != nil {
+		applyToTree(tree, rec.Kind == wal.KindDelete, index.Entry{Key: rec.Key, TS: rec.TS, Ptr: ptr, LSN: rec.LSN}, nil)
+		return true, nil
+	})
+	if err != nil {
 		s.installMu.Unlock()
 		return st, err
-	}
-	for _, t := range tail {
-		rec := t.rec
-		if rec.TxnID != 0 && !tailCommitted[rec.TxnID] && rec.Kind != wal.KindCommit {
-			continue
-		}
-		k := cgKey{rec.Tablet, rec.Group}
-		switch rec.Kind {
-		case wal.KindWrite:
-			tree := newTrees[k]
-			if tree == nil {
-				if _, err := s.tablet(rec.Tablet); err != nil {
-					continue
-				}
-				tree = index.New()
-				newTrees[k] = tree
-			}
-			tree.Put(index.Entry{Key: rec.Key, TS: rec.TS, Ptr: t.ptr, LSN: rec.LSN})
-		case wal.KindDelete:
-			if tree := newTrees[k]; tree != nil {
-				tree.DeleteKey(rec.Key)
-			}
-		}
-	}
-	// Preparations whose commit landed in the tail are committed NOW:
-	// CommitTxn installed entries into the trees this install is about
-	// to replace, so re-install the (relocated) records here. Deletes
-	// are LSN-guarded: a tail write newer than the transactional delete
-	// must survive it regardless of application order.
-	for txnID, entries := range prepByTxn {
-		if !tailCommitted[txnID] {
-			continue
-		}
-		for _, pe := range entries {
-			k := cgKey{pe.tablet, pe.group}
-			tree := newTrees[k]
-			if tree == nil {
-				if _, err := s.tablet(pe.tablet); err != nil {
-					continue
-				}
-				tree = index.New()
-				newTrees[k] = tree
-			}
-			if pe.del {
-				tree.DeleteKeyBelow(pe.key, pe.e.LSN)
-			} else {
-				tree.Put(pe.e)
-			}
-		}
 	}
 	// Preparations still awaiting their commit learn the relocated
 	// record positions.
@@ -389,8 +260,8 @@ func (s *Server) Compact() (CompactionStats, error) {
 	s.mu.RLock()
 	for _, t := range s.tablets {
 		t.mu.RLock()
-		for gname, g := range t.groups {
-			if nt, ok := newTrees[cgKey{t.id, gname}]; ok {
+		for _, g := range t.groups {
+			if nt, ok := newTrees[g]; ok {
 				g.idx.Store(nt)
 			} else {
 				g.idx.Store(index.New())
@@ -432,20 +303,11 @@ func (s *Server) Compact() (CompactionStats, error) {
 func (s *Server) segmentsBytes(nums []uint32) int64 {
 	var n int64
 	for _, si := range s.log.Segments() {
-		if containsU32(nums, si.Num) {
+		if slices.Contains(nums, si.Num) {
 			n += si.Size
 		}
 	}
 	return n
-}
-
-func containsU32(xs []uint32, x uint32) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // SortedFraction reports the fraction of live log bytes in sorted

@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dfs"
 	"repro/internal/fault"
 	"repro/internal/partition"
+	"repro/internal/wal"
 )
 
 // ---- crash-point recovery harness ---------------------------------------
@@ -205,6 +209,98 @@ func TestCrashDeletePreIndex(t *testing.T) {
 	}
 }
 
+// A write that arrives after a delete, under an older timestamp, is
+// installed, acknowledged and readable. Every replay of the log must end
+// in the state the running server had: restart redo, migration, and both
+// after incremental compaction has moved the tombstones above the writes
+// that followed them, and after the whole-log rewrite.
+func TestCrashLateWriteAfterDelete(t *testing.T) {
+	e := newCrashEnv(t, 11)
+	script := []struct {
+		key string
+		ts  int64
+		del bool
+	}{
+		{"late", 5, false}, {"late", 20, true}, {"late", 10, false}, // 10 came after the delete: it stays
+		{"pair", 12, false}, {"pair", 20, true}, {"pair", 17, false}, {"pair", 15, true}, // 17 outlives both
+		{"gone", 20, true}, {"gone", 12, false}, {"gone", 15, true}, // the later, older tombstone removes 12
+		{"tie", 9, false}, {"tie", 9, true}, {"tie", 9, false}, // equal timestamps: arrival decides
+	}
+	// One record per segment, so compaction can move any of them.
+	var tombstoneSegs []uint32
+	for i, st := range script {
+		var err error
+		if st.del {
+			err = e.srv.Delete(testTablet, testGroup, []byte(st.key), st.ts)
+			tombstoneSegs = append(tombstoneSegs, e.srv.Log().ActiveSegment())
+		} else {
+			err = e.srv.Write(testTablet, testGroup, []byte(st.key), st.ts, fmt.Appendf(nil, "%s#%d", st.key, i))
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		e.srv.Log().Rotate()
+	}
+	view := func(s *Server) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		for _, st := range script {
+			rows, err := s.Versions(testTablet, testGroup, []byte(st.key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[st.key] = fmt.Sprint(rows)
+		}
+		return out
+	}
+	live := view(e.srv)
+	want := map[string]string{"late": "late#2", "pair": "pair#5", "tie": "tie#12"}
+	for key, val := range want {
+		if row, err := e.srv.Get(testTablet, testGroup, []byte(key)); err != nil || string(row.Value) != val {
+			t.Fatalf("live Get(%s) = %q, %v; want %q", key, row.Value, err, val)
+		}
+	}
+	check := func(what string, s *Server) {
+		t.Helper()
+		if got := view(s); !maps.Equal(got, live) {
+			t.Fatalf("%s:\n got  %v\n want %v", what, got, live)
+		}
+	}
+	migrate := func(what string, src *Server) {
+		t.Helper()
+		dst := mustServer(t, e.fs, "ts-"+what, Config{})
+		rs, err := dst.NewReplaySession(src.Log(), wal.Position{}, []partition.Tablet{{ID: testTablet, Table: "users"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		check("CatchUp "+what, dst)
+	}
+
+	check("Recover", e.crashAndRecover())
+	migrate("plain", e.srv)
+
+	if _, err := e.srv.CompactSegments(tombstoneSegs); err != nil {
+		t.Fatal(err)
+	}
+	segs := e.srv.Log().Segments()
+	if last := segs[len(segs)-1].Num; last <= slices.Max(tombstoneSegs) {
+		t.Fatalf("tombstones not relocated above the writes (last segment %d)", last)
+	}
+	check("CompactSegments", e.srv)
+	check("Recover after CompactSegments", e.crashAndRecover())
+	migrate("relocated", e.srv)
+
+	if _, err := e.srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("Compact", e.srv)
+	check("Recover after Compact", e.crashAndRecover())
+	migrate("compacted", e.srv)
+}
+
 func TestCrashTxnPreIndex(t *testing.T) {
 	e := newCrashEnv(t, 103)
 	o := oracle{}
@@ -305,6 +401,48 @@ func TestCrash2PCPostCommitAppend(t *testing.T) {
 		t.Fatalf("2PC row = (%d, %q), want (91, vc)", row.TS, row.Value)
 	}
 	verifyOracle(t, s, o, map[string]*Row{"c2": {TS: 91, Value: []byte("vc"), Key: []byte("c2")}})
+}
+
+// A prepared transaction whose commit lands while whole-log compaction
+// is still reading its input: the commit record is in the tail and the
+// registration is gone by the time compaction decides what to carry.
+// The prepared records must be carried all the same.
+func TestCompactKeepsTxnCommittedMidCollect(t *testing.T) {
+	reg := fault.New(113)
+	fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 1 << 16, Faults: reg})
+	if err != nil {
+		t.Fatalf("dfs.New: %v", err)
+	}
+	e := &crashEnv{t: t, fs: fs, reg: reg}
+	e.srv = e.open()
+	o := oracle{}
+	seedRows(t, e.srv, o, 20)
+	p, err := e.srv.PrepareTxn(77, 95, []TxnWrite{
+		{Tablet: testTablet, Group: testGroup, Key: []byte("mid"), Value: []byte("vm")},
+	})
+	if err != nil {
+		t.Fatalf("PrepareTxn: %v", err)
+	}
+	// The first block read after this point is compaction's collect
+	// round opening the frozen input.
+	var once sync.Once
+	commit := fault.Policy{OnFire: func() {
+		once.Do(func() {
+			if err := e.srv.CommitTxn(77, 95, p); err != nil {
+				t.Errorf("CommitTxn: %v", err)
+			}
+		})
+	}}
+	for i := 0; i < 3; i++ {
+		reg.Arm(fmt.Sprintf("dfs.dn%d.read", i), commit)
+	}
+	if _, err := e.srv.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	reg.Reset()
+	o.put("mid", 95, "vm")
+	verifyOracle(t, e.srv, o, nil)
+	verifyOracle(t, e.crashAndRecover(), o, nil)
 }
 
 func TestCrashCheckpointPreInstall(t *testing.T) {

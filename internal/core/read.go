@@ -50,11 +50,7 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 		return []Row{row}, nil
 	}
 
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return nil, err
-	}
-	g, err := t.group(group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return nil, err
 	}
@@ -116,11 +112,7 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 	sp.Label("server", s.id)
 	sp.Label("tablet", tabletID)
 	defer sp.Finish()
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return err
-	}
-	g, err := t.group(group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return err
 	}

@@ -121,11 +121,7 @@ func (s *Server) ParallelScan(ctx context.Context, tabletID, group string, opt S
 	sp.Label("server", s.id)
 	sp.Label("tablet", tabletID)
 	defer sp.Finish()
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return err
-	}
-	g, err := t.group(group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return err
 	}
@@ -423,11 +419,7 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 // up to n-1 strictly increasing split keys inside (start, end). The
 // query layer uses it to size scan fan-out.
 func (s *Server) SplitRange(tabletID, group string, start, end []byte, n int) ([][]byte, error) {
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return nil, err
-	}
-	g, err := t.group(group)
+	_, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,15 @@ func TestParallelScanEmitErrorCancels(t *testing.T) {
 func TestParallelScanUseCacheOptIn(t *testing.T) {
 	s, _ := newTestServer(t, Config{ReadCacheBytes: 8 << 20})
 	const n = 500
-	loadRows(t, s, n) // Write populates the read cache with the latest version
+	loadRows(t, s, n)
+	// Point reads warm the read buffer; a write refreshes a cached row
+	// but adds none (apply.go, "Read buffer").
+	for i := 0; i < n; i++ {
+		if _, err := s.Get(testTablet, testGroup, []byte(fmt.Sprintf("user%06d", i))); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+	}
+	loadRows(t, s, n)
 
 	// Default: scans bypass the point-read buffer (cache-resistant).
 	base := s.Stats().LogReads.Load()

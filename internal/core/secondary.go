@@ -63,11 +63,7 @@ func splitComposite(comp []byte) (secKey, primary []byte) {
 // RegisterSecondaryIndex creates (or replaces) a secondary index over a
 // column group and backfills it by scanning the existing index + log.
 func (s *Server) RegisterSecondaryIndex(name, tabletID, group string, extract Extractor) error {
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return err
-	}
-	g, err := t.group(group)
+	_, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return err
 	}
@@ -132,9 +128,8 @@ func (si *secondaryIndex) unindex(primary []byte) {
 	}
 }
 
-// maintainSecondary routes one applied write/delete to the matching
-// secondary indexes; called on the write path after the primary index
-// is updated.
+// maintainSecondary routes one reflected write/delete to the matching
+// secondary indexes (reflect calls it once the primary index changed).
 func (s *Server) maintainSecondary(tabletID, group string, key []byte, ts int64, ptr wal.Ptr, lsn uint64, value []byte, deleted bool) {
 	s.secMu.RLock()
 	defer s.secMu.RUnlock()

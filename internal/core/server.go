@@ -7,10 +7,11 @@
 //
 // Write path: frame the operation as a log record, append it durably
 // (optionally group-committed), then point the in-memory index at the
-// new location and optionally populate the read buffer. Read path: read
-// buffer → in-memory index → one log seek. Deletes persist an
-// invalidated record so they survive recovery. Compaction and
-// checkpoint/recovery live in compaction.go and checkpoint.go.
+// new location and refresh the read buffer (apply.go, shared with
+// recovery, replay and replication). Read path: read buffer →
+// in-memory index → one log seek.
+// Deletes persist an invalidated record so they survive recovery.
+// Compaction and checkpoints live in compaction.go and checkpoint.go.
 package core
 
 import (
@@ -286,11 +287,25 @@ func (s *Server) AddTablet(tab partition.Tablet, groups []string) *Tablet {
 }
 
 // RemoveTablet stops serving a tablet (its log data stays; the new
-// owner recovers it from the shared DFS).
+// owner recovers it from the shared DFS). Its read-buffer entries go
+// too: the buffer is keyed by row, and what the next owner deletes
+// would otherwise read back from here should the tablet return.
 func (s *Server) RemoveTablet(id string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	t := s.tablets[id]
 	delete(s.tablets, id)
+	s.mu.Unlock()
+	if t == nil || s.cfg.ReadCacheBytes <= 0 {
+		return
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, g := range t.groups {
+		g.tree().Ascend(func(e index.Entry) bool {
+			s.readCache.Invalidate(cacheKey(t.table, g.name, e.Key))
+			return true
+		})
+	}
 }
 
 // Tablets lists served tablet ids.
@@ -314,52 +329,14 @@ func (s *Server) tablet(id string) (*Tablet, error) {
 	return t, nil
 }
 
-// resolveTablet finds the served tablet for a log record: the exact id
-// when still served and covering the key, otherwise the served tablet
-// of the same table whose range contains the key. Records written
-// before a tablet split carry the parent's id; the range fallback
-// routes them into the correct child during recovery and replay.
-func (s *Server) resolveTablet(table, tabletID string, key []byte) (*Tablet, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t, ok := s.tablets[tabletID]; ok && t.rng.Contains(key) {
-		return t, true
+// tabletGroup looks up a served tablet and one of its column groups.
+func (s *Server) tabletGroup(tabletID, group string) (*Tablet, *columnGroup, error) {
+	t, err := s.tablet(tabletID)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, t := range s.tablets {
-		if t.table == table && boundedRange(t.rng) && t.rng.Contains(key) {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// ApplyReplicated applies one shipped log record to this server (the
-// WAL-shipping replica apply path, internal/repl): the record is
-// resolved to a served tablet — exact id, or by-range for records
-// written before a source-side split — and re-applied with its
-// ORIGINAL commit timestamp, so the replica's multiversion index
-// reproduces the primary's version history. Returns false (and no
-// error) when no served tablet covers the record: the tablet migrated
-// off the replica's primary, and its new owner's replica carries it.
-func (s *Server) ApplyReplicated(rec *wal.Record) (bool, error) {
-	t, ok := s.resolveTablet(rec.Table, rec.Tablet, rec.Key)
-	if !ok {
-		return false, nil
-	}
-	if rec.Kind == wal.KindDelete {
-		return true, s.Delete(t.id, rec.Group, rec.Key, rec.TS)
-	}
-	return true, s.Write(t.id, rec.Group, rec.Key, rec.TS, rec.Value)
-}
-
-// boundedRange reports whether a range has at least one bound. The
-// by-range record fallback is restricted to such ranges: a fully
-// unbounded range only belongs to a never-split single-tablet table,
-// where the exact-id match always applies — and test fixtures routinely
-// declare several unbounded tablets per table, which would otherwise
-// capture each other's records.
-func boundedRange(r partition.Range) bool {
-	return len(r.Start) > 0 || r.End != nil
+	g, err := t.group(group)
+	return t, g, err
 }
 
 func (s *Server) append(recs ...*wal.Record) ([]wal.Ptr, error) {
@@ -377,33 +354,6 @@ func (s *Server) append(recs ...*wal.Record) ([]wal.Ptr, error) {
 
 func cacheKey(table, group string, key []byte) string {
 	return table + "\x00" + group + "\x00" + string(key)
-}
-
-// noteDeleted credits every stored version of key as garbage in its
-// segment (a delete makes them all unreachable). Called BEFORE the
-// index entries are dropped. The garbage ratios drive the auto
-// compactor's candidate selection.
-func (s *Server) noteDeleted(g *columnGroup, key []byte) {
-	for _, v := range g.tree().Versions(key, nil) {
-		s.log.AddGarbage(v.Ptr.Seg, int64(v.Ptr.Len))
-	}
-}
-
-// noteSuperseded credits the version that just fell outside the
-// table's version-retention window (if any) as garbage. Called after a
-// new version is installed; each old version is charged once, as it
-// crosses the retention boundary.
-func (s *Server) noteSuperseded(table string, g *columnGroup, key []byte) {
-	k := s.retentionKeep(table)
-	if k <= 0 {
-		return
-	}
-	// The version k below the newest just crossed the retention
-	// boundary; a bounded ring walk finds it without materializing the
-	// key's whole history on the hot write path.
-	if v, ok := g.tree().NthFromNewest(key, k); ok {
-		s.log.AddGarbage(v.Ptr.Seg, int64(v.Ptr.Len))
-	}
 }
 
 // encodeCached packs (ts, value) for the read buffer.
@@ -428,43 +378,13 @@ func decodeCached(b []byte) (int64, []byte) {
 // timestamp ts. It is the auto-commit path (single-row ACID): durable
 // once the log append returns.
 func (s *Server) Write(tabletID, group string, key []byte, ts int64, value []byte) error {
-	defer s.obs.since(s.obs.put, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	t, err := s.tablet(tabletID)
+	m, err := s.stage(BatchWrite{Tablet: tabletID, Group: group, Key: key, Value: value, TS: ts})
 	if err != nil {
 		return err
 	}
-	if t.frozen.Load() {
-		return fmt.Errorf("%w: %s", ErrTabletFrozen, tabletID)
-	}
-	g, err := t.group(group)
-	if err != nil {
-		return err
-	}
-	rec := &wal.Record{
-		Kind: wal.KindWrite, Table: t.table, Tablet: t.id,
-		Group: group, Key: key, TS: ts, Value: value,
-	}
-	ptrs, err := s.append(rec)
-	if err != nil {
-		return err
-	}
-	// Crash point: the record is durable but not yet indexed. Recovery
-	// must redo it from the log (it was never acknowledged, so it may
-	// legally be either visible or absent — but never half-applied).
-	if err := s.cfg.Faults.FireErr("crash.put.pre-index"); err != nil {
-		return err
-	}
-	g.tree().Put(index.Entry{Key: key, TS: ts, Ptr: ptrs[0], LSN: rec.LSN})
-	s.noteSuperseded(t.table, g, key)
-	s.readCache.Put(cacheKey(t.table, group, key), encodeCached(ts, value))
-	s.maintainSecondary(tabletID, group, key, ts, ptrs[0], rec.LSN, value, false)
-	s.noteTS(ts)
-	s.stats.Writes.Add(1)
-	t.load.add(1, int64(len(value)))
-	s.bumpUpdates(t, g)
-	return nil
+	return s.applyOne(m)
 }
 
 // bumpUpdates advances the column group's update counter and merges the
@@ -496,11 +416,7 @@ func (s *Server) Get(tabletID, group string, key []byte) (Row, error) {
 // (paper §3.6.2: a Get with an attached timestamp).
 func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error) {
 	defer s.obs.since(s.obs.get, s.obs.start())
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return Row{}, err
-	}
-	g, err := t.group(group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return Row{}, err
 	}
@@ -548,11 +464,7 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 // Versions returns all versions of key, oldest first (multiversion data
 // access for historical analysis, a headline requirement in §1).
 func (s *Server) Versions(tabletID, group string, key []byte) ([]Row, error) {
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return nil, err
-	}
-	g, err := t.group(group)
+	_, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return nil, err
 	}
@@ -577,40 +489,13 @@ func (s *Server) Versions(tabletID, group string, key []byte) ([]Row, error) {
 // and persists an invalidated log entry so the deletion survives
 // recovery from an older checkpoint (paper §3.6.3).
 func (s *Server) Delete(tabletID, group string, key []byte, ts int64) error {
-	defer s.obs.since(s.obs.del, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	t, err := s.tablet(tabletID)
+	m, err := s.stage(BatchWrite{Tablet: tabletID, Group: group, Key: key, TS: ts, Delete: true})
 	if err != nil {
 		return err
 	}
-	if t.frozen.Load() {
-		return fmt.Errorf("%w: %s", ErrTabletFrozen, tabletID)
-	}
-	g, err := t.group(group)
-	if err != nil {
-		return err
-	}
-	rec := &wal.Record{
-		Kind: wal.KindDelete, Table: t.table, Tablet: t.id,
-		Group: group, Key: key, TS: ts,
-	}
-	if _, err := s.append(rec); err != nil {
-		return err
-	}
-	// Crash point: tombstone durable, index entries not yet dropped.
-	if err := s.cfg.Faults.FireErr("crash.delete.pre-index"); err != nil {
-		return err
-	}
-	s.noteDeleted(g, key)
-	g.tree().DeleteKey(key)
-	s.readCache.Invalidate(cacheKey(t.table, group, key))
-	s.maintainSecondary(tabletID, group, key, ts, wal.Ptr{}, rec.LSN, nil, true)
-	s.noteTS(ts)
-	s.stats.Deletes.Add(1)
-	t.load.add(1, 0)
-	s.bumpUpdates(t, g)
-	return nil
+	return s.applyOne(m)
 }
 
 // scanCheckEvery is how many rows a serial scan processes between
@@ -627,11 +512,7 @@ func (s *Server) Scan(ctx context.Context, tabletID, group string, start, end []
 		ctx = context.Background()
 	}
 	defer s.obs.since(s.obs.scan, s.obs.start())
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return err
-	}
-	g, err := t.group(group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return err
 	}
@@ -679,11 +560,7 @@ func (s *Server) FullScan(ctx context.Context, tabletID, group string, fn func(R
 
 // IndexLen returns the number of index entries for a column group.
 func (s *Server) IndexLen(tabletID, group string) int {
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return 0
-	}
-	g, err := t.group(group)
+	_, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return 0
 	}
@@ -717,59 +594,14 @@ func (s *Server) ApplyTxn(txnID uint64, commitTS int64, writes []TxnWrite) error
 	defer s.obs.since(s.obs.applyTxn, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	recs := make([]*wal.Record, 0, len(writes)+1)
-	for _, w := range writes {
-		t, err := s.tablet(w.Tablet)
-		if err != nil {
-			return err
-		}
-		if t.frozen.Load() {
-			return fmt.Errorf("%w: %s", ErrTabletFrozen, w.Tablet)
-		}
-		if _, err := t.group(w.Group); err != nil {
-			return err
-		}
-		kind := wal.KindWrite
-		if w.Delete {
-			kind = wal.KindDelete
-		}
-		recs = append(recs, &wal.Record{
-			Kind: kind, Table: t.table, Tablet: w.Tablet, Group: w.Group,
-			Key: w.Key, TS: commitTS, Value: w.Value, TxnID: txnID,
-		})
-	}
-	recs = append(recs, &wal.Record{Kind: wal.KindCommit, TxnID: txnID, TS: commitTS})
-	ptrs, err := s.append(recs...)
+	muts, err := s.stageAll(len(writes), func(i int) BatchWrite { return writes[i].at(commitTS) })
 	if err != nil {
 		return err
 	}
+	recs := append(frame(muts, txnID), &wal.Record{Kind: wal.KindCommit, TxnID: txnID, TS: commitTS})
 	// Crash point: writes AND commit record are durable, indexes are
 	// not touched yet — recovery must surface the whole transaction.
-	if err := s.cfg.Faults.FireErr("crash.txn.pre-index"); err != nil {
-		return err
-	}
-	// Commit record durable: reflect the writes in indexes and cache.
-	for i, w := range writes {
-		t, _ := s.tablet(w.Tablet)
-		g, _ := t.group(w.Group)
-		if w.Delete {
-			s.noteDeleted(g, w.Key)
-			g.tree().DeleteKey(w.Key)
-			s.readCache.Invalidate(cacheKey(t.table, w.Group, w.Key))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, commitTS, wal.Ptr{}, recs[i].LSN, nil, true)
-			s.stats.Deletes.Add(1)
-		} else {
-			g.tree().Put(index.Entry{Key: w.Key, TS: commitTS, Ptr: ptrs[i], LSN: recs[i].LSN})
-			s.noteSuperseded(t.table, g, w.Key)
-			s.readCache.Put(cacheKey(t.table, w.Group, w.Key), encodeCached(commitTS, w.Value))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, commitTS, ptrs[i], recs[i].LSN, w.Value, false)
-			s.stats.Writes.Add(1)
-		}
-		t.load.add(1, int64(len(w.Value)))
-		s.bumpUpdates(t, g)
-	}
-	s.noteTS(commitTS)
-	return nil
+	return s.applyGroup(muts, recs, "crash.txn.pre-index")
 }
 
 // BatchWrite is one mutation of a write batch: a plain write or delete
@@ -798,63 +630,13 @@ func (s *Server) ApplyBatch(writes []BatchWrite) error {
 	defer s.obs.since(s.obs.applyBatch, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	recs := make([]*wal.Record, 0, len(writes))
-	for _, w := range writes {
-		t, err := s.tablet(w.Tablet)
-		if err != nil {
-			return err
-		}
-		if t.frozen.Load() {
-			return fmt.Errorf("%w: %s", ErrTabletFrozen, w.Tablet)
-		}
-		if _, err := t.group(w.Group); err != nil {
-			return err
-		}
-		kind := wal.KindWrite
-		if w.Delete {
-			kind = wal.KindDelete
-		}
-		recs = append(recs, &wal.Record{
-			Kind: kind, Table: t.table, Tablet: w.Tablet, Group: w.Group,
-			Key: w.Key, TS: w.TS, Value: w.Value,
-		})
-	}
-	ptrs, err := s.append(recs...)
+	muts, err := s.stageAll(len(writes), func(i int) BatchWrite { return writes[i] })
 	if err != nil {
 		return err
 	}
 	// Crash point: the whole batch is durable in one sweep; none of it
 	// is indexed yet.
-	if err := s.cfg.Faults.FireErr("crash.batch.pre-index"); err != nil {
-		return err
-	}
-	for i, w := range writes {
-		t, _ := s.tablet(w.Tablet)
-		g, _ := t.group(w.Group)
-		if w.Delete {
-			s.noteDeleted(g, w.Key)
-			g.tree().DeleteKey(w.Key)
-			s.readCache.Invalidate(cacheKey(t.table, w.Group, w.Key))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, w.TS, wal.Ptr{}, recs[i].LSN, nil, true)
-			s.stats.Deletes.Add(1)
-		} else {
-			g.tree().Put(index.Entry{Key: w.Key, TS: w.TS, Ptr: ptrs[i], LSN: recs[i].LSN})
-			s.noteSuperseded(t.table, g, w.Key)
-			// Invalidate rather than populate the read buffer: the
-			// batch's timestamps were assigned before a long append, so
-			// a concurrent Put may already have cached a NEWER version
-			// that a blind cache write would clobber (GetAt assumes
-			// cached entries are the newest overall). Bulk loads also
-			// should not evict the OLTP working set.
-			s.readCache.Invalidate(cacheKey(t.table, w.Group, w.Key))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, w.TS, ptrs[i], recs[i].LSN, w.Value, false)
-			s.stats.Writes.Add(1)
-		}
-		s.noteTS(w.TS)
-		t.load.add(1, int64(len(w.Value)))
-		s.bumpUpdates(t, g)
-	}
-	return nil
+	return s.applyGroup(muts, frame(muts, 0), "crash.batch.pre-index")
 }
 
 // Close releases the server's background resources: the group-commit
@@ -884,15 +666,16 @@ type TxnWrite struct {
 	Delete bool
 }
 
+// at is the write as a mutation at the transaction's commit timestamp.
+func (w TxnWrite) at(commitTS int64) BatchWrite {
+	return BatchWrite{Tablet: w.Tablet, Group: w.Group, Key: w.Key, Value: w.Value, TS: commitTS, Delete: w.Delete}
+}
+
 // CurrentVersion returns the latest version timestamp of a key (0 if
 // absent); MVOCC validation compares these against a transaction's read
 // versions (paper §3.7.1).
 func (s *Server) CurrentVersion(tabletID, group string, key []byte) (int64, error) {
-	t, err := s.tablet(tabletID)
-	if err != nil {
-		return 0, err
-	}
-	g, err := t.group(group)
+	_, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return 0, err
 	}

@@ -12,11 +12,9 @@ package core
 //     a live migration: mutations on a frozen tablet fail with
 //     ErrTabletFrozen (retryable stale routing from a client's view)
 //     while reads keep being served until the routing flip.
-//   - ReplaySession is the catch-up engine of live migration and
-//     range-aware failover: it replays another server's log into this
-//     one, matching records against adopted tablet RANGES rather than
-//     ids, so logs written before a split replay correctly into the
-//     children.
+//   - NewReplaySession/CatchUp drive live migration and range-aware
+//     failover: another server's log is replayed into this one through
+//     the shared record-apply path (apply.go).
 
 import (
 	"bytes"
@@ -147,52 +145,6 @@ func (s *Server) SplitTablet(parentID string, left, right partition.Tablet) erro
 	return nil
 }
 
-// ReplaySession incrementally replays another server's log into this
-// one — the engine behind live migration (repeated CatchUp rounds while
-// writes keep landing on the source, then a final round after the
-// source tablet is frozen) and range-aware failover recovery.
-//
-// Records are matched by tablet RANGE, not id: a record belongs to the
-// session if its (table, key) falls inside one of the adopted tablet
-// specs. This is what makes logs written before a split replay
-// correctly — pre-split records carry the parent's tablet id, but their
-// keys route into the right child.
-//
-// Transactional records are buffered until their commit record is seen,
-// so a CatchUp round that ends between a transaction's writes and its
-// commit neither loses nor prematurely applies them.
-type ReplaySession struct {
-	dst       *Server
-	srcLog    *wal.Log
-	specs     []partition.Tablet
-	pos       wal.Position
-	committed map[uint64]uint64 // txn id -> commit record LSN
-	pending   map[uint64][]wal.Record
-	applied   int
-
-	// highWater is the highest source LSN covered by previous rounds.
-	// Incremental compaction on the source relocates records (keeping
-	// their LSNs) into higher-numbered segments, so a later round can
-	// re-present records already replayed; they are skipped by LSN.
-	highWater uint64
-	// deletes tracks, per key, the newest known invalidation and whether
-	// it has been applied to the destination. Replay applies deletes by
-	// LSN — a relocated old tombstone must not destroy newer replayed
-	// data, and a relocated old write must not resurrect a deleted row.
-	deletes map[string]*replayDelete
-}
-
-// replayDelete is the per-key delete resolution state of a replay.
-type replayDelete struct {
-	lsn     uint64
-	ts      int64
-	applied bool
-}
-
-func replayKey(rec *wal.Record) string {
-	return rec.Table + "\x00" + rec.Group + "\x00" + string(rec.Key)
-}
-
 // NewReplaySession opens a replay of a source log (from srcStart,
 // typically the zero position or the source's last checkpoint) into
 // this server, adopting the given tablet specs. The specs' tablets must
@@ -202,20 +154,14 @@ func replayKey(rec *wal.Record) string {
 // log snapshots segment sizes and would never see the source's ongoing
 // appends. For failover from a dead server use OpenPeerLog.
 func (s *Server) NewReplaySession(srcLog *wal.Log, srcStart wal.Position, specs []partition.Tablet) (*ReplaySession, error) {
+	adopted := make(map[string]bool, len(specs))
 	for _, spec := range specs {
 		if _, err := s.tablet(spec.ID); err != nil {
 			return nil, err
 		}
+		adopted[spec.ID] = true
 	}
-	return &ReplaySession{
-		dst:       s,
-		srcLog:    srcLog,
-		specs:     append([]partition.Tablet(nil), specs...),
-		pos:       srcStart,
-		committed: make(map[uint64]uint64),
-		pending:   make(map[uint64][]wal.Record),
-		deletes:   make(map[string]*replayDelete),
-	}, nil
+	return newReplaySession(s, srcLog, srcStart, adopted), nil
 }
 
 // Applied returns the total number of records applied so far.
@@ -239,9 +185,9 @@ func (rs *ReplaySession) SetHighWater(lsn uint64) {
 // locks held) abort the cutover, while orphaned prepare records from
 // long-dead transactions don't block migration forever.
 func (rs *ReplaySession) PendingLive(held func(tablet, group string, key []byte) bool) bool {
-	for _, recs := range rs.pending {
-		for i := range recs {
-			if held(recs[i].Tablet, recs[i].Group, recs[i].Key) {
+	for _, parked := range rs.pending {
+		for i := range parked {
+			if rec := &parked[i].rec; held(rec.Tablet, rec.Group, rec.Key) {
 				return true
 			}
 		}
@@ -257,219 +203,27 @@ func (s *Server) OpenPeerLog(srcServerID string) (*wal.Log, error) {
 	return wal.Open(s.fs, "log/"+srcServerID, wal.Options{SegmentSize: s.cfg.SegmentSize})
 }
 
-// match resolves the record's target tablet among the adopted specs.
-func (rs *ReplaySession) match(rec *wal.Record) (partition.Tablet, bool) {
-	for _, spec := range rs.specs {
-		if spec.ID == rec.Tablet {
-			return spec, true
-		}
-	}
-	for _, spec := range rs.specs {
-		if spec.Table == rec.Table && boundedRange(spec.Range) && spec.Range.Contains(rec.Key) {
-			return spec, true
-		}
-	}
-	return partition.Tablet{}, false
-}
-
-func (rs *ReplaySession) apply(spec partition.Tablet, rec *wal.Record) error {
-	ds := rs.deletes[replayKey(rec)]
-	switch rec.Kind {
-	case wal.KindWrite:
-		if ds != nil && rec.LSN < ds.lsn {
-			return nil // invalidated by a newer delete
-		}
-		// The key's newest delete sorts before this surviving write in
-		// LSN order; apply it first so it clears older destination state
-		// without touching what this write is about to install.
-		if ds != nil && !ds.applied {
-			ds.applied = true
-			if err := rs.dst.Delete(spec.ID, rec.Group, rec.Key, ds.ts); err != nil {
-				return err
-			}
-		}
-		if err := rs.dst.Write(spec.ID, rec.Group, rec.Key, rec.TS, rec.Value); err != nil {
-			return err
-		}
-	case wal.KindDelete:
-		if ds == nil || rec.LSN < ds.lsn || ds.applied {
-			return nil // superseded by a newer delete, or already applied
-		}
-		ds.applied = true
-		if err := rs.dst.Delete(spec.ID, rec.Group, rec.Key, rec.TS); err != nil {
-			return err
-		}
-	default:
-		return nil
-	}
-	rs.applied++
-	return nil
-}
-
 // CatchUp replays the source log from the session's cursor up to the
 // log's current end, applying committed records for the adopted ranges,
 // and advances the cursor. It returns the number of records applied
 // this round; call it repeatedly until the returned count is small,
 // freeze the source tablet, then call it once more to drain the tail.
+//
+// A round is bounded by one position, and an incremental compaction's
+// output sits ABOVE the segment still open for append, beyond End: when
+// such output exists CatchUp seals the source's active segment, so that
+// the bound covers both and the source's next append opens a new one.
 func (rs *ReplaySession) CatchUp() (int, error) {
-	// Bound this round at the end observed on entry: anything appended
-	// while we scan is left for the next round, so the cursor can be
-	// advanced to `end` without skipping records.
-	end := rs.srcLog.End()
 	before := rs.applied
-	inRound := func(p wal.Ptr) bool {
-		if p.Seg == rs.pos.Seg && p.Off < rs.pos.Off {
-			return false // scanner rewinds to a framing boundary before pos
-		}
-		return p.Seg < end.Seg || (p.Seg == end.Seg && p.Off < end.Off)
-	}
-
-	// Pass 1: learn this round's commits and fold its delete records
-	// into the per-key delete resolution (committed transactional
-	// deletes only become visible once their commit is seen, hence the
-	// deferred fold). roundMax advances the LSN high-water mark.
-	type pendDel struct {
-		key   string
-		lsn   uint64
-		ts    int64
-		txnID uint64
-	}
-	var txnDels []pendDel
-	sc := rs.srcLog.NewScanner(rs.pos)
-	for sc.Next() {
-		p := sc.Ptr()
-		if p.Seg == rs.pos.Seg && p.Off < rs.pos.Off {
-			continue
-		}
-		if !inRound(p) {
-			break
-		}
-		rec := sc.Record()
-		switch rec.Kind {
-		case wal.KindCommit:
-			rs.committed[rec.TxnID] = rec.LSN
-		case wal.KindDelete:
-			if rec.TxnID != 0 {
-				// Deferred below: the skip decision needs the commit LSN
-				// (a txn's records cover the stream only once the commit
-				// does — replica promotion seeds highWater from a shipping
-				// cursor, which advances by COMMIT LSN for txn records).
-				txnDels = append(txnDels, pendDel{key: replayKey(&rec), lsn: rec.LSN, ts: rec.TS, txnID: rec.TxnID})
-				continue
-			}
-			if rec.LSN <= rs.highWater {
-				continue // relocated copy; resolved in its original round
-			}
-			rs.noteDelete(replayKey(&rec), rec.LSN, rec.TS)
+	if active := rs.srcLog.ActiveSegment(); active != 0 {
+		if segs := rs.srcLog.Segments(); segs[len(segs)-1].Num > active {
+			rs.srcLog.Rotate()
 		}
 	}
-	sc.Close()
-	if err := sc.Err(); err != nil {
-		return rs.applied - before, err
-	}
-	for _, td := range txnDels {
-		if cl, ok := rs.committed[td.txnID]; ok && cl > rs.highWater {
-			rs.noteDelete(td.key, td.lsn, td.ts)
-		}
-	}
-
-	// Pass 2: apply. Records at or below the high-water mark were
-	// covered by earlier rounds (compaction re-presents them at new
-	// positions with their original LSNs) and are skipped wholesale.
-	// The mark itself advances to the highest LSN THIS pass iterates: a
-	// source-side compaction between the two passes can relocate
-	// records beyond this round's bound, and their LSNs must stay below
-	// the mark so the next round still applies them.
-	var pass2Max uint64
-	sc = rs.srcLog.NewScanner(rs.pos)
-	for sc.Next() {
-		p := sc.Ptr()
-		if p.Seg == rs.pos.Seg && p.Off < rs.pos.Off {
-			continue
-		}
-		if !inRound(p) {
-			break
-		}
-		rec := sc.Record()
-		if rec.Kind != wal.KindCommit && rec.LSN > pass2Max {
-			pass2Max = rec.LSN
-		}
-		if rec.Kind != wal.KindCommit {
-			// A record is covered once the STREAM covered it: for a
-			// transactional record that is its commit's LSN (a shipping
-			// cursor seeding highWater advances by commit), for everything
-			// else its own. Compaction rewrites relocated committed txn
-			// records as plain writes, so in migration the commit branch
-			// only fires for never-relocated records, where it is exact.
-			cover := rec.LSN
-			if rec.TxnID != 0 {
-				if cl, ok := rs.committed[rec.TxnID]; ok {
-					cover = cl
-				}
-			}
-			if cover <= rs.highWater {
-				continue
-			}
-		}
-		switch rec.Kind {
-		case wal.KindCommit:
-			// A parked transactional delete becomes visible only now: fold
-			// it into the per-key resolution BEFORE applying the batch, so
-			// it cannot be lost (its commit arriving rounds later) and the
-			// txn's own surviving writes apply after it.
-			for i := range rs.pending[rec.TxnID] {
-				pr := &rs.pending[rec.TxnID][i]
-				if pr.Kind == wal.KindDelete {
-					rs.noteDelete(replayKey(pr), pr.LSN, pr.TS)
-				}
-			}
-			for i := range rs.pending[rec.TxnID] {
-				pr := &rs.pending[rec.TxnID][i]
-				spec, ok := rs.match(pr)
-				if !ok {
-					continue
-				}
-				if err := rs.apply(spec, pr); err != nil {
-					sc.Close()
-					return rs.applied - before, err
-				}
-			}
-			delete(rs.pending, rec.TxnID)
-		case wal.KindWrite, wal.KindDelete:
-			spec, ok := rs.match(&rec)
-			if !ok {
-				continue
-			}
-			if _, done := rs.committed[rec.TxnID]; rec.TxnID != 0 && !done {
-				rs.pending[rec.TxnID] = append(rs.pending[rec.TxnID], rec)
-				continue
-			}
-			if err := rs.apply(spec, &rec); err != nil {
-				sc.Close()
-				return rs.applied - before, err
-			}
-		}
-	}
-	sc.Close()
-	if err := sc.Err(); err != nil {
-		return rs.applied - before, err
-	}
-	if pass2Max > rs.highWater {
-		rs.highWater = pass2Max
-	}
-	rs.pos = end
-	return rs.applied - before, nil
-}
-
-// noteDelete folds one invalidation record into the per-key state,
-// keeping only the newest by LSN.
-func (rs *ReplaySession) noteDelete(key string, lsn uint64, ts int64) {
-	ds := rs.deletes[key]
-	if ds == nil {
-		rs.deletes[key] = &replayDelete{lsn: lsn, ts: ts}
-		return
-	}
-	if lsn > ds.lsn {
-		ds.lsn, ds.ts, ds.applied = lsn, ts, false
-	}
+	// Bound the round at the end observed on entry: anything appended
+	// while it scans is left for the next round.
+	err := rs.round(rs.srcLog.End(), nil, func(rec *wal.Record, _ wal.Ptr) (bool, error) {
+		return rs.dst.reappend(rec, rs.adopted)
+	})
+	return rs.applied - before, err
 }

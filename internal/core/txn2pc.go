@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/index"
-	"repro/internal/wal"
-)
+import "repro/internal/wal"
 
 // Prepared holds the durable-but-uncommitted writes of one transaction
 // on one participant server (phase one of two-phase commit). While
@@ -13,7 +8,6 @@ import (
 // that relocates the prepared records updates ptrs in place under the
 // server's prepared-registry lock.
 type Prepared struct {
-	txnID  uint64
 	writes []TxnWrite
 	ptrs   []wal.Ptr
 	lsns   []uint64
@@ -29,27 +23,11 @@ func (s *Server) PrepareTxn(txnID uint64, commitTS int64, writes []TxnWrite) (*P
 	defer s.obs.since(s.obs.prepareTxn, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	recs := make([]*wal.Record, 0, len(writes))
-	for _, w := range writes {
-		t, err := s.tablet(w.Tablet)
-		if err != nil {
-			return nil, err
-		}
-		if t.frozen.Load() {
-			return nil, fmt.Errorf("%w: %s", ErrTabletFrozen, w.Tablet)
-		}
-		if _, err := t.group(w.Group); err != nil {
-			return nil, err
-		}
-		kind := wal.KindWrite
-		if w.Delete {
-			kind = wal.KindDelete
-		}
-		recs = append(recs, &wal.Record{
-			Kind: kind, Table: t.table, Tablet: w.Tablet, Group: w.Group,
-			Key: w.Key, TS: commitTS, Value: w.Value, TxnID: txnID,
-		})
+	muts, err := s.stageAll(len(writes), func(i int) BatchWrite { return writes[i].at(commitTS) })
+	if err != nil {
+		return nil, err
 	}
+	recs := frame(muts, txnID)
 	ptrs, err := s.append(recs...)
 	if err != nil {
 		return nil, err
@@ -59,7 +37,7 @@ func (s *Server) PrepareTxn(txnID uint64, commitTS int64, writes []TxnWrite) (*P
 	if err := s.cfg.Faults.FireErr("crash.2pc.post-prepare"); err != nil {
 		return nil, err
 	}
-	p := &Prepared{txnID: txnID, writes: writes, ptrs: ptrs}
+	p := &Prepared{writes: writes, ptrs: ptrs}
 	for _, r := range recs {
 		p.lsns = append(p.lsns, r.LSN)
 	}
@@ -75,24 +53,21 @@ func (s *Server) PrepareTxn(txnID uint64, commitTS int64, writes []TxnWrite) (*P
 }
 
 // CommitTxn persists the commit record for a prepared transaction and
-// reflects its writes in the in-memory indexes and read buffer.
+// installs its writes.
 func (s *Server) CommitTxn(txnID uint64, commitTS int64, p *Prepared) error {
 	defer s.obs.since(s.obs.commitTxn, s.obs.start())
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	// A tablet frozen for migration must not gain a commit record: the
-	// migration's final replay bound was taken at freeze time, so a
-	// later commit would be durable on the source yet invisible to the
-	// destination — silent loss. Failing here keeps the prepared writes
-	// uncommitted (recovery and replay both ignore them).
-	for _, w := range p.writes {
-		t, err := s.tablet(w.Tablet)
-		if err != nil {
-			return err
-		}
-		if t.frozen.Load() {
-			return fmt.Errorf("%w: %s", ErrTabletFrozen, w.Tablet)
-		}
+	// Stage again under THIS hold of the latch: the tablets may have
+	// split, moved or frozen since the prepare. A tablet frozen for
+	// migration must not gain a commit record: the migration's final
+	// replay bound was taken at freeze time, so a later commit would be
+	// durable on the source yet invisible to the destination — silent
+	// loss. Failing here keeps the prepared writes uncommitted (recovery
+	// and replay both ignore them).
+	muts, err := s.stageAll(len(p.writes), func(i int) BatchWrite { return p.writes[i].at(commitTS) })
+	if err != nil {
+		return err
 	}
 	if _, err := s.append(&wal.Record{Kind: wal.KindCommit, TxnID: txnID, TS: commitTS}); err != nil {
 		return err
@@ -110,27 +85,8 @@ func (s *Server) CommitTxn(txnID uint64, commitTS int64, p *Prepared) error {
 	ptrs := append([]wal.Ptr(nil), p.ptrs...)
 	delete(s.prepared, txnID)
 	s.prepMu.Unlock()
-	for i, w := range p.writes {
-		t, err := s.tablet(w.Tablet)
-		if err != nil {
-			return err
-		}
-		g, err := t.group(w.Group)
-		if err != nil {
-			return err
-		}
-		if w.Delete {
-			g.tree().DeleteKey(w.Key)
-			s.readCache.Invalidate(cacheKey(t.table, w.Group, w.Key))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, commitTS, wal.Ptr{}, p.lsns[i], nil, true)
-			s.stats.Deletes.Add(1)
-		} else {
-			g.tree().Put(index.Entry{Key: w.Key, TS: commitTS, Ptr: ptrs[i], LSN: p.lsns[i]})
-			s.readCache.Put(cacheKey(t.table, w.Group, w.Key), encodeCached(commitTS, w.Value))
-			s.maintainSecondary(w.Tablet, w.Group, w.Key, commitTS, ptrs[i], p.lsns[i], w.Value, false)
-			s.stats.Writes.Add(1)
-		}
-		s.bumpUpdates(t, g)
+	for i, m := range muts {
+		s.install(m, ptrs[i], p.lsns[i])
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"sync"
 
 	"repro/internal/wal"
@@ -140,27 +141,48 @@ func searchLeaf(n *node, key []byte, ts int64) int {
 // entry is only replaced when e.LSN is greater or equal (the redo rule).
 // It reports whether the tree changed.
 func (t *Tree) Put(e Entry) bool {
+	changed, _ := t.PutNewest(e)
+	return changed
+}
+
+// PutNewest is Put that also reports whether e is now the key's newest
+// version — the record-apply path's read-buffer and secondary-index
+// rule needs that, and versions of a key are adjacent, so the answer
+// falls out of the insert position without a second descent.
+func (t *Tree) PutNewest(e Entry) (changed, newest bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leaf := t.findLeaf(e.Key, e.TS)
 	i := searchLeaf(leaf, e.Key, e.TS)
 	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, e.Key, e.TS) == 0 {
 		if e.LSN < leaf.entries[i].LSN {
-			return false
+			return false, false
 		}
 		t.mem += entryMem(e) - entryMem(leaf.entries[i])
 		leaf.entries[i] = e
-		return true
+		return true, !nextHasKey(leaf, i+1, e.Key)
 	}
 	leaf.entries = append(leaf.entries, Entry{})
 	copy(leaf.entries[i+1:], leaf.entries[i:])
 	leaf.entries[i] = e
 	t.n++
 	t.mem += entryMem(e)
+	newest = !nextHasKey(leaf, i+1, e.Key)
 	if len(leaf.entries) > fanout {
 		t.splitLeaf(leaf)
 	}
-	return true
+	return true, newest
+}
+
+// nextHasKey reports whether the entry at position i of the leaf chain
+// starting at n (skipping leaves emptied by lazy deletion) carries key.
+func nextHasKey(n *node, i int, key []byte) bool {
+	for ; n != nil; n, i = n.right, 0 {
+		if i < len(n.entries) {
+			return bytes.Equal(n.entries[i].Key, key)
+		}
+	}
+	return false
 }
 
 // splitLeaf splits an overfull leaf and propagates upward.
@@ -389,71 +411,51 @@ func (t *Tree) Versions(key []byte, dst []Entry) []Entry {
 // DeleteKey removes every version of key, returning how many entries
 // were removed (paper §3.6.3 step one of Delete).
 func (t *Tree) DeleteKey(key []byte) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	removed := 0
-	for {
-		leaf := t.findLeaf(key, -1<<62)
-		i := searchLeaf(leaf, key, -1<<62)
-		found := false
-		for n := leaf; n != nil && !found; n = n.right {
-			for ; i < len(n.entries); i++ {
-				c := bytes.Compare(n.entries[i].Key, key)
-				if c > 0 {
-					return removed
-				}
-				if c == 0 {
-					t.mem -= entryMem(n.entries[i])
-					n.entries = append(n.entries[:i], n.entries[i+1:]...)
-					t.n--
-					removed++
-					found = true // restart: slices shifted
-					break
-				}
-			}
-			i = 0
-		}
-		if !found {
-			return removed
-		}
-	}
+	return t.DeleteCovered(key, math.MaxInt64, math.MaxUint64, nil)
 }
 
-// DeleteKeyBelow removes the versions of key whose LSN is strictly
-// below lsn, returning how many entries were removed. Recovery and
-// replay use it to apply invalidation records order-independently: a
-// tombstone only kills versions written before it, so replaying a
-// compaction-relocated (old-LSN) tombstone after a newer write cannot
-// destroy the newer data.
-func (t *Tree) DeleteKeyBelow(key []byte, lsn uint64) int {
+// Covers is the one rule for what a tombstone (dTS, dLSN) removes: the
+// versions of its key that reached the same log before it (lower LSN)
+// and do not carry a later timestamp. A version written after the
+// tombstone stays whatever its timestamp, and so does one that orders
+// after it; both hold whichever of the pair is applied first, so an old
+// tombstone met late (relocated by compaction) cannot destroy newer
+// data.
+func Covers(dTS int64, dLSN uint64, vTS int64, vLSN uint64) bool {
+	return vLSN < dLSN && vTS <= dTS
+}
+
+// DeleteCovered removes the versions of key that the tombstone (ts, lsn)
+// Covers, hands each to removed (nil: nobody wants them) and returns
+// how many went. removed runs under the tree latch and must not call
+// back into the tree.
+func (t *Tree) DeleteCovered(key []byte, ts int64, lsn uint64, removed func(Entry)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	removed := 0
-	for {
-		leaf := t.findLeaf(key, -1<<62)
-		i := searchLeaf(leaf, key, -1<<62)
-		found := false
-		for n := leaf; n != nil && !found; n = n.right {
-			for ; i < len(n.entries); i++ {
-				c := bytes.Compare(n.entries[i].Key, key)
-				if c > 0 {
-					return removed
-				}
-				if c == 0 && n.entries[i].LSN < lsn {
-					t.mem -= entryMem(n.entries[i])
-					n.entries = append(n.entries[:i], n.entries[i+1:]...)
-					t.n--
-					removed++
-					found = true // restart: slices shifted
-					break
-				}
+	count := 0
+	n := t.findLeaf(key, -1<<62)
+	i := searchLeaf(n, key, -1<<62)
+	for ; n != nil; n, i = n.right, 0 {
+		for i < len(n.entries) {
+			e := n.entries[i]
+			// Versions are adjacent in ascending timestamp order.
+			if !bytes.Equal(e.Key, key) || e.TS > ts {
+				return count
 			}
-			i = 0
-		}
-		if !found {
-			return removed
+			if e.LSN >= lsn {
+				i++
+				continue
+			}
+			t.mem -= entryMem(e)
+			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			t.n--
+			count++
+			if removed != nil {
+				removed(e)
+			}
 		}
 	}
+	return count
 }
 
 // Repoint atomically redirects the entry for (key, ts) from old to new,

@@ -93,6 +93,9 @@ type Replica struct {
 	fs      *dfs.DFS
 	primary *core.Server
 	cfg     Config
+	// applyPoint names this replica's fault point in the apply loop
+	// ("repl.<base>.apply").
+	applyPoint string
 
 	mu    sync.RWMutex
 	srv   *core.Server
@@ -100,9 +103,15 @@ type Replica struct {
 	specs map[string]tabletSpec
 	gen   int
 
-	appliedLSN  atomic.Uint64
-	watermark   atomic.Int64
-	syncing     atomic.Int32 // open topology syncs gate the public watermark
+	appliedLSN atomic.Uint64
+	watermark  atomic.Int64
+	// syncing counts open topology syncs (they gate the public
+	// watermark); syncEpoch counts closed ones. wmMu orders a sync's end
+	// against a watermark publication, so a (T, E) pair sampled before
+	// the sync ended can never be published after it.
+	syncing     atomic.Int32
+	syncEpoch   atomic.Int64
+	wmMu        sync.Mutex
 	foreign     atomic.Bool  // carries peer-recovered history (see MarkForeign)
 	applied     atomic.Int64 // records applied
 	skipped     atomic.Int64 // records outside every mirrored tablet
@@ -133,11 +142,12 @@ func New(fs *dfs.DFS, primary *core.Server, base string, cfg Config) (*Replica, 
 		cfg.PollInterval = time.Millisecond
 	}
 	r := &Replica{
-		base:    base,
-		fs:      fs,
-		primary: primary,
-		cfg:     cfg,
-		specs:   make(map[string]tabletSpec),
+		base:       base,
+		fs:         fs,
+		primary:    primary,
+		cfg:        cfg,
+		specs:      make(map[string]tabletSpec),
+		applyPoint: "repl." + base + ".apply",
 	}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	gen, lsn, found, err := r.loadCursor()
@@ -236,15 +246,25 @@ func (r *Replica) SplitTablet(parentID string, left, right partition.Tablet) err
 }
 
 // BeginTopologySync and EndTopologySync bracket a cluster topology
-// change that installs history from ANOTHER server's log on this
-// replica (failover adoption, live migration). While a sync is open the
-// public watermark reads 0, keeping the read router on the primary: the
-// shipping stream alone no longer covers every mirrored tablet until
-// the peer replay lands.
+// change that brings a tablet's history from ANOTHER server's log onto
+// this replica's primary (failover adoption, live migration). While a
+// sync is open the public watermark reads 0, keeping the read router on
+// the primary: what the replica applied so far no longer covers every
+// mirrored tablet.
 func (r *Replica) BeginTopologySync() { r.syncing.Add(1) }
 
-// EndTopologySync closes a BeginTopologySync bracket.
-func (r *Replica) EndTopologySync() { r.syncing.Add(-1) }
+// EndTopologySync closes a BeginTopologySync bracket. The watermark
+// restarts from 0: the pre-sync value says nothing about the tablets
+// that arrived during the sync, whose replayed history may still be in
+// the shipping pipe. It is republished only from a drained log tip
+// sampled after this point (refreshWatermark).
+func (r *Replica) EndTopologySync() {
+	r.wmMu.Lock()
+	defer r.wmMu.Unlock()
+	r.watermark.Store(0)
+	r.syncEpoch.Add(1)
+	r.syncing.Add(-1)
+}
 
 // MarkForeign records that this replica now carries peer-recovered
 // history (an adopted or migrated-in tablet replayed from another
@@ -385,6 +405,10 @@ func (r *Replica) consume(feed *core.RecordFeed) error {
 			}
 			return err
 		}
+		// Hand-off delay point: tests stall one replica's apply here.
+		if err := r.cfg.Server.Faults.FireErr(r.applyPoint); err != nil {
+			return err
+		}
 		applied, err := srv.ApplyReplicated(&ev.Rec)
 		if err != nil {
 			return err
@@ -406,6 +430,10 @@ func (r *Replica) consume(feed *core.RecordFeed) error {
 // refreshWatermark runs the T-before-E protocol. Only the shipping
 // goroutine calls it (feed.Drained is exact only between Next calls).
 func (r *Replica) refreshWatermark(feed *core.RecordFeed) {
+	epoch := r.syncEpoch.Load()
+	if r.syncing.Load() > 0 {
+		return // a tip sampled mid-sync does not cover the sync's tail
+	}
 	t := r.cfg.LastTS()
 	e := r.sourceTip()
 	if !feed.Drained(e) {
@@ -413,13 +441,13 @@ func (r *Replica) refreshWatermark(feed *core.RecordFeed) {
 	}
 	// Everything committed at or below T was durably appended before E
 	// was observed, and the feed has drained through E: the replica's
-	// state covers every snapshot at ts <= T.
-	for {
-		cur := r.watermark.Load()
-		if t <= cur || r.watermark.CompareAndSwap(cur, t) {
-			break
-		}
+	// state covers every snapshot at ts <= T — unless a topology sync
+	// began or ended since E was sampled.
+	r.wmMu.Lock()
+	if r.syncing.Load() == 0 && r.syncEpoch.Load() == epoch && t > r.watermark.Load() {
+		r.watermark.Store(t)
 	}
+	r.wmMu.Unlock()
 	r.lastCaught.Store(time.Now().UnixNano())
 }
 

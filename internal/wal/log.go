@@ -908,6 +908,14 @@ func (s *Scanner) Next() bool {
 	}
 }
 
+// SkipSegment abandons the rest of the current record's segment; the
+// following Next continues with the next segment.
+func (s *Scanner) SkipSegment() {
+	if s.r != nil {
+		s.off = s.size
+	}
+}
+
 // Record returns the current record.
 func (s *Scanner) Record() Record { return s.rec }
 
