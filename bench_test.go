@@ -11,6 +11,7 @@ package logbase_test
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -151,7 +152,7 @@ func BenchmarkOpTxnCommit(b *testing.B) {
 	db.Put(bg, "t", "g", []byte("a"), []byte("0"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := db.RunTxn(bg, func(tx logbase.Tx) error {
+		err := logbase.RunTx(bg, db, func(tx logbase.Tx) error {
 			v, err := tx.Get(bg, "t", "g", []byte("a"))
 			if err != nil {
 				return err
@@ -174,7 +175,7 @@ func BenchmarkOpScan100(b *testing.B) {
 		n := 0
 		start := []byte(fmt.Sprintf("user%012d", (i*37)%900))
 		end := []byte(fmt.Sprintf("user%012d", (i*37)%900+100))
-		if err := db.ScanFunc(bg, "t", "g", start, end, func(logbase.Row) bool { n++; return true }); err != nil {
+		if err := each(db.Scan(bg, "t", "g", start, end), func(logbase.Row) { n++ }); err != nil {
 			b.Fatal(err)
 		}
 		if n != 100 {
@@ -249,12 +250,11 @@ func BenchmarkAnalyticFullScan100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sum float64
 		var rows int64
-		err := db.FullScanFunc(bg, "t", "g", func(r logbase.Row) bool {
+		err := each(db.FullScan(bg, "t", "g"), func(r logbase.Row) {
 			rows++
-			if v, ok := logbase.FloatValue(r); ok {
+			if v, err := strconv.ParseFloat(string(r.Value), 64); err == nil {
 				sum += v
 			}
-			return true
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -267,10 +267,10 @@ func BenchmarkAnalyticFullScan100k(b *testing.B) {
 
 func BenchmarkAnalyticParallelQuery100k(b *testing.B) {
 	db := analyticFixture(b)
-	q := logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Sum, Extract: logbase.FloatValue}}}
+	q := logbase.Q("t").Group("g").AggOf(logbase.Sum, "t", logbase.ValExpr())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(bg, "t", "g", q)
+		res, err := db.Exec(bg, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,13 +282,11 @@ func BenchmarkAnalyticParallelQuery100k(b *testing.B) {
 
 func BenchmarkAnalyticGroupBy100k(b *testing.B) {
 	db := analyticFixture(b)
-	q := logbase.Query{
-		GroupBy: func(r logbase.Row) string { return string(r.Key[:len("user00000001")]) },
-		Aggs:    []logbase.Agg{{Kind: logbase.Count}, {Kind: logbase.Avg, Extract: logbase.FloatValue}},
-	}
+	q := logbase.Q("t").Group("g").GroupBy(len("user00000001")).
+		Agg(logbase.Count).AggOf(logbase.Avg, "t", logbase.ValExpr())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(bg, "t", "g", q)
+		res, err := db.Exec(bg, q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -144,12 +144,12 @@ func TestChaosModelEmbedded(t *testing.T) {
 	// Quiesce the faults; the surviving on-disk state must scrub clean
 	// (every injected failure was transient, none touched stored bytes).
 	reg.Reset()
-	rep, err := db.Scrub()
+	reps, err := db.Scrub()
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if !rep.Clean() {
-		t.Fatalf("post-chaos scrub found damage: %+v", rep)
+	if len(reps) != 1 || !reps[0].Clean() {
+		t.Fatalf("post-chaos scrub found damage: %+v", reps)
 	}
 	chaosVerify(t, "embedded final", db, model)
 }
@@ -210,27 +210,27 @@ func TestChaosModelCluster(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no live server had a populated segment block to corrupt")
 	}
-	first, err := c.ScrubAll()
+	first, err := cc.Scrub()
 	if err != nil {
-		t.Fatalf("ScrubAll: %v", err)
+		t.Fatalf("Scrub: %v", err)
 	}
 	repaired := 0
-	for id, rep := range first {
+	for _, rep := range first {
 		repaired += rep.RepairedBlocks
 		if len(rep.Unrecoverable) != 0 {
-			t.Fatalf("scrub on %s reported unrecoverable damage: %+v", id, rep.Unrecoverable)
+			t.Fatalf("scrub on %s reported unrecoverable damage: %+v", rep.Server, rep.Unrecoverable)
 		}
 	}
 	if repaired != 1 {
 		t.Fatalf("first scrub repaired %d blocks, want 1", repaired)
 	}
-	second, err := c.ScrubAll()
+	second, err := cc.Scrub()
 	if err != nil {
-		t.Fatalf("second ScrubAll: %v", err)
+		t.Fatalf("second Scrub: %v", err)
 	}
-	for id, rep := range second {
+	for _, rep := range second {
 		if !rep.Clean() {
-			t.Fatalf("second scrub on %s still found work: %+v", id, rep)
+			t.Fatalf("second scrub on %s still found work: %+v", rep.Server, rep)
 		}
 	}
 	chaosVerify(t, "cluster final", cc, model)

@@ -1,37 +1,39 @@
 package logbase
 
-// ClusterClient adapts the distributed deployment to the Store
-// interface, so everything written against Store — harnesses, protocol
-// servers, examples — runs unmodified on a cluster. The low-level
-// cluster.Client caches routing metadata and is single-goroutine by
-// design ("create one per benchmark worker"); ClusterClient keeps a
-// pool of them so it is safe for concurrent use like *DB.
+// The cluster backend: the client over a simulated multi-server
+// deployment. The low-level cluster.Client caches routing metadata and
+// is single-goroutine by design ("create one per benchmark worker");
+// ClusterClient keeps a pool of them so it is safe for concurrent use
+// like *DB.
 
 import (
 	"context"
 	"errors"
 	"sync"
 
-	"repro/internal/cdc"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/txn"
 )
 
-// ClusterClient is the Store implementation over a simulated cluster.
-// Safe for concurrent use.
+// ClusterClient is the Store over a simulated cluster. Every Store
+// method and the admin surface come from the embedded client; declared
+// here are the backend primitives (routing through a pooled
+// cluster.Client, with stale-routing retries) and Cluster. Safe for
+// concurrent use.
 type ClusterClient struct {
-	c     *Cluster
-	pool  sync.Pool // of *cluster.Client
-	views viewSet
+	client
+	c    *Cluster
+	pool sync.Pool // of *cluster.Client
 }
 
-var _ Store = (*ClusterClient)(nil)
+var _ backend = (*ClusterClient)(nil)
 
-// NewClusterClient wraps a cluster in the unified Store interface.
+// NewClusterClient puts the Store client in front of a cluster.
 func NewClusterClient(c *Cluster) *ClusterClient {
 	cc := &ClusterClient{c: c}
+	cc.client = client{backend: cc, kind: "cluster", tracer: c.Tracer()}
 	cc.pool.New = func() any { return c.NewClient() }
 	return cc
 }
@@ -43,223 +45,35 @@ func (cc *ClusterClient) Cluster() *Cluster { return cc.c }
 // cluster (series carry a {server: id} label).
 func (cc *ClusterClient) Metrics() *obs.Registry { return cc.c.Metrics() }
 
-// Tracer returns the request tracer, or nil when the cluster was built
-// without a SlowOpLog.
-func (cc *ClusterClient) Tracer() *obs.Tracer { return cc.c.Tracer() }
-
-func (cc *ClusterClient) client() *cluster.Client    { return cc.pool.Get().(*cluster.Client) }
-func (cc *ClusterClient) release(cl *cluster.Client) { cc.pool.Put(cl) }
-
-// traced mints a root span for a point op and parks it on the pooled
-// routing client, so stale-routing retries annotate the trace. The
-// returned finish unparks and finishes; both are no-ops when tracing is
-// off.
-func (cc *ClusterClient) traced(ctx context.Context, cl *cluster.Client, name, table string) (finish func()) {
-	_, sp := cc.c.Tracer().Root(ctx, name)
-	if sp == nil {
-		return func() {}
-	}
-	sp.Label("table", table)
-	cl.SetSpan(sp)
-	return func() {
-		cl.SetSpan(nil)
-		sp.Finish()
-	}
+// routed runs op on a pooled routing client with the request's root
+// span parked on it, so stale-routing retries annotate the trace.
+func (cc *ClusterClient) routed(ctx context.Context, op func(cl *cluster.Client) error) error {
+	cl := cc.pool.Get().(*cluster.Client)
+	cl.SetSpan(obs.FromContext(ctx))
+	err := op(cl)
+	cl.SetSpan(nil)
+	cc.pool.Put(cl)
+	return err
 }
 
-// CreateTable declares a table with its column groups, one tablet per
-// server (use Cluster.CreateTable for explicit tablet counts).
-// Idempotent, including under concurrent callers (Cluster.CreateTable
-// checks-and-creates under the cluster lock).
-func (cc *ClusterClient) CreateTable(name string, groups ...string) error {
+func (cc *ClusterClient) createTable(name string, groups []string) error {
 	return cc.c.CreateTable(cluster.TableSpec{Name: name, Groups: groups})
 }
 
-// Put writes a row version via the owning tablet server (auto-commit).
-func (cc *ClusterClient) Put(ctx context.Context, table, group string, key, value []byte) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	cl := cc.client()
-	defer cc.release(cl)
-	defer cc.traced(ctx, cl, "client.put", table)()
-	return cl.Put(table, group, key, value)
+func (cc *ClusterClient) lastTS() int64 { return cc.c.Coord().LastTimestamp() }
+
+func (cc *ClusterClient) put(ctx context.Context, table, group string, key, value []byte) error {
+	return cc.routed(ctx, func(cl *cluster.Client) error { return cl.Put(table, group, key, value) })
 }
 
-// Read is the unified point read: options are shipped to and evaluated
-// at the owning tablet server, with stale-routing retries.
-func (cc *ClusterClient) Read(ctx context.Context, table, group string, key []byte, opts ...ReadOption) ([]Row, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	cl := cc.client()
-	defer cc.release(cl)
-	defer cc.traced(ctx, cl, "client.read", table)()
-	return cl.Read(table, group, key, resolveReadOptions(opts))
-}
-
-// Get reads the latest version of a row. Thin adapter over Read.
-func (cc *ClusterClient) Get(ctx context.Context, table, group string, key []byte) (Row, error) {
-	return firstRow(cc.Read(ctx, table, group, key))
-}
-
-// GetAt reads the row version visible at snapshot ts. Thin adapter
-// over Read with WithSnapshot; ts 0 means "latest", matching the other
-// snapshot surfaces (QueryAt, SnapshotAt).
-func (cc *ClusterClient) GetAt(ctx context.Context, table, group string, key []byte, ts int64) (Row, error) {
-	return firstRow(cc.Read(ctx, table, group, key, WithSnapshot(ts)))
-}
-
-// Versions returns all stored versions of a row, oldest first. Thin
-// adapter over Read with WithAllVersions.
-func (cc *ClusterClient) Versions(ctx context.Context, table, group string, key []byte) ([]Row, error) {
-	return cc.Read(ctx, table, group, key, WithAllVersions())
-}
-
-// Delete removes a row from a column group.
-func (cc *ClusterClient) Delete(ctx context.Context, table, group string, key []byte) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	cl := cc.client()
-	defer cc.release(cl)
-	defer cc.traced(ctx, cl, "client.delete", table)()
-	return cl.Delete(table, group, key)
-}
-
-// GetRow reconstructs a full tuple across all column groups.
-func (cc *ClusterClient) GetRow(ctx context.Context, table string, key []byte) (map[string]Row, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	cl := cc.client()
-	defer cc.release(cl)
-	return cl.GetRow(table, key)
-}
-
-// Scan iterates the visible version of each key in [start, end) in key
-// order (descending with WithReverse) across all tablets the range
-// spans. Push-down options are shipped to every tablet server; the
-// limit is tracked across tablets and the scatter resumes by range
-// through splits, moves, and failovers. Always Close the iterator.
-func (cc *ClusterClient) Scan(ctx context.Context, table, group string, start, end []byte, opts ...ReadOption) Iterator {
-	ro := resolveReadOptions(opts)
-	return newRowIter(ctx, func(ictx context.Context, emit func([]Row) error) error {
-		cl := cc.client()
-		defer cc.release(cl)
-		// Root span inside the producer: one trace tree stitches the whole
-		// scatter — every per-tablet server scan (and its WAL reads) hangs
-		// off this span via ictx; routing retries and split/migration
-		// resumes annotate it through the parked client span.
-		ictx, sp := cc.c.Tracer().Root(ictx, "client.scan")
-		sp.Label("table", table)
-		cl.SetSpan(sp)
-		defer func() {
-			cl.SetSpan(nil)
-			sp.Finish()
-		}()
-		fn, flush, failed := collectEmit(emit)
-		if err := cl.ScanOpts(ictx, table, group, start, end, ro, fn); err != nil {
-			return err
-		}
-		if err := failed(); err != nil {
-			return err
-		}
-		return flush()
-	})
-}
-
-// FullScan iterates every live row of the table's column group, tablet
-// by tablet in tablet order, with push-down options evaluated in each
-// server's log sweep. Always Close the iterator.
-func (cc *ClusterClient) FullScan(ctx context.Context, table, group string, opts ...ReadOption) Iterator {
-	ro := resolveReadOptions(opts)
-	return newRowIter(ctx, func(ictx context.Context, emit func([]Row) error) error {
-		cl := cc.client()
-		defer cc.release(cl)
-		ictx, sp := cc.c.Tracer().Root(ictx, "client.fullscan")
-		sp.Label("table", table)
-		cl.SetSpan(sp)
-		defer func() {
-			cl.SetSpan(nil)
-			sp.Finish()
-		}()
-		fn, flush, failed := collectEmit(emit)
-		if err := cl.FullScanOpts(ictx, table, group, ro, fn); err != nil {
-			return err
-		}
-		if err := failed(); err != nil {
-			return err
-		}
-		return flush()
-	})
-}
-
-// ScanFunc is the push-style adapter over Scan.
-func (cc *ClusterClient) ScanFunc(ctx context.Context, table, group string, start, end []byte, fn func(Row) bool) error {
-	return iterate(cc.Scan(ctx, table, group, start, end), fn)
-}
-
-// FullScanFunc is the push-style adapter over FullScan.
-func (cc *ClusterClient) FullScanFunc(ctx context.Context, table, group string, fn func(Row) bool) error {
-	return iterate(cc.FullScan(ctx, table, group), fn)
-}
-
-// Query executes an analytical query at the latest globally issued
-// timestamp, scattered to every tablet server owning a piece of the
-// table and gathered from mergeable partials.
-func (cc *ClusterClient) Query(ctx context.Context, table, group string, q Query) (QueryResult, error) {
-	return cc.c.Query(ctx, table, group, q)
-}
-
-// QueryAt executes q pinned at snapshot ts across the whole cluster.
-func (cc *ClusterClient) QueryAt(ctx context.Context, table, group string, ts int64, q Query) (QueryResult, error) {
-	return cc.c.QueryAt(ctx, table, group, ts, q)
-}
-
-// Watch subscribes a cluster-wide changefeed: committed Put/Delete
-// events for keys in [start, end) across every tablet server owning a
-// piece of the table, each key's events in commit-timestamp order. The
-// feed spans tablet splits, live migrations and server failovers
-// (heirs are re-subscribed and replayed history deduplicated by commit
-// timestamp). Cluster feeds are not LSN-addressable — per-server LSN
-// spaces are not comparable — so fromLSN must be 0; event Cursor/LSN
-// fields are the origin server's values and cannot be used to resume.
-func (cc *ClusterClient) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if fromLSN != 0 {
-		return nil, errors.New("logbase: cluster changefeeds are not LSN-addressable; Watch with fromLSN 0 and dedupe by event TS")
-	}
-	var o cdc.Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return cc.c.Watch(ctx, table, group, start, end, o)
-}
-
-// SnapshotAt pins a cluster-wide snapshot at ts (0 = now).
-func (cc *ClusterClient) SnapshotAt(ctx context.Context, table string, ts int64) (*Snapshot, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return cc.c.SnapshotAt(table, ts)
-}
-
-// Batch returns an empty WriteBatch bound to this cluster: flushing
-// routes every mutation to its owning tablet server and applies them
-// as one append sweep per server.
-func (cc *ClusterClient) Batch() *WriteBatch {
-	return &WriteBatch{apply: cc.applyBatch}
+func (cc *ClusterClient) del(ctx context.Context, table, group string, key []byte) error {
+	return cc.routed(ctx, func(cl *cluster.Client) error { return cl.Delete(table, group, key) })
 }
 
 // applyBatch persists ops per owning server; on a partial failure the
 // cluster client reports which ops did NOT land, and that subset flows
 // back so Flush retries only those.
-func (cc *ClusterClient) applyBatch(ctx context.Context, ops []batchOp) ([]int, error) {
-	cl := cc.client()
-	defer cc.release(cl)
+func (cc *ClusterClient) applyBatch(ctx context.Context, ops []batchOp) (unapplied []int, err error) {
 	batch := make([]cluster.BatchOp, len(ops))
 	for i, op := range ops {
 		batch[i] = cluster.BatchOp{
@@ -267,19 +81,81 @@ func (cc *ClusterClient) applyBatch(ctx context.Context, ops []batchOp) ([]int, 
 			Key: op.key, Value: op.value, Delete: op.delete,
 		}
 	}
-	return cl.ApplyBatch(batch)
+	err = cc.routed(ctx, func(cl *cluster.Client) error {
+		unapplied, err = cl.ApplyBatch(batch)
+		return err
+	})
+	return unapplied, err
 }
 
-// Begin starts a cluster-wide snapshot-isolation transaction.
-func (cc *ClusterClient) Begin(ctx context.Context) Tx {
-	return &clusterTxn{cc: cc, t: cc.c.TxnManager().Begin()}
+func (cc *ClusterClient) read(ctx context.Context, table, group string, key []byte, ro ReadOptions) (rows []Row, err error) {
+	err = cc.routed(ctx, func(cl *cluster.Client) error {
+		rows, err = cl.Read(table, group, key, ro)
+		return err
+	})
+	return rows, err
 }
 
-// RunTxn runs fn in a transaction, retrying validation conflicts. It
-// is the method form of RunTx.
-func (cc *ClusterClient) RunTxn(ctx context.Context, fn func(Tx) error) error {
-	return RunTx(ctx, cc, fn)
+func (cc *ClusterClient) scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error {
+	return cc.routed(ctx, func(cl *cluster.Client) error {
+		return batched(emit, func(fn func(Row) bool) error {
+			return cl.ScanOpts(ctx, table, group, start, end, ro, fn)
+		})
+	})
 }
+
+func (cc *ClusterClient) fullScan(ctx context.Context, table, group string, ro ReadOptions, emit func([]Row) error) error {
+	return cc.routed(ctx, func(cl *cluster.Client) error {
+		return batched(emit, func(fn func(Row) bool) error {
+			return cl.FullScanOpts(ctx, table, group, ro, fn)
+		})
+	})
+}
+
+func (cc *ClusterClient) aggregate(ctx context.Context, table, group string, ts int64, q query.Query) (QueryResult, error) {
+	return cc.c.QueryAt(ctx, table, group, ts, q)
+}
+
+func (cc *ClusterClient) watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error) {
+	if fromLSN != 0 {
+		return nil, errors.New("logbase: cluster changefeeds are not LSN-addressable; Watch with fromLSN 0 and dedupe by event TS")
+	}
+	return cc.c.Watch(ctx, table, group, start, end, o)
+}
+
+func (cc *ClusterClient) beginTxn() *txn.Txn { return cc.c.TxnManager().Begin() }
+
+func (cc *ClusterClient) tabletFor(table, _ string, key []byte) (tab string, err error) {
+	err = cc.routed(context.Background(), func(cl *cluster.Client) error {
+		tab, err = cl.TabletFor(table, key)
+		return err
+	})
+	return tab, err
+}
+
+func (cc *ClusterClient) tabletsIn(table, _ string, start, end []byte) ([]string, error) {
+	router, err := cc.c.Router(table)
+	if err != nil {
+		return nil, err
+	}
+	tabs := router.Overlapping(start, end)
+	ids := make([]string, len(tabs))
+	for i, tab := range tabs {
+		ids[i] = tab.ID
+	}
+	return ids, nil
+}
+
+func (cc *ClusterClient) servers() []serverSet {
+	ids := cc.c.LiveServers()
+	out := make([]serverSet, len(ids))
+	for i, id := range ids {
+		out[i] = serverSet{srv: cc.c.Server(id), replicas: cc.c.Replicas(id)}
+	}
+	return out
+}
+
+func (cc *ClusterClient) close() error { return cc.c.Close() }
 
 // RegisterSecondaryIndex creates a secondary index over a table's
 // column group on every owning tablet server (backfilled); see
@@ -290,113 +166,18 @@ func (cc *ClusterClient) RegisterSecondaryIndex(name, table, group string, extra
 
 // LookupSecondary returns rows whose extracted attribute equals
 // secKey, in primary-key order, gathered from all tablet servers.
-func (cc *ClusterClient) LookupSecondary(name string, secKey []byte) ([]Row, error) {
-	cl := cc.client()
-	defer cc.release(cl)
-	return cl.LookupSecondary(name, secKey)
+func (cc *ClusterClient) LookupSecondary(name string, secKey []byte) (rows []Row, err error) {
+	err = cc.routed(context.Background(), func(cl *cluster.Client) error {
+		rows, err = cl.LookupSecondary(name, secKey)
+		return err
+	})
+	return rows, err
 }
 
 // ScanSecondaryRange streams rows whose extracted attribute falls in
 // [start, end), ordered by (attribute, primary key) cluster-wide.
 func (cc *ClusterClient) ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r Row) bool) error {
-	cl := cc.client()
-	defer cc.release(cl)
-	return cl.ScanSecondaryRange(name, start, end, fn)
+	return cc.routed(context.Background(), func(cl *cluster.Client) error {
+		return cl.ScanSecondaryRange(name, start, end, fn)
+	})
 }
-
-// SetRetention installs a per-table retention policy on every tablet
-// server and replica, enforced by compaction; see Cluster.SetRetention.
-func (cc *ClusterClient) SetRetention(table string, p RetentionPolicy) error {
-	return cc.c.SetRetention(table, p)
-}
-
-// ReplicaStats snapshots every read replica's shipping state, keyed by
-// primary server id (empty map when the cluster runs without
-// Config.Replicas).
-func (cc *ClusterClient) ReplicaStats() map[string][]ReplicaStats {
-	return cc.c.ReplicaStats()
-}
-
-// Close stops this client's materialized-view feeds and releases every
-// tablet server's background resources. The cluster is not usable
-// afterwards.
-func (cc *ClusterClient) Close() error {
-	cc.views.closeAll()
-	return cc.c.Close()
-}
-
-// clusterTxn adapts a cluster transaction (tablet-addressed) to the
-// table-addressed Tx interface by routing keys through the cluster
-// metadata.
-type clusterTxn struct {
-	cc *ClusterClient
-	t  *txn.Txn
-}
-
-var _ Tx = (*clusterTxn)(nil)
-
-func (tx *clusterTxn) tabletFor(table string, key []byte) (string, error) {
-	cl := tx.cc.client()
-	defer tx.cc.release(cl)
-	return cl.TabletFor(table, key)
-}
-
-func (tx *clusterTxn) Get(ctx context.Context, table, group string, key []byte) ([]byte, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	tab, err := tx.tabletFor(table, key)
-	if err != nil {
-		return nil, err
-	}
-	return tx.t.Get(tab, group, key)
-}
-
-func (tx *clusterTxn) Put(table, group string, key, value []byte) error {
-	tab, err := tx.tabletFor(table, key)
-	if err != nil {
-		return err
-	}
-	return tx.t.Put(tab, group, key, value)
-}
-
-func (tx *clusterTxn) Delete(table, group string, key []byte) error {
-	tab, err := tx.tabletFor(table, key)
-	if err != nil {
-		return err
-	}
-	return tx.t.Delete(tab, group, key)
-}
-
-func (tx *clusterTxn) Scan(ctx context.Context, table, group string, start, end []byte, fn func(Row) bool) error {
-	router, err := tx.cc.c.Router(table)
-	if err != nil {
-		return err
-	}
-	for _, tab := range router.Overlapping(start, end) {
-		stop := false
-		err := tx.t.Scan(ctx, tab.ID, group, start, end, func(r core.Row) bool {
-			if !fn(r) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
-func (tx *clusterTxn) Commit(ctx context.Context) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	return tx.t.Commit()
-}
-
-func (tx *clusterTxn) Abort() { tx.t.Abort() }

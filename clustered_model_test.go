@@ -53,7 +53,7 @@ func runCompactingModelScenario(t *testing.T, st logbase.Store, tick func(t *tes
 		// drops every prior version from the index, so deleted keys come
 		// back empty and leave the model).
 		for k := range touched {
-			vs, err := st.Versions(bg, "t", "g", []byte(k))
+			vs, err := st.Read(bg, "t", "g", []byte(k), logbase.WithAllVersions())
 			if err != nil {
 				t.Fatalf("Versions(%q): %v", k, err)
 			}

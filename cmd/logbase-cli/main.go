@@ -81,12 +81,12 @@ func repl(conn net.Conn) {
 	server.Buffer(make([]byte, 1<<20), 1<<20)
 	stdin := bufio.NewScanner(os.Stdin)
 
-	fmt.Println("logbase-cli connected; commands: CREATE PUT GET GETAT VERSIONS DEL SCAN QUERY WATCH MVIEW CHECKPOINT COMPACT STATS QUIT")
+	fmt.Println("logbase-cli connected; commands: CREATE PUT GET GETAT VERSIONS DEL SCAN QUERY WATCH MVIEW CHECKPOINT COMPACT SCRUB STATS QUIT")
 	fmt.Println("  SCAN <table> <group> <start|*> <end|*> [LIMIT <n>] [REVERSE] [AT <ts>] [PREFIX <p>]")
 	fmt.Println("       [FILTER KEY|VAL PREFIX|CONTAINS <op>] [FILTER KEY|VAL RANGE <lo|*> <hi|*>] [PRIMARY] [MAXLAG <n>]   (options run server-side)")
-	fmt.Println("  QUERY <table> <group> [COUNT|SUM|MIN|MAX|AVG [start|*] [end|*]] [FROM <k>] [TO <k>] [FILTER KEY|VAL <pred>]")
+	fmt.Println("  QUERY <table> <group> [FROM <k>] [TO <k>] [FILTER KEY|VAL <pred>]")
 	fmt.Println("        [JOIN <table> <group> ON <ltable> <lexpr> <rexpr> [VIA <index>] [FROM <k>] [TO <k>] [FILTER ...]]")
-	fmt.Println("        [AT <ts>] [BY <prefix> | BY <table> <expr> <prefix>] [AGG <agg> <table> <expr|*>]   (exprs: KEY VAL KEY[i] VAL[i])")
+	fmt.Println("        [AT <ts>] [BY <table> <expr> <prefix>] AGG <COUNT|SUM|MIN|MAX|AVG> <table> <expr|*> [AGG ...]   (exprs: KEY VAL KEY[i] VAL[i])")
 	fmt.Println("  WATCH <table> <group|*> <start|*> <end|*> [FROM <lsn>] [LIMIT <n>]   (use `logbase-cli watch` for auto-resume)")
 	fmt.Println("  MVIEW CREATE <name> <table> <group> <agg[,agg...]> [start|*] [end|*] [BY <n>] | MVIEW QUERY <name> | MVIEW STATS <name>")
 	for {
@@ -103,7 +103,7 @@ func repl(conn net.Conn) {
 		}
 		streaming := false
 		switch strings.ToUpper(strings.Fields(line)[0]) {
-		case "SCAN", "VERSIONS", "QUERY", "STATS", "WATCH", "MVIEW":
+		case "SCAN", "VERSIONS", "QUERY", "STATS", "SCRUB", "WATCH", "MVIEW":
 			streaming = true
 		}
 		for server.Scan() {

@@ -11,26 +11,26 @@
 //	SCAN <table> <group> <start|*> <end|*> [LIMIT <n>] [REVERSE] [AT <ts>]
 //	     [PREFIX <p>] [FILTER KEY|VAL PREFIX|CONTAINS <op>]
 //	     [FILTER KEY|VAL RANGE <lo|*> <hi|*>] [PRIMARY] [MAXLAG <n>]
-//	QUERY <table> <group> [<COUNT|SUM|MIN|MAX|AVG> [start|*] [end|*]]
-//	      [FILTER KEY|VAL <pred>]
+//	QUERY <table> <group> [FROM <k>] [TO <k>] [FILTER KEY|VAL <pred>]
 //	      [JOIN <table> <group> ON <ltable> <lexpr> <rexpr> [VIA <index>]
 //	           [FROM <k>] [TO <k>] [FILTER KEY|VAL <pred>]]
-//	      [AT <ts>] [BY <prefix> | BY <table> <expr> <prefix>]
-//	      [AGG <agg> <table> <expr|*>]
+//	      [AT <ts>] [BY <table> <expr> <prefix>]
+//	      AGG <COUNT|SUM|MIN|MAX|AVG> <table> <expr|*> [AGG ...]
 //	WATCH <table> <group|*> <start|*> <end|*> [FROM <lsn>] [LIMIT <n>]
 //	MVIEW CREATE <name> <table> <group> <agg[,agg...]> [start|*] [end|*] [BY <prefix>]
 //	MVIEW QUERY <name>
 //	MVIEW STATS <name>
-//	STATS | COMPACT | CHECKPOINT | QUIT
+//	STATS | SCRUB | COMPACT | CHECKPOINT | QUIT
 //
 // SCAN options ride the wire to the tablet servers: limits, reverse
 // order, snapshot pinning, and the serializable filter predicates are
 // all evaluated remotely (push-down), so only surviving rows stream
 // back.
 //
-// The adapter is written once against the unified logbase.Store
-// interface: -servers 0 serves an embedded DB, -servers N>0 serves an
-// in-process N-server cluster through the exact same code path.
+// The server is written once against the logbase.Store contract and
+// the admin surface both backends share: -servers 0 serves an embedded
+// DB, -servers N>0 serves an in-process N-server cluster through the
+// exact same code path.
 package main
 
 import (
@@ -38,280 +38,40 @@ import (
 	"flag"
 	"log"
 	"net"
-	"sort"
 	"time"
 
 	logbase "repro"
-	"repro/internal/cdc"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/readopt"
 	"repro/internal/textproto"
 )
 
-// storeAdapter maps the textproto.Store surface onto any logbase.Store
-// (the Row/Iterator types differ only nominally). One adapter, both
-// backends — that is the point of the unified interface.
-type storeAdapter struct{ st logbase.Store }
+// backend is what the server needs of a deployment: the Store contract
+// plus the uniform admin surface. *logbase.DB and *logbase.ClusterClient
+// both provide it through the one client they embed.
+type backend interface {
+	logbase.Store
+	Checkpoint() error
+	Compact() (core.CompactionStats, error)
+	Scrub() ([]logbase.ScrubReport, error)
+	Stats() []core.StatsView
+	ReplicaStats() map[string][]logbase.ReplicaStats
+	Metrics() *obs.Registry
+}
 
-func (a storeAdapter) CreateTable(name string, groups ...string) error {
-	return a.st.CreateTable(name, groups...)
+// storeAdapter is a backend as a textproto.Store. The two speak the
+// same methods; the only difference is that the wire hands Read and
+// Scan an already-decoded option set, which injects wholesale and is
+// pushed down to the tablet servers by the Store layer.
+type storeAdapter struct{ backend }
+
+func (a storeAdapter) Read(ctx context.Context, table, group string, key []byte, opt readopt.Options) ([]textproto.Row, error) {
+	return a.backend.Read(ctx, table, group, key, logbase.WithReadOptions(opt))
 }
-func (a storeAdapter) Put(ctx context.Context, table, group string, key, value []byte) error {
-	return a.st.Put(ctx, table, group, key, value)
-}
-func (a storeAdapter) Get(ctx context.Context, table, group string, key []byte) (textproto.Row, error) {
-	r, err := a.st.Get(ctx, table, group, key)
-	return textproto.Row(r), err
-}
-func (a storeAdapter) GetAt(ctx context.Context, table, group string, key []byte, ts int64) (textproto.Row, error) {
-	r, err := a.st.GetAt(ctx, table, group, key, ts)
-	return textproto.Row(r), err
-}
-func (a storeAdapter) Versions(ctx context.Context, table, group string, key []byte) ([]textproto.Row, error) {
-	rows, err := a.st.Versions(ctx, table, group, key)
-	out := make([]textproto.Row, len(rows))
-	for i, r := range rows {
-		out[i] = textproto.Row(r)
-	}
-	return out, err
-}
-func (a storeAdapter) Delete(ctx context.Context, table, group string, key []byte) error {
-	return a.st.Delete(ctx, table, group, key)
-}
+
 func (a storeAdapter) Scan(ctx context.Context, table, group string, start, end []byte, opt readopt.Options) textproto.Iterator {
-	// The wire-decoded option set injects wholesale; the Store layer
-	// pushes it down to the tablet servers.
-	return iterAdapter{a.st.Scan(ctx, table, group, start, end, logbase.WithReadOptions(opt))}
-}
-
-// iterAdapter converts logbase.Iterator rows to textproto rows.
-type iterAdapter struct{ it logbase.Iterator }
-
-func (ia iterAdapter) Next() bool         { return ia.it.Next() }
-func (ia iterAdapter) Row() textproto.Row { return textproto.Row(ia.it.Row()) }
-func (ia iterAdapter) Err() error         { return ia.it.Err() }
-func (ia iterAdapter) Close() error       { return ia.it.Close() }
-
-func (a storeAdapter) Exec(ctx context.Context, stmt *query.Statement) (textproto.QueryReply, error) {
-	// The unified statement path: a registered materialized view
-	// matching the statement answers it without scanning, join-free
-	// statements scatter-gather, joins run the greedy-ordered executor.
-	res, err := a.st.Exec(ctx, stmt)
-	if err != nil {
-		return textproto.QueryReply{}, err
-	}
-	rep := textproto.QueryReply{TS: res.TS}
-	for _, s := range stmt.Aggs {
-		name := s.Name
-		if name == "" {
-			name = s.Kind.String()
-		}
-		rep.Aggs = append(rep.Aggs, name)
-	}
-	for _, g := range res.Groups {
-		vals := make([]float64, len(stmt.Aggs))
-		for i, s := range stmt.Aggs {
-			vals[i] = g.Aggs[i].Value(s.Kind)
-		}
-		rep.Groups = append(rep.Groups, textproto.QueryGroup{Key: g.Key, Rows: g.Rows, Values: vals})
-	}
-	return rep, nil
-}
-
-// Watch passes the changefeed subscription straight through: the
-// protocol and the Store speak the same cdc.Feed.
-func (a storeAdapter) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (cdc.Feed, error) {
-	return a.st.Watch(ctx, table, group, start, end, fromLSN)
-}
-
-func (a storeAdapter) MViewCreate(ctx context.Context, name, table, group string, start, end []byte, aggs []string, groupPrefix int) error {
-	kinds := make([]logbase.AggKind, len(aggs))
-	for i, s := range aggs {
-		k, err := logbase.ParseAggKind(s)
-		if err != nil {
-			return err
-		}
-		kinds[i] = k
-	}
-	return a.st.CreateMView(ctx, logbase.MViewSpec{
-		Name: name, Table: table, Group: group,
-		Start: start, End: end, GroupPrefix: groupPrefix, Aggs: kinds,
-	})
-}
-
-func (a storeAdapter) MViewQuery(ctx context.Context, name string) (textproto.MViewReply, error) {
-	st, err := a.st.MViewStats(name)
-	if err != nil {
-		return textproto.MViewReply{}, err
-	}
-	res, err := a.st.MViewQuery(ctx, name)
-	if err != nil {
-		return textproto.MViewReply{}, err
-	}
-	rep := textproto.MViewReply{TS: res.TS}
-	for _, k := range st.Spec.Aggs {
-		rep.Aggs = append(rep.Aggs, k.String())
-	}
-	for _, g := range res.Groups {
-		vals := make([]float64, len(st.Spec.Aggs))
-		for i, k := range st.Spec.Aggs {
-			vals[i] = g.Aggs[i].Value(k)
-		}
-		rep.Groups = append(rep.Groups, textproto.MViewGroup{Key: g.Key, Rows: g.Rows, Values: vals})
-	}
-	return rep, nil
-}
-
-func (a storeAdapter) MViewStats(ctx context.Context, name string) (textproto.MViewStatsReply, error) {
-	st, err := a.st.MViewStats(name)
-	if err != nil {
-		return textproto.MViewStatsReply{}, err
-	}
-	return textproto.MViewStatsReply{
-		Name: st.Spec.Name, Table: st.Spec.Table, Group: st.Spec.Group,
-		WatermarkLSN: st.WatermarkLSN, WatermarkTS: st.WatermarkTS,
-		Events: st.Events, SnapshotRows: st.SnapshotRows, Skipped: st.Skipped,
-		Groups: st.Groups, Keys: st.Keys,
-	}, nil
-}
-
-func (a storeAdapter) Checkpoint() error {
-	switch st := a.st.(type) {
-	case *logbase.DB:
-		return st.Checkpoint()
-	case *logbase.ClusterClient:
-		return st.Cluster().Checkpoint()
-	}
-	return nil
-}
-
-func (a storeAdapter) Compact(context.Context) error {
-	switch st := a.st.(type) {
-	case *logbase.DB:
-		_, err := st.Compact()
-		return err
-	case *logbase.ClusterClient:
-		return st.Cluster().CompactAll()
-	}
-	return nil
-}
-
-// Scrub verifies the log(s) against every DFS replica — one snapshot
-// for the embedded DB, one per live server for a cluster.
-func (a storeAdapter) Scrub(context.Context) ([]textproto.ScrubSnapshot, error) {
-	switch st := a.st.(type) {
-	case *logbase.DB:
-		rep, err := st.Scrub()
-		if err != nil {
-			return nil, err
-		}
-		return []textproto.ScrubSnapshot{scrubSnapshotOf("embedded", rep)}, nil
-	case *logbase.ClusterClient:
-		reps, err := st.Cluster().ScrubAll()
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]string, 0, len(reps))
-		for id := range reps {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		out := make([]textproto.ScrubSnapshot, 0, len(ids))
-		for _, id := range ids {
-			out = append(out, scrubSnapshotOf(id, reps[id]))
-		}
-		return out, nil
-	}
-	return nil, nil
-}
-
-func scrubSnapshotOf(server string, rep logbase.ScrubReport) textproto.ScrubSnapshot {
-	sn := textproto.ScrubSnapshot{
-		Server:         server,
-		Segments:       rep.Segments,
-		Blocks:         rep.Blocks,
-		ReplicasRead:   rep.ReplicasRead,
-		RepairedBlocks: rep.RepairedBlocks,
-	}
-	for _, d := range rep.Unrecoverable {
-		sn.Unrecoverable = append(sn.Unrecoverable, d.String())
-	}
-	return sn
-}
-
-// Stats snapshots every tablet server behind the store — one server
-// for the embedded DB, each live server for a cluster. Each snapshot is
-// one core.StatsView, taken in a single atomic pass per server, so the
-// compaction triple can never be observed half-applied mid-tick.
-func (a storeAdapter) Stats(context.Context) ([]textproto.StatsSnapshot, error) {
-	switch st := a.st.(type) {
-	case *logbase.DB:
-		sn := snapshotOf("embedded", st.Server())
-		sn.Replicas = replicaStats(st.ReplicaStats())
-		return []textproto.StatsSnapshot{sn}, nil
-	case *logbase.ClusterClient:
-		c := st.Cluster()
-		reps := st.ReplicaStats()
-		var out []textproto.StatsSnapshot
-		for _, id := range c.LiveServers() {
-			sn := snapshotOf(id, c.Server(id))
-			sn.Replicas = replicaStats(reps[id])
-			out = append(out, sn)
-		}
-		return out, nil
-	}
-	return nil, nil
-}
-
-// replicaStats converts repl shipping stats to their wire form.
-func replicaStats(in []logbase.ReplicaStats) []textproto.ReplicaStat {
-	out := make([]textproto.ReplicaStat, len(in))
-	for i, r := range in {
-		out[i] = textproto.ReplicaStat{
-			Replica:     r.BaseID,
-			Generation:  r.Generation,
-			AppliedLSN:  r.AppliedLSN,
-			SourceLSN:   r.SourceLSN,
-			LagRecords:  r.LagRecords,
-			LagSeconds:  r.LagSeconds,
-			WatermarkTS: r.WatermarkTS,
-			ReadsServed: r.ReadsServed,
-		}
-	}
-	return out
-}
-
-func snapshotOf(id string, srv *core.Server) textproto.StatsSnapshot {
-	v := srv.StatsView()
-	return textproto.StatsSnapshot{
-		Server:         id,
-		Writes:         v.Writes,
-		Reads:          v.Reads,
-		Deletes:        v.Deletes,
-		LogReads:       v.LogReads,
-		CacheHits:      v.CacheHits,
-		CacheMisses:    v.CacheMisses,
-		Compactions:    v.Compactions,
-		CompactDropped: v.CompactDropped,
-		BytesReclaimed: v.BytesReclaimed,
-		SortedFraction: v.SortedFraction,
-		GarbageRatio:   v.GarbageRatio,
-		Segments:       v.Segments,
-		LogBytes:       v.LogBytes,
-	}
-}
-
-// Metrics exposes the backend's registry to the STATS command.
-func (a storeAdapter) Metrics() *obs.Registry {
-	switch st := a.st.(type) {
-	case *logbase.DB:
-		return st.Metrics()
-	case *logbase.ClusterClient:
-		return st.Metrics()
-	}
-	return nil
+	return a.backend.Scan(ctx, table, group, start, end, logbase.WithReadOptions(opt))
 }
 
 // serverConfig is everything startServer needs; main fills it from
@@ -336,7 +96,7 @@ type serverConfig struct {
 // server is a running logbase-server: the protocol listener, its accept
 // loop, and the optional metrics endpoint. Close tears all of it down.
 type server struct {
-	st      logbase.Store
+	st      backend
 	ln      net.Listener
 	metrics *obs.MetricsServer
 }
@@ -346,7 +106,7 @@ func startServer(cfg serverConfig) (*server, error) {
 	if cfg.slowOps >= 0 {
 		slowLog = func(tree string) { log.Printf("slow-op\n%s", tree) }
 	}
-	var st logbase.Store
+	var st backend
 	if cfg.servers > 0 {
 		// Same knobs as the embedded path, applied to every tablet
 		// server: the two backends must behave alike behind one flag.
@@ -384,7 +144,7 @@ func startServer(cfg serverConfig) (*server, error) {
 
 	srv := &server{st: st}
 	if cfg.metricsAddr != "" {
-		ms, err := obs.ListenAndServeMetrics(cfg.metricsAddr, storeAdapter{st}.Metrics())
+		ms, err := obs.ListenAndServeMetrics(cfg.metricsAddr, st.Metrics())
 		if err != nil {
 			st.Close()
 			return nil, err

@@ -1,10 +1,10 @@
 // Analytics: snapshot-consistent queries over the live store — load a
-// small orders table, aggregate it, group it, pin a snapshot and show
-// it ignores later writes, then time-travel. The whole scenario is one
-// function taking the unified logbase.Store interface, run first
-// against an embedded DB and then, unmodified, against a simulated
-// 4-server cluster (where queries scatter-gather across all tablet
-// servers at one global timestamp).
+// small orders table, aggregate it, group it, keep writing and then
+// time-travel back to a snapshot that ignores the later writes. The
+// whole scenario is one function taking the logbase.Store interface,
+// run first against an embedded DB and then, unmodified, against a
+// simulated 4-server cluster (where queries scatter-gather across all
+// tablet servers at one global timestamp).
 //
 //	go run ./examples/analytics
 package main
@@ -41,24 +41,20 @@ func scenario(ctx context.Context, st logbase.Store) {
 	}
 
 	// Aggregate everything at the current snapshot.
-	res, err := st.Query(ctx, "orders", "amount", logbase.Query{
-		Aggs: []logbase.Agg{
-			{Kind: logbase.Count},
-			{Kind: logbase.Sum, Extract: logbase.FloatValue},
-			{Kind: logbase.Avg, Extract: logbase.FloatValue},
-		},
-	})
+	amount := logbase.ValExpr()
+	res, err := st.Exec(ctx, logbase.Q("orders").Group("amount").
+		Agg(logbase.Count).
+		AggOf(logbase.Sum, "orders", amount).
+		AggOf(logbase.Avg, "orders", amount))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("all orders: count=%.0f sum=%.0f avg=%.1f (snapshot ts %d)\n",
 		res.Value(0, logbase.Count), res.Value(1, logbase.Sum), res.Value(2, logbase.Avg), res.TS)
 
-	// GROUP BY region (key prefix before '/').
-	res, err = st.Query(ctx, "orders", "amount", logbase.Query{
-		GroupBy: func(r logbase.Row) string { return string(r.Key[:2]) },
-		Aggs:    []logbase.Agg{{Kind: logbase.Count}, {Kind: logbase.Max, Extract: logbase.FloatValue}},
-	})
+	// GROUP BY region (the two key bytes before '/').
+	res, err = st.Exec(ctx, logbase.Q("orders").Group("amount").GroupBy(2).
+		Agg(logbase.Count).AggOf(logbase.Max, "orders", amount))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,35 +62,29 @@ func scenario(ctx context.Context, st logbase.Store) {
 		fmt.Printf("region %s: %d orders, max amount %.0f\n", g.Key, g.Rows, g.Aggs[1].Value(logbase.Max))
 	}
 
-	// Pin a snapshot, then keep writing: the snapshot must not move.
-	snap, err := st.SnapshotAt(ctx, "orders", 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Every result is stamped with the snapshot it ran at. Remember
+	// that timestamp, then keep writing: a statement pinned At it must
+	// not move.
+	pin := res.TS
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("us/%06d", 100000+i)
 		if err := st.Put(ctx, "orders", "amount", []byte(key), []byte("1000000")); err != nil {
 			log.Fatal(err)
 		}
 	}
-	countQ := logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Count}}}
-	pinned, err := snap.Run(ctx, "amount", countQ)
+	count := func() *logbase.Statement { return logbase.Q("orders").Group("amount").Agg(logbase.Count) }
+	now, err := st.Exec(ctx, count())
 	if err != nil {
 		log.Fatal(err)
 	}
-	now, err := st.Query(ctx, "orders", "amount", countQ)
+	// Time travel: the log keeps every version, so the past is as cheap
+	// to query as the present.
+	back, err := st.Exec(ctx, count().At(pin))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pinned snapshot still sees %.0f orders; a fresh query sees %.0f\n",
-		pinned.Value(0, logbase.Count), now.Value(0, logbase.Count))
-
-	// Time travel: the same pinned timestamp, straight from QueryAt.
-	back, err := st.QueryAt(ctx, "orders", "amount", snap.TS(), countQ)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("time travel to ts %d: %.0f orders\n", snap.TS(), back.Value(0, logbase.Count))
+	fmt.Printf("time travel to ts %d: %.0f orders; a fresh query sees %.0f\n",
+		pin, back.Value(0, logbase.Count), now.Value(0, logbase.Count))
 
 	// Push-down scan: "the 3 newest us-region orders as of the pinned
 	// snapshot". Prefix, reverse order, limit, and the snapshot are all
@@ -105,7 +95,7 @@ func scenario(ctx context.Context, st logbase.Store) {
 		logbase.WithPrefix([]byte("us/")),
 		logbase.WithReverse(),
 		logbase.WithLimit(3),
-		logbase.WithSnapshot(snap.TS()))
+		logbase.WithSnapshot(pin))
 	fmt.Print("newest us orders at the snapshot:")
 	for it.Next() {
 		fmt.Printf(" %s=%s", it.Row().Key, it.Row().Value)
@@ -210,8 +200,7 @@ func replicaScenario(ctx context.Context, dir string) {
 
 	// Scan-heavy pinned workload: aggregates and a full scan, all at
 	// the pin, routed to the standbys.
-	countQ := logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Count}}}
-	res, err := cc.QueryAt(ctx, "events", "payload", pin, countQ)
+	res, err := cc.Exec(ctx, logbase.Q("events").Group("payload").Agg(logbase.Count).At(pin))
 	if err != nil {
 		log.Fatal(err)
 	}

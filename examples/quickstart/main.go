@@ -70,15 +70,15 @@ func main() {
 
 	// Every version is retained in the log; read them all, or as-of a
 	// timestamp.
-	versions, _ := db.Versions(ctx, "users", "profile", []byte("alice"))
+	versions, _ := db.Read(ctx, "users", "profile", []byte("alice"), logbase.WithAllVersions())
 	for _, v := range versions {
 		fmt.Printf("  version %d: %s\n", v.TS, v.Value)
 	}
-	old, _ := db.GetAt(ctx, "users", "profile", []byte("alice"), versions[0].TS)
-	fmt.Printf("as-of first write: %s\n", old.Value)
+	old, _ := db.Read(ctx, "users", "profile", []byte("alice"), logbase.WithSnapshot(versions[0].TS))
+	fmt.Printf("as-of first write: %s\n", old[0].Value)
 
 	// Snapshot-isolation transaction across column groups.
-	err = db.RunTxn(ctx, func(tx logbase.Tx) error {
+	err = logbase.RunTx(ctx, db, func(tx logbase.Tx) error {
 		act, err := tx.Get(ctx, "users", "activity", []byte("alice"))
 		if err != nil {
 			return err

@@ -73,7 +73,7 @@ func main() {
 
 	// Phase 2 — trend analysis over the multiversion history.
 	for _, sym := range tickers[:2] {
-		versions, err := db.Versions(ctx, "trades", "price", []byte(sym))
+		versions, err := db.Read(ctx, "trades", "price", []byte(sym), logbase.WithAllVersions())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func main() {
 		txWG.Add(1)
 		go func() {
 			defer txWG.Done()
-			err := db.RunTxn(ctx, func(tx logbase.Tx) error {
+			err := logbase.RunTx(ctx, db, func(tx logbase.Tx) error {
 				b, err := tx.Get(ctx, "accounts", "balance", []byte("acct/buyer"))
 				if err != nil {
 					return err

@@ -79,7 +79,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			err := db.RunTxn(bg, func(tx logbase.Tx) error {
+			err := logbase.RunTx(bg, db, func(tx logbase.Tx) error {
 				key := []byte(fmt.Sprintf("txn-key-%02d", i))
 				return tx.Put("events", "payload", key, []byte("txn"))
 			})
@@ -200,9 +200,8 @@ func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
 	}
 	scan := func() []string {
 		var rows []string
-		err := cl.ScanFunc(bg, "t", "g", nil, nil, func(r logbase.Row) bool {
+		err := each(cl.Scan(bg, "t", "g", nil, nil), func(r logbase.Row) {
 			rows = append(rows, string(r.Key)+"="+string(r.Value))
-			return true
 		})
 		if err != nil {
 			t.Fatalf("Scan: %v", err)
@@ -257,7 +256,7 @@ func TestConcurrentMixedWorkloadConsistency(t *testing.T) {
 				if from == to {
 					continue
 				}
-				err := db.RunTxn(bg, func(tx logbase.Tx) error {
+				err := logbase.RunTx(bg, db, func(tx logbase.Tx) error {
 					f, err := tx.Get(bg, "acct", "bal", []byte(from))
 					if err != nil {
 						return err
@@ -351,19 +350,15 @@ func storeWorkload(t *testing.T, st logbase.Store) {
 	if string(row.Value) != "1!" {
 		t.Fatalf("txn result = %q", row.Value)
 	}
-	res, err := st.Query(bg, "w", "g", logbase.Query{
-		Aggs: []logbase.Agg{{Kind: logbase.Count}},
-	})
+	res, err := st.Exec(bg, logbase.Q("w").Group("g").Agg(logbase.Count))
 	if err != nil || res.Value(0, logbase.Count) != 200 {
-		t.Fatalf("Query count = %v err=%v", res.Value(0, logbase.Count), err)
+		t.Fatalf("Exec count = %v err=%v", res.Value(0, logbase.Count), err)
 	}
-	// ts 0 means "latest" on every backend (regression: the cluster
+	// At(0) means "latest" on every backend (regression: the cluster
 	// used to pin a literal 0 and see nothing).
-	res, err = st.QueryAt(bg, "w", "g", 0, logbase.Query{
-		Aggs: []logbase.Agg{{Kind: logbase.Count}},
-	})
+	res, err = st.Exec(bg, logbase.Q("w").Group("g").Agg(logbase.Count).At(0))
 	if err != nil || res.Value(0, logbase.Count) != 200 {
-		t.Fatalf("QueryAt(0) count = %v err=%v", res.Value(0, logbase.Count), err)
+		t.Fatalf("Exec At(0) count = %v err=%v", res.Value(0, logbase.Count), err)
 	}
 	if err := st.Delete(bg, "w", "g", []byte("k0000")); err != nil {
 		t.Fatalf("Delete: %v", err)
@@ -371,8 +366,8 @@ func storeWorkload(t *testing.T, st logbase.Store) {
 	if _, err := st.Get(bg, "w", "g", []byte("k0000")); !errors.Is(err, logbase.ErrNotFound) {
 		t.Fatalf("deleted key err = %v", err)
 	}
-	if _, err := st.Versions(bg, "w", "g", []byte("k0001")); err != nil {
-		t.Fatalf("Versions: %v", err)
+	if _, err := st.Read(bg, "w", "g", []byte("k0001"), logbase.WithAllVersions()); err != nil {
+		t.Fatalf("Read WithAllVersions: %v", err)
 	}
 }
 

@@ -162,7 +162,7 @@ func joinKeyOpsPair(s Scale) (greedy, naive KeyOp, err error) {
 	// risks without the bound-attribute ordering rule.
 	stmt, span = joinStatement(s)
 	if naive, err = measure("join-naive", span, func() (logbase.QueryResult, error) {
-		return logbase.ExecWith(ctx, st, stmt, logbase.ExecOptions{
+		return st.ExecWith(ctx, stmt, logbase.ExecOptions{
 			Order: []int{1, 2, 0}, NoBroadcast: true, NoPushdown: true,
 		})
 	}); err != nil {

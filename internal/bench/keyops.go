@@ -163,10 +163,9 @@ func KeyOps(s Scale) ([]KeyOp, error) {
 
 	// Query: snapshot-parallel COUNT, single worker for determinism.
 	if err := measure("query", c, 2*n, func() error {
-		res, err := st.Query(ctx, "usertable", "f0", logbase.Query{
-			Aggs:    []logbase.Agg{{Kind: logbase.Count}},
-			Workers: 1,
-		})
+		stmt := logbase.Q("usertable").Group("f0").Agg(logbase.Count)
+		stmt.Workers = 1
+		res, err := st.Exec(ctx, stmt)
 		if err != nil {
 			return err
 		}

@@ -177,76 +177,14 @@ func (cl *Client) Put(table, group string, key, value []byte) error {
 	})
 }
 
-// Get reads the latest version of a row in a column group.
+// Get reads the latest version of a row in a column group. Thin adapter
+// over Read.
 func (cl *Client) Get(table, group string, key []byte) (core.Row, error) {
-	cl.rpc()
-	var row core.Row
-	err := cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
-		r, err := srv.Get(tablet, group, key)
-		row = r
-		return err
-	})
-	return row, err
-}
-
-// GetAt reads the row version visible at snapshot ts. A replica whose
-// watermark covers ts serves it (first attempt; any routing failure
-// falls back to the primary).
-func (cl *Client) GetAt(table, group string, key []byte, ts int64) (core.Row, error) {
-	cl.rpc()
-	var row core.Row
-	first := true
-	err := cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
-		if first {
-			first = false
-			if rep := cl.c.replicaFor(srv.ID(), ts, readopt.Options{}); rep != nil {
-				r, rerr := rep.Server().GetAt(tablet, group, key, ts)
-				cl.c.breakers.note("replica:"+rep.BaseID(), rerr)
-				if !retryableRouting(rerr) {
-					row = r
-					return rerr
-				}
-			}
-		}
-		r, err := srv.GetAt(tablet, group, key, ts)
-		row = r
-		return err
-	})
-	return row, err
-}
-
-// GetRow reconstructs a full tuple by collecting the row from every
-// column group using the primary key (paper §3.2 tuple reconstruction).
-func (cl *Client) GetRow(table string, key []byte) (map[string]core.Row, error) {
-	out := make(map[string]core.Row)
-	for _, g := range cl.c.Groups(table) {
-		row, err := cl.Get(table, g, key)
-		if err != nil {
-			if errors.Is(err, core.ErrNotFound) {
-				continue
-			}
-			return nil, err
-		}
-		out[g] = row
+	rows, err := cl.Read(table, group, key, readopt.Options{})
+	if err != nil {
+		return core.Row{}, err
 	}
-	if len(out) == 0 {
-		return nil, core.ErrNotFound
-	}
-	return out, nil
-}
-
-// Versions returns all stored versions of a row, oldest first, from
-// the tablet server owning the key (multiversion access has no
-// embedded-only privilege: the cluster keeps every version too).
-func (cl *Client) Versions(table, group string, key []byte) ([]core.Row, error) {
-	cl.rpc()
-	var rows []core.Row
-	err := cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
-		r, err := srv.Versions(tablet, group, key)
-		rows = r
-		return err
-	})
-	return rows, err
+	return rows[0], nil
 }
 
 // Delete removes a row from a column group.
@@ -256,15 +194,6 @@ func (cl *Client) Delete(table, group string, key []byte) error {
 	return cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		return srv.Delete(tablet, group, key, ts)
 	})
-}
-
-// Scan streams the latest version of each key in [start, end) across
-// all tablets the range spans, in key order (sub-ranges execute
-// per-server, paper §3.6.4). Cancelling ctx aborts the scan within one
-// batch boundary and returns ctx.Err(). It is the no-options adapter
-// over ScanOpts.
-func (cl *Client) Scan(ctx context.Context, table, group string, start, end []byte, fn func(core.Row) bool) error {
-	return cl.ScanOpts(ctx, table, group, start, end, readopt.Options{}, fn)
 }
 
 // errStopScan signals "fn asked to stop": a clean early end, not a
@@ -281,8 +210,8 @@ var errStopScan = errors.New("cluster: scan consumer stopped")
 // visits tablets in reverse range order and walks each tablet's index
 // backwards. The snapshot is pinned once up front (ro.Snapshot, 0 =
 // latest), so the stream is consistent even across stale-routing
-// retries: like Scan, a tablet-start routing error (split/move/
-// failover between the router read and the scan) retries the REMAINING
+// retries: a tablet-start routing error (split/move/failover
+// between the router read and the scan) retries the REMAINING
 // range with fresh metadata — resuming at the failing tablet's range
 // start (its range end for reverse scans), so completed tablets are
 // never re-streamed and the limit never double-counts.
@@ -397,15 +326,6 @@ func (cl *Client) Read(table, group string, key []byte, ro readopt.Options) ([]c
 		return err
 	})
 	return rows, err
-}
-
-// FullScan streams every live row of a table's column group; tablets
-// are scanned sequentially here, and the bench harness fans out one
-// goroutine per server for the parallel-scan experiments. Cancelling
-// ctx aborts the scan within one batch boundary. It is the no-options
-// adapter over FullScanOpts.
-func (cl *Client) FullScan(ctx context.Context, table, group string, fn func(core.Row) bool) error {
-	return cl.FullScanOpts(ctx, table, group, readopt.Options{}, fn)
 }
 
 // FullScanOpts streams live rows of the table's column group in log

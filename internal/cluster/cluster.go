@@ -520,32 +520,6 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// Checkpoint checkpoints every live server.
-func (c *Cluster) Checkpoint() error {
-	for _, id := range c.LiveServers() {
-		if err := c.Server(id).Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScrubAll scrubs every live tablet server's log against its DFS
-// replicas (core.Server.Scrub), keyed by server id. The first I/O
-// error aborts the sweep; per-server corruption findings are in the
-// reports, not the error.
-func (c *Cluster) ScrubAll() (map[string]core.ScrubReport, error) {
-	out := make(map[string]core.ScrubReport)
-	for _, id := range c.LiveServers() {
-		rep, err := c.Server(id).Scrub()
-		if err != nil {
-			return out, err
-		}
-		out[id] = rep
-	}
-	return out, nil
-}
-
 // CompactAll runs whole-log compaction on every live server.
 func (c *Cluster) CompactAll() error {
 	for _, id := range c.LiveServers() {
@@ -566,33 +540,6 @@ func (c *Cluster) AutoCompactTick() error {
 		}
 	}
 	return nil
-}
-
-// CompactionInfos returns each live server's compaction counters and
-// storage layout, keyed by server id (the STATS observability surface).
-func (c *Cluster) CompactionInfos() map[string]core.CompactionInfo {
-	out := make(map[string]core.CompactionInfo)
-	for _, id := range c.LiveServers() {
-		out[id] = c.Server(id).CompactionInfo()
-	}
-	return out
-}
-
-// MinSortedFraction reports the lowest sorted-log fraction across live
-// servers — the cluster-wide "is compaction keeping up" gauge.
-func (c *Cluster) MinSortedFraction() float64 {
-	min := 1.0
-	first := true
-	for _, id := range c.LiveServers() {
-		f := c.Server(id).SortedFraction()
-		if first || f < min {
-			min, first = f, false
-		}
-	}
-	if first {
-		return 0
-	}
-	return min
 }
 
 // Master is the cluster's metadata/failover authority. Multiple

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/readopt"
 )
 
 func TestRPCLatencyInjection(t *testing.T) {
@@ -40,7 +41,7 @@ func TestScanEarlyStopAcrossTablets(t *testing.T) {
 		cl.Put("users", "profile", []byte{byte(b)}, []byte("v"))
 	}
 	n := 0
-	err := cl.Scan(context.Background(), "users", "profile", nil, nil, func(core.Row) bool {
+	err := cl.ScanOpts(context.Background(), "users", "profile", nil, nil, readopt.Options{}, func(core.Row) bool {
 		n++
 		return n < 10
 	})
@@ -83,8 +84,8 @@ func TestFailoverPreservesMultiversionHistory(t *testing.T) {
 	}
 	// Historical versions survive too (RecoverTablets copies the full
 	// history, not only the latest version).
-	old, err := cl.GetAt("users", "profile", key, beforeTS-1)
-	if err != nil || string(old.Value) != "v3" {
+	old, err := cl.Read("users", "profile", key, readopt.Options{Snapshot: beforeTS - 1})
+	if err != nil || string(old[0].Value) != "v3" {
 		t.Errorf("historical read after failover = %+v err=%v", old, err)
 	}
 }

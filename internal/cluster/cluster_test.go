@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/readopt"
 	"repro/internal/txn"
 )
 
@@ -56,18 +57,24 @@ func TestPutGetAcrossServers(t *testing.T) {
 	}
 }
 
-func TestGetRowReconstruction(t *testing.T) {
+// Tuple reconstruction (paper §3.2): the column groups of one row live
+// in separate indexes and are collected by primary key, group by group.
+func TestTupleReconstructionAcrossGroups(t *testing.T) {
 	c := newTestCluster(t, 2)
 	cl := c.NewClient()
 	key := []byte("user-1")
 	cl.Put("users", "profile", key, []byte("alice"))
 	cl.Put("users", "activity", key, []byte("clicked"))
-	row, err := cl.GetRow("users", key)
-	if err != nil {
-		t.Fatalf("GetRow: %v", err)
+	row := map[string]string{}
+	for _, g := range c.Groups("users") {
+		r, err := cl.Get("users", g, key)
+		if err != nil {
+			t.Fatalf("Get %s: %v", g, err)
+		}
+		row[g] = string(r.Value)
 	}
-	if string(row["profile"].Value) != "alice" || string(row["activity"].Value) != "clicked" {
-		t.Errorf("GetRow = %v", row)
+	if row["profile"] != "alice" || row["activity"] != "clicked" {
+		t.Errorf("reconstructed tuple = %v", row)
 	}
 }
 
@@ -78,7 +85,7 @@ func TestScanSpansTablets(t *testing.T) {
 		cl.Put("users", "profile", []byte{byte(b)}, []byte("v"))
 	}
 	var keys [][]byte
-	err := cl.Scan(context.Background(), "users", "profile", []byte{0x20}, []byte{0xE0}, func(r core.Row) bool {
+	err := cl.ScanOpts(context.Background(), "users", "profile", []byte{0x20}, []byte{0xE0}, readopt.Options{}, func(r core.Row) bool {
 		keys = append(keys, r.Key)
 		return true
 	})
@@ -103,7 +110,7 @@ func TestFullScan(t *testing.T) {
 		cl.Put("users", "profile", []byte{byte(i * 256 / 90), byte(i)}, []byte("v"))
 	}
 	n := 0
-	if err := cl.FullScan(context.Background(), "users", "profile", func(core.Row) bool { n++; return true }); err != nil {
+	if err := cl.FullScanOpts(context.Background(), "users", "profile", readopt.Options{}, func(core.Row) bool { n++; return true }); err != nil {
 		t.Fatalf("FullScan: %v", err)
 	}
 	if n != 90 {
@@ -269,8 +276,10 @@ func TestCheckpointAndRecoverAllServers(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		cl.Put("users", "profile", []byte{byte(i * 4), byte(i)}, []byte("v"))
 	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	for _, id := range c.LiveServers() {
+		if err := c.Server(id).Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %s: %v", id, err)
+		}
 	}
 	if err := c.CompactAll(); err != nil {
 		t.Fatalf("CompactAll: %v", err)

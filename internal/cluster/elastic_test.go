@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/readopt"
 	"repro/internal/txn"
 )
 
@@ -77,7 +78,7 @@ func TestSplitTabletOnline(t *testing.T) {
 	// Ordered scans see every key exactly once across the children.
 	seen := map[string]int{}
 	fresh := c.NewClient()
-	if err := fresh.Scan(context.Background(), "users", "profile", nil, nil, func(r core.Row) bool {
+	if err := fresh.ScanOpts(context.Background(), "users", "profile", nil, nil, readopt.Options{}, func(r core.Row) bool {
 		seen[string(r.Key)]++
 		return true
 	}); err != nil {
@@ -125,7 +126,7 @@ func TestMoveTabletLiveMigration(t *testing.T) {
 	}
 	// Stale client converges; data intact with exactly one version each.
 	for i := 0; i < 300; i++ {
-		vs, err := cl.Versions("users", "profile", hotKey(i))
+		vs, err := cl.Read("users", "profile", hotKey(i), readopt.Options{AllVersions: true})
 		if err != nil {
 			t.Fatalf("Versions %d after move: %v", i, err)
 		}
@@ -212,7 +213,7 @@ func TestConcurrentWritersDuringSplitAndMigration(t *testing.T) {
 	check := c.NewClient()
 	acked.Range(func(key, _ any) bool {
 		k := key.(int)
-		vs, err := check.Versions("users", "profile", hotKey(k))
+		vs, err := check.Read("users", "profile", hotKey(k), readopt.Options{AllVersions: true})
 		if err != nil {
 			t.Errorf("key %d lost after split+migration: %v", k, err)
 			return false

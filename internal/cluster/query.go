@@ -25,20 +25,6 @@ import (
 	"repro/internal/readopt"
 )
 
-// Query executes an analytical query over a table's column group at
-// the latest globally issued timestamp (a consistent cluster-wide
-// snapshot: the timestamp authority is the single source of commit
-// timestamps).
-func (c *Cluster) Query(ctx context.Context, table, group string, q query.Query) (query.Result, error) {
-	return c.QueryAt(ctx, table, group, c.svc.LastTimestamp(), q)
-}
-
-// ClusterQuery is Query under its architectural name (the scatter-
-// gather operator the evaluation refers to).
-func (c *Cluster) ClusterQuery(ctx context.Context, table, group string, q query.Query) (query.Result, error) {
-	return c.Query(ctx, table, group, q)
-}
-
 // QueryAt executes q pinned at snapshot ts: time travel over the whole
 // cluster, as cheap as a current-time query because the log keeps every
 // version.
@@ -51,12 +37,6 @@ func (c *Cluster) QueryAt(ctx context.Context, table, group string, ts int64, q 
 		// literal timestamp 0 sees nothing).
 		ts = c.svc.LastTimestamp()
 	}
-	// One root span covers planning, every scatter attempt, and the
-	// gather; re-planned attempts show up as repeated query.server
-	// children plus a retry label.
-	ctx, sp := c.tracer.Root(ctx, "cluster.query")
-	sp.Label("table", table)
-	defer sp.Finish()
 	// A balancer split/migration racing the query invalidates the plan
 	// (a tablet id vanishes between the router read and the scan). The
 	// whole scatter is side-effect free and pinned at ts, so re-planning
@@ -69,7 +49,9 @@ func (c *Cluster) QueryAt(ctx context.Context, table, group string, ts int64, q 
 		if err == nil || !retryableRouting(err) || attempt >= pol.MaxAttempts {
 			return res, err
 		}
-		sp.Label("retry", err.Error())
+		// Re-planned attempts show up in the caller's trace as repeated
+		// query.server children plus a retry label.
+		obs.FromContext(ctx).Label("retry", err.Error())
 		c.obsRetryAttempts.Inc()
 		if serr := pol.sleep(ctx, attempt+1, nil); serr != nil {
 			return res, serr
@@ -155,48 +137,4 @@ func (c *Cluster) queryAtOnce(ctx context.Context, table, group string, ts int64
 		res.Merge(p)
 	}
 	return res, nil
-}
-
-// SnapshotAt pins a cluster-wide snapshot at ts (0 = now) covering
-// every tablet of the table; the returned handle can run repeated
-// queries and ordered scans against the exact same version set.
-func (c *Cluster) SnapshotAt(table string, ts int64) (*query.Snapshot, error) {
-	if ts == 0 {
-		ts = c.svc.LastTimestamp()
-	}
-	// Plan building retries through topology changes like QueryAt. The
-	// returned handle resolves servers eagerly: like a snapshot taken
-	// across a server failover, one taken across a later split or
-	// migration may error — snapshots are short-lived read handles, not
-	// topology-change-proof cursors.
-	pol := c.retry
-	for attempt := 0; ; attempt++ {
-		router, err := c.Router(table)
-		if err != nil {
-			return nil, err
-		}
-		var targets []query.Target
-		stale := false
-		for _, tab := range router.Tablets() {
-			srv, err := c.ServerFor(tab.ID)
-			if err != nil {
-				if !retryableRouting(err) || attempt >= pol.MaxAttempts {
-					return nil, err
-				}
-				stale = true
-				break
-			}
-			if attempt == 0 {
-				if rep := c.replicaFor(srv.ID(), ts, readopt.Options{}); rep != nil {
-					srv = rep.Server()
-				}
-			}
-			targets = append(targets, query.Target{Source: srv, Tablet: tab.ID})
-		}
-		if !stale {
-			return query.NewSnapshot(ts, targets...), nil
-		}
-		c.obsRetryAttempts.Inc()
-		pol.sleep(nil, attempt+1, nil)
-	}
 }

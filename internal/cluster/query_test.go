@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/readopt"
 )
 
 func newQueryCluster(t *testing.T, servers int) *Cluster {
@@ -49,7 +50,7 @@ func TestClusterQueryMatchesSerialScan(t *testing.T) {
 	var refRows int64
 	var refSum float64
 	cl := c.NewClient()
-	if err := cl.Scan(context.Background(), "metrics", "v", nil, nil, func(r core.Row) bool {
+	if err := cl.ScanOpts(context.Background(), "metrics", "v", nil, nil, readopt.Options{}, func(r core.Row) bool {
 		refRows++
 		v, _ := strconv.ParseFloat(string(r.Value), 64)
 		refSum += v
@@ -61,7 +62,7 @@ func TestClusterQueryMatchesSerialScan(t *testing.T) {
 		t.Fatalf("reference scan saw %d rows, want %d", refRows, n)
 	}
 
-	res, err := c.ClusterQuery(context.Background(), "metrics", "v", query.Query{
+	res, err := c.QueryAt(context.Background(), "metrics", "v", 0, query.Query{
 		Aggs:    []query.Agg{{Kind: query.Count}, {Kind: query.Sum, Extract: query.FloatValue}},
 		Workers: 4,
 	})
@@ -102,7 +103,7 @@ func TestClusterQueryAtTimeTravel(t *testing.T) {
 	if again.Rows != before.Rows || again.Value(0, query.Sum) != before.Value(0, query.Sum) {
 		t.Fatalf("time travel drifted: %v vs %v", again, before)
 	}
-	now, err := c.Query(context.Background(), "metrics", "v", q)
+	now, err := c.QueryAt(context.Background(), "metrics", "v", 0, q)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -115,7 +116,7 @@ func TestClusterQueryGroupByAcrossServers(t *testing.T) {
 	c := newQueryCluster(t, 3)
 	const n = 900
 	loadMetrics(t, c, n)
-	res, err := c.Query(context.Background(), "metrics", "v", query.Query{
+	res, err := c.QueryAt(context.Background(), "metrics", "v", 0, query.Query{
 		GroupBy: func(r core.Row) string { return string(r.Key[:2]) }, // "m0".."m8" bucket by leading digit
 		Aggs:    []query.Agg{{Kind: query.Count}},
 	})
@@ -140,7 +141,7 @@ func TestClusterQueryKeyRangeRouting(t *testing.T) {
 	c := newQueryCluster(t, 4)
 	const n = 1000
 	loadMetrics(t, c, n)
-	res, err := c.Query(context.Background(), "metrics", "v", query.Query{
+	res, err := c.QueryAt(context.Background(), "metrics", "v", 0, query.Query{
 		Filter: query.Filter{Start: []byte("m000100"), End: []byte("m000200")},
 		Aggs:   []query.Agg{{Kind: query.Count}},
 	})
@@ -152,16 +153,21 @@ func TestClusterQueryKeyRangeRouting(t *testing.T) {
 	}
 }
 
+// A scan pinned at a snapshot sees exactly the rows committed by then,
+// across every server, whatever lands afterwards.
 func TestClusterSnapshotScan(t *testing.T) {
 	c := newQueryCluster(t, 3)
 	loadMetrics(t, c, 300)
-	snap, err := c.SnapshotAt("metrics", 0)
-	if err != nil {
-		t.Fatalf("SnapshotAt: %v", err)
+	pin := c.Coord().LastTimestamp()
+	cl := c.NewClient()
+	if err := cl.Put("metrics", "v", []byte("zz-late"), []byte("1")); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 	seen := 0
-	if err := snap.Scan(context.Background(), "v", query.Filter{}, func(core.Row) bool { seen++; return true }); err != nil {
-		t.Fatalf("snap.Scan: %v", err)
+	err := cl.ScanOpts(context.Background(), "metrics", "v", nil, nil, readopt.Options{Snapshot: pin},
+		func(core.Row) bool { seen++; return true })
+	if err != nil {
+		t.Fatalf("pinned ScanOpts: %v", err)
 	}
 	if seen != 300 {
 		t.Fatalf("snapshot scan saw %d rows, want 300", seen)
@@ -215,7 +221,7 @@ func TestClusterGroupCommitPath(t *testing.T) {
 			t.Fatalf("Get %s: %v", key, err)
 		}
 	}
-	res, err := c.Query(context.Background(), "metrics", "v", query.Query{Aggs: []query.Agg{{Kind: query.Count}}})
+	res, err := c.QueryAt(context.Background(), "metrics", "v", 0, query.Query{Aggs: []query.Agg{{Kind: query.Count}}})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

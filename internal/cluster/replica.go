@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/readopt"
 	"repro/internal/repl"
@@ -97,32 +96,6 @@ func (c *Cluster) Replicas(serverID string) []*repl.Replica {
 	return out
 }
 
-// ReplicaStats snapshots every replica's shipping state, keyed by the
-// primary server id.
-func (c *Cluster) ReplicaStats() map[string][]repl.Stats {
-	c.mu.RLock()
-	type pair struct {
-		id   string
-		reps []*replicaState
-	}
-	pairs := make([]pair, 0, len(c.servers))
-	for id, st := range c.servers {
-		if len(st.replicas) > 0 {
-			pairs = append(pairs, pair{id, append([]*replicaState(nil), st.replicas...)})
-		}
-	}
-	c.mu.RUnlock()
-	out := make(map[string][]repl.Stats, len(pairs))
-	for _, p := range pairs {
-		stats := make([]repl.Stats, len(p.reps))
-		for i, rp := range p.reps {
-			stats[i] = rp.rep.Stats()
-		}
-		out[p.id] = stats
-	}
-	return out
-}
-
 // replicaCount returns how many replicas a server has (balancer
 // capacity weighting).
 func (c *Cluster) replicaCount(serverID string) int {
@@ -155,15 +128,9 @@ func (c *Cluster) replicaFor(primaryID string, ts int64, ro readopt.Options) *re
 	var pick *repl.Replica
 	for i := 0; i < n; i++ {
 		r := reps[(start+i)%n].rep
-		if r.Err() != nil || r.WatermarkTS() < ts {
-			continue
-		}
-		if ro.MaxLag > 0 && r.Stats().LagRecords > uint64(ro.MaxLag) {
-			continue
-		}
 		// A replica whose circuit breaker is open is shedding reads
 		// until a probe succeeds; round-robin on to the next candidate.
-		if !c.breakers.allow("replica:" + r.BaseID()) {
+		if !r.Serves(ts, ro) || !c.breakers.allow("replica:"+r.BaseID()) {
 			continue
 		}
 		pick = r
@@ -193,28 +160,6 @@ func (c *Cluster) WaitForReplicaTS(ts int64, timeout time.Duration) error {
 		}
 		if err := r.WaitForTS(ts, timeout); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// SetRetention installs a per-table retention policy on every tablet
-// server (live and dead — a dead server's log still feeds recoveries)
-// and every replica: keep the newest KeepVersions per key, drop
-// versions older than KeepFor, or both. Enforced by compaction; see
-// core.Server.SetRetention. Tighter retention also shortens how far a
-// changefeed or replication cursor may lag before resumption fails with
-// cdc.ErrCursorTruncated.
-func (c *Cluster) SetRetention(table string, p core.RetentionPolicy) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if _, ok := c.tableGroups[table]; !ok {
-		return fmt.Errorf("cluster: no table %s", table)
-	}
-	for _, st := range c.servers {
-		st.srv.SetRetention(table, p)
-		for _, rp := range st.replicas {
-			rp.rep.Server().SetRetention(table, p)
 		}
 	}
 	return nil

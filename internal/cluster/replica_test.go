@@ -95,8 +95,9 @@ func TestClusterReplicaServesPinnedReads(t *testing.T) {
 		}
 	}
 	var served int64
-	for id, stats := range c.ReplicaStats() {
-		for _, st := range stats {
+	for _, id := range c.LiveServers() {
+		for _, rep := range c.Replicas(id) {
+			st := rep.Stats()
 			served += st.ReadsServed
 			if st.WatermarkTS < ts {
 				t.Fatalf("replica %s of %s watermark %d below pinned ts %d", st.BaseID, id, st.WatermarkTS, ts)
@@ -158,7 +159,7 @@ func TestClusterReplicaPromotion(t *testing.T) {
 			default:
 			}
 			k := []byte(fmt.Sprintf("k%04d", i%300))
-			row, err := rcl.GetAt("t", "g", k, ts)
+			rows, err := rcl.Read("t", "g", k, readopt.Options{Snapshot: ts})
 			if err != nil {
 				select {
 				case readErr <- fmt.Errorf("GetAt(%s) during failover: %w", k, err):
@@ -166,9 +167,9 @@ func TestClusterReplicaPromotion(t *testing.T) {
 				}
 				return
 			}
-			if want := fmt.Sprintf("v%d", i%300); string(row.Value) != want {
+			if want := fmt.Sprintf("v%d", i%300); string(rows[0].Value) != want {
 				select {
-				case readErr <- fmt.Errorf("GetAt(%s) = %q, want %q", k, row.Value, want):
+				case readErr <- fmt.Errorf("GetAt(%s) = %q, want %q", k, rows[0].Value, want):
 				default:
 				}
 				return

@@ -514,10 +514,7 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 	if err := s.log.RemoveSegments(input...); err != nil {
 		return st, err
 	}
-	st.BytesReclaimed = inputBytes - s.segmentsBytes(sw.Segments())
-	s.stats.Compactions.Add(1)
-	s.stats.CompactDropped.Add(int64(st.Dropped))
-	s.stats.CompactReclaimed.Add(st.BytesReclaimed)
+	s.noteCompaction(&st, inputBytes, sw.Segments())
 	return st, nil
 }
 

@@ -166,6 +166,35 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 	}
 }
 
+// TestCompactZeroGarbageReclaimsNothing: rewriting a segment in which
+// every record is live drops nothing, and the sorted output is one
+// footer LARGER than its input — that is not a reclaim of minus one
+// footer. Both compaction paths account it as zero, so the cumulative
+// BytesReclaimed counter never steps backwards.
+func TestCompactZeroGarbageReclaimsNothing(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for i := 0; i < 100; i++ { // one version per key: nothing to drop
+		if err := s.Write(testTablet, testGroup, k6(i), int64(i+1), []byte("v")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	before := s.StatsView()
+	if st := sealAndCompactUnsorted(t, s); st.Dropped != 0 || st.BytesReclaimed != 0 {
+		t.Fatalf("zero-garbage incremental compaction: %+v, want nothing dropped or reclaimed", st)
+	}
+	st, err := s.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if st.Dropped != 0 || st.BytesReclaimed != 0 {
+		t.Fatalf("zero-garbage whole-log compaction: %+v, want nothing dropped or reclaimed", st)
+	}
+	after := s.StatsView()
+	if after.BytesReclaimed != before.BytesReclaimed || after.Compactions != before.Compactions+2 {
+		t.Fatalf("stats %+v -> %+v, want BytesReclaimed unchanged and Compactions +2", before, after)
+	}
+}
+
 // TestCompactSegmentsDropsGarbage checks the incremental rewrite drops
 // deleted rows and beyond-retention versions, keeps the data readable,
 // and accounts the reclaim.
@@ -677,7 +706,7 @@ func TestCheckpointPrunedAfterIncrementalCompaction(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		rows, err := s2.Versions(testTablet, testGroup, k6(i))
+		rows, err := versionsOf(s2, k6(i))
 		if err != nil {
 			t.Fatalf("Versions(%s) after recovery: %v", k6(i), err)
 		}
@@ -701,7 +730,7 @@ func TestRetentionDropPrunesIndexEntries(t *testing.T) {
 	}
 	sealAndCompactUnsorted(t, s)
 	for i := 0; i < 20; i++ {
-		rows, err := s.Versions(testTablet, testGroup, k6(i))
+		rows, err := versionsOf(s, k6(i))
 		if err != nil {
 			t.Fatalf("Versions(%s) after retention compaction: %v", k6(i), err)
 		}

@@ -287,10 +287,7 @@ func (s *Server) Compact() (CompactionStats, error) {
 	if err := s.log.RemoveSegments(inputNums...); err != nil {
 		return st, err
 	}
-	st.BytesReclaimed = inputBytes - s.segmentsBytes(sw.Segments())
-	s.stats.Compactions.Add(1)
-	s.stats.CompactDropped.Add(int64(st.Dropped))
-	s.stats.CompactReclaimed.Add(st.BytesReclaimed)
+	s.noteCompaction(&st, inputBytes, sw.Segments())
 
 	// A checkpoint taken before compaction references segments that no
 	// longer exist; refresh it so recovery has a consistent start.
@@ -298,6 +295,18 @@ func (s *Server) Compact() (CompactionStats, error) {
 		return st, err
 	}
 	return st, nil
+}
+
+// noteCompaction closes one compaction run's accounting (whole-log and
+// incremental alike). The bytes reclaimed are what the removed inputs
+// held beyond the rewritten outputs, floored at zero: a rewrite that
+// drops nothing still gains a sorted segment's footer, and "reclaiming"
+// minus one footer would step the cumulative counter backwards.
+func (s *Server) noteCompaction(st *CompactionStats, inputBytes int64, outputs []uint32) {
+	st.BytesReclaimed = max(0, inputBytes-s.segmentsBytes(outputs))
+	s.stats.Compactions.Add(1)
+	s.stats.CompactDropped.Add(int64(st.Dropped))
+	s.stats.CompactReclaimed.Add(st.BytesReclaimed)
 }
 
 func (s *Server) segmentsBytes(nums []uint32) int64 {

@@ -59,7 +59,7 @@ func TestCompactKeepsAllVersionsByDefault(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	rows, err := s.Versions(testTablet, testGroup, key)
+	rows, err := versionsOf(s, key)
 	if err != nil || len(rows) != 4 {
 		t.Fatalf("Versions after compaction = %d, err %v", len(rows), err)
 	}

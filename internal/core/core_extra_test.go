@@ -33,7 +33,7 @@ func TestVersionsAfterDeleteEmpty(t *testing.T) {
 		s.Write(testTablet, testGroup, key, ts, []byte("v"))
 	}
 	s.Delete(testTablet, testGroup, key, 4)
-	rows, err := s.Versions(testTablet, testGroup, key)
+	rows, err := versionsOf(s, key)
 	if err != nil {
 		t.Fatalf("Versions: %v", err)
 	}

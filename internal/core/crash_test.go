@@ -245,7 +245,7 @@ func TestCrashLateWriteAfterDelete(t *testing.T) {
 		t.Helper()
 		out := map[string]string{}
 		for _, st := range script {
-			rows, err := s.Versions(testTablet, testGroup, []byte(st.key))
+			rows, err := versionsOf(s, []byte(st.key))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -157,6 +157,7 @@ func (s *Server) Metrics() *obs.Registry { return s.obs.reg }
 // numbers can never be observed mid-tick — half-applied counter
 // updates from a concurrent compaction run are impossible.
 type StatsView struct {
+	Server                 string // id of the snapshotted tablet server
 	Writes, Reads, Deletes int64
 	CacheHits, CacheMisses int64
 	LogReads               int64
@@ -179,6 +180,7 @@ func (s *Server) StatsView() StatsView {
 	cs := s.readCache.Stats()
 	info := s.CompactionInfo()
 	return StatsView{
+		Server:         s.id,
 		Writes:         s.stats.Writes.Load(),
 		Reads:          s.stats.Reads.Load(),
 		Deletes:        s.stats.Deletes.Load(),

@@ -30,7 +30,7 @@ func TestRetentionPolicyVersionBound(t *testing.T) {
 	s.SetRetention("users", RetentionPolicy{KeepVersions: 2})
 	sealAndCompactUnsorted(t, s)
 	for i := 0; i < 10; i++ {
-		rows, err := s.Versions(testTablet, testGroup, k6(i))
+		rows, err := versionsOf(s, k6(i))
 		if err != nil {
 			t.Fatalf("Versions(%s): %v", k6(i), err)
 		}
@@ -55,7 +55,7 @@ func TestRetentionPolicyZeroOverridesGlobal(t *testing.T) {
 	s.SetRetention("users", RetentionPolicy{})
 	sealAndCompactUnsorted(t, s)
 	for i := 0; i < 5; i++ {
-		rows, err := s.Versions(testTablet, testGroup, k6(i))
+		rows, err := versionsOf(s, k6(i))
 		if err != nil {
 			t.Fatalf("Versions(%s): %v", k6(i), err)
 		}
@@ -92,7 +92,7 @@ func TestRetentionPolicyAgeBound(t *testing.T) {
 
 	// k0 had three versions (ts 1, 20, 100): the two sampled-as-old ones
 	// are beyond KeepFor and pruned; "new" survives.
-	rows, err := s.Versions(testTablet, testGroup, k6(0))
+	rows, err := versionsOf(s, k6(0))
 	if err != nil {
 		t.Fatalf("Versions(k0): %v", err)
 	}
@@ -101,7 +101,7 @@ func TestRetentionPolicyAgeBound(t *testing.T) {
 	}
 	// k5 only has the old version — a key's newest version is never
 	// age-pruned, whatever its age.
-	rows, err = s.Versions(testTablet, testGroup, k6(5))
+	rows, err = versionsOf(s, k6(5))
 	if err != nil {
 		t.Fatalf("Versions(k5): %v", err)
 	}

@@ -222,7 +222,7 @@ func TestMVCCReadEdgesAtTombstone(t *testing.T) {
 			t.Errorf("GetAt(ts=%d) after delete: err = %v, want ErrNotFound", ts, err)
 		}
 	}
-	rows, err := s.Versions(testTablet, testGroup, key)
+	rows, err := versionsOf(s, key)
 	if err != nil {
 		t.Fatalf("Versions: %v", err)
 	}

@@ -24,10 +24,11 @@ func (d ScrubDefect) String() string {
 
 // ScrubReport summarises one scrub pass.
 type ScrubReport struct {
-	Segments       int // log segments examined
-	Blocks         int // DFS blocks examined (across all segments)
-	ReplicasRead   int // replica copies read and compared
-	RepairedBlocks int // corrupt replica copies rewritten from a healthy peer
+	Server         string // id of the scrubbed tablet server
+	Segments       int    // log segments examined
+	Blocks         int    // DFS blocks examined (across all segments)
+	ReplicasRead   int    // replica copies read and compared
+	RepairedBlocks int    // corrupt replica copies rewritten from a healthy peer
 	Unrecoverable  []ScrubDefect
 }
 
@@ -54,7 +55,7 @@ const scrubMaxAssignments = 243 // 3^5
 // to the copies it excluded. This catches single-replica bit rot that a
 // plain read would mask (the DFS serves whichever replica it likes).
 func (s *Server) Scrub() (ScrubReport, error) {
-	var rep ScrubReport
+	rep := ScrubReport{Server: s.id}
 	active := s.log.ActiveSegment()
 	for _, si := range s.log.Segments() {
 		if err := s.scrubSegment(&rep, si, si.Num == active); err != nil {

@@ -461,30 +461,6 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 	return Row{Key: key, TS: e.TS, Value: rec.Value}, nil
 }
 
-// Versions returns all versions of key, oldest first (multiversion data
-// access for historical analysis, a headline requirement in §1).
-func (s *Server) Versions(tabletID, group string, key []byte) ([]Row, error) {
-	_, g, err := s.tabletGroup(tabletID, group)
-	if err != nil {
-		return nil, err
-	}
-	pinned := s.log.PinAll()
-	defer s.log.Unpin(pinned...)
-	entries := g.tree().Versions(key, nil)
-	rows := make([]Row, 0, len(entries))
-	for _, e := range entries {
-		rec, err := s.readEntry(g, key, e.TS, e.Ptr)
-		if errors.Is(err, errRowVanished) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{Key: key, TS: e.TS, Value: rec.Value})
-	}
-	return rows, nil
-}
-
 // Delete removes key from the column group: it drops all index entries
 // and persists an invalidated log entry so the deletion survives
 // recovery from an older checkpoint (paper §3.6.3).

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/partition"
+	"repro/internal/readopt"
 )
 
 const (
@@ -26,6 +27,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *dfs.DFS) {
 	}
 	s := mustServer(t, fs, "ts1", cfg)
 	return s, fs
+}
+
+// versionsOf returns every stored version of key, oldest first.
+func versionsOf(s *Server, key []byte) ([]Row, error) {
+	return s.ReadRow(testTablet, testGroup, key, readopt.Options{AllVersions: true})
 }
 
 func mustServer(t *testing.T, fs *dfs.DFS, id string, cfg Config) *Server {
@@ -90,7 +96,7 @@ func TestMultiversionGetAt(t *testing.T) {
 	if _, err := s.GetAt(testTablet, testGroup, key, 5); !errors.Is(err, ErrNotFound) {
 		t.Errorf("pre-history GetAt err = %v", err)
 	}
-	rows, err := s.Versions(testTablet, testGroup, key)
+	rows, err := versionsOf(s, key)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("Versions = %d rows, err %v", len(rows), err)
 	}

@@ -55,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/partition"
+	"repro/internal/readopt"
 )
 
 // Config tunes a replica.
@@ -101,6 +102,7 @@ type Replica struct {
 	srv   *core.Server
 	feed  *core.RecordFeed
 	specs map[string]tabletSpec
+	ret   map[string]core.RetentionPolicy // per-table policies, re-applied to a fresh generation
 	gen   int
 
 	appliedLSN atomic.Uint64
@@ -208,6 +210,19 @@ func (r *Replica) AddTablet(tab partition.Tablet, groups []string) {
 	defer r.mu.Unlock()
 	r.specs[tab.ID] = tabletSpec{tab: tab, groups: append([]string(nil), groups...)}
 	r.srv.AddTablet(tab, groups)
+}
+
+// SetRetention installs a table's retention policy on the replica's
+// server, and remembers it: a truncation re-bootstrap swaps in a fresh
+// server, which must vacuum by the same rules as the one it replaces.
+func (r *Replica) SetRetention(table string, p core.RetentionPolicy) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ret == nil {
+		r.ret = make(map[string]core.RetentionPolicy)
+	}
+	r.ret[table] = p
+	r.srv.SetRetention(table, p)
 }
 
 // RemoveTablet stops mirroring a tablet (migrated away from the
@@ -467,6 +482,18 @@ func (r *Replica) WatermarkTS() int64 {
 	return r.watermark.Load()
 }
 
+// Serves is the replica half of the read-routing rule, shared by the
+// embedded and cluster routers: the replica may serve a read pinned at
+// ts under ro when it is healthy, its watermark covers ts, and its
+// shipping lag is within ro.MaxLag (0 = unbounded). The callers own the
+// other half — unpinned (ts <= 0) and ro.Primary reads never route here.
+func (r *Replica) Serves(ts int64, ro readopt.Options) bool {
+	if r.Err() != nil || r.WatermarkTS() < ts {
+		return false
+	}
+	return ro.MaxLag <= 0 || r.Stats().LagRecords <= uint64(ro.MaxLag)
+}
+
 // AppliedLSN returns the shipping cursor (the promotion high-water).
 func (r *Replica) AppliedLSN() uint64 { return r.appliedLSN.Load() }
 
@@ -509,6 +536,9 @@ func (r *Replica) freshGeneration() error {
 	}
 	for _, sp := range r.specs {
 		srv.AddTablet(sp.tab, sp.groups)
+	}
+	for table, p := range r.ret {
+		srv.SetRetention(table, p)
 	}
 	r.srv = srv
 	r.mu.Unlock()

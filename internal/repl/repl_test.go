@@ -13,6 +13,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/fault"
 	"repro/internal/partition"
+	"repro/internal/readopt"
 )
 
 const (
@@ -507,11 +508,11 @@ func TestReplCrashReplayIdempotent(t *testing.T) {
 	// replayed suffix must not have installed duplicates.
 	for i := 0; i < 300; i++ {
 		key := []byte(fmt.Sprintf("k%05d", i))
-		got, err := rep2.Server().Versions(testTablet, testGroup, key)
+		got, err := rep2.Server().ReadRow(testTablet, testGroup, key, readopt.Options{AllVersions: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := h.primary.Versions(testTablet, testGroup, key)
+		want, err := h.primary.ReadRow(testTablet, testGroup, key, readopt.Options{AllVersions: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,8 @@
 // where <predicate> is the serializable set from internal/readopt
 // (PREFIX <op> | CONTAINS <op> | RANGE <lo|*> <hi|*>, operands
 // %-escaped). Everything after the positional bounds is evaluated at
-// the tablet server, not in the session loop; a bare number in place
-// of LIMIT n is accepted for compatibility with the old
-// "SCAN t g start end [limit]" form. PRIMARY forces the read onto the
-// primary even when a caught-up replica could serve it; MAXLAG n
+// the tablet server, not in the session loop. PRIMARY forces the read
+// onto the primary even when a caught-up replica could serve it; MAXLAG n
 // allows a replica only if its shipping cursor trails the primary log
 // by at most n records (both map onto internal/readopt options and are
 // meaningful only with AT on a replicated deployment).
@@ -53,31 +51,28 @@
 // client disconnects. A resume below the compaction reclaim horizon
 // fails with an ERR naming the truncation — re-subscribe from 0.
 //
-// QUERY runs one compiled query statement per line — the legacy
-// positional aggregate form, now extended with the statement grammar
-// (select push-down, multi-table equi-joins, expression grouping,
-// extra aggregates):
+// GETAT <table> <group> <key> <ts> and VERSIONS <table> <group> <key>
+// are the point-read options on the wire: the version visible at a
+// timestamp, and the key's whole history (oldest first). Both go
+// through the store's one Read.
 //
-//	QUERY <table> <group> [<agg> [start|*] [end|*]]
-//	      [FROM k] [TO k] [FILTER KEY|VAL <predicate>]*
+// QUERY runs one query statement per line, in the statement grammar of
+// internal/query (select push-down, multi-table equi-joins, expression
+// grouping, any number of aggregates):
+//
+//	QUERY <table> <group> [FROM k] [TO k] [FILTER KEY|VAL <predicate>]*
 //	      [JOIN <table> <group> ON <ltable> <lexpr> <rexpr> [VIA index]
 //	           [FROM k] [TO k] [FILTER KEY|VAL <predicate>]*]*
-//	      [AT ts] [BY n | BY <table> <expr> <n>]
-//	      [AGG <agg> <table> <expr|*>]*
+//	      [AT ts] [BY <table> <expr> <n>]
+//	      AGG <agg> <table> <expr|*> [AGG ...]*
 //
-// where <expr> is KEY, VAL, KEY[i] or VAL[i] (comma-separated field i)
-// and FROM/TO operands are %-escaped. The whole line is translated
-// onto the serializable statement wire form (internal/query) and
-// executed as ONE statement. In the legacy positional prefix the
-// <agg> becomes the first aggregate (COUNT counts tuples, others
-// aggregate the row value) and the raw [start] [end] bounds are
-// escaped for the caller; a statement keyword in the <agg> position
-// means the pure statement form (bring your own AGG clauses, escape
-// your own FROM/TO operands). The legacy "BY n" shorthand groups on
-// an n-byte base-key prefix in either form. Join order is chosen
-// greedily by the engine. The reply is one "AGG <group|-> <op>
-// <value> rows=<n>" line per group × aggregate, then "END <groups>
-// <ts>".
+// where <expr> is KEY, VAL, KEY[i] or VAL[i] (comma-separated field i),
+// <agg> is COUNT, SUM, MIN, MAX or AVG ("*" counts tuples), FROM/TO
+// operands are %-escaped, and BY groups on an n-byte prefix of the
+// expression (0 = the whole value). The line is parsed as ONE
+// statement and executed by Store.Exec; join order is chosen greedily
+// by the engine. The reply is one "AGG <group|-> <op> <value>
+// rows=<n>" line per group × aggregate, then "END <groups> <ts>".
 //
 // MVIEW manages materialized aggregate views:
 //
@@ -102,163 +97,60 @@ import (
 	"strings"
 
 	"repro/internal/cdc"
+	"repro/internal/core"
+	"repro/internal/mview"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/readopt"
+	"repro/internal/repl"
 )
 
-// Store is the engine surface the protocol drives. It mirrors the root
-// package's logbase.Store (context-aware methods, pull-based iterator
-// scans) with nominal Row/Iterator types, so cmd/logbase-server adapts
-// either backend — embedded *logbase.DB or *logbase.ClusterClient —
-// with pure type conversions.
+// Store is the engine surface the protocol drives: logbase.Store's
+// methods with their own signatures — plus the uniform admin surface —
+// so both backends satisfy it through one adapter that differs only
+// where the wire hands over an already-decoded readopt.Options (Read
+// and Scan).
 type Store interface {
 	CreateTable(name string, groups ...string) error
 	Put(ctx context.Context, table, group string, key, value []byte) error
 	Get(ctx context.Context, table, group string, key []byte) (Row, error)
-	GetAt(ctx context.Context, table, group string, key []byte, ts int64) (Row, error)
-	Versions(ctx context.Context, table, group string, key []byte) ([]Row, error)
+	// Read is the point read behind GETAT (opt.Snapshot) and VERSIONS
+	// (opt.AllVersions).
+	Read(ctx context.Context, table, group string, key []byte, opt readopt.Options) ([]Row, error)
 	Delete(ctx context.Context, table, group string, key []byte) error
 	// Scan returns a pull-based iterator over the visible version of
 	// each key in [start, end) with the push-down options applied at
 	// the storage layer; the session streams it to exhaustion (opt
 	// carries the row limit) and Closes it.
 	Scan(ctx context.Context, table, group string, start, end []byte, opt readopt.Options) Iterator
-	// Exec runs one compiled query statement (the QUERY command):
-	// snapshot-consistent aggregates, select push-down, key-prefix or
-	// expression grouping, and multi-table equi-joins, at AtTS (0 =
-	// latest). The reply carries one value per statement aggregate per
-	// group.
-	Exec(ctx context.Context, stmt *query.Statement) (QueryReply, error)
+	// Exec runs one query statement (the QUERY command). Each result
+	// group carries one partial per statement aggregate, in order.
+	Exec(ctx context.Context, stmt *query.Statement) (query.Result, error)
+	// Watch subscribes a changefeed (the WATCH command); the session
+	// streams the feed and Closes it.
+	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...cdc.Options) (cdc.Feed, error)
+	// CreateMView, MViewQuery and MViewStats are the MVIEW subcommands.
+	CreateMView(ctx context.Context, spec mview.Spec) error
+	MViewQuery(ctx context.Context, name string) (query.Result, error)
+	MViewStats(name string) (mview.Stats, error)
+	// Checkpoint, Compact and Scrub fan out over every tablet server.
 	Checkpoint() error
-	// Stats returns one observability snapshot per tablet server (the
-	// STATS command): operation counters, read-buffer hit rates, and
-	// the compaction/storage-layout gauges operators watch to see the
-	// background compactor keeping up. Each snapshot must be mutually
-	// consistent (taken in one pass, not counter-by-counter).
-	Stats(ctx context.Context) ([]StatsSnapshot, error)
+	Compact() (core.CompactionStats, error)
+	Scrub() ([]core.ScrubReport, error)
+	// Stats returns one mutually-consistent snapshot per tablet server
+	// (taken in one pass, not counter-by-counter); ReplicaStats the
+	// shipping state of each server's read replicas, keyed by primary
+	// server id.
+	Stats() []core.StatsView
+	ReplicaStats() map[string][]repl.Stats
 	// Metrics returns the engine's metrics registry, or nil when the
 	// backend exposes none. A non-nil registry makes STATS stream the
 	// whole registry as METRIC lines after the per-server STAT lines.
 	Metrics() *obs.Registry
-	// Compact runs whole-log compaction on every tablet server (the
-	// COMPACT command).
-	Compact(ctx context.Context) error
-	// Scrub verifies every tablet server's log segments against all
-	// DFS replicas — record frames and sorted-segment footer CRCs —
-	// repairing corrupt replica blocks from healthy peers and
-	// reporting unrecoverable ranges (the SCRUB command). One snapshot
-	// per tablet server.
-	Scrub(ctx context.Context) ([]ScrubSnapshot, error)
-	// Watch subscribes a changefeed (the WATCH command): committed
-	// Put/Delete events for keys in [start, end) (nil = open; group ""
-	// = all column groups) from fromLSN (0 = beginning of the retained
-	// log). The session streams the feed and Closes it.
-	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (cdc.Feed, error)
-	// MViewCreate registers and bootstraps a materialized aggregate
-	// view (aggs named like QUERY operators; groupPrefix mirrors BY).
-	MViewCreate(ctx context.Context, name, table, group string, start, end []byte, aggs []string, groupPrefix int) error
-	// MViewQuery materialises a registered view without scanning.
-	MViewQuery(ctx context.Context, name string) (MViewReply, error)
-	// MViewStats reports a view's watermark and apply counters.
-	MViewStats(ctx context.Context, name string) (MViewStatsReply, error)
 }
 
-// MViewReply is a materialized view's current result: the watermark
-// timestamp it is exact at, the aggregate operator names in view
-// order, and one entry per group carrying a value per aggregate.
-type MViewReply struct {
-	TS     int64
-	Aggs   []string
-	Groups []MViewGroup
-}
-
-// MViewGroup is one group of an MViewReply; Values aligns with
-// MViewReply.Aggs.
-type MViewGroup struct {
-	Key    string
-	Rows   int64
-	Values []float64
-}
-
-// MViewStatsReply is the MVIEW STATS snapshot.
-type MViewStatsReply struct {
-	Name         string
-	Table        string
-	Group        string
-	WatermarkLSN uint64
-	WatermarkTS  int64
-	Events       uint64
-	SnapshotRows uint64
-	Skipped      uint64
-	Groups       int
-	Keys         int
-}
-
-// StatsSnapshot is one tablet server's STATS line.
-type StatsSnapshot struct {
-	Server  string
-	Writes  int64
-	Reads   int64
-	Deletes int64
-	// LogReads counts rows fetched from the log to serve reads/scans.
-	LogReads int64
-	// CacheHits/CacheMisses are read-buffer counters.
-	CacheHits   int64
-	CacheMisses int64
-	// Compactions/CompactDropped/BytesReclaimed accumulate across
-	// compaction runs (manual and background).
-	Compactions    int64
-	CompactDropped int64
-	BytesReclaimed int64
-	// SortedFraction is the fraction of live log bytes in sorted
-	// segments; GarbageRatio is known-superseded bytes / live bytes.
-	SortedFraction float64
-	GarbageRatio   float64
-	Segments       int
-	LogBytes       int64
-	// Replicas lists the server's WAL-shipping read replicas, if any;
-	// each is rendered as its own "STAT <replica> replica_*" line.
-	Replicas []ReplicaStat
-}
-
-// ScrubSnapshot is one tablet server's SCRUB result line: walk
-// counters, repairs performed, and any ranges no replica assignment
-// could decode (rendered as DEFECT lines).
-type ScrubSnapshot struct {
-	Server         string
-	Segments       int
-	Blocks         int
-	ReplicasRead   int
-	RepairedBlocks int
-	// Unrecoverable describes ranges where every replica is corrupt,
-	// one human-readable "segment N offset M: why" string each.
-	Unrecoverable []string
-}
-
-// ReplicaStat is one read replica's shipping state on the STATS wire.
-type ReplicaStat struct {
-	// Replica is the replica's id (e.g. "ts00.r0").
-	Replica string
-	// Generation counts truncation-forced re-bootstraps.
-	Generation int
-	// AppliedLSN is the shipping cursor; SourceLSN the primary log tip;
-	// LagRecords their distance.
-	AppliedLSN uint64
-	SourceLSN  uint64
-	LagRecords uint64
-	// LagSeconds is how long the replica has continuously trailed the
-	// tip (0 when caught up).
-	LagSeconds float64
-	// WatermarkTS is the snapshot-consistency frontier (reads pinned at
-	// or below it may be served here).
-	WatermarkTS int64
-	// ReadsServed counts reads routed to this replica.
-	ReadsServed int64
-}
-
-// Iterator is the pull-based row stream the protocol consumes; it
-// mirrors logbase.Iterator.
+// Iterator is the pull-based row stream the protocol consumes; it has
+// logbase.Iterator's method set.
 type Iterator interface {
 	Next() bool
 	Row() Row
@@ -266,32 +158,8 @@ type Iterator interface {
 	Close() error
 }
 
-// QueryReply is the result of a Store.Exec: the pinned snapshot
-// timestamp, the aggregate column names in statement order, and one
-// entry per group (a single group keyed "" when no grouping was
-// requested). It mirrors MViewReply so the QUERY response generalises
-// to multi-aggregate join statements.
-type QueryReply struct {
-	TS     int64
-	Aggs   []string
-	Groups []QueryGroup
-}
-
-// QueryGroup is one aggregated group; Values aligns with
-// QueryReply.Aggs.
-type QueryGroup struct {
-	Key    string
-	Rows   int64
-	Values []float64
-}
-
-// Row mirrors logbase.Row without importing the root package (which
-// would create a cycle through tests).
-type Row struct {
-	Key   []byte
-	TS    int64
-	Value []byte
-}
+// Row is logbase.Row (the root package is not imported here).
+type Row = core.Row
 
 // Serve reads commands from r and writes responses to w until EOF or
 // QUIT. Errors writing to w abort the session; cancelling ctx makes
@@ -345,14 +213,14 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				err = reply("ERR bad timestamp %q", fields[4])
 				break
 			}
-			row, gerr := db.GetAt(ctx, fields[1], fields[2], []byte(fields[3]), ts)
+			rows, gerr := db.Read(ctx, fields[1], fields[2], []byte(fields[3]), readopt.Options{Snapshot: ts})
 			if gerr != nil {
 				err = reply("ERR %v", gerr)
 			} else {
-				err = reply("VAL %d %s", row.TS, row.Value)
+				err = reply("VAL %d %s", rows[0].TS, rows[0].Value)
 			}
 		case cmd == "VERSIONS" && len(fields) >= 4:
-			rows, verr := db.Versions(ctx, fields[1], fields[2], []byte(fields[3]))
+			rows, verr := db.Read(ctx, fields[1], fields[2], []byte(fields[3]), readopt.Options{AllVersions: true})
 			if verr != nil {
 				err = reply("ERR %v", verr)
 				break
@@ -410,87 +278,39 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				}
 			}
 		case cmd == "QUERY" && len(fields) >= 4:
-			// QUERY <table> <group> <agg> [start|*] [end|*] followed by
-			// the statement grammar (FILTER/JOIN/AT/BY/AGG — see the
-			// package doc). The legacy positional prefix is translated
-			// onto the statement wire form and the whole line compiles to
-			// ONE statement executed by Store.Exec. Re-split the full
-			// line: QUERY takes more operands than the common commands.
+			// QUERY <table> <group> followed by the statement grammar
+			// (FROM/TO/FILTER/JOIN/AT/BY/AGG — see the package doc): the
+			// line parses as ONE statement executed by Store.Exec. Re-split
+			// the full line: QUERY takes more operands than the common
+			// commands.
 			args := strings.Fields(line)
-			tokens := []string{args[1], args[2]}
-			rest := args[3:]
-			// A statement keyword right after the group means the pure
-			// statement form: no positional aggregate or bounds, the
-			// operands already follow the statement wire grammar.
-			if !stmtKeyword(args[3]) {
-				rest = args[4:]
-				// Positional bounds first ("*" = open); any statement
-				// keyword ends the positional section so a dangling keyword
-				// can never be swallowed as a key bound. Raw bounds are
-				// escaped so they round-trip through the statement parser's
-				// unescape.
-				for pos := 0; pos < 2 && len(rest) > 0; pos++ {
-					if stmtKeyword(rest[0]) {
-						break
-					}
-					if rest[0] != "*" {
-						kw := "FROM"
-						if pos == 1 {
-							kw = "TO"
-						}
-						tokens = append(tokens, kw, readopt.EscapeOperand([]byte(rest[0])))
-					}
-					rest = rest[1:]
+			if kind, aerr := query.ParseAggKind(strings.ToUpper(args[3])); aerr == nil {
+				expr := "VAL"
+				if kind == query.Count {
+					expr = "*"
 				}
-				// The positional aggregate becomes the statement's first
-				// AGG: COUNT counts tuples, everything else aggregates the
-				// row value parsed as a decimal number.
-				aggExpr := "VAL"
-				if strings.ToUpper(args[3]) == "COUNT" {
-					aggExpr = "*"
-				}
-				tokens = append(tokens, "AGG", strings.ToUpper(args[3]), args[1], aggExpr)
+				err = reply("ERR the positional QUERY form was removed: write QUERY %s %s [FROM <start>] [TO <end>] AGG %s %s %s",
+					args[1], args[2], kind, args[1], expr)
+				break
 			}
-			for len(rest) > 0 {
-				// Legacy "BY <n>" is shorthand for grouping on an n-byte
-				// prefix of the base relation's key.
-				if strings.EqualFold(rest[0], "BY") && len(rest) >= 2 {
-					if _, aerr := strconv.Atoi(rest[1]); aerr == nil {
-						tokens = append(tokens, "BY", args[1], "KEY", rest[1])
-						rest = rest[2:]
-						continue
-					}
-				}
-				tokens = append(tokens, rest[0])
-				rest = rest[1:]
-			}
-			stmt, perr := query.ParseStatementTokens(tokens)
+			stmt, perr := query.ParseStatementTokens(args[1:])
 			if perr != nil {
 				err = reply("ERR %v", perr)
 				break
 			}
-			rep, qerr := db.Exec(ctx, stmt)
+			res, qerr := db.Exec(ctx, stmt)
 			if qerr != nil {
 				err = reply("ERR %v", qerr)
 				break
 			}
-			for _, g := range rep.Groups {
-				key := g.Key
-				if key == "" {
-					key = "-"
-				}
-				for i, op := range rep.Aggs {
-					if err = reply("AGG %s %s %g rows=%d", key, op, g.Values[i], g.Rows); err != nil {
-						break
-					}
-				}
-				if err != nil {
-					break
+			names := make([]string, len(stmt.Aggs))
+			kinds := make([]query.AggKind, len(stmt.Aggs))
+			for i, a := range stmt.Aggs {
+				if names[i], kinds[i] = a.Name, a.Kind; names[i] == "" {
+					names[i] = a.Kind.String()
 				}
 			}
-			if err == nil {
-				err = reply("END %d %d", len(rep.Groups), rep.TS)
-			}
+			err = replyAggs(reply, res, names, kinds)
 		case cmd == "WATCH" && len(fields) >= 5:
 			// WATCH <table> <group|*> <start|*> <end|*> [FROM lsn] [LIMIT n]
 			// streams one EVENT line per committed mutation: catch-up
@@ -575,32 +395,36 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 			case sub == "CREATE" && len(args) >= 6:
 				// MVIEW CREATE <name> <table> <group> <agg[,agg...]>
 				// [start|*] [end|*] [BY n]
-				name, table, group := args[2], args[3], args[4]
-				aggs := strings.Split(strings.ToUpper(args[5]), ",")
-				var start, end []byte
-				prefix := 0
+				spec := mview.Spec{Name: args[2], Table: args[3], Group: args[4]}
 				rest := args[6:]
 				bad := ""
+				for _, a := range strings.Split(strings.ToUpper(args[5]), ",") {
+					kind, aerr := query.ParseAggKind(a)
+					if aerr != nil {
+						bad = aerr.Error()
+					}
+					spec.Aggs = append(spec.Aggs, kind)
+				}
 				for pos := 0; pos < 2 && len(rest) > 0; pos++ {
 					if strings.ToUpper(rest[0]) == "BY" {
 						break
 					}
 					if rest[0] != "*" {
 						if pos == 0 {
-							start = []byte(rest[0])
+							spec.Start = []byte(rest[0])
 						} else {
-							end = []byte(rest[0])
+							spec.End = []byte(rest[0])
 						}
 					}
 					rest = rest[1:]
 				}
-				if len(rest) > 0 && strings.ToUpper(rest[0]) == "BY" {
+				if bad == "" && len(rest) > 0 && strings.ToUpper(rest[0]) == "BY" {
 					if len(rest) < 2 {
 						bad = "BY needs a value"
 					} else if v, perr := strconv.Atoi(rest[1]); perr != nil {
 						bad = "bad prefix length " + rest[1]
 					} else {
-						prefix = v
+						spec.GroupPrefix = v
 						rest = rest[2:]
 					}
 				}
@@ -609,44 +433,36 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				}
 				if bad != "" {
 					err = reply("ERR %s", bad)
-					break
-				}
-				if cerr := db.MViewCreate(ctx, name, table, group, start, end, aggs, prefix); cerr != nil {
+				} else if cerr := db.CreateMView(ctx, spec); cerr != nil {
 					err = reply("ERR %v", cerr)
 				} else {
-					err = reply("OK view %s", name)
+					err = reply("OK view %s", spec.Name)
 				}
 			case sub == "QUERY" && len(args) >= 3:
-				rep, qerr := db.MViewQuery(ctx, args[2])
+				// The view's spec names its aggregates, in result order.
+				st, serr := db.MViewStats(args[2])
+				if serr != nil {
+					err = reply("ERR %v", serr)
+					break
+				}
+				res, qerr := db.MViewQuery(ctx, args[2])
 				if qerr != nil {
 					err = reply("ERR %v", qerr)
 					break
 				}
-				for _, g := range rep.Groups {
-					key := g.Key
-					if key == "" {
-						key = "-"
-					}
-					for i, op := range rep.Aggs {
-						if err = reply("AGG %s %s %g rows=%d", key, op, g.Values[i], g.Rows); err != nil {
-							break
-						}
-					}
-					if err != nil {
-						break
-					}
+				names := make([]string, len(st.Spec.Aggs))
+				for i, k := range st.Spec.Aggs {
+					names[i] = k.String()
 				}
-				if err == nil {
-					err = reply("END %d %d", len(rep.Groups), rep.TS)
-				}
+				err = replyAggs(reply, res, names, st.Spec.Aggs)
 			case sub == "STATS" && len(args) >= 3:
-				st, serr := db.MViewStats(ctx, args[2])
+				st, serr := db.MViewStats(args[2])
 				if serr != nil {
 					err = reply("ERR %v", serr)
 					break
 				}
 				if err = reply("STAT %s watermark_lsn=%d watermark_ts=%d events=%d snapshot_rows=%d skipped=%d groups=%d keys=%d",
-					st.Name, st.WatermarkLSN, st.WatermarkTS, st.Events, st.SnapshotRows, st.Skipped, st.Groups, st.Keys); err == nil {
+					st.Spec.Name, st.WatermarkLSN, st.WatermarkTS, st.Events, st.SnapshotRows, st.Skipped, st.Groups, st.Keys); err == nil {
 					err = reply("END 1")
 				}
 			default:
@@ -659,28 +475,28 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				err = reply("OK checkpoint")
 			}
 		case cmd == "COMPACT":
-			if cerr := db.Compact(ctx); cerr != nil {
+			if _, cerr := db.Compact(); cerr != nil {
 				err = reply("ERR %v", cerr)
 			} else {
 				err = reply("OK compact")
 			}
 		case cmd == "SCRUB":
-			snaps, serr := db.Scrub(ctx)
+			reports, serr := db.Scrub()
 			if serr != nil {
 				err = reply("ERR %v", serr)
 				break
 			}
 			repaired, unrecoverable := 0, 0
-			for _, sn := range snaps {
+			for _, rep := range reports {
 				if err = reply("SCRUB %s segments=%d blocks=%d replicas_read=%d repaired=%d unrecoverable=%d",
-					sn.Server, sn.Segments, sn.Blocks, sn.ReplicasRead,
-					sn.RepairedBlocks, len(sn.Unrecoverable)); err != nil {
+					rep.Server, rep.Segments, rep.Blocks, rep.ReplicasRead,
+					rep.RepairedBlocks, len(rep.Unrecoverable)); err != nil {
 					break
 				}
-				repaired += sn.RepairedBlocks
-				unrecoverable += len(sn.Unrecoverable)
-				for _, d := range sn.Unrecoverable {
-					if err = reply("DEFECT %s %s", sn.Server, d); err != nil {
+				repaired += rep.RepairedBlocks
+				unrecoverable += len(rep.Unrecoverable)
+				for _, d := range rep.Unrecoverable {
+					if err = reply("DEFECT %s %s", rep.Server, d); err != nil {
 						break
 					}
 				}
@@ -692,13 +508,9 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				err = reply("END repaired=%d unrecoverable=%d", repaired, unrecoverable)
 			}
 		case cmd == "STATS":
-			snaps, serr := db.Stats(ctx)
-			if serr != nil {
-				err = reply("ERR %v", serr)
-				break
-			}
+			replicas := db.ReplicaStats()
 			lines := 0
-			for _, sn := range snaps {
+			for _, sn := range db.Stats() {
 				if err = reply("STAT %s writes=%d reads=%d deletes=%d log_reads=%d cache_hits=%d cache_misses=%d "+
 					"compactions=%d dropped=%d reclaimed=%d sorted_frac=%.3f garbage_frac=%.3f segments=%d log_bytes=%d",
 					sn.Server, sn.Writes, sn.Reads, sn.Deletes, sn.LogReads, sn.CacheHits, sn.CacheMisses,
@@ -707,10 +519,10 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 					break
 				}
 				lines++
-				for _, rs := range sn.Replicas {
+				for _, rs := range replicas[sn.Server] {
 					if err = reply("STAT %s replica_generation=%d replica_applied_lsn=%d replica_source_lsn=%d "+
 						"replica_lag_records=%d replica_lag_seconds=%.3f replica_watermark_ts=%d replica_reads_served=%d",
-						rs.Replica, rs.Generation, rs.AppliedLSN, rs.SourceLSN,
+						rs.BaseID, rs.Generation, rs.AppliedLSN, rs.SourceLSN,
 						rs.LagRecords, rs.LagSeconds, rs.WatermarkTS, rs.ReadsServed); err != nil {
 						break
 					}
@@ -756,14 +568,22 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 	return sc.Err()
 }
 
-// stmtKeyword reports whether tok opens a statement clause — the words
-// that end QUERY's legacy positional bounds section.
-func stmtKeyword(tok string) bool {
-	switch strings.ToUpper(tok) {
-	case "AT", "BY", "JOIN", "FILTER", "FROM", "TO", "AGG":
-		return true
+// replyAggs renders a query result as one "AGG <group|-> <op> <value>
+// rows=<n>" line per group × aggregate and the closing "END <groups>
+// <ts>"; names and kinds describe the result's aggregates in order.
+func replyAggs(reply func(string, ...interface{}) error, res query.Result, names []string, kinds []query.AggKind) error {
+	for _, g := range res.Groups {
+		key := g.Key
+		if key == "" {
+			key = "-"
+		}
+		for i, name := range names {
+			if err := reply("AGG %s %s %g rows=%d", key, name, g.Aggs[i].Value(kinds[i]), g.Rows); err != nil {
+				return err
+			}
+		}
 	}
-	return false
+	return reply("END %d %d", len(res.Groups), res.TS)
 }
 
 // parseScanOptions decodes the SCAN option operands (everything after
@@ -832,11 +652,8 @@ func parseScanOptions(rest []string) (readopt.Options, string) {
 			}
 			rest = tail
 		default:
-			// Bare number: the legacy "SCAN t g start end <limit>" form.
-			if n, err := strconv.Atoi(rest[0]); err == nil {
-				opt.Limit = n
-				rest = rest[1:]
-				continue
+			if _, err := strconv.Atoi(rest[0]); err == nil {
+				return opt, "a bare row limit was removed: write LIMIT " + rest[0]
 			}
 			return opt, "unexpected operand " + rest[0]
 		}

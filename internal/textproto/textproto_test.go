@@ -6,36 +6,30 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cdc"
 	"repro/internal/core"
+	"repro/internal/mview"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/readopt"
+	"repro/internal/repl"
 )
 
 // fakeStore is an in-memory Store for protocol tests.
 type fakeStore struct {
 	tables   map[string]map[string]map[string][]versioned // table -> group -> key
 	clock    int64
-	reg      *obs.Registry // nil = backend without a registry
-	events   []cdc.Event   // every committed mutation, in LSN order
-	views    map[string]*fakeView
-	replicas []ReplicaStat   // attached to the STATS snapshot
-	scrubs   []ScrubSnapshot // SCRUB reply; nil = nothing scrubbed
+	reg      *obs.Registry         // nil = backend without a registry
+	events   []cdc.Event           // every committed mutation, in LSN order
+	views    map[string]mview.Spec // MVIEW CREATEs; queries are computed live from the table state
+	replicas []repl.Stats          // the "fake" server's replicas in the STATS reply
+	scrubs   []core.ScrubReport    // SCRUB reply; nil = nothing scrubbed
 	scrubErr error
-}
-
-// fakeView records an MVIEW CREATE; queries are computed live from the
-// table state (the fake has no incremental maintenance to test).
-type fakeView struct {
-	table, group string
-	start, end   []byte
-	aggs         []string
-	prefix       int
 }
 
 type versioned struct {
@@ -111,34 +105,26 @@ func (f *fakeStore) Get(_ context.Context, table, group string, key []byte) (Row
 	return Row{Key: key, TS: last.ts, Value: last.val}, nil
 }
 
-func (f *fakeStore) GetAt(_ context.Context, table, group string, key []byte, ts int64) (Row, error) {
-	g, err := f.groupMap(table, group)
-	if err != nil {
-		return Row{}, err
-	}
-	var best *versioned
-	for i := range g[string(key)] {
-		v := &g[string(key)][i]
-		if v.ts <= ts && (best == nil || v.ts > best.ts) {
-			best = v
-		}
-	}
-	if best == nil {
-		return Row{}, errors.New("not found")
-	}
-	return Row{Key: key, TS: best.ts, Value: best.val}, nil
-}
-
-func (f *fakeStore) Versions(_ context.Context, table, group string, key []byte) ([]Row, error) {
+// Read serves the two point-read shapes the wire uses: every version
+// (VERSIONS) or the one visible at opt.Snapshot (GETAT; 0 = latest).
+func (f *fakeStore) Read(_ context.Context, table, group string, key []byte, opt readopt.Options) ([]Row, error) {
 	g, err := f.groupMap(table, group)
 	if err != nil {
 		return nil, err
 	}
-	var out []Row
+	var all []Row
 	for _, v := range g[string(key)] {
-		out = append(out, Row{Key: key, TS: v.ts, Value: v.val})
+		if opt.Snapshot == 0 || v.ts <= opt.Snapshot {
+			all = append(all, Row{Key: key, TS: v.ts, Value: v.val})
+		}
 	}
-	return out, nil
+	if opt.AllVersions {
+		return all, nil
+	}
+	if len(all) == 0 {
+		return nil, errors.New("not found")
+	}
+	return all[len(all)-1:], nil
 }
 
 func (f *fakeStore) Delete(_ context.Context, table, group string, key []byte) error {
@@ -182,11 +168,11 @@ func (f *fakeStore) Scan(ctx context.Context, table, group string, start, end []
 	}
 	it := &sliceIter{}
 	for _, k := range keys {
-		row, rerr := f.GetAt(ctx, table, group, []byte(k), ts)
-		if rerr != nil || !opt.Value.Match(row.Value) {
+		rows, rerr := f.Read(ctx, table, group, []byte(k), readopt.Options{Snapshot: ts})
+		if rerr != nil || !opt.Value.Match(rows[0].Value) {
 			continue
 		}
-		it.rows = append(it.rows, row)
+		it.rows = append(it.rows, rows[0])
 		if opt.Limit > 0 && len(it.rows) >= opt.Limit {
 			break
 		}
@@ -216,39 +202,20 @@ func (it *sliceIter) Close() error { return it.err }
 // Exec runs a query statement through the real relational executor
 // (internal/query) over the fake's in-memory state, so protocol tests
 // exercise joins, grouping and multi-aggregate statements end to end.
-func (f *fakeStore) Exec(ctx context.Context, stmt *query.Statement) (QueryReply, error) {
+func (f *fakeStore) Exec(ctx context.Context, stmt *query.Statement) (query.Result, error) {
 	if err := stmt.Validate(); err != nil {
-		return QueryReply{}, err
+		return query.Result{}, err
 	}
 	for _, r := range stmt.Rels() {
 		if _, err := f.groupMap(r.Table, r.Group); err != nil {
-			return QueryReply{}, err
+			return query.Result{}, err
 		}
 	}
 	ts := stmt.AtTS
 	if ts == 0 {
 		ts = f.clock
 	}
-	res, err := query.ExecStatement(ctx, stmt, ts, &fakeFetcher{f: f, rels: stmt.Rels(), ts: ts}, query.ExecOptions{})
-	if err != nil {
-		return QueryReply{}, err
-	}
-	rep := QueryReply{TS: res.TS}
-	for _, a := range stmt.Aggs {
-		name := a.Name
-		if name == "" {
-			name = a.Kind.String()
-		}
-		rep.Aggs = append(rep.Aggs, name)
-	}
-	for _, g := range res.Groups {
-		qg := QueryGroup{Key: g.Key, Rows: g.Rows}
-		for i, a := range stmt.Aggs {
-			qg.Values = append(qg.Values, g.Aggs[i].Value(a.Kind))
-		}
-		rep.Groups = append(rep.Groups, qg)
-	}
-	return rep, nil
+	return query.ExecStatement(ctx, stmt, ts, &fakeFetcher{f: f, rels: stmt.Rels(), ts: ts}, query.ExecOptions{})
 }
 
 // fakeFetcher adapts the fake's Scan to the join executor's storage
@@ -267,8 +234,7 @@ func (ff *fakeFetcher) Fetch(ctx context.Context, rel int, flt query.Filter) ([]
 	defer it.Close()
 	var rows []core.Row
 	for it.Next() {
-		row := it.Row()
-		rows = append(rows, core.Row{Key: row.Key, TS: row.TS, Value: row.Value})
+		rows = append(rows, it.Row())
 	}
 	return rows, it.Err()
 }
@@ -279,21 +245,23 @@ func (ff *fakeFetcher) FetchSecondary(context.Context, int, string, [][]byte) ([
 
 func (f *fakeStore) Checkpoint() error { return nil }
 
-func (f *fakeStore) Compact(context.Context) error { return nil }
+func (f *fakeStore) Compact() (core.CompactionStats, error) { return core.CompactionStats{}, nil }
 
-func (f *fakeStore) Scrub(context.Context) ([]ScrubSnapshot, error) {
-	return f.scrubs, f.scrubErr
+func (f *fakeStore) Scrub() ([]core.ScrubReport, error) { return f.scrubs, f.scrubErr }
+
+func (f *fakeStore) Stats() []core.StatsView {
+	return []core.StatsView{{Server: "fake", Writes: 7, SortedFraction: 0.5, Segments: 2}}
 }
 
-func (f *fakeStore) Stats(context.Context) ([]StatsSnapshot, error) {
-	return []StatsSnapshot{{Server: "fake", Writes: 7, SortedFraction: 0.5, Segments: 2, Replicas: f.replicas}}, nil
+func (f *fakeStore) ReplicaStats() map[string][]repl.Stats {
+	return map[string][]repl.Stats{"fake": f.replicas}
 }
 
 func (f *fakeStore) Metrics() *obs.Registry { return f.reg }
 
 // Watch replays the recorded events matching the filter and then ends
 // the feed — a finite stream, so WATCH sessions terminate with END.
-func (f *fakeStore) Watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64) (cdc.Feed, error) {
+func (f *fakeStore) Watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64, _ ...cdc.Options) (cdc.Feed, error) {
 	if _, ok := f.tables[table]; !ok {
 		return nil, fmt.Errorf("no table %s", table)
 	}
@@ -340,61 +308,47 @@ func (ff *fakeFeed) Close() error {
 	return nil
 }
 
-func (f *fakeStore) MViewCreate(_ context.Context, name, table, group string, start, end []byte, aggs []string, groupPrefix int) error {
-	if _, err := f.groupMap(table, group); err != nil {
+func (f *fakeStore) CreateMView(_ context.Context, spec mview.Spec) error {
+	if _, err := f.groupMap(spec.Table, spec.Group); err != nil {
 		return err
 	}
-	if _, exists := f.views[name]; exists {
-		return fmt.Errorf("view %s already exists", name)
+	if _, exists := f.views[spec.Name]; exists {
+		return fmt.Errorf("view %s already exists", spec.Name)
 	}
 	if f.views == nil {
-		f.views = map[string]*fakeView{}
+		f.views = map[string]mview.Spec{}
 	}
-	f.views[name] = &fakeView{table: table, group: group, start: start, end: end, aggs: aggs, prefix: groupPrefix}
+	f.views[spec.Name] = spec
 	return nil
 }
 
-func (f *fakeStore) MViewQuery(ctx context.Context, name string) (MViewReply, error) {
+// MViewQuery answers with one statement carrying every spec aggregate.
+func (f *fakeStore) MViewQuery(ctx context.Context, name string) (query.Result, error) {
 	v, ok := f.views[name]
 	if !ok {
-		return MViewReply{}, fmt.Errorf("no view %s", name)
+		return query.Result{}, fmt.Errorf("no view %s", name)
 	}
-	rep := MViewReply{TS: f.clock, Aggs: v.aggs}
-	for i, agg := range v.aggs {
-		kind, err := query.ParseAggKind(agg)
-		if err != nil {
-			return MViewReply{}, err
-		}
-		stmt := query.NewStatement(v.table).Group(v.group).Range(v.start, v.end)
+	stmt := query.NewStatement(v.Table).Group(v.Group).Range(v.Start, v.End)
+	for _, kind := range v.Aggs {
 		if kind == query.Count {
 			stmt.Agg(kind)
 		} else {
-			stmt.AggOf(kind, v.table, query.ValExpr())
-		}
-		if v.prefix > 0 {
-			stmt.GroupBy(v.prefix)
-		}
-		qr, err := f.Exec(ctx, stmt)
-		if err != nil {
-			return MViewReply{}, err
-		}
-		for j, g := range qr.Groups {
-			if i == 0 {
-				rep.Groups = append(rep.Groups, MViewGroup{Key: g.Key, Rows: g.Rows})
-			}
-			rep.Groups[j].Values = append(rep.Groups[j].Values, g.Values[0])
+			stmt.AggOf(kind, v.Table, query.ValExpr())
 		}
 	}
-	return rep, nil
+	if v.GroupPrefix > 0 {
+		stmt.GroupBy(v.GroupPrefix)
+	}
+	return f.Exec(ctx, stmt)
 }
 
-func (f *fakeStore) MViewStats(_ context.Context, name string) (MViewStatsReply, error) {
+func (f *fakeStore) MViewStats(name string) (mview.Stats, error) {
 	v, ok := f.views[name]
 	if !ok {
-		return MViewStatsReply{}, fmt.Errorf("no view %s", name)
+		return mview.Stats{}, fmt.Errorf("no view %s", name)
 	}
-	return MViewStatsReply{
-		Name: name, Table: v.table, Group: v.group,
+	return mview.Stats{
+		Spec:         v,
 		WatermarkLSN: uint64(len(f.events)), WatermarkTS: f.clock,
 		Events: uint64(len(f.events)), Groups: 1, Keys: 1,
 	}, nil
@@ -467,7 +421,7 @@ func TestScanWithLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		script = append(script, fmt.Sprintf("PUT t g k%d v%d", i, i))
 	}
-	script = append(script, "SCAN t g k0 k9 3")
+	script = append(script, "SCAN t g k0 k9 LIMIT 3")
 	lines := session(t, db, script...)
 	rows := 0
 	for _, l := range lines {
@@ -513,14 +467,14 @@ func TestQueryCommand(t *testing.T) {
 		"PUT m v a1 10",
 		"PUT m v a2 20",
 		"PUT m v b1 5",
-		"QUERY m v COUNT",
-		"QUERY m v SUM a *",
-		"QUERY m v SUM a b",
-		"QUERY m v COUNT * * BY 1",
+		"QUERY m v AGG COUNT m *",
+		"QUERY m v FROM a AGG SUM m VAL",
+		"QUERY m v FROM a TO b AGG SUM m VAL",
+		"QUERY m v BY m KEY 1 AGG COUNT m *",
+		"QUERY m v AGG MEDIAN m VAL",
+		"QUERY m v AGG SUM m VAL AT",
+		"QUERY m v AGG SUM m VAL AT 2 b1",
 		"QUERY m v MEDIAN",
-		"QUERY m v SUM AT",
-		"QUERY m v SUM AT 2 b1",
-		"QUERY m v SUM a b c",
 		"QUIT",
 	)
 	want := []string{
@@ -533,7 +487,7 @@ func TestQueryCommand(t *testing.T) {
 		`ERR query: unknown aggregate "MEDIAN"`,
 		"ERR query: AT needs a timestamp",
 		`ERR query: unexpected token "b1"`,
-		`ERR query: unexpected token "c"`,
+		`ERR query: unexpected token "MEDIAN"`,
 		"OK bye",
 	}
 	if len(lines) != len(want) {
@@ -543,6 +497,31 @@ func TestQueryCommand(t *testing.T) {
 		if lines[i] != want[i] {
 			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
 		}
+	}
+}
+
+// TestWireGrammarHasOneForm: the positional QUERY prefix, its "BY n"
+// shorthand and the bare-number SCAN limit are gone; each answers one
+// ERR line that names the replacement.
+func TestWireGrammarHasOneForm(t *testing.T) {
+	db := newFake()
+	session(t, db, "CREATE t g", "PUT t g k 7")
+	for line, want := range map[string]string{
+		"QUERY t g COUNT":              "AGG COUNT t *",
+		"QUERY t g sum k0 k9":          "AGG SUM t VAL",
+		"QUERY t g COUNT * * BY 1":     "AGG COUNT t *",
+		"QUERY t g AGG COUNT t * BY 1": "BY wants <table> <expr> <prefix>",
+		"SCAN t g * * 5":               "LIMIT 5",
+	} {
+		got := session(t, db, line)
+		if len(got) != 1 || !strings.HasPrefix(got[0], "ERR ") || !strings.Contains(got[0], want) {
+			t.Errorf("%q replied %v, want one ERR line naming %q", line, got, want)
+		}
+	}
+	// The replacements the errors name work.
+	got := session(t, db, "QUERY t g AGG COUNT t *", "SCAN t g * * LIMIT 5")
+	if want := []string{"AGG - COUNT 1 rows=1", "END 1 1", "ROW k 1 7", "END 1"}; !slices.Equal(got, want) {
+		t.Errorf("replacement forms replied %v, want %v", got, want)
 	}
 }
 
@@ -556,30 +535,24 @@ func TestQueryJoinCommand(t *testing.T) {
 		"PUT orders g o1 c1,10",
 		"PUT orders g o2 c1,20",
 		"PUT orders g o3 c2,5",
-		"QUERY orders g COUNT JOIN customers g ON orders VAL[0] KEY BY customers KEY 2 AGG SUM orders VAL[1]",
-		"QUERY orders g COUNT JOIN customers g ON orders VAL[0] KEY FILTER VAL CONTAINS east",
 		"QUERY orders g JOIN customers g ON orders VAL[0] KEY BY customers KEY 2 AGG COUNT orders * AGG SUM orders VAL[1]",
+		"QUERY orders g JOIN customers g ON orders VAL[0] KEY FILTER VAL CONTAINS east AGG COUNT orders *",
 		"QUERY orders g FROM o2 AGG COUNT orders *",
-		"QUERY orders g COUNT JOIN missing g ON orders VAL[0] KEY",
+		"QUERY orders g JOIN missing g ON orders VAL[0] KEY AGG COUNT orders *",
 		"QUIT",
 	)
 	want := []string{
 		"OK table orders", "OK table customers",
 		"OK", "OK", "OK", "OK", "OK",
-		// Two groups (customer key), two aggregates each, statement
-		// order: the positional COUNT first, then the extra SUM.
+		// Two groups (customer key), two aggregates each, in statement
+		// order.
 		"AGG c1 COUNT 2 rows=2", "AGG c1 SUM 30 rows=2",
 		"AGG c2 COUNT 1 rows=1", "AGG c2 SUM 5 rows=1",
 		"END 2 5",
 		// Value push-down on the joined relation keeps only the east
 		// customer's orders.
 		"AGG - COUNT 2 rows=2", "END 1 5",
-		// The pure statement form (no positional aggregate) answers the
-		// same join.
-		"AGG c1 COUNT 2 rows=2", "AGG c1 SUM 30 rows=2",
-		"AGG c2 COUNT 1 rows=1", "AGG c2 SUM 5 rows=1",
-		"END 2 5",
-		// Pure form, join-free: FROM right after the group.
+		// Join-free: FROM right after the group.
 		"AGG - COUNT 2 rows=2", "END 1 5",
 		"ERR no table missing",
 		"OK bye",
@@ -600,8 +573,8 @@ func TestQueryCommandHistorical(t *testing.T) {
 		"CREATE m v",
 		"PUT m v k 1",
 		"PUT m v k 100",
-		"QUERY m v SUM * * AT 1",
-		"QUERY m v SUM",
+		"QUERY m v AGG SUM m VAL AT 1",
+		"QUERY m v AGG SUM m VAL",
 		"QUIT",
 	)
 	want := []string{
@@ -668,12 +641,6 @@ func TestScanPushdownOperands(t *testing.T) {
 		t.Fatalf("AT rows = %v", got)
 	}
 
-	// Legacy bare-number limit still works.
-	got = rows(session(t, db, "SCAN t g a0 a9 2"))
-	if len(got) != 2 {
-		t.Fatalf("legacy limit rows = %v", got)
-	}
-
 	// Malformed operands produce ERR, not a hang.
 	for _, bad := range []string{
 		"SCAN t g * * LIMIT",
@@ -714,10 +681,10 @@ func TestStatsAndCompact(t *testing.T) {
 
 func TestScrubCommand(t *testing.T) {
 	db := newFake()
-	db.scrubs = []ScrubSnapshot{
+	db.scrubs = []core.ScrubReport{
 		{Server: "ts00", Segments: 3, Blocks: 12, ReplicasRead: 36, RepairedBlocks: 1},
 		{Server: "ts01", Segments: 2, Blocks: 8, ReplicasRead: 24,
-			Unrecoverable: []string{"segment 4 offset 128: bad record crc"}},
+			Unrecoverable: []core.ScrubDefect{{Segment: 4, Off: 128, Detail: "bad record crc"}}},
 	}
 	lines := session(t, db, "SCRUB")
 	want := []string{
@@ -929,8 +896,8 @@ func TestMViewCommands(t *testing.T) {
 // decodes like any other.
 func TestStatsReplicaLines(t *testing.T) {
 	db := newFake()
-	db.replicas = []ReplicaStat{{
-		Replica: "fake.r0", Generation: 1, AppliedLSN: 90, SourceLSN: 100,
+	db.replicas = []repl.Stats{{
+		BaseID: "fake.r0", Generation: 1, AppliedLSN: 90, SourceLSN: 100,
 		LagRecords: 10, LagSeconds: 0.5, WatermarkTS: 42, ReadsServed: 7,
 	}}
 	lines := session(t, db, "STATS")

@@ -3,6 +3,7 @@ package tpcw
 import (
 	"context"
 	"repro/internal/core"
+	"repro/internal/readopt"
 	"testing"
 )
 
@@ -58,7 +59,7 @@ func TestOrdersAccumulateAcrossRuns(t *testing.T) {
 	count := func() int {
 		cl := c.NewClient()
 		n := 0
-		cl.Scan(context.Background(), "orders", "order", nil, nil, func(r core.Row) bool { n++; return true })
+		cl.ScanOpts(context.Background(), "orders", "order", nil, nil, readopt.Options{}, func(r core.Row) bool { n++; return true })
 		return n
 	}
 	if _, err := Run(st, Ordering, 60, 30, 100, 2, 1); err != nil {

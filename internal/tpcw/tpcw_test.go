@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/readopt"
 )
 
 func newCluster(t *testing.T, n int) (*cluster.Cluster, logbase.Store) {
@@ -59,7 +60,7 @@ func TestBrowsingMixMostlyReads(t *testing.T) {
 	// ~5% updates → few orders written.
 	cl := c.NewClient()
 	orders := 0
-	cl.Scan(context.Background(), "orders", "order", nil, nil, func(core.Row) bool { orders++; return true })
+	cl.ScanOpts(context.Background(), "orders", "order", nil, nil, readopt.Options{}, func(core.Row) bool { orders++; return true })
 	if orders == 0 || orders > 60 {
 		t.Errorf("browsing mix wrote %d orders, want ~20 of 400", orders)
 	}
@@ -79,13 +80,13 @@ func TestOrderingMixWritesOrders(t *testing.T) {
 	}
 	cl := c.NewClient()
 	orders := 0
-	cl.Scan(context.Background(), "orders", "order", nil, nil, func(core.Row) bool { orders++; return true })
+	cl.ScanOpts(context.Background(), "orders", "order", nil, nil, readopt.Options{}, func(core.Row) bool { orders++; return true })
 	if orders < 100 {
 		t.Errorf("ordering mix wrote only %d orders of ~150 expected", orders)
 	}
 	// Orders must embed the cart read by the same transaction.
 	found := false
-	cl.Scan(context.Background(), "orders", "order", nil, nil, func(r core.Row) bool {
+	cl.ScanOpts(context.Background(), "orders", "order", nil, nil, readopt.Options{}, func(r core.Row) bool {
 		found = true
 		if string(r.Value[:13]) != `{"from-cart":` {
 			t.Errorf("order row %q lacks cart payload", r.Value)
@@ -140,8 +141,12 @@ func TestEmbeddedBackendRunsSameDriver(t *testing.T) {
 		t.Errorf("completed %d txns, want 100", res.Txns)
 	}
 	orders := 0
-	if err := db.FullScanFunc(context.Background(), "orders", "order", func(logbase.Row) bool { orders++; return true }); err != nil {
-		t.Fatalf("FullScanFunc: %v", err)
+	it := db.FullScan(context.Background(), "orders", "order")
+	for it.Next() {
+		orders++
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("FullScan: %v", err)
 	}
 	if orders == 0 {
 		t.Error("shopping mix wrote no orders on the embedded backend")

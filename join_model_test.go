@@ -13,6 +13,7 @@ package logbase_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -224,11 +225,7 @@ func loadJoinFixture(t *testing.T, st logbase.Store, rng *rand.Rand) (int64, int
 		ref := fmt.Sprintf("c%03d,i%02d,t%d", rng.Intn(nCust+2), rng.Intn(nItems+1), rng.Intn(6))
 		put("lineitems", "ref", fmt.Sprintf("o%05d", i), ref)
 	}
-	snap, err := st.SnapshotAt(bg, "lineitems", 0)
-	if err != nil {
-		t.Fatalf("SnapshotAt: %v", err)
-	}
-	ts := snap.TS()
+	ts := nowTS(t, st, "lineitems", "ref")
 	// Post-snapshot noise every relation: invisible at ts.
 	for i := 0; i < 30; i++ {
 		put("lineitems", "ref", fmt.Sprintf("o%05d", rng.Intn(nLine+50)), "c999,i99,t9")
@@ -273,6 +270,12 @@ func drawJoinSpec(rng *rand.Rand, ts int64, nLine int) joinSpec {
 	return sp
 }
 
+// planForcer is the forced-plan entry point both backends share beside
+// Store (it comes with the one client they embed).
+type planForcer interface {
+	ExecWith(ctx context.Context, stmt *logbase.Statement, opts logbase.ExecOptions) (logbase.QueryResult, error)
+}
+
 // checkJoinSpec executes the spec's statement through the greedy plan
 // and two forced-order naive plans and compares all three against the
 // oracle.
@@ -303,7 +306,7 @@ func checkJoinSpec(t *testing.T, st logbase.Store, rng *rand.Rand, sp joinSpec, 
 		{Order: reversed, NoBroadcast: true, NoPushdown: true},
 		{Order: rng.Perm(nRels), NoBroadcast: rng.Intn(2) == 0, NoPushdown: rng.Intn(2) == 0},
 	} {
-		naive, err := logbase.ExecWith(bg, st, sp.statement(), opts)
+		naive, err := st.(planForcer).ExecWith(bg, sp.statement(), opts)
 		if err != nil {
 			t.Logf("%v: ExecWith(%+v): %v", sp, opts, err)
 			return false

@@ -2,30 +2,11 @@ package logbase
 
 // Analytical query surface (the HTAP read path): snapshot-consistent
 // scans and aggregations executed directly over the multiversion log —
-// no copy of the data, no interference with the write path. See
-// internal/query for the executor. Both Store implementations share
-// this surface; the cluster backend scatter-gathers it (see
-// cluster_client.go).
+// no copy of the data, no interference with the write path. These are
+// the result and aggregate vocabulary of Store.Exec; statement.go holds
+// the statement builder and internal/query the executor.
 
-import (
-	"context"
-	"errors"
-
-	"repro/internal/query"
-	"repro/internal/readopt"
-)
-
-// Query is a declarative analytical query: push-down Filter, optional
-// GroupBy extractor, and a list of aggregates.
-type Query = query.Query
-
-// QueryFilter is the predicate set of a Query (key range and version
-// time range are pushed below the log fetch; Pred runs after it).
-type QueryFilter = query.Filter
-
-// Agg is one aggregate (COUNT/SUM/MIN/MAX/AVG) over a numeric
-// projection of the row.
-type Agg = query.Agg
+import "repro/internal/query"
 
 // AggKind enumerates the aggregate operators.
 type AggKind = query.AggKind
@@ -38,9 +19,6 @@ const (
 	Max   = query.Max
 	Avg   = query.Avg
 )
-
-// FloatValue extracts a row value encoded as decimal ASCII.
-var FloatValue = query.FloatValue
 
 // ParseAggKind maps an operator name ("COUNT", "SUM", ...) to its kind.
 var ParseAggKind = query.ParseAggKind
@@ -55,55 +33,3 @@ type GroupResult = query.GroupResult
 // AggState is one mergeable partial aggregate of a GroupResult;
 // finalise it with Value(kind).
 type AggState = query.AggState
-
-// Snapshot is a pinned-timestamp read handle.
-type Snapshot = query.Snapshot
-
-// Query executes q against a column group at the latest committed
-// timestamp: a consistent snapshot of the table as of now, unaffected
-// by writes that commit while the query runs. Cancelling ctx aborts
-// the scan workers within one batch boundary.
-func (db *DB) Query(ctx context.Context, table, group string, q Query) (QueryResult, error) {
-	return db.QueryAt(ctx, table, group, db.svc.LastTimestamp(), q)
-}
-
-// QueryAt executes q pinned at snapshot ts — time travel: the table
-// exactly as it was when timestamp ts was current.
-func (db *DB) QueryAt(ctx context.Context, table, group string, ts int64, q Query) (QueryResult, error) {
-	snap, err := db.SnapshotAt(ctx, table, ts)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	ctx, sp := db.tracer.Root(ctx, "db.query")
-	sp.Label("table", table)
-	defer sp.Finish()
-	return snap.Run(ctx, group, q)
-}
-
-// SnapshotAt pins a snapshot of the table at ts (0 = now). The handle
-// can run any number of queries and ordered scans, all seeing the exact
-// same version set.
-func (db *DB) SnapshotAt(ctx context.Context, table string, ts int64) (*Snapshot, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	db.tmu.RLock()
-	tm, ok := db.tables[table]
-	db.tmu.RUnlock()
-	if !ok {
-		return nil, errors.New("logbase: unknown table " + table)
-	}
-	if ts == 0 {
-		ts = db.svc.LastTimestamp()
-	}
-	// Pinned analytical reads are the replica subsystem's home turf: a
-	// replica whose watermark covers ts serves the whole snapshot (every
-	// Query/scan off this handle), offloading the primary. Safe even for
-	// the implicit "now" pin — watermark >= ts means state at ts is
-	// identical to the primary's.
-	src := db.server
-	if rep := db.replicaFor(ts, readopt.Options{}); rep != nil {
-		src = rep.Server()
-	}
-	return query.NewSnapshot(ts, query.Target{Source: src, Tablet: tm.tablet}), nil
-}

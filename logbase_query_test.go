@@ -28,15 +28,12 @@ func queryDB(t *testing.T, n int) *logbase.DB {
 
 func TestDBQueryAggregates(t *testing.T) {
 	db := queryDB(t, 1000)
-	res, err := db.Query(bg, "orders", "amount", logbase.Query{
-		Aggs: []logbase.Agg{
-			{Kind: logbase.Count},
-			{Kind: logbase.Sum, Extract: logbase.FloatValue},
-			{Kind: logbase.Avg, Extract: logbase.FloatValue},
-		},
-	})
+	res, err := db.Exec(bg, logbase.Q("orders").Group("amount").
+		Agg(logbase.Count).
+		AggOf(logbase.Sum, "orders", logbase.ValExpr()).
+		AggOf(logbase.Avg, "orders", logbase.ValExpr()))
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Exec: %v", err)
 	}
 	if res.Rows != 1000 {
 		t.Fatalf("rows = %d, want 1000", res.Rows)
@@ -51,12 +48,10 @@ func TestDBQueryAggregates(t *testing.T) {
 
 func TestDBQueryGroupBy(t *testing.T) {
 	db := queryDB(t, 500)
-	res, err := db.Query(bg, "orders", "amount", logbase.Query{
-		GroupBy: func(r logbase.Row) string { return string(r.Key[:len("order0001")]) }, // bucket on the hundreds digit
-		Aggs:    []logbase.Agg{{Kind: logbase.Count}},
-	})
+	// Bucket on the hundreds digit: a 9-byte key prefix.
+	res, err := db.Exec(bg, logbase.Q("orders").Group("amount").GroupBy(len("order0001")).Agg(logbase.Count))
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Exec: %v", err)
 	}
 	if len(res.Groups) != 5 {
 		t.Fatalf("groups = %d, want 5", len(res.Groups))
@@ -69,41 +64,37 @@ func TestDBQueryGroupBy(t *testing.T) {
 }
 
 // The public-surface half of the snapshot-pinning satellite test: a
-// snapshot taken before new commits keeps answering from the old
-// version set.
+// statement pinned At a timestamp taken before new commits keeps
+// answering from the old version set.
 func TestDBSnapshotPinned(t *testing.T) {
 	db := queryDB(t, 300)
-	snap, err := db.SnapshotAt(bg, "orders", 0)
+	count := func() *logbase.Statement { return logbase.Q("orders").Group("amount").Agg(logbase.Count) }
+	before, err := db.Exec(bg, count())
 	if err != nil {
-		t.Fatalf("SnapshotAt: %v", err)
-	}
-	q := logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Count}}}
-	before, err := snap.Run(bg, "amount", q)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Exec: %v", err)
 	}
 	for i := 0; i < 50; i++ {
 		if err := db.Put(bg, "orders", "amount", []byte(fmt.Sprintf("late%04d", i)), []byte("1")); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	after, err := snap.Run(bg, "amount", q)
+	after, err := db.Exec(bg, count().At(before.TS))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Exec At: %v", err)
 	}
-	if after.Rows != before.Rows {
-		t.Fatalf("pinned snapshot rows moved: %d -> %d", before.Rows, after.Rows)
+	if after.Rows != before.Rows || after.TS != before.TS {
+		t.Fatalf("pinned snapshot moved: %d rows @%d -> %d rows @%d", before.Rows, before.TS, after.Rows, after.TS)
 	}
-	cur, err := db.Query(bg, "orders", "amount", q)
+	cur, err := db.Exec(bg, count())
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Exec: %v", err)
 	}
 	if cur.Rows != before.Rows+50 {
 		t.Fatalf("current rows = %d, want %d", cur.Rows, before.Rows+50)
 	}
 }
 
-func TestDBQueryAtHistorical(t *testing.T) {
+func TestDBExecAtHistorical(t *testing.T) {
 	db, err := logbase.Open(t.TempDir(), logbase.Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -117,16 +108,19 @@ func TestDBQueryAtHistorical(t *testing.T) {
 	tsV1 := row.TS
 	db.Put(bg, "t", "g", []byte("a"), []byte("100"))
 
-	res, err := db.QueryAt(bg, "t", "g", tsV1, logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Sum, Extract: logbase.FloatValue}}})
+	sum := func() *logbase.Statement {
+		return logbase.Q("t").Group("g").AggOf(logbase.Sum, "t", logbase.ValExpr())
+	}
+	res, err := db.Exec(bg, sum().At(tsV1))
 	if err != nil {
-		t.Fatalf("QueryAt: %v", err)
+		t.Fatalf("Exec At: %v", err)
 	}
 	if got := res.Value(0, logbase.Sum); got != 1 {
 		t.Fatalf("historical sum = %g, want 1 (version at ts %d)", got, tsV1)
 	}
-	res, err = db.Query(bg, "t", "g", logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Sum, Extract: logbase.FloatValue}}})
+	res, err = db.Exec(bg, sum())
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Exec: %v", err)
 	}
 	if got := res.Value(0, logbase.Sum); got != 100 {
 		t.Fatalf("current sum = %g, want 100", got)

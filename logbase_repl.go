@@ -5,19 +5,20 @@ package logbase
 // replays the committed log stream into its own multiversion index and
 // publishes a watermark timestamp — the frontier below which its state
 // is byte-identical to the primary's. Pinned snapshot reads (Scan /
-// FullScan / Read with WithSnapshot, QueryAt, SnapshotAt, and join-free
-// Exec statements, which compile onto QueryAt) whose timestamp is at or
-// below a replica's watermark are served by that replica, round-robin
-// across replicas, falling back to the primary when none qualifies.
-// Reads at the latest timestamp and all transactional reads always hit
-// the primary (read-your-writes); WithPrimary opts any read out of
-// replica routing, WithMaxLag bounds the serving replica's current
-// shipping lag.
+// FullScan, Read with WithSnapshot, and Exec statements) whose
+// timestamp is at or below a replica's watermark are served by that
+// replica, round-robin across replicas, falling back to the primary
+// when none qualifies. Unpinned point reads and all transactional reads
+// always hit the primary (read-your-writes); WithPrimary opts any read
+// out of replica routing, WithMaxLag bounds the serving replica's
+// current shipping lag. The rule itself (repl.Replica.Serves) is shared
+// with the cluster router.
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/repl"
 )
 
@@ -34,9 +35,10 @@ type RetentionPolicy = core.RetentionPolicy
 
 // StartReplica starts a WAL-shipping read replica of this DB and
 // registers it with the read router. The replica mirrors the current
-// tables (tables created later are added automatically) and begins
-// catching up immediately; use the returned handle's WaitForTS to block
-// until its watermark covers a timestamp. Close the DB to stop it.
+// tables and their retention policies (tables created and policies set
+// later reach it automatically) and begins catching up immediately; use
+// the returned handle's WaitForTS to block until its watermark covers a
+// timestamp. Close the DB to stop it.
 func (db *DB) StartReplica() (*Replica, error) {
 	db.rmu.Lock()
 	defer db.rmu.Unlock()
@@ -54,7 +56,10 @@ func (db *DB) StartReplica() (*Replica, error) {
 	}
 	db.tmu.RLock()
 	for name, tm := range db.tables {
-		r.AddTablet(tabletSpec(name, tm.tablet), groupNames(tm))
+		r.AddTablet(partition.Tablet{ID: tm.tablet, Table: name}, tm.groups)
+		if p, ok := db.server.Retention(name); ok {
+			r.SetRetention(name, p)
+		}
 	}
 	db.tmu.RUnlock()
 	if err := r.Start(); err != nil {
@@ -73,80 +78,22 @@ func (db *DB) Replicas() []*Replica {
 	return append([]*Replica(nil), db.replicas...)
 }
 
-// ReplicaStats snapshots every replica's shipping state (applied
-// cursor, lag, watermark, reads served).
-func (db *DB) ReplicaStats() []ReplicaStats {
-	db.rmu.RLock()
-	reps := append([]*Replica(nil), db.replicas...)
-	db.rmu.RUnlock()
-	out := make([]ReplicaStats, len(reps))
-	for i, r := range reps {
-		out[i] = r.Stats()
-	}
-	return out
-}
-
-// SetRetention installs a per-table retention policy, enforced by
-// compaction (including the auto-compactor): keep the newest
-// KeepVersions per key, drop versions older than KeepFor, or both. A
-// policy overrides Options.CompactKeepVersions for that table; the zero
-// policy keeps everything. Tighter retention reclaims log space faster,
-// which also shortens how far behind a changefeed or replication cursor
-// may fall before resume fails with cdc.ErrCursorTruncated (the
-// consumer then re-bootstraps from LSN 0).
-func (db *DB) SetRetention(table string, p RetentionPolicy) error {
-	db.tmu.RLock()
-	_, ok := db.tables[table]
-	db.tmu.RUnlock()
-	if !ok {
-		return fmt.Errorf("logbase: unknown table %s", table)
-	}
-	db.server.SetRetention(table, p)
-	return nil
-}
-
-// replicaFor returns a replica able to serve a read pinned at ts under
-// the resolved options (round-robin across qualifying replicas), or nil
-// when the read must hit the primary: latest-timestamp reads, explicit
-// WithPrimary, no replica caught up to ts, or all qualifying replicas
-// beyond the MaxLag bound. The chosen replica's reads-served counter is
-// bumped.
-func (db *DB) replicaFor(ts int64, ro ReadOptions) *repl.Replica {
+// readServer returns the server a read pinned at ts should hit: a
+// replica that Serves it (round-robin; its reads-served counter is
+// bumped), else the primary — always the primary for unpinned reads
+// (ts <= 0) and explicit WithPrimary.
+func (db *DB) readServer(ts int64, ro ReadOptions) *core.Server {
 	if ts <= 0 || ro.Primary {
-		return nil
+		return db.server
 	}
 	db.rmu.RLock()
-	reps := db.replicas
-	n := len(reps)
-	if n == 0 {
-		db.rmu.RUnlock()
-		return nil
-	}
-	start := int(db.rrNext.Add(1)-1) % n
-	var pick *repl.Replica
-	for i := 0; i < n; i++ {
-		r := reps[(start+i)%n]
-		if r.Err() != nil || r.WatermarkTS() < ts {
-			continue
+	defer db.rmu.RUnlock()
+	n := len(db.replicas)
+	for i, start := 0, int(db.rrNext.Add(1)-1); i < n; i++ {
+		if r := db.replicas[(start+i)%n]; r.Serves(ts, ro) {
+			r.NoteRead(1)
+			return r.Server()
 		}
-		if ro.MaxLag > 0 && r.Stats().LagRecords > uint64(ro.MaxLag) {
-			continue
-		}
-		pick = r
-		break
 	}
-	db.rmu.RUnlock()
-	if pick != nil {
-		pick.NoteRead(1)
-	}
-	return pick
-}
-
-// groupNames flattens a tableMeta's group set.
-func groupNames(tm tableMeta) []string {
-	out := make([]string, 0, len(tm.groups))
-	for g := range tm.groups {
-		out = append(out, g)
-	}
-	return out
+	return db.server
 }

@@ -52,10 +52,11 @@ func TestReplicaServesSnapshotIdentical(t *testing.T) {
 
 	// Pinned scan: replica must serve it.
 	var got []string
-	if err := iterate(db.Scan(ctx, "t", "g", nil, nil, WithSnapshot(ts)), func(r Row) bool {
-		got = append(got, string(r.Key)+"="+string(r.Value))
-		return true
-	}); err != nil {
+	it := db.Scan(ctx, "t", "g", nil, nil, WithSnapshot(ts))
+	for it.Next() {
+		got = append(got, string(it.Row().Key)+"="+string(it.Row().Value))
+	}
+	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 200 {
@@ -68,8 +69,8 @@ func TestReplicaServesSnapshotIdentical(t *testing.T) {
 		}
 	}
 
-	// Pinned query too (SnapshotAt routing).
-	res, err := db.QueryAt(ctx, "t", "g", ts, Query{Aggs: []Agg{{Kind: Count}}})
+	// Pinned statement too (the aggregate path routes the same way).
+	res, err := db.Exec(ctx, Q("t").Group("g").Agg(Count).At(ts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,10 @@ func TestReplicaServesSnapshotIdentical(t *testing.T) {
 	}
 
 	// WithPrimary opts out: the primary serves, counters move.
-	if err := iterate(db.Scan(ctx, "t", "g", nil, nil, WithSnapshot(ts), WithPrimary()), func(Row) bool { return true }); err != nil {
+	it = db.Scan(ctx, "t", "g", nil, nil, WithSnapshot(ts), WithPrimary())
+	for it.Next() {
+	}
+	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if after := db.Server().Stats().LogReads.Load(); after == primaryReads {
@@ -127,13 +131,13 @@ func TestReplicaDeleteAndLatestRouting(t *testing.T) {
 	// A delete invalidates the row's whole index history (DeleteKey) on
 	// primary and replica alike: both answer not-found, even below the
 	// delete's timestamp. The replica must agree with the primary.
-	if _, err := db.GetAt(ctx, "t", "g", []byte("a"), keepTS); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Read(ctx, "t", "g", []byte("a"), WithSnapshot(keepTS)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("replica GetAt(keepTS) err = %v, want ErrNotFound (primary semantics)", err)
 	}
 	if _, err := db.Read(ctx, "t", "g", []byte("a"), WithSnapshot(keepTS), WithPrimary()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("primary GetAt(keepTS) err = %v, want ErrNotFound", err)
 	}
-	if _, err := db.GetAt(ctx, "t", "g", []byte("a"), ts); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Read(ctx, "t", "g", []byte("a"), WithSnapshot(ts)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetAt(after delete) err = %v, want ErrNotFound", err)
 	}
 	// Latest read: primary only.

@@ -11,6 +11,35 @@ import (
 
 var bg = context.Background()
 
+// readAt is the point read as of ts: Read pinned with WithSnapshot.
+func readAt(st logbase.Store, table, group string, key []byte, ts int64) (logbase.Row, error) {
+	rows, err := st.Read(bg, table, group, key, logbase.WithSnapshot(ts))
+	if err != nil {
+		return logbase.Row{}, err
+	}
+	return rows[0], nil
+}
+
+// nowTS returns the store's current snapshot timestamp: every Exec
+// result is stamped with the snapshot it ran at.
+func nowTS(t *testing.T, st logbase.Store, table, group string) int64 {
+	t.Helper()
+	res, err := st.Exec(bg, logbase.Q(table).Group(group).Agg(logbase.Count))
+	if err != nil {
+		t.Fatalf("Exec (pin a snapshot): %v", err)
+	}
+	return res.TS
+}
+
+// each drains it into fn and returns what ended the stream.
+func each(it logbase.Iterator, fn func(logbase.Row)) error {
+	defer it.Close()
+	for it.Next() {
+		fn(it.Row())
+	}
+	return it.Err()
+}
+
 func openDB(t *testing.T, opts logbase.Options) *logbase.DB {
 	t.Helper()
 	db, err := logbase.Open(t.TempDir(), opts)
@@ -49,12 +78,12 @@ func TestPublicAPIMultiversion(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		db.Put(bg, "events", "payload", key, []byte(fmt.Sprintf("rev%d", i)))
 	}
-	rows, err := db.Versions(bg, "events", "payload", key)
+	rows, err := db.Read(bg, "events", "payload", key, logbase.WithAllVersions())
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("Versions = %d err=%v", len(rows), err)
 	}
 	// Historical read at the first version's timestamp.
-	old, err := db.GetAt(bg, "events", "payload", key, rows[0].TS)
+	old, err := readAt(db, "events", "payload", key, rows[0].TS)
 	if err != nil || string(old.Value) != "rev1" {
 		t.Errorf("GetAt = %+v err=%v", old, err)
 	}
@@ -77,7 +106,7 @@ func TestPublicAPIScan(t *testing.T) {
 		t.Errorf("scan = %v", got)
 	}
 	n := 0
-	if err := db.FullScanFunc(bg, "events", "meta", func(logbase.Row) bool { n++; return true }); err != nil {
+	if err := each(db.FullScan(bg, "events", "meta"), func(logbase.Row) { n++ }); err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
 	if n != 20 {
@@ -89,7 +118,7 @@ func TestPublicAPITxn(t *testing.T) {
 	db := openDB(t, logbase.Options{})
 	db.Put(bg, "events", "payload", []byte("acct/a"), []byte("100"))
 	db.Put(bg, "events", "payload", []byte("acct/b"), []byte("0"))
-	err := db.RunTxn(bg, func(tx logbase.Tx) error {
+	err := logbase.RunTx(bg, db, func(tx logbase.Tx) error {
 		a, err := tx.Get(bg, "events", "payload", []byte("acct/a"))
 		if err != nil {
 			return err

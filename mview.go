@@ -5,13 +5,11 @@ package logbase
 // subscribes a Watch FIRST (so its boundary covers every later write),
 // bootstraps from a snapshot scan, and then folds the feed into the
 // view forever; the per-key timestamp guard in internal/mview absorbs
-// the snapshot/feed overlap and any replayed history. The declarative
-// AggQuery path consults the registered views before falling back to
-// the scan executor — a matching aggregate query is answered in O(1)
-// per group from the view, stamped with the view's watermark
-// timestamp. One implementation serves both backends: it is written
-// against the Store interface (Watch + Scan), so *DB and
-// *ClusterClient share it.
+// the snapshot/feed overlap and any replayed history. Exec consults the
+// registered views before falling back to the scan executor — a
+// matching aggregate statement is answered in O(1) per group from the
+// view, stamped with the view's watermark timestamp. It is all written
+// against the client's own Watch and Scan, so both backends share it.
 
 import (
 	"bytes"
@@ -37,8 +35,8 @@ type MViewStats = mview.Stats
 // stale forever and must be re-created to re-bootstrap.
 var ErrViewBroken = errors.New("logbase: materialized view feed broken; re-create the view")
 
-// viewSet is the per-store registry of running materialized views,
-// shared by *DB and *ClusterClient. The zero value is ready to use.
+// viewSet is the client's registry of running materialized views. The
+// zero value is ready to use.
 type viewSet struct {
 	mu     sync.RWMutex
 	views  map[string]*runningView
@@ -69,10 +67,12 @@ func (rv *runningView) broken() error {
 	return rv.err
 }
 
-// create registers and bootstraps a view on st. It returns once the
-// snapshot scan has been folded in; the feed keeps the view fresh in
-// the background until the store closes.
-func (vs *viewSet) create(ctx context.Context, st Store, reg *obs.Registry, spec MViewSpec) error {
+// CreateMView registers a materialized view and bootstraps it: a
+// changefeed subscription, then a snapshot scan, then incremental
+// maintenance until Close. It returns once the snapshot scan has been
+// folded in; the feed keeps the view fresh in the background.
+func (c *client) CreateMView(ctx context.Context, spec MViewSpec) error {
+	vs, reg := &c.views, c.Metrics()
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (vs *viewSet) create(ctx context.Context, st Store, reg *obs.Registry, spec
 	// misses arrives as events, everything both see is deduplicated by
 	// the per-key timestamp guard.
 	fctx, cancel := context.WithCancel(context.Background())
-	feed, err := st.Watch(fctx, spec.Table, spec.Group, spec.Start, spec.End, 0)
+	feed, err := c.Watch(fctx, spec.Table, spec.Group, spec.Start, spec.End, 0)
 	if err != nil {
 		cancel()
 		return err
@@ -120,7 +120,7 @@ func (vs *viewSet) create(ctx context.Context, st Store, reg *obs.Registry, spec
 	// scan under write load cannot overflow the feed buffer.
 	go rv.run(fctx)
 
-	it := st.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)
+	it := c.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)
 	for it.Next() {
 		rv.view.ApplySnapshotRow(it.Row())
 	}
@@ -194,9 +194,13 @@ func (vs *viewSet) closeAll() {
 	}
 }
 
-// query materialises the named view (all its aggregates).
-func (vs *viewSet) query(name string) (QueryResult, error) {
-	rv, err := vs.get(name)
+// MViewQuery materialises a registered view: every spec aggregate per
+// group, stamped with the view's watermark timestamp.
+func (c *client) MViewQuery(ctx context.Context, name string) (QueryResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return QueryResult{}, err
+	}
+	rv, err := c.views.get(name)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -206,9 +210,9 @@ func (vs *viewSet) query(name string) (QueryResult, error) {
 	return rv.view.Result(), nil
 }
 
-// stats snapshots the named view's counters.
-func (vs *viewSet) stats(name string) (MViewStats, error) {
-	rv, err := vs.get(name)
+// MViewStats snapshots a registered view's counters and watermark.
+func (c *client) MViewStats(name string) (MViewStats, error) {
+	rv, err := c.views.get(name)
 	if err != nil {
 		return MViewStats{}, err
 	}
@@ -243,85 +247,4 @@ func (vs *viewSet) serve(table, group string, kind AggKind, start, end []byte, t
 		return res, true
 	}
 	return QueryResult{}, false
-}
-
-// NewAggQuery builds the scan-path Query equivalent to the declarative
-// aggregate form: COUNT counts every row; SUM/MIN/MAX/AVG parse the
-// row value as a decimal number; groupPrefix > 0 groups rows by that
-// many leading key bytes.
-func NewAggQuery(kind AggKind, start, end []byte, groupPrefix int) Query {
-	q := Query{
-		Filter: QueryFilter{Start: start, End: end},
-		Aggs:   []Agg{{Kind: kind}},
-	}
-	if kind != Count {
-		q.Aggs[0].Extract = FloatValue
-	}
-	if groupPrefix > 0 {
-		q.GroupBy = func(r Row) string {
-			if len(r.Key) <= groupPrefix {
-				return string(r.Key)
-			}
-			return string(r.Key[:groupPrefix])
-		}
-	}
-	return q
-}
-
-// --- DB (embedded backend) -------------------------------------------
-
-// CreateMView registers a materialized view and bootstraps it: a
-// changefeed subscription, then a snapshot scan, then incremental
-// maintenance forever. Returns once the bootstrap scan is folded in.
-func (db *DB) CreateMView(ctx context.Context, spec MViewSpec) error {
-	return db.views.create(ctx, db, db.Metrics(), spec)
-}
-
-// MViewQuery materialises a registered view: every spec aggregate per
-// group, stamped with the view's watermark timestamp.
-func (db *DB) MViewQuery(ctx context.Context, name string) (QueryResult, error) {
-	if err := ctxErr(ctx); err != nil {
-		return QueryResult{}, err
-	}
-	return db.views.query(name)
-}
-
-// MViewStats snapshots a registered view's counters and watermark.
-func (db *DB) MViewStats(name string) (MViewStats, error) { return db.views.stats(name) }
-
-// AggQuery executes the positional aggregate form by adapting it onto
-// the statement path: the compiled-plan view matcher answers it from a
-// registered materialized view when one matches, otherwise it falls
-// back to the snapshot scan path.
-//
-// Deprecated: build the statement with Q(table) and run it with Exec.
-func (db *DB) AggQuery(ctx context.Context, table, group string, kind AggKind, start, end []byte, ts int64, groupPrefix int) (QueryResult, error) {
-	return db.Exec(ctx, aggStatement(table, group, kind, start, end, ts, groupPrefix))
-}
-
-// --- ClusterClient (distributed backend) ------------------------------
-
-// CreateMView registers a materialized view over the cluster,
-// maintained from a cluster-wide changefeed (see ClusterClient.Watch).
-func (cc *ClusterClient) CreateMView(ctx context.Context, spec MViewSpec) error {
-	return cc.views.create(ctx, cc, cc.Metrics(), spec)
-}
-
-// MViewQuery materialises a registered view.
-func (cc *ClusterClient) MViewQuery(ctx context.Context, name string) (QueryResult, error) {
-	if err := ctxErr(ctx); err != nil {
-		return QueryResult{}, err
-	}
-	return cc.views.query(name)
-}
-
-// MViewStats snapshots a registered view's counters and watermark.
-func (cc *ClusterClient) MViewStats(name string) (MViewStats, error) { return cc.views.stats(name) }
-
-// AggQuery executes the positional aggregate form through the
-// statement path (see DB.AggQuery).
-//
-// Deprecated: build the statement with Q(table) and run it with Exec.
-func (cc *ClusterClient) AggQuery(ctx context.Context, table, group string, kind AggKind, start, end []byte, ts int64, groupPrefix int) (QueryResult, error) {
-	return cc.Exec(ctx, aggStatement(table, group, kind, start, end, ts, groupPrefix))
 }

@@ -83,9 +83,9 @@ func TestClusterScanTraceTree(t *testing.T) {
 		t.Fatalf("scan returned %d rows, want %d", rows, n)
 	}
 
-	scans := log.containing("client.scan")
+	scans := log.containing("store.scan")
 	if len(scans) != 1 {
-		t.Fatalf("want exactly 1 client.scan tree, got %d (all: %v)", len(scans), log.all())
+		t.Fatalf("want exactly 1 store.scan tree, got %d (all: %v)", len(scans), log.all())
 	}
 	tree := scans[0]
 	if !strings.HasPrefix(tree, "trace=") {
@@ -103,8 +103,8 @@ func TestClusterScanTraceTree(t *testing.T) {
 		t.Errorf("tree missing wal.readbatch span:\n%s", tree)
 	}
 	// Point ops trace too, as their own roots.
-	if len(log.containing("client.put")) != n {
-		t.Errorf("want %d client.put trees, got %d", n, len(log.containing("client.put")))
+	if len(log.containing("store.put")) != n {
+		t.Errorf("want %d store.put trees, got %d", n, len(log.containing("store.put")))
 	}
 }
 
@@ -229,15 +229,15 @@ func TestEmbeddedSlowOpThreshold(t *testing.T) {
 		t.Fatalf("Scan: %v", err)
 	}
 
-	if n := len(log.containing("db.put")); n != 10 {
-		t.Errorf("want 10 db.put trees, got %d", n)
+	if n := len(log.containing("store.put")); n != 10 {
+		t.Errorf("want 10 store.put trees, got %d", n)
 	}
-	if n := len(log.containing("db.read")); n != 1 {
-		t.Errorf("want 1 db.read tree, got %d", n)
+	if n := len(log.containing("store.read")); n != 1 {
+		t.Errorf("want 1 store.read tree, got %d", n)
 	}
-	scans := log.containing("db.scan")
+	scans := log.containing("store.scan")
 	if len(scans) != 1 {
-		t.Fatalf("want 1 db.scan tree, got %d", len(scans))
+		t.Fatalf("want 1 store.scan tree, got %d", len(scans))
 	}
 	if !strings.Contains(scans[0], "tablet.scan") {
 		t.Errorf("embedded scan tree missing tablet.scan child:\n%s", scans[0])
@@ -258,6 +258,80 @@ func TestEmbeddedSlowOpThreshold(t *testing.T) {
 
 	if db.Metrics() == nil {
 		t.Error("DB.Metrics() nil")
+	}
+}
+
+// TestRootSpansSameOnBothBackends: the client opens every request's
+// trace, so one table of operations yields the same root span family —
+// store.<op> — on the embedded and the cluster backend, differing only
+// in the backend label.
+func TestRootSpansSameOnBothBackends(t *testing.T) {
+	ops := func(t *testing.T, st logbase.Store) {
+		t.Helper()
+		if err := st.CreateTable("t", "g"); err != nil {
+			t.Fatalf("CreateTable: %v", err)
+		}
+		if err := st.Put(bg, "t", "g", []byte("k"), []byte("1")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if _, err := st.Get(bg, "t", "g", []byte("k")); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if err := each(st.Scan(bg, "t", "g", nil, nil), func(logbase.Row) {}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if err := each(st.FullScan(bg, "t", "g"), func(logbase.Row) {}); err != nil {
+			t.Fatalf("FullScan: %v", err)
+		}
+		if _, err := st.Exec(bg, logbase.Q("t").Group("g").Agg(logbase.Count)); err != nil {
+			t.Fatalf("Exec: %v", err)
+		}
+		feed, err := st.Watch(bg, "t", "g", nil, nil, 0)
+		if err != nil {
+			t.Fatalf("Watch: %v", err)
+		}
+		feed.Close()
+		if err := st.Delete(bg, "t", "g", []byte("k")); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	// roots maps each tree's root span name to its label set.
+	roots := func(log *treeLog) map[string]string {
+		out := map[string]string{}
+		for _, tree := range log.all() {
+			first, _, _ := strings.Cut(tree, "\n")
+			f := strings.Fields(first) // trace=… slowop <name> dur=… [labels]
+			out[f[2]] = strings.Join(f[4:], " ")
+		}
+		return out
+	}
+
+	elog, clog := &treeLog{}, &treeLog{}
+	db, err := logbase.Open(t.TempDir(), logbase.Options{SlowOpLog: elog.add})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	ops(t, db)
+	c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 2, SlowOpLog: clog.add})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	cc := logbase.NewClusterClient(c)
+	defer cc.Close()
+	ops(t, cc)
+
+	embedded, cluster := roots(elog), roots(clog)
+	for _, name := range []string{"store.put", "store.read", "store.scan", "store.fullscan", "store.exec", "store.watch", "store.delete"} {
+		if got, want := embedded[name], "[backend=embedded table=t]"; got != want {
+			t.Errorf("embedded root %s labels = %q, want %q", name, got, want)
+		}
+		if got, want := cluster[name], "[backend=cluster table=t]"; got != want {
+			t.Errorf("cluster root %s labels = %q, want %q", name, got, want)
+		}
+	}
+	if len(embedded) != 7 || len(cluster) != 7 {
+		t.Errorf("root span names: embedded %v, cluster %v; want the same seven store.<op> roots", embedded, cluster)
 	}
 }
 
@@ -334,8 +408,8 @@ func TestFaultObservabilityMetrics(t *testing.T) {
 	if err := c.FS().CorruptBlockReplica(path, 0, blocks[0].Replicas[0], 64); err != nil {
 		t.Fatalf("CorruptBlockReplica: %v", err)
 	}
-	if _, err := c.ScrubAll(); err != nil {
-		t.Fatalf("ScrubAll: %v", err)
+	if _, err := cl.Scrub(); err != nil {
+		t.Fatalf("Scrub: %v", err)
 	}
 	// Freeze one tablet as a migration cutover would: writes bounce
 	// with the retryable frozen error and spin the unified

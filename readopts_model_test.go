@@ -69,7 +69,7 @@ func buildModel(t *testing.T, st logbase.Store, rng *rand.Rand, nKeys int) scanM
 			continue
 		}
 		seen[k] = true
-		vs, err := st.Versions(bg, "t", "g", []byte(k))
+		vs, err := st.Read(bg, "t", "g", []byte(k), logbase.WithAllVersions())
 		if err != nil {
 			t.Fatalf("Versions(%q): %v", k, err)
 		}

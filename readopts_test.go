@@ -189,10 +189,7 @@ func TestReverseAndSnapshotAgreeWithOracles(t *testing.T) {
 		loadRows(t, st, "t", "g", n)
 
 		// Capture the pinned snapshot, then overwrite a slice of keys.
-		snap, err := st.SnapshotAt(bg, "t", 0)
-		if err != nil {
-			t.Fatalf("SnapshotAt: %v", err)
-		}
+		pin := nowTS(t, st, "t", "g")
 		for i := 0; i < n; i += 10 {
 			if err := st.Put(bg, "t", "g", []byte(fmt.Sprintf("k%08d", i)), []byte("overwritten")); err != nil {
 				t.Fatalf("Put: %v", err)
@@ -213,7 +210,7 @@ func TestReverseAndSnapshotAgreeWithOracles(t *testing.T) {
 
 		// Snapshot-pinned scan: no "overwritten" values, and identical to
 		// a GetAt-by-GetAt oracle at the same timestamp.
-		pinned := drain(t, st.Scan(bg, "t", "g", nil, nil, logbase.WithSnapshot(snap.TS())))
+		pinned := drain(t, st.Scan(bg, "t", "g", nil, nil, logbase.WithSnapshot(pin)))
 		if len(pinned) != n {
 			t.Fatalf("pinned scan saw %d rows, want %d", len(pinned), n)
 		}
@@ -221,7 +218,7 @@ func TestReverseAndSnapshotAgreeWithOracles(t *testing.T) {
 			if bytes.Equal(r.Value, []byte("overwritten")) {
 				t.Fatalf("pinned scan leaked post-snapshot write of %q", r.Key)
 			}
-			oracle, err := st.GetAt(bg, "t", "g", r.Key, snap.TS())
+			oracle, err := readAt(st, "t", "g", r.Key, pin)
 			if err != nil || oracle.TS != r.TS {
 				t.Fatalf("pinned scan %q@%d, GetAt oracle %d err=%v", r.Key, r.TS, oracle.TS, err)
 			}
@@ -230,7 +227,7 @@ func TestReverseAndSnapshotAgreeWithOracles(t *testing.T) {
 		// Reverse + snapshot + limit compose: the 5 largest keys as of
 		// the snapshot.
 		top := drain(t, st.Scan(bg, "t", "g", nil, nil,
-			logbase.WithReverse(), logbase.WithSnapshot(snap.TS()), logbase.WithLimit(5)))
+			logbase.WithReverse(), logbase.WithSnapshot(pin), logbase.WithLimit(5)))
 		if len(top) != 5 || !bytes.Equal(top[0].Key, []byte(fmt.Sprintf("k%08d", n-1))) {
 			t.Fatalf("reverse+snapshot+limit = %d rows, first %q", len(top), top[0].Key)
 		}
@@ -248,9 +245,9 @@ func TestReverseAndSnapshotAgreeWithOracles(t *testing.T) {
 	})
 }
 
-// TestReadUnifiesPointReads exercises the GetOpts surface on both
-// backends: Read == Get, Read+WithSnapshot == GetAt, Read+
-// WithAllVersions == Versions, plus the composable extras.
+// TestReadUnifiesPointReads exercises the one point read on both
+// backends: Read == Get, Read+WithSnapshot is the as-of read, Read+
+// WithAllVersions the history, plus the composable extras.
 func TestReadUnifiesPointReads(t *testing.T) {
 	check := func(t *testing.T, st logbase.Store) {
 		t.Helper()
@@ -273,22 +270,14 @@ func TestReadUnifiesPointReads(t *testing.T) {
 			t.Fatalf("Get adapter = %q err=%v", got.Value, err)
 		}
 
-		all, err := st.Versions(bg, "t", "g", key)
-		if err != nil || len(all) != 4 {
-			t.Fatalf("Versions = %d err=%v", len(all), err)
-		}
-		viaRead, err := st.Read(bg, "t", "g", key, logbase.WithAllVersions())
-		if err != nil || len(viaRead) != 4 || viaRead[0].TS != all[0].TS {
-			t.Fatalf("Read AllVersions = %v err=%v", viaRead, err)
+		all, err := st.Read(bg, "t", "g", key, logbase.WithAllVersions())
+		if err != nil || len(all) != 4 || string(all[0].Value) != "v1" || all[0].TS >= all[3].TS {
+			t.Fatalf("Read AllVersions = %v err=%v, want v1..v4 oldest first", all, err)
 		}
 
-		// Snapshot-pinned point read == GetAt.
-		at, err := st.GetAt(bg, "t", "g", key, all[1].TS)
-		if err != nil || string(at.Value) != "v2" {
-			t.Fatalf("GetAt = %q err=%v", at.Value, err)
-		}
+		// Snapshot-pinned point read: the version as of the second write.
 		pinned, err := st.Read(bg, "t", "g", key, logbase.WithSnapshot(all[1].TS))
-		if err != nil || len(pinned) != 1 || pinned[0].TS != at.TS {
+		if err != nil || len(pinned) != 1 || pinned[0].TS != all[1].TS || string(pinned[0].Value) != "v2" {
 			t.Fatalf("Read WithSnapshot = %v err=%v", pinned, err)
 		}
 
@@ -349,15 +338,12 @@ func TestFullScanPushdown(t *testing.T) {
 		}
 
 		// Snapshot-pinned full scan ignores a later overwrite.
-		snap, err := st.SnapshotAt(bg, "t", 0)
-		if err != nil {
-			t.Fatalf("SnapshotAt: %v", err)
-		}
+		pin := nowTS(t, st, "t", "g")
 		if err := st.Put(bg, "t", "g", []byte("k00000000"), []byte("fresh")); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 		got = drain(t, st.FullScan(bg, "t", "g",
-			logbase.WithSnapshot(snap.TS()), logbase.WithPrefix([]byte("k00000000"))))
+			logbase.WithSnapshot(pin), logbase.WithPrefix([]byte("k00000000"))))
 		if len(got) != 1 || string(got[0].Value) != "0" {
 			t.Fatalf("snapshot full scan = %v, want the pre-overwrite row", got)
 		}

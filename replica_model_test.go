@@ -157,7 +157,7 @@ func runReplicaModelScenario(t *testing.T, seed int64) bool {
 			}
 			for i := 0; i < 15; i++ {
 				k := fmt.Sprintf("row/%04d", rng.Intn(keySpace))
-				row, err := cc.GetAt(bg, "t", "g", []byte(k), p)
+				row, err := readAt(cc, "t", "g", []byte(k), p)
 				if wantV, ok := oracle.at(k, p); ok {
 					if err != nil || !bytes.Equal(row.Value, wantV) {
 						t.Logf("seed %d pin %d: GetAt(%s) = %q, %v; oracle %q", seed, p, k, row.Value, err, wantV)

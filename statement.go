@@ -2,24 +2,20 @@ package logbase
 
 // The composable query-statement API: one serializable statement form
 // — Q(table).Range(...).Join(other, On{...}).GroupBy(n).Agg(Count) —
-// replacing the positional Query/QueryAt/AggQuery entry points, and
-// executed identically by the embedded engine, the cluster client, and
-// the textproto QUERY command. Join-free statements compile onto the
-// scatter-gather aggregate path (and are answered from a matching
-// materialized view when one is registered); statements with joins run
-// the greedy-ordered relational-algebra executor (internal/query) at
-// one pinned snapshot, broadcasting the small side's matched keys as a
-// set push-down and re-resolving routing when the cluster splits or
+// the one way to ask an analytical question, executed identically by
+// both backends and the textproto QUERY command. Join-free statements
+// compile onto the partial-aggregation path (and are answered from a
+// matching materialized view when one is registered); statements with
+// joins run the greedy-ordered relational-algebra executor
+// (internal/query) at one pinned snapshot, broadcasting the small
+// side's matched keys as a set push-down; relation fetches ride the
+// routed scan path, which re-resolves when the cluster splits or
 // migrates tablets mid-join.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -55,45 +51,33 @@ var (
 	ValField = query.ValField
 )
 
-// aggStatement maps the legacy positional AggQuery form onto its
-// statement equivalent (the adapter the deprecated entry points call
-// through).
-func aggStatement(table, group string, kind AggKind, start, end []byte, ts int64, groupPrefix int) *Statement {
-	stmt := Q(table).Group(group).Range(start, end).At(ts)
-	if kind == Count {
-		stmt.Agg(Count)
-	} else {
-		stmt.AggOf(kind, table, ValExpr())
+// Exec executes a composable query statement (build with Q): validate,
+// try the materialized-view matcher, then — chosen from what the
+// statement shows — either compile a join-free statement onto the
+// backend's partial-aggregation path (every tablet server aggregates
+// its own piece) or run the join executor over a snapshot pinned once
+// for every relation (timestamps are issued globally, so one ts is
+// consistent across tables).
+func (c *client) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
+	if len(stmt.Joins) != 0 {
+		return c.ExecWith(ctx, stmt, ExecOptions{})
 	}
-	if groupPrefix > 0 {
-		stmt.GroupBy(groupPrefix)
-	}
-	return stmt
-}
-
-// execStatement is the shared Exec implementation: validate, try the
-// materialized-view matcher, then either compile join-free statements
-// onto the scatter-gather aggregate path or run the join executor over
-// a snapshot pinned once for every relation (timestamps are issued
-// globally, so one ts is consistent across tables).
-func execStatement(ctx context.Context, st Store, views *viewSet, stmt *Statement) (QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return QueryResult{}, err
 	}
 	if err := stmt.Validate(); err != nil {
 		return QueryResult{}, err
 	}
-	if len(stmt.Joins) == 0 {
-		if res, ok := views.serveStmt(stmt); ok {
-			return res, nil
-		}
-		q, err := stmt.CompileSingle()
-		if err != nil {
-			return QueryResult{}, err
-		}
-		return st.QueryAt(ctx, stmt.Base.Table, stmt.Base.Group, stmt.AtTS, q)
+	if res, ok := c.views.serveStmt(stmt); ok {
+		return res, nil
 	}
-	return ExecWith(ctx, st, stmt, ExecOptions{})
+	q, err := stmt.CompileSingle()
+	if err != nil {
+		return QueryResult{}, err
+	}
+	ctx, sp := c.root(ctx, "store.exec", stmt.Base.Table)
+	defer sp.Finish()
+	return c.aggregate(ctx, stmt.Base.Table, stmt.Base.Group, c.pinTS(stmt.AtTS), q)
 }
 
 // ExecOptions tune statement execution: a forced join order and
@@ -103,89 +87,41 @@ func execStatement(ctx context.Context, st Store, views *viewSet, stmt *Statemen
 // through the identical machinery.
 type ExecOptions = query.ExecOptions
 
-// ExecWith executes a statement on st through the join executor with
-// explicit options, bypassing the materialized-view matcher and the
-// scatter-gather fast path (Store.Exec is the normal entry point).
-func ExecWith(ctx context.Context, st Store, stmt *Statement, opts ExecOptions) (QueryResult, error) {
+// ExecWith executes a statement through the join executor with explicit
+// options, bypassing the materialized-view matcher and the partial-
+// aggregation fast path (Exec is the normal entry point).
+func (c *client) ExecWith(ctx context.Context, stmt *Statement, opts ExecOptions) (QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return QueryResult{}, err
 	}
 	if err := stmt.Validate(); err != nil {
 		return QueryResult{}, err
 	}
-	snap, err := st.SnapshotAt(ctx, stmt.Base.Table, stmt.AtTS)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	sf := &storeFetcher{st: st, rels: stmt.Rels(), ts: snap.TS()}
+	ctx, sp := c.root(ctx, "store.exec", stmt.Base.Table)
+	defer sp.Finish()
+	sf := &relFetcher{c: c, rels: stmt.Rels(), ts: c.pinTS(stmt.AtTS)}
 	return query.ExecStatement(ctx, stmt, sf.ts, sf, opts)
 }
 
-// Statement fetches mirror the routing-retry discipline of the plain
-// cluster read paths (cluster/client.go): stale-routing errors re-
-// resolve and restart the relation fetch, which is exact because the
-// snapshot timestamp is pinned.
-const (
-	stmtFetchRetries = 12
-	stmtFetchBackoff = 500 * time.Microsecond
-)
-
-// retryableFetch reports whether a relation fetch failed on stale
-// routing metadata (tablet split/moved/frozen, server bounced) rather
-// than a real error.
-func retryableFetch(err error) bool {
-	return errors.Is(err, core.ErrUnknownTablet) || errors.Is(err, cluster.ErrServerDown)
-}
-
-// storeFetcher adapts a Store to the join executor's Fetcher: each
-// relation fetch pins a fresh snapshot handle at the SAME statement
-// timestamp and streams the relation through the ordered scan path, so
-// a join side that lands mid-split simply restarts against the new
-// topology and converges.
-type storeFetcher struct {
-	st   Store
+// relFetcher is the join executor's Fetcher over the client's backend:
+// every relation streams through the routed scan primitive pinned at
+// the SAME statement timestamp, so a join side that lands mid-split
+// resumes against the new topology exactly like a plain Scan.
+type relFetcher struct {
+	c    *client
 	rels []query.Rel
 	ts   int64
 }
 
-func (sf *storeFetcher) Fetch(ctx context.Context, rel int, f query.Filter) ([]core.Row, error) {
+func (sf *relFetcher) Fetch(ctx context.Context, rel int, f query.Filter) ([]Row, error) {
 	r := sf.rels[rel]
-	var lastErr error
-	for attempt := 0; attempt <= stmtFetchRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * stmtFetchBackoff)
-		}
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		snap, err := sf.st.SnapshotAt(ctx, r.Table, sf.ts)
-		if err != nil {
-			if retryableFetch(err) {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		var rows []core.Row
-		err = snap.Scan(ctx, r.Group, f, func(row core.Row) bool {
-			rows = append(rows, row)
-			return true
-		})
-		if err == nil {
-			return rows, nil
-		}
-		if !retryableFetch(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// secondarySource is the optional secondary-index surface (both *DB
-// and *ClusterClient provide it; it is not part of Store).
-type secondarySource interface {
-	LookupSecondary(name string, secKey []byte) ([]Row, error)
+	ro := ReadOptions{Snapshot: sf.ts, Key: f.Key, Value: f.Value}
+	var rows []Row
+	err := sf.c.scan(ctx, r.Table, r.Group, f.Start, f.End, ro, func(batch []Row) error {
+		rows = append(rows, batch...)
+		return nil
+	})
+	return rows, err
 }
 
 // FetchSecondary fetches join partners by registered secondary-index
@@ -193,29 +129,25 @@ type secondarySource interface {
 // than the statement snapshot are re-read at the pinned timestamp, and
 // the executor re-verifies the join condition and the relation's own
 // filter on everything returned.
-func (sf *storeFetcher) FetchSecondary(ctx context.Context, rel int, index string, vals [][]byte) ([]core.Row, error) {
-	src, ok := sf.st.(secondarySource)
-	if !ok {
-		return nil, fmt.Errorf("logbase: store %T does not support secondary-index (VIA) joins", sf.st)
-	}
+func (sf *relFetcher) FetchSecondary(ctx context.Context, rel int, index string, vals [][]byte) ([]Row, error) {
 	r := sf.rels[rel]
 	seen := map[string]bool{}
-	var rows []core.Row
+	var rows []Row
 	for _, v := range vals {
-		got, err := src.LookupSecondary(index, v)
+		got, err := sf.c.LookupSecondary(index, v)
 		if err != nil {
 			return nil, err
 		}
 		for _, row := range got {
 			if row.TS > sf.ts {
-				pinned, err := sf.st.GetAt(ctx, r.Table, r.Group, row.Key, sf.ts)
+				pinned, err := sf.c.read(ctx, r.Table, r.Group, row.Key, ReadOptions{Snapshot: sf.ts})
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
 				if err != nil {
-					if errors.Is(err, ErrNotFound) {
-						continue
-					}
 					return nil, err
 				}
-				row = pinned
+				row = pinned[0]
 			}
 			if !seen[string(row.Key)] {
 				seen[string(row.Key)] = true
@@ -227,9 +159,8 @@ func (sf *storeFetcher) FetchSecondary(ctx context.Context, rel int, index strin
 }
 
 // serveStmt answers a join-free statement from a matching registered
-// materialized view — the compiled-plan form of the legacy AggQuery
-// matcher, so every entry point (Exec, AggQuery, the wire QUERY) gets
-// view answering without choosing it. A statement matches when it has
+// materialized view, so every caller of Exec (the wire QUERY included)
+// gets view answering without choosing it. A statement matches when it has
 // exactly the shape a view maintains: one aggregate over the base
 // relation (COUNT(*) or an aggregate of the whole value), no
 // predicates, and key-prefix grouping or none.
@@ -262,18 +193,4 @@ func (vs *viewSet) serveStmt(stmt *Statement) (QueryResult, bool) {
 		prefix = stmt.By.Prefix
 	}
 	return vs.serve(stmt.Base.Table, stmt.Base.Group, a.Kind, f.Start, f.End, stmt.AtTS, prefix)
-}
-
-// Exec executes a composable query statement (build with Q) on the
-// embedded engine.
-func (db *DB) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
-	return execStatement(ctx, db, &db.views, stmt)
-}
-
-// Exec executes a composable query statement (build with Q) across the
-// cluster: join-free statements scatter-gather, joins pin one global
-// snapshot and fetch each relation through the routed scan path,
-// re-resolving on splits and migrations.
-func (cc *ClusterClient) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
-	return execStatement(ctx, cc, &cc.views, stmt)
 }

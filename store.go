@@ -1,26 +1,21 @@
 package logbase
 
-// This file is the unified client surface: one Store interface that
-// both deployments of the engine — the embedded *DB and the cluster
-// *ClusterClient — implement, so harnesses, examples and protocol
-// servers are written once and run unmodified against either backend.
+// This file is the client contract: the Store interface (the paper's
+// four data-access operations plus transactions, queries, changefeeds
+// and views — arXiv:1207.0140 §3.6–§3.7), the pull-based Iterator, the
+// Tx adapter's interface and the WriteBatch bulk path. The interface is
+// implemented exactly once, by the client type in client.go, on top of
+// whichever backend (embedded or cluster) stands behind it.
 //
 // Reads are pull-based and composable: Scan/FullScan return an
 // Iterator and, together with the unified point read Read, accept
-// push-down ReadOption values (WithLimit, WithReverse, WithSnapshot,
-// WithPrefix, WithKeyFilter/WithValueFilter over the serializable
-// predicate set, WithBatchSize, WithAllVersions — see readopts.go for
-// the option set and the predicate wire format). Options are evaluated
+// push-down ReadOption values (see readopts.go). Options are evaluated
 // INSIDE the tablet server against the MVCC index, so a limited or
 // filtered scan ships only matching rows and stops issuing log reads
-// once its limit is satisfied — on a cluster the options travel to
-// every tablet server the range spans. Every method takes a
-// context.Context whose cancellation propagates down through the
-// tablet-server scan loops (an abandoned analytical scan stops doing
-// I/O within one batch boundary and leaks no goroutines). Writes get a
-// bulk path: a WriteBatch buffers mutations and flushes them as one
-// group append sweep through the log — the idiomatic bulk-load shape
-// for a sequential-log engine.
+// once its limit is satisfied. Every method takes a context.Context
+// whose cancellation propagates down through the tablet-server scan
+// loops (an abandoned analytical scan stops doing I/O within one batch
+// boundary and leaks no goroutines).
 
 import (
 	"context"
@@ -29,10 +24,10 @@ import (
 	"repro/internal/core"
 )
 
-// Store is the unified LogBase client interface, implemented by the
-// embedded *DB and the distributed *ClusterClient. Every method takes
-// a context.Context; cancellation and deadlines are honoured at batch
-// granularity inside scans and queries.
+// Store is the LogBase client interface: one way per thing, served
+// identically by the embedded *DB and the distributed *ClusterClient.
+// Every method takes a context.Context; cancellation and deadlines are
+// honoured at batch granularity inside scans and queries.
 type Store interface {
 	// CreateTable declares a table with its column groups. Idempotent.
 	CreateTable(name string, groups ...string) error
@@ -44,16 +39,10 @@ type Store interface {
 	// The single-version read returns ErrNotFound when nothing is
 	// visible; the WithAllVersions read returns an empty slice instead.
 	Read(ctx context.Context, table, group string, key []byte, opts ...ReadOption) ([]Row, error)
-	// Get returns the latest version of a row. Thin adapter over Read.
+	// Get returns the latest version of a row (the paper's Get). For a
+	// version as of a timestamp pass WithSnapshot to Read; for the whole
+	// history, WithAllVersions.
 	Get(ctx context.Context, table, group string, key []byte) (Row, error)
-	// GetAt returns the version visible at snapshot ts. Thin adapter
-	// over Read(..., WithSnapshot(ts)); like every snapshot surface
-	// (QueryAt, SnapshotAt, WithSnapshot), ts 0 means "latest" — it no
-	// longer reads an empty pre-history snapshot.
-	GetAt(ctx context.Context, table, group string, key []byte, ts int64) (Row, error)
-	// Versions returns all stored versions of a row, oldest first.
-	// Thin adapter over Read(..., WithAllVersions()).
-	Versions(ctx context.Context, table, group string, key []byte) ([]Row, error)
 	// Delete removes a row (persisting an invalidation record).
 	Delete(ctx context.Context, table, group string, key []byte) error
 	// Scan iterates the visible version of each key in [start, end) in
@@ -73,16 +62,8 @@ type Store interface {
 	// scatter-gather aggregate path — answered from a matching
 	// materialized view when one is registered; statements with joins
 	// run the greedy-ordered join executor at one pinned snapshot.
-	// This is the preferred query entry point; Query/QueryAt/AggQuery
-	// remain as thin adapters.
+	// Statement.At pins a historical timestamp (time travel).
 	Exec(ctx context.Context, stmt *Statement) (QueryResult, error)
-	// Query executes a snapshot-consistent analytical query at the
-	// latest committed timestamp.
-	Query(ctx context.Context, table, group string, q Query) (QueryResult, error)
-	// QueryAt executes q pinned at snapshot ts (time travel).
-	QueryAt(ctx context.Context, table, group string, ts int64, q Query) (QueryResult, error)
-	// SnapshotAt pins a reusable snapshot of the table at ts (0 = now).
-	SnapshotAt(ctx context.Context, table string, ts int64) (*Snapshot, error)
 	// Watch subscribes a changefeed: committed Put/Delete events for
 	// keys in [start, end) (nil = open; group "" = all column groups)
 	// streamed in commit order — historical catch-up from the retained
@@ -101,14 +82,6 @@ type Store interface {
 	MViewQuery(ctx context.Context, name string) (QueryResult, error)
 	// MViewStats snapshots a registered view's counters and watermark.
 	MViewStats(name string) (MViewStats, error)
-	// AggQuery executes the positional aggregate form.
-	//
-	// Deprecated: build the equivalent statement with Q(table).
-	// Group(group).Range(start, end).At(ts).Agg(kind).GroupBy(prefix)
-	// and run it with Exec — AggQuery survives as a thin adapter over
-	// that path (and so still answers from matching materialized
-	// views).
-	AggQuery(ctx context.Context, table, group string, kind AggKind, start, end []byte, ts int64, groupPrefix int) (QueryResult, error)
 	// SetRetention installs a per-table retention policy (keep the
 	// newest KeepVersions per key, drop versions older than KeepFor, or
 	// both), enforced by compaction on every tablet server and replica.
@@ -243,16 +216,6 @@ func newRowIter(ctx context.Context, run func(ctx context.Context, emit func([]R
 	return it
 }
 
-// errIter returns an Iterator that yields nothing but err.
-func errIter(err error) Iterator { return &failedIter{err: err} }
-
-type failedIter struct{ err error }
-
-func (f *failedIter) Next() bool   { return false }
-func (f *failedIter) Row() Row     { return Row{} }
-func (f *failedIter) Err() error   { return f.err }
-func (f *failedIter) Close() error { return f.err }
-
 func (it *rowIter) Next() bool {
 	if it.done {
 		return false
@@ -314,32 +277,27 @@ func (it *rowIter) Close() error {
 	return it.err
 }
 
-// collectEmit adapts a one-row-at-a-time push callback to the batch
-// emit shape: rows accumulate and flush every defaultIterBatch. The
-// returned flush must be called once at the end of a clean stream.
-func collectEmit(emit func([]Row) error) (fn func(Row) bool, flush func() error, failed func() error) {
+// batched runs produce, a one-row-at-a-time push scan, and hands its
+// rows to emit in batches of defaultIterBatch. produce's callback
+// returns false once emit has failed, which stops the scan.
+func batched(emit func([]Row) error, produce func(fn func(Row) bool) error) error {
 	batch := make([]Row, 0, defaultIterBatch)
 	var emitErr error
-	fn = func(r Row) bool {
+	err := produce(func(r Row) bool {
 		batch = append(batch, r)
 		if len(batch) >= defaultIterBatch {
 			emitErr = emit(batch)
 			batch = make([]Row, 0, defaultIterBatch)
-			return emitErr == nil
 		}
-		return true
+		return emitErr == nil
+	})
+	switch {
+	case err != nil:
+		return err
+	case emitErr != nil || len(batch) == 0:
+		return emitErr
 	}
-	flush = func() error {
-		if emitErr != nil {
-			return emitErr
-		}
-		if len(batch) > 0 {
-			return emit(batch)
-		}
-		return nil
-	}
-	failed = func() error { return emitErr }
-	return fn, flush, failed
+	return emit(batch)
 }
 
 // --- WriteBatch -------------------------------------------------------
@@ -365,10 +323,7 @@ type batchOp struct {
 // atomicity. Not safe for concurrent use.
 type WriteBatch struct {
 	ops []batchOp
-	// apply persists ops; on error it reports the indices of ops that
-	// were NOT durably applied (nil = none were), so a retried Flush
-	// never re-applies mutations that already landed.
-	apply func(ctx context.Context, ops []batchOp) ([]int, error)
+	b   backend
 }
 
 // Put buffers a write. Key and value are copied, so callers may reuse
@@ -412,7 +367,7 @@ func (b *WriteBatch) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	unapplied, err := b.apply(ctx, b.ops)
+	unapplied, err := b.b.applyBatch(ctx, b.ops)
 	if err != nil {
 		if unapplied != nil {
 			kept := make([]batchOp, 0, len(unapplied))

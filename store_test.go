@@ -184,9 +184,7 @@ func TestCancelledClusterQueryReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := cc.Query(ctx, "t", "g", logbase.Query{
-			Aggs: []logbase.Agg{{Kind: logbase.Sum, Extract: logbase.FloatValue}},
-		})
+		_, err := cc.Exec(ctx, logbase.Q("t").Group("g").AggOf(logbase.Sum, "t", logbase.ValExpr()))
 		done <- err
 	}()
 	cancel()
@@ -201,7 +199,7 @@ func TestCancelledClusterQueryReturnsPromptly(t *testing.T) {
 	waitGoroutines(t, baseline, "cancelled cluster query")
 
 	// The cluster stays healthy: the same query un-cancelled succeeds.
-	res, err := cc.Query(bg, "t", "g", logbase.Query{Aggs: []logbase.Agg{{Kind: logbase.Count}}})
+	res, err := cc.Exec(bg, logbase.Q("t").Group("g").Agg(logbase.Count))
 	if err != nil || res.Value(0, logbase.Count) != 40000 {
 		t.Fatalf("follow-up Query = %v err=%v", res.Value(0, logbase.Count), err)
 	}
@@ -409,7 +407,7 @@ func TestClusterVersionsAndSecondary(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	vs, err := cc.Versions(bg, "profiles", "main", key)
+	vs, err := cc.Read(bg, "profiles", "main", key, logbase.WithAllVersions())
 	if err != nil || len(vs) != 3 {
 		t.Fatalf("Versions = %d err=%v", len(vs), err)
 	}

@@ -18,17 +18,7 @@ package logbase
 // ErrCursorTruncated, telling the consumer to re-bootstrap (fromLSN 0
 // replays the compacted — coalesced but state-correct — history).
 
-import (
-	"context"
-	"errors"
-
-	"repro/internal/cdc"
-)
-
-// errUnknownTable matches db.table's wording for a missing table.
-func errUnknownTable(name string) error {
-	return errors.New("logbase: unknown table " + name)
-}
+import "repro/internal/cdc"
 
 // ChangeEvent is one committed mutation observed by a changefeed.
 type ChangeEvent = cdc.Event
@@ -62,42 +52,3 @@ var ErrFeedClosed = cdc.ErrFeedClosed
 // the consumer fell too far behind the write rate. The feed is closed;
 // resume a fresh Watch from the last delivered Cursor+1.
 var ErrSlowConsumer = cdc.ErrSlowConsumer
-
-// Watch subscribes a changefeed over table: committed Put/Delete events
-// for keys in [start, end) (nil bounds = open; group "" = all column
-// groups), streamed in LSN order. fromLSN 0 starts at the beginning of
-// the retained log; fromLSN > 0 resumes after a previously observed
-// cursor (pass cursor+1). The feed catches up through retained log
-// segments, then tails the live append path. Cancel via ctx or Close.
-func (db *DB) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := db.watchTable(table, group); err != nil {
-		return nil, err
-	}
-	var o cdc.Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	_, sp := db.tracer.Root(ctx, "db.watch")
-	sp.Label("table", table)
-	defer sp.Finish()
-	return db.server.Watch(table, group, start, end, fromLSN, o)
-}
-
-// watchTable validates the table (and, when non-empty, the group) for a
-// feed subscription. Unlike db.table it accepts group "" — a feed may
-// span all column groups.
-func (db *DB) watchTable(table, group string) (tableMeta, error) {
-	if group != "" {
-		return db.table(table, group)
-	}
-	db.tmu.RLock()
-	tm, ok := db.tables[table]
-	db.tmu.RUnlock()
-	if !ok {
-		return tableMeta{}, errUnknownTable(table)
-	}
-	return tm, nil
-}
