@@ -14,9 +14,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	logbase "repro"
 	"repro/internal/dfs"
+	"repro/internal/fault"
 )
 
 func TestEndToEndLifecycle(t *testing.T) {
@@ -178,27 +180,28 @@ func TestClusterSurvivesServerAndDataNodeFailure(t *testing.T) {
 	}
 }
 
-// TestClusterCompactAfterSplitKeepsRows is the cluster twin of core's
-// TestCompactAfterSplitKeepsRows: rows written before a tablet split
-// carry the parent's tablet id in the log, and a whole-log compaction
-// afterwards must keep every one of them.
-func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
+// splitCompactCluster loads a two-server cluster with 200 rows and
+// returns it with a scan of every row and the tablet that holds the
+// first key.
+func splitCompactCluster(t *testing.T, dcfg dfs.Config) (c *logbase.Cluster, scan func() []string, tabletID string) {
+	t.Helper()
 	c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{
 		NumServers: 2,
 		Tables:     []logbase.TableSpec{{Name: "t", Groups: []string{"g"}}},
+		DFS:        dcfg,
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	cl := logbase.NewClusterClient(c)
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := cl.Put(bg, "t", "g", []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	scan := func() []string {
+	scan = func() []string {
 		var rows []string
 		err := each(cl.Scan(bg, "t", "g", nil, nil), func(r logbase.Row) {
 			rows = append(rows, string(r.Key)+"="+string(r.Value))
@@ -208,9 +211,8 @@ func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
 		}
 		return rows
 	}
-	before := scan()
-	if len(before) != n {
-		t.Fatalf("scan before split = %d rows, want %d", len(before), n)
+	if got := len(scan()); got != n {
+		t.Fatalf("scan before split = %d rows, want %d", got, n)
 	}
 	router, err := c.Router("t")
 	if err != nil {
@@ -220,7 +222,17 @@ func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
 	if !ok {
 		t.Fatal("no tablet for k0000")
 	}
-	if _, _, err := c.SplitTablet(tab.ID); err != nil {
+	return c, scan, tab.ID
+}
+
+// TestClusterCompactAfterSplitKeepsRows is the cluster twin of core's
+// TestCompactAfterSplitKeepsRows: rows written before a tablet split
+// carry the parent's tablet id in the log, and a whole-log compaction
+// afterwards must keep every one of them.
+func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
+	c, scan, tabletID := splitCompactCluster(t, dfs.Config{})
+	before := scan()
+	if _, _, err := c.SplitTablet(tabletID); err != nil {
 		t.Fatalf("SplitTablet: %v", err)
 	}
 	if err := c.CompactAll(); err != nil {
@@ -228,6 +240,104 @@ func TestClusterCompactAfterSplitKeepsRows(t *testing.T) {
 	}
 	if after := scan(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("scan after split+compaction = %d rows, want the %d pre-compaction rows", len(after), len(before))
+	}
+}
+
+// The cluster twin of core's TestSplitDuringCompactKeepsRows: the split
+// lands while the owner's whole-log compaction writes its output.
+func TestClusterSplitDuringCompactKeepsRows(t *testing.T) {
+	reg := fault.New(7)
+	c, scan, tabletID := splitCompactCluster(t, dfs.Config{Faults: reg})
+	before := scan()
+	owner, err := c.ServerFor(tabletID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The owner's first DFS write from here on is its compaction output.
+	var once sync.Once
+	split := fault.Policy{OnFire: func() {
+		once.Do(func() {
+			if _, _, err := c.SplitTablet(tabletID); err != nil {
+				t.Errorf("SplitTablet: %v", err)
+			}
+		})
+	}}
+	for i := 0; i < c.FS().NumDataNodes(); i++ {
+		reg.Arm(fmt.Sprintf("dfs.dn%d.write", i), split)
+	}
+	if _, err := owner.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	reg.Reset()
+	if _, still := c.Assignments()[tabletID]; still {
+		t.Fatal("the split did not land during the compaction")
+	}
+	if after := scan(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("scan after split-during-compaction = %d rows, want the %d pre-compaction rows", len(after), len(before))
+	}
+}
+
+// A tablet's history moves with it: after a migration the source's log
+// still holds a stale copy, and once the new owner has deleted a row and
+// vacuumed the tombstone together with the row (whole-log compaction),
+// that copy is the only record of the row left anywhere. A fresh
+// changefeed must not replay it.
+func TestClusterWatchSkipsMigratedAwayHistory(t *testing.T) {
+	c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{
+		NumServers: 2,
+		Tables:     []logbase.TableSpec{{Name: "t", Groups: []string{"g"}}},
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	cl := logbase.NewClusterClient(c)
+	defer cl.Close()
+	for _, k := range []string{"gone", "kept"} {
+		if err := cl.Put(bg, "t", "g", []byte(k), []byte("v")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	router, err := c.Router("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, ok := router.Lookup([]byte("gone"))
+	if !ok {
+		t.Fatal("no tablet for the key")
+	}
+	for _, id := range c.LiveServers() {
+		if id != c.Assignments()[tab.ID] {
+			if err := c.MoveTablet(tab.ID, id); err != nil {
+				t.Fatalf("MoveTablet: %v", err)
+			}
+			break
+		}
+	}
+	if err := cl.Delete(bg, "t", "g", []byte("gone")); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	// Only the new owner compacts: the source keeps its copy.
+	owner, err := c.ServerFor(tab.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	feed, err := cl.Watch(bg, "t", "g", nil, nil, 0, logbase.WatchOptions{})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	defer feed.Close()
+	fold := foldState{}
+	if err := drainUntilIdle(t, feed, fold, 200*time.Millisecond, nil); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
+	if fr := fold["gone"]; fr.live {
+		t.Fatalf("a fresh feed replays the deleted row from the log it migrated away from: %+v", fr)
+	}
+	if fr := fold["kept"]; !fr.live {
+		t.Fatalf("the surviving row is missing from the fresh feed: %+v", fr)
 	}
 }
 

@@ -2,9 +2,10 @@ package core
 
 // The record-apply path: the one place a committed log record becomes
 // in-memory state, for live writes, commits, restart redo, migration and
-// failover replay, replica apply and compaction alike (README "Apply
-// path"): resolve, stage/install, and ReplaySession.round with its redo
-// and reappend sinks.
+// failover replay and replica apply alike (README "Apply path"):
+// resolve, stage/install, and ReplaySession.round with its redo and
+// reappend sinks. Compaction moves records without applying them: it
+// asks the index which are live and repoints the entries.
 //
 // Delete ordering. A tombstone removes exactly the versions of its key
 // that reached this log before it and do not carry a later timestamp
@@ -211,10 +212,16 @@ func (s *Server) install(m mutation, ptr wal.Ptr, lsn uint64) {
 // record is now the key's newest version.
 func (s *Server) reflect(m mutation, ptr wal.Ptr, lsn uint64) (changed, newest bool) {
 	tree := m.g.tree()
-	// The garbage ratios drive the auto compactor's candidate selection.
-	changed, newest = applyToTree(tree, m.del, index.Entry{Key: m.key, TS: m.ts, Ptr: ptr, LSN: lsn}, func(v index.Entry) {
-		s.log.AddGarbage(v.Ptr.Seg, int64(v.Ptr.Len))
-	})
+	if m.del {
+		// A tombstone removes the versions it covers; their bytes feed the
+		// garbage ratios that drive the auto compactor's candidate selection.
+		changed = tree.DeleteCovered(m.key, m.ts, lsn, func(v index.Entry) {
+			s.log.AddGarbage(v.Ptr.Seg, int64(v.Ptr.Len))
+		}) > 0
+	} else {
+		// A write installs unless the same (key, ts) holds a higher LSN.
+		changed, newest = tree.PutNewest(index.Entry{Key: m.key, TS: m.ts, Ptr: ptr, LSN: lsn})
+	}
 	switch {
 	case !changed:
 	case m.del:
@@ -231,17 +238,6 @@ func (s *Server) reflect(m mutation, ptr wal.Ptr, lsn uint64) (changed, newest b
 	}
 	s.noteTS(m.ts)
 	return changed, newest
-}
-
-// applyToTree is the tree-level rule (compaction applies it to the
-// trees it rebuilds): a write installs unless the same (key, ts) holds a
-// higher LSN; a tombstone removes the versions it covers, handing each
-// to removed.
-func applyToTree(tree *index.Tree, del bool, e index.Entry, removed func(index.Entry)) (changed, newest bool) {
-	if del {
-		return tree.DeleteCovered(e.Key, e.TS, e.LSN, removed) > 0, false
-	}
-	return tree.PutNewest(e)
 }
 
 // noteSuperseded credits the version that just fell outside the
@@ -305,7 +301,7 @@ func (s *Server) ApplyReplicated(rec *wal.Record) (bool, error) {
 }
 
 // ReplaySession is a resumable replay of a log's committed records
-// into a server: one round over the server's own log (Recover, Compact),
+// into a server: one round over the server's own log (Recover),
 // repeated CatchUp rounds over a migration source's live log, one over
 // a dead server's log (failover, replica promotion). Transactional
 // records are parked until their commit record is seen, so a round
@@ -388,10 +384,9 @@ func (rs *ReplaySession) noteDelete(key string, ts int64, lsn uint64) {
 	rs.deletes[key] = append(keep, tombstone{ts: ts, lsn: lsn})
 }
 
-// scan streams the source records in [rs.pos, end) to fn, passing over
-// the segments in skip. It is a sequential pass: nothing is
-// materialised or sorted.
-func (rs *ReplaySession) scan(end wal.Position, skip map[uint32]bool, fn func(rec *wal.Record, ptr wal.Ptr) error) error {
+// scan streams the source records in [rs.pos, end) to fn. It is a
+// sequential pass: nothing is materialised or sorted.
+func (rs *ReplaySession) scan(end wal.Position, fn func(rec *wal.Record, ptr wal.Ptr) error) error {
 	sc := rs.srcLog.NewScanner(rs.pos)
 	defer sc.Close()
 	var rec wal.Record
@@ -404,10 +399,6 @@ func (rs *ReplaySession) scan(end wal.Position, skip map[uint32]bool, fn func(re
 		if !at.Less(end) {
 			break
 		}
-		if skip[p.Seg] {
-			sc.SkipSegment()
-			continue
-		}
 		rec = sc.Record()
 		if err := fn(&rec, p); err != nil {
 			return err
@@ -417,9 +408,8 @@ func (rs *ReplaySession) scan(end wal.Position, skip map[uint32]bool, fn func(re
 }
 
 // round replays the source log from the session's cursor up to end
-// into sink, passing over the segments in skip (compaction's own
-// output), and advances the cursor to end.
-func (rs *ReplaySession) round(end wal.Position, skip map[uint32]bool, sink replaySink) error {
+// into sink and advances the cursor to end.
+func (rs *ReplaySession) round(end wal.Position, sink replaySink) error {
 	// Pass 1: learn this round's commits and fold its delete records
 	// into the per-key resolution. A transactional delete is visible
 	// only once its commit is seen, and the high-water mark covers it
@@ -432,7 +422,7 @@ func (rs *ReplaySession) round(end wal.Position, skip map[uint32]bool, sink repl
 		txnID uint64
 	}
 	var txnDels []txnDelete
-	err := rs.scan(end, skip, func(rec *wal.Record, _ wal.Ptr) error {
+	err := rs.scan(end, func(rec *wal.Record, _ wal.Ptr) error {
 		switch rec.Kind {
 		case wal.KindCommit:
 			rs.committed[rec.TxnID] = rec.LSN
@@ -461,7 +451,7 @@ func (rs *ReplaySession) round(end wal.Position, skip map[uint32]bool, sink repl
 	// round's bound (clearing their TxnID), and their LSNs must stay
 	// below the mark so the next round still applies them.
 	var roundMax uint64
-	err = rs.scan(end, skip, func(rec *wal.Record, ptr wal.Ptr) error {
+	err = rs.scan(end, func(rec *wal.Record, ptr wal.Ptr) error {
 		if rec.LSN > rs.maxLSN {
 			rs.maxLSN = rec.LSN
 		}

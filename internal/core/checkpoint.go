@@ -225,7 +225,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 
 	// Redo the tail in place: one replay round over this server's own
 	// log.
-	if err := rs.round(logEnd, nil, s.redo); err != nil {
+	if err := rs.round(logEnd, s.redo); err != nil {
 		return st, err
 	}
 	st.RecordsScanned, st.MaxTS = rs.scanned, rs.maxTS

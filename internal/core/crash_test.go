@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -209,6 +210,84 @@ func TestCrashDeletePreIndex(t *testing.T) {
 	}
 }
 
+// scriptStep is one auto-commit write or delete of a scripted history.
+type scriptStep struct {
+	key string
+	ts  int64
+	del bool
+}
+
+type script []scriptStep
+
+// lateWriteScript has writes that arrive after a delete under an older
+// timestamp, in every order that tells the delete rules apart.
+var lateWriteScript = script{
+	{"late", 5, false}, {"late", 20, true}, {"late", 10, false}, // 10 came after the delete: it stays
+	{"pair", 12, false}, {"pair", 20, true}, {"pair", 17, false}, {"pair", 15, true}, // 17 outlives both
+	{"gone", 20, true}, {"gone", 12, false}, {"gone", 15, true}, // the later, older tombstone removes 12
+	{"tie", 9, false}, {"tie", 9, true}, {"tie", 9, false}, // equal timestamps: arrival decides
+}
+
+// run applies the script with one record per segment, so compaction can
+// move any of them, and returns the segments that hold a tombstone.
+func (sc script) run(t *testing.T, s *Server) (tombstoneSegs []uint32) {
+	t.Helper()
+	for i, st := range sc {
+		var err error
+		if st.del {
+			err = s.Delete(testTablet, testGroup, []byte(st.key), st.ts)
+			tombstoneSegs = append(tombstoneSegs, s.Log().ActiveSegment())
+		} else {
+			err = s.Write(testTablet, testGroup, []byte(st.key), st.ts, fmt.Appendf(nil, "%s#%d", st.key, i))
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		s.Log().Rotate()
+	}
+	return tombstoneSegs
+}
+
+// view renders every stored version of every key the script touches.
+func (sc script) view(t *testing.T, s *Server) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, st := range sc {
+		rows, err := versionsOf(s, []byte(st.key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[st.key] = fmt.Sprint(rows)
+	}
+	return out
+}
+
+// compactEntries are the ways into the compaction engine. Each seals the
+// active segment first, so all three hand the engine the whole log.
+var compactEntries = []struct {
+	name string
+	run  func(s *Server) error
+}{
+	{"Compact", func(s *Server) error { _, err := s.Compact(); return err }},
+	{"CompactSegments", func(s *Server) error {
+		s.Log().Rotate()
+		var nums []uint32
+		for _, si := range s.Log().Segments() {
+			nums = append(nums, si.Num)
+		}
+		_, err := s.CompactSegments(nums)
+		return err
+	}},
+	{"AutoCompactTick", func(s *Server) error {
+		s.Log().Rotate()
+		_, ran, err := s.AutoCompactTick()
+		if err == nil && !ran {
+			err = errors.New("tick found nothing to compact")
+		}
+		return err
+	}},
+}
+
 // A write that arrives after a delete, under an older timestamp, is
 // installed, acknowledged and readable. Every replay of the log must end
 // in the state the running server had: restart redo, migration, and both
@@ -216,43 +295,8 @@ func TestCrashDeletePreIndex(t *testing.T) {
 // that followed them, and after the whole-log rewrite.
 func TestCrashLateWriteAfterDelete(t *testing.T) {
 	e := newCrashEnv(t, 11)
-	script := []struct {
-		key string
-		ts  int64
-		del bool
-	}{
-		{"late", 5, false}, {"late", 20, true}, {"late", 10, false}, // 10 came after the delete: it stays
-		{"pair", 12, false}, {"pair", 20, true}, {"pair", 17, false}, {"pair", 15, true}, // 17 outlives both
-		{"gone", 20, true}, {"gone", 12, false}, {"gone", 15, true}, // the later, older tombstone removes 12
-		{"tie", 9, false}, {"tie", 9, true}, {"tie", 9, false}, // equal timestamps: arrival decides
-	}
-	// One record per segment, so compaction can move any of them.
-	var tombstoneSegs []uint32
-	for i, st := range script {
-		var err error
-		if st.del {
-			err = e.srv.Delete(testTablet, testGroup, []byte(st.key), st.ts)
-			tombstoneSegs = append(tombstoneSegs, e.srv.Log().ActiveSegment())
-		} else {
-			err = e.srv.Write(testTablet, testGroup, []byte(st.key), st.ts, fmt.Appendf(nil, "%s#%d", st.key, i))
-		}
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		e.srv.Log().Rotate()
-	}
-	view := func(s *Server) map[string]string {
-		t.Helper()
-		out := map[string]string{}
-		for _, st := range script {
-			rows, err := versionsOf(s, []byte(st.key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[st.key] = fmt.Sprint(rows)
-		}
-		return out
-	}
+	tombstoneSegs := lateWriteScript.run(t, e.srv)
+	view := func(s *Server) map[string]string { return lateWriteScript.view(t, s) }
 	live := view(e.srv)
 	want := map[string]string{"late": "late#2", "pair": "pair#5", "tie": "tie#12"}
 	for key, val := range want {
@@ -480,7 +524,15 @@ func TestCrashCompactPreRemove(t *testing.T) {
 	testCrashCompact(t, "crash.compact.pre-remove", 109)
 }
 
+// testCrashCompact crashes at one of the engine's points through each
+// way into the engine.
 func testCrashCompact(t *testing.T, point string, seed int64) {
+	for _, entry := range compactEntries {
+		t.Run(entry.name, func(t *testing.T) { testCrashCompactVia(t, point, seed, entry.run) })
+	}
+}
+
+func testCrashCompactVia(t *testing.T, point string, seed int64, compact func(*Server) error) {
 	e := newCrashEnv(t, seed)
 	o := oracle{}
 	seedRows(t, e.srv, o, 20)
@@ -502,7 +554,7 @@ func testCrashCompact(t *testing.T, point string, seed int64) {
 	}
 
 	e.reg.Arm(point, fault.Policy{Times: 1, Crash: true})
-	if _, err := e.srv.Compact(); !fault.Crashed(err) {
+	if err := compact(e.srv); !fault.Crashed(err) {
 		t.Fatalf("armed compact err = %v, want crash", err)
 	}
 	s := e.crashAndRecover()
@@ -516,11 +568,13 @@ func testCrashCompact(t *testing.T, point string, seed int64) {
 		}
 	}
 	// The recovered server must remain fully operational: a follow-up
-	// compaction converges the layout.
-	if _, err := s.Compact(); err != nil {
-		t.Fatalf("Compact after crash recovery: %v", err)
+	// compaction converges the layout, and a second recovery over what it
+	// left changes nothing.
+	if err := compact(s); err != nil {
+		t.Fatalf("compaction after crash recovery: %v", err)
 	}
 	verifyOracle(t, s, o, nil)
+	verifyOracle(t, e.crashAndRecover(), o, nil)
 }
 
 // The whole sweep again, through every point in one scripted life with
@@ -546,8 +600,20 @@ func TestCrashPointSweepSequential(t *testing.T) {
 				Key: []byte("sw2"), TS: 303, Value: []byte("x2")}})
 		}},
 		{"crash.checkpoint.pre-install", func(s *Server) error { return s.Checkpoint() }},
-		{"crash.compact.pre-install", func(s *Server) error { _, err := s.Compact(); return err }},
 	}
+	// The engine's points through every way in, each over the doubled log
+	// the crash before it left behind; then one between two removals,
+	// which recovery finishes.
+	type pointOp = struct {
+		point string
+		op    func(s *Server) error
+	}
+	for _, point := range []string{"crash.compact.pre-install", "crash.compact.pre-remove"} {
+		for _, entry := range compactEntries {
+			points = append(points, pointOp{point, entry.run})
+		}
+	}
+	points = append(points, pointOp{"crash.compact.mid-remove", compactEntries[0].run})
 	for _, p := range points {
 		e.reg.Arm(p.point, fault.Policy{Times: 1, Crash: true})
 		if err := p.op(e.srv); !fault.Crashed(err) {
@@ -566,5 +632,184 @@ func TestCrashPointSweepSequential(t *testing.T) {
 			o.del("k001")
 		}
 		verifyOracle(t, s, o, nil)
+	}
+}
+
+// A SplitTablet that lands while compaction writes its output: the
+// children's indexes still point into the input, and compaction must
+// redirect them, not replace them.
+func TestSplitDuringCompactKeepsRows(t *testing.T) {
+	for _, entry := range compactEntries[:2] {
+		t.Run(entry.name, func(t *testing.T) {
+			reg := fault.New(114)
+			fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 1 << 16, Faults: reg})
+			if err != nil {
+				t.Fatalf("dfs.New: %v", err)
+			}
+			open := func(tablets ...partition.Tablet) *Server {
+				s, err := NewServer(fs, "ts-crash", Config{SegmentSize: 1 << 20, Faults: reg})
+				if err != nil {
+					t.Fatalf("NewServer: %v", err)
+				}
+				for _, tab := range tablets {
+					s.AddTablet(tab, []string{testGroup})
+				}
+				return s
+			}
+			spec := elasticTablet()
+			s := open(spec)
+			const n = 20
+			for i := 0; i < n; i++ {
+				if err := s.Write(spec.ID, testGroup, ek(i), int64(i+1), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lr, rr, err := spec.Range.Split(ek(n / 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := partition.Tablet{ID: "users/0001", Table: "users", Range: lr}
+			right := partition.Tablet{ID: "users/0002", Table: "users", Range: rr}
+			// The first DFS write after the seed is compaction's output.
+			var once sync.Once
+			split := fault.Policy{OnFire: func() {
+				once.Do(func() {
+					if err := s.SplitTablet(spec.ID, left, right); err != nil {
+						t.Errorf("SplitTablet: %v", err)
+					}
+				})
+			}}
+			for i := 0; i < 3; i++ {
+				reg.Arm(fmt.Sprintf("dfs.dn%d.write", i), split)
+			}
+			if err := entry.run(s); err != nil {
+				t.Fatalf("compaction: %v", err)
+			}
+			reg.Reset()
+			check := func(what string, s *Server) {
+				t.Helper()
+				lost := 0
+				for i := 0; i < n; i++ {
+					child := left
+					if i >= n/2 {
+						child = right
+					}
+					if _, err := s.Get(child.ID, testGroup, ek(i)); err != nil {
+						lost++
+					}
+				}
+				if lost > 0 {
+					t.Fatalf("%s: %d of %d rows unreadable through the children", what, lost, n)
+				}
+			}
+			check("after compaction", s)
+			s = open(left, right)
+			if _, err := s.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			check("after recovery", s)
+		})
+	}
+}
+
+// Compaction asks the index reads use which records are live, so no
+// history can read differently after it — including one whose replay
+// disagrees with what the running server installed: a 2PC write whose
+// key an auto-commit Delete removes between its prepare and its commit
+// is installed at commit, after the delete, and stays visible. (Recover
+// and CatchUp still drop it: the record carries the prepare's LSN. That
+// half of the case is open, so no restart here.)
+func TestCompactionPreservesReads(t *testing.T) {
+	twoPC := func(t *testing.T, s *Server) map[string]string {
+		k := []byte("k")
+		if err := s.Write(testTablet, testGroup, k, 1, []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.PrepareTxn(7, 10, []TxnWrite{{Tablet: testTablet, Group: testGroup, Key: k, Value: []byte("v10")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(testTablet, testGroup, k, 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CommitTxn(7, 10, p); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := versionsOf(s, k)
+		if err != nil || len(rows) != 1 || rows[0].TS != 10 {
+			t.Fatalf("live versions of k = %v, %v; want the committed write at ts 10", rows, err)
+		}
+		return map[string]string{"k": fmt.Sprint(rows)}
+	}
+	histories := []struct {
+		name string
+		run  func(t *testing.T, s *Server) map[string]string // key -> every stored version
+	}{
+		{"late-write-after-delete", func(t *testing.T, s *Server) map[string]string {
+			lateWriteScript.run(t, s)
+			return lateWriteScript.view(t, s)
+		}},
+		{"2pc-delete-between-prepare-and-commit", twoPC},
+	}
+	for _, h := range histories {
+		for _, entry := range compactEntries[:2] {
+			t.Run(h.name+"/"+entry.name, func(t *testing.T) {
+				s, _ := newTestServer(t, Config{})
+				before := h.run(t, s)
+				if err := entry.run(s); err != nil {
+					t.Fatalf("compaction: %v", err)
+				}
+				for key, want := range before {
+					rows, err := versionsOf(s, []byte(key))
+					if got := fmt.Sprint(rows); err != nil || got != want {
+						t.Errorf("versions of %q after compaction = %s, %v; before: %s", key, got, err, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// Compaction's inputs are removed together or not at all. A whole-log
+// run vacuums tombstones, and a crash between two removals would
+// otherwise leave the deleted row's segment while the tombstone's is
+// gone: earlier incremental output is numbered above the segment that
+// was active then, so the tombstone's segment goes first.
+func TestCompactPartialRemove(t *testing.T) {
+	for _, entry := range compactEntries[:2] {
+		t.Run(entry.name, func(t *testing.T) {
+			e := newCrashEnv(t, 115)
+			o := oracle{}
+			victim := []byte("victim")
+			if err := e.srv.Write(testTablet, testGroup, victim, 1, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			e.srv.Log().Rotate()
+			if err := e.srv.Write(testTablet, testGroup, []byte("filler"), 2, []byte("f")); err != nil {
+				t.Fatal(err)
+			}
+			o.put("filler", 2, "f")
+			if _, err := e.srv.CompactSegments([]uint32{1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.srv.Delete(testTablet, testGroup, victim, 3); err != nil {
+				t.Fatal(err)
+			}
+			if segs := e.srv.Log().Segments(); len(segs) != 2 || segs[0].Num != 2 || !segs[1].Sorted {
+				t.Fatalf("layout %+v, want the active segment 2 under the sorted segment 3", segs)
+			}
+			e.reg.Arm("crash.compact.mid-remove", fault.Policy{Times: 1, Crash: true})
+			if err := entry.run(e.srv); !fault.Crashed(err) {
+				t.Fatalf("armed compaction err = %v, want crash", err)
+			}
+			s := e.crashAndRecover()
+			if row, err := s.Get(testTablet, testGroup, victim); err == nil {
+				t.Fatalf("deleted row resurrected at ts %d by a half-finished removal", row.TS)
+			}
+			verifyOracle(t, s, o, nil)
+			if e.fs.Exists("log/ts-crash/doomed") {
+				t.Fatal("removal intent still there after recovery finished it")
+			}
+		})
 	}
 }

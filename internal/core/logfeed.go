@@ -403,6 +403,14 @@ func (f *RecordFeed) catchUp() bool {
 				if !f.sub.match(&rec) {
 					continue
 				}
+				// History of a tablet that migrated away belongs to its new
+				// owner's log, which holds all of it; the copy left here is
+				// stale, and a delete the new owner has since vacuumed
+				// together with the rows it covered would leave this copy
+				// to resurrect them in a bootstrapping consumer.
+				if _, ok := f.s.resolve(rec.Table, rec.Tablet, rec.Key, nil); !ok {
+					continue
+				}
 				seen[rec.LSN] = struct{}{}
 				recs = append(recs, rec)
 			}

@@ -163,13 +163,16 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 			}
 		}
 		rec := sc.Record()
-		if rec.Kind != wal.KindWrite || rec.Tablet != tabletID || rec.Group != group {
+		// By table and range, not by tablet id: records written before a
+		// split carry the parent's.
+		if rec.Kind != wal.KindWrite || rec.Table != t.table || rec.Group != group || !t.rng.Contains(rec.Key) {
 			continue
 		}
 		if !inRange(rec.Key) || !ro.Key.Match(rec.Key) {
 			continue
 		}
-		// Version check: only the version visible at the snapshot counts.
+		// Only the version visible at the snapshot counts, and only the
+		// copy of it this tablet's index points at.
 		var cur index.Entry
 		var ok bool
 		if ts == maxTS {
@@ -177,7 +180,7 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 		} else {
 			cur, ok = g.tree().LatestAt(rec.Key, ts)
 		}
-		if !ok || cur.TS != rec.TS || cur.Ptr != sc.Ptr() {
+		if !ok || cur.Ptr != sc.Ptr() {
 			continue
 		}
 		if ro.MinTS != 0 && rec.TS < ro.MinTS {

@@ -130,3 +130,44 @@ func TestRetentionTightensCursorSlack(t *testing.T) {
 		t.Fatalf("resume below horizon err = %v, want cdc.ErrCursorTruncated", err)
 	}
 }
+
+// The version bound is evaluated once per key over the sorted survivors;
+// a carried tombstone sorts between a key's versions and must not make
+// the next key inherit the previous key's version list. Keys differ in
+// how many versions follow their tombstone.
+func TestRetentionAcrossCarriedTombstones(t *testing.T) {
+	s, _ := newTestServer(t, Config{CompactKeepVersions: 1})
+	// A sorted segment outside the input keeps the run incremental, so
+	// tombstones are carried.
+	if err := s.Write(testTablet, testGroup, []byte("filler"), 1, []byte("f")); err != nil {
+		t.Fatal(err)
+	}
+	sealAndCompactUnsorted(t, s)
+	const keys = 9
+	ts := int64(1)
+	newest := map[int]int64{}
+	for i := 0; i < keys; i++ {
+		for v := 0; v < 2+i%3; v++ {
+			if v == 1 {
+				ts++
+				if err := s.Delete(testTablet, testGroup, k6(i), ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ts++
+			if err := s.Write(testTablet, testGroup, k6(i), ts, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newest[i] = ts
+	}
+	if st := sealAndCompactUnsorted(t, s); st.RecordsKept != 2*keys {
+		t.Fatalf("kept %d records, want each key's newest version and its carried tombstone (%d)", st.RecordsKept, 2*keys)
+	}
+	for i := 0; i < keys; i++ {
+		rows, err := versionsOf(s, k6(i))
+		if err != nil || len(rows) != 1 || rows[0].TS != newest[i] {
+			t.Fatalf("versions of %s = %v, %v; want only ts %d", k6(i), rows, err, newest[i])
+		}
+	}
+}

@@ -200,7 +200,7 @@ func (rs *ReplaySession) PendingLive(held func(tablet, group string, key []byte)
 // of the open; use the peer's live Log() instance to follow ongoing
 // appends.
 func (s *Server) OpenPeerLog(srcServerID string) (*wal.Log, error) {
-	return wal.Open(s.fs, "log/"+srcServerID, wal.Options{SegmentSize: s.cfg.SegmentSize})
+	return wal.Open(s.fs, "log/"+srcServerID, wal.Options{SegmentSize: s.cfg.SegmentSize, Peer: true})
 }
 
 // CatchUp replays the source log from the session's cursor up to the
@@ -222,7 +222,7 @@ func (rs *ReplaySession) CatchUp() (int, error) {
 	}
 	// Bound the round at the end observed on entry: anything appended
 	// while it scans is left for the next round.
-	err := rs.round(rs.srcLog.End(), nil, func(rec *wal.Record, _ wal.Ptr) (bool, error) {
+	err := rs.round(rs.srcLog.End(), func(rec *wal.Record, _ wal.Ptr) (bool, error) {
 		return rs.dst.reappend(rec, rs.adopted)
 	})
 	return rs.applied - before, err

@@ -31,7 +31,7 @@ func sortedRecord(i int) *Record {
 
 func writeSortedSegment(t *testing.T, l *Log, n int) []uint32 {
 	t.Helper()
-	sw := l.NewSegmentWriter(true)
+	sw := l.NewSegmentWriter()
 	for i := 0; i < n; i++ {
 		if _, err := sw.Append(sortedRecord(i)); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -182,7 +182,7 @@ func TestSegmentPinningDefersDeletion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSegmentScanner: %v", err)
 	}
-	if err := l.RemoveSegments(num); err != nil {
+	if err := l.RemoveSegments(false, num); err != nil {
 		t.Fatalf("RemoveSegments: %v", err)
 	}
 	// Removed from the live set immediately...
@@ -227,7 +227,7 @@ func TestReadBatchPinsDoomedSegment(t *testing.T) {
 	num := ptrs[0].Seg
 	// Pin (as a long scan would), doom the segment, then batch-read.
 	l.Pin(num)
-	if err := l.RemoveSegments(num); err != nil {
+	if err := l.RemoveSegments(false, num); err != nil {
 		t.Fatalf("RemoveSegments: %v", err)
 	}
 	got, err := l.ReadBatch(ptrs)

@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/dfs"
@@ -21,6 +24,9 @@ type Options struct {
 	// (Partial), drop it whole (an fsync-lost suffix), or flip a bit
 	// on its way to disk. Nil injects nothing.
 	Faults *fault.Registry
+	// Peer opens another server's log for replay: segments an unfinished
+	// removal lists (doomedPath) are passed over, not deleted as in Open.
+	Peer bool
 }
 
 func (o Options) withDefaults() Options {
@@ -75,6 +81,7 @@ type Log struct {
 	nextLSN uint64
 	readers map[uint32]*dfs.Reader
 	hook    func([]Record)
+	dooming int // doomed segments whose files still exist
 }
 
 type segState struct {
@@ -101,9 +108,19 @@ func Open(fs *dfs.DFS, dir string, opts Options) (*Log, error) {
 		nextSeg: 1,
 		nextLSN: 1,
 	}
+	doomed, err := l.readDoomed()
+	if err != nil {
+		return nil, err
+	}
 	for _, path := range fs.List(dir + "/seg-") {
 		var num uint32
 		if _, err := fmt.Sscanf(path[len(dir)+1:], "seg-%08d", &num); err != nil {
+			continue
+		}
+		if doomed[num] {
+			if !opts.Peer {
+				fs.Delete(path) //nolint:errcheck // listed above, so it exists
+			}
 			continue
 		}
 		size, err := fs.Size(path)
@@ -119,6 +136,9 @@ func Open(fs *dfs.DFS, dir string, opts Options) (*Log, error) {
 		if num >= l.nextSeg {
 			l.nextSeg = num + 1
 		}
+	}
+	if doomed != nil && !opts.Peer {
+		fs.Delete(l.doomedPath()) //nolint:errcheck // read above, so it exists
 	}
 	sort.Slice(l.order, func(i, j int) bool { return l.order[i] < l.order[j] })
 	if err := l.repairTailOnOpen(); err != nil {
@@ -594,17 +614,16 @@ func (l *Log) End() Position {
 }
 
 // SegmentWriter writes records (with pre-assigned LSNs) into brand-new
-// segments, used by compaction to lay down sorted runs while the main
-// log keeps serving appends. Sorted writers append a footer (min/max
-// clustering key, row/LSN counts, sparse block index) to every segment
-// they finish.
+// sorted segments, used by compaction to lay down sorted runs while the
+// main log keeps serving appends. Every segment it finishes carries the
+// sorted flag, which tells compaction output from an append segment, and
+// a footer (min/max clustering key, row/LSN counts, sparse block index).
 type SegmentWriter struct {
-	l      *Log
-	sorted bool
-	cur    uint32
-	w      *dfs.Writer
-	size   int64
-	nums   []uint32
+	l    *Log
+	cur  uint32
+	w    *dfs.Writer
+	size int64
+	nums []uint32
 
 	meta       SegmentMeta
 	lastSample int64 // record-area bytes at the last sparse sample
@@ -614,8 +633,8 @@ type SegmentWriter struct {
 // segments. The segments are live for reads as soon as written but only
 // become part of the scan order; InstallCompaction swaps them in as the
 // canonical set.
-func (l *Log) NewSegmentWriter(sorted bool) *SegmentWriter {
-	return &SegmentWriter{l: l, sorted: sorted}
+func (l *Log) NewSegmentWriter() *SegmentWriter {
+	return &SegmentWriter{l: l}
 }
 
 // Append writes rec (keeping its existing LSN) and returns its pointer.
@@ -626,7 +645,7 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 			return Ptr{}, err
 		}
 		s.l.mu.Lock()
-		num, w, err := s.l.newSegmentLocked(s.sorted)
+		num, w, err := s.l.newSegmentLocked(true)
 		s.l.mu.Unlock()
 		if err != nil {
 			return Ptr{}, err
@@ -641,9 +660,7 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 		return Ptr{}, fmt.Errorf("wal: compaction append seg %d: %w", s.cur, err)
 	}
 	s.size += int64(len(frame))
-	if s.sorted {
-		s.noteRecord(rec, off)
-	}
+	s.noteRecord(rec, off)
 	s.l.mu.Lock()
 	st := s.l.segs[s.cur]
 	st.size = s.size
@@ -685,7 +702,7 @@ func (s *SegmentWriter) finishSegment() error {
 	if s.w == nil {
 		return nil
 	}
-	if s.sorted && s.meta.Rows > 0 {
+	if s.meta.Rows > 0 {
 		footer := encodeFooter(&s.meta)
 		if _, err := s.w.Write(footer); err != nil {
 			return fmt.Errorf("wal: segment %d footer: %w", s.cur, err)
@@ -705,29 +722,43 @@ func (s *SegmentWriter) finishSegment() error {
 // Segments returns the segment numbers written so far.
 func (s *SegmentWriter) Segments() []uint32 { return append([]uint32(nil), s.nums...) }
 
-// Close finishes the writer, sealing the last segment (and writing its
-// footer for sorted writers).
+// Close finishes the writer, sealing the last segment with its footer.
 func (s *SegmentWriter) Close() error {
 	return s.finishSegment()
+}
+
+// doomedPath names the removal-intent file: the segments of each atomic
+// RemoveSegments call, durable before its first delete, gone after its
+// last. With one input of a tombstone-vacuuming compaction deleted and
+// another left, a restart would replay rows whose tombstone is gone.
+func (l *Log) doomedPath() string { return l.dir + "/doomed" }
+
+// readDoomed returns the segments the intent file lists (nil: no file).
+// A last line cut short by a crash preceded every delete and is ignored.
+func (l *Log) readDoomed() (map[uint32]bool, error) {
+	r, err := l.fs.Open(l.doomedPath())
+	if err != nil {
+		return nil, nil
+	}
+	defer r.Close()
+	size, _ := r.Size()
+	buf, err := io.ReadAll(io.NewSectionReader(r, 0, size))
+	doomed := map[uint32]bool{}
+	for _, f := range bytes.FieldsFunc(buf[:bytes.LastIndexByte(buf, '\n')+1], func(c rune) bool { return c < '0' || c > '9' }) {
+		n, _ := strconv.ParseUint(string(f), 10, 32)
+		doomed[uint32(n)] = true
+	}
+	return doomed, err
 }
 
 // RemoveSegments drops the given segments from the live set; files are
 // deleted immediately when unpinned, otherwise deletion is deferred to
 // the last Unpin (in-flight scanners and readers finish safely against
-// the doomed file, while new scans no longer see it).
-func (l *Log) RemoveSegments(nums ...uint32) error {
+// the doomed file, while new scans no longer see it). atomic makes the
+// removal all-or-nothing across a crash (doomedPath).
+func (l *Log) RemoveSegments(atomic bool, nums ...uint32) error {
 	l.mu.Lock()
-	remove := make(map[uint32]bool, len(nums))
-	for _, n := range nums {
-		remove[n] = true
-	}
-	var kept []uint32
-	for _, n := range l.order {
-		if !remove[n] {
-			kept = append(kept, n)
-		}
-	}
-	l.order = kept
+	l.order = slices.DeleteFunc(l.order, func(n uint32) bool { return slices.Contains(nums, n) })
 	var deletable []uint32
 	for _, n := range nums {
 		st, ok := l.segs[n]
@@ -735,6 +766,7 @@ func (l *Log) RemoveSegments(nums ...uint32) error {
 			continue
 		}
 		st.doomed = true
+		l.dooming++
 		if l.cur == n {
 			l.curW.Close()
 			l.cur, l.curW = 0, nil
@@ -743,9 +775,29 @@ func (l *Log) RemoveSegments(nums ...uint32) error {
 			deletable = append(deletable, n)
 		}
 	}
+	var err error
+	if atomic && len(nums) > 1 {
+		// Under the lock that marked the segments, so no Unpin deletes one
+		// of them before the intent is durable.
+		var w *dfs.Writer
+		if w, err = l.fs.OpenAppend(l.doomedPath()); errors.Is(err, dfs.ErrNotFound) {
+			w, err = l.fs.Create(l.doomedPath())
+		}
+		if err == nil {
+			_, err = fmt.Fprintln(w, nums)
+		}
+	}
 	l.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("wal: removal intent: %w", err)
+	}
 	var errs []error
-	for _, n := range deletable {
+	for i, n := range deletable {
+		if i == 1 { // crash point: one input is gone, the rest still exist
+			if err := l.opts.Faults.FireErr("crash.compact.mid-remove"); err != nil {
+				return err
+			}
+		}
 		if err := l.finalizeRemove(n); err != nil {
 			errs = append(errs, err)
 		}
@@ -768,7 +820,13 @@ func (l *Log) finalizeRemove(num uint32) error {
 		delete(l.readers, num)
 	}
 	l.mu.Unlock()
-	return l.fs.Delete(l.SegmentPath(num))
+	err := l.fs.Delete(l.SegmentPath(num))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dooming--; l.dooming == 0 && l.fs.Exists(l.doomedPath()) {
+		err = errors.Join(err, l.fs.Delete(l.doomedPath()))
+	}
+	return err
 }
 
 // Scanner iterates records in log order starting at a position. The
@@ -905,14 +963,6 @@ func (s *Scanner) Next() bool {
 		s.ptr = Ptr{Seg: s.segs[s.idx], Off: s.off, Len: uint32(consumed)}
 		s.off += int64(consumed)
 		return true
-	}
-}
-
-// SkipSegment abandons the rest of the current record's segment; the
-// following Next continues with the next segment.
-func (s *Scanner) SkipSegment() {
-	if s.r != nil {
-		s.off = s.size
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/fault"
 )
 
 func newTestLog(t *testing.T, opts Options) (*Log, *dfs.DFS) {
@@ -293,7 +294,7 @@ func TestSegmentWriterAndRemove(t *testing.T) {
 	oldSegs := l.Segments()
 
 	// "Compaction": rewrite records 10..19 into sorted segments.
-	sw := l.NewSegmentWriter(true)
+	sw := l.NewSegmentWriter()
 	var newPtrs []Ptr
 	s := l.NewScanner(Position{})
 	for s.Next() {
@@ -311,7 +312,7 @@ func TestSegmentWriterAndRemove(t *testing.T) {
 	for _, si := range oldSegs {
 		oldNums = append(oldNums, si.Num)
 	}
-	if err := l.RemoveSegments(oldNums...); err != nil {
+	if err := l.RemoveSegments(false, oldNums...); err != nil {
 		t.Fatalf("RemoveSegments: %v", err)
 	}
 
@@ -339,7 +340,7 @@ func TestSegmentWriterAndRemove(t *testing.T) {
 func TestSortedFlagSurvivesReopen(t *testing.T) {
 	fs, _ := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 4096})
 	l1, _ := Open(fs, "wal", Options{})
-	sw := l1.NewSegmentWriter(true)
+	sw := l1.NewSegmentWriter()
 	sw.Append(&Record{Kind: KindWrite, LSN: 1, Key: []byte("a"), Value: []byte("v")})
 	sw.Close()
 
@@ -463,5 +464,75 @@ func TestConcurrentAppendsDistinctPtrs(t *testing.T) {
 		if _, err := l.Read(p); err != nil {
 			t.Errorf("Read(%v): %v", p, err)
 		}
+	}
+}
+
+// An atomic removal cut short by a crash is finished by the owner's next
+// Open; a peer passes over the listed segments and touches nothing; a
+// pinned segment keeps the intent alive until its deferred delete; an
+// intent line the crash cut short lists nothing; a plain removal leaves
+// no intent.
+func TestRemovalIntent(t *testing.T) {
+	reg := fault.New(1)
+	l, fs := newTestLog(t, Options{Faults: reg})
+	for i := 0; i < 7; i++ {
+		l.Append(&Record{Kind: KindWrite, Key: []byte{byte(i)}})
+		l.Rotate()
+	}
+	live := func(l *Log) (nums []uint32) {
+		for _, si := range l.Segments() {
+			nums = append(nums, si.Num)
+		}
+		return nums
+	}
+	intent := l.doomedPath()
+
+	l.Pin(1)
+	if err := l.RemoveSegments(true, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !fs.Exists(intent) || !fs.Exists(l.SegmentPath(1)) || fs.Exists(l.SegmentPath(2)) {
+		t.Fatal("want the pinned segment and the removal intent kept until the last Unpin, the other segment gone")
+	}
+	l.Unpin(1)
+	if fs.Exists(intent) || fs.Exists(l.SegmentPath(1)) {
+		t.Fatal("segment or removal intent still there after the deferred delete")
+	}
+	if err := l.RemoveSegments(false, 3, 4); err != nil || fs.Exists(intent) {
+		t.Fatalf("plain removal: err %v, intent written %v", err, fs.Exists(intent))
+	}
+
+	reg.Arm("crash.compact.mid-remove", fault.Policy{Times: 1, Crash: true})
+	if err := l.RemoveSegments(true, 5, 6); !fault.Crashed(err) {
+		t.Fatalf("RemoveSegments err = %v, want crash", err)
+	}
+	if fs.Exists(l.SegmentPath(5)) || !fs.Exists(l.SegmentPath(6)) {
+		t.Fatal("crash did not land between the two deletes")
+	}
+	w, err := fs.OpenAppend(intent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write([]byte("[7")) // a later call's line, torn before any delete
+
+	peer, err := Open(fs, "wal", Options{Peer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := live(peer); !reflect.DeepEqual(got, []uint32{7}) {
+		t.Fatalf("peer sees segments %v, want [7]", got)
+	}
+	if !fs.Exists(intent) || !fs.Exists(l.SegmentPath(6)) {
+		t.Fatal("peer open changed the owner's log")
+	}
+	owner, err := Open(fs, "wal", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := live(owner); !reflect.DeepEqual(got, []uint32{7}) {
+		t.Fatalf("owner sees segments %v, want [7]", got)
+	}
+	if fs.Exists(intent) || fs.Exists(l.SegmentPath(6)) {
+		t.Fatal("owner open left the removal unfinished")
 	}
 }
