@@ -62,10 +62,10 @@ type backend interface {
 	read(ctx context.Context, table, group string, key []byte, ro ReadOptions) ([]Row, error)
 	scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error
 	fullScan(ctx context.Context, table, group string, ro ReadOptions, emit func([]Row) error) error
-	// aggregate runs a join-free query fragment at snapshot ts on every
-	// tablet server holding a piece of q's key range and merges the
-	// partial aggregates.
-	aggregate(ctx context.Context, table, group string, ts int64, q query.Query) (QueryResult, error)
+	// aggregate is the partial fetch strategy: every tablet server
+	// holding a piece of f's key range folds its rows under f at snapshot
+	// ts, and the mergeable partials are merged.
+	aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (QueryResult, error)
 	watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error)
 	beginTxn() *txn.Txn
 	// tabletFor and tabletsIn resolve a key, or the key range

@@ -112,8 +112,12 @@ func (cc *ClusterClient) fullScan(ctx context.Context, table, group string, ro R
 	})
 }
 
-func (cc *ClusterClient) aggregate(ctx context.Context, table, group string, ts int64, q query.Query) (QueryResult, error) {
-	return cc.c.QueryAt(ctx, table, group, ts, q)
+func (cc *ClusterClient) aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (res QueryResult, err error) {
+	err = cc.routed(ctx, func(cl *cluster.Client) error {
+		res, err = cl.Aggregate(ctx, table, group, ts, f, fold)
+		return err
+	})
+	return res, err
 }
 
 func (cc *ClusterClient) watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error) {

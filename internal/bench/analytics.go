@@ -94,7 +94,7 @@ func AnalyticScan(s Scale) (Table, error) {
 	wall, disk, err := fx.timed(func() error {
 		return srv.FullScan(context.Background(), benchTabletID, benchGroup, func(r core.Row) bool {
 			fs.rows++
-			if v, ok := query.FloatValue(r); ok {
+			if v, ok := query.Number(r.Value); ok {
 				fs.sum += v
 			}
 			return true
@@ -105,18 +105,20 @@ func AnalyticScan(s Scale) (Table, error) {
 	}
 	record("fullscan serial", wall, disk, fs, true)
 
-	q := query.Query{
-		Aggs: []query.Agg{{Kind: query.Sum, Extract: query.FloatValue}},
-	}
-	snap := query.NewSnapshot(ts, query.Target{Source: srv, Tablet: benchTabletID})
-	for _, workers := range []int{1, s.Workers} {
-		q.Workers = workers
-		var res query.Result
-		wall, disk, err := fx.timed(func() error {
+	// The statement executor's partial strategy as a tablet server runs
+	// it: the aggregation kernel inside ParallelScan's emit.
+	fold := query.Fold{Aggs: []query.AggSpec{{Kind: query.Sum, Expr: query.ValExpr()}}}
+	run := func(workers int) (res query.Result, wall, disk time.Duration, err error) {
+		fold.Workers = workers
+		wall, disk, err = fx.timed(func() error {
 			var rerr error
-			res, rerr = snap.Run(context.Background(), benchGroup, q)
+			res, rerr = query.FoldScan(context.Background(), srv, []string{benchTabletID}, benchGroup, ts, query.RelFilter{}, fold)
 			return rerr
 		})
+		return res, wall, disk, err
+	}
+	for _, workers := range []int{1, s.Workers} {
+		res, wall, disk, err := run(workers)
 		if err != nil {
 			return t, err
 		}
@@ -141,13 +143,7 @@ func AnalyticScan(s Scale) (Table, error) {
 			writes.Add(1)
 		}
 	}()
-	q.Workers = s.Workers
-	var res query.Result
-	wall, disk, err = fx.timed(func() error {
-		var rerr error
-		res, rerr = snap.Run(context.Background(), benchGroup, q)
-		return rerr
-	})
+	res, wall, disk, err := run(s.Workers)
 	close(stop)
 	if err != nil {
 		return t, err

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/query"
 	"repro/internal/readopt"
 	"repro/internal/txn"
 )
@@ -297,6 +299,120 @@ func (cl *Client) ScanOpts(ctx context.Context, table, group string, start, end 
 			return err
 		}
 	}
+}
+
+// Aggregate is the cluster half of the statement executor's partial
+// strategy (the HTAP path over the distributed deployment): every
+// tablet server owning a piece of [f.Start, f.End) folds its own
+// tablets under f at the SAME pinned timestamp (query.FoldScan) and the
+// mergeable partials are gathered into one exact answer. No row leaves
+// a server and the OLTP write path is never blocked — writes that
+// commit during the call are newer than the snapshot and invisible.
+// ts 0 = latest.
+//
+// Servers run concurrently and are always joined before returning: the
+// first failure, or cancelling ctx, stops every sibling within one scan
+// batch. The scatter is side-effect free and pinned, so on a routing
+// error (a split, move or failover between the router read and a scan)
+// the whole of it re-runs against fresh metadata — first attempts may
+// be served by caught-up replicas, re-runs stay on primaries.
+func (cl *Client) Aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (query.Result, error) {
+	cl.rpc()
+	if ts == 0 {
+		ts = cl.c.svc.LastTimestamp()
+	}
+	pol := cl.c.retry
+	for attempt := 0; ; attempt++ {
+		res, err := cl.aggregateOnce(ctx, table, group, ts, f, fold, attempt == 0)
+		if err == nil || !retryableRouting(err) || attempt >= pol.MaxAttempts {
+			return res, err
+		}
+		cl.c.obsScanResumes.Inc()
+		cl.c.obsRetryAttempts.Inc()
+		obs.FromContext(ctx).Label("resume", fmt.Sprintf("attempt=%d err=%v", attempt, err))
+		if err := pol.sleep(ctx, attempt+1, cl.rng); err != nil {
+			return res, err
+		}
+	}
+}
+
+// aggregateOnce plans one scatter from the current routing metadata and
+// runs it: one query.server span and one FoldScan per server, over that
+// server's overlapping tablets.
+func (cl *Client) aggregateOnce(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold, useReplicas bool) (query.Result, error) {
+	router, err := cl.c.Router(table)
+	if err != nil {
+		return query.Result{}, err
+	}
+	// Only tablets intersecting the key range participate (the router is
+	// the first push-down: whole servers can drop out of the scatter).
+	type shard struct {
+		target  *core.Server
+		note    func(error)
+		tablets []string
+	}
+	byPrimary := make(map[string]*shard)
+	var shards []*shard
+	for _, tab := range router.Overlapping(f.Start, f.End) {
+		srv, err := cl.c.ServerFor(tab.ID)
+		if err != nil {
+			return query.Result{}, err
+		}
+		sh := byPrimary[srv.ID()]
+		if sh == nil {
+			sh = &shard{}
+			sh.target, sh.note = cl.readTarget(srv, ts, readopt.Options{Primary: !useReplicas})
+			byPrimary[srv.ID()] = sh
+			shards = append(shards, sh)
+		}
+		sh.tablets = append(sh.tablets, tab.ID)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu       sync.Mutex
+		res      = query.Result{TS: ts}
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	run := func(sh *shard) {
+		sctx, sp := obs.StartSpan(cctx, "query.server")
+		sp.Label("server", sh.target.ID())
+		sp.LabelInt("tablets", int64(len(sh.tablets)))
+		part, err := query.FoldScan(sctx, sh.target, sh.tablets, group, ts, f, fold)
+		sp.Finish()
+		sh.note(err)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
+			res.Merge(part)
+		} else if firstErr == nil {
+			// Siblings cancelled below report context.Canceled; the error
+			// that triggered the cancellation is the one to return.
+			firstErr = err
+			cancel()
+		}
+	}
+	for i, sh := range shards {
+		if i == len(shards)-1 {
+			run(sh) // the caller's goroutine serves the last server
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(sh)
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return query.Result{}, err
+	}
+	if firstErr != nil {
+		return query.Result{}, firstErr
+	}
+	return res, nil
 }
 
 // Read is the unified point read evaluated at the owning tablet server

@@ -3,7 +3,7 @@ package cluster
 // Read replicas, cluster side: every tablet server gets Config.Replicas
 // WAL-shipping standbys (internal/repl), registered in the coordination
 // service under ephemeral /replicas/<id> nodes. The read router
-// (client.go, query.go) sends pinned snapshot reads whose timestamp a
+// (client.go) sends pinned snapshot reads whose timestamp a
 // replica's watermark covers to that replica, round-robin, falling back
 // to the primary on the first staleness or failure; topology changes
 // (split, migration, failover) mirror to the affected replicas so their

@@ -80,8 +80,8 @@ func TestClusterReplicaServesPinnedReads(t *testing.T) {
 		}
 	}
 
-	// Pinned scatter-gather query too.
-	res, err := c.QueryAt(ctx, "t", "g", ts, query.Query{Aggs: []query.Agg{{Kind: query.Count}}})
+	// Pinned per-server aggregate too.
+	res, err := cl.Aggregate(ctx, "t", "g", ts, query.RelFilter{}, query.Fold{Aggs: []query.AggSpec{{Kind: query.Count}}})
 	if err != nil {
 		t.Fatal(err)
 	}

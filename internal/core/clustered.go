@@ -282,9 +282,6 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 				continue
 			}
 			r := buf[i].row
-			if opt.RowFilter != nil && !opt.RowFilter(r) {
-				continue
-			}
 			if !opt.ValuePred.Match(r.Value) {
 				continue
 			}
@@ -365,9 +362,6 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 			continue
 		}
 		if opt.MaxTS != 0 && e.TS > opt.MaxTS {
-			continue
-		}
-		if opt.KeyFilter != nil && !opt.KeyFilter(key, e.TS) {
 			continue
 		}
 		if !opt.KeyPred.Match(key) {

@@ -1,7 +1,7 @@
 package core
 
-// This file is the snapshot-parallel scan path: the analytical read
-// primitive driven by internal/query. A scan pins a snapshot timestamp,
+// This file is the snapshot-parallel scan path: the read primitive
+// under Store.Scan and internal/query. A scan pins a snapshot timestamp,
 // shards the index keyspace across worker goroutines, pushes key/time
 // predicates down to the index entries (skipping the log fetch entirely
 // for filtered-out rows), and resolves the surviving entries through
@@ -40,16 +40,9 @@ type ScanOptions struct {
 	// changed in this window" time-range predicate. Evaluated on index
 	// entries, before any log fetch.
 	MinTS, MaxTS int64
-	// KeyFilter, when non-nil, is evaluated against (key, version
-	// timestamp) before the log fetch — a push-down that skips the I/O
-	// for rows the query cannot use.
-	KeyFilter func(key []byte, ts int64) bool
-	// RowFilter, when non-nil, drops fetched rows (value predicates run
-	// after the log read, but still inside the scan workers).
-	RowFilter func(Row) bool
 	// KeyPred is the serializable key predicate (readopt wire shape):
-	// like KeyFilter it is decided from the index entry alone, so
-	// rejected rows cost no log I/O.
+	// decided from the index entry alone, so rejected rows cost no log
+	// I/O.
 	KeyPred *readopt.Predicate
 	// ValuePred is the serializable value predicate, evaluated after
 	// the log read but still inside the tablet server — filtered rows
@@ -69,7 +62,7 @@ type ScanOptions struct {
 	// (forced serial) when Limit or Reverse is set: both are
 	// order-and-count contracts that sharding would break.
 	Workers int
-	// Batch is the fetch/emit granularity in rows (0 = 256).
+	// Batch is the fetch/emit granularity in rows (0 = 1024).
 	Batch int
 	// UseCache lets the scan consult the point-read buffer before the
 	// log. Off by default: the buffer is guarded by one mutex (a scan
@@ -107,11 +100,10 @@ const defaultScanBatch = 1024
 // one batch boundary: every worker checks the context between index
 // pages, and ctx.Err() is returned.
 //
-// Layering note: the multi-worker path here serves streaming consumers
-// that want one serialised emit. The query executor (internal/query)
-// instead does its own fan-out over SplitRange and calls this with
-// Workers<=1 per shard, because it aggregates shard-locally and a
-// serialised emit would be its bottleneck.
+// Layering note: the multi-worker path here is the engine's only
+// keyspace-shard fan-out. The query executor's partial strategy
+// (query.FoldScan) aggregates inside emit: the shards' index walks and
+// log fetches run in parallel, the cheap per-row fold is serialised.
 func (s *Server) ParallelScan(ctx context.Context, tabletID, group string, opt ScanOptions, emit func([]Row) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -222,7 +214,7 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 	remaining := opt.Limit // 0 = unlimited
 	// Post-fetch predicates make the per-page survivor count
 	// unpredictable, so only their absence lets the limit cap the page.
-	residual := opt.RowFilter != nil || opt.ValuePred != nil
+	residual := opt.ValuePred != nil
 	flush := func(chunk []index.Entry) (int, error) {
 		if len(chunk) == 0 {
 			return 0, nil
@@ -241,13 +233,9 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		if residual {
 			kept := rows[:0]
 			for _, r := range rows {
-				if opt.RowFilter != nil && !opt.RowFilter(r) {
-					continue
+				if opt.ValuePred.Match(r.Value) {
+					kept = append(kept, r)
 				}
-				if !opt.ValuePred.Match(r.Value) {
-					continue
-				}
-				kept = append(kept, r)
 			}
 			rows = kept
 		}
@@ -278,9 +266,6 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 				return true
 			}
 			if opt.MaxTS != 0 && e.TS > opt.MaxTS {
-				return true
-			}
-			if opt.KeyFilter != nil && !opt.KeyFilter(e.Key, e.TS) {
 				return true
 			}
 			if !opt.KeyPred.Match(e.Key) {
@@ -413,15 +398,4 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 		rows = kept
 	}
 	return rows, nil
-}
-
-// SplitRange exposes the index's keyspace sharding for a column group:
-// up to n-1 strictly increasing split keys inside (start, end). The
-// query layer uses it to size scan fan-out.
-func (s *Server) SplitRange(tabletID, group string, start, end []byte, n int) ([][]byte, error) {
-	_, g, err := s.tabletGroup(tabletID, group)
-	if err != nil {
-		return nil, err
-	}
-	return g.tree().SplitKeys(start, end, n), nil
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"repro/internal/readopt"
 )
 
 func loadRows(t *testing.T, s *Server, n int) {
@@ -114,9 +116,7 @@ func TestParallelScanPushdownSkipsLogReads(t *testing.T) {
 	got = collectParallel(t, s, ScanOptions{
 		TS:      n + 1,
 		Workers: 4,
-		KeyFilter: func(key []byte, _ int64) bool {
-			return bytes.HasSuffix(key, []byte("0")) // 1 in 10 keys
-		},
+		KeyPred: readopt.Prefix([]byte("user0005")), // 1 in 10 keys
 	})
 	if len(got) != n/10 {
 		t.Fatalf("key-filter scan: %d rows, want %d", len(got), n/10)
@@ -131,14 +131,11 @@ func TestParallelScanRowFilterAndRange(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	loadRows(t, s, 1000)
 	got := collectParallel(t, s, ScanOptions{
-		Start:   []byte("user000100"),
-		End:     []byte("user000300"),
-		TS:      1 << 40,
-		Workers: 4,
-		RowFilter: func(r Row) bool {
-			v, _ := strconv.Atoi(string(r.Value))
-			return v%2 == 0
-		},
+		Start:     []byte("user000100"),
+		End:       []byte("user000300"),
+		TS:        1 << 40,
+		Workers:   4,
+		ValuePred: readopt.Range([]byte("2"), []byte("3")), // "200".."299"
 	})
 	if len(got) != 100 {
 		t.Fatalf("got %d rows, want 100", len(got))

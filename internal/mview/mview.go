@@ -32,7 +32,7 @@ import (
 // answers. Start/End bound the key range (nil = open); GroupPrefix > 0
 // groups rows by that many leading key bytes (the wire protocol's
 // "BY n"); Aggs are the aggregate kinds maintained. Numeric aggregates
-// read the row value as decimal ASCII (query.FloatValue); rows that do
+// read the row value as decimal ASCII (query.Number); rows that do
 // not parse count toward COUNT but are skipped by SUM/MIN/MAX/AVG,
 // exactly like the scan path.
 type Spec struct {
@@ -216,7 +216,7 @@ func (v *View) apply(key, value []byte, ts int64, del bool) {
 		}
 		return
 	}
-	val, numeric := query.FloatValue(core.Row{Value: value})
+	val, numeric := query.Number(value)
 	g.keys[k] = keyRec{ts: ts, val: val, numeric: numeric, live: true}
 	if !had {
 		v.keys++
@@ -266,9 +266,9 @@ func (g *groupState) recompute() {
 }
 
 // state materialises one group's AggState for kind; caller holds v.mu
-// and has recomputed the group. COUNT mirrors the scan path's
-// nil-Extract shape (every live row folded as 0); the numeric kinds
-// mirror FloatValue extraction (non-numeric rows skipped).
+// and has recomputed the group. COUNT mirrors the scan path's COUNT(*)
+// shape (every live row folded as 0); the numeric kinds mirror its
+// query.Number parse (non-numeric rows skipped).
 func (g *groupState) state(kind query.AggKind) query.AggState {
 	if kind == query.Count {
 		return query.AggState{Count: g.rows}

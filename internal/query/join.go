@@ -5,10 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/readopt"
 )
 
@@ -18,14 +17,16 @@ import (
 // IN-set costs more than the scan it would save.
 const BroadcastCap = 4096
 
-// Fetcher is the storage surface ExecStatement joins over: fetch one
-// statement relation under a push-down filter, or fetch the rows whose
-// registered secondary-index attribute equals any of vals. The
-// embedded engine and the cluster client each provide one; the
-// executor itself stays storage-agnostic.
+// Fetcher is the storage surface ExecStatement runs over: fetch one
+// statement relation under a push-down filter, fetch the rows whose
+// registered secondary-index attribute equals any of vals, or have the
+// relation's tablet servers fold their rows under the filter and
+// return the merged partials. The embedded engine and the cluster
+// client each provide one; the executor itself stays storage-agnostic.
 type Fetcher interface {
-	Fetch(ctx context.Context, rel int, f Filter) ([]core.Row, error)
+	Fetch(ctx context.Context, rel int, f RelFilter) ([]core.Row, error)
 	FetchSecondary(ctx context.Context, rel int, index string, vals [][]byte) ([]core.Row, error)
+	FetchPartial(ctx context.Context, rel int, f RelFilter, fold Fold) (Result, error)
 }
 
 // ExecOptions tune statement execution. The zero value is the real
@@ -39,7 +40,8 @@ type ExecOptions struct {
 	NoBroadcast bool
 	// NoPushdown additionally fetches every relation unfiltered and
 	// applies its RelFilter client-side — the worst-case data-movement
-	// plan.
+	// plan. With no filter at the servers there is nothing to aggregate
+	// there either: a partial step degrades to a row fetch.
 	NoPushdown bool
 }
 
@@ -57,13 +59,15 @@ func condSides(s *Statement, j, rel int) (otherRel int, otherExpr, relExpr Expr,
 	return 0, Expr{}, Expr{}, fmt.Errorf("query: condition %d does not touch relation %d", j, rel)
 }
 
-// ExecStatement executes a statement with joins at snapshot ts: plan
+// ExecStatement is the one way a statement runs, at snapshot ts: plan
 // (greedy unless opts.Order pins it), fetch the start relation, then
 // fold each planned relation in — broadcasting the bound side's
 // distinct join values as a set push-down, looking up a secondary
 // index, or hash-probing a scanned side — and aggregate the surviving
-// tuples. Join-free statements work too, but the scatter-gather
-// CompileSingle path parallelises those better.
+// tuples. A join-free statement is the one-step plan: its relation is
+// aggregated at its tablet servers (StrategyPartial) and only the
+// merged partials come back. Each step's strategy is labelled on the
+// request's span.
 func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, opts ExecOptions) (Result, error) {
 	var plan Plan
 	var err error
@@ -76,14 +80,15 @@ func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, o
 		return Result{}, err
 	}
 	rels := s.Rels()
+	sp := obs.FromContext(ctx)
 
 	// fetchRel applies (or, under NoPushdown, simulates client-side)
 	// the relation's own filter.
 	fetchRel := func(rel int) ([]core.Row, error) {
 		if !opts.NoPushdown {
-			return fetch.Fetch(ctx, rel, rels[rel].Filter.toFilter())
+			return fetch.Fetch(ctx, rel, rels[rel].Filter)
 		}
-		rows, err := fetch.Fetch(ctx, rel, Filter{})
+		rows, err := fetch.Fetch(ctx, rel, RelFilter{})
 		if err != nil {
 			return nil, err
 		}
@@ -96,9 +101,17 @@ func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, o
 		return kept, nil
 	}
 
+	start, strategy := plan.Steps[0].Rel, plan.Steps[0].Strategy
+	if opts.NoPushdown && strategy == StrategyPartial {
+		strategy = StrategyScan
+	}
+	sp.Label("strategy", strategy.String())
+	if strategy == StrategyPartial {
+		return fetch.FetchPartial(ctx, start, rels[start].Filter, s.fold())
+	}
+
 	// Tuples are row vectors indexed by statement relation; positions
 	// bind as the plan progresses.
-	start := plan.Steps[0].Rel
 	rows, err := fetchRel(start)
 	if err != nil {
 		return Result{}, err
@@ -119,6 +132,7 @@ func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, o
 		if opts.NoBroadcast && strategy == StrategyBroadcast {
 			strategy = StrategyHash
 		}
+		sp.Label("strategy", strategy.String())
 
 		// distinctBoundValues projects the bound side of condition j
 		// out of every live tuple.
@@ -154,7 +168,7 @@ func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, o
 			if len(vals) > BroadcastCap {
 				rows, err = fetchRel(rel)
 			} else {
-				f := rels[rel].Filter.toFilter()
+				f := rels[rel].Filter
 				set := readopt.InSet(vals)
 				if relExpr.WholeKey() {
 					// The set replaces any user key predicate in the
@@ -216,7 +230,11 @@ func ExecStatement(ctx context.Context, s *Statement, ts int64, fetch Fetcher, o
 		}
 	}
 
-	return aggregateTuples(s, ts, tuples), nil
+	acc := newFolder(s.fold(), s.RelIndex)
+	for _, t := range tuples {
+		acc.add(t)
+	}
+	return acc.result(ts), nil
 }
 
 // joinStep folds the fetched rows of relation rel into the live
@@ -286,63 +304,4 @@ func joinStep(s *Statement, tuples [][]core.Row, rows []core.Row, rel int, conds
 		}
 	}
 	return out, nil
-}
-
-// aggregateTuples groups and aggregates the joined tuples, producing
-// the same mergeable Result shape as the single-relation path.
-func aggregateTuples(s *Statement, ts int64, tuples [][]core.Row) Result {
-	res := Result{TS: ts, Rows: int64(len(tuples))}
-	if len(tuples) == 0 {
-		return res
-	}
-	byRel := -1
-	if s.By != nil {
-		byRel = s.RelIndex(s.By.Table)
-	}
-	aggRels := make([]int, len(s.Aggs))
-	for i, a := range s.Aggs {
-		aggRels[i] = s.RelIndex(a.Table)
-	}
-	groups := map[string]*GroupResult{}
-	for _, t := range tuples {
-		key := ""
-		if byRel >= 0 {
-			if v, ok := s.By.Expr.Eval(t[byRel]); ok {
-				if s.By.Prefix > 0 && len(v) > s.By.Prefix {
-					v = v[:s.By.Prefix]
-				}
-				key = string(v)
-			}
-		}
-		g := groups[key]
-		if g == nil {
-			g = &GroupResult{Key: key, Aggs: make([]AggState, len(s.Aggs))}
-			groups[key] = g
-		}
-		g.Rows++
-		for i, a := range s.Aggs {
-			if a.Expr.IsZero() {
-				g.Aggs[i].Add(0)
-				continue
-			}
-			v, ok := a.Expr.Eval(t[aggRels[i]])
-			if !ok {
-				continue
-			}
-			f, err := strconv.ParseFloat(string(v), 64)
-			if err != nil {
-				continue
-			}
-			g.Aggs[i].Add(f)
-		}
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		res.Groups = append(res.Groups, *groups[k])
-	}
-	return res
 }

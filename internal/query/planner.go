@@ -20,8 +20,8 @@ import (
 type Strategy int
 
 const (
-	// StrategyScan fetches the relation by scanning its own filter
-	// (always the first step; later steps when nothing better applies
+	// StrategyScan fetches the relation by scanning its own filter (the
+	// first step of a join plan; later steps when nothing better applies
 	// fall to StrategyHash).
 	StrategyScan Strategy = iota
 	// StrategyBroadcast ships the already-bound side's distinct join
@@ -35,9 +35,16 @@ const (
 	// StrategyHash scans the relation with its own filter and probes a
 	// hash table built over the bound side.
 	StrategyHash
+	// StrategyPartial ships the statement's grouping and aggregates with
+	// the relation's filter: every tablet server holding a piece of the
+	// relation folds its own rows and returns one mergeable Result, so no
+	// row leaves a server. It applies to a relation whose only downstream
+	// is group/aggregate — today the single step of a join-free plan.
+	StrategyPartial
 )
 
-// String names the strategy (scan, broadcast, secondary, hash).
+// String names the strategy (scan, broadcast, secondary, hash,
+// partial).
 func (s Strategy) String() string {
 	switch s {
 	case StrategyScan:
@@ -48,6 +55,8 @@ func (s Strategy) String() string {
 		return "secondary"
 	case StrategyHash:
 		return "hash"
+	case StrategyPartial:
+		return "partial"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -139,6 +148,16 @@ func condExprFor(s *Statement, j, rel int) (Expr, bool) {
 	return Expr{}, false
 }
 
+// startStep is a plan's first step: the relation scanned under its own
+// filter, or aggregated where it lives when nothing joins it.
+func startStep(s *Statement, rel int) PlanStep {
+	st := PlanStep{Rel: rel, Strategy: StrategyScan, Broadcast: -1}
+	if len(s.Joins) == 0 {
+		st.Strategy = StrategyPartial
+	}
+	return st
+}
+
 // stepFor decides the fetch strategy for relation rel given the
 // conditions that become checkable when it binds. Preference order:
 // broadcast (the bound side's values push down as a set predicate, on
@@ -198,7 +217,7 @@ func PlanJoins(s *Statement) (Plan, error) {
 
 	bound := make([]bool, n)
 	bound[start] = true
-	plan := Plan{Steps: []PlanStep{{Rel: start, Strategy: StrategyScan, Broadcast: -1}}}
+	plan := Plan{Steps: []PlanStep{startStep(s, start)}}
 	for placed := 1; placed < n; placed++ {
 		best, bestStep := -1, PlanStep{}
 		for cand := 0; cand < n; cand++ {
@@ -275,7 +294,7 @@ func PlanOrdered(s *Statement, order []int) (Plan, error) {
 		}
 		step := stepFor(s, rel, conds)
 		if i == 0 {
-			step = PlanStep{Rel: rel, Strategy: StrategyScan, Broadcast: -1}
+			step = startStep(s, rel)
 		}
 		bound[rel] = true
 		plan.Steps = append(plan.Steps, step)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -103,29 +102,48 @@ func TestStatementValidate(t *testing.T) {
 	}
 }
 
-func TestCompileSingleMatchesLegacyShapes(t *testing.T) {
-	s := NewStatement("t").Group("g").Range([]byte("a"), []byte("m")).GroupBy(2).Agg(Count).AggOf(Sum, "t", ValExpr())
-	q, err := s.CompileSingle()
+// TestJoinFreeStatementPlansToOnePartialStep: a 0-join statement plans
+// to one partial step — greedy or forced — and returns exactly what the
+// forced row-fetch plan returns.
+func TestJoinFreeStatementPlansToOnePartialStep(t *testing.T) {
+	s := NewStatement("orders").Group("g").Range([]byte("o02"), []byte("o10")).
+		GroupByExpr("orders", ValField(0), 0).Agg(Count).AggOf(Sum, "orders", ValField(2))
+	for name, plan := range map[string]func() (Plan, error){
+		"greedy": func() (Plan, error) { return PlanJoins(s) },
+		"forced": func() (Plan, error) { return PlanOrdered(s, []int{0}) },
+	} {
+		p, err := plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Steps) != 1 || p.Steps[0].Strategy != StrategyPartial || p.Describe(s) != "orders(partial)" {
+			t.Fatalf("%s plan = %s, want orders(partial)", name, p.Describe(s))
+		}
+	}
+	// With a join the same relation is a plain scan again.
+	if p, err := PlanJoins(threeTable()); err != nil || p.Steps[0].Strategy != StrategyScan {
+		t.Fatalf("join plan starts with %v (%v), want scan", p.Steps[0].Strategy, err)
+	}
+
+	partial, rowFetch := newJoinFixture(), newJoinFixture()
+	got, err := ExecStatement(context.Background(), s, 7, partial, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(q.Filter.Start) != "a" || string(q.Filter.End) != "m" {
-		t.Fatalf("filter bounds = [%q, %q)", q.Filter.Start, q.Filter.End)
+	want, err := ExecStatement(context.Background(), s, 7, rowFetch, ExecOptions{NoPushdown: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := q.GroupBy(core.Row{Key: []byte("abcd")}); got != "ab" {
-		t.Fatalf("GroupBy = %q, want ab", got)
+	if !reflect.DeepEqual(got, want) || got.TS != 7 || got.Rows != 8 || len(got.Groups) != 3 {
+		t.Fatalf("partial plan:\n got %+v\nwant %+v (8 rows in 3 groups)", got, want)
 	}
-	if q.Aggs[0].Extract != nil {
-		t.Fatal("COUNT(*) agg should have nil Extract")
+	// The partial step moved no rows; the row-fetch plan moved the table.
+	if partial.shipped != 0 || rowFetch.shipped != 12 {
+		t.Fatalf("rows shipped: partial %d, row-fetch %d; want 0 and 12", partial.shipped, rowFetch.shipped)
 	}
-	if v, ok := q.Aggs[1].Extract(core.Row{Value: []byte("4.5")}); !ok || v != 4.5 {
-		t.Fatalf("SUM extract = %v, %v", v, ok)
-	}
-	if _, ok := q.Aggs[1].Extract(core.Row{Value: []byte("nope")}); ok {
-		t.Fatal("non-numeric value should not participate")
-	}
-	if _, err := threeTable().CompileSingle(); err == nil {
-		t.Fatal("CompileSingle with joins should error")
+	// "c1": o04 and o07 (o01 and o10 fall outside the range) -> 4 + 7.
+	if g, ok := got.Group("c1"); !ok || g.Rows != 2 || g.Aggs[1].Value(Sum) != 11 {
+		t.Fatalf("group c1 = %+v", g)
 	}
 }
 
@@ -220,30 +238,32 @@ func TestPlanRejectsDisconnected(t *testing.T) {
 }
 
 // memFetcher serves ExecStatement from in-memory relations and counts
-// the rows each Fetch ships (the data-movement proxy the broadcast
-// strategy must shrink).
+// the rows each Fetch ships (the data-movement proxy the broadcast and
+// partial strategies must shrink).
 type memFetcher struct {
 	rels    [][]core.Row
 	sec     map[string]map[string][]core.Row // index -> attr -> rows
 	shipped int
 }
 
-func (m *memFetcher) Fetch(_ context.Context, rel int, f Filter) ([]core.Row, error) {
+func (m *memFetcher) match(rel int, f RelFilter) []core.Row {
 	var out []core.Row
 	for _, r := range m.rels[rel] {
-		if f.Start != nil && bytes.Compare(r.Key, f.Start) < 0 {
-			continue
+		if f.Match(r.Key, r.Value) {
+			out = append(out, r)
 		}
-		if f.End != nil && bytes.Compare(r.Key, f.End) >= 0 {
-			continue
-		}
-		if !f.Key.Match(r.Key) || !f.Value.Match(r.Value) {
-			continue
-		}
-		out = append(out, r)
 	}
+	return out
+}
+
+func (m *memFetcher) Fetch(_ context.Context, rel int, f RelFilter) ([]core.Row, error) {
+	out := m.match(rel, f)
 	m.shipped += len(out)
 	return out, nil
+}
+
+func (m *memFetcher) FetchPartial(_ context.Context, rel int, f RelFilter, fold Fold) (Result, error) {
+	return FoldRows(m.match(rel, f), 7, fold), nil // the fixture's statements run at ts 7
 }
 
 func (m *memFetcher) FetchSecondary(_ context.Context, rel int, index string, vals [][]byte) ([]core.Row, error) {

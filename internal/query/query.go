@@ -2,67 +2,24 @@
 // (the HTAP read path): because the log is the only data repository and
 // every committed version stays addressable through the multiversion
 // index, a consistent snapshot at any timestamp is free — no copy, no
-// ETL, no lock against the OLTP write path. A Snapshot pins a read
-// timestamp over a set of tablets and executes declarative Query specs
-// through a small operator pipeline (parallel shard scan → residual
-// filter → aggregation), with key-range and time-range predicates
-// pushed below the log fetch and per-record log reads amortised into
-// batched sequential sweeps.
+// ETL, no lock against the OLTP write path. A Statement (statement.go)
+// is planned (planner.go) and run by ONE executor, ExecStatement
+// (join.go), pinned at one timestamp: every relation is fetched by the
+// strategy its plan step names, and everything that survives is folded
+// by one aggregation kernel (fold.go).
 //
 // Aggregate results are mergeable partials (count/sum/min/max carry
-// enough state to combine), which is what lets the cluster layer
-// scatter one query across all tablet servers at a single global
-// timestamp and gather the partial results into one exact answer.
+// enough state to combine), which is what lets the partial strategy
+// ship a statement's grouping and aggregates to every tablet server at
+// a single global timestamp and gather the partial results into one
+// exact answer.
 package query
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-
-	"repro/internal/core"
-	"repro/internal/readopt"
 )
-
-// Filter is the predicate set of a query. Start/End, MinTS/MaxTS, and
-// Key are pushed down into the index scan (rows they reject cost no
-// log I/O); Value runs after the log fetch but still inside the scan
-// workers; Pred is the residual client-side predicate for anything the
-// serializable set cannot express.
-//
-// Key and Value are the SAME serializable push-down structs
-// (readopt.Predicate) the Store read path ships to tablet servers —
-// one predicate vocabulary across the OLTP scan API, the wire
-// protocol, and the analytical executor.
-type Filter struct {
-	// Start and End bound the key range [Start, End); nil = open.
-	Start, End []byte
-	// MinTS / MaxTS, when non-zero, keep only rows whose visible version
-	// was committed in [MinTS, MaxTS] — "what changed in this window".
-	MinTS, MaxTS int64
-	// Key keeps only rows whose key matches (prefix/contains/range);
-	// evaluated on index entries, before any log read.
-	Key *readopt.Predicate
-	// Value keeps only rows whose value matches; evaluated after the
-	// log read, inside the scan workers.
-	Value *readopt.Predicate
-	// Pred keeps rows it returns true for; nil keeps everything.
-	Pred func(core.Row) bool
-}
-
-// scanOptions compiles the filter's push-down portion into engine
-// ScanOptions for one shard [start, end) at snapshot ts — the shared
-// conversion point with the Store read path (core.ReadScanOptions).
-func (f Filter) scanOptions(start, end []byte, ts int64, workers, batch int) core.ScanOptions {
-	opt := core.ReadScanOptions(start, end, ts, readopt.Options{
-		MinTS: f.MinTS, MaxTS: f.MaxTS,
-		Key: f.Key, Value: f.Value,
-		BatchSize: batch,
-	})
-	opt.Workers = workers
-	return opt
-}
 
 // AggKind enumerates the aggregation operators.
 type AggKind int
@@ -103,41 +60,13 @@ func ParseAggKind(s string) (AggKind, error) {
 	return 0, fmt.Errorf("query: unknown aggregate %q", s)
 }
 
-// Agg is one aggregate over a numeric projection of the row. Extract
-// returns the value and whether the row participates (false behaves
-// like SQL NULL). A nil Extract counts every row with value 0 — the
-// COUNT(*) shape.
-type Agg struct {
-	// Name labels the aggregate in results; defaults to Kind.String().
-	Name    string
-	Kind    AggKind
-	Extract func(core.Row) (float64, bool)
-}
-
-// FloatValue is an Extract for rows whose value is a decimal ASCII
-// number (the common bench/CLI encoding); non-numeric rows are skipped.
-func FloatValue(r core.Row) (float64, bool) {
-	v, err := strconv.ParseFloat(string(r.Value), 64)
+// Number reads an attribute as a decimal ASCII number — the one numeric
+// encoding aggregates (and the materialized views mirroring them)
+// understand. ok=false behaves like SQL NULL: the row is skipped.
+func Number(b []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(string(b), 64)
 	return v, err == nil
 }
-
-// Query is a declarative analytical query: which rows (Filter), how
-// they group (GroupBy), and what is computed per group (Aggs).
-type Query struct {
-	Filter Filter
-	// GroupBy maps a row to its group key; nil aggregates everything
-	// into the single group "".
-	GroupBy func(core.Row) string
-	// Aggs are the aggregates computed per group. Empty still counts
-	// rows (Result.Rows / GroupResult.Rows).
-	Aggs []Agg
-	// Workers caps per-tablet scan parallelism; 0 = DefaultWorkers().
-	Workers int
-}
-
-// DefaultWorkers is the scan fan-out used when a query does not pin
-// one.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // AggState is a mergeable partial aggregate: enough state to produce
 // any AggKind and to combine with a partial computed elsewhere (another
@@ -198,7 +127,7 @@ func (a AggState) Value(kind AggKind) float64 {
 }
 
 // GroupResult is one output group: its key, the number of rows that
-// fell into it, and one partial per Query.Aggs entry.
+// fell into it, and one partial per statement aggregate.
 type GroupResult struct {
 	Key  string
 	Rows int64
@@ -211,8 +140,8 @@ type Result struct {
 	TS int64
 	// Rows is the total number of rows aggregated.
 	Rows int64
-	// Groups is sorted by Key; a query without GroupBy has exactly one
-	// group with key "" (when any row matched).
+	// Groups is sorted by Key; a statement without GROUP BY has exactly
+	// one group with key "" (when any row matched).
 	Groups []GroupResult
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -47,24 +48,70 @@ func load(t *testing.T, s *core.Server, n int) int64 {
 	return int64(n)
 }
 
+// serverFetcher is a Fetcher over the tablets of one tablet server
+// holding table "t": rows come from ParallelScan, partials from
+// FoldScan — what the embedded backend does.
+type serverFetcher struct {
+	srv     *core.Server
+	tablets []string
+	ts      int64
+}
+
+func (sf serverFetcher) Fetch(ctx context.Context, _ int, f RelFilter) ([]core.Row, error) {
+	var rows []core.Row
+	opt := core.ReadScanOptions(f.Start, f.End, sf.ts, readopt.Options{Key: f.Key, Value: f.Value})
+	for _, tab := range sf.tablets {
+		err := sf.srv.ParallelScan(ctx, tab, testGroup, opt, func(batch []core.Row) error {
+			rows = append(rows, batch...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+func (sf serverFetcher) FetchSecondary(context.Context, int, string, [][]byte) ([]core.Row, error) {
+	return nil, errors.New("no secondary indexes")
+}
+
+func (sf serverFetcher) FetchPartial(ctx context.Context, _ int, f RelFilter, fold Fold) (Result, error) {
+	return FoldScan(ctx, sf.srv, sf.tablets, testGroup, sf.ts, f, fold)
+}
+
+// exec runs a join-free statement over table "t" of s at ts through the
+// one executor, and checks the forced row-fetch plan agrees.
+func exec(t *testing.T, s *core.Server, ts int64, stmt *Statement, tablets ...string) Result {
+	t.Helper()
+	if len(tablets) == 0 {
+		tablets = []string{testTablet}
+	}
+	sf := serverFetcher{srv: s, tablets: tablets, ts: ts}
+	res, err := ExecStatement(context.Background(), stmt, ts, sf, ExecOptions{})
+	if err != nil {
+		t.Fatalf("ExecStatement: %v", err)
+	}
+	rowFetch, err := ExecStatement(context.Background(), stmt, ts, sf, ExecOptions{NoPushdown: true})
+	if err != nil {
+		t.Fatalf("ExecStatement(NoPushdown): %v", err)
+	}
+	if !reflect.DeepEqual(res, rowFetch) {
+		t.Fatalf("partial plan and row-fetch plan disagree:\n partial   %+v\n row-fetch %+v", res, rowFetch)
+	}
+	return res
+}
+
 func TestAggregates(t *testing.T) {
 	s := newServer(t)
 	const n = 1000
 	ts := load(t, s, n)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
-	res, err := snap.Run(context.Background(), testGroup, Query{
-		Aggs: []Agg{
-			{Kind: Count},
-			{Kind: Sum, Extract: FloatValue},
-			{Kind: Min, Extract: FloatValue},
-			{Kind: Max, Extract: FloatValue},
-			{Kind: Avg, Extract: FloatValue},
-		},
-		Workers: 4,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	stmt := NewStatement("t").Group(testGroup).Agg(Count)
+	for _, k := range []AggKind{Sum, Min, Max, Avg} {
+		stmt.AggOf(k, "t", ValExpr())
 	}
+	stmt.Workers = 4
+	res := exec(t, s, ts, stmt)
 	if res.TS != ts || res.Rows != n {
 		t.Fatalf("res.TS=%d rows=%d, want %d/%d", res.TS, res.Rows, ts, n)
 	}
@@ -91,13 +138,9 @@ func TestSnapshotIgnoresLaterWrites(t *testing.T) {
 	s := newServer(t)
 	const n = 400
 	ts := load(t, s, n)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
-
-	q := Query{Aggs: []Agg{{Kind: Sum, Extract: FloatValue}}, Workers: 4}
-	before, err := snap.Run(context.Background(), testGroup, q)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	stmt := NewStatement("t").Group(testGroup).AggOf(Sum, "t", ValExpr())
+	stmt.Workers = 4
+	before := exec(t, s, ts, stmt)
 
 	// Commit new rows AND overwrite existing ones after the snapshot.
 	for i := 0; i < 100; i++ {
@@ -109,20 +152,13 @@ func TestSnapshotIgnoresLaterWrites(t *testing.T) {
 		}
 	}
 
-	after, err := snap.Run(context.Background(), testGroup, q)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	after := exec(t, s, ts, stmt)
 	if after.Rows != before.Rows || after.Value(0, Sum) != before.Value(0, Sum) {
 		t.Fatalf("snapshot drifted: before rows=%d sum=%g, after rows=%d sum=%g",
 			before.Rows, before.Value(0, Sum), after.Rows, after.Value(0, Sum))
 	}
-	// And an unpinned (current) snapshot must see the new state.
-	now := NewSnapshot(int64(1<<40), Target{Source: s, Tablet: testTablet})
-	cur, err := now.Run(context.Background(), testGroup, q)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	// And a current snapshot must see the new state.
+	cur := exec(t, s, 1<<40, stmt)
 	if cur.Rows != n+100 || cur.Value(0, Sum) == before.Value(0, Sum) {
 		t.Fatalf("current snapshot rows=%d sum=%g, want %d rows and a different sum", cur.Rows, cur.Value(0, Sum), n+100)
 	}
@@ -132,96 +168,45 @@ func TestGroupByAndFilters(t *testing.T) {
 	s := newServer(t)
 	const n = 900
 	ts := load(t, s, n)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
+	// Group on the hundreds digit of the key; keep values containing "3".
+	stmt := NewStatement("t").Group(testGroup).
+		Range([]byte("user000100"), []byte("user000700")).
+		FilterValue(readopt.Contains([]byte("3"))).
+		GroupBy(len("user0001")).Agg(Count).AggOf(Sum, "t", ValExpr())
+	stmt.Workers = 4
+	res := exec(t, s, ts, stmt)
 
-	res, err := snap.Run(context.Background(), testGroup, Query{
-		Filter: Filter{
-			Start: []byte("user000100"),
-			End:   []byte("user000700"),
-			Pred: func(r core.Row) bool {
-				v, _ := strconv.Atoi(string(r.Value))
-				return v%3 == 0
-			},
-		},
-		// Group on the hundreds digit of the key.
-		GroupBy: func(r core.Row) string { return string(r.Key[:len("user0001")]) },
-		Aggs:    []Agg{{Kind: Count}, {Kind: Sum, Extract: FloatValue}},
-		Workers: 4,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	want := map[string]*GroupResult{}
+	for i := 100; i < 700; i++ {
+		if v := strconv.Itoa(i); bytes.Contains([]byte(v), []byte("3")) {
+			key := fmt.Sprintf("user000%d", i/100)
+			if want[key] == nil {
+				want[key] = &GroupResult{Key: key, Aggs: make([]AggState, 2)}
+			}
+			want[key].Rows++
+			want[key].Aggs[0].Add(0)
+			want[key].Aggs[1].Add(float64(i))
+		}
 	}
 	if len(res.Groups) != 6 {
 		t.Fatalf("got %d groups, want 6: %+v", len(res.Groups), res.Groups)
 	}
 	var totalRows int64
 	for i, g := range res.Groups {
-		want := fmt.Sprintf("user000%d", i+1)
-		if g.Key != want {
-			t.Errorf("group %d key = %q, want %q (sorted)", i, g.Key, want)
-		}
-		if g.Rows < 33 || g.Rows > 34 {
-			t.Errorf("group %q rows = %d, want 33..34", g.Key, g.Rows)
+		key := fmt.Sprintf("user000%d", i+1)
+		if !reflect.DeepEqual(g, *want[key]) {
+			t.Errorf("group %d = %+v, want %+v (sorted by key)", i, g, *want[key])
 		}
 		totalRows += g.Rows
 	}
-	if totalRows != res.Rows || res.Rows != 200 {
-		t.Fatalf("rows = %d (groups sum %d), want 200", res.Rows, totalRows)
-	}
-}
-
-func TestTimeRangeFilter(t *testing.T) {
-	s := newServer(t)
-	const n = 500
-	ts := load(t, s, n)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
-	// "What changed in the last 50 ticks" — classic log-as-database
-	// incremental query.
-	res, err := snap.Run(context.Background(), testGroup, Query{
-		Filter:  Filter{MinTS: ts - 49},
-		Aggs:    []Agg{{Kind: Count}},
-		Workers: 2,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Rows != 50 {
-		t.Fatalf("rows = %d, want 50", res.Rows)
-	}
-}
-
-func TestSnapshotScanOrderedAndStoppable(t *testing.T) {
-	s := newServer(t)
-	ts := load(t, s, 300)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
-	var keys [][]byte
-	err := snap.Scan(context.Background(), testGroup, Filter{}, func(r core.Row) bool {
-		keys = append(keys, append([]byte(nil), r.Key...))
-		return len(keys) < 100
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if len(keys) != 100 {
-		t.Fatalf("scan returned %d keys, want 100 (early stop)", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
-			t.Fatalf("scan out of order at %d: %q >= %q", i, keys[i-1], keys[i])
-		}
+	if totalRows != res.Rows || res.Rows == 0 {
+		t.Fatalf("rows = %d, groups sum to %d", res.Rows, totalRows)
 	}
 }
 
 func TestMultiTargetMerge(t *testing.T) {
-	// Two tablets on one server: Run must scatter across both and merge.
-	fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 1, BlockSize: 1 << 16})
-	if err != nil {
-		t.Fatalf("dfs.New: %v", err)
-	}
-	s, err := core.NewServer(fs, "ts1", core.Config{SegmentSize: 1 << 20})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	// Two tablets on one server: the partial step folds across both.
+	s := newServer(t)
 	s.AddTablet(partition.Tablet{ID: "t/a", Table: "t"}, []string{testGroup})
 	s.AddTablet(partition.Tablet{ID: "t/b", Table: "t"}, []string{testGroup})
 	for i := 0; i < 100; i++ {
@@ -233,11 +218,7 @@ func TestMultiTargetMerge(t *testing.T) {
 			t.Fatalf("Write: %v", err)
 		}
 	}
-	snap := NewSnapshot(200, Target{Source: s, Tablet: "t/a"}, Target{Source: s, Tablet: "t/b"})
-	res, err := snap.Run(context.Background(), testGroup, Query{Aggs: []Agg{{Kind: Sum, Extract: FloatValue}}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := exec(t, s, 200, NewStatement("t").Group(testGroup).AggOf(Sum, "t", ValExpr()), "t/a", "t/b")
 	if res.Rows != 100 || res.Value(0, Sum) != 100 {
 		t.Fatalf("merged rows=%d sum=%g, want 100/100", res.Rows, res.Value(0, Sum))
 	}
@@ -265,21 +246,32 @@ func TestResultMerge(t *testing.T) {
 	}
 }
 
-// errSource fails its scan; the pipeline must surface the error.
-type errSource struct{}
+// errFetcher fails every fetch; the executor must surface the error.
+type errFetcher struct{}
 
-func (errSource) ParallelScan(context.Context, string, string, core.ScanOptions, func([]core.Row) error) error {
-	return errors.New("disk on fire")
+func (errFetcher) Fetch(context.Context, int, RelFilter) ([]core.Row, error) {
+	return nil, errors.New("disk on fire")
 }
 
-func (errSource) SplitRange(string, string, []byte, []byte, int) ([][]byte, error) {
-	return nil, nil
+func (errFetcher) FetchSecondary(context.Context, int, string, [][]byte) ([]core.Row, error) {
+	return nil, errors.New("disk on fire")
+}
+
+func (errFetcher) FetchPartial(context.Context, int, RelFilter, Fold) (Result, error) {
+	return Result{}, errors.New("disk on fire")
 }
 
 func TestScanErrorPropagates(t *testing.T) {
-	snap := NewSnapshot(1, Target{Source: errSource{}, Tablet: "x"})
-	if _, err := snap.Run(context.Background(), testGroup, Query{Aggs: []Agg{{Kind: Count}}}); err == nil || err.Error() != "disk on fire" {
-		t.Fatalf("err = %v, want disk on fire", err)
+	stmt := NewStatement("t").Group(testGroup).Agg(Count)
+	for _, opts := range []ExecOptions{{}, {NoPushdown: true}} {
+		if _, err := ExecStatement(context.Background(), stmt, 1, errFetcher{}, opts); err == nil || err.Error() != "disk on fire" {
+			t.Fatalf("%+v: err = %v, want disk on fire", opts, err)
+		}
+	}
+	// The tablet server's own scan error comes back through FoldScan.
+	s := newServer(t)
+	if _, err := FoldScan(context.Background(), s, []string{"t/missing"}, testGroup, 1, RelFilter{}, Fold{}); !errors.Is(err, core.ErrUnknownTablet) {
+		t.Fatalf("FoldScan over a missing tablet: %v, want ErrUnknownTablet", err)
 	}
 }
 
@@ -299,29 +291,16 @@ func TestSerializablePredicateFilters(t *testing.T) {
 	s := newServer(t)
 	const n = 600
 	ts := load(t, s, n)
-	snap := NewSnapshot(ts, Target{Source: s, Tablet: testTablet})
 
 	// Key predicate (shared readopt struct): index-level push-down.
-	res, err := snap.Run(context.Background(), testGroup, Query{
-		Filter:  Filter{Key: readopt.Prefix([]byte("user0001"))},
-		Aggs:    []Agg{{Kind: Count}},
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Rows != 100 {
+	stmt := NewStatement("t").Group(testGroup).FilterKey(readopt.Prefix([]byte("user0001"))).Agg(Count)
+	stmt.Workers = 3
+	if res := exec(t, s, ts, stmt); res.Rows != 100 {
 		t.Fatalf("key-pred rows = %d, want 100", res.Rows)
 	}
 
 	// Value predicate: post-fetch, still inside the scan workers.
-	res, err = snap.Run(context.Background(), testGroup, Query{
-		Filter: Filter{Value: readopt.Contains([]byte("7"))},
-		Aggs:   []Agg{{Kind: Count}},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := exec(t, s, ts, NewStatement("t").Group(testGroup).FilterValue(readopt.Contains([]byte("7"))).Agg(Count))
 	want := int64(0)
 	for i := 0; i < n; i++ {
 		if bytes.Contains([]byte(strconv.Itoa(i)), []byte("7")) {
@@ -332,13 +311,10 @@ func TestSerializablePredicateFilters(t *testing.T) {
 		t.Fatalf("value-pred rows = %d, want %d", res.Rows, want)
 	}
 
-	// Snapshot.Scan honours the same predicates.
-	seen := 0
-	err = snap.Scan(context.Background(), testGroup, Filter{Key: readopt.Range([]byte("user000100"), []byte("user000200"))}, func(r core.Row) bool {
-		seen++
-		return true
-	})
-	if err != nil || seen != 100 {
-		t.Fatalf("scan with range pred saw %d rows (%v), want 100", seen, err)
+	// A range predicate composes with the relation's own bounds.
+	stmt = NewStatement("t").Group(testGroup).Range([]byte("user000050"), nil).
+		FilterKey(readopt.Range([]byte("user000100"), []byte("user000200"))).Agg(Count)
+	if res := exec(t, s, ts, stmt); res.Rows != 100 {
+		t.Fatalf("range-pred rows = %d, want 100", res.Rows)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/readopt"
 )
 
 // RelFilter is the serializable per-relation select push-down: key
-// bounds plus the shared readopt predicate vocabulary. It is the
-// statement-form mirror of Filter without the client-side Pred closure
-// (statements must cross the wire).
+// bounds plus the shared readopt predicate vocabulary — the SAME
+// predicate structs the Store read path ships to tablet servers. It is
+// data, not code, so it crosses the wire with its statement.
 type RelFilter struct {
 	// Start and End bound the relation's key range [Start, End); nil =
 	// open.
@@ -23,11 +22,6 @@ type RelFilter struct {
 	// Value keeps only rows whose value matches; evaluated after the
 	// log read, still at the tablet server.
 	Value *readopt.Predicate
-}
-
-// toFilter widens the push-down set into an executor Filter.
-func (f RelFilter) toFilter() Filter {
-	return Filter{Start: f.Start, End: f.End, Key: f.Key, Value: f.Value}
 }
 
 // Match evaluates the filter client-side (the executor's fallback when
@@ -91,10 +85,11 @@ type AggSpec struct {
 
 // Statement is the serializable, composable query form: one base
 // relation, any number of equi-joined relations, a snapshot timestamp,
-// grouping, and aggregates. It compiles to a Query (single relation)
-// or a greedy-ordered join plan (see PlanJoins/ExecStatement), and it
-// is the ONE query representation shared by the embedded engine, the
-// cluster client, and the textproto wire form.
+// grouping, and aggregates. It plans to a greedy-ordered sequence of
+// relation fetches (see PlanJoins/ExecStatement; a join-free statement
+// is the one-step case), and it is the ONE query representation shared
+// by the embedded engine, the cluster client, and the textproto wire
+// form.
 //
 // Build statements with NewStatement and the chaining methods; the
 // filter-shaping methods (Range, FilterKey, FilterValue) apply to the
@@ -265,46 +260,9 @@ func (s *Statement) Validate() error {
 	return nil
 }
 
-// CompileSingle compiles a join-free statement into the scatter-gather
-// Query form (the path that fans out over tablet shards). Statements
-// with joins execute through ExecStatement instead.
-func (s *Statement) CompileSingle() (Query, error) {
-	if err := s.Validate(); err != nil {
-		return Query{}, err
-	}
-	if len(s.Joins) > 0 {
-		return Query{}, fmt.Errorf("query: CompileSingle on a statement with %d joins", len(s.Joins))
-	}
-	q := Query{Filter: s.Base.Filter.toFilter(), Workers: s.Workers}
-	if s.By != nil {
-		by := *s.By
-		q.GroupBy = func(r core.Row) string {
-			v, ok := by.Expr.Eval(r)
-			if !ok {
-				return ""
-			}
-			if by.Prefix > 0 && len(v) > by.Prefix {
-				v = v[:by.Prefix]
-			}
-			return string(v)
-		}
-	}
-	for _, a := range s.Aggs {
-		agg := Agg{Name: a.Name, Kind: a.Kind}
-		if !a.Expr.IsZero() {
-			expr := a.Expr
-			agg.Extract = func(r core.Row) (float64, bool) {
-				v, ok := expr.Eval(r)
-				if !ok {
-					return 0, false
-				}
-				f, err := strconv.ParseFloat(string(v), 64)
-				return f, err == nil
-			}
-		}
-		q.Aggs = append(q.Aggs, agg)
-	}
-	return q, nil
+// fold returns the statement's group/aggregate tail.
+func (s *Statement) fold() Fold {
+	return Fold{By: s.By, Aggs: s.Aggs, Workers: s.Workers}
 }
 
 // Wire form: a statement serialises to space-separated tokens with the
@@ -316,53 +274,35 @@ func (s *Statement) CompileSingle() (Query, error) {
 //	  AT 1234 BY orders KEY 4 AGG COUNT orders * AGG SUM items VAL[2]
 //
 // (shown wrapped; the wire form is one line). The textproto QUERY
-// command speaks exactly this grammar after its legacy positional
-// prefix.
+// command speaks exactly this grammar.
 
 // EncodeTokens renders the statement in its wire form.
 func (s *Statement) EncodeTokens() []string {
-	var out []string
-	encodeRel := func(r Rel) {
-		out = append(out, r.Table, r.Group)
-		if r.Filter.Start != nil {
-			out = append(out, "FROM", readopt.EscapeOperand(r.Filter.Start))
+	out := []string{s.Base.Table, s.Base.Group}
+	encodeFilter := func(f RelFilter) {
+		if f.Start != nil {
+			out = append(out, "FROM", readopt.EscapeOperand(f.Start))
 		}
-		if r.Filter.End != nil {
-			out = append(out, "TO", readopt.EscapeOperand(r.Filter.End))
+		if f.End != nil {
+			out = append(out, "TO", readopt.EscapeOperand(f.End))
 		}
-		if r.Filter.Key != nil {
+		if f.Key != nil {
 			out = append(out, "FILTER", "KEY")
-			out = append(out, strings.Fields(r.Filter.Key.EncodeWire())...)
+			out = append(out, strings.Fields(f.Key.EncodeWire())...)
 		}
-		if r.Filter.Value != nil {
+		if f.Value != nil {
 			out = append(out, "FILTER", "VAL")
-			out = append(out, strings.Fields(r.Filter.Value.EncodeWire())...)
+			out = append(out, strings.Fields(f.Value.EncodeWire())...)
 		}
 	}
-	encodeRel(s.Base)
+	encodeFilter(s.Base.Filter)
 	for _, j := range s.Joins {
-		out = append(out, "JOIN")
-		out = append(out, j.Table, j.Group)
-		out = append(out, "ON", j.On.LeftTable, j.On.Left.EncodeWire(), j.On.Right.EncodeWire())
+		out = append(out, "JOIN", j.Table, j.Group,
+			"ON", j.On.LeftTable, j.On.Left.EncodeWire(), j.On.Right.EncodeWire())
 		if j.On.Via != "" {
 			out = append(out, "VIA", j.On.Via)
 		}
-		rel := j.Rel
-		rel.Table, rel.Group = "", "" // already emitted
-		if rel.Filter.Start != nil {
-			out = append(out, "FROM", readopt.EscapeOperand(rel.Filter.Start))
-		}
-		if rel.Filter.End != nil {
-			out = append(out, "TO", readopt.EscapeOperand(rel.Filter.End))
-		}
-		if rel.Filter.Key != nil {
-			out = append(out, "FILTER", "KEY")
-			out = append(out, strings.Fields(rel.Filter.Key.EncodeWire())...)
-		}
-		if rel.Filter.Value != nil {
-			out = append(out, "FILTER", "VAL")
-			out = append(out, strings.Fields(rel.Filter.Value.EncodeWire())...)
-		}
+		encodeFilter(j.Filter)
 	}
 	if s.AtTS != 0 {
 		out = append(out, "AT", strconv.FormatInt(s.AtTS, 10))

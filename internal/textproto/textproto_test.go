@@ -218,15 +218,16 @@ func (f *fakeStore) Exec(ctx context.Context, stmt *query.Statement) (query.Resu
 	return query.ExecStatement(ctx, stmt, ts, &fakeFetcher{f: f, rels: stmt.Rels(), ts: ts}, query.ExecOptions{})
 }
 
-// fakeFetcher adapts the fake's Scan to the join executor's storage
-// surface (one relation fetch under a push-down filter).
+// fakeFetcher adapts the fake's Scan to the statement executor's
+// storage surface (one relation fetch under a push-down filter, as rows
+// or folded).
 type fakeFetcher struct {
 	f    *fakeStore
 	rels []query.Rel
 	ts   int64
 }
 
-func (ff *fakeFetcher) Fetch(ctx context.Context, rel int, flt query.Filter) ([]core.Row, error) {
+func (ff *fakeFetcher) Fetch(ctx context.Context, rel int, flt query.RelFilter) ([]core.Row, error) {
 	r := ff.rels[rel]
 	it := ff.f.Scan(ctx, r.Table, r.Group, flt.Start, flt.End, readopt.Options{
 		Snapshot: ff.ts, Key: flt.Key, Value: flt.Value,
@@ -237,6 +238,11 @@ func (ff *fakeFetcher) Fetch(ctx context.Context, rel int, flt query.Filter) ([]
 		rows = append(rows, it.Row())
 	}
 	return rows, it.Err()
+}
+
+func (ff *fakeFetcher) FetchPartial(ctx context.Context, rel int, flt query.RelFilter, fold query.Fold) (query.Result, error) {
+	rows, err := ff.Fetch(ctx, rel, flt)
+	return query.FoldRows(rows, ff.ts, fold), err
 }
 
 func (ff *fakeFetcher) FetchSecondary(context.Context, int, string, [][]byte) ([]core.Row, error) {

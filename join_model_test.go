@@ -1,15 +1,17 @@
 package logbase_test
 
-// Model-based tests for the join executor: randomized three-relation
-// fixtures (lineitems -> customers, items; dangling references,
-// overwrites, deletes, post-snapshot noise) and randomly drawn join
-// statements are executed by the real engine — the greedy plan AND
-// forced worst-case orders through ExecWith — and compared against a
-// naive nested-loop oracle computed in plain Go over rows materialized
-// with Store.Scan at the same pinned timestamp. Driven by testing/quick
-// on the embedded AND cluster backends; a separate test executes a
-// three-table join while tablets split and migrate mid-flight and
-// asserts the result still matches the pre-churn oracle.
+// Model-based tests for the statement executor: randomized
+// three-relation fixtures (lineitems -> customers, items; dangling
+// references, overwrites, deletes, post-snapshot noise) and randomly
+// drawn statements of zero, one or two joins are executed by the real
+// engine — the greedy plan (a join-free statement's is the partial
+// strategy) AND forced worst-case orders through ExecWith — and compared
+// against a naive nested-loop oracle computed in plain Go over rows
+// materialized with Store.Scan at the same pinned timestamp. Driven by
+// testing/quick on the embedded AND cluster backends; a separate test
+// executes a three-table join and a join-free aggregate while tablets
+// split and migrate mid-flight and asserts the results still match the
+// pre-churn oracle.
 
 import (
 	"bytes"
@@ -51,16 +53,17 @@ type joinSpec struct {
 	lo, hi       []byte // key range on lineitems (nil = open)
 	baseContains []byte // FILTER VAL contains on lineitems
 	custContains []byte // FILTER VAL contains on customers
+	joinFree     bool   // lineitems only: the 0-join plan
 	withItems    bool   // three-relation statement
-	groupMode    int    // 0 none, 1 base-key prefix, 2 customer region
+	groupMode    int    // 0 none, 1 base-key prefix, 2 customer region (join-free: lineitem tag)
 	prefix       int
 	agg2         logbase.AggKind // second aggregate's kind
 	ts           int64
 }
 
 func (sp joinSpec) String() string {
-	return fmt.Sprintf("range=[%q,%q) base~%q cust~%q items=%v group=%d/%d agg2=%v",
-		sp.lo, sp.hi, sp.baseContains, sp.custContains, sp.withItems, sp.groupMode, sp.prefix, sp.agg2)
+	return fmt.Sprintf("range=[%q,%q) base~%q cust~%q joinfree=%v items=%v group=%d/%d agg2=%v",
+		sp.lo, sp.hi, sp.baseContains, sp.custContains, sp.joinFree, sp.withItems, sp.groupMode, sp.prefix, sp.agg2)
 }
 
 // statement builds the real composable statement for the spec.
@@ -68,6 +71,15 @@ func (sp joinSpec) statement() *logbase.Statement {
 	stmt := logbase.Q("lineitems").Group("ref").Range(sp.lo, sp.hi)
 	if sp.baseContains != nil {
 		stmt.FilterValue(logbase.MatchContains(sp.baseContains))
+	}
+	if sp.joinFree {
+		switch sp.groupMode {
+		case 1:
+			stmt.GroupBy(sp.prefix)
+		case 2:
+			stmt.GroupByExpr("lineitems", logbase.ValField(2), 0)
+		}
+		return stmt.Agg(logbase.Count).AggOf(sp.agg2, "lineitems", logbase.ValField(3)).At(sp.ts)
 	}
 	stmt.Join("customers", "info", logbase.On{Left: logbase.ValField(0), Right: logbase.KeyExpr()})
 	if sp.custContains != nil {
@@ -92,7 +104,8 @@ func (sp joinSpec) statement() *logbase.Statement {
 }
 
 // expect is the oracle: a naive nested-loop join over the materialized
-// relation snapshots, with the spec's filters, grouping, and aggregate
+// relation snapshots (a join-free spec is a client-side fold of the
+// plain lineitem rows), with the spec's filters, grouping, and aggregate
 // accumulation applied in plain Go. All numeric inputs are small
 // integers, so float accumulation is exact and order-independent.
 func (sp joinSpec) expect(line, cust, items []logbase.Row) logbase.QueryResult {
@@ -119,15 +132,16 @@ func (sp joinSpec) expect(line, cust, items []logbase.Row) logbase.QueryResult {
 		if sp.baseContains != nil && !bytes.Contains(li.Value, sp.baseContains) {
 			continue
 		}
-		cref, ok := jmField(li.Value, 0)
-		if !ok {
-			continue
+		var c, it logbase.Row
+		if !sp.joinFree {
+			cref, ok := jmField(li.Value, 0)
+			if !ok {
+				continue
+			}
+			if c, ok = custByKey[string(cref)]; !ok {
+				continue
+			}
 		}
-		c, ok := custByKey[string(cref)]
-		if !ok {
-			continue
-		}
-		var it logbase.Row
 		if sp.withItems {
 			iref, ok := jmField(li.Value, 1)
 			if !ok {
@@ -146,8 +160,12 @@ func (sp joinSpec) expect(line, cust, items []logbase.Row) logbase.QueryResult {
 				key = key[:sp.prefix]
 			}
 		case 2:
-			if region, ok := jmField(c.Value, 0); ok {
-				key = string(region)
+			from, field := c.Value, 0
+			if sp.joinFree {
+				from, field = li.Value, 2
+			}
+			if v, ok := jmField(from, field); ok {
+				key = string(v)
 			}
 		}
 		g := groups[key]
@@ -158,7 +176,10 @@ func (sp joinSpec) expect(line, cust, items []logbase.Row) logbase.QueryResult {
 		g.Rows++
 		g.Aggs[0].Add(0) // COUNT(*)
 		proj, ok := it.Value, sp.withItems
-		if !sp.withItems {
+		switch {
+		case sp.joinFree:
+			proj, ok = jmField(li.Value, 3)
+		case !sp.withItems:
 			proj, ok = jmField(c.Value, 1)
 		}
 		if ok {
@@ -221,8 +242,16 @@ func loadJoinFixture(t *testing.T, st logbase.Store, rng *rand.Rand) (int64, int
 	nLine := 120 + rng.Intn(200)
 	for i := 0; i < nLine; i++ {
 		// References sometimes point past the loaded range — a dangling
-		// ref the inner join must drop.
+		// ref the inner join must drop. The fourth field is the lineitem's
+		// own quantity; every eighth row has none and every eleventh a
+		// non-numeric one (both NULL to an aggregate).
 		ref := fmt.Sprintf("c%03d,i%02d,t%d", rng.Intn(nCust+2), rng.Intn(nItems+1), rng.Intn(6))
+		switch {
+		case i%11 == 0:
+			ref += ",n/a"
+		case i%8 != 0:
+			ref += fmt.Sprintf(",%d", 1+i*7%50)
+		}
 		put("lineitems", "ref", fmt.Sprintf("o%05d", i), ref)
 	}
 	ts := nowTS(t, st, "lineitems", "ref")
@@ -261,6 +290,9 @@ func drawJoinSpec(rng *rand.Rand, ts int64, nLine int) joinSpec {
 	if rng.Intn(3) == 0 {
 		sp.custContains = []byte(jmRegions[rng.Intn(len(jmRegions))])
 	}
+	if rng.Intn(3) == 0 {
+		sp.joinFree, sp.withItems, sp.custContains = true, false, nil
+	}
 	switch rng.Intn(3) {
 	case 1:
 		sp.groupMode, sp.prefix = 1, 1+rng.Intn(4)
@@ -278,7 +310,8 @@ type planForcer interface {
 
 // checkJoinSpec executes the spec's statement through the greedy plan
 // and two forced-order naive plans and compares all three against the
-// oracle.
+// oracle. For a join-free spec the greedy plan is the partial strategy
+// and NoPushdown forces the row-fetch plan.
 func checkJoinSpec(t *testing.T, st logbase.Store, rng *rand.Rand, sp joinSpec, oracle logbase.QueryResult) bool {
 	t.Helper()
 	got, err := st.Exec(bg, sp.statement())
@@ -295,7 +328,10 @@ func checkJoinSpec(t *testing.T, st logbase.Store, rng *rand.Rand, sp joinSpec, 
 	// cartesian step) and one random permutation, with the broadcast
 	// and push-down machinery randomly disabled.
 	nRels := 2
-	if sp.withItems {
+	switch {
+	case sp.joinFree:
+		nRels = 1
+	case sp.withItems:
 		nRels = 3
 	}
 	reversed := make([]int, nRels)
@@ -363,8 +399,9 @@ func TestJoinModelCluster(t *testing.T) {
 }
 
 // TestJoinConvergesAcrossSplitAndMove executes a three-table join
-// statement while the cluster splits the fact table's tablets and
-// migrates the children between servers — the statement fetches must
+// statement and a join-free aggregate while the cluster splits the fact
+// table's tablets and migrates the children between servers — the
+// routed relation fetches and the per-server partial fan-out must both
 // re-resolve routing and still produce exactly the pre-churn oracle
 // (the snapshot timestamp is pinned, so the answer is unique).
 func TestJoinConvergesAcrossSplitAndMove(t *testing.T) {
@@ -381,10 +418,15 @@ func TestJoinConvergesAcrossSplitAndMove(t *testing.T) {
 	cust := snapshotRows(t, cc, "customers", "info", ts)
 	items := snapshotRows(t, cc, "items", "price", ts)
 
-	sp := joinSpec{ts: ts, withItems: true, groupMode: 2, agg2: logbase.Sum}
-	oracle := sp.expect(line, cust, items)
-	if oracle.Rows == 0 {
-		t.Fatal("churn fixture joined zero tuples; the test would assert nothing")
+	specs := []joinSpec{
+		{ts: ts, withItems: true, groupMode: 2, agg2: logbase.Sum},
+		{ts: ts, joinFree: true, groupMode: 2, agg2: logbase.Sum},
+	}
+	oracles := make([]logbase.QueryResult, len(specs))
+	for i, sp := range specs {
+		if oracles[i] = sp.expect(line, cust, items); oracles[i].Rows == 0 {
+			t.Fatalf("churn fixture: %v produced zero tuples; the test would assert nothing", sp)
+		}
 	}
 
 	churn := func(t *testing.T, frac int) {
@@ -413,33 +455,40 @@ func TestJoinConvergesAcrossSplitAndMove(t *testing.T) {
 	}
 
 	for round := 1; round <= 3; round++ {
-		// Execute the statement concurrently with one split+migrate of
-		// the tablet in the middle of the joined keyspace.
-		type execResult struct {
-			res logbase.QueryResult
-			err error
+		// Execute both statements, over and over, concurrently with one
+		// split+migrate of the tablet in the middle of the scanned
+		// keyspace.
+		stop := make(chan struct{})
+		done := make([]chan error, len(specs))
+		for i, sp := range specs {
+			done[i] = make(chan error, 1)
+			go func() {
+				for churned := false; !churned; {
+					select {
+					case <-stop:
+						churned = true // one last execution against the new topology
+					default:
+					}
+					res, err := cc.Exec(bg, sp.statement())
+					if err != nil {
+						done[i] <- fmt.Errorf("Exec(%v) across churn: %w", sp, err)
+						return
+					}
+					if !reflect.DeepEqual(res, oracles[i]) {
+						done[i] <- fmt.Errorf("%v across churn diverged\n got  %+v\n want %+v", sp, res, oracles[i])
+						return
+					}
+				}
+				done[i] <- nil
+			}()
 		}
-		done := make(chan execResult, 1)
-		go func() {
-			res, err := cc.Exec(bg, sp.statement())
-			done <- execResult{res, err}
-		}()
 		time.Sleep(time.Duration(round) * 500 * time.Microsecond)
 		churn(t, round)
-		got := <-done
-		if got.err != nil {
-			t.Fatalf("round %d: Exec across churn: %v", round, got.err)
+		close(stop)
+		for i := range specs {
+			if err := <-done[i]; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 		}
-		if !reflect.DeepEqual(got.res, oracle) {
-			t.Fatalf("round %d: join across churn diverged\n got  %+v\n want %+v", round, got.res, oracle)
-		}
-	}
-	// One more execution against the fully churned topology.
-	res, err := cc.Exec(bg, sp.statement())
-	if err != nil {
-		t.Fatalf("post-churn Exec: %v", err)
-	}
-	if !reflect.DeepEqual(res, oracle) {
-		t.Fatalf("post-churn join diverged\n got  %+v\n want %+v", res, oracle)
 	}
 }

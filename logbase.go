@@ -338,13 +338,12 @@ func (db *DB) fullScan(ctx context.Context, table, group string, ro ReadOptions,
 	})
 }
 
-func (db *DB) aggregate(ctx context.Context, table, group string, ts int64, q query.Query) (QueryResult, error) {
+func (db *DB) aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (QueryResult, error) {
 	tab, err := db.table(table, group)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	src := db.readServer(ts, ReadOptions{})
-	return query.NewSnapshot(ts, query.Target{Source: src, Tablet: tab}).Run(ctx, group, q)
+	return query.FoldScan(ctx, db.readServer(ts, ReadOptions{}), []string{tab}, group, ts, f, fold)
 }
 
 func (db *DB) watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error) {

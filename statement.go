@@ -3,14 +3,14 @@ package logbase
 // The composable query-statement API: one serializable statement form
 // — Q(table).Range(...).Join(other, On{...}).GroupBy(n).Agg(Count) —
 // the one way to ask an analytical question, executed identically by
-// both backends and the textproto QUERY command. Join-free statements
-// compile onto the partial-aggregation path (and are answered from a
-// matching materialized view when one is registered); statements with
-// joins run the greedy-ordered relational-algebra executor
-// (internal/query) at one pinned snapshot, broadcasting the small
-// side's matched keys as a set push-down; relation fetches ride the
-// routed scan path, which re-resolves when the cluster splits or
-// migrates tablets mid-join.
+// both backends and the textproto QUERY command, by one executor
+// (internal/query) at one pinned snapshot. A join-free statement is the
+// one-step plan: every tablet server aggregates its own piece and only
+// mergeable partials come back (it is answered from a matching
+// materialized view when one is registered); joins run greedy-ordered,
+// broadcasting the small side's matched keys as a set push-down, with
+// relation fetches on the routed scan path. Both re-resolve routing
+// when the cluster splits or migrates tablets mid-statement.
 
 import (
 	"context"
@@ -51,33 +51,13 @@ var (
 	ValField = query.ValField
 )
 
-// Exec executes a composable query statement (build with Q): validate,
-// try the materialized-view matcher, then — chosen from what the
-// statement shows — either compile a join-free statement onto the
-// backend's partial-aggregation path (every tablet server aggregates
-// its own piece) or run the join executor over a snapshot pinned once
-// for every relation (timestamps are issued globally, so one ts is
-// consistent across tables).
+// Exec executes a composable query statement (build with Q): a
+// statement a registered materialized view maintains is answered from
+// the view; everything else is planned and run by the one statement
+// executor over a snapshot pinned once for every relation (timestamps
+// are issued globally, so one ts is consistent across tables).
 func (c *client) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
-	if len(stmt.Joins) != 0 {
-		return c.ExecWith(ctx, stmt, ExecOptions{})
-	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryResult{}, err
-	}
-	if err := stmt.Validate(); err != nil {
-		return QueryResult{}, err
-	}
-	if res, ok := c.views.serveStmt(stmt); ok {
-		return res, nil
-	}
-	q, err := stmt.CompileSingle()
-	if err != nil {
-		return QueryResult{}, err
-	}
-	ctx, sp := c.root(ctx, "store.exec", stmt.Base.Table)
-	defer sp.Finish()
-	return c.aggregate(ctx, stmt.Base.Table, stmt.Base.Group, c.pinTS(stmt.AtTS), q)
+	return c.exec(ctx, stmt, ExecOptions{}, true)
 }
 
 // ExecOptions tune statement execution: a forced join order and
@@ -87,15 +67,25 @@ func (c *client) Exec(ctx context.Context, stmt *Statement) (QueryResult, error)
 // through the identical machinery.
 type ExecOptions = query.ExecOptions
 
-// ExecWith executes a statement through the join executor with explicit
-// options, bypassing the materialized-view matcher and the partial-
-// aggregation fast path (Exec is the normal entry point).
+// ExecWith executes a statement with explicit options, bypassing the
+// materialized-view matcher (Exec is the normal entry point).
 func (c *client) ExecWith(ctx context.Context, stmt *Statement, opts ExecOptions) (QueryResult, error) {
+	return c.exec(ctx, stmt, opts, false)
+}
+
+// exec is the one body behind Exec and ExecWith; views puts the
+// materialized-view matcher in front of the executor.
+func (c *client) exec(ctx context.Context, stmt *Statement, opts ExecOptions, views bool) (QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return QueryResult{}, err
 	}
 	if err := stmt.Validate(); err != nil {
 		return QueryResult{}, err
+	}
+	if views {
+		if res, ok := c.views.serveStmt(stmt); ok {
+			return res, nil
+		}
 	}
 	ctx, sp := c.root(ctx, "store.exec", stmt.Base.Table)
 	defer sp.Finish()
@@ -103,17 +93,18 @@ func (c *client) ExecWith(ctx context.Context, stmt *Statement, opts ExecOptions
 	return query.ExecStatement(ctx, stmt, sf.ts, sf, opts)
 }
 
-// relFetcher is the join executor's Fetcher over the client's backend:
-// every relation streams through the routed scan primitive pinned at
-// the SAME statement timestamp, so a join side that lands mid-split
-// resumes against the new topology exactly like a plain Scan.
+// relFetcher is the statement executor's Fetcher over the client's
+// backend: every relation is fetched — as rows through the routed scan
+// primitive, or as partial aggregates — pinned at the SAME statement
+// timestamp, so a fetch that lands mid-split resumes against the new
+// topology exactly like a plain Scan.
 type relFetcher struct {
 	c    *client
 	rels []query.Rel
 	ts   int64
 }
 
-func (sf *relFetcher) Fetch(ctx context.Context, rel int, f query.Filter) ([]Row, error) {
+func (sf *relFetcher) Fetch(ctx context.Context, rel int, f query.RelFilter) ([]Row, error) {
 	r := sf.rels[rel]
 	ro := ReadOptions{Snapshot: sf.ts, Key: f.Key, Value: f.Value}
 	var rows []Row
@@ -122,6 +113,11 @@ func (sf *relFetcher) Fetch(ctx context.Context, rel int, f query.Filter) ([]Row
 		return nil
 	})
 	return rows, err
+}
+
+func (sf *relFetcher) FetchPartial(ctx context.Context, rel int, f query.RelFilter, fold query.Fold) (QueryResult, error) {
+	r := sf.rels[rel]
+	return sf.c.aggregate(ctx, r.Table, r.Group, sf.ts, f, fold)
 }
 
 // FetchSecondary fetches join partners by registered secondary-index

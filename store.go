@@ -57,12 +57,12 @@ type Store interface {
 	FullScan(ctx context.Context, table, group string, opts ...ReadOption) Iterator
 	// Exec executes a composable query statement (build with Q):
 	// select push-down, multi-table equi-joins, grouping and
-	// aggregates, compiled to one serializable plan executed
-	// identically by both backends. Join-free statements take the
-	// scatter-gather aggregate path — answered from a matching
-	// materialized view when one is registered; statements with joins
-	// run the greedy-ordered join executor at one pinned snapshot.
-	// Statement.At pins a historical timestamp (time travel).
+	// aggregates, planned and run by one executor at one pinned
+	// snapshot, identically on both backends. A join-free statement is
+	// aggregated at the tablet servers (only partials come back) — or
+	// answered from a matching materialized view when one is
+	// registered; joins are greedy-ordered. Statement.At pins a
+	// historical timestamp (time travel).
 	Exec(ctx context.Context, stmt *Statement) (QueryResult, error)
 	// Watch subscribes a changefeed: committed Put/Delete events for
 	// keys in [start, end) (nil = open; group "" = all column groups)
