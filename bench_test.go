@@ -1,12 +1,13 @@
 package logbase_test
 
-// One benchmark per table/figure of the paper's evaluation (§4), each
-// delegating to the experiment registry in internal/bench at SmallScale
-// so `go test -bench=.` stays tractable. cmd/logbase-bench runs the
-// same experiments at full scale and prints the paper-style series.
+// BenchmarkExperiments runs every experiment of the internal/bench
+// registry (one sub-benchmark per id: the paper's figures of §4, the
+// ablations and the A/B groups) at SmallScale so `go test -bench=.`
+// stays tractable. cmd/logbase-bench runs the same experiments at full
+// scale and prints the paper-style series.
 //
 // A reported metric "shape_held" of 1 means the run reproduced the
-// paper's qualitative claim (who wins, roughly by how much).
+// experiment's qualitative claim (who wins, roughly by how much).
 
 import (
 	"fmt"
@@ -19,50 +20,24 @@ import (
 	"repro/internal/bench"
 )
 
-func runFigure(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
+func BenchmarkExperiments(b *testing.B) {
 	s := bench.SmallScale()
-	held := 0
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(s)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if tab.Hold {
-			held++
-		}
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			held := 0
+			for i := 0; i < b.N; i++ {
+				tab, err := e.Run(s)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if tab.Hold {
+					held++
+				}
+			}
+			b.ReportMetric(float64(held)/float64(b.N), "shape_held")
+		})
 	}
-	b.ReportMetric(float64(held)/float64(b.N), "shape_held")
 }
-
-func BenchmarkFig06SequentialWrite(b *testing.B)   { runFigure(b, "fig06") }
-func BenchmarkFig07RandomReadNoCache(b *testing.B) { runFigure(b, "fig07") }
-func BenchmarkFig08RandomReadCache(b *testing.B)   { runFigure(b, "fig08") }
-func BenchmarkFig09SequentialScan(b *testing.B)    { runFigure(b, "fig09") }
-func BenchmarkFig10RangeScan(b *testing.B)         { runFigure(b, "fig10") }
-func BenchmarkFig11YCSBLoad(b *testing.B)          { runFigure(b, "fig11") }
-func BenchmarkFig12MixedThroughput(b *testing.B)   { runFigure(b, "fig12") }
-func BenchmarkFig13UpdateLatency(b *testing.B)     { runFigure(b, "fig13") }
-func BenchmarkFig14ReadLatency(b *testing.B)       { runFigure(b, "fig14") }
-func BenchmarkFig15TPCWLatency(b *testing.B)       { runFigure(b, "fig15") }
-func BenchmarkFig16TPCWThroughput(b *testing.B)    { runFigure(b, "fig16") }
-func BenchmarkFig17Checkpoint(b *testing.B)        { runFigure(b, "fig17") }
-func BenchmarkFig18Recovery(b *testing.B)          { runFigure(b, "fig18") }
-func BenchmarkFig19LRSWrite(b *testing.B)          { runFigure(b, "fig19") }
-func BenchmarkFig20LRSRead(b *testing.B)           { runFigure(b, "fig20") }
-func BenchmarkFig21LRSScan(b *testing.B)           { runFigure(b, "fig21") }
-func BenchmarkFig22LRSThroughput(b *testing.B)     { runFigure(b, "fig22") }
-
-// Ablation benches for the design choices DESIGN.md calls out.
-func BenchmarkAblationLogPerGroup(b *testing.B)       { runFigure(b, "abl-log-per-group") }
-func BenchmarkAblationCachePolicy(b *testing.B)       { runFigure(b, "abl-cache-policy") }
-func BenchmarkAblationGroupCommit(b *testing.B)       { runFigure(b, "abl-group-commit") }
-func BenchmarkAblationBloomFilter(b *testing.B)       { runFigure(b, "abl-bloom") }
-func BenchmarkAblationVerticalPartition(b *testing.B) { runFigure(b, "abl-vertical") }
 
 // Per-operation microbenchmarks on the public API (real allocations,
 // real file I/O, no disk model).
@@ -295,8 +270,3 @@ func BenchmarkAnalyticGroupBy100k(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkAnalyticScanFigure(b *testing.B)    { runFigure(b, "analytic-scan") }
-func BenchmarkAnalyticScanMixFigure(b *testing.B) { runFigure(b, "analytic-mix") }
-func BenchmarkBulkLoadFigure(b *testing.B)        { runFigure(b, "bulk-load") }
-func BenchmarkElasticHotRangeFigure(b *testing.B) { runFigure(b, "elastic-hotrange") }

@@ -2,7 +2,11 @@
 # Non-test, non-generated Go lines per top-level package directory
 # (benchmark/ excluded: it is the fixed point, not the program), and the
 # delta against the merge base with origin/main. ROADMAP aim 2: "net LOC
-# per PR is reported; growth needs a reason".
+# per PR is reported; growth needs a reason". Two subtotals keep the
+# system apart from what reproduces the paper's evaluation around it:
+# "reproduction harness" is internal/bench, the baselines and workload
+# generators only it imports (internal/{hbase,lrs,lsm,sstable,ycsb,tpcw})
+# and cmd/logbase-bench; "program" is everything else.
 #
 #   ci/loc.sh [base-ref]     # default base: git merge-base HEAD origin/main
 set -euo pipefail
@@ -30,6 +34,11 @@ base=${1:-$(git merge-base HEAD origin/main 2>/dev/null || true)}
 	count "" | sed 's/^/head /'
 	if [ -n "$base" ]; then count "$base" | sed 's/^/base /'; fi
 } | awk -v base="${base:0:7}" '
+	function row(name, h, b) {
+		printf "%-28s %8d", name, h
+		if (base != "") printf " %8d %+7d", b, h - b
+		print ""
+	}
 	{ n[$1, $3] = $2; dirs[$3] = 1 }
 	END {
 		printf "%-28s %8s", "package dir", "lines"
@@ -37,12 +46,13 @@ base=${1:-$(git merge-base HEAD origin/main 2>/dev/null || true)}
 		print ""
 		for (d in dirs) {
 			h = n["head", d] + 0; b = n["base", d] + 0; th += h; tb += b
+			if (d ~ /^(internal\/(bench|hbase|lrs|lsm|sstable|ycsb|tpcw)|cmd\/logbase-bench)$/) { hh += h; hb += b }
 			line = sprintf("%-28s %8d", d, h)
 			if (base != "") line = line sprintf(" %8d %+7d", b, h - b)
 			print line | "sort"
 		}
 		close("sort")
-		printf "%-28s %8d", "total", th
-		if (base != "") printf " %8d %+7d", tb, th - tb
-		print ""
+		row("program", th - hh, tb - hb)
+		row("reproduction harness", hh, hb)
+		row("total", th, tb)
 	}'

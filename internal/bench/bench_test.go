@@ -2,6 +2,7 @@ package bench
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -43,7 +44,9 @@ func pad2(n int) string {
 
 // TestAllExperimentsRun executes the complete registry at tiny scale:
 // every figure must produce a non-empty table without error. Shape
-// flags are logged (asserted individually below for the robust ones).
+// flags are only logged here: TestDeterministicShapesHold asserts the
+// ones that do not depend on the host, each at a scale where it means
+// something.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run skipped in -short mode")
@@ -64,25 +67,78 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-// The deterministic (virtual-disk-time) shapes must hold even at tiny
-// scale; wall-clock shapes are allowed to wobble in CI.
+// assertedShapes is every experiment whose shape is stated in modelled
+// disk time or in counts, with the smallest scale at which that shape is
+// meaningful. This table is the only place those invariants are
+// enforced: obs/fault overhead <= 5%, push-down ships exactly the limit,
+// clustered scan >= 2x, autocompact sorted fraction >= 0.5, greedy join
+// >= 2x with identical results, replica scans charge the primary
+// nothing, live shipping and the changefeed tail add <= 5% to bare
+// writes.
+//
+// Not here, and only logged by TestAllExperimentsRun, are the shapes a
+// loaded or small host can flip: those stated in wall time (fig12-fig17,
+// fig22, bulk-load, and elastic-hotrange's throughput clause on hosts
+// with >= 4 CPUs) and abl-group-commit, whose write-op counts depend on
+// how the scheduler fills each batch.
+var assertedShapes = []struct {
+	id    string
+	scale Scale
+}{
+	{"fig06", tinyScale()},
+	{"fig07", tinyScale()},
+	// The block cache only absorbs repeat blocks once the table has
+	// more than a few of them.
+	{"fig08", SmallScale()},
+	{"fig09", tinyScale()},
+	{"fig10", tinyScale()},
+	{"fig11", tinyScale()},
+	{"fig18", tinyScale()},
+	{"fig19", tinyScale()},
+	{"fig20", tinyScale()},
+	{"fig21", tinyScale()},
+	{"abl-log-per-group", tinyScale()},
+	{"abl-cache-policy", tinyScale()},
+	{"abl-bloom", tinyScale()},
+	{"abl-vertical", tinyScale()},
+	{"analytic-scan", tinyScale()},
+	{"analytic-mix", tinyScale()},
+	{"scan-pushdown", tinyScale()}, // loads its own 8000-row floor
+	// 4 rounds x 25k rows: the 100k-row compacted table of the
+	// clustered-scan acceptance criterion. Below ~2 MB of data the fixed
+	// segment-open seeks hide the per-row win.
+	{"scan-clustered", Scale{Rows: 50_000, ValueSize: 256}},
+	// 4000 keys: enough 1 MB segments seal for the compactor to matter.
+	{"autocompact", Scale{Rows: 16_000, ValueSize: 256}},
+	{"obs-overhead", tinyScale()},
+	{"fault-overhead", tinyScale()},
+	// 800 events of history in 4 segments, 400 live writes.
+	{"cdc-tail", Scale{Rows: 3200, Ops: 800, ValueSize: 128}},
+	// The fact table has to dwarf the joined 5% slice: the ratio needs
+	// 1000 lineitems (2.1x at 128-byte rows); this is 5.8x.
+	{"join-greedy", Scale{Rows: 2000, ValueSize: 256}},
+	{"replica-scan", tinyScale()},
+}
+
 func TestDeterministicShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape checks skipped in -short mode")
 	}
-	s := tinyScale()
-	for _, id := range []string{"fig06", "fig07", "fig10", "abl-log-per-group"} {
-		e, ok := Find(id)
+	for _, tc := range assertedShapes {
+		e, ok := Find(tc.id)
 		if !ok {
-			t.Fatalf("experiment %s missing", id)
+			t.Fatalf("experiment %s missing", tc.id)
 		}
-		tab, err := e.Run(s)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !tab.Hold {
-			t.Errorf("%s: paper shape did not hold:\n%s", id, tab.Render())
-		}
+		t.Run(tc.id, func(t *testing.T) {
+			t.Parallel() // every experiment owns its disks and its clock
+			tab, err := e.Run(tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tab.Hold {
+				t.Errorf("shape did not hold:\n%s", tab.Render())
+			}
+		})
 	}
 }
 
@@ -97,6 +153,9 @@ func TestTableRender(t *testing.T) {
 	if out == "" || len(out) < 20 {
 		t.Errorf("Render output too small: %q", out)
 	}
+	if md := tab.Markdown(); !strings.Contains(md, "| a | b |\n| --- | --- |\n| 1 | 22 |") || !strings.Contains(md, "**held**") {
+		t.Errorf("Markdown output malformed:\n%s", md)
+	}
 }
 
 // TestElasticBalancerNoLostRows runs the balancer-on hot-range phase
@@ -104,43 +163,5 @@ func TestTableRender(t *testing.T) {
 func TestElasticBalancerNoLostRows(t *testing.T) {
 	if err := elasticSmoke(500, 300, 6); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestKeyOps pins the CI perf gate's measurement harness: every gated
-// op reports, with deterministic positive modelled disk time for the
-// I/O-bound ops.
-func TestKeyOps(t *testing.T) {
-	if testing.Short() {
-		t.Skip("keyops skipped in -short mode")
-	}
-	ops, err := KeyOps(Scale{Rows: 400, Ops: 300, ValueSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"put": true, "writebatch": true, "fullscan": true, "query": true,
-		"scan-pushdown": true, "scan-clientfilter": true, "hotrange": true,
-		"scan-clustered": true, "scan-index": true, "autocompact": true,
-		"cdc-catchup": true, "cdc-tail": true, "cdc-writes-base": true,
-	}
-	for _, op := range ops {
-		delete(want, op.Name)
-		if op.Ops <= 0 {
-			t.Errorf("%s measured %d ops", op.Name, op.Ops)
-		}
-		if op.DiskUSPerOp < 0 {
-			t.Errorf("%s negative disk time", op.Name)
-		}
-	}
-	if len(want) != 0 {
-		t.Errorf("missing key ops: %v", want)
-	}
-	for _, name := range []string{"put", "writebatch"} {
-		for _, op := range ops {
-			if op.Name == name && op.DiskUSPerOp == 0 {
-				t.Errorf("%s reported zero modelled disk time", name)
-			}
-		}
 	}
 }

@@ -8,9 +8,12 @@ package bench
 // cross a channel, never the disk, so a subscribed feed must add
 // ~zero modelled disk over the writes themselves. That is the paper's
 // "log is the only repository" claim applied to CDC — no second
-// pipeline, no double write — and the gate enforces it: the write
-// phase with a live subscriber may cost at most cdcTailTolerance more
-// modelled disk than the identical phase with no subscriber.
+// pipeline, no double write — and the shape states it: the write phase
+// with a live subscriber may cost at most overheadTolerance more
+// modelled disk than the identical phase with no subscriber (the
+// publish path touches no I/O, so any real delta is a wiring bug, e.g.
+// the hub forcing log reads on delivery), while catch-up pays real
+// disk for its sweep.
 
 import (
 	"context"
@@ -20,14 +23,8 @@ import (
 
 	"repro/internal/cdc"
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/simdisk"
 )
-
-// cdcTailTolerance caps the live tail's modelled-disk overhead over
-// bare writes. The publish path touches no I/O, so any real delta is a
-// wiring bug (e.g. the hub forcing log reads on delivery).
-const cdcTailTolerance = 0.10
 
 // cdcTailSegments is how many sealed, compacted segments the historical
 // catch-up has to sweep.
@@ -39,23 +36,10 @@ const cdcTailSegments = 4
 // phases never rotate — both the subscribed and the bare write phase
 // append into the same open segment, keeping their costs comparable.
 func cdcTailFixture(n, valueSize int) (*core.Server, *simdisk.Clock, string, int64, error) {
-	dir, err := tempDir("cdctail")
-	if err != nil {
-		return nil, nil, "", 0, err
-	}
-	clock := &simdisk.Clock{}
-	fs, err := dfs.New(dir, dfs.Config{
-		NumDataNodes: 2, BlockSize: 4 << 20,
-		DiskModel: benchDiskModel(), Clock: clock,
-	})
+	srv, clock, dir, err := newServerFixture("cdc", core.Config{SegmentSize: 16 << 20})
 	if err != nil {
 		return nil, nil, dir, 0, err
 	}
-	srv, err := core.NewServer(fs, "cdc", core.Config{SegmentSize: 16 << 20})
-	if err != nil {
-		return nil, nil, dir, 0, err
-	}
-	srv.AddTablet(benchTablet(), []string{benchGroup})
 	val := value(valueSize, 11)
 	ts := int64(0)
 	per := n / cdcTailSegments
@@ -65,14 +49,7 @@ func cdcTailFixture(n, valueSize int) (*core.Server, *simdisk.Clock, string, int
 			return nil, nil, dir, 0, err
 		}
 		if (i+1)%per == 0 {
-			srv.Log().Rotate()
-			var nums []uint32
-			for _, si := range srv.Log().Segments() {
-				if !si.Sorted {
-					nums = append(nums, si.Num)
-				}
-			}
-			if _, err := srv.CompactSegments(nums); err != nil {
+			if err := sealSorted(srv); err != nil {
 				return nil, nil, dir, 0, err
 			}
 		}
@@ -87,40 +64,36 @@ func cdcTailFixture(n, valueSize int) (*core.Server, *simdisk.Clock, string, int
 	return srv, clock, dir, ts, nil
 }
 
-// CDCTailKeyOps measures the three phases and enforces the live-tail
-// ceiling. Returned ops: cdc-catchup (Watch from LSN 0 through the
-// compacted history), cdc-tail (writes with a caught-up subscriber,
-// events drained), cdc-writes-base (the identical writes, no
+// CDCTail is the registry experiment, over s.Rows/4 rows of history and
+// s.Ops/2 live writes. Phases: cdc-catchup (Watch from LSN 0 through
+// the compacted history), cdc-tail (writes with a caught-up subscriber,
+// every event drained), cdc-writes-base (the identical writes, no
 // subscriber).
-func CDCTailKeyOps(s Scale) ([]KeyOp, error) {
-	n, ops := s.Rows, s.Ops
+func CDCTail(s Scale) (Table, error) {
+	t := Table{
+		ID:     "cdc-tail",
+		Title:  "Changefeed: historical catch-up vs live tail off the log",
+		Header: []string{"phase", "events", "disk µs/event", "wall µs/event", "events/s (wall)"},
+		Shape:  "live tail adds <= 5% modelled disk over bare writes; catch-up pays a real segment sweep",
+	}
+	n, ops := s.Rows/4, s.Ops/2
 	srv, clock, dir, ts, err := cdcTailFixture(n, s.ValueSize)
 	if dir != "" {
 		defer os.RemoveAll(dir)
 	}
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	defer srv.Close()
 
-	measured := func(name string, count int, fn func() error) (KeyOp, error) {
-		clock.Reset()
-		am := startAllocMeter()
-		start := time.Now()
-		if err := fn(); err != nil {
-			return KeyOp{}, fmt.Errorf("%s: %w", name, err)
+	phase := func(name string, count int, fn func() error) (sample, error) {
+		m, err := measured(clock, int64(count), fn)
+		if err != nil {
+			return m, fmt.Errorf("%s: %w", name, err)
 		}
-		wall := time.Since(start)
-		allocs, bytes := am.perOp(int64(count))
-		disk := clock.Elapsed()
-		return KeyOp{
-			Name:        name,
-			Ops:         int64(count),
-			DiskUSPerOp: float64(disk) / float64(time.Microsecond) / float64(count),
-			WallUSPerOp: float64(wall) / float64(time.Microsecond) / float64(count),
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-		}, nil
+		t.Rows = append(t.Rows, []string{name, fmt.Sprint(m.ops),
+			f2(m.diskUS()), f2(m.wallUS()), fmt.Sprintf("%.0f", 1e6/m.wallUS())})
+		return m, nil
 	}
 
 	// Catch-up: open the feed at LSN 0 and drain the whole history. The
@@ -138,7 +111,7 @@ func CDCTailKeyOps(s Scale) ([]KeyOp, error) {
 		return nil
 	}
 	history := int(ts)
-	catch, err := measured("cdc-catchup", history, func() error {
+	catch, err := phase("cdc-catchup", history, func() (err error) {
 		// Buffer sized so the later live phase can run writes and drain
 		// sequentially without overflowing.
 		feed, err = srv.Watch(benchTable, benchGroup, nil, nil, 0, cdc.Options{Buffer: ops + 1024})
@@ -148,7 +121,7 @@ func CDCTailKeyOps(s Scale) ([]KeyOp, error) {
 		return drain(history)
 	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	defer feed.Close()
 
@@ -167,74 +140,34 @@ func CDCTailKeyOps(s Scale) ([]KeyOp, error) {
 	// pays one modelled head seek back to the log's write position — a
 	// per-Watch constant, not a per-event tail cost. Spend it between
 	// the measured phases.
-	ts++
-	if err := srv.Write(benchTabletID, benchGroup, key(n+int(ts)), ts, val); err != nil {
-		return nil, err
+	if err := writes(1); err != nil {
+		return t, err
 	}
 	if err := drain(1); err != nil {
-		return nil, err
+		return t, err
 	}
 
 	// Live tail: the same write workload with the caught-up feed
 	// subscribed, every event drained.
-	tail, err := measured("cdc-tail", ops, func() error {
+	tail, err := phase("cdc-tail", ops, func() error {
 		if err := writes(ops); err != nil {
 			return err
 		}
 		return drain(ops)
 	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	if err := feed.Close(); err != nil {
-		return nil, err
+		return t, err
 	}
 
 	// Baseline: identical writes into the same open segment, nobody
 	// listening.
-	base, err := measured("cdc-writes-base", ops, func() error { return writes(ops) })
+	base, err := phase("cdc-writes-base", ops, func() error { return writes(ops) })
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-
-	if base.DiskUSPerOp > 0 {
-		if d := (tail.DiskUSPerOp - base.DiskUSPerOp) / base.DiskUSPerOp; d > cdcTailTolerance {
-			return nil, fmt.Errorf("cdc live tail not free: subscribed writes %.2f vs bare %.2f disk us/op (%+.1f%%, limit %.0f%%)",
-				tail.DiskUSPerOp, base.DiskUSPerOp, d*100, cdcTailTolerance*100)
-		}
-	}
-	return []KeyOp{catch, tail, base}, nil
-}
-
-// CDCTail is the experiment-registry wrapper: modelled-disk µs/event
-// for catch-up vs live tail, plus wall events/sec.
-func CDCTail(s Scale) (Table, error) {
-	t := Table{
-		ID:     "cdc-tail",
-		Title:  "Changefeed: historical catch-up vs live tail off the log",
-		Header: []string{"phase", "events", "disk µs/event", "wall µs/event", "events/s (wall)"},
-		Shape:  "live tail adds <= 10% modelled disk over bare writes; catch-up replays at sequential sweep cost",
-	}
-	ops, err := CDCTailKeyOps(Scale{Rows: s.Rows / 4, Ops: s.Ops / 2, ValueSize: s.ValueSize})
-	if err != nil {
-		// The enforced ceiling failing IS the experiment's answer.
-		t.Rows = [][]string{{"-", "-", "-", "-", err.Error()}}
-		t.Hold = false
-		return t, nil
-	}
-	for _, op := range ops {
-		rate := "-"
-		if op.WallUSPerOp > 0 {
-			rate = fmt.Sprintf("%.0f", 1e6/op.WallUSPerOp)
-		}
-		t.Rows = append(t.Rows, []string{
-			op.Name,
-			fmt.Sprint(op.Ops),
-			fmt.Sprintf("%.2f", op.DiskUSPerOp),
-			fmt.Sprintf("%.2f", op.WallUSPerOp),
-			rate,
-		})
-	}
-	t.Hold = true
+	t.Hold = catch.disk > 0 && base.disk > 0 && tail.over(base) <= overheadTolerance
 	return t, nil
 }

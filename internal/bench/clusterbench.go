@@ -64,26 +64,48 @@ func (d *StoreDB) Read(key []byte) error {
 
 // newYCSBCluster builds an n-server LogBase cluster for the YCSB runs.
 // The DFS carries the disk cost model so experiments can assert on
-// deterministic modelled I/O time alongside wall-clock throughput.
+// modelled I/O time alongside wall-clock throughput.
 func newYCSBCluster(n int) (*cluster.Cluster, string, error) {
-	dir, err := tempDir("ycsb")
+	return newBenchCluster("ycsb", func(cfg *cluster.Config) {
+		cfg.NumServers = n
+		// Group commit on: the YCSB runs drive each server from many
+		// concurrent clients, exactly the workload §3.7.2 batches.
+		cfg.Server.GroupCommit = true
+		cfg.Server.GroupCommitBatch = 64
+		cfg.Server.GroupCommitDelay = 100 * time.Microsecond
+	})
+}
+
+// newBenchCluster builds a cluster holding the YCSB table on modelled
+// disks. Left as it is — two servers, group commit off (batch
+// composition depends on scheduling) — and driven single-threaded, it
+// is the deterministic fixture of the A/B experiments; tweak, if
+// non-nil, edits the config before the cluster is built.
+func newBenchCluster(id string, tweak func(*cluster.Config)) (*cluster.Cluster, string, error) {
+	dir, err := tempDir(id)
 	if err != nil {
 		return nil, "", err
 	}
-	c, err := cluster.New(dir, cluster.Config{
-		NumServers: n,
+	cfg := cluster.Config{
+		NumServers: 2,
 		Tables:     []cluster.TableSpec{{Name: "usertable", Groups: []string{"f0"}}},
-		// Group commit on: the YCSB runs drive each server from many
-		// concurrent clients, exactly the workload §3.7.2 batches.
-		Server: core.Config{
-			SegmentSize:      16 << 20,
-			GroupCommit:      true,
-			GroupCommitBatch: 64,
-			GroupCommitDelay: 100 * time.Microsecond,
-		},
-		DFS: dfs.Config{BlockSize: 4 << 20, DiskModel: benchDiskModel(), Clock: &simdisk.Clock{}},
-	})
+		Server:     core.Config{SegmentSize: 16 << 20},
+		DFS:        dfs.Config{BlockSize: 4 << 20, DiskModel: benchDiskModel(), Clock: &simdisk.Clock{}},
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	c, err := cluster.New(dir, cfg)
 	return c, dir, err
+}
+
+// clusterServers lists c's live tablet servers, for measured to watch.
+func clusterServers(c *cluster.Cluster) []*core.Server {
+	var out []*core.Server
+	for _, id := range c.LiveServers() {
+		out = append(out, c.Server(id))
+	}
+	return out
 }
 
 // hbCluster is the HBase side of the YCSB comparison: one region store
@@ -157,9 +179,11 @@ func Fig11YCSBLoad(s Scale) (Table, error) {
 			return t, err
 		}
 		lbDB := &StoreDB{St: logbase.NewClusterClient(c), Table: "usertable", Group: "f0"}
-		c.Clock().Reset()
-		lbTime, err := ycsb.Load(lbDB, rows, s.ValueSize, n, 1)
-		lbDisk := c.Clock().Elapsed()
+		var lbTime time.Duration
+		lb, err := measured(c.Clock(), rows, func() (err error) {
+			lbTime, err = ycsb.Load(lbDB, rows, s.ValueSize, n, 1)
+			return err
+		})
 		c.Close() // stop per-server group-commit batcher goroutines
 		os.RemoveAll(dir)
 		if err != nil {
@@ -169,21 +193,23 @@ func Fig11YCSBLoad(s Scale) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		hc.clock.Reset()
-		hbTime, err := ycsb.Load(hc, rows, s.ValueSize, n, 1)
-		for _, st := range hc.stores {
-			st.Flush()
-		}
-		hbDisk := hc.clock.Elapsed()
+		var hbTime time.Duration
+		hb, err := measured(hc.clock, rows, func() (err error) {
+			hbTime, err = ycsb.Load(hc, rows, s.ValueSize, n, 1)
+			for _, st := range hc.stores {
+				st.Flush()
+			}
+			return err
+		})
 		os.RemoveAll(hdir)
 		if err != nil {
 			return t, err
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(n), ms(lbDisk), ms(hbDisk), ms(lbTime), ms(hbTime)})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(n), ms(lb.disk), ms(hb.disk), ms(lbTime), ms(hbTime)})
 		// The deterministic check: modelled load cost (the paper's
 		// "LogBase ... only spends about half of the time" is an I/O
 		// argument; tiny wall times at bench scale are noise-bound).
-		if lbDisk >= hbDisk {
+		if lb.disk >= hb.disk {
 			hold = false
 		}
 	}
@@ -207,13 +233,16 @@ func ycsbMixedRun(s Scale, n int, updateFrac float64) (ycsb.Result, time.Duratio
 		return ycsb.Result{}, 0, err
 	}
 	ops := int64(n) * int64(s.Ops) / 4
-	c.Clock().Reset()
-	res, err := ycsb.Run(db, ycsb.Workload{
-		Records:        rows,
-		UpdateFraction: updateFrac,
-		ValueSize:      s.ValueSize,
-	}, ops, n, 2)
-	return res, c.Clock().Elapsed(), err
+	var res ycsb.Result
+	m, err := measured(c.Clock(), ops, func() (err error) {
+		res, err = ycsb.Run(db, ycsb.Workload{
+			Records:        rows,
+			UpdateFraction: updateFrac,
+			ValueSize:      s.ValueSize,
+		}, ops, n, 2)
+		return err
+	})
+	return res, m.disk, err
 }
 
 // Fig12MixedThroughput reproduces Figure 12: overall throughput for the

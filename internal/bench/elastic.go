@@ -65,9 +65,12 @@ func ElasticHotRange(s Scale) (Table, error) {
 	w := hotRangeWorkload(records, s.ValueSize)
 
 	runPhase := func(c *cluster.Cluster, db ycsb.DB, n int64, seed int64) (ycsb.Result, time.Duration, error) {
-		c.Clock().Reset()
-		res, err := ycsb.Run(db, w, n, elasticServers, seed)
-		return res, c.Clock().Elapsed(), err
+		var res ycsb.Result
+		m, err := measured(c.Clock(), n, func() (err error) {
+			res, err = ycsb.Run(db, w, n, elasticServers, seed)
+			return err
+		})
+		return res, m.disk, err
 	}
 	tabletCount := func(c *cluster.Cluster) int {
 		router, err := c.Router("usertable")

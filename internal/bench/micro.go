@@ -333,7 +333,7 @@ func Fig09SequentialScan(s Scale) (Table, error) {
 		hb.Flush()
 		_, lbDisk, err := fxL.timed(func() error {
 			count := 0
-			err := lb.FullScan(context.Background(), benchTabletID, benchGroup, func(core_Row) bool { count++; return true })
+			err := lb.FullScan(context.Background(), benchTabletID, benchGroup, func(core.Row) bool { count++; return true })
 			if count != n {
 				return fmt.Errorf("logbase scan saw %d of %d", count, n)
 			}
@@ -345,7 +345,7 @@ func Fig09SequentialScan(s Scale) (Table, error) {
 		lbBytes := fxL.bytesRead()
 		_, hbDisk, err := fxH.timed(func() error {
 			count := 0
-			err := hb.FullScan(func(hbase_Row) bool { count++; return true })
+			err := hb.FullScan(func(hbase.Row) bool { count++; return true })
 			if count != n {
 				return fmt.Errorf("hbase scan saw %d of %d", count, n)
 			}
@@ -423,7 +423,7 @@ func Fig10RangeScan(s Scale) (Table, error) {
 		start := rng.Intn(n - rows)
 		_, disk, err := fxL.timed(func() error {
 			count := 0
-			err := lb.Scan(context.Background(), benchTabletID, benchGroup, key(start), key(start+rows), 1<<60, func(core_Row) bool {
+			err := lb.Scan(context.Background(), benchTabletID, benchGroup, key(start), key(start+rows), 1<<60, func(core.Row) bool {
 				count++
 				return true
 			})
@@ -438,7 +438,7 @@ func Fig10RangeScan(s Scale) (Table, error) {
 		start := rng.Intn(n - rows)
 		_, disk, err := fxH.timed(func() error {
 			count := 0
-			err := hb.Scan(key(start), key(start+rows), 1<<62, func(hbase_Row) bool {
+			err := hb.Scan(key(start), key(start+rows), 1<<62, func(hbase.Row) bool {
 				count++
 				return true
 			})
@@ -480,7 +480,3 @@ func Fig10RangeScan(s Scale) (Table, error) {
 	t.Hold = hold
 	return t, nil
 }
-
-// Row aliases keep callback signatures short above.
-type core_Row = core.Row
-type hbase_Row = hbase.Row

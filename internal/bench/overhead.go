@@ -1,186 +1,130 @@
 package bench
 
-// Observability-overhead experiment: the same Put and Scan workloads
-// run twice — once fully instrumented (metrics registry recording,
-// every operation traced at threshold 0 and rendered to a discarding
-// slow-op sink: the worst case) and once with Config.DisableMetrics and
-// no tracer. The instrumentation must stay within 5% on the modelled
-// disk cost: it touches atomics and span structs, never the I/O path,
-// so any disk delta is a wiring bug (e.g. tracing forcing extra log
-// reads). Wall-clock deltas are reported for humans but not enforced —
-// they wobble with runner load.
+// The overhead pair: the same Put-then-Scan workload on the same
+// deterministic fixture, once with a piece of machinery switched on and
+// once with it off. The machinery — observability, fault-injection
+// hooks — touches atomics, span structs and nil checks, never the I/O
+// path, so the "on" arm may cost at most overheadTolerance more
+// modelled disk than the "off" arm; any real delta is a wiring bug
+// (tracing forcing extra log reads, an injection point leaking into the
+// write itself). Wall-clock deltas are reported for humans and not
+// asserted: they wobble with runner load.
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	logbase "repro"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/simdisk"
+	"repro/internal/fault"
 )
 
-// obsOverheadTolerance is the enforced ceiling on the instrumented
-// modelled-disk cost relative to the disabled run.
-const obsOverheadTolerance = 0.05
+// overheadTolerance is the ceiling every "costs nothing on disk" shape
+// in this package is held to: observability, fault hooks, a live
+// changefeed subscriber and live log shipping.
+const overheadTolerance = 0.05
 
-// newObsOverheadCluster is the keyops fixture with observability either
-// fully on (metrics + threshold-0 tracing) or fully off.
-func newObsOverheadCluster(id string, instrumented bool) (*cluster.Cluster, string, error) {
-	dir, err := tempDir("obs-" + id)
-	if err != nil {
-		return nil, "", err
-	}
-	cfg := cluster.Config{
-		NumServers: 2,
-		Tables:     []cluster.TableSpec{{Name: "usertable", Groups: []string{"f0"}}},
-		Server:     core.Config{SegmentSize: 16 << 20, DisableMetrics: !instrumented},
-		DFS:        dfs.Config{BlockSize: 4 << 20, DiskModel: benchDiskModel(), Clock: &simdisk.Clock{}},
-	}
-	if instrumented {
-		cfg.SlowOpLog = func(string) {} // trace everything, discard the trees
-		cfg.SlowOpThreshold = 0
-	}
-	c, err := cluster.New(dir, cfg)
-	return c, dir, err
-}
-
-// obsOverheadVariant runs the Put-then-Scan workload on one fixture and
-// returns the two measurements.
-func obsOverheadVariant(id string, instrumented bool, s Scale) (put, scan KeyOp, err error) {
-	c, dir, err := newObsOverheadCluster(id, instrumented)
-	if err != nil {
-		return KeyOp{}, KeyOp{}, err
-	}
-	defer os.RemoveAll(dir)
-	defer c.Close()
-	st := logbase.NewClusterClient(c)
-	ctx := context.Background()
-	n := int64(s.Rows)
-	val := value(s.ValueSize, 7)
-
-	measure := func(name string, ops int64, fn func() error) (KeyOp, error) {
-		c.Clock().Reset()
-		am := startAllocMeter()
-		start := time.Now()
-		if err := fn(); err != nil {
-			return KeyOp{}, fmt.Errorf("%s: %w", name, err)
-		}
-		wall := time.Since(start)
-		allocs, bytes := am.perOp(ops)
-		disk := c.Clock().Elapsed()
-		return KeyOp{
-			Name:        name,
-			Ops:         ops,
-			DiskUSPerOp: float64(disk) / float64(time.Microsecond) / float64(ops),
-			WallUSPerOp: float64(wall) / float64(time.Microsecond) / float64(ops),
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-		}, nil
-	}
-
-	put, err = measure("put-"+id, n, func() error {
-		for i := int64(0); i < n; i++ {
-			if err := st.Put(ctx, "usertable", "f0", key(int(i)), val); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return KeyOp{}, KeyOp{}, err
-	}
-	scan, err = measure("scan-"+id, n, func() error {
-		it := st.Scan(ctx, "usertable", "f0", nil, nil)
-		defer it.Close()
-		rows := int64(0)
-		for it.Next() {
-			rows++
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-		if rows != n {
-			return fmt.Errorf("scan saw %d rows, want %d", rows, n)
-		}
-		return it.Close()
-	})
-	if err != nil {
-		return KeyOp{}, KeyOp{}, err
-	}
-	return put, scan, nil
-}
-
-// obsOverheadDelta is the fractional modelled-disk overhead of the
-// instrumented run over the disabled one.
-func obsOverheadDelta(instr, plain KeyOp) float64 {
-	if plain.DiskUSPerOp <= 0 {
-		return 0
-	}
-	return (instr.DiskUSPerOp - plain.DiskUSPerOp) / plain.DiskUSPerOp
-}
-
-// ObsOverheadKeyOps measures instrumented-vs-disabled Put and Scan and
-// enforces the <=5% modelled-disk ceiling. Called from KeyOps, so the
-// per-PR benchgate run fails when instrumentation leaks into the I/O
-// path.
-func ObsOverheadKeyOps(s Scale) ([]KeyOp, error) {
-	putObs, scanObs, err := obsOverheadVariant("obs", true, s)
-	if err != nil {
-		return nil, err
-	}
-	putPlain, scanPlain, err := obsOverheadVariant("plain", false, s)
-	if err != nil {
-		return nil, err
-	}
-	for _, pair := range []struct {
-		op           string
-		instr, plain KeyOp
-	}{{"put", putObs, putPlain}, {"scan", scanObs, scanPlain}} {
-		if d := obsOverheadDelta(pair.instr, pair.plain); d > obsOverheadTolerance {
-			return nil, fmt.Errorf("observability overhead on %s: instrumented %.2f vs disabled %.2f disk us/op (%+.1f%%, limit %.0f%%)",
-				pair.op, pair.instr.DiskUSPerOp, pair.plain.DiskUSPerOp, d*100, obsOverheadTolerance*100)
-		}
-	}
-	return []KeyOp{putObs, putPlain, scanObs, scanPlain}, nil
-}
-
-// ObsOverhead is the experiment-registry wrapper around the same
-// measurement.
+// ObsOverhead compares full instrumentation (metrics registry recording,
+// every operation traced at threshold 0 and rendered to a discarding
+// slow-op sink: the worst case) against Config.DisableMetrics and no
+// tracer.
 func ObsOverhead(s Scale) (Table, error) {
-	ops, err := ObsOverheadKeyOps(s)
-	hold := err == nil
-	t := Table{
+	return overheadPair(s, Table{
 		ID:     "obs-overhead",
 		Title:  "Observability overhead: instrumented vs disabled Put/Scan",
 		Header: []string{"op", "ops", "disabled disk µs/op", "instrumented disk µs/op", "disk Δ%", "wall Δ%"},
 		Shape:  "metrics + threshold-0 tracing add <= 5% modelled disk cost on Put and Scan",
-	}
-	if err != nil {
-		// The enforced ceiling failing IS the experiment's answer; report
-		// it as a shape miss rather than an error.
-		t.Rows = [][]string{{"-", "-", "-", "-", err.Error(), "-"}}
-		t.Hold = false
-		return t, nil
-	}
-	for i := 0; i+1 < len(ops); i += 2 {
-		instr, plain := ops[i], ops[i+1]
-		wallDelta := 0.0
-		if plain.WallUSPerOp > 0 {
-			wallDelta = (instr.WallUSPerOp - plain.WallUSPerOp) / plain.WallUSPerOp * 100
+	}, func(cfg *cluster.Config, on bool) {
+		cfg.Server.DisableMetrics = !on
+		if on {
+			cfg.SlowOpLog = func(string) {} // trace everything, discard the trees
+			cfg.SlowOpThreshold = 0
 		}
-		t.Rows = append(t.Rows, []string{
-			instr.Name,
-			fmt.Sprint(instr.Ops),
-			fmt.Sprintf("%.2f", plain.DiskUSPerOp),
-			fmt.Sprintf("%.2f", instr.DiskUSPerOp),
-			fmt.Sprintf("%+.1f", obsOverheadDelta(instr, plain)*100),
-			fmt.Sprintf("%+.1f", wallDelta),
+	})
+}
+
+// FaultOverhead compares a fault.Registry wired through the disk, DFS
+// and WAL hook points with nothing armed (the production disabled path)
+// against a nil registry.
+func FaultOverhead(s Scale) (Table, error) {
+	return overheadPair(s, Table{
+		ID:     "fault-overhead",
+		Title:  "Fault-injection overhead: wired-but-disarmed registry vs nil",
+		Header: []string{"op", "ops", "nil disk µs/op", "wired disk µs/op", "disk Δ%", "wall Δ%"},
+		Shape:  "a disarmed fault registry adds <= 5% modelled disk cost on Put and Scan",
+	}, func(cfg *cluster.Config, on bool) {
+		if on {
+			reg := fault.New(1) // present at every hook, nothing armed
+			cfg.Server.Faults, cfg.DFS.Faults = reg, reg
+		}
+	})
+}
+
+// overheadPair runs the workload on both arms and fills t: one row per
+// op, Hold when the "off" arm measured real disk time and the "on" arm
+// stayed within overheadTolerance of it on every op.
+func overheadPair(s Scale, t Table, arm func(cfg *cluster.Config, on bool)) (Table, error) {
+	run := func(on bool) (put, scan sample, err error) {
+		c, dir, err := newBenchCluster(t.ID, func(cfg *cluster.Config) { arm(cfg, on) })
+		if err != nil {
+			return put, scan, err
+		}
+		defer os.RemoveAll(dir)
+		defer c.Close()
+		st := logbase.NewClusterClient(c)
+		ctx := context.Background()
+		n := int64(s.Rows)
+		val := value(s.ValueSize, 7)
+		if put, err = measured(c.Clock(), n, func() error {
+			for i := int64(0); i < n; i++ {
+				if err := st.Put(ctx, "usertable", "f0", key(int(i)), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return put, scan, err
+		}
+		scan, err = measured(c.Clock(), n, func() error {
+			it := st.Scan(ctx, "usertable", "f0", nil, nil)
+			defer it.Close()
+			rows := int64(0)
+			for it.Next() {
+				rows++
+			}
+			if err := it.Err(); err != nil {
+				return err
+			}
+			if rows != n {
+				return fmt.Errorf("scan saw %d rows, want %d", rows, n)
+			}
+			return it.Close()
 		})
+		return put, scan, err
 	}
-	t.Hold = hold
+	putOn, scanOn, err := run(true)
+	if err != nil {
+		return t, err
+	}
+	putOff, scanOff, err := run(false)
+	if err != nil {
+		return t, err
+	}
+	t.Hold = true
+	for _, p := range []struct {
+		op      string
+		on, off sample
+	}{{"put", putOn, putOff}, {"scan", scanOn, scanOff}} {
+		t.Rows = append(t.Rows, []string{
+			p.op,
+			fmt.Sprint(p.on.ops),
+			f2(p.off.diskUS()),
+			f2(p.on.diskUS()),
+			fmt.Sprintf("%+.1f", p.on.over(p.off)*100),
+			fmt.Sprintf("%+.1f", (p.on.wallUS()-p.off.wallUS())/p.off.wallUS()*100),
+		})
+		t.Hold = t.Hold && p.off.disk > 0 && p.on.over(p.off) <= overheadTolerance
+	}
 	return t, nil
 }

@@ -1,13 +1,13 @@
 package bench
 
-// Read replicas: the offload and shipping-overhead claims, measured.
+// replica-scan: the offload and shipping-overhead claims, measured.
 //
 // A WAL-shipping replica serves pinned analytical scans from ITS OWN
 // log copy, so the primary's disks see none of the scan — that is the
-// whole point of log-replication read scaling on a log-only store. Two
-// gates pin it down: (1) the pinned scan on the replica charges ZERO
+// whole point of log-replication read scaling on a log-only store. The
+// shape has two halves: (1) the pinned scan on the replica charges ZERO
 // modelled disk to the primary; (2) a caught-up replica draining the
-// live tail adds at most replShipTolerance modelled disk to the
+// live tail adds at most overheadTolerance modelled disk to the
 // primary's write path, because the tail ships from the append path's
 // in-memory hub, never from a second read of the log. The historical
 // catch-up — the one phase that DOES read the primary's segments — is
@@ -21,36 +21,17 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/repl"
 	"repro/internal/simdisk"
 )
 
-// replShipTolerance caps the live-shipping overhead on the primary's
-// write path (same ceiling as the changefeed tail: the publish path is
-// memory-only, so any real delta is a wiring bug).
-const replShipTolerance = 0.10
-
 // replicaFixture builds the primary on its own modelled DFS and loads n
 // sorted rows of history for the replica to catch up over.
 func replicaFixture(n, valueSize int) (*core.Server, *simdisk.Clock, string, *atomic.Int64, error) {
-	dir, err := tempDir("replica")
-	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	clock := &simdisk.Clock{}
-	fs, err := dfs.New(dir, dfs.Config{
-		NumDataNodes: 2, BlockSize: 4 << 20,
-		DiskModel: benchDiskModel(), Clock: clock,
-	})
+	srv, clock, dir, err := newServerFixture("prim", core.Config{SegmentSize: 16 << 20})
 	if err != nil {
 		return nil, nil, dir, nil, err
 	}
-	srv, err := core.NewServer(fs, "prim", core.Config{SegmentSize: 16 << 20})
-	if err != nil {
-		return nil, nil, dir, nil, err
-	}
-	srv.AddTablet(benchTablet(), []string{benchGroup})
 	ts := &atomic.Int64{}
 	val := value(valueSize, 17)
 	for i := 0; i < n; i++ {
@@ -58,64 +39,41 @@ func replicaFixture(n, valueSize int) (*core.Server, *simdisk.Clock, string, *at
 			return nil, nil, dir, nil, err
 		}
 	}
-	srv.Log().Rotate()
-	var nums []uint32
-	for _, si := range srv.Log().Segments() {
-		if !si.Sorted {
-			nums = append(nums, si.Num)
-		}
-	}
-	if _, err := srv.CompactSegments(nums); err != nil {
+	if err := sealSorted(srv); err != nil {
 		return nil, nil, dir, nil, err
 	}
 	return srv, clock, dir, ts, nil
 }
 
-// ReplicaKeyOps measures the replication phases and enforces the two
-// ceilings. Returned ops: repl-writes-base (primary writes, nobody
-// shipping), repl-catchup (replica bootstrap replay of the retained
-// history; disk is primary sweep + replica re-append), repl-writes-
-// shipped (the identical writes with a caught-up replica draining the
-// live tail — gated against base), replica-scan (pinned scan served by
-// the replica; gated to charge the primary nothing), and
-// primary-scan-under-writes (the same pinned scan paid by the primary's
-// own disks).
-func ReplicaKeyOps(s Scale) ([]KeyOp, error) {
-	n, ops := s.Rows, s.Ops
+// ReplicaScan is the registry experiment, over s.Rows/4 rows of history
+// and s.Ops/4 writes per phase. Phases: repl-writes-base (primary
+// writes, nobody shipping), repl-catchup (replica bootstrap replay of
+// the retained history; disk is primary sweep + replica re-append),
+// repl-writes-shipped (the identical writes with a caught-up replica
+// draining the live tail), replica-scan (pinned scan served by the
+// replica), and primary-scan-under-writes (the same pinned scan paid by
+// the primary's own disks).
+func ReplicaScan(s Scale) (Table, error) {
+	t := Table{
+		ID:     "replica-scan",
+		Title:  "Read replicas: pinned scan offload vs primary scan under writes",
+		Header: []string{"phase", "ops", "disk µs/op", "wall µs/op"},
+		Shape:  "replica scan charges zero primary disk; live shipping adds <= 5% to the write path",
+	}
+	n, ops := s.Rows/4, s.Ops/4
 	primary, pclock, dir, ts, err := replicaFixture(n, s.ValueSize)
 	if dir != "" {
 		defer os.RemoveAll(dir)
 	}
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	defer primary.Close()
 
-	measured := func(name string, count int, clocks []*simdisk.Clock, fn func() error) (KeyOp, error) {
-		for _, c := range clocks {
-			c.Reset()
-		}
-		am := startAllocMeter()
-		start := time.Now()
-		if err := fn(); err != nil {
-			return KeyOp{}, fmt.Errorf("%s: %w", name, err)
-		}
-		wall := time.Since(start)
-		allocs, bytes := am.perOp(int64(count))
-		var disk time.Duration
-		for _, c := range clocks {
-			disk += c.Elapsed()
-		}
-		return KeyOp{
-			Name:        name,
-			Ops:         int64(count),
-			DiskUSPerOp: float64(disk) / float64(time.Microsecond) / float64(count),
-			WallUSPerOp: float64(wall) / float64(time.Microsecond) / float64(count),
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-		}, nil
+	report := func(name string, m sample) {
+		t.Rows = append(t.Rows, []string{name, fmt.Sprint(m.ops),
+			f2(m.diskUS()), f2(m.wallUS())})
 	}
-
 	val := value(s.ValueSize, 19)
 	next := n
 	writes := func(count int) error {
@@ -128,29 +86,29 @@ func ReplicaKeyOps(s Scale) ([]KeyOp, error) {
 		return nil
 	}
 
-	// Baseline: the primary's write path with nobody shipping.
-	base, err := measured("repl-writes-base", ops, []*simdisk.Clock{pclock}, func() error {
-		return writes(ops)
-	})
-	if err != nil {
-		return nil, err
+	// Warm the post-rotation head segment: the first append after the
+	// fixture's Rotate pays the new-segment creation cost, which would
+	// otherwise inflate the baseline and blunt the shipping ceiling.
+	if err := writes(1); err != nil {
+		return t, err
 	}
+
+	// Baseline: the primary's write path with nobody shipping.
+	base, err := measured(pclock, int64(ops), func() error { return writes(ops) })
+	if err != nil {
+		return t, err
+	}
+	report("repl-writes-base", base)
 
 	// Bootstrap: the replica (on its own modelled disks) replays the
 	// retained history — the primary pays a sequential segment sweep,
 	// the replica pays the re-append of every record.
-	rdir, err := tempDir("replica-standby")
-	if err != nil {
-		return nil, err
+	rfs, rclock, rdir, err := newModelledDFS("replica-standby")
+	if rdir != "" {
+		defer os.RemoveAll(rdir)
 	}
-	defer os.RemoveAll(rdir)
-	rclock := &simdisk.Clock{}
-	rfs, err := dfs.New(rdir, dfs.Config{
-		NumDataNodes: 2, BlockSize: 4 << 20,
-		DiskModel: benchDiskModel(), Clock: rclock,
-	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	rep, err := repl.New(rfs, primary, "prim.r0", repl.Config{
 		LastTS: ts.Load,
@@ -158,122 +116,81 @@ func ReplicaKeyOps(s Scale) ([]KeyOp, error) {
 		Buffer: 1 << 16,
 	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	rep.AddTablet(benchTablet(), []string{benchGroup})
 	defer rep.Close()
-	catch, err := measured("repl-catchup", n+ops, []*simdisk.Clock{pclock, rclock}, func() error {
+	catch, err := measured(pclock, int64(n+ops+1), func() error {
 		if err := rep.Start(); err != nil {
 			return err
 		}
 		return rep.WaitForTS(ts.Load(), 2*time.Minute)
 	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
+	catch.disk += rclock.Elapsed() // the replica's disks were idle until now
+	report("repl-catchup", catch)
 
 	// Transition: catch-up swept the primary's segments, so the next
 	// append pays one modelled head seek back to the log's write
 	// position — a per-bootstrap constant, not a shipping cost. Spend
 	// it between the measured phases (same treatment as cdc-tail).
 	if err := writes(1); err != nil {
-		return nil, err
+		return t, err
 	}
 	if err := rep.WaitForTS(ts.Load(), 2*time.Minute); err != nil {
-		return nil, err
+		return t, err
 	}
 
 	// Live shipping: the identical write workload with the caught-up
 	// replica attached and fully drained. Only the primary's clock is
 	// charged — the tail crosses a channel, not the primary's disks.
-	shipped, err := measured("repl-writes-shipped", ops, []*simdisk.Clock{pclock}, func() error {
+	shipped, err := measured(pclock, int64(ops), func() error {
 		if err := writes(ops); err != nil {
 			return err
 		}
 		return rep.WaitForTS(ts.Load(), 2*time.Minute)
 	})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	if base.DiskUSPerOp > 0 {
-		if d := (shipped.DiskUSPerOp - base.DiskUSPerOp) / base.DiskUSPerOp; d > replShipTolerance {
-			return nil, fmt.Errorf("log shipping not free on the write path: shipped %.2f vs bare %.2f disk us/op (%+.1f%%, limit %.0f%%)",
-				shipped.DiskUSPerOp, base.DiskUSPerOp, d*100, replShipTolerance*100)
-		}
-	}
+	report("repl-writes-shipped", shipped)
 
 	// The analytical read, both ways, pinned at the same snapshot over
 	// history + the freshly shipped (unsorted) tail.
 	pin := ts.Load()
-	total := n + 2*ops + 1 // fixture + both write phases + transition row
+	total := n + 2*ops + 2 // fixture + both write phases + warm-up and transition rows
 	ctx := context.Background()
-	scan := func(srv *core.Server) (int, error) {
+	scan := func(srv *core.Server) error {
 		rows := 0
-		err := srv.Scan(ctx, benchTabletID, benchGroup, nil, nil, pin, func(core.Row) bool {
+		if err := srv.Scan(ctx, benchTabletID, benchGroup, nil, nil, pin, func(core.Row) bool {
 			rows++
 			return true
-		})
-		return rows, err
-	}
-	pclock.Reset() // so the offload check below sees only scan-phase charges
-	rscan, err := measured("replica-scan", total, []*simdisk.Clock{rclock}, func() error {
-		rows, err := scan(rep.Server())
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 		if rows != total {
-			return fmt.Errorf("replica scan saw %d rows, want %d", rows, total)
-		}
-		// The offload claim, enforced: the replica served the whole scan
-		// from its own log copy.
-		if leak := pclock.Elapsed(); leak > 0 {
-			return fmt.Errorf("replica scan charged %v modelled disk to the primary, want 0", leak)
+			return fmt.Errorf("pinned scan saw %d rows, want %d", rows, total)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	pscan, err := measured("primary-scan-under-writes", total, []*simdisk.Clock{pclock}, func() error {
-		rows, err := scan(primary)
-		if err != nil {
-			return err
-		}
-		if rows != total {
-			return fmt.Errorf("primary scan saw %d rows, want %d", rows, total)
-		}
-		return nil
-	})
+	idle := pclock.Elapsed()
+	rscan, err := measured(rclock, int64(total), func() error { return scan(rep.Server()) })
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	return []KeyOp{base, catch, shipped, rscan, pscan}, nil
-}
+	// The offload claim: the replica served the whole scan from its own
+	// log copy, so the primary's clock did not move.
+	leak := pclock.Elapsed() - idle
+	report("replica-scan", rscan)
+	pscan, err := measured(pclock, int64(total), func() error { return scan(primary) })
+	if err != nil {
+		return t, err
+	}
+	report("primary-scan-under-writes", pscan)
 
-// ReplicaScan is the experiment-registry wrapper: modelled-disk µs/op
-// for each replication phase and the scan pair.
-func ReplicaScan(s Scale) (Table, error) {
-	t := Table{
-		ID:     "replica-scan",
-		Title:  "Read replicas: pinned scan offload vs primary scan under writes",
-		Header: []string{"phase", "ops", "disk µs/op", "wall µs/op"},
-		Shape:  "replica scan charges zero primary disk; live shipping adds <= 10% to the write path",
-	}
-	ops, err := ReplicaKeyOps(Scale{Rows: s.Rows / 4, Ops: s.Ops / 4, ValueSize: s.ValueSize})
-	if err != nil {
-		// A violated ceiling IS the experiment's answer.
-		t.Rows = [][]string{{"-", "-", "-", err.Error()}}
-		t.Hold = false
-		return t, nil
-	}
-	for _, op := range ops {
-		t.Rows = append(t.Rows, []string{
-			op.Name,
-			fmt.Sprint(op.Ops),
-			fmt.Sprintf("%.2f", op.DiskUSPerOp),
-			fmt.Sprintf("%.2f", op.WallUSPerOp),
-		})
-	}
-	t.Hold = true
+	report("replica-scan charged to primary", sample{ops: int64(total), disk: leak})
+	t.Hold = leak == 0 && base.disk > 0 && shipped.over(base) <= overheadTolerance
 	return t, nil
 }

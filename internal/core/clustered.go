@@ -16,8 +16,8 @@ package core
 // sequential transfer otherwise), while the per-key index path pays a
 // head movement every time consecutive keys resolve to different
 // segments — the steady state after incremental compaction, where
-// sorted segments overlap. The scan-clustered/scan-index benchgate
-// pair holds the gap at >= 2x.
+// sorted segments overlap. internal/bench's scan-clustered experiment
+// holds the gap at >= 2x.
 
 import (
 	"bytes"

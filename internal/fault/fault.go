@@ -15,7 +15,7 @@
 //
 // The disabled path is one nil check plus one atomic load: a nil
 // *Registry (the production default) and a registry with nothing armed
-// both cost nothing measurable, which the benchgate fault-overhead
+// both cost nothing measurable, which internal/bench's fault-overhead
 // experiment enforces.
 package fault
 

@@ -31,7 +31,7 @@ type Fetcher interface {
 
 // ExecOptions tune statement execution. The zero value is the real
 // engine; Order and the No* switches exist for the naive nested-loop
-// oracle the model tests and the benchgate join pair compare against.
+// oracle the model tests and internal/bench's join-greedy compare against.
 type ExecOptions struct {
 	// Order forces the relation execution order (nil = greedy plan).
 	Order []int
