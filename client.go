@@ -284,7 +284,7 @@ func (c *client) SetRetention(table string, p RetentionPolicy) error {
 }
 
 // Close stops the materialized-view feeds and releases the
-// deployment's background resources (replicas, group-commit batchers,
+// deployment's background resources (replicas, auto-compaction loops,
 // open changefeeds). Data is already durable — appends are synchronous
 // — so Close never loses writes. The store is not usable afterwards.
 func (c *client) Close() error {

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close() // stops the group-commit batcher goroutine
+	defer db.Close()
 	// Vertical partitioning: the hot "price" group is separate from the
 	// wide, rarely-read "detail" group.
 	if err := db.CreateTable("trades", "price", "detail"); err != nil {

@@ -127,8 +127,8 @@ func AblationCachePolicy(s Scale) (Table, error) {
 // deterministic signal is DFS write operations per 1000 records — each
 // DFS write is a replicated round trip in a real deployment, and group
 // commit's whole point is issuing fewer of them. Wall time is reported
-// for reference (on fast local files it is dominated by the batching
-// delay, not the per-op cost the paper's HDFS pays).
+// for reference (on fast local files it is dominated by CPU and the
+// leader hand-off, not the per-op cost the paper's HDFS pays).
 func AblationGroupCommit(s Scale) (Table, error) {
 	t := Table{
 		ID:     "abl-group-commit",
@@ -152,7 +152,7 @@ func AblationGroupCommit(s Scale) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		b := wal.NewBatcher(log, batch, 100*time.Microsecond)
+		b := wal.NewBatcher(log, batch, 0)
 		val := value(s.ValueSize, 23)
 		fx.resetStats()
 		start := time.Now()
@@ -172,7 +172,6 @@ func AblationGroupCommit(s Scale) (Table, error) {
 			}(w)
 		}
 		wg.Wait()
-		b.Close() // stop the collector goroutine before the next config
 		close(errCh)
 		for err := range errCh {
 			return t, err

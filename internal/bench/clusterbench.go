@@ -72,7 +72,6 @@ func newYCSBCluster(n int) (*cluster.Cluster, string, error) {
 		// concurrent clients, exactly the workload §3.7.2 batches.
 		cfg.Server.GroupCommit = true
 		cfg.Server.GroupCommitBatch = 64
-		cfg.Server.GroupCommitDelay = 100 * time.Microsecond
 	})
 }
 
@@ -184,7 +183,7 @@ func Fig11YCSBLoad(s Scale) (Table, error) {
 			lbTime, err = ycsb.Load(lbDB, rows, s.ValueSize, n, 1)
 			return err
 		})
-		c.Close() // stop per-server group-commit batcher goroutines
+		c.Close()
 		os.RemoveAll(dir)
 		if err != nil {
 			return t, err

@@ -189,7 +189,6 @@ func TestClusterGroupCommitPath(t *testing.T) {
 			SegmentSize:      1 << 20,
 			GroupCommit:      true,
 			GroupCommitBatch: 16,
-			GroupCommitDelay: 50 * time.Microsecond,
 		},
 	})
 	if err != nil {

@@ -497,9 +497,9 @@ func (c *Cluster) KillServer(id string) error {
 	return master.handleServerFailure(id)
 }
 
-// Close releases every tablet server's background resources (group-
-// commit batcher goroutines) and stops the balancer if one is running.
-// The cluster is not usable afterwards.
+// Close releases every tablet server's background resources (auto-
+// compaction loops, changefeeds) and stops the balancer if one is
+// running. The cluster is not usable afterwards.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	b := c.balancer

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dfs"
@@ -42,11 +41,12 @@ type Config struct {
 	// CachePolicy overrides the read buffer's replacement strategy
 	// (nil = LRU, the paper's default).
 	CachePolicy cache.Policy
-	// GroupCommit enables batching of log appends (paper §3.7.2).
+	// GroupCommit enables batching of concurrent log appends (paper
+	// §3.7.2): leader/follower group commit, no wait when alone.
 	GroupCommit bool
-	// GroupCommitBatch and GroupCommitDelay tune the batcher.
+	// GroupCommitBatch caps the records one group-commit flush carries
+	// (0 = 64 records).
 	GroupCommitBatch int
-	GroupCommitDelay time.Duration
 	// IndexFlushUpdates is the per-column-group update counter threshold
 	// after which the index is merged out to an index file (paper
 	// §3.6.1); zero disables counter-triggered flushes (explicit
@@ -239,7 +239,7 @@ func NewServer(fs *dfs.DFS, id string, cfg Config) (*Server, error) {
 	// direct and the group-commit path funnel through log.Append.
 	log.SetAppendHook(s.cdc.publish)
 	if cfg.GroupCommit {
-		s.batcher = wal.NewBatcher(log, cfg.GroupCommitBatch, cfg.GroupCommitDelay)
+		s.batcher = wal.NewBatcher(log, cfg.GroupCommitBatch, 0)
 		if !cfg.DisableMetrics {
 			s.batcher.SetMetrics(
 				s.obs.reg.Histogram("logbase_wal_flush_seconds", "group-commit flush latency", obs.Labels{"server": id}),
@@ -615,10 +615,10 @@ func (s *Server) ApplyBatch(writes []BatchWrite) error {
 	return s.applyGroup(muts, frame(muts, 0), "crash.batch.pre-index")
 }
 
-// Close releases the server's background resources: the group-commit
-// batcher goroutine is stopped (in-flight appends flush first) and the
-// auto-compaction loop is joined. Data needs no flushing — every
-// append was already durable. Idempotent.
+// Close releases the server's background resources: the auto-compaction
+// loop is joined and changefeeds are closed. Data needs no flushing —
+// every append was already durable, and group commit owns no goroutine
+// (writes after Close still append durably). Idempotent.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
 		if s.autoStop != nil {
@@ -627,9 +627,6 @@ func (s *Server) Close() error {
 		}
 		s.cdc.closeAll()
 	})
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
 	return nil
 }
 

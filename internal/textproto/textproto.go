@@ -171,8 +171,15 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 	sc := bufio.NewScanner(rw)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	out := bufio.NewWriter(rw)
+	// emit buffers one reply line; reply also flushes, ending the reply.
+	// Multi-row replies (SCAN, VERSIONS) buffer their ROW lines, so a
+	// reply costs a few conn writes, not one per row.
+	emit := func(format string, args ...interface{}) error {
+		_, err := fmt.Fprintf(out, format+"\n", args...)
+		return err
+	}
 	reply := func(format string, args ...interface{}) error {
-		if _, err := fmt.Fprintf(out, format+"\n", args...); err != nil {
+		if err := emit(format, args...); err != nil {
 			return err
 		}
 		return out.Flush()
@@ -226,7 +233,7 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 				break
 			}
 			for _, r := range rows {
-				if err = reply("ROW %s %d %s", r.Key, r.TS, r.Value); err != nil {
+				if err = emit("ROW %s %d %s", r.Key, r.TS, r.Value); err != nil {
 					break
 				}
 			}
@@ -264,7 +271,7 @@ func Serve(ctx context.Context, rw io.ReadWriter, db Store) error {
 			it := db.Scan(ctx, fields[1], fields[2], start, end, opt)
 			for it.Next() {
 				r := it.Row()
-				if err = reply("ROW %s %d %s", r.Key, r.TS, r.Value); err != nil {
+				if err = emit("ROW %s %d %s", r.Key, r.TS, r.Value); err != nil {
 					break
 				}
 				n++

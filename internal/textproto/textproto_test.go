@@ -443,6 +443,50 @@ func TestScanWithLimit(t *testing.T) {
 	}
 }
 
+// countingRW replays a script and counts the conn writes of the reply.
+type countingRW struct {
+	io.Reader
+	out    bytes.Buffer
+	writes int
+	err    error // returned by every Write when set
+}
+
+func (c *countingRW) Write(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	c.writes++
+	return c.out.Write(p)
+}
+
+// A SCAN reply buffers its ROW lines and flushes with END: a few conn
+// writes per reply, not one per row. A write error still ends the
+// session.
+func TestScanReplyFlushesOnce(t *testing.T) {
+	db := newFake()
+	db.CreateTable("t", "g")
+	val := []byte(strings.Repeat("v", 256))
+	for i := 0; i < 60; i++ {
+		db.Put(context.Background(), "t", "g", []byte(fmt.Sprintf("k%03d", i)), val)
+	}
+	rw := &countingRW{Reader: strings.NewReader("SCAN t g * * LIMIT 50\n")}
+	if err := Serve(context.Background(), rw, db); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if lines := strings.Split(strings.TrimRight(rw.out.String(), "\n"), "\n"); len(lines) != 51 || lines[50] != "END 50" {
+		t.Fatalf("reply: %d lines, last %q", len(lines), lines[len(lines)-1])
+	}
+	if rw.writes > 6 {
+		t.Errorf("SCAN LIMIT 50 took %d conn writes, want <= 6", rw.writes)
+	}
+
+	broken := errors.New("peer gone")
+	rw = &countingRW{Reader: strings.NewReader("SCAN t g * * LIMIT 50\n"), err: broken}
+	if err := Serve(context.Background(), rw, db); !errors.Is(err, broken) {
+		t.Errorf("Serve over a failing conn = %v, want %v", err, broken)
+	}
+}
+
 func TestMalformedCommands(t *testing.T) {
 	db := newFake()
 	lines := session(t, db,

@@ -11,150 +11,59 @@ import (
 // are coalesced into one log write to amortise the persistence cost.
 // Every Append call still blocks until its records are durable.
 //
-// The batcher owns one background goroutine that collects entries from
-// concurrent appenders until the batch is full or the delay expires,
-// then flushes them as a single log append. Close stops the goroutine
-// (flushing anything buffered); a closed batcher degrades to direct
-// appends so shutdown races never lose durability.
+// It is leader/follower group commit with no goroutine and no timer of
+// its own. An appender that finds no flush in flight leads at once: it
+// takes the queue head up to maxBatch records, writes them with one
+// Log.Append on its own goroutine, answers every follower and passes
+// the lead to the next queued entry. An appender that arrives during a
+// flush queues and waits until a leader answers or promotes it. A lone
+// appender never waits; a follower waits for the flush in progress plus
+// its own (more, only when over maxBatch records are queued ahead).
 type Batcher struct {
 	log *Log
-	// maxBatch is the largest number of entries coalesced into one log
-	// write.
+	// maxBatch is the largest number of records coalesced into one log
+	// write; an entry larger than that is flushed alone.
 	maxBatch int
-	// maxDelay bounds how long the collector waits for followers.
-	maxDelay time.Duration
 
-	// ch is unbuffered on purpose: a send only completes when the
-	// collector goroutine receives it, so after Close has drained, no
-	// entry can be stranded in a buffer with nobody left to flush it.
-	ch        chan batchEntry
-	quit      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
+	mu       sync.Mutex
+	queue    []*batchEntry // waiting appenders, in arrival order
+	flushing bool          // a leader holds the lead; queue non-empty implies true
 
 	// flushDur / flushRecords, when set via SetMetrics, record each
-	// group-commit flush's latency and coalesced record count.
+	// leader's Log.Append latency and coalesced record count.
 	flushDur     *obs.Histogram
 	flushRecords *obs.Histogram
 }
 
+// batchEntry is one Append call. A follower's wake is signalled exactly
+// once: after ptrs/err are set (answered) or after lead is set
+// (promoted).
 type batchEntry struct {
 	recs []*Record
-	done chan batchResult
-}
-
-type batchResult struct {
 	ptrs []Ptr
 	err  error
+	lead bool
+	wake chan struct{}
 }
 
-// NewBatcher wraps log with group commit. maxBatch <= 1 degenerates to
-// direct appends (no goroutine is started); maxDelay zero means 200µs.
+// NewBatcher wraps log with group commit. maxBatch <= 0 means 64
+// records; maxBatch 1 degenerates to direct appends. maxDelay is
+// ignored: a leader flushes as soon as it leads, and followers coalesce
+// only while a flush is already in flight, so there is no window to
+// wait out. The parameter stays so existing callers keep compiling.
 func NewBatcher(log *Log, maxBatch int, maxDelay time.Duration) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
-	if maxDelay <= 0 {
-		maxDelay = 200 * time.Microsecond
-	}
-	b := &Batcher{
-		log:      log,
-		maxBatch: maxBatch,
-		maxDelay: maxDelay,
-		ch:       make(chan batchEntry),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	if b.maxBatch > 1 {
-		go b.run()
-	} else {
-		close(b.done)
-	}
-	return b
-}
-
-// run is the collector loop: wait for a first entry, give followers a
-// short window to pile on, flush the batch, repeat.
-func (b *Batcher) run() {
-	defer close(b.done)
-	for {
-		select {
-		case e := <-b.ch:
-			b.collect(e)
-		case <-b.quit:
-			// Drain entries from appenders that won the send race against
-			// Close, then exit.
-			for {
-				select {
-				case e := <-b.ch:
-					b.flush([]batchEntry{e})
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// collect gathers followers behind the first entry until the batch is
-// full or the delay window closes, then flushes.
-func (b *Batcher) collect(first batchEntry) {
-	batch := []batchEntry{first}
-	count := len(first.recs)
-	timer := time.NewTimer(b.maxDelay)
-	defer timer.Stop()
-	for count < b.maxBatch {
-		select {
-		case e := <-b.ch:
-			batch = append(batch, e)
-			count += len(e.recs)
-		case <-timer.C:
-			b.flush(batch)
-			return
-		case <-b.quit:
-			b.flush(batch)
-			return
-		}
-	}
-	b.flush(batch)
+	return &Batcher{log: log, maxBatch: maxBatch}
 }
 
 // SetMetrics wires flush instrumentation. Call before the first
-// Append: the collector goroutine reads these fields only after
-// receiving an entry, and the channel send orders that read after any
-// writes the appending side (transitively) performed.
+// Append: leaders read these fields after taking b.mu, which orders
+// the read after any Append that follows this call.
 func (b *Batcher) SetMetrics(flushDur, flushRecords *obs.Histogram) {
 	b.flushDur = flushDur
 	b.flushRecords = flushRecords
-}
-
-// flush appends every entry's records as one log write and hands each
-// appender its pointers.
-func (b *Batcher) flush(batch []batchEntry) {
-	var all []*Record
-	for _, e := range batch {
-		all = append(all, e.recs...)
-	}
-	var t0 time.Time
-	if b.flushDur != nil {
-		t0 = time.Now()
-	}
-	ptrs, err := b.log.Append(all...)
-	if b.flushDur != nil {
-		b.flushDur.Observe(time.Since(t0))
-		b.flushRecords.ObserveValue(int64(len(all)))
-	}
-	off := 0
-	for _, e := range batch {
-		var res batchResult
-		if err != nil {
-			res.err = err
-		} else {
-			res.ptrs = ptrs[off : off+len(e.recs)]
-		}
-		off += len(e.recs)
-		e.done <- res
-	}
 }
 
 // Append durably appends recs (as one atomic group within the batch)
@@ -163,21 +72,85 @@ func (b *Batcher) Append(recs ...*Record) ([]Ptr, error) {
 	if b.maxBatch <= 1 {
 		return b.log.Append(recs...)
 	}
-	entry := batchEntry{recs: recs, done: make(chan batchResult, 1)}
-	select {
-	case b.ch <- entry:
-		res := <-entry.done
-		return res.ptrs, res.err
-	case <-b.quit:
-		// Batcher shut down: append directly so the write stays durable.
-		return b.log.Append(recs...)
+	e := &batchEntry{recs: recs}
+	b.mu.Lock()
+	b.queue = append(b.queue, e)
+	if b.flushing {
+		e.wake = make(chan struct{}, 1)
+		b.mu.Unlock()
+		<-e.wake
+		if !e.lead {
+			return e.ptrs, e.err
+		}
+	} else {
+		b.flushing = true
+		b.mu.Unlock()
+	}
+	b.lead()
+	return e.ptrs, e.err
+}
+
+// lead runs one group commit for the queue head, which is the caller:
+// it takes up to maxBatch records, appends them outside the mutex,
+// answers the followers and then promotes the next queued entry or
+// clears flushing.
+func (b *Batcher) lead() {
+	b.mu.Lock()
+	n, count := 1, len(b.queue[0].recs)
+	for n < len(b.queue) && count+len(b.queue[n].recs) <= b.maxBatch {
+		count += len(b.queue[n].recs)
+		n++
+	}
+	// Full slice expression: later arrivals append past batch, never into it.
+	batch := b.queue[:n:n]
+	b.queue = b.queue[n:]
+	b.mu.Unlock()
+
+	b.flush(batch, count)
+	for _, e := range batch[1:] {
+		e.wake <- struct{}{}
+	}
+
+	b.mu.Lock()
+	if len(b.queue) > 0 {
+		b.queue[0].lead = true
+		b.queue[0].wake <- struct{}{}
+	} else {
+		b.flushing = false
+	}
+	b.mu.Unlock()
+}
+
+// flush appends every entry's records as one log write and sets each
+// entry's pointers, or the one error the whole batch shares.
+func (b *Batcher) flush(batch []*batchEntry, count int) {
+	recs := batch[0].recs
+	if len(batch) > 1 {
+		recs = make([]*Record, 0, count)
+		for _, e := range batch {
+			recs = append(recs, e.recs...)
+		}
+	}
+	var t0 time.Time
+	if b.flushDur != nil {
+		t0 = time.Now()
+	}
+	ptrs, err := b.log.Append(recs...)
+	if b.flushDur != nil {
+		b.flushDur.Observe(time.Since(t0))
+		b.flushRecords.ObserveValue(int64(len(recs)))
+	}
+	off := 0
+	for _, e := range batch {
+		if e.err = err; err == nil {
+			e.ptrs = ptrs[off : off+len(e.recs)]
+		}
+		off += len(e.recs)
 	}
 }
 
-// Close stops the collector goroutine, flushing anything in flight.
-// Appends issued after Close fall through to direct log appends.
-// Idempotent and safe to call concurrently with Append.
-func (b *Batcher) Close() {
-	b.closeOnce.Do(func() { close(b.quit) })
-	<-b.done
-}
+// Close is a no-op kept for callers that pair it with NewBatcher: the
+// batcher owns no goroutine, appends in flight finish on their own
+// goroutines, and an append after Close is led by its own caller into
+// Log.Append, as durable as before. Idempotent.
+func (b *Batcher) Close() {}

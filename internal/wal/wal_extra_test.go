@@ -56,27 +56,6 @@ func TestScannerManySmallSegments(t *testing.T) {
 	}
 }
 
-func TestBatcherFullBatchReleasesEarly(t *testing.T) {
-	l, _ := newTestLog(t, Options{})
-	// Huge delay: only the batch-full signal can finish the test fast.
-	b := NewBatcher(l, 4, 5*time.Second)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := b.Append(&Record{Kind: KindWrite, Key: []byte{byte(i)}, Value: []byte("v")}); err != nil {
-				t.Errorf("Append: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("full batch did not release the leader early (%v)", elapsed)
-	}
-}
-
 func TestBatcherStressWithRotation(t *testing.T) {
 	l, _ := newTestLog(t, Options{SegmentSize: 2048})
 	b := NewBatcher(l, 16, time.Millisecond)

@@ -92,12 +92,12 @@ type Options struct {
 	SegmentSize int64
 	// ReadCacheBytes bounds the optional read buffer; 0 disables it.
 	ReadCacheBytes int64
-	// GroupCommit batches concurrent log appends.
+	// GroupCommit batches concurrent log appends: writers that arrive
+	// during a log write share the next one; a lone writer never waits.
 	GroupCommit bool
-	// GroupCommitBatch and GroupCommitDelay tune the batcher (0 = 64
-	// records / 200µs).
+	// GroupCommitBatch caps the records one log write carries (0 = 64
+	// records).
 	GroupCommitBatch int
-	GroupCommitDelay time.Duration
 	// CompactKeepVersions bounds versions kept per key at compaction;
 	// 0 keeps all committed versions.
 	CompactKeepVersions int
@@ -200,7 +200,6 @@ func openOn(fs *dfs.DFS, dir string, opts Options) (*DB, error) {
 		ReadCacheBytes:      opts.ReadCacheBytes,
 		GroupCommit:         opts.GroupCommit,
 		GroupCommitBatch:    opts.GroupCommitBatch,
-		GroupCommitDelay:    opts.GroupCommitDelay,
 		CompactKeepVersions: opts.CompactKeepVersions,
 		IndexFlushUpdates:   opts.IndexFlushUpdates,
 		AutoCompact:         opts.AutoCompact,
@@ -359,8 +358,8 @@ func (db *DB) servers() []serverSet {
 	return []serverSet{{srv: db.server, replicas: db.Replicas()}}
 }
 
-// close stops the replicas, then the server: the group-commit batcher
-// flushes in-flight appends first and open changefeeds are closed.
+// close stops the replicas, then the server: its auto-compaction loop
+// is joined and open changefeeds are closed.
 func (db *DB) close() error {
 	db.rmu.Lock()
 	reps := db.replicas

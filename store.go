@@ -94,8 +94,9 @@ type Store interface {
 	Begin(ctx context.Context) Tx
 	// Batch returns an empty WriteBatch bound to this store.
 	Batch() *WriteBatch
-	// Close releases background resources (group-commit batcher
-	// goroutines). Data is already durable; Close never loses writes.
+	// Close releases background resources (replicas, auto-compaction
+	// loops, changefeeds). Data is already durable; Close never loses
+	// writes.
 	Close() error
 }
 

@@ -3,8 +3,8 @@ package logbase_test
 // Tests for the unified Store surface: iterator semantics (early Close
 // releases the producing scan, ctx cancellation surfaces ctx.Err()),
 // WriteBatch bulk writes, cancelled cluster queries returning promptly
-// with no stuck fan-out goroutines, and Close stopping the group-commit
-// batcher goroutine (the leak-check satellite).
+// with no stuck fan-out goroutines, and Close leaving no goroutine behind
+// on a group-commit deployment (the leak-check satellite).
 
 import (
 	"context"
@@ -26,7 +26,7 @@ func coreScanOptions(batch, workers int) core.ScanOptions {
 }
 
 func coreGroupCommitConfig() core.Config {
-	return core.Config{GroupCommit: true, GroupCommitBatch: 32, GroupCommitDelay: 100 * time.Microsecond}
+	return core.Config{GroupCommit: true, GroupCommitBatch: 32}
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -273,15 +273,14 @@ func TestCloseStopsGroupCommitBatcher(t *testing.T) {
 	db, err := logbase.Open(t.TempDir(), logbase.Options{
 		GroupCommit:      true,
 		GroupCommitBatch: 32,
-		GroupCommitDelay: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	db.CreateTable("t", "g")
 
-	// A concurrent group-commit workload, so the batcher goroutine has
-	// actually collected and flushed batches.
+	// A concurrent group-commit workload, so leaders have actually
+	// coalesced followers into shared flushes.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
