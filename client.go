@@ -37,7 +37,7 @@ type backend interface {
 	// group (the paper's §5 future-work extension): rows become
 	// findable by an extracted attribute at the cost of one extra
 	// in-memory index per tablet, with lookups costing an index descent
-	// plus one log seek per match. Existing rows are backfilled.
+	// plus batched log reads of the matches. Existing rows are backfilled.
 	RegisterSecondaryIndex(name, table, group string, extract Extractor) error
 	// LookupSecondary returns rows whose extracted attribute equals
 	// secKey, in primary-key order.

@@ -1,7 +1,7 @@
 // Secondary index: the paper's named future work (§5), implemented as
 // an extension. A social-network profile store is indexed by city, so
-// "everyone in <city>" becomes an index lookup plus one log seek per
-// match instead of a full scan — and the index stays correct through
+// "everyone in <city>" becomes an index lookup plus batched log reads
+// of the matches instead of a full scan — and the index stays correct through
 // updates, deletes and transactions. The same API exists cluster-wide
 // via ClusterClient.RegisterSecondaryIndex / LookupSecondary.
 //

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/readopt"
 )
 
 // analyticValue encodes row i as a parseable decimal of roughly
@@ -92,7 +93,7 @@ func AnalyticScan(s Scale) (Table, error) {
 	// Serial baseline: the paper's batch-analytics path.
 	var fs measure
 	wall, disk, err := fx.timed(func() error {
-		return srv.FullScan(context.Background(), benchTabletID, benchGroup, func(r core.Row) bool {
+		return srv.FullScanOpts(context.Background(), benchTabletID, benchGroup, readopt.Options{}, func(r core.Row) bool {
 			fs.rows++
 			if v, ok := query.Number(r.Value); ok {
 				fs.sum += v
@@ -157,7 +158,7 @@ func AnalyticScan(s Scale) (Table, error) {
 
 // AnalyticScanMix is the YCSB-style scan-heavy mix (workload E shape:
 // 95% short range scans, 5% inserts): the same operation stream is run
-// once with scans on the serial key-ordered Scan path and once on the
+// once with scans on the serial key-ordered path (Workers 1) and once on the
 // snapshot-parallel path, so the mix throughput difference isolates the
 // executor.
 func AnalyticScanMix(s Scale) (Table, error) {
@@ -200,24 +201,18 @@ func AnalyticScanMix(s Scale) (Table, error) {
 				start := (op * 7919) % (n - 100)
 				lo, hi := key(start), key(start+100)
 				ts := int64(next + 1)
+				workers := 1
 				if parallel {
-					err := srv.ParallelScan(context.Background(), benchTabletID, benchGroup, core.ScanOptions{
-						Start: lo, End: hi, TS: ts, Workers: s.Workers,
-					}, func(rows []core.Row) error {
-						scanned += int64(len(rows))
-						return nil
-					})
-					if err != nil {
-						return err
-					}
-				} else {
-					err := srv.Scan(context.Background(), benchTabletID, benchGroup, lo, hi, ts, func(core.Row) bool {
-						scanned++
-						return true
-					})
-					if err != nil {
-						return err
-					}
+					workers = s.Workers
+				}
+				err := srv.ParallelScan(context.Background(), benchTabletID, benchGroup, core.ScanOptions{
+					Start: lo, End: hi, TS: ts, Workers: workers,
+				}, func(rows []core.Row) error {
+					scanned += int64(len(rows))
+					return nil
+				})
+				if err != nil {
+					return err
 				}
 			}
 			return nil
@@ -232,7 +227,7 @@ func AnalyticScanMix(s Scale) (Table, error) {
 			return t, err
 		}
 		counts[i] = scanned
-		mode := "serial Scan"
+		mode := "serial ParallelScan x1"
 		if parallel {
 			mode = fmt.Sprintf("ParallelScan x%d", s.Workers)
 		}

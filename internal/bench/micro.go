@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hbase"
+	"repro/internal/readopt"
 )
 
 // tempDir makes a unique scratch directory for one experiment run.
@@ -333,7 +334,7 @@ func Fig09SequentialScan(s Scale) (Table, error) {
 		hb.Flush()
 		_, lbDisk, err := fxL.timed(func() error {
 			count := 0
-			err := lb.FullScan(context.Background(), benchTabletID, benchGroup, func(core.Row) bool { count++; return true })
+			err := lb.FullScanOpts(context.Background(), benchTabletID, benchGroup, readopt.Options{}, func(core.Row) bool { count++; return true })
 			if count != n {
 				return fmt.Errorf("logbase scan saw %d of %d", count, n)
 			}
@@ -423,9 +424,12 @@ func Fig10RangeScan(s Scale) (Table, error) {
 		start := rng.Intn(n - rows)
 		_, disk, err := fxL.timed(func() error {
 			count := 0
-			err := lb.Scan(context.Background(), benchTabletID, benchGroup, key(start), key(start+rows), 1<<60, func(core.Row) bool {
-				count++
-				return true
+			// Batch 1 resolves one row per log read: the paper's
+			// pre-compaction access pattern, which batched fetches hide.
+			opt := core.ScanOptions{Start: key(start), End: key(start + rows), TS: 1 << 60, Batch: 1}
+			err := lb.ParallelScan(context.Background(), benchTabletID, benchGroup, opt, func(batch []core.Row) error {
+				count += len(batch)
+				return nil
 			})
 			if err == nil && count != rows {
 				return fmt.Errorf("scan saw %d of %d", count, rows)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/lrs"
+	"repro/internal/readopt"
 	"repro/internal/simdisk"
 	"repro/internal/ycsb"
 )
@@ -346,7 +347,7 @@ func Fig21LRSScan(s Scale) (Table, error) {
 		}
 		_, lbDisk, err := fxL.timed(func() error {
 			count := 0
-			err := lb.FullScan(context.Background(), benchTabletID, benchGroup, func(core.Row) bool { count++; return true })
+			err := lb.FullScanOpts(context.Background(), benchTabletID, benchGroup, readopt.Options{}, func(core.Row) bool { count++; return true })
 			if err == nil && count != n {
 				return fmt.Errorf("lb scan saw %d of %d", count, n)
 			}

@@ -164,9 +164,9 @@ func ReplicaScan(s Scale) (Table, error) {
 	ctx := context.Background()
 	scan := func(srv *core.Server) error {
 		rows := 0
-		if err := srv.Scan(ctx, benchTabletID, benchGroup, nil, nil, pin, func(core.Row) bool {
-			rows++
-			return true
+		if err := srv.ParallelScan(ctx, benchTabletID, benchGroup, core.ScanOptions{TS: pin}, func(batch []core.Row) error {
+			rows += len(batch)
+			return nil
 		}); err != nil {
 			return err
 		}

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/readopt"
 	"repro/internal/simdisk"
 )
 
@@ -234,7 +235,7 @@ func AutoCompactChurn(s Scale) (Table, error) {
 				}
 			}
 			rows := 0
-			if err := srv.FullScan(ctx, benchTabletID, benchGroup, func(core.Row) bool { rows++; return true }); err != nil {
+			if err := srv.FullScanOpts(ctx, benchTabletID, benchGroup, readopt.Options{}, func(core.Row) bool { rows++; return true }); err != nil {
 				return err
 			}
 			if rows != n {

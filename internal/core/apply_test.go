@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"repro/internal/readopt"
 	"sync"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestCompactAfterSplitKeepsRows(t *testing.T) {
 	scanAll := func() []string {
 		var keys []string
 		for _, id := range []string{left.ID, right.ID} {
-			err := s.Scan(context.Background(), id, testGroup, nil, nil, maxTS, func(r Row) bool {
+			err := serialScan(context.Background(), s, id, testGroup, nil, nil, maxTS, func(r Row) bool {
 				keys = append(keys, string(r.Key)+"="+string(r.Value))
 				return true
 			})
@@ -84,7 +85,7 @@ func TestFullScanAfterSplitKeepsRows(t *testing.T) {
 	left, right := splitElastic(t, s, n)
 	rows := 0
 	for _, id := range []string{left.ID, right.ID} {
-		if err := s.FullScan(context.Background(), id, testGroup, func(Row) bool { rows++; return true }); err != nil {
+		if err := s.FullScanOpts(context.Background(), id, testGroup, readopt.Options{}, func(Row) bool { rows++; return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

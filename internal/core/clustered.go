@@ -30,7 +30,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -222,22 +221,11 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 	sp.LabelInt("segments", int64(len(streams)))
 	defer sp.Finish()
 
-	batch := opt.Batch
-	if batch <= 0 {
-		batch = defaultScanBatch
+	if opt.Batch <= 0 {
+		opt.Batch = defaultScanBatch
 	}
 	remaining := opt.Limit // 0 = unlimited
-	// scanShard's rule: without a post-fetch value predicate every
-	// accepted row is emitted, so a page asks only for the rows still
-	// owed.
-	residual := opt.ValuePred != nil
-	goal := func() int {
-		if opt.Limit > 0 && !residual && remaining < batch {
-			return remaining
-		}
-		return batch
-	}
-	overlay := &overlayCursor{g: g, set: sortedSet, ts: opt.TS, end: end, page: goal(), cursor: start}
+	overlay := &overlayCursor{g: g, set: sortedSet, ts: opt.TS, end: end, page: opt.pageGoal(remaining), cursor: start}
 	var overlayServed, rejects int64
 	defer func() {
 		sp.LabelInt("overlay_rows", overlayServed)
@@ -249,76 +237,49 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 	}()
 
 	// pending is one not-yet-emitted row; rows whose visible version
-	// must be fetched from the log carry fetch=true and resolve in one
-	// batched coalesced read at flush time.
+	// must be fetched from the log carry fetch=true and resolve through
+	// one fetchRows call at flush time.
 	type pending struct {
 		row   Row
 		ptr   wal.Ptr
 		fetch bool
 	}
 	var buf []pending
+	var fetch []index.Entry
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		var fetchIdx []int
-		var fetchPtrs []wal.Ptr
-		for i := range buf {
-			if buf[i].fetch {
-				fetchIdx = append(fetchIdx, i)
-				fetchPtrs = append(fetchPtrs, buf[i].ptr)
+		fetch = fetch[:0]
+		for _, p := range buf {
+			if p.fetch {
+				fetch = append(fetch, index.Entry{Key: p.row.Key, TS: p.row.TS, Ptr: p.ptr})
 			}
 		}
-		vanished := map[int]bool{}
-		if len(fetchPtrs) > 0 {
-			recs, err := s.log.ReadBatch(fetchPtrs)
-			if err != nil {
-				// A segment created after the scan's pin snapshot was
-				// reclaimed mid-scan; re-resolve row by row through the
-				// live index.
-				for _, i := range fetchIdx {
-					rec, rerr := s.readEntry(g, buf[i].row.Key, buf[i].row.TS, buf[i].ptr)
-					if errors.Is(rerr, errRowVanished) {
-						vanished[i] = true
-						continue
-					}
-					if rerr != nil {
-						return rerr
-					}
-					buf[i].row.Value = rec.Value
-				}
-			} else {
-				for j, i := range fetchIdx {
-					buf[i].row.Value = recs[j].Value
-				}
+		var fetched []Row
+		if len(fetch) > 0 {
+			var err error
+			if fetched, err = s.fetchRows(ctx, t, g, group, fetch, opt.UseCache); err != nil {
+				return err
 			}
 		}
+		// Stream-served rows were read by the segment scan itself.
+		s.stats.LogReads.Add(int64(len(buf) - len(fetch)))
 		rows := make([]Row, 0, len(buf))
-		var bytesOut int64
-		for i := range buf {
-			if vanished[i] {
-				continue
+		for _, p := range buf {
+			if p.fetch {
+				// fetchRows keeps page order and drops rows deleted mid-scan.
+				if len(fetched) == 0 || !bytes.Equal(fetched[0].Key, p.row.Key) {
+					continue
+				}
+				p.row, fetched = fetched[0], fetched[1:]
 			}
-			r := buf[i].row
-			if !opt.ValuePred.Match(r.Value) {
-				continue
-			}
-			rows = append(rows, r)
-			bytesOut += int64(len(r.Value))
-		}
-		if opt.Limit > 0 && len(rows) > remaining {
-			rows = rows[:remaining]
+			rows = append(rows, p.row)
 		}
 		buf = buf[:0]
-		if len(rows) == 0 {
-			return nil
-		}
-		s.stats.LogReads.Add(int64(len(rows)))
-		t.load.add(int64(len(rows)), bytesOut)
-		if opt.Limit > 0 {
-			remaining -= len(rows)
-		}
-		return emit(rows)
+		n, err := emitPage(t, &opt, remaining, rows, emit)
+		remaining -= n
+		return err
 	}
 
 	tree := g.tree()
@@ -376,13 +337,7 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 		if fromOverlay {
 			overlayServed++
 		}
-		if opt.MinTS != 0 && e.TS < opt.MinTS {
-			continue
-		}
-		if opt.MaxTS != 0 && e.TS > opt.MaxTS {
-			continue
-		}
-		if !opt.KeyPred.Match(key) {
+		if !opt.admits(key, e.TS) {
 			continue
 		}
 		p := pending{row: Row{Key: key, TS: e.TS}}
@@ -398,7 +353,7 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 			p.ptr, p.fetch = e.Ptr, true
 		}
 		buf = append(buf, p)
-		if len(buf) >= goal() {
+		if len(buf) >= opt.pageGoal(remaining) {
 			if err := flush(); err != nil {
 				return true, err
 			}

@@ -155,10 +155,10 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 
 	// FullScan over the clustered path sees exactly the live rows.
 	fastRows, slowRows := 0, 0
-	if err := fast.FullScan(bg, testTablet, testGroup, func(Row) bool { fastRows++; return true }); err != nil {
+	if err := fast.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { fastRows++; return true }); err != nil {
 		t.Fatalf("FullScan fast: %v", err)
 	}
-	if err := slow.FullScan(bg, testTablet, testGroup, func(Row) bool { slowRows++; return true }); err != nil {
+	if err := slow.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { slowRows++; return true }); err != nil {
 		t.Fatalf("FullScan slow: %v", err)
 	}
 	if fastRows != slowRows {
@@ -521,7 +521,7 @@ func TestAutoCompactTickAndCandidates(t *testing.T) {
 		t.Fatalf("tick over garbage: ran=%v err=%v", ran, err)
 	}
 	rows := 0
-	if err := s.FullScan(bg, testTablet, testGroup, func(Row) bool { rows++; return true }); err != nil {
+	if err := s.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { rows++; return true }); err != nil {
 		t.Fatalf("FullScan: %v", err)
 	}
 	if rows != 100 {
@@ -578,7 +578,8 @@ func TestAutoCompactBackgroundLoop(t *testing.T) {
 // TestScanDuringCompactionRace is the segment-reclaim regression: scans
 // and point reads run continuously while whole-log and incremental
 // compactions reclaim segments underneath them. Run under -race in CI;
-// correctness assertion here is "no error and no missing rows".
+// correctness assertion here is "no error and no missing rows" — and,
+// for secondary lookups, no duplicate rows either.
 func TestScanDuringCompactionRace(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	s.SetRetention("users", RetentionPolicy{KeepVersions: 1})
@@ -589,6 +590,12 @@ func TestScanDuringCompactionRace(t *testing.T) {
 		if err := s.Write(testTablet, testGroup, k6(i), ts, bytes.Repeat([]byte{2}, 64)); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
+	}
+
+	// Every key carries the same secondary value, so each update of a key
+	// replaces its one secondary entry and a lookup must return exactly n.
+	if err := s.RegisterSecondaryIndex("all", testTablet, testGroup, func([]byte) []byte { return []byte("x") }); err != nil {
+		t.Fatalf("RegisterSecondaryIndex: %v", err)
 	}
 
 	stop := make(chan struct{})
@@ -636,12 +643,21 @@ func TestScanDuringCompactionRace(t *testing.T) {
 					errs <- fmt.Errorf("scan lost rows: %d < %d", rows, n)
 					return
 				}
-				if err := s.FullScan(bg, testTablet, testGroup, func(Row) bool { return true }); err != nil {
+				if err := s.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { return true }); err != nil {
 					errs <- fmt.Errorf("fullscan: %w", err)
 					return
 				}
 				if _, err := s.Get(testTablet, testGroup, k6(g*7%n)); err != nil {
 					errs <- fmt.Errorf("get: %w", err)
+					return
+				}
+				sec, err := s.LookupSecondary("all", []byte("x"))
+				if err != nil {
+					errs <- fmt.Errorf("secondary lookup: %w", err)
+					return
+				}
+				if len(sec) != n {
+					errs <- fmt.Errorf("secondary lookup returned %d rows, want %d", len(sec), n)
 					return
 				}
 			}
@@ -950,7 +966,7 @@ func TestGarbageAuditAfterRestart(t *testing.T) {
 		t.Fatal("no compaction ran after the audit")
 	}
 	rows := 0
-	if err := s2.FullScan(bg, testTablet, testGroup, func(Row) bool { rows++; return true }); err != nil {
+	if err := s2.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { rows++; return true }); err != nil {
 		t.Fatalf("FullScan: %v", err)
 	}
 	if rows != 50 {

@@ -243,7 +243,7 @@ func TestWritesDuringCompactionSurvive(t *testing.T) {
 	}
 	missed := 0
 	checked := 0
-	err := s.Scan(context.Background(), testTablet, testGroup, []byte("mid-"), []byte("mid-\xff"), 1<<60, func(r Row) bool {
+	err := serialScan(context.Background(), s, testTablet, testGroup, []byte("mid-"), []byte("mid-\xff"), 1<<60, func(r Row) bool {
 		checked++
 		return true
 	})
@@ -267,7 +267,7 @@ func TestRangeScanClusteredAfterCompaction(t *testing.T) {
 	}
 	scan := func() int {
 		n := 0
-		if err := s.Scan(context.Background(), testTablet, testGroup, []byte("row-0100"), []byte("row-0150"), 1<<60, func(Row) bool {
+		if err := serialScan(context.Background(), s, testTablet, testGroup, []byte("row-0100"), []byte("row-0150"), 1<<60, func(Row) bool {
 			n++
 			return true
 		}); err != nil {
@@ -286,5 +286,48 @@ func TestRangeScanClusteredAfterCompaction(t *testing.T) {
 	}
 	if s.SortedFraction() < 0.95 {
 		t.Errorf("sorted fraction %.2f after compaction", s.SortedFraction())
+	}
+}
+
+// TestGetAtVersionPrunedBeforeRead: GetAt holds no pin, so between its
+// index descent and its log read a newer write plus a KeepVersions-1
+// compaction can prune the version it found. The read must then
+// re-descend and return the newer version, not ErrNotFound.
+func TestGetAtVersionPrunedBeforeRead(t *testing.T) {
+	s, _ := newTestServer(t, Config{SegmentSize: 1 << 12})
+	s.SetRetention("users", RetentionPolicy{KeepVersions: 1})
+	key := []byte("alice")
+	if err := s.Write(testTablet, testGroup, key, 1, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	_, g, err := s.tabletGroup(testTablet, testGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, ok := g.tree().LatestAt(key, maxTS) // the descent GetAt made
+	if !ok {
+		t.Fatal("v1 not indexed")
+	}
+	if err := s.Write(testTablet, testGroup, key, 2, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ { // seal segments so the compaction covers v1's
+		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("pad%03d", i)), 1, make([]byte, 64))
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if _, err := s.log.Read(stale.Ptr); err == nil {
+		t.Fatal("v1's record is still readable at its old pointer; the race is not set up")
+	}
+	if _, ok := g.tree().Get(key, 1); ok {
+		t.Fatal("v1 still indexed after a KeepVersions-1 compaction")
+	}
+	e, rec, err := s.readVisible(g, key, maxTS, stale)
+	if err != nil {
+		t.Fatalf("readVisible after v1 was pruned: %v, want v2", err)
+	}
+	if e.TS != 2 || string(rec.Value) != "v2" {
+		t.Fatalf("readVisible = ts %d %q, want ts 2 \"v2\"", e.TS, rec.Value)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"repro/internal/readopt"
 	"sync"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestFullScanSkipsUncommittedTxnWrites(t *testing.T) {
 		t.Fatalf("PrepareTxn: %v", err)
 	}
 	var keys []string
-	if err := s.FullScan(context.Background(), testTablet, testGroup, func(r Row) bool {
+	if err := s.FullScanOpts(context.Background(), testTablet, testGroup, readopt.Options{}, func(r Row) bool {
 		keys = append(keys, string(r.Key))
 		return true
 	}); err != nil {
@@ -162,7 +163,7 @@ func TestScanEmptyRange(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	s.Write(testTablet, testGroup, []byte("m"), 1, []byte("v"))
 	n := 0
-	if err := s.Scan(context.Background(), testTablet, testGroup, []byte("x"), []byte("z"), 10, func(Row) bool { n++; return true }); err != nil {
+	if err := serialScan(context.Background(), s, testTablet, testGroup, []byte("x"), []byte("z"), 10, func(Row) bool { n++; return true }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if n != 0 {

@@ -133,7 +133,7 @@ func verifyOracle(t *testing.T, s *Server, o oracle, maybe map[string]*Row) {
 	}
 	// Nothing beyond the oracle + in-flight keys may exist.
 	seen := map[string]bool{}
-	err := s.Scan(nil, testTablet, testGroup, nil, nil, maxTS, func(r Row) bool {
+	err := serialScan(nil, s, testTablet, testGroup, nil, nil, maxTS, func(r Row) bool {
 		seen[string(r.Key)] = true
 		return true
 	})

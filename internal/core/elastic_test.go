@@ -107,7 +107,7 @@ func TestSplitTabletSharesLog(t *testing.T) {
 	// Scans across both children see every key exactly once.
 	seen := map[string]int{}
 	for _, id := range []string{left.ID, right.ID} {
-		err := s.Scan(context.Background(), id, testGroup, nil, nil, 1<<62, func(r Row) bool {
+		err := serialScan(context.Background(), s, id, testGroup, nil, nil, 1<<62, func(r Row) bool {
 			seen[string(r.Key)]++
 			return true
 		})

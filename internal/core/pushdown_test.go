@@ -193,6 +193,26 @@ func TestReadRowUnifiesPointReads(t *testing.T) {
 	}
 }
 
+// A version history read with a value predicate and a Limit stops
+// reading the log once Limit versions have matched.
+func TestReadRowVersionsLimitBoundsLogReads(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	key := []byte("hist")
+	for v := 1; v <= 200; v++ {
+		if err := s.Write(testTablet, testGroup, key, int64(v), []byte(fmt.Sprintf("v%03d", v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := s.Stats().LogReads.Load()
+	rows, err := s.ReadRow(testTablet, testGroup, key, readopt.Options{AllVersions: true, Value: readopt.Prefix([]byte("v")), Limit: 3})
+	if err != nil || len(rows) != 3 || rows[0].TS != 1 || rows[2].TS != 3 {
+		t.Fatalf("limited versions = %v, %v", rows, err)
+	}
+	if reads := s.Stats().LogReads.Load() - base; reads > 3 {
+		t.Errorf("Limit 3 read %d versions from the log, want <= 3", reads)
+	}
+}
+
 func TestFullScanOpts(t *testing.T) {
 	const n = 1000
 	s := newPushdownServer(t, n)

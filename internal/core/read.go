@@ -23,6 +23,11 @@ import (
 // maxTS is the "latest" snapshot sentinel.
 const maxTS = int64(^uint64(0) >> 1)
 
+// scanCheckEvery is how many records the log-order full scan processes
+// between context checks: cancellation is honoured within one such
+// batch.
+const scanCheckEvery = 128
+
 // ReadRow is the unified point-read: the latest version of key visible
 // at ro.Snapshot (0 = latest committed), or — with ro.AllVersions —
 // every stored version, oldest first (newest first with ro.Reverse),
@@ -60,38 +65,40 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 	if ro.Reverse {
 		slices.Reverse(entries)
 	}
-	rows := make([]Row, 0, len(entries))
-	var loadBytes int64
+	opt := ScanOptions{MinTS: ro.MinTS, MaxTS: ro.MaxTS, ValuePred: ro.Value, Limit: ro.Limit}
+	kept := entries[:0]
 	for _, e := range entries {
-		if e.TS > ts {
-			continue
-		}
-		if ro.MinTS != 0 && e.TS < ro.MinTS {
-			continue
-		}
-		if ro.MaxTS != 0 && e.TS > ro.MaxTS {
-			continue
-		}
-		rec, err := s.readEntry(g, key, e.TS, e.Ptr)
-		if errors.Is(err, errRowVanished) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.stats.LogReads.Add(1)
-		if !ro.Value.Match(rec.Value) {
-			continue
-		}
-		loadBytes += int64(len(rec.Value))
-		rows = append(rows, Row{Key: key, TS: e.TS, Value: rec.Value})
-		if ro.Limit > 0 && len(rows) >= ro.Limit {
-			break // limit hit: stop issuing log reads
+		if e.TS <= ts && opt.admits(e.Key, e.TS) {
+			kept = append(kept, e)
 		}
 	}
 	s.stats.Reads.Add(1)
-	t.load.add(int64(len(rows)), loadBytes)
-	return rows, nil
+	out := []Row{}
+	collect := func(r []Row) error { out = append(out, r...); return nil }
+	// With a Limit, each page fetches only as many versions as rows are
+	// still owed, so the log reads stay bounded by Limit until the value
+	// predicate has matched that many.
+	for remaining := ro.Limit; len(kept) > 0; {
+		page := kept
+		if ro.Limit > 0 && remaining < len(page) {
+			page = page[:remaining]
+		}
+		kept = kept[len(page):]
+		rows, err := s.fetchRows(context.TODO(), t, g, group, page, false)
+		if err != nil {
+			return nil, err
+		}
+		n, err := emitPage(t, &opt, remaining, rows, collect)
+		if err != nil {
+			return nil, err
+		}
+		if ro.Limit > 0 {
+			if remaining -= n; remaining <= 0 {
+				break
+			}
+		}
+	}
+	return out, nil
 }
 
 // FullScanOpts streams live records of the column group in log order

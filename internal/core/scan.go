@@ -7,7 +7,9 @@ package core
 // for filtered-out rows), and resolves the surviving entries through
 // the read buffer plus batched log reads (wal.Log.ReadBatch) so a scan
 // costs a few sequential sweeps per segment instead of one seek per
-// row.
+// row. readEntry and fetchRows, at the bottom, are the only code that
+// turns index entries into rows: point reads, version histories, the
+// clustered planner and secondary-index reads resolve through them too.
 //
 // Every scan takes a context.Context and honours cancellation at batch
 // granularity: between index pages, before each log fetch, and in every
@@ -93,12 +95,15 @@ const defaultScanBatch = 1024
 // ParallelScan streams the snapshot-visible version of every key in
 // [opt.Start, opt.End) to emit, sharding the keyspace across
 // opt.Workers goroutines. emit receives batches of rows; calls are
-// serialised (no caller-side locking needed) but batch order across
-// shards is unspecified — aggregation does not need key order, and
-// ordered consumers should use Scan. A non-nil error from emit cancels
-// the whole scan and is returned. Cancelling ctx aborts the scan within
-// one batch boundary: every worker checks the context between index
-// pages, and ctx.Err() is returned.
+// serialised (no caller-side locking needed). With Workers <= 1 (or a
+// Limit or Reverse, which force it) the scan is serial and rows arrive
+// in key order (descending for Reverse); with more workers batch order
+// across shards is unspecified, which aggregation does not need. A
+// non-nil error from emit cancels the whole scan and is returned — a
+// consumer that wants to stop early returns a sentinel error.
+// Cancelling ctx aborts the scan within one batch boundary: every
+// worker checks the context between index pages, and ctx.Err() is
+// returned.
 //
 // Layering note: the multi-worker path here is the engine's only
 // keyspace-shard fan-out. The query executor's partial strategy
@@ -212,41 +217,6 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		return err
 	}
 	remaining := opt.Limit // 0 = unlimited
-	// Post-fetch predicates make the per-page survivor count
-	// unpredictable, so only their absence lets the limit cap the page.
-	residual := opt.ValuePred != nil
-	flush := func(chunk []index.Entry) (int, error) {
-		if len(chunk) == 0 {
-			return 0, nil
-		}
-		rows, err := s.fetchRows(ctx, t, g, group, chunk, opt.UseCache)
-		if err != nil {
-			return 0, err
-		}
-		var fetchedBytes int64
-		for _, r := range rows {
-			fetchedBytes += int64(len(r.Value))
-		}
-		// Elasticity load accounting: scans count what they fetched, so
-		// the balancer sees scan-heavy tablets too.
-		t.load.add(int64(len(rows)), fetchedBytes)
-		if residual {
-			kept := rows[:0]
-			for _, r := range rows {
-				if opt.ValuePred.Match(r.Value) {
-					kept = append(kept, r)
-				}
-			}
-			rows = kept
-		}
-		if opt.Limit > 0 && len(rows) > remaining {
-			rows = rows[:remaining]
-		}
-		if len(rows) == 0 {
-			return 0, nil
-		}
-		return len(rows), emit(rows)
-	}
 	entries := make([]index.Entry, 0, opt.Batch)
 	cursor := start
 	revCursor := end
@@ -254,21 +224,12 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		goal := opt.Batch
-		if opt.Limit > 0 && !residual && remaining < goal {
-			goal = remaining
-		}
+		goal := opt.pageGoal(remaining)
 		entries = entries[:0]
 		collect := func(e index.Entry) bool {
 			// Push-down predicates: decided from the index entry alone, so
 			// a rejected row costs zero log I/O (and no page slot).
-			if opt.MinTS != 0 && e.TS < opt.MinTS {
-				return true
-			}
-			if opt.MaxTS != 0 && e.TS > opt.MaxTS {
-				return true
-			}
-			if !opt.KeyPred.Match(e.Key) {
+			if !opt.admits(e.Key, e.TS) {
 				return true
 			}
 			entries = append(entries, e)
@@ -279,13 +240,19 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		} else {
 			g.tree().RangeLatest(cursor, end, opt.TS, collect)
 		}
-		n, err := flush(entries)
-		if err != nil {
-			return err
-		}
-		if opt.Limit > 0 {
-			if remaining -= n; remaining <= 0 {
-				return nil // limit satisfied: no further index or log reads
+		if len(entries) > 0 {
+			rows, err := s.fetchRows(ctx, t, g, group, entries, opt.UseCache)
+			if err != nil {
+				return err
+			}
+			n, err := emitPage(t, &opt, remaining, rows, emit)
+			if err != nil {
+				return err
+			}
+			if opt.Limit > 0 {
+				if remaining -= n; remaining <= 0 {
+					return nil // limit satisfied: no further index or log reads
+				}
 			}
 		}
 		if len(entries) < goal {
@@ -302,6 +269,51 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 			cursor = append(append(make([]byte, 0, len(last)+1), last...), 0)
 		}
 	}
+}
+
+// admits reports whether a version passes the push-down predicates
+// (time window and key predicate): decided from the index entry alone,
+// before any log read.
+func (opt *ScanOptions) admits(key []byte, ts int64) bool {
+	return (opt.MinTS == 0 || ts >= opt.MinTS) && (opt.MaxTS == 0 || ts <= opt.MaxTS) && opt.KeyPred.Match(key)
+}
+
+// pageGoal is how many entries the next page asks for: a full batch,
+// or — with a Limit and no post-fetch value predicate, so that every
+// accepted row is emitted — only the rows still owed.
+func (opt *ScanOptions) pageGoal(remaining int) int {
+	if opt.Limit > 0 && opt.ValuePred == nil && remaining < opt.Batch {
+		return remaining
+	}
+	return opt.Batch
+}
+
+// emitPage is the tail every scan page shares, however its rows were
+// resolved: the residual value predicate, the limit (remaining rows
+// still owed), load accounting for the elasticity balancer, then emit.
+// It returns how many rows it emitted.
+func emitPage(t *Tablet, opt *ScanOptions, remaining int, rows []Row, emit func([]Row) error) (int, error) {
+	if opt.ValuePred != nil {
+		kept := rows[:0]
+		for _, r := range rows {
+			if opt.ValuePred.Match(r.Value) {
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
+	}
+	if opt.Limit > 0 && len(rows) > remaining {
+		rows = rows[:remaining]
+	}
+	if len(rows) == 0 {
+		return 0, nil
+	}
+	var bytesOut int64
+	for _, r := range rows {
+		bytesOut += int64(len(r.Value))
+	}
+	t.load.add(int64(len(rows)), bytesOut)
+	return len(rows), emit(rows)
 }
 
 // errRowVanished marks a row whose entry disappeared between
@@ -336,8 +348,8 @@ func (s *Server) readEntry(g *columnGroup, key []byte, ts int64, ptr wal.Ptr) (w
 // dropped.
 func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group string, entries []index.Entry, useCache bool) ([]Row, error) {
 	rows := make([]Row, len(entries))
-	var missIdx []int
-	var missPtrs []wal.Ptr
+	missIdx := make([]int, 0, len(entries))
+	missPtrs := make([]wal.Ptr, 0, len(entries))
 	var cacheHits int64
 	for i, e := range entries {
 		if useCache {

@@ -22,6 +22,27 @@ func loadRows(t *testing.T, s *Server, n int) {
 	}
 }
 
+// errStopScan ends serialScan early.
+var errStopScan = errors.New("stop scan")
+
+// serialScan streams the rows of [start, end) visible at ts to fn in
+// key order (a serial ParallelScan) until fn returns false.
+func serialScan(ctx context.Context, s *Server, tabletID, group string, start, end []byte, ts int64, fn func(Row) bool) error {
+	opt := ScanOptions{Start: start, End: end, TS: ts, Workers: 1}
+	err := s.ParallelScan(ctx, tabletID, group, opt, func(rows []Row) error {
+		for _, r := range rows {
+			if !fn(r) {
+				return errStopScan
+			}
+		}
+		return nil
+	})
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
+}
+
 func collectParallel(t *testing.T, s *Server, opt ScanOptions) []Row {
 	t.Helper()
 	var mu []Row
@@ -48,27 +69,47 @@ func TestParallelScanMatchesScan(t *testing.T) {
 		}
 	}
 	ts := int64(2 * n)
+	// The oracle is the fixture itself: at ts every key shows its v2
+	// rewrite if it has one, else its first write.
+	want := make([]Row, n)
+	for i := range want {
+		want[i] = Row{Key: []byte(fmt.Sprintf("user%06d", i)), TS: int64(i + 1), Value: []byte(strconv.Itoa(i))}
+		if i%5 == 0 {
+			want[i].TS, want[i].Value = int64(n+i+1), []byte("v2-"+strconv.Itoa(i))
+		}
+	}
+	check := func(label string, got []Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i].Key, want[i].Key) || got[i].TS != want[i].TS ||
+				!bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("%s row %d: got %q/%d/%q want %q/%d/%q", label, i,
+					got[i].Key, got[i].TS, got[i].Value, want[i].Key, want[i].TS, want[i].Value)
+			}
+		}
+	}
 
+	// A serial scan delivers key order without sorting.
 	var serial []Row
-	if err := s.Scan(context.Background(), testTablet, testGroup, nil, nil, ts, func(r Row) bool {
+	if err := serialScan(context.Background(), s, testTablet, testGroup, nil, nil, ts, func(r Row) bool {
 		serial = append(serial, r)
 		return true
 	}); err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("serial scan: %v", err)
 	}
-
+	check("serial", serial)
 	for _, workers := range []int{1, 2, 4, 8} {
-		got := collectParallel(t, s, ScanOptions{TS: ts, Workers: workers, Batch: 100})
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d rows, serial %d", workers, len(got), len(serial))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i].Key, serial[i].Key) || got[i].TS != serial[i].TS ||
-				!bytes.Equal(got[i].Value, serial[i].Value) {
-				t.Fatalf("workers=%d row %d: got %q/%d/%q want %q/%d/%q", workers, i,
-					got[i].Key, got[i].TS, got[i].Value, serial[i].Key, serial[i].TS, serial[i].Value)
-			}
-		}
+		check(fmt.Sprintf("workers=%d", workers), collectParallel(t, s, ScanOptions{TS: ts, Workers: workers, Batch: 100}))
+	}
+	// Compacted, the same scans take the clustered path.
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		check(fmt.Sprintf("compacted workers=%d", workers), collectParallel(t, s, ScanOptions{TS: ts, Workers: workers, Batch: 100}))
 	}
 }
 
@@ -228,7 +269,7 @@ func TestMVCCReadEdgesAtTombstone(t *testing.T) {
 	}
 	for _, ts := range []int64{40, 39, 1 << 40} {
 		seen := 0
-		if err := s.Scan(context.Background(), testTablet, testGroup, nil, nil, ts, func(Row) bool { seen++; return true }); err != nil {
+		if err := serialScan(context.Background(), s, testTablet, testGroup, nil, nil, ts, func(Row) bool { seen++; return true }); err != nil {
 			t.Fatalf("Scan: %v", err)
 		}
 		if seen != 0 {
@@ -256,7 +297,7 @@ func TestMVCCVisibilityAtExactTimestamp(t *testing.T) {
 		t.Errorf("GetAt(10) = %q@%d, want old@10", row.Value, row.TS)
 	}
 	seen := map[string]int64{}
-	if err := s.Scan(context.Background(), testTablet, testGroup, nil, nil, 10, func(r Row) bool {
+	if err := serialScan(context.Background(), s, testTablet, testGroup, nil, nil, 10, func(r Row) bool {
 		seen[string(r.Key)] = r.TS
 		return true
 	}); err != nil {

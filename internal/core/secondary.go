@@ -5,9 +5,10 @@ package core
 // indexes", §5). This extension follows the primary index's design: a
 // secondary index is another in-memory B-link tree whose composite key
 // is (extracted attribute value ++ primary key, timestamp) and whose
-// entries point straight at log records, so a secondary lookup costs an
-// index descent plus one log seek per matching row — the same long-tail
-// property as primary reads.
+// entries point straight at log records, so a secondary read costs an
+// index descent plus batched log reads of the matching rows — the same
+// page-and-fetch path as a primary range scan (fetchRows), including
+// its re-resolution of records a racing compaction moved.
 //
 // Because the log is the only data repository, secondary indexes need
 // no extra persistence: they are rebuilt from the log on recovery
@@ -16,6 +17,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 
@@ -40,30 +42,47 @@ type secondaryIndex struct {
 	byPK map[string][]byte
 }
 
-// sep joins the secondary value and primary key; 0x00 cannot appear in
-// the middle of a composite because the value is length-framed instead.
+// secComposite joins a secondary value and a primary key so that
+// composites sort by (secondary value, primary key): the value's 0x00
+// bytes are escaped as 0x00 0xFF and it ends in 0x00 0x01, which sorts
+// below any longer value sharing its prefix. A value range [start, end)
+// is therefore the composite range [secComposite(start, nil),
+// secComposite(end, nil)).
 func secComposite(secKey, primary []byte) []byte {
-	out := make([]byte, 0, 2+len(secKey)+len(primary))
-	out = append(out, byte(len(secKey)>>8), byte(len(secKey)))
-	out = append(out, secKey...)
+	out := make([]byte, 0, len(secKey)+2+len(primary))
+	for _, b := range secKey {
+		out = append(out, b)
+		if b == 0 {
+			out = append(out, 0xFF)
+		}
+	}
+	out = append(out, 0, 1)
 	return append(out, primary...)
 }
 
 func splitComposite(comp []byte) (secKey, primary []byte) {
-	if len(comp) < 2 {
-		return nil, nil
+	escaped := false
+	for i := 0; i+1 < len(comp); i++ {
+		if comp[i] != 0 {
+			continue
+		}
+		if comp[i+1] == 1 {
+			secKey = comp[:i]
+			if escaped {
+				secKey = bytes.ReplaceAll(secKey, []byte{0, 0xFF}, []byte{0})
+			}
+			return secKey, comp[i+2:]
+		}
+		escaped = true
+		i++ // skip the escape byte
 	}
-	n := int(comp[0])<<8 | int(comp[1])
-	if 2+n > len(comp) {
-		return nil, nil
-	}
-	return comp[2 : 2+n], comp[2+n:]
+	return nil, nil
 }
 
 // RegisterSecondaryIndex creates (or replaces) a secondary index over a
-// column group and backfills it by scanning the existing index + log.
+// column group and backfills it from the group's latest versions.
 func (s *Server) RegisterSecondaryIndex(name, tabletID, group string, extract Extractor) error {
-	_, g, err := s.tabletGroup(tabletID, group)
+	t, g, err := s.tabletGroup(tabletID, group)
 	if err != nil {
 		return err
 	}
@@ -71,24 +90,13 @@ func (s *Server) RegisterSecondaryIndex(name, tabletID, group string, extract Ex
 		name: name, tablet: tabletID, group: group,
 		extract: extract, tree: index.New(), byPK: make(map[string][]byte),
 	}
-	// Backfill from the current primary index: latest version per key.
-	var entries []index.Entry
-	g.tree().Ascend(func(e index.Entry) bool {
-		entries = append(entries, e)
+	walk := func(from []byte, fn func(index.Entry) bool) { g.tree().RangeLatest(from, nil, maxTS, fn) }
+	err = s.pageRows(t, g, nil, walk, nil, func(e index.Entry, r Row) bool {
+		si.indexRecord(r.Key, r.TS, e.Ptr, e.LSN, r.Value)
 		return true
 	})
-	for i := 0; i < len(entries); {
-		j := i
-		for j < len(entries) && bytes.Equal(entries[j].Key, entries[i].Key) {
-			j++
-		}
-		latest := entries[j-1]
-		rec, err := s.log.Read(latest.Ptr)
-		if err != nil {
-			return fmt.Errorf("core: backfill %s: %w", name, err)
-		}
-		si.indexRecord(rec.Key, latest.TS, latest.Ptr, latest.LSN, rec.Value)
-		i = j
+	if err != nil {
+		return fmt.Errorf("core: backfill %s: %w", name, err)
 	}
 	s.secMu.Lock()
 	if s.secondary == nil {
@@ -104,11 +112,6 @@ func (si *secondaryIndex) indexRecord(primary []byte, ts int64, ptr wal.Ptr, lsn
 	si.mu.Lock()
 	defer si.mu.Unlock()
 	if old, ok := si.byPK[string(primary)]; ok {
-		if bytes.Equal(old, secKey) && secKey != nil {
-			// Same secondary value: update in place (new version).
-			si.tree.Put(index.Entry{Key: secComposite(secKey, primary), TS: ts, Ptr: ptr, LSN: lsn})
-			return
-		}
 		si.tree.DeleteKey(secComposite(old, primary))
 		delete(si.byPK, string(primary))
 	}
@@ -148,45 +151,24 @@ func (s *Server) maintainSecondary(tabletID, group string, key []byte, ts int64,
 // LookupSecondary returns the rows whose extracted secondary key equals
 // secKey, in primary-key order.
 func (s *Server) LookupSecondary(name string, secKey []byte) ([]Row, error) {
-	s.secMu.RLock()
-	si, ok := s.secondary[name]
-	s.secMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: no secondary index %q", name)
-	}
-	prefix := secComposite(secKey, nil)
-	end := append(append([]byte(nil), prefix...), 0xFF)
 	var out []Row
-	var readErr error
-	pinned := s.log.PinAll()
-	defer s.log.Unpin(pinned...)
-	si.mu.RLock()
-	var entries []index.Entry
-	si.tree.AscendRange(prefix, end, func(e index.Entry) bool {
-		entries = append(entries, e)
+	// secKey ++ 0x00 is secKey's immediate successor.
+	err := s.ScanSecondaryRange(name, secKey, append(append([]byte(nil), secKey...), 0), func(_ []byte, r Row) bool {
+		out = append(out, r)
 		return true
 	})
-	si.mu.RUnlock()
-	for _, e := range entries {
-		got, primary := splitComposite(e.Key)
-		if !bytes.Equal(got, secKey) {
-			continue
-		}
-		rec, err := s.log.Read(e.Ptr)
-		if err != nil {
-			readErr = err
-			break
-		}
-		out = append(out, Row{Key: append([]byte(nil), primary...), TS: e.TS, Value: rec.Value})
-	}
-	if readErr != nil {
-		return nil, readErr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ScanSecondaryRange streams rows whose secondary key falls in
-// [start, end), ordered by (secondary key, primary key).
+// [start, end) (nil = open), ordered by (secondary key, primary key),
+// to fn until it returns false. The index is walked a page at a time,
+// so a row whose secondary key changes mid-scan is returned at most
+// once: under its old key if the scan got there first, and not at all
+// if the move took it from ahead of the scan to behind it.
 func (s *Server) ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r Row) bool) error {
 	s.secMu.RLock()
 	si, ok := s.secondary[name]
@@ -194,32 +176,86 @@ func (s *Server) ScanSecondaryRange(name string, start, end []byte, fn func(secK
 	if !ok {
 		return fmt.Errorf("core: no secondary index %q", name)
 	}
+	t, g, err := s.tabletGroup(si.tablet, si.group)
+	if err != nil {
+		return err
+	}
+	var from, to []byte
+	if start != nil {
+		from = secComposite(start, nil)
+	}
+	if end != nil {
+		to = secComposite(end, nil)
+	}
+	walk := func(from []byte, fn func(index.Entry) bool) {
+		// Under si.mu a page never sees a key between indexRecord's
+		// delete of its old entry and the put of its new one.
+		si.mu.RLock()
+		defer si.mu.RUnlock()
+		si.tree.RangeLatest(from, to, maxTS, fn)
+	}
+	toPrimary := func(comp []byte) []byte {
+		_, primary := splitComposite(comp)
+		return primary
+	}
+	// A row that moved ahead of the scan after it was returned comes
+	// round again under its new composite.
+	seen := make(map[string]struct{})
+	return s.pageRows(t, g, from, walk, toPrimary, func(e index.Entry, r Row) bool {
+		if _, dup := seen[string(r.Key)]; dup {
+			return true
+		}
+		seen[string(r.Key)] = struct{}{}
+		secKey, _ := splitComposite(e.Key)
+		return fn(secKey, r)
+	})
+}
+
+// pageRows is the paged walk behind every secondary-index read and
+// backfill: walk(from, collect) enumerates an index's newest entry per
+// key from a seek key, pages of defaultScanBatch entries are rewritten
+// to primary keys (toPrimary; nil = already primary) and resolved to
+// rows of g through fetchRows, all under a pin of the live segments.
+// fn receives each row with the entry it came from, in walk order,
+// until it returns false; rows deleted mid-walk are dropped.
+func (s *Server) pageRows(t *Tablet, g *columnGroup, from []byte, walk func(from []byte, collect func(index.Entry) bool), toPrimary func([]byte) []byte, fn func(e index.Entry, r Row) bool) error {
 	pinned := s.log.PinAll()
 	defer s.log.Unpin(pinned...)
-	si.mu.RLock()
-	var entries []index.Entry
-	si.tree.Ascend(func(e index.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	si.mu.RUnlock()
-	for _, e := range entries {
-		secKey, primary := splitComposite(e.Key)
-		if start != nil && bytes.Compare(secKey, start) < 0 {
-			continue
+	var page, prim []index.Entry
+	for {
+		page = page[:0]
+		walk(from, func(e index.Entry) bool {
+			page = append(page, e)
+			return len(page) < defaultScanBatch
+		})
+		prim = append(prim[:0], page...)
+		if toPrimary != nil {
+			for i := range prim {
+				prim[i].Key = toPrimary(prim[i].Key)
+			}
 		}
-		if end != nil && bytes.Compare(secKey, end) >= 0 {
-			break
-		}
-		rec, err := s.log.Read(e.Ptr)
+		rows, err := s.fetchRows(context.TODO(), t, g, g.name, prim, false)
 		if err != nil {
 			return err
 		}
-		if !fn(secKey, Row{Key: append([]byte(nil), primary...), TS: e.TS, Value: rec.Value}) {
+		// rows is prim in order, minus dropped rows; a page holds each
+		// primary key at most once.
+		j := 0
+		for _, r := range rows {
+			for !bytes.Equal(prim[j].Key, r.Key) {
+				j++
+			}
+			if !fn(page[j], r) {
+				return nil
+			}
+			j++
+		}
+		if len(page) < defaultScanBatch {
 			return nil
 		}
+		last := page[len(page)-1].Key
+		from = append(append(make([]byte, 0, len(last)+1), last...), 0)
 	}
-	return nil
 }
 
 // SecondaryLen returns the number of indexed rows (for tests).

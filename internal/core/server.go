@@ -9,13 +9,17 @@
 // (optionally group-committed), then point the in-memory index at the
 // new location and refresh the read buffer (apply.go, shared with
 // recovery, replay and replication). Read path: read buffer →
-// in-memory index → one log seek.
+// in-memory index → the log. A point read is one log seek (readEntry);
+// every read that resolves many index entries — range and snapshot
+// scans, version histories, secondary-index reads — pages the index and
+// fetches each page through one batched log read (fetchRows, scan.go),
+// and both re-resolve through the live index a record a racing
+// compaction moved.
 // Deletes persist an invalidated record so they survive recovery.
 // Compaction and checkpoints live in compaction.go and checkpoint.go.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,7 +31,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/readopt"
 	"repro/internal/wal"
 )
 
@@ -414,17 +417,12 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 	if !ok {
 		return Row{}, fmt.Errorf("%w: %s/%s %q", ErrNotFound, tabletID, group, key)
 	}
-	rec, err := s.log.Read(e.Ptr)
+	e, rec, err := s.readVisible(g, key, ts, e)
+	if errors.Is(err, errRowVanished) {
+		return Row{}, fmt.Errorf("%w: %s/%s %q", ErrNotFound, tabletID, group, key)
+	}
 	if err != nil {
-		// A compaction may have repointed the entry between the index
-		// descent and the read; the re-looked-up entry is current.
-		if e2, ok2 := g.tree().LatestAt(key, ts); ok2 {
-			e = e2
-			rec, err = s.log.Read(e.Ptr)
-		}
-		if err != nil {
-			return Row{}, err
-		}
+		return Row{}, err
 	}
 	s.stats.LogReads.Add(1)
 	// Cache only the globally newest version.
@@ -432,6 +430,23 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 		s.readCache.Put(ck, encodeCached(e.TS, rec.Value))
 	}
 	return Row{Key: key, TS: e.TS, Value: rec.Value}, nil
+}
+
+// readVisible reads e, the version of key that LatestAt(key, ts)
+// returned. GetAt holds no pin, so the version can vanish before its
+// read: retention prunes it once a newer version lands, or the key is
+// deleted. The index is then descended once more, and the version
+// visible at ts now — if any — is read instead; errRowVanished means
+// none is.
+func (s *Server) readVisible(g *columnGroup, key []byte, ts int64, e index.Entry) (index.Entry, wal.Record, error) {
+	rec, err := s.readEntry(g, key, e.TS, e.Ptr)
+	if errors.Is(err, errRowVanished) {
+		var ok bool
+		if e, ok = g.tree().LatestAt(key, ts); ok {
+			rec, err = s.readEntry(g, key, e.TS, e.Ptr)
+		}
+	}
+	return e, rec, err
 }
 
 // Delete removes key from the column group: it drops all index entries
@@ -445,66 +460,6 @@ func (s *Server) Delete(tabletID, group string, key []byte, ts int64) error {
 		return err
 	}
 	return s.applyOne(m)
-}
-
-// scanCheckEvery is how many rows a serial scan processes between
-// context checks: cancellation is honoured within one such batch.
-const scanCheckEvery = 128
-
-// Scan streams the latest visible version (at snapshot ts) of each key
-// in [start, end) to fn until it returns false (paper §3.6.4 range
-// scan). Pre-compaction this performs one random log read per row;
-// post-compaction rows come clustered from sorted segments. Cancelling
-// ctx aborts the scan within scanCheckEvery rows and returns ctx.Err().
-func (s *Server) Scan(ctx context.Context, tabletID, group string, start, end []byte, ts int64, fn func(Row) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	defer s.obs.since(s.obs.scan, s.obs.start())
-	t, g, err := s.tabletGroup(tabletID, group)
-	if err != nil {
-		return err
-	}
-	pinned := s.log.PinAll()
-	defer s.log.Unpin(pinned...)
-	var entries []index.Entry
-	g.tree().RangeLatest(start, end, ts, func(e index.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	var loadBytes int64
-	defer func() { t.load.add(int64(len(entries)), loadBytes) }()
-	for i, e := range entries {
-		if i%scanCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		rec, err := s.readEntry(g, e.Key, e.TS, e.Ptr)
-		if errors.Is(err, errRowVanished) {
-			continue // deleted while the scan ran
-		}
-		if err != nil {
-			return err
-		}
-		s.stats.LogReads.Add(1)
-		loadBytes += int64(len(rec.Value))
-		if !fn(Row{Key: e.Key, TS: e.TS, Value: rec.Value}) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// FullScan streams every live record of the column group in log order
-// (no key order), checking each scanned version against the index so
-// only current data is returned (paper §3.6.4 full table scan). It
-// reads segments sequentially — the batch-analytics path. Cancelling
-// ctx aborts the scan within scanCheckEvery records. It is the
-// no-options adapter over FullScanOpts (read.go), which additionally
-// applies snapshot pinning, limits, and push-down predicates.
-func (s *Server) FullScan(ctx context.Context, tabletID, group string, fn func(Row) bool) error {
-	return s.FullScanOpts(ctx, tabletID, group, readopt.Options{}, fn)
 }
 
 // IndexLen returns the number of index entries for a column group.

@@ -197,7 +197,7 @@ func TestScanRange(t *testing.T) {
 		s.Write(testTablet, testGroup, key, 2, []byte(fmt.Sprintf("v%d'", i)))
 	}
 	var keys []string
-	err := s.Scan(context.Background(), testTablet, testGroup, []byte("row-010"), []byte("row-020"), 99, func(r Row) bool {
+	err := serialScan(context.Background(), s, testTablet, testGroup, []byte("row-010"), []byte("row-020"), 99, func(r Row) bool {
 		keys = append(keys, string(r.Key))
 		if r.TS != 2 {
 			t.Errorf("scan returned stale version ts=%d for %s", r.TS, r.Key)
@@ -211,7 +211,7 @@ func TestScanRange(t *testing.T) {
 		t.Errorf("scan keys = %v", keys)
 	}
 	// Snapshot scan sees version 1.
-	err = s.Scan(context.Background(), testTablet, testGroup, []byte("row-010"), []byte("row-012"), 1, func(r Row) bool {
+	err = serialScan(context.Background(), s, testTablet, testGroup, []byte("row-010"), []byte("row-012"), 1, func(r Row) bool {
 		if r.TS != 1 {
 			t.Errorf("snapshot scan got ts=%d", r.TS)
 		}
@@ -222,7 +222,7 @@ func TestScanRange(t *testing.T) {
 	}
 	// Early termination.
 	n := 0
-	s.Scan(context.Background(), testTablet, testGroup, nil, nil, 99, func(Row) bool { n++; return n < 5 })
+	serialScan(context.Background(), s, testTablet, testGroup, nil, nil, 99, func(Row) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("early-stop scan visited %d", n)
 	}
@@ -237,7 +237,7 @@ func TestFullScan(t *testing.T) {
 	}
 	s.Delete(testTablet, testGroup, []byte("k00"), 3)
 	seen := map[string]string{}
-	err := s.FullScan(context.Background(), testTablet, testGroup, func(r Row) bool {
+	err := s.FullScanOpts(context.Background(), testTablet, testGroup, readopt.Options{}, func(r Row) bool {
 		seen[string(r.Key)] = string(r.Value)
 		return true
 	})

@@ -185,7 +185,7 @@ func (t *Txn) Scan(ctx context.Context, tablet, group string, start, end []byte,
 		buf = append(buf, w)
 	}
 	if len(buf) == 0 {
-		return srv.Scan(ctx, tablet, group, start, end, t.readTS, fn)
+		return t.scanSnapshot(ctx, srv, tablet, group, start, end, fn)
 	}
 	sort.Slice(buf, func(i, j int) bool { return bytes.Compare(buf[i].w.Key, buf[j].w.Key) < 0 })
 
@@ -206,7 +206,7 @@ func (t *Txn) Scan(ctx context.Context, tablet, group string, start, end []byte,
 		}
 		return true
 	}
-	err = srv.Scan(ctx, tablet, group, start, end, t.readTS, func(r core.Row) bool {
+	err = t.scanSnapshot(ctx, srv, tablet, group, start, end, func(r core.Row) bool {
 		if !emitBufferedBelow(r.Key) {
 			stopped = true
 			return false
@@ -234,6 +234,29 @@ func (t *Txn) Scan(ctx context.Context, tablet, group string, start, end []byte,
 	}
 	emitBufferedBelow(nil)
 	return nil
+}
+
+// errStopScan ends a snapshot scan whose callback returned false.
+var errStopScan = errors.New("txn: scan stopped")
+
+// scanSnapshot streams the rows of [start, end) visible at the read
+// snapshot to fn in key order until fn returns false: a serial
+// ParallelScan, stopped through a sentinel error so an early stop skips
+// the remaining pages.
+func (t *Txn) scanSnapshot(ctx context.Context, srv *core.Server, tablet, group string, start, end []byte, fn func(core.Row) bool) error {
+	opt := core.ScanOptions{Start: start, End: end, TS: t.readTS, Workers: 1}
+	err := srv.ParallelScan(ctx, tablet, group, opt, func(rows []core.Row) error {
+		for _, r := range rows {
+			if !fn(r) {
+				return errStopScan
+			}
+		}
+		return nil
+	})
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
 }
 
 // Put buffers a write. There are no blind writes in the paper's MVOCC

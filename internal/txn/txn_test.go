@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -419,5 +420,43 @@ func TestTxnDeleteCommits(t *testing.T) {
 	tx := f.m.Begin()
 	if _, err := tx.Get(tabA, groupG, []byte("del")); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("deleted key visible: %v", err)
+	}
+}
+
+// A scan whose callback stops at the first row reads one index page,
+// not the whole range: over a 50K-key tablet it allocates well under
+// what collecting every key (17 MB) costs — with and without a
+// buffered write to merge.
+func TestScanEarlyStopAllocs(t *testing.T) {
+	f := newFixture(t)
+	const n, chunk = 50000, 1000
+	value := make([]byte, 64)
+	ts := f.svc.NextTimestamp()
+	for i := 0; i < n; i += chunk {
+		batch := make([]core.BatchWrite, chunk)
+		for j := range batch {
+			batch[j] = core.BatchWrite{Tablet: tabA, Group: groupG, Key: []byte(fmt.Sprintf("k%06d", i+j)), Value: value, TS: ts}
+		}
+		if err := f.s1.ApplyBatch(batch); err != nil {
+			t.Fatalf("ApplyBatch: %v", err)
+		}
+	}
+	for _, buffered := range []bool{false, true} {
+		tx := f.m.Begin()
+		if buffered {
+			tx.Put(tabA, groupG, []byte("k025000"), []byte("mine"))
+		}
+		rows := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tx.Scan(context.Background(), tabA, groupG, nil, nil, func(core.Row) bool { rows++; return false })
+		runtime.ReadMemStats(&after)
+		if err != nil || rows != 1 {
+			t.Fatalf("buffered=%v: scan saw %d rows, err %v; want 1 row", buffered, rows, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+			t.Errorf("buffered=%v: early-stop scan allocated %d bytes, want < 2 MB", buffered, alloc)
+		}
+		tx.Abort()
 	}
 }

@@ -333,15 +333,19 @@ func TestClusterCloseStopsBatchers(t *testing.T) {
 
 // Tx.Scan must observe the transaction's own buffered writes
 // (read-your-writes): inserts appear, updates shadow, deletes hide —
-// on both backends, and nothing leaks out on abort.
+// on both backends, and nothing leaks out on abort. The rows are
+// compacted first, so the merge runs over the clustered scan path.
 func TestTxScanReadsOwnWrites(t *testing.T) {
-	check := func(t *testing.T, st logbase.Store) {
+	check := func(t *testing.T, st logbase.Store, compact func() (core.CompactionStats, error)) {
 		t.Helper()
 		if err := st.CreateTable("t", "g"); err != nil {
 			t.Fatalf("CreateTable: %v", err)
 		}
 		st.Put(bg, "t", "g", []byte("k1"), []byte("old1"))
 		st.Put(bg, "t", "g", []byte("k3"), []byte("old3"))
+		if _, err := compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
 
 		tx := st.Begin(bg)
 		tx.Put("t", "g", []byte("k2"), []byte("new2"))     // insert
@@ -375,7 +379,7 @@ func TestTxScanReadsOwnWrites(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer db.Close()
-		check(t, db)
+		check(t, db, db.Compact)
 	})
 	t.Run("cluster", func(t *testing.T) {
 		c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
@@ -384,7 +388,7 @@ func TestTxScanReadsOwnWrites(t *testing.T) {
 		}
 		cc := logbase.NewClusterClient(c)
 		defer cc.Close()
-		check(t, cc)
+		check(t, cc, cc.Compact)
 	})
 }
 
