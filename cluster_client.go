@@ -98,7 +98,7 @@ func (cc *ClusterClient) read(ctx context.Context, table, group string, key []by
 
 func (cc *ClusterClient) scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error {
 	return cc.routed(ctx, func(cl *cluster.Client) error {
-		return batched(emit, func(fn func(Row) bool) error {
+		return batched(emit, ro.Limit, func(fn func(Row) bool) error {
 			return cl.ScanOpts(ctx, table, group, start, end, ro, fn)
 		})
 	})
@@ -106,7 +106,7 @@ func (cc *ClusterClient) scan(ctx context.Context, table, group string, start, e
 
 func (cc *ClusterClient) fullScan(ctx context.Context, table, group string, ro ReadOptions, emit func([]Row) error) error {
 	return cc.routed(ctx, func(cl *cluster.Client) error {
-		return batched(emit, func(fn func(Row) bool) error {
+		return batched(emit, ro.Limit, func(fn func(Row) bool) error {
 			return cl.FullScanOpts(ctx, table, group, ro, fn)
 		})
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dfs"
@@ -62,6 +63,31 @@ func TestScanLimitStopsLogReads(t *testing.T) {
 	for i, r := range rows {
 		if want := fmt.Sprintf("p-%05d", i); string(r.Key) != want {
 			t.Fatalf("row %d key %q, want %q", i, r.Key, want)
+		}
+	}
+}
+
+// A LIMIT scan's index page is sized by the rows it owes, not by the
+// scan batch: a LIMIT-50 scan over 60K keys allocates well under one
+// 1,024-entry page (~70 KB).
+func TestScanLimitPageSizedByLimit(t *testing.T) {
+	const n = 60000
+	s := newPushdownServer(t, n)
+	for i := 0; i < 10; i++ {
+		start := []byte(fmt.Sprintf("p-%05d", i*(n/10)))
+		rows := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.ParallelScan(context.Background(), "t/0000", "g", ScanOptions{Start: start, TS: n, Limit: 50}, func(batch []Row) error {
+			rows += len(batch)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil || rows != 50 {
+			t.Fatalf("LIMIT-50 scan from %s: %d rows, %v", start, rows, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 40<<10 {
+			t.Fatalf("LIMIT-50 scan from %s allocated %d bytes, want < 40 KB", start, alloc)
 		}
 	}
 }

@@ -217,7 +217,9 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		return err
 	}
 	remaining := opt.Limit // 0 = unlimited
-	entries := make([]index.Entry, 0, opt.Batch)
+	// Sized by the first page's goal, which no later page exceeds: a
+	// LIMIT-50 scan holds 50 entries, not a full batch.
+	entries := make([]index.Entry, 0, opt.pageGoal(remaining))
 	cursor := start
 	revCursor := end
 	for {

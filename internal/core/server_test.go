@@ -385,6 +385,38 @@ func TestWriteAmplification(t *testing.T) {
 	}
 }
 
+// TestWriteAllocBudget is the write path's allocation ceiling: a
+// Server.Write of a 256 B value, one log append replicated to three
+// datanodes, makes at most 7 allocations (22 while the DFS wrote each
+// replica on a goroutine of its own). Lower it when a change removes
+// one; a change that adds one fails here.
+func TestWriteAllocBudget(t *testing.T) {
+	fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 4 << 20})
+	if err != nil {
+		t.Fatalf("dfs.New: %v", err)
+	}
+	s := mustServer(t, fs, "ts1", Config{})
+	const runs = 200
+	keys := make([][]byte, runs+1)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%06d", i))
+	}
+	value := bytes.Repeat([]byte("v"), 256)
+	if err := s.Write(testTablet, testGroup, []byte("warm"), 1, value); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.Write(testTablet, testGroup, keys[i], int64(i+2), value); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		i++
+	})
+	if allocs > 7 {
+		t.Fatalf("Server.Write of 256 B: %v allocs, want <= 7", allocs)
+	}
+}
+
 func TestRandomizedAgainstModel(t *testing.T) {
 	s, _ := newTestServer(t, Config{SegmentSize: 1 << 14})
 	rng := rand.New(rand.NewSource(99))

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -430,7 +431,6 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 	start := fm.size()
 	d.mu.Unlock()
 
-	off := start
 	for len(p) > 0 {
 		d.mu.Lock()
 		var last *blockMeta
@@ -457,62 +457,39 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 		id := last.id
 		d.mu.Unlock()
 
-		// Serialise against a re-replication copying this block; the
-		// replica set is re-read under the block mutex so a replica the
-		// copier just installed receives this write too.
+		// Serialise against a re-replication copying this block. Every
+		// change to the replica set holds the block mutex, so the set read
+		// under it is stable and includes a replica the copier just
+		// installed.
 		last.wmu.Lock()
-		d.mu.Lock()
-		replicas := append([]int(nil), last.replicas...)
-		d.mu.Unlock()
 
 		// Synchronous pipeline: every live replica must accept the write
-		// before it returns, but the replicas run concurrently (HDFS
-		// streams through the pipeline; the client does not pay 3x wall
-		// time). A dead replica is dropped from the block's replica set
-		// — it is stale from now on (HDFS's generation-stamp rule);
-		// restarting the node does not resurrect it, only re-replication
-		// does.
+		// before it returns. The replicas are written one after another
+		// on the caller's goroutine: every datanode charges its modelled
+		// cost to the shared simdisk.Clock whatever the order, and nothing
+		// realises that cost as wall time, so writing them concurrently
+		// would buy nothing and cost a goroutine per replica per append.
+		// A replica found dead, or killed during its write, is dropped
+		// from the block's replica set — it is stale from now on (HDFS's
+		// generation-stamp rule); restarting the node does not resurrect
+		// it, only re-replication does. The append succeeds as long as one
+		// replica accepted it; any other per-replica error fails it.
 		var stale []int
-		var live []*DataNode
-		for _, nid := range replicas {
-			node := d.nodes[nid]
-			if !node.Alive() {
-				stale = append(stale, nid)
-				continue
-			}
-			live = append(live, node)
-		}
-		if len(live) == 0 {
-			last.wmu.Unlock()
-			return 0, ErrNoDataNodes
-		}
-		errs := make([]error, len(live))
-		var wg sync.WaitGroup
-		for i, node := range live {
-			wg.Add(1)
-			go func(i int, node *DataNode) {
-				defer wg.Done()
-				if err := node.writeBlock(id, blockOff, frag); err != nil {
-					errs[i] = fmt.Errorf("dfs: write block %d on dn%d: %w", id, node.id, err)
-				}
-			}(i, node)
-		}
-		wg.Wait()
-		// A replica that died mid-write is dropped from the pipeline
-		// like one found dead before it (generation-stamp rule): the
-		// write still succeeds as long as one replica accepted it. Any
-		// other per-replica error fails the append.
 		ok := 0
-		for i, err := range errs {
-			switch {
-			case err == nil:
-				ok++
-			case errors.Is(err, errDeadNode):
-				stale = append(stale, live[i].id)
-			default:
-				last.wmu.Unlock()
-				return 0, err
+		for _, nid := range last.replicas {
+			node := d.nodes[nid]
+			if node.Alive() {
+				err := node.writeBlock(id, blockOff, frag)
+				if err == nil {
+					ok++
+					continue
+				}
+				if !errors.Is(err, errDeadNode) {
+					last.wmu.Unlock()
+					return 0, fmt.Errorf("dfs: write block %d on dn%d: %w", id, nid, err)
+				}
 			}
+			stale = append(stale, nid)
 		}
 		if ok == 0 {
 			last.wmu.Unlock()
@@ -520,26 +497,14 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 		}
 		d.mu.Lock()
 		if len(stale) > 0 {
-			kept := last.replicas[:0]
-			for _, nid := range last.replicas {
-				drop := false
-				for _, s := range stale {
-					if nid == s {
-						drop = true
-						break
-					}
-				}
-				if !drop {
-					kept = append(kept, nid)
-				}
-			}
-			last.replicas = kept
+			// A fresh slice: Truncate and Delete range over a replica set
+			// they read before releasing d.mu.
+			last.replicas = slices.DeleteFunc(slices.Clone(last.replicas), func(nid int) bool { return slices.Contains(stale, nid) })
 		}
 		last.size += n
 		d.mu.Unlock()
 		last.wmu.Unlock()
 		p = p[n:]
-		off += n
 	}
 	return start, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -216,6 +217,40 @@ func TestDataNodeKillScheduleDuringAppends(t *testing.T) {
 		if buf[i*64] != byte(i) {
 			t.Fatalf("chunk %d corrupted", i)
 		}
+	}
+}
+
+// Replicas are written in replica-set order, so the first replica's
+// write can kill the second's datanode before its turn: the append
+// still succeeds, the killed replica leaves the block's replica set, and
+// the third holds the bytes.
+func TestReplicaKilledByEarlierReplicaWrite(t *testing.T) {
+	reg := fault.New(13)
+	fs := newFaultDFS(t, 3, reg)
+	w, err := fs.Create("f")
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := w.Write([]byte("head-")); err != nil {
+		t.Fatalf("seed write: %v", err)
+	}
+	r := mustBlocks(t, fs, "f")[0].Replicas
+	if len(r) != 3 {
+		t.Fatalf("block has replicas %v, want 3", r)
+	}
+	reg.Arm(fmt.Sprintf("dfs.dn%d.write", r[0]), fault.Policy{Times: 1, OnFire: func() { fs.KillDataNode(r[1]) }})
+	if _, err := w.Write([]byte("tail")); err != nil {
+		t.Fatalf("append whose first replica write kills the second: %v", err)
+	}
+	if fs.DataNode(r[1]).Alive() {
+		t.Fatal("OnFire never killed the second replica")
+	}
+	if got, want := mustBlocks(t, fs, "f")[0].Replicas, []int{r[0], r[2]}; !slices.Equal(got, want) {
+		t.Fatalf("replicas after the kill = %v, want %v", got, want)
+	}
+	got, err := fs.ReadBlockReplica("f", 0, r[2])
+	if err != nil || string(got) != "head-tail" {
+		t.Fatalf("third replica holds %q, %v; want \"head-tail\"", got, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/simdisk"
 )
 
@@ -150,6 +151,28 @@ func TestReadAtAllocBudget(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data) {
 		t.Fatal("ReadAt content mismatch")
+	}
+}
+
+// An append writes its replicas on the caller's goroutine: a 320 B
+// Write over 3 replicas, with fault points attached, allocates nothing
+// — so it starts no goroutine either, as a go statement allocates.
+func TestAppendAllocBudget(t *testing.T) {
+	d := newTestDFS(t, Config{NumDataNodes: 3, BlockSize: 1 << 20, Faults: fault.New(1)})
+	w, _ := d.Create("f")
+	rec := make([]byte, 320)
+	if _, err := w.Write(rec); err != nil { // places the block, opens its files
+		t.Fatalf("Write: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := w.Write(rec); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}); n > 0 {
+		t.Fatalf("320 B Write over 3 replicas: %v allocs, want 0", n)
+	}
+	if ok, err := d.ReplicasAgree("f"); err != nil || !ok {
+		t.Fatalf("ReplicasAgree = %v, %v", ok, err)
 	}
 }
 

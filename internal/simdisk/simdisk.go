@@ -11,9 +11,8 @@
 // charged virtual time: a seek penalty whenever the access is not
 // contiguous with the previous access to the same file, plus a transfer
 // cost proportional to the number of bytes moved. Costs accumulate in a
-// Clock. When Model.Sleep is true the cost is additionally realised as
-// wall-clock sleep so that wall-time benchmarks exhibit the modelled
-// shape; unit tests leave Sleep off and assert on virtual time instead.
+// Clock and are never realised as wall time: tests and experiments
+// assert on virtual time.
 package simdisk
 
 import (
@@ -35,12 +34,6 @@ type Model struct {
 	// ReadBytesPerSec and WriteBytesPerSec are sequential bandwidths.
 	ReadBytesPerSec  int64
 	WriteBytesPerSec int64
-	// Sleep realises charged costs as wall-clock sleeps (scaled by
-	// SleepScale) in addition to advancing the virtual clock.
-	Sleep bool
-	// SleepScale scales realised sleeps; 1.0 sleeps the full modelled
-	// cost. Zero means 1.0.
-	SleepScale float64
 }
 
 // DefaultModel approximates a 7200 RPM commodity disk: 8 ms average seek,
@@ -87,9 +80,10 @@ type Disk struct {
 	clock *Clock
 
 	// faults, when non-nil, is consulted on every file read and write
-	// at points "<faultPrefix>.read" / "<faultPrefix>.write".
-	faults      *fault.Registry
-	faultPrefix string
+	// at readPoint ("<prefix>.read") and writePoint ("<prefix>.write"),
+	// named once in SetFaults rather than on every I/O.
+	faults                *fault.Registry
+	readPoint, writePoint string
 
 	mu sync.Mutex
 	// One head per spindle: an access seeks unless it starts exactly
@@ -122,7 +116,7 @@ func (d *Disk) Dir() string { return d.dir }
 // like a modelled cost. Call before issuing I/O.
 func (d *Disk) SetFaults(reg *fault.Registry, prefix string) {
 	d.faults = reg
-	d.faultPrefix = prefix
+	d.readPoint, d.writePoint = prefix+".read", prefix+".write"
 }
 
 // Clock returns the disk's virtual clock.
@@ -172,16 +166,8 @@ func (d *Disk) charge(name string, off, n int64, write bool) {
 	if bw > 0 {
 		cost += time.Duration(float64(n) / float64(bw) * float64(time.Second))
 	}
-	if cost == 0 {
-		return
-	}
-	d.clock.Advance(cost)
-	if m.Sleep {
-		scale := m.SleepScale
-		if scale == 0 {
-			scale = 1.0
-		}
-		time.Sleep(time.Duration(float64(cost) * scale))
+	if cost > 0 {
+		d.clock.Advance(cost)
 	}
 }
 
@@ -279,7 +265,7 @@ func (f *File) Size() (int64, error) {
 // error), flip a bit of the payload on its way down, add latency, or
 // fail it outright.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if o := f.d.faults.Fire(f.d.faultPrefix + ".write"); o.Injected() {
+	if o := f.d.faults.Fire(f.d.writePoint); o.Injected() {
 		if o.Delay > 0 {
 			f.d.clock.Advance(o.Delay)
 		}
@@ -334,7 +320,7 @@ func (f *File) Append(p []byte) (int64, error) {
 // returned data (the on-disk bytes stay intact — a transient read
 // corruption, as opposed to a write-path flip which persists).
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if o := f.d.faults.Fire(f.d.faultPrefix + ".read"); o.Injected() {
+	if o := f.d.faults.Fire(f.d.readPoint); o.Injected() {
 		if o.Delay > 0 {
 			f.d.clock.Advance(o.Delay)
 		}

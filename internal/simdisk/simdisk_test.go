@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 func newTestDisk(t *testing.T, m Model) *Disk {
@@ -264,19 +266,30 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestSleepRealisesCost(t *testing.T) {
-	m := Model{SeekLatency: 2 * time.Millisecond, Sleep: true, SleepScale: 1.0}
-	d := newTestDisk(t, m)
+// TestFileIOAllocBudget pins the per-I/O cost of the hot path: with a
+// fault registry attached, WriteAt and ReadAt allocate nothing (the
+// fault-point names are built once, in SetFaults).
+func TestFileIOAllocBudget(t *testing.T) {
+	d := newTestDisk(t, DefaultModel())
+	d.SetFaults(fault.New(1), "disk.t")
 	f, err := d.Create("f")
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	start := time.Now()
-	if _, err := f.WriteAt([]byte("a"), 512); err != nil { // forced seek
-		t.Fatalf("WriteAt: %v", err)
+	buf := make([]byte, 320)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := f.WriteAt(buf, 0); err != nil {
+			t.Fatalf("WriteAt: %v", err)
+		}
+	}); n > 0 {
+		t.Errorf("WriteAt: %v allocs/op, want 0", n)
 	}
-	if wall := time.Since(start); wall < 2*time.Millisecond {
-		t.Errorf("sleep mode wall time %v, want >= 2ms", wall)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatalf("ReadAt: %v", err)
+		}
+	}); n > 0 {
+		t.Errorf("ReadAt: %v allocs/op, want 0", n)
 	}
 }

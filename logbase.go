@@ -324,7 +324,7 @@ func (db *DB) fullScan(ctx context.Context, table, group string, ro ReadOptions,
 	if err != nil {
 		return err
 	}
-	return batched(emit, func(fn func(Row) bool) error {
+	return batched(emit, ro.Limit, func(fn func(Row) bool) error {
 		return db.readServer(ro.Snapshot, ro).FullScanOpts(ctx, tab, group, ro, fn)
 	})
 }

@@ -20,6 +20,7 @@ package logbase
 import (
 	"context"
 	"errors"
+	"iter"
 
 	"repro/internal/core"
 )
@@ -112,8 +113,9 @@ type Store interface {
 // Next returns false at end-of-stream, on error, or once the context
 // is cancelled; Err reports what stopped the stream (nil for a clean
 // end or a deliberate early Close; ctx.Err() after cancellation).
-// Close releases the producing scan promptly — abandoning an iterator
-// without Close leaks its producer until the scan finishes on its own.
+// The producing scan runs only inside Next, as a coroutine of the
+// caller; Close releases it — abandoning an unfinished iterator without
+// Close leaks the suspended scan and the log segments it pins.
 // Iterators are not safe for concurrent use.
 type Iterator interface {
 	Next() bool
@@ -172,51 +174,50 @@ func RunTx(ctx context.Context, st Store, fn func(Tx) error) error {
 const defaultIterBatch = 256
 
 // rowIter adapts a push-based batch producer into the pull-based
-// Iterator. The producer runs in one goroutine and hands batches over
-// a channel; Close cancels the producer's context and drains, so the
-// goroutine always exits promptly.
+// Iterator. The producer runs as a coroutine of the caller (iter.Pull):
+// Next switches straight to it, it runs until it emits a batch or
+// returns, and control switches straight back. There is no producer
+// goroutine, channel or derived context, and the caller never parks in
+// the scheduler to wait for a batch.
 type rowIter struct {
-	parent  context.Context
-	cancel  context.CancelFunc
-	batches chan []Row
-	fin     chan struct{}
-	prodErr error // producer's return; valid after fin is closed
+	ctx     context.Context
+	next    func() ([]Row, bool)
+	stop    func()
+	prodErr error // producer's return; valid once done
 
-	cur    []Row
-	pos    int
-	err    error
-	done   bool
-	closed bool
+	cur  []Row
+	pos  int
+	err  error
+	done bool
 }
 
-// newRowIter starts run in a goroutine. run must stream batches
-// through emit and return when emit errors or its ctx is cancelled.
+// errIterClosed is what emit returns to a producer whose iterator was
+// closed.
+var errIterClosed = errors.New("logbase: iterator closed")
+
+// newRowIter wraps run, which starts at the first Next. run must
+// stream batches through emit and return when emit errors or its ctx
+// is cancelled; emit returns once the consumer wants the next batch,
+// so run may reuse a batch after emit returns.
 func newRowIter(ctx context.Context, run func(ctx context.Context, emit func([]Row) error) error) *rowIter {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ictx, cancel := context.WithCancel(ctx)
-	it := &rowIter{
-		parent:  ctx,
-		cancel:  cancel,
-		batches: make(chan []Row, 4),
-		fin:     make(chan struct{}),
-	}
-	go func() {
-		defer close(it.fin)
-		it.prodErr = run(ictx, func(rows []Row) error {
-			select {
-			case it.batches <- rows:
-				return nil
-			case <-ictx.Done():
-				return ictx.Err()
+	it := &rowIter{ctx: ctx}
+	it.next, it.stop = iter.Pull(func(yield func([]Row) bool) {
+		it.prodErr = run(ctx, func(rows []Row) error {
+			if !yield(rows) {
+				return errIterClosed
 			}
+			return nil
 		})
-		close(it.batches)
-	}()
+	})
 	return it
 }
 
+// Next advances to the next row, resuming the producer when the
+// current batch is spent; a cancelled context ends the stream at that
+// batch boundary without resuming it.
 func (it *rowIter) Next() bool {
 	if it.done {
 		return false
@@ -225,70 +226,68 @@ func (it *rowIter) Next() bool {
 		it.pos++
 		return true
 	}
-	rows, ok := <-it.batches
-	if !ok {
-		it.finish()
-		return false
+	if it.ctx.Err() == nil {
+		if rows, ok := it.next(); ok {
+			it.cur, it.pos = rows, 1
+			return true
+		}
 	}
-	it.cur, it.pos = rows, 1
-	return true
+	it.finish()
+	return false
 }
 
 // Row returns the row the last successful Next advanced to.
 func (it *rowIter) Row() Row { return it.cur[it.pos-1] }
 
-// finish waits for the producer and settles Err: a cancelled parent
-// context wins (the caller asked to stop and should see ctx.Err()); a
-// deliberate Close suppresses the cancellation it caused; anything
-// else is the producer's own error.
+// finish stops the producer — a suspended one resumes with emit
+// failing and unwinds — and settles Err: a cancelled context wins (the
+// caller asked to stop and should see ctx.Err()); the failed emit of a
+// deliberate Close is no error; anything else is the producer's own.
 func (it *rowIter) finish() {
 	it.done = true
-	<-it.fin
+	it.stop()
 	switch {
-	case it.parent.Err() != nil:
-		it.err = it.parent.Err()
-	case it.closed:
-		if it.prodErr != nil && !errors.Is(it.prodErr, context.Canceled) {
-			it.err = it.prodErr
-		}
-	default:
+	case it.ctx.Err() != nil:
+		it.err = it.ctx.Err()
+	case !errors.Is(it.prodErr, errIterClosed):
 		it.err = it.prodErr
 	}
 }
 
 func (it *rowIter) Err() error {
-	if !it.done && it.parent.Err() != nil {
-		return it.parent.Err()
+	if !it.done && it.ctx.Err() != nil {
+		return it.ctx.Err()
 	}
 	return it.err
 }
 
-// Close stops the producing scan (cancelling its derived context),
-// waits for its goroutine to exit, and returns the stream error, if
-// any. Safe to call multiple times; a Close before exhaustion leaves
-// Err nil.
+// Close stops the producing scan, which has returned when Close does,
+// and returns the stream error, if any. Safe to call multiple times; a
+// Close before exhaustion leaves Err nil.
 func (it *rowIter) Close() error {
-	it.closed = true
-	it.cancel()
 	if !it.done {
-		for range it.batches { // release a producer blocked on emit
-		}
 		it.finish()
 	}
 	return it.err
 }
 
 // batched runs produce, a one-row-at-a-time push scan, and hands its
-// rows to emit in batches of defaultIterBatch. produce's callback
-// returns false once emit has failed, which stops the scan.
-func batched(emit func([]Row) error, produce func(fn func(Row) bool) error) error {
-	batch := make([]Row, 0, defaultIterBatch)
+// rows to emit in batches of defaultIterBatch, reusing one batch (emit
+// is done with a batch when it returns) that a limit (0 = none) below
+// defaultIterBatch sizes. produce's callback returns false once emit
+// has failed, which stops the scan.
+func batched(emit func([]Row) error, limit int, produce func(fn func(Row) bool) error) error {
+	size := defaultIterBatch
+	if limit > 0 && limit < size {
+		size = limit
+	}
+	batch := make([]Row, 0, size)
 	var emitErr error
 	err := produce(func(r Row) bool {
 		batch = append(batch, r)
 		if len(batch) >= defaultIterBatch {
 			emitErr = emit(batch)
-			batch = make([]Row, 0, defaultIterBatch)
+			batch = batch[:0]
 		}
 		return emitErr == nil
 	})

@@ -17,6 +17,8 @@ import (
 
 	logbase "repro"
 	"repro/internal/core"
+	"repro/internal/dfs"
+	"repro/internal/fault"
 )
 
 // coreScanOptions builds low-level scan options for the batch-boundary
@@ -138,6 +140,117 @@ func TestIteratorCtxCancelSurfacesCanceled(t *testing.T) {
 		t.Fatalf("Err = %v, want context.Canceled", err)
 	}
 	it2.Close()
+}
+
+// TestIteratorLifecycle covers every way a Store iterator ends, on both
+// backends: Close before the first Next, Close mid-stream, the parent
+// context cancelled mid-stream, a producer error surfaced by Err, and a
+// scan whose loop writes to the table it scans. The producing scan is a
+// coroutine of the caller, so once Close returns the goroutine count is
+// back to its value before the scan, with nothing left to wait for.
+func TestIteratorLifecycle(t *testing.T) {
+	const n = 2000 // about eight iterator batches
+	open := map[string]func(t *testing.T, reg *fault.Registry) logbase.Store{
+		"embedded": func(t *testing.T, reg *fault.Registry) logbase.Store {
+			db, err := logbase.Open(t.TempDir(), logbase.Options{Faults: reg})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			return db
+		},
+		"cluster": func(t *testing.T, reg *fault.Registry) logbase.Store {
+			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3, DFS: dfs.Config{Faults: reg}})
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			return logbase.NewClusterClient(c)
+		},
+	}
+	for _, backend := range []string{"embedded", "cluster"} {
+		t.Run(backend, func(t *testing.T) {
+			reg := fault.New(1)
+			st := open[backend](t, reg)
+			defer st.Close()
+			loadRows(t, st, "t", "g", n)
+
+			var baseline int
+			scan := func(ctx context.Context) logbase.Iterator {
+				baseline = runtime.NumGoroutine()
+				return st.Scan(ctx, "t", "g", nil, nil)
+			}
+			closed := func(what string, it logbase.Iterator, wantErr error) {
+				t.Helper()
+				if err := it.Close(); !errors.Is(err, wantErr) {
+					t.Fatalf("%s: Close = %v, want %v", what, err, wantErr)
+				}
+				if err := it.Err(); !errors.Is(err, wantErr) {
+					t.Fatalf("%s: Err after Close = %v, want %v", what, err, wantErr)
+				}
+				if it.Next() {
+					t.Fatalf("%s: Next after Close returned true", what)
+				}
+				if got := runtime.NumGoroutine(); got > baseline {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%s: %d goroutines after Close, %d before the scan\n%s",
+						what, got, baseline, buf[:runtime.Stack(buf, true)])
+				}
+			}
+
+			closed("Close before Next", scan(bg), nil)
+
+			it := scan(bg)
+			for i := 0; i < 300 && it.Next(); i++ { // past the first batch
+			}
+			closed("Close mid-stream", it, nil)
+
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			it = scan(ctx)
+			rows := 0
+			for it.Next() {
+				if rows++; rows == 5 {
+					cancel()
+				}
+			}
+			if rows >= n {
+				t.Fatalf("cancel mid-stream: saw all %d rows", rows)
+			}
+			closed("cancel mid-stream", it, context.Canceled)
+
+			// Every row written inside the loop is newer than the scan's
+			// pinned snapshot, so the scan sees exactly the loaded rows.
+			it = scan(bg)
+			rows = 0
+			for it.Next() {
+				key := string(it.Row().Key) + "-w"
+				if err := st.Put(bg, "t", "g", []byte(key), []byte("v")); err != nil {
+					t.Fatalf("Put inside the scan: %v", err)
+				}
+				rows++
+			}
+			if rows != n {
+				t.Fatalf("scan writing its own table saw %d rows, want %d", rows, n)
+			}
+			closed("writes inside the scan", it, nil)
+
+			// Every replica's reads fail once the first batch is out.
+			boom := errors.New("injected read failure")
+			it = scan(bg)
+			if !it.Next() {
+				t.Fatalf("scan yielded nothing: %v", it.Err())
+			}
+			for dn := 0; dn < 3; dn++ {
+				reg.Arm(fmt.Sprintf("dfs.dn%d.read", dn), fault.Policy{Err: boom})
+			}
+			for it.Next() {
+			}
+			if err := it.Err(); !errors.Is(err, boom) {
+				t.Fatalf("producer error: Err = %v, want %v", err, boom)
+			}
+			closed("producer error", it, boom)
+			reg.Reset()
+		})
+	}
 }
 
 func TestCancelledParallelScanStopsWithinBatch(t *testing.T) {
