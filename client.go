@@ -373,8 +373,9 @@ func (tx *Txn) Abort() { tx.t.Abort() }
 // The admin surface is the same on both backends: every call fans out
 // over the live tablet servers (one for an embedded DB) in id order.
 
-// Checkpoint flushes every tablet server's in-memory indexes and writes
-// its recovery manifest.
+// Checkpoint writes every tablet server's recovery checkpoint: its
+// in-memory indexes and the log position redo starts from, one file per
+// server.
 func (c *client) Checkpoint() error {
 	for _, s := range c.servers() {
 		if err := s.srv.Checkpoint(); err != nil {

@@ -73,7 +73,7 @@ func run(withCheckpoint bool) {
 	}
 	mode := "full log scan (no checkpoint)"
 	if st.UsedCheckpoint {
-		mode = fmt.Sprintf("checkpoint reload (%d index files) + tail redo", st.IndexesLoaded)
+		mode = fmt.Sprintf("checkpoint reload (%d indexes) + tail redo", st.IndexesLoaded)
 	}
 	fmt.Printf("%-44s: %8v  (%d tail records replayed, %d entries restored)\n",
 		mode, st.Elapsed.Round(st.Elapsed/100+1), st.RecordsScanned, st.EntriesRestored)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -69,12 +68,6 @@ func (cl *Client) refresh() {
 	cl.routers = make(map[string]*partition.Router)
 	cl.owners = make(map[string]*core.Server)
 	cl.Refreshes++
-}
-
-func (cl *Client) rpc() {
-	if d := cl.c.cfg.RPCLatency; d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // route resolves (table, key) to the owning server and tablet id via
@@ -172,7 +165,6 @@ func (cl *Client) retryStale(table string, key []byte, op func(srv *core.Server,
 // Put writes a row version into a column group (auto-commit); the
 // version timestamp comes from the global timestamp authority.
 func (cl *Client) Put(table, group string, key, value []byte) error {
-	cl.rpc()
 	ts := cl.c.svc.NextTimestamp()
 	return cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		return srv.Write(tablet, group, key, ts, value)
@@ -191,7 +183,6 @@ func (cl *Client) Get(table, group string, key []byte) (core.Row, error) {
 
 // Delete removes a row from a column group.
 func (cl *Client) Delete(table, group string, key []byte) error {
-	cl.rpc()
 	ts := cl.c.svc.NextTimestamp()
 	return cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		return srv.Delete(tablet, group, key, ts)
@@ -305,7 +296,6 @@ func rangeCovered(covered []partition.Range, r partition.Range) bool {
 // (eachTablet): completed tablets are never re-streamed and the limit
 // never double-counts.
 func (cl *Client) ScanOpts(ctx context.Context, table, group string, start, end []byte, ro readopt.Options, fn func(core.Row) bool) error {
-	cl.rpc()
 	ts := ro.Snapshot
 	if ts == 0 {
 		ts = cl.c.svc.LastTimestamp()
@@ -353,7 +343,6 @@ func (cl *Client) ScanOpts(ctx context.Context, table, group string, start, end 
 // the whole of it re-runs against fresh metadata — first attempts may
 // be served by caught-up replicas, re-runs stay on primaries.
 func (cl *Client) Aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (query.Result, error) {
-	cl.rpc()
 	if ts == 0 {
 		ts = cl.c.svc.LastTimestamp()
 	}
@@ -454,7 +443,6 @@ func (cl *Client) aggregateOnce(ctx context.Context, table, group string, ts int
 // (first attempt only); latest-timestamp reads — ro.Snapshot 0,
 // resolved inside the server — always hit the primary.
 func (cl *Client) Read(table, group string, key []byte, ro readopt.Options) ([]core.Row, error) {
-	cl.rpc()
 	var rows []core.Row
 	first := true
 	err := cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
@@ -483,7 +471,6 @@ func (cl *Client) Read(table, group string, key []byte, ro readopt.Options) ([]c
 // tablets, so the sweep stops as soon as enough surviving rows have
 // streamed cluster-wide.
 func (cl *Client) FullScanOpts(ctx context.Context, table, group string, ro readopt.Options, fn func(core.Row) bool) error {
-	cl.rpc()
 	if ro.Snapshot == 0 {
 		// Pin now so stale-routing resumes replay the same snapshot.
 		ro.Snapshot = cl.c.svc.LastTimestamp()
@@ -515,7 +502,6 @@ func (cl *Client) FullScanOpts(ctx context.Context, table, group string, ro read
 // on its owning primary; tablets are visited in key order, so
 // concatenating per-tablet results keeps the global order.
 func (cl *Client) LookupSecondary(name string, secKey []byte) ([]core.Row, error) {
-	cl.rpc()
 	reg, err := cl.c.secondaryRegistration(name)
 	if err != nil {
 		return nil, err
@@ -540,7 +526,6 @@ func (cl *Client) LookupSecondary(name string, secKey []byte) ([]core.Row, error
 // remaining callbacks, not the per-tablet scans. Bound the attribute
 // range for large indexes.
 func (cl *Client) ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r core.Row) bool) error {
-	cl.rpc()
 	reg, err := cl.c.secondaryRegistration(name)
 	if err != nil {
 		return err
@@ -598,7 +583,6 @@ func (cl *Client) ApplyBatch(ops []BatchOp) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	cl.rpc()
 	remaining := make([]int, len(ops))
 	for i := range ops {
 		remaining[i] = i

@@ -7,7 +7,7 @@
 // The in-process substitution keeps every architectural interaction —
 // registration via ephemeral nodes, master election, tablet assignment,
 // log-split failover, stale routing caches — while replacing RPC with
-// method calls plus an injectable per-call latency.
+// method calls.
 package cluster
 
 import (
@@ -47,9 +47,6 @@ type Config struct {
 	// NumServers (each machine runs a datanode and a tablet server,
 	// §4.1) and BlockSize to 4 MB.
 	DFS dfs.Config
-	// RPCLatency, when > 0, is slept on every client call to model the
-	// network hop.
-	RPCLatency time.Duration
 	// Replicas is the number of WAL-shipping read replicas per tablet
 	// server (internal/repl). Pinned snapshot reads whose timestamp a
 	// replica's watermark covers are served by the replica instead of

@@ -4,35 +4,10 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/readopt"
 )
-
-func TestRPCLatencyInjection(t *testing.T) {
-	c, err := New(t.TempDir(), Config{
-		NumServers: 2,
-		Tables:     []TableSpec{{Name: "t", Groups: []string{"g"}}},
-		Server:     core.Config{SegmentSize: 1 << 20},
-		DFS:        dfs.Config{BlockSize: 1 << 16},
-		RPCLatency: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	cl := c.NewClient()
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		if err := cl.Put("t", "g", []byte{byte(i)}, []byte("v")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("5 RPCs with 2ms injected latency took %v", elapsed)
-	}
-}
 
 func TestScanEarlyStopAcrossTablets(t *testing.T) {
 	c := newTestCluster(t, 4)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -287,6 +288,80 @@ func TestCheckpointAndRecoverAllServers(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		if _, err := cl.Get("users", "profile", []byte{byte(i * 4), byte(i)}); err != nil {
 			t.Fatalf("Get %d after compact: %v", i, err)
+		}
+	}
+}
+
+// A checkpoint is one file per server, replaced whole: after a split, a
+// move and two checkpoints of every server the DFS holds exactly one
+// checkpoint file per server and no per-index files, and a restart of
+// each server restores every index it serves from that file alone.
+func TestCheckpointIsOneFilePerServer(t *testing.T) {
+	c := newTestCluster(t, 2)
+	cl := c.NewClient()
+	for i := 0; i < 200; i++ {
+		if err := cl.Put("users", "profile", []byte{byte(i), 'k'}, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointAll := func() {
+		t.Helper()
+		for _, id := range c.LiveServers() {
+			if err := c.Server(id).Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint %s: %v", id, err)
+			}
+		}
+	}
+	checkpointAll()
+	tab, err := cl.TabletFor("users", []byte{0x10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, _, err := c.SplitTablet(tab)
+	if err != nil {
+		t.Fatalf("SplitTablet: %v", err)
+	}
+	dest := "ts00"
+	if c.Assignments()[left] == dest {
+		dest = "ts01"
+	}
+	if err := c.MoveTablet(left, dest); err != nil {
+		t.Fatalf("MoveTablet: %v", err)
+	}
+	checkpointAll()
+
+	if got, want := c.FS().List("chk/"), []string{"chk/ts00", "chk/ts01"}; !slices.Equal(got, want) {
+		t.Fatalf("checkpoint files %v, want %v", got, want)
+	}
+	if got := c.FS().List("idx/"); len(got) != 0 {
+		t.Fatalf("per-index files left behind: %v", got)
+	}
+	groups := c.Groups("users")
+	for _, id := range c.LiveServers() {
+		live := c.Server(id)
+		srv, err := core.NewServer(c.FS(), id, core.Config{SegmentSize: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes := 0
+		c.mu.RLock()
+		for tab, owner := range c.assignments {
+			if owner == id {
+				srv.AddTablet(c.tabletSpecs[tab], groups)
+				indexes += len(groups)
+			}
+		}
+		c.mu.RUnlock()
+		st, err := srv.Recover()
+		if err != nil || !st.UsedCheckpoint || st.IndexesLoaded != indexes {
+			t.Fatalf("%s: Recover = %+v, %v; want its checkpoint's %d indexes", id, st, err, indexes)
+		}
+		for tab, owner := range c.Assignments() {
+			for _, g := range groups {
+				if owner == id && srv.IndexLen(tab, g) != live.IndexLen(tab, g) {
+					t.Fatalf("%s: restored %s/%s holds %d entries, the live server %d", id, tab, g, srv.IndexLen(tab, g), live.IndexLen(tab, g))
+				}
+			}
 		}
 	}
 }

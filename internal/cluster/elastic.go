@@ -275,15 +275,3 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 	}
 	return nil
 }
-
-// TabletLoads returns every live server's windowed per-tablet load,
-// rolling each server's sampling window forward (see
-// core.Server.SampleLoad). The balancer is the intended caller; tests
-// may use it but should not run a balancer at the same time.
-func (c *Cluster) TabletLoads() map[string][]core.TabletLoad {
-	out := make(map[string][]core.TabletLoad)
-	for _, id := range c.LiveServers() {
-		out[id] = c.Server(id).SampleLoad()
-	}
-	return out
-}

@@ -1,37 +1,45 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/index"
 	"repro/internal/partition"
 	"repro/internal/wal"
 )
 
-// Checkpoint persists the server's recovery baseline (paper §3.8): it
-// flushes every in-memory index to an index file in the DFS and then
-// writes a manifest recording the log position and last LSN covered, so
-// recovery can reload the indexes and redo only the log tail.
+// Checkpoint persists the server's recovery baseline (paper §3.8): one
+// DFS file, installed by one atomic write, that holds every in-memory
+// index and the log position from which redo is complete, so recovery
+// can reload the indexes and redo only the log tail. The file is a
+// sequence of wal frames: a KindCheckpoint header whose LSN is the last
+// LSN covered and whose value is that position, then one record per
+// (tablet, column group) whose value is that index's entries.
+//
+// A running compaction finishes first: its output is numbered below any
+// append segment opened after it, so a checkpoint positioned in such a
+// segment before the compaction repointed its indexes would have redo
+// skip the output, while the entries it saved, still pointing at the
+// inputs, are pruned once the inputs go.
 func (s *Server) Checkpoint() error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.checkpoint()
+}
+
+// checkpoint writes the checkpoint. Callers hold compactMu.
+func (s *Server) checkpoint() error {
 	// Block mutations so (indexes, position) are mutually consistent.
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Server) checkpointLocked() error {
-	pos := s.log.End()
-	lastLSN := s.log.NextLSN() - 1
-
-	var manifest bytes.Buffer
-	fmt.Fprintf(&manifest, "logbase-checkpoint v1\n")
-	fmt.Fprintf(&manifest, "pos %d %d\n", pos.Seg, pos.Off)
-	fmt.Fprintf(&manifest, "lsn %d\n", lastLSN)
+	end := s.log.End()
+	pos := binary.LittleEndian.AppendUint32(nil, end.Seg)
+	pos = binary.LittleEndian.AppendUint64(pos, uint64(end.Off))
+	file := wal.Encode(&wal.Record{Kind: wal.KindCheckpoint, LSN: s.log.NextLSN() - 1, Value: pos})
 
 	s.mu.RLock()
 	tablets := make([]*Tablet, 0, len(s.tablets))
@@ -39,56 +47,30 @@ func (s *Server) checkpointLocked() error {
 		tablets = append(tablets, t)
 	}
 	s.mu.RUnlock()
+	var entries []byte
 	for _, t := range tablets {
 		t.mu.RLock()
 		for gname, g := range t.groups {
-			path := s.indexFilePath(t.id, gname)
-			if _, err := g.tree().Flush(s.fs, path); err != nil {
-				t.mu.RUnlock()
-				return fmt.Errorf("core: checkpoint flush %s/%s: %w", t.id, gname, err)
-			}
-			fmt.Fprintf(&manifest, "idx %s\x1f%s\x1f%s\n", t.id, gname, path)
+			entries, _ = g.tree().Encode(entries[:0])
+			file = append(file, wal.Encode(&wal.Record{Kind: wal.KindCheckpoint, Tablet: t.id, Group: gname, Value: entries})...)
 		}
 		t.mu.RUnlock()
 	}
 
-	// Record a checkpoint marker in the log (useful for forensic scans)
-	// and install the manifest atomically via tmp+rename.
+	// Record a checkpoint marker in the log (useful for forensic scans).
 	if _, err := s.log.Append(&wal.Record{Kind: wal.KindCheckpoint}); err != nil {
 		return err
 	}
-	manifestPath := s.manifestPath()
-	tmp := manifestPath + ".tmp"
-	if s.fs.Exists(tmp) {
-		if err := s.fs.Delete(tmp); err != nil {
-			return err
-		}
-	}
-	w, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(manifest.Bytes()); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	// Crash point: index files and the tmp manifest are written but the
-	// rename has not happened — recovery must fall back to the previous
-	// manifest (or a full log scan) and still see everything.
+	// Crash point: the new checkpoint is built but not installed —
+	// recovery must use the previous one (or a full log scan) and still
+	// see everything.
 	if err := s.cfg.Faults.FireErr("crash.checkpoint.pre-install"); err != nil {
 		return err
 	}
-	if s.fs.Exists(manifestPath) {
-		if err := s.fs.Delete(manifestPath); err != nil {
-			return err
-		}
-	}
-	return s.fs.Rename(tmp, manifestPath)
+	return s.fs.WriteFile(s.checkpointPath(), file)
 }
 
-func (s *Server) manifestPath() string { return fmt.Sprintf("chk/%s/manifest", s.id) }
+func (s *Server) checkpointPath() string { return "chk/" + s.id }
 
 // RecoveryStats reports what recovery did.
 type RecoveryStats struct {
@@ -104,63 +86,64 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-type manifestData struct {
-	pos     wal.Position
-	lastLSN uint64
-	indexes []manifestIndex
-}
-
-type manifestIndex struct {
-	tablet, group, path string
-}
-
-func (s *Server) loadManifest() (*manifestData, error) {
-	path := s.manifestPath()
-	if !s.fs.Exists(path) {
-		return nil, nil
+// loadCheckpoint installs the indexes a checkpoint file holds and seeds
+// the redo with where it starts and the LSN and timestamp high marks it
+// continues from.
+func (s *Server) loadCheckpoint(b []byte, rs *ReplaySession, st *RecoveryStats) error {
+	hdr, n, err := wal.Decode(b)
+	if err == nil && (hdr.Kind != wal.KindCheckpoint || len(hdr.Value) != 12) {
+		err = wal.ErrCorrupt
 	}
-	r, err := s.fs.Open(path)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	defer r.Close()
-	size, err := r.Size()
-	if err != nil {
-		return nil, err
+	st.UsedCheckpoint = true
+	rs.pos = wal.Position{Seg: binary.LittleEndian.Uint32(hdr.Value), Off: int64(binary.LittleEndian.Uint64(hdr.Value[4:]))}
+	rs.maxLSN = hdr.LSN
+	// Incremental compaction may have reclaimed segments AFTER the
+	// checkpoint was written: checkpointed entries pointing into
+	// removed segments are pruned. Relocated records re-add their
+	// entries during the redo (compaction output segments sit past the
+	// checkpoint position); vacuumed versions (beyond the retention
+	// bound) are gone on purpose and must not resurface.
+	liveSegs := map[uint32]bool{}
+	for _, si := range s.log.Segments() {
+		liveSegs[si.Num] = true
 	}
-	buf := make([]byte, size)
-	if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	sc := bufio.NewScanner(bytes.NewReader(buf))
-	if !sc.Scan() || sc.Text() != "logbase-checkpoint v1" {
-		return nil, fmt.Errorf("core: bad manifest header in %s", path)
-	}
-	md := &manifestData{}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "pos "):
-			if _, err := fmt.Sscanf(line, "pos %d %d", &md.pos.Seg, &md.pos.Off); err != nil {
-				return nil, fmt.Errorf("core: bad manifest pos: %w", err)
-			}
-		case strings.HasPrefix(line, "lsn "):
-			if _, err := fmt.Sscanf(line, "lsn %d", &md.lastLSN); err != nil {
-				return nil, fmt.Errorf("core: bad manifest lsn: %w", err)
-			}
-		case strings.HasPrefix(line, "idx "):
-			parts := strings.Split(line[4:], "\x1f")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("core: bad manifest idx line %q", line)
-			}
-			md.indexes = append(md.indexes, manifestIndex{parts[0], parts[1], parts[2]})
+	for b = b[n:]; len(b) > 0; b = b[n:] {
+		var rec wal.Record
+		if rec, n, err = wal.Decode(b); err != nil {
+			return fmt.Errorf("core: checkpoint: %w", err)
 		}
+		_, g, gerr := s.tabletGroup(rec.Tablet, rec.Group)
+		if gerr != nil {
+			continue // tablet reassigned elsewhere
+		}
+		tree, err := index.Decode(rec.Value)
+		if err != nil {
+			return fmt.Errorf("core: checkpoint index %s/%s: %w", rec.Tablet, rec.Group, err)
+		}
+		var stale []index.Entry
+		tree.Ascend(func(e index.Entry) bool {
+			if !liveSegs[e.Ptr.Seg] {
+				stale = append(stale, e)
+			} else if e.TS > rs.maxTS {
+				rs.maxTS = e.TS
+			}
+			return true
+		})
+		for _, e := range stale {
+			tree.DeleteVersion(e.Key, e.TS)
+		}
+		g.idx.Store(tree)
+		st.IndexesLoaded++
+		st.EntriesRestored += tree.Len()
 	}
-	return md, sc.Err()
+	return nil
 }
 
 // Recover rebuilds the server's in-memory indexes after a restart
-// (paper §3.8). With a checkpoint it reloads the persisted index files
+// (paper §3.8). With a checkpoint it reloads the checkpointed indexes
 // and redoes the log tail from the checkpoint position; without one it
 // scans the entire log. Tablets must have been declared (AddTablet)
 // before calling Recover. Recovery is idempotent: a crash during
@@ -172,55 +155,15 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
 
-	md, err := s.loadManifest()
-	if err != nil {
-		return st, err
-	}
-	// The checkpoint (if any) seeds the redo: where it starts, and the
-	// LSN and timestamp high marks it continues from.
+	// The checkpoint (if any) seeds the redo; without one the redo
+	// covers the whole log.
 	rs := newReplaySession(s, s.log, wal.Position{}, nil)
-	if md != nil {
-		st.UsedCheckpoint = true
-		rs.pos, rs.maxLSN = md.pos, md.lastLSN
-		// Incremental compaction may have reclaimed segments AFTER the
-		// checkpoint was written: checkpointed entries pointing into
-		// removed segments are pruned. Relocated records re-add their
-		// entries during the redo below (compaction output segments sit
-		// past the checkpoint position); vacuumed versions (beyond the
-		// retention bound) are gone on purpose and must not resurface.
-		liveSegs := map[uint32]bool{}
-		for _, si := range s.log.Segments() {
-			liveSegs[si.Num] = true
+	if b, err := s.fs.ReadFile(s.checkpointPath()); err == nil {
+		if err := s.loadCheckpoint(b, rs, &st); err != nil {
+			return st, err
 		}
-		for _, mi := range md.indexes {
-			t, terr := s.tablet(mi.tablet)
-			if terr != nil {
-				continue // tablet reassigned elsewhere
-			}
-			g, gerr := t.group(mi.group)
-			if gerr != nil {
-				continue
-			}
-			tree, lerr := index.Load(s.fs, mi.path)
-			if lerr != nil {
-				return st, fmt.Errorf("core: recover index %s: %w", mi.path, lerr)
-			}
-			var stale []index.Entry
-			tree.Ascend(func(e index.Entry) bool {
-				if !liveSegs[e.Ptr.Seg] {
-					stale = append(stale, e)
-				} else if e.TS > rs.maxTS {
-					rs.maxTS = e.TS
-				}
-				return true
-			})
-			for _, e := range stale {
-				tree.DeleteVersion(e.Key, e.TS)
-			}
-			g.idx.Store(tree)
-			st.IndexesLoaded++
-			st.EntriesRestored += tree.Len()
-		}
+	} else if !errors.Is(err, dfs.ErrNotFound) {
+		return st, err
 	}
 
 	// Redo the tail in place: one replay round over this server's own

@@ -71,7 +71,7 @@ func (s *Server) Compact() (CompactionStats, error) {
 	if err != nil || st.SegmentsIn == 0 {
 		return st, err
 	}
-	return st, s.Checkpoint()
+	return st, s.checkpoint()
 }
 
 // CompactSegments rewrites only the given sealed segments; the active

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/dfs"
 	"repro/internal/partition"
 	"repro/internal/wal"
@@ -111,29 +110,6 @@ func TestCheckpointDuringConcurrentWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestCachePolicyPluggable(t *testing.T) {
-	s, fs := newTestServer(t, Config{})
-	_ = fs
-	// A server with the CLOCK policy behaves identically for
-	// correctness; this pins the Config.CachePolicy wiring.
-	fs2 := s.fs
-	s2, err := NewServer(fs2, "ts-clock", Config{ReadCacheBytes: 1 << 16, CachePolicy: cache.NewClock(), SegmentSize: 1 << 20})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	s2.AddTablet(tabletSpecForTest(), []string{testGroup})
-	s2.Write(testTablet, testGroup, []byte("k"), 1, []byte("v"))
-	if _, err := s2.Get(testTablet, testGroup, []byte("k")); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if _, err := s2.Get(testTablet, testGroup, []byte("k")); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if s2.CacheStats().Hits == 0 {
-		t.Error("clock-policy cache recorded no hits")
-	}
 }
 
 func TestRecoverTabletsSkipsOtherTablets(t *testing.T) {

@@ -299,10 +299,16 @@ func (f *RecordFeed) Next(ctx context.Context) (RecordEvent, error) {
 	}
 }
 
-// ProcessedLSN returns the highest LSN the feed has fully handled (see
-// Drained). It lags the log tip by whatever sits in the live-tail
-// buffer.
-func (f *RecordFeed) ProcessedLSN() uint64 { return f.processed.Load() }
+// Lag returns how many records through tip the consumer has not taken
+// yet: those the feed goroutine has not handled plus the events waiting
+// in its buffer.
+func (f *RecordFeed) Lag(tip uint64) uint64 {
+	var n uint64
+	if p := f.processed.Load(); tip > p {
+		n = tip - p
+	}
+	return n + uint64(len(f.events))
+}
 
 // Drained reports whether the consumer holds every committed record
 // with LSN <= tip: the feed goroutine has processed past tip and the

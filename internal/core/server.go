@@ -38,12 +38,9 @@ import (
 type Config struct {
 	// SegmentSize is the log segment rotation size; zero = 64 MB.
 	SegmentSize int64
-	// ReadCacheBytes bounds the optional read buffer; zero disables it
-	// (the read buffer is an optional component, paper §3.6.1).
+	// ReadCacheBytes bounds the optional LRU read buffer; zero disables
+	// it (the read buffer is an optional component, paper §3.6.1).
 	ReadCacheBytes int64
-	// CachePolicy overrides the read buffer's replacement strategy
-	// (nil = LRU, the paper's default).
-	CachePolicy cache.Policy
 	// GroupCommit enables batching of concurrent log appends (paper
 	// §3.7.2): leader/follower group commit, no wait when alone.
 	GroupCommit bool
@@ -223,7 +220,7 @@ func NewServer(fs *dfs.DFS, id string, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		log:       log,
 		tablets:   make(map[string]*Tablet),
-		readCache: cache.New(cfg.ReadCacheBytes, cfg.CachePolicy),
+		readCache: cache.New(cfg.ReadCacheBytes, nil),
 	}
 	s.obs = newServerObs(s)
 	// Changefeed live tail: every durable append publishes to the hub
@@ -377,10 +374,6 @@ func (s *Server) Write(tabletID, group string, key []byte, ts int64, value []byt
 		return err
 	}
 	return s.applyOne(m)
-}
-
-func (s *Server) indexFilePath(tabletID, group string) string {
-	return fmt.Sprintf("idx/%s/%s/%s", s.id, tabletID, group)
 }
 
 // Get returns the latest version of key in the column group.

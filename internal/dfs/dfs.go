@@ -264,15 +264,56 @@ func (d *DFS) Delete(path string) error {
 	}
 	delete(d.files, path)
 	blocks := fm.blocks
-	nodes := d.nodes
 	d.mu.Unlock()
+	d.dropBlocks(blocks)
+	return nil
+}
 
+// dropBlocks deletes blocks that no file references any more from every
+// replica (best effort; dead nodes ignore it).
+func (d *DFS) dropBlocks(blocks []*blockMeta) {
 	for _, b := range blocks {
 		for _, nid := range b.replicas {
-			nodes[nid].deleteBlock(b.id) // best effort; dead nodes ignore
+			d.nodes[nid].deleteBlock(b.id)
 		}
 	}
+}
+
+// WriteFile replaces the content of path (creating it if need be) with
+// data in one atomic step: data goes to fresh blocks first, and only
+// then does the namespace point path at them, so a reader — or a
+// restart — finds the old bytes or the new, never neither. A write that
+// fails leaves the old content in place. LogBase installs every file
+// other than its log segments this way. Concurrent WriteFile and
+// ReadFile calls on one path must be ordered by the caller.
+func (d *DFS) WriteFile(path string, data []byte) error {
+	fm := &fileMeta{}
+	if err := d.appendTo(fm, data); err != nil {
+		d.dropBlocks(fm.blocks)
+		return err
+	}
+	d.mu.Lock()
+	var old []*blockMeta
+	if prev, ok := d.files[path]; ok {
+		old = prev.blocks
+	}
+	d.files[path] = fm
+	d.mu.Unlock()
+	d.dropBlocks(old)
 	return nil
+}
+
+// ReadFile returns the whole content of path.
+func (d *DFS) ReadFile(path string) ([]byte, error) {
+	size, err := d.Size(path)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	if n, err := d.readAt(path, buf, 0); n < len(buf) {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Rename atomically renames a file within the namespace.
@@ -419,18 +460,10 @@ func (d *DFS) replicateBlock(b *blockMeta, src int, dsts []int) (int, error) {
 	return created, nil
 }
 
-// appendLocked-free helper: append p to the file, splitting across
-// blocks, replicating each fragment synchronously.
-func (d *DFS) appendAt(path string, p []byte) (int64, error) {
-	d.mu.Lock()
-	fm, ok := d.files[path]
-	if !ok {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	start := fm.size()
-	d.mu.Unlock()
-
+// appendTo appends p to the file fm, splitting across blocks and
+// replicating each fragment synchronously. fm need not be in the
+// namespace yet (WriteFile).
+func (d *DFS) appendTo(fm *fileMeta, p []byte) error {
 	for len(p) > 0 {
 		d.mu.Lock()
 		var last *blockMeta
@@ -441,7 +474,7 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 			replicas, err := d.placeReplicas()
 			if err != nil {
 				d.mu.Unlock()
-				return 0, err
+				return err
 			}
 			d.nextBlock++
 			last = &blockMeta{id: d.nextBlock, replicas: replicas}
@@ -486,14 +519,14 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 				}
 				if !errors.Is(err, errDeadNode) {
 					last.wmu.Unlock()
-					return 0, fmt.Errorf("dfs: write block %d on dn%d: %w", id, nid, err)
+					return fmt.Errorf("dfs: write block %d on dn%d: %w", id, nid, err)
 				}
 			}
 			stale = append(stale, nid)
 		}
 		if ok == 0 {
 			last.wmu.Unlock()
-			return 0, ErrNoDataNodes
+			return ErrNoDataNodes
 		}
 		d.mu.Lock()
 		if len(stale) > 0 {
@@ -506,13 +539,13 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 		last.wmu.Unlock()
 		p = p[n:]
 	}
-	return start, nil
+	return nil
 }
 
 // readAt reads into p starting at off, returning the number of bytes
 // read. Short reads at end-of-file return io.EOF. The metadata of the
 // blocks the read covers is value-snapshotted under the namenode lock:
-// appendAt mutates each block's size and replica set in place, and a
+// appendTo mutates each block's size and replica set in place, and a
 // reader racing a concurrent append must see a consistent point-in-time
 // view (reads target committed offsets, so acting on the snapshot is
 // safe even as the file keeps growing). Each block is read straight
@@ -599,7 +632,13 @@ type Writer struct {
 
 // Write appends p and returns its length.
 func (w *Writer) Write(p []byte) (int, error) {
-	if _, err := w.d.appendAt(w.path, p); err != nil {
+	w.d.mu.Lock()
+	fm, ok := w.d.files[w.path]
+	w.d.mu.Unlock()
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrNotFound, w.path)
+	}
+	if err := w.d.appendTo(fm, p); err != nil {
 		return 0, err
 	}
 	w.off += int64(len(p))

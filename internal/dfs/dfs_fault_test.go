@@ -424,3 +424,61 @@ func TestReadFlipBitCorruptsOnlyCallerBuffer(t *testing.T) {
 		t.Fatalf("ReplicasAgree after the flip = %v, %v; want true (nothing persisted)", ok, err)
 	}
 }
+
+// WriteFile installs its content atomically: a write that fails part-way
+// (every datanode's write point armed, so some blocks land before the
+// error) leaves the previous content readable and no stray blocks; the
+// next write replaces it, and the replaced blocks are gone too.
+func TestWriteFileFailureKeepsOldContent(t *testing.T) {
+	reg := fault.New(7)
+	fs, err := New(t.TempDir(), Config{NumDataNodes: 3, BlockSize: 128, Faults: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	blockFiles := func() int {
+		n := 0
+		for i := 0; i < fs.NumDataNodes(); i++ {
+			names, err := fs.DataNode(i).Disk().List()
+			if err != nil {
+				t.Fatalf("List dn%d: %v", i, err)
+			}
+			n += len(names)
+		}
+		return n
+	}
+	old := bytes.Repeat([]byte("old"), 100)
+	if err := fs.WriteFile("chk/a", old); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	installed := blockFiles()
+
+	for i := 0; i < fs.NumDataNodes(); i++ {
+		reg.Arm(fmt.Sprintf("dfs.dn%d.write", i), fault.Policy{After: 1})
+	}
+	if err := fs.WriteFile("chk/a", bytes.Repeat([]byte("new"), 100)); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("WriteFile with every datanode failing = %v, want an injected error", err)
+	}
+	reg.Reset()
+	if got, err := fs.ReadFile("chk/a"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("after a failed WriteFile: ReadFile = %d bytes, %v; want the previous %d bytes", len(got), err, len(old))
+	}
+	if n := blockFiles(); n != installed {
+		t.Fatalf("failed WriteFile left %d block files, want the previous content's %d", n, installed)
+	}
+	if got := fs.List(""); !slices.Equal(got, []string{"chk/a"}) {
+		t.Fatalf("namespace after a failed WriteFile = %v, want [chk/a]", got)
+	}
+
+	if err := fs.WriteFile("chk/a", []byte("short")); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if got, err := fs.ReadFile("chk/a"); err != nil || string(got) != "short" {
+		t.Fatalf("ReadFile = %q, %v; want %q", got, err, "short")
+	}
+	if n := blockFiles(); n != fs.Config().ReplicationFactor {
+		t.Fatalf("%d block files after a one-block replace, want %d", n, fs.Config().ReplicationFactor)
+	}
+	if _, err := fs.ReadFile("chk/missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadFile of a missing path = %v, want ErrNotFound", err)
+	}
+}

@@ -1,140 +1,88 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 
 	"repro/internal/dfs"
 	"repro/internal/wal"
 )
 
-// Index files persist a tree snapshot to the DFS so recovery can reload
-// indexes instead of scanning the whole log (paper §3.8). Format:
+// A tree's persisted form — the recovery baseline a checkpoint carries
+// (paper §3.8) — is its entries in order, each
 //
-//	magic "LBIDX\x01" | u32 count | entries... | u32 crc(entries)
-//	entry: u16 keyLen | key | i64 ts | u32 seg | i64 off | u32 len | u64 lsn
-var idxMagic = []byte{'L', 'B', 'I', 'D', 'X', 1}
+//	u16 keyLen | key | i64 ts | u32 seg | i64 off | u32 len | u64 lsn
+//
+// with no header or checksum of its own: the checkpoint frames it.
+const entryFixed = 2 + 8 + 4 + 8 + 4 + 8
 
-// ErrBadIndexFile reports a malformed or corrupt persisted index.
-var ErrBadIndexFile = errors.New("index: bad index file")
+var errTruncated = errors.New("index: truncated entry")
 
-// Flush writes a point-in-time snapshot of the tree to path (replacing
-// any existing file) and returns the number of entries written.
-func (t *Tree) Flush(fs *dfs.DFS, path string) (int, error) {
-	var body bytes.Buffer
+// Encode appends a point-in-time snapshot of the tree's entries to buf
+// and returns the extended buffer and the number of entries written.
+func (t *Tree) Encode(buf []byte) ([]byte, int) {
 	count := 0
 	t.Ascend(func(e Entry) bool {
-		var rec []byte
-		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(e.Key)))
-		rec = append(rec, e.Key...)
-		rec = binary.LittleEndian.AppendUint64(rec, uint64(e.TS))
-		rec = binary.LittleEndian.AppendUint32(rec, e.Ptr.Seg)
-		rec = binary.LittleEndian.AppendUint64(rec, uint64(e.Ptr.Off))
-		rec = binary.LittleEndian.AppendUint32(rec, e.Ptr.Len)
-		rec = binary.LittleEndian.AppendUint64(rec, e.LSN)
-		body.Write(rec)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Key)))
+		buf = append(buf, e.Key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.TS))
+		buf = binary.LittleEndian.AppendUint32(buf, e.Ptr.Seg)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Ptr.Off))
+		buf = binary.LittleEndian.AppendUint32(buf, e.Ptr.Len)
+		buf = binary.LittleEndian.AppendUint64(buf, e.LSN)
 		count++
 		return true
 	})
-
-	tmp := path + ".tmp"
-	if fs.Exists(tmp) {
-		if err := fs.Delete(tmp); err != nil {
-			return 0, err
-		}
-	}
-	w, err := fs.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	var hdr []byte
-	hdr = append(hdr, idxMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(count))
-	if _, err := w.Write(hdr); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return 0, err
-	}
-	var crc []byte
-	crc = binary.LittleEndian.AppendUint32(crc, crc32.ChecksumIEEE(body.Bytes()))
-	if _, err := w.Write(crc); err != nil {
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	if fs.Exists(path) {
-		if err := fs.Delete(path); err != nil {
-			return 0, err
-		}
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return count, nil
+	return buf, count
 }
 
-// Load reads a persisted index file and bulk-builds a tree from it.
-func Load(fs *dfs.DFS, path string) (*Tree, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	size, err := r.Size()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	if len(buf) < len(idxMagic)+8 || !bytes.Equal(buf[:len(idxMagic)], idxMagic) {
-		return nil, fmt.Errorf("%w: %s: bad magic", ErrBadIndexFile, path)
-	}
-	count := binary.LittleEndian.Uint32(buf[len(idxMagic):])
-	body := buf[len(idxMagic)+4 : len(buf)-4]
-	wantCRC := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, fmt.Errorf("%w: %s: crc mismatch", ErrBadIndexFile, path)
-	}
-
-	entries := make([]Entry, 0, count)
-	off := 0
-	for i := uint32(0); i < count; i++ {
-		if off+2 > len(body) {
-			return nil, fmt.Errorf("%w: %s: truncated", ErrBadIndexFile, path)
+// Decode bulk-builds a tree from entries Encode wrote.
+func Decode(b []byte) (*Tree, error) {
+	entries := make([]Entry, 0, len(b)/entryFixed)
+	for len(b) > 0 {
+		if len(b) < 2 {
+			return nil, errTruncated
 		}
-		kl := int(binary.LittleEndian.Uint16(body[off:]))
-		off += 2
-		if off+kl+32 > len(body) {
-			return nil, fmt.Errorf("%w: %s: truncated entry", ErrBadIndexFile, path)
+		kl := int(binary.LittleEndian.Uint16(b))
+		if len(b) < entryFixed+kl {
+			return nil, errTruncated
 		}
 		key := make([]byte, kl)
-		copy(key, body[off:])
-		off += kl
-		ts := int64(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-		seg := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		poff := int64(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-		plen := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		lsn := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		entries = append(entries, Entry{Key: key, TS: ts, Ptr: wal.Ptr{Seg: seg, Off: poff, Len: plen}, LSN: lsn})
+		copy(key, b[2:])
+		b = b[2+kl:]
+		entries = append(entries, Entry{
+			Key: key,
+			TS:  int64(binary.LittleEndian.Uint64(b)),
+			Ptr: wal.Ptr{
+				Seg: binary.LittleEndian.Uint32(b[8:]),
+				Off: int64(binary.LittleEndian.Uint64(b[12:])),
+				Len: binary.LittleEndian.Uint32(b[20:]),
+			},
+			LSN: binary.LittleEndian.Uint64(b[24:]),
+		})
+		b = b[entryFixed-2:]
 	}
 	return Bulk(entries), nil
 }
 
+// Flush writes a snapshot of the tree to its own DFS file (replacing
+// any existing one) and returns the number of entries written.
+func (t *Tree) Flush(fs *dfs.DFS, path string) (int, error) {
+	buf, n := t.Encode(nil)
+	return n, fs.WriteFile(path, buf)
+}
+
+// Load reads a file Flush wrote and bulk-builds a tree from it.
+func Load(fs *dfs.DFS, path string) (*Tree, error) {
+	b, err := fs.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
+}
+
 // Bulk builds a tree from entries already sorted by composite key
-// (Flush writes them in order, so Load can rebuild bottom-up).
+// (Encode writes them in order, so Decode can rebuild bottom-up).
 func Bulk(entries []Entry) *Tree {
 	t := New()
 	if len(entries) == 0 {

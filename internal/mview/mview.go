@@ -321,14 +321,6 @@ func (v *View) result(kinds []query.AggKind) query.Result {
 	return res
 }
 
-// Watermark returns the view's applied high-water marks: the highest
-// feed cursor and commit timestamp folded in so far.
-func (v *View) Watermark() (lsn uint64, ts int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.wmLSN, v.wmTS
-}
-
 // Stats snapshots the view's counters.
 func (v *View) Stats() Stats {
 	v.mu.Lock()

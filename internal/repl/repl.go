@@ -72,10 +72,11 @@ type Config struct {
 	// Buffer sizes the shipping feed's live-tail channel; <= 0 uses
 	// cdc.DefaultBuffer.
 	Buffer int
-	// PollInterval paces the apply loop's idle ticks (watermark
-	// refresh, cursor flush); <= 0 defaults to 1ms.
-	PollInterval time.Duration
 }
+
+// pollInterval paces the apply loop's idle ticks (watermark refresh,
+// cursor flush).
+const pollInterval = time.Millisecond
 
 // cursorFlushEvery is how many applied records may pass between
 // durable-cursor flushes (each flush is a small DFS write).
@@ -138,9 +139,6 @@ type Replica struct {
 func New(fs *dfs.DFS, primary *core.Server, base string, cfg Config) (*Replica, error) {
 	if cfg.LastTS == nil {
 		return nil, errors.New("repl: Config.LastTS is required")
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = time.Millisecond
 	}
 	r := &Replica{
 		base:       base,
@@ -392,7 +390,7 @@ func (r *Replica) consume(feed *core.RecordFeed) error {
 	r.mu.RUnlock()
 	sinceFlush := 0
 	for {
-		ctx, cancel := context.WithTimeout(r.ctx, r.cfg.PollInterval)
+		ctx, cancel := context.WithTimeout(r.ctx, pollInterval)
 		ev, err := feed.Next(ctx)
 		cancel()
 		if err != nil {
@@ -545,7 +543,8 @@ type Stats struct {
 	// Generation counts truncation-forced re-bootstraps.
 	Generation int
 	// AppliedLSN is the shipping cursor; SourceLSN the primary log tip;
-	// LagRecords their distance in log records.
+	// LagRecords counts the records through SourceLSN the apply loop has
+	// not taken from the shipping feed yet.
 	AppliedLSN uint64
 	SourceLSN  uint64
 	LagRecords uint64
@@ -577,12 +576,9 @@ func (r *Replica) Stats() Stats {
 		Skipped:     r.skipped.Load(),
 		ReadsServed: r.reads.Load(),
 	}
-	var processed uint64
+	st.LagRecords = st.SourceLSN
 	if feed != nil {
-		processed = feed.ProcessedLSN()
-	}
-	if st.SourceLSN > processed {
-		st.LagRecords = st.SourceLSN - processed
+		st.LagRecords = feed.Lag(st.SourceLSN)
 	}
 	if st.LagRecords > 0 {
 		st.LagSeconds = time.Since(time.Unix(0, r.lastCaught.Load())).Seconds()
@@ -610,36 +606,17 @@ func (r *Replica) flushCursor() {
 	gen := r.gen
 	r.mu.RUnlock()
 	line := fmt.Sprintf("v1 %d %d\n", gen, r.appliedLSN.Load())
-	tmp := r.cursorPath() + ".tmp"
-	_ = r.fs.Delete(tmp)
-	w, err := r.fs.Create(tmp)
-	if err != nil {
-		return
-	}
-	if _, err := w.Write([]byte(line)); err != nil {
-		return
-	}
-	w.Close()
-	_ = r.fs.Delete(r.cursorPath())
-	_ = r.fs.Rename(tmp, r.cursorPath())
+	// A failed flush leaves the previous cursor: a restart re-applies more.
+	_ = r.fs.WriteFile(r.cursorPath(), []byte(line))
 }
 
 // loadCursor reads the durable cursor, if any.
 func (r *Replica) loadCursor() (gen int, lsn uint64, found bool, err error) {
-	if !r.fs.Exists(r.cursorPath()) {
+	buf, err := r.fs.ReadFile(r.cursorPath())
+	if errors.Is(err, dfs.ErrNotFound) {
 		return 0, 0, false, nil
 	}
-	rd, err := r.fs.Open(r.cursorPath())
 	if err != nil {
-		return 0, 0, false, err
-	}
-	defer rd.Close()
-	size, err := rd.Size()
-	if err != nil {
-		return 0, 0, false, err
-	}
-	buf := make([]byte, size)
-	if _, err := rd.ReadAt(buf, 0); err != nil {
 		return 0, 0, false, err
 	}
 	var v int

@@ -1,13 +1,13 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/dfs"
@@ -727,28 +727,31 @@ func (s *SegmentWriter) Close() error {
 	return s.finishSegment()
 }
 
-// doomedPath names the removal-intent file: the segments of each atomic
-// RemoveSegments call, durable before its first delete, gone after its
-// last. With one input of a tombstone-vacuuming compaction deleted and
-// another left, a restart would replay rows whose tombstone is gone.
+// doomedPath names the removal-intent file: the doomed segments,
+// installed whole by an atomic RemoveSegments call before its first
+// delete, gone after the last. With one input of a tombstone-vacuuming
+// compaction deleted and another left, a restart would replay rows whose
+// tombstone is gone.
 func (l *Log) doomedPath() string { return l.dir + "/doomed" }
 
 // readDoomed returns the segments the intent file lists (nil: no file).
-// A last line cut short by a crash preceded every delete and is ignored.
 func (l *Log) readDoomed() (map[uint32]bool, error) {
-	r, err := l.fs.Open(l.doomedPath())
-	if err != nil {
+	b, err := l.fs.ReadFile(l.doomedPath())
+	if errors.Is(err, dfs.ErrNotFound) {
 		return nil, nil
 	}
-	defer r.Close()
-	size, _ := r.Size()
-	buf, err := io.ReadAll(io.NewSectionReader(r, 0, size))
+	if err != nil {
+		return nil, err
+	}
 	doomed := map[uint32]bool{}
-	for _, f := range bytes.FieldsFunc(buf[:bytes.LastIndexByte(buf, '\n')+1], func(c rune) bool { return c < '0' || c > '9' }) {
-		n, _ := strconv.ParseUint(string(f), 10, 32)
+	for _, f := range strings.Fields(strings.Trim(string(b), "[]")) {
+		n, err := strconv.ParseUint(f, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("wal: removal intent %q: %w", b, err)
+		}
 		doomed[uint32(n)] = true
 	}
-	return doomed, err
+	return doomed, nil
 }
 
 // RemoveSegments drops the given segments from the live set; files are
@@ -778,14 +781,15 @@ func (l *Log) RemoveSegments(atomic bool, nums ...uint32) error {
 	var err error
 	if atomic && len(nums) > 1 {
 		// Under the lock that marked the segments, so no Unpin deletes one
-		// of them before the intent is durable.
-		var w *dfs.Writer
-		if w, err = l.fs.OpenAppend(l.doomedPath()); errors.Is(err, dfs.ErrNotFound) {
-			w, err = l.fs.Create(l.doomedPath())
+		// of them before the intent is durable. It lists every doomed
+		// segment, so it replaces an earlier call's unfinished intent.
+		var doomed []uint32
+		for n, st := range l.segs {
+			if st.doomed {
+				doomed = append(doomed, n)
+			}
 		}
-		if err == nil {
-			_, err = fmt.Fprintln(w, nums)
-		}
+		err = l.fs.WriteFile(l.doomedPath(), fmt.Append(nil, doomed))
 	}
 	l.mu.Unlock()
 	if err != nil {

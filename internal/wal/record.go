@@ -32,8 +32,10 @@ const (
 	// transaction are visible only if their commit record exists
 	// (paper §3.7.2).
 	KindCommit
-	// KindCheckpoint records a consistent checkpoint: the index files it
-	// refers to cover the log up to this record's position (paper §3.8).
+	// KindCheckpoint records a consistent checkpoint (paper §3.8). In the
+	// log it is a marker; in a checkpoint file it frames the header (LSN =
+	// the last LSN covered, Value = the log position redo starts from)
+	// and each index's entries (Tablet, Group, Value = the entries).
 	KindCheckpoint
 )
 

@@ -469,9 +469,8 @@ func TestConcurrentAppendsDistinctPtrs(t *testing.T) {
 
 // An atomic removal cut short by a crash is finished by the owner's next
 // Open; a peer passes over the listed segments and touches nothing; a
-// pinned segment keeps the intent alive until its deferred delete; an
-// intent line the crash cut short lists nothing; a plain removal leaves
-// no intent.
+// pinned segment keeps the intent alive until its deferred delete; a
+// plain removal leaves no intent.
 func TestRemovalIntent(t *testing.T) {
 	reg := fault.New(1)
 	l, fs := newTestLog(t, Options{Faults: reg})
@@ -509,11 +508,6 @@ func TestRemovalIntent(t *testing.T) {
 	if fs.Exists(l.SegmentPath(5)) || !fs.Exists(l.SegmentPath(6)) {
 		t.Fatal("crash did not land between the two deletes")
 	}
-	w, err := fs.OpenAppend(intent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Write([]byte("[7")) // a later call's line, torn before any delete
 
 	peer, err := Open(fs, "wal", Options{Peer: true})
 	if err != nil {

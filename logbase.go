@@ -401,7 +401,7 @@ func (db *DB) ScanSecondaryRange(name string, start, end []byte, fn func(secKey 
 // rebuild the indexes.
 func (db *DB) Reopen() (*DB, error) { return openOn(db.fs, db.dir, db.opts) }
 
-// Recover rebuilds in-memory state after Reopen: index files from the
+// Recover rebuilds in-memory state after Reopen: the indexes of the
 // last checkpoint plus a redo of the log tail. The timestamp oracle is
 // advanced past every restored commit so "latest" snapshot reads (e.g.
 // unpinned scans) see the recovered data immediately.

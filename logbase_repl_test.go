@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/fault"
 )
 
 // TestReplicaServesSnapshotIdentical is the embedded half of the
@@ -147,5 +151,78 @@ func TestReplicaDeleteAndLatestRouting(t *testing.T) {
 	}
 	if after := rep.Stats().ReadsServed; after != before {
 		t.Fatal("latest-timestamp Get was routed to a replica")
+	}
+}
+
+// TestReplicaMaxLagRouting checks WithMaxLag: a read pinned below the
+// replica's watermark goes to the replica only while its shipping lag is
+// within the bound. The replica's apply loop is stalled behind 50 fresh
+// records, so a bound of 10 sends the read to the primary and a bound of
+// 1000 (or none) to the replica; once it catches up, 10 admits it too.
+func TestReplicaMaxLagRouting(t *testing.T) {
+	faults := fault.New(1)
+	c, err := NewCluster(t.TempDir(), ClusterConfig{
+		NumServers: 1,
+		Replicas:   1,
+		Tables:     []TableSpec{{Name: "t", Groups: []string{"g"}}},
+		Server:     core.Config{Faults: faults},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := NewClusterClient(c)
+	t.Cleanup(func() { c.Close() })
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := cc.Put(ctx, "t", "g", []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := c.Coord().LastTimestamp()
+	rep := c.Replicas("ts00")[0]
+	if err := rep.WaitForTS(ts, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before c.Close: a stalled replica cannot stop
+	faults.Arm("repl."+rep.BaseID()+".apply", fault.Policy{OnFire: func() { <-gate }})
+	for i := 0; i < 50; i++ {
+		if err := cc.Put(ctx, "t", "g", []byte(fmt.Sprintf("k%02d", i%20)), []byte("later")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lag := rep.Stats().LagRecords; lag < 49 {
+		t.Fatalf("stalled replica lags %d records, want at least 49", lag)
+	}
+
+	// servedByReplica reads k05 pinned at ts and reports who answered.
+	servedByReplica := func(opts ...ReadOption) bool {
+		t.Helper()
+		before := rep.Stats().ReadsServed
+		rows, err := cc.Read(ctx, "t", "g", []byte("k05"), append([]ReadOption{WithSnapshot(ts)}, opts...)...)
+		if err != nil || len(rows) != 1 || string(rows[0].Value) != "v5" {
+			t.Fatalf("pinned read = %v, %v; want v5", rows, err)
+		}
+		return rep.Stats().ReadsServed > before
+	}
+	if servedByReplica(WithMaxLag(10)) {
+		t.Fatal("a read bounded to 10 records of lag was served by a replica 49 or more behind")
+	}
+	if !servedByReplica(WithMaxLag(1000)) {
+		t.Fatal("a read bounded to 1000 records of lag went to the primary")
+	}
+	if !servedByReplica() {
+		t.Fatal("an unbounded pinned read went to the primary")
+	}
+
+	release()
+	if err := rep.WaitForTS(c.Coord().LastTimestamp(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !servedByReplica(WithMaxLag(10)) {
+		t.Fatalf("a caught-up replica (lag %d) was refused under a bound of 10", rep.Stats().LagRecords)
 	}
 }

@@ -3,7 +3,7 @@ package logbase_test
 // Model-based tests for the push-down read API: a naive in-memory
 // model (map of key -> version history) is loaded side by side with the
 // real store, then randomly composed option sets (reverse / limit /
-// snapshot / prefix / filters) are executed against both and compared
+// snapshot / prefix / time range / filters) are executed against both and compared
 // row for row — driven by testing/quick on the embedded AND cluster
 // backends. A separate test keeps consuming a cluster scan while a
 // tablet splits and migrates mid-flight, asserting the stale-routing
@@ -118,6 +118,9 @@ func (m scanModel) expect(start, end []byte, ro modelOpts) []logbase.Row {
 		if ro.keyContains != nil && !bytes.Contains(kb, ro.keyContains) {
 			continue
 		}
+		if ro.keyRange != nil && !inRange(kb, ro.keyRange) {
+			continue
+		}
 		// Visible version at the snapshot: greatest ts <= snap.
 		var vis *modelVersion
 		for i := range m[k] {
@@ -126,10 +129,15 @@ func (m scanModel) expect(start, end []byte, ro modelOpts) []logbase.Row {
 				vis = v
 			}
 		}
-		if vis == nil {
+		// The time range filters the visible version; it never reaches
+		// past it to an older one.
+		if vis == nil || (ro.minTS != 0 && vis.ts < ro.minTS) || (ro.maxTS != 0 && vis.ts > ro.maxTS) {
 			continue
 		}
 		if ro.valContains != nil && !bytes.Contains(vis.val, ro.valContains) {
+			continue
+		}
+		if ro.valRange != nil && !inRange(vis.val, ro.valRange) {
 			continue
 		}
 		out = append(out, logbase.Row{Key: kb, TS: vis.ts, Value: vis.val})
@@ -145,15 +153,25 @@ func (m scanModel) expect(start, end []byte, ro modelOpts) []logbase.Row {
 	return out
 }
 
-// modelOpts is one randomly drawn option combination.
+// inRange is MatchRange's rule: lo <= b < hi, a nil bound open.
+func inRange(b []byte, r *[2][]byte) bool {
+	return bytes.Compare(b, r[0]) >= 0 && (r[1] == nil || bytes.Compare(b, r[1]) < 0)
+}
+
+// modelOpts is one randomly drawn option combination. A key (or value)
+// filter is a contains or a range predicate, never both: the option
+// holds one predicate.
 type modelOpts struct {
-	limit       int
-	reverse     bool
-	snap        int64
-	prefix      []byte
-	keyContains []byte
-	valContains []byte
-	batch       int
+	limit        int
+	reverse      bool
+	snap         int64
+	minTS, maxTS int64
+	prefix       []byte
+	keyContains  []byte
+	keyRange     *[2][]byte
+	valContains  []byte
+	valRange     *[2][]byte
+	batch        int
 }
 
 func (ro modelOpts) options() []logbase.ReadOption {
@@ -170,11 +188,20 @@ func (ro modelOpts) options() []logbase.ReadOption {
 	if len(ro.prefix) > 0 {
 		opts = append(opts, logbase.WithPrefix(ro.prefix))
 	}
+	if ro.minTS != 0 || ro.maxTS != 0 {
+		opts = append(opts, logbase.WithTimeRange(ro.minTS, ro.maxTS))
+	}
 	if ro.keyContains != nil {
 		opts = append(opts, logbase.WithKeyFilter(logbase.MatchContains(ro.keyContains)))
 	}
+	if ro.keyRange != nil {
+		opts = append(opts, logbase.WithKeyFilter(logbase.MatchRange(ro.keyRange[0], ro.keyRange[1])))
+	}
 	if ro.valContains != nil {
 		opts = append(opts, logbase.WithValueFilter(logbase.MatchContains(ro.valContains)))
+	}
+	if ro.valRange != nil {
+		opts = append(opts, logbase.WithValueFilter(logbase.MatchRange(ro.valRange[0], ro.valRange[1])))
 	}
 	if ro.batch > 0 {
 		opts = append(opts, logbase.WithBatchSize(ro.batch))
@@ -183,8 +210,8 @@ func (ro modelOpts) options() []logbase.ReadOption {
 }
 
 func (ro modelOpts) String() string {
-	return fmt.Sprintf("limit=%d reverse=%v snap=%d prefix=%q keyContains=%q valContains=%q batch=%d",
-		ro.limit, ro.reverse, ro.snap, ro.prefix, ro.keyContains, ro.valContains, ro.batch)
+	return fmt.Sprintf("limit=%d reverse=%v snap=%d time=[%d,%d] prefix=%q keyContains=%q keyRange=%q valContains=%q valRange=%q batch=%d",
+		ro.limit, ro.reverse, ro.snap, ro.minTS, ro.maxTS, ro.prefix, ro.keyContains, ro.keyRange, ro.valContains, ro.valRange, ro.batch)
 }
 
 // drawOpts samples a random option combination biased toward
@@ -201,16 +228,46 @@ func drawOpts(rng *rand.Rand, loTS, hiTS int64) modelOpts {
 	if rng.Intn(3) == 0 {
 		ro.prefix = []byte(fmt.Sprintf("row/%d", rng.Intn(10)))
 	}
-	if rng.Intn(3) == 0 {
-		ro.keyContains = []byte(fmt.Sprint(rng.Intn(10)))
+	if rng.Intn(3) == 0 && hiTS > loTS {
+		// Either bound may be open.
+		a, b := loTS+rng.Int63n(hiTS-loTS+1), loTS+rng.Int63n(hiTS-loTS+1)
+		if rng.Intn(4) > 0 {
+			ro.minTS = min(a, b)
+		}
+		if rng.Intn(4) > 0 {
+			ro.maxTS = max(a, b)
+		}
 	}
-	if rng.Intn(3) == 0 {
+	switch rng.Intn(6) {
+	case 0, 1:
+		ro.keyContains = []byte(fmt.Sprint(rng.Intn(10)))
+	case 2:
+		ro.keyRange = drawRange(rng, "row/%04d", 200)
+	}
+	switch rng.Intn(6) {
+	case 0, 1:
 		ro.valContains = []byte(fmt.Sprint(rng.Intn(10)))
+	case 2:
+		ro.valRange = drawRange(rng, "val-%d", 600)
 	}
 	if rng.Intn(3) == 0 {
 		ro.batch = 1 + rng.Intn(64)
 	}
 	return ro
+}
+
+// drawRange draws a MatchRange [lo, hi) over strings formatted like
+// format from [0, n); either bound may be open.
+func drawRange(rng *rand.Rand, format string, n int) *[2][]byte {
+	a, b := rng.Intn(n), rng.Intn(n)
+	r := [2][]byte{[]byte(fmt.Sprintf(format, min(a, b))), []byte(fmt.Sprintf(format, max(a, b)))}
+	if rng.Intn(4) == 0 {
+		r[0] = nil
+	}
+	if rng.Intn(4) == 0 {
+		r[1] = nil
+	}
+	return &r
 }
 
 // runModelScenario loads one randomized store+model pair and checks
