@@ -1,0 +1,104 @@
+package logbase_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	logbase "repro"
+)
+
+// TestAllocBudget is the client's allocation ceiling per key operation,
+// on a DB and on a 3-server cluster: a Put and a Get of a 256 B value,
+// a LIMIT-10 Scan drained and closed, and a RunTx that reads one key
+// and writes two. Keys are built before the measured closures. Each
+// ceiling is the measured value: lower it when a change removes an
+// allocation; a change that adds one fails here.
+func TestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name                string
+		open                func(t *testing.T) logbase.Store
+		put, get, scan, txn float64
+	}{
+		{"embedded", func(t *testing.T) logbase.Store {
+			db, err := logbase.Open(t.TempDir(), logbase.Options{})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			return db
+		}, 7, 11, 69, 43},
+		{"cluster", func(t *testing.T) logbase.Store {
+			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			return logbase.NewClusterClient(c)
+		}, 7, 11, 70, 43},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.open(t)
+			defer st.Close()
+			if err := st.CreateTable("t", "g"); err != nil {
+				t.Fatalf("CreateTable: %v", err)
+			}
+			const runs, loaded = 200, 1000
+			value := bytes.Repeat([]byte("v"), 256)
+			keys := make([][]byte, loaded+runs+1) // AllocsPerRun adds a warm-up run
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("user%06d", i))
+			}
+			for _, k := range keys[:loaded] {
+				if err := st.Put(bg, "t", "g", k, value); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			measure := func(op string, ceiling float64, fn func(i int) error) {
+				t.Helper()
+				i := 0
+				allocs := testing.AllocsPerRun(runs, func() {
+					if err := fn(i); err != nil {
+						t.Fatalf("%s: %v", op, err)
+					}
+					i++
+				})
+				t.Logf("%s: %v allocs", op, allocs)
+				if allocs > ceiling {
+					t.Errorf("%s: %v allocs, want <= %v", op, allocs, ceiling)
+				}
+			}
+			measure("put", tc.put, func(i int) error {
+				return st.Put(bg, "t", "g", keys[loaded+i], value)
+			})
+			measure("get", tc.get, func(i int) error {
+				_, err := st.Get(bg, "t", "g", keys[i])
+				return err
+			})
+			measure("scan", tc.scan, func(i int) error {
+				it := st.Scan(bg, "t", "g", keys[i], nil, logbase.WithLimit(10))
+				n := 0
+				for it.Next() {
+					n++
+				}
+				if n != 10 {
+					return fmt.Errorf("%d rows, want 10", n)
+				}
+				return it.Close()
+			})
+			measure("txn", tc.txn, func(i int) error {
+				a, b := keys[2*i], keys[2*i+1]
+				return logbase.RunTx(bg, st, func(tx logbase.Tx) error {
+					if _, err := tx.Get(bg, "t", "g", a); err != nil {
+						return err
+					}
+					if err := tx.Put("t", "g", a, value); err != nil {
+						return err
+					}
+					return tx.Put("t", "g", b, value)
+				})
+			})
+		})
+	}
+}

@@ -1,112 +1,81 @@
 package logbase
 
-// One Store, written once. A deployment supplies a small primitive set
-// (backend); client implements every Store method on top of it: context
-// checks, option resolution and snapshot pinning, the root span of each
+// One Store, written once, over one architecture. ClusterClient
+// implements every Store method in front of a cluster — context checks,
+// option resolution and snapshot pinning, the root span of each
 // request's trace, iterator plumbing, write batches, the transaction
 // adapter, statement execution, materialized views, changefeeds,
-// retention and the admin fan-out. *DB and *ClusterClient embed a
-// client and add only what is genuinely theirs (Reopen/Recover/
-// StartReplica on one, Cluster on the other), so neither declares a
-// Store method and the two deployments cannot drift apart.
+// retention and the admin fan-out — routing each request through a
+// pooled cluster.Client. Open's embedded *DB is the same client in
+// front of a one-server cluster, so the two deployments cannot drift
+// apart.
 
 import (
 	"context"
 	"errors"
+	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/query"
-	"repro/internal/repl"
 	"repro/internal/txn"
 )
 
-// backend is what a deployment provides. There are exactly two: *DB
-// (one embedded tablet server and its StartReplica set) and
-// *ClusterClient (the pooled cluster routing client). The exported
-// methods pass straight through to the public surface of both; the
-// unexported ones are the primitives client composes. A primitive's ctx
-// carries the request's root span (obs.FromContext) and is never nil.
-type backend interface {
-	// Metrics returns the registry holding the engine's counters,
-	// gauges and latency histograms (on a cluster, shared by every
-	// tablet server under a {server} label). Serve it over HTTP with
-	// obs.Handler / obs.ListenAndServeMetrics.
-	Metrics() *obs.Registry
-	// RegisterSecondaryIndex creates a secondary index over a column
-	// group (the paper's §5 future-work extension): rows become
-	// findable by an extracted attribute at the cost of one extra
-	// in-memory index per tablet, with lookups costing an index descent
-	// plus batched log reads of the matches. Existing rows are backfilled.
-	RegisterSecondaryIndex(name, table, group string, extract Extractor) error
-	// LookupSecondary returns rows whose extracted attribute equals
-	// secKey, in primary-key order.
-	LookupSecondary(name string, secKey []byte) ([]Row, error)
-	// ScanSecondaryRange streams rows whose extracted attribute falls in
-	// [start, end), ordered by (attribute, primary key).
-	ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r Row) bool) error
-
-	createTable(name string, groups []string) error
-	// lastTS is the newest issued commit timestamp: "now" for a pin.
-	lastTS() int64
-	put(ctx context.Context, table, group string, key, value []byte) error
-	del(ctx context.Context, table, group string, key []byte) error
-	// applyBatch persists ops as one append sweep per tablet server; on
-	// error it reports the indices of ops that were NOT durably applied
-	// (nil = none were), so a retried Flush never re-applies mutations
-	// that already landed.
-	applyBatch(ctx context.Context, ops []batchOp) ([]int, error)
-	// read, scan and fullScan evaluate ro at the owning tablet server —
-	// or at a read replica whose watermark covers ro.Snapshot. The scans
-	// arrive pinned (ro.Snapshot != 0) and stream row batches to emit.
-	read(ctx context.Context, table, group string, key []byte, ro ReadOptions) ([]Row, error)
-	scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error
-	fullScan(ctx context.Context, table, group string, ro ReadOptions, emit func([]Row) error) error
-	// aggregate is the partial fetch strategy: every tablet server
-	// holding a piece of f's key range folds its rows under f at snapshot
-	// ts, and the mergeable partials are merged.
-	aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (QueryResult, error)
-	watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error)
-	beginTxn() *txn.Txn
-	// tabletFor and tabletsIn resolve a key, or the key range
-	// [start, end) in key order, to tablet ids — transactions address
-	// tablets. An empty group names the table as a whole.
-	tabletFor(table, group string, key []byte) (string, error)
-	tabletsIn(table, group string, start, end []byte) ([]string, error)
-	// servers lists every live tablet server with its read replicas, in
-	// server-id order — the admin fan-out.
-	servers() []serverSet
-	close() error
+// ClusterClient is the Store over a cluster, plus the uniform admin
+// surface. The low-level cluster.Client caches routing metadata and is
+// single-goroutine by design; ClusterClient keeps a pool of them, so it
+// is safe for concurrent use.
+type ClusterClient struct {
+	c     *Cluster
+	pool  sync.Pool // of *cluster.Client
+	kind  string    // "embedded" or "cluster": the backend label on root spans
+	views viewSet
 }
 
-// serverSet is one tablet server and its read replicas.
-type serverSet struct {
-	srv      *core.Server
-	replicas []*repl.Replica
+var _ Store = (*ClusterClient)(nil)
+
+// NewClusterClient puts the Store client in front of a cluster.
+func NewClusterClient(c *Cluster) *ClusterClient {
+	cc := &ClusterClient{c: c, kind: "cluster"}
+	cc.pool.New = func() any { return c.NewClient() }
+	return cc
 }
 
-// client is the one implementation of Store (plus the uniform admin
-// surface), shared by both deployments. Safe for concurrent use.
-type client struct {
-	backend
-	kind   string      // "embedded" or "cluster": the backend label on root spans
-	tracer *obs.Tracer // nil = tracing off
-	views  viewSet
-}
+// Cluster returns the underlying deployment (failover controls, stats).
+func (cc *ClusterClient) Cluster() *Cluster { return cc.c }
 
-var _ Store = (*client)(nil)
+// Metrics returns the registry holding the engine's counters, gauges
+// and latency histograms, shared by every tablet server under a
+// {server} label. Serve it over HTTP with obs.Handler /
+// obs.ListenAndServeMetrics.
+func (cc *ClusterClient) Metrics() *obs.Registry { return cc.c.Metrics() }
+
+// Tracer returns the request tracer, or nil when the deployment was
+// started without a SlowOpLog.
+func (cc *ClusterClient) Tracer() *obs.Tracer { return cc.c.Tracer() }
 
 // root opens the request's trace: one store.<op> span family on both
-// backends, told apart by the backend label. With tracing off it
+// deployments, told apart by the backend label. With tracing off it
 // returns (ctx, nil) without allocating.
-func (c *client) root(ctx context.Context, op, table string) (context.Context, *obs.Span) {
+func (cc *ClusterClient) root(ctx context.Context, op, table string) (context.Context, *obs.Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, sp := c.tracer.Root(ctx, op)
-	sp.Label("backend", c.kind)
+	ctx, sp := cc.c.Tracer().Root(ctx, op)
+	sp.Label("backend", cc.kind)
 	sp.Label("table", table)
 	return ctx, sp
+}
+
+// routed runs op on a pooled routing client with the request's root
+// span parked on it, so stale-routing retries annotate the trace.
+func (cc *ClusterClient) routed(ctx context.Context, op func(cl *cluster.Client) error) error {
+	cl := cc.pool.Get().(*cluster.Client)
+	cl.SetSpan(obs.FromContext(ctx))
+	err := op(cl)
+	cl.SetSpan(nil)
+	cc.pool.Put(cl)
+	return err
 }
 
 // ctxErr normalises a possibly-nil context's error.
@@ -117,39 +86,35 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Tracer returns the request tracer, or nil when the deployment was
-// opened without a SlowOpLog.
-func (c *client) Tracer() *obs.Tracer { return c.tracer }
-
-// CreateTable declares a table with its column groups (on a cluster,
-// one tablet per server — use Cluster.CreateTable for explicit tablet
-// counts). Idempotent, including under concurrent callers.
-func (c *client) CreateTable(name string, groups ...string) error {
+// CreateTable declares a table with its column groups, one tablet per
+// server (use Cluster.CreateTable for explicit tablet counts).
+// Idempotent, including under concurrent callers.
+func (cc *ClusterClient) CreateTable(name string, groups ...string) error {
 	if len(groups) == 0 {
 		return errors.New("logbase: a table needs at least one column group")
 	}
-	return c.createTable(name, groups)
+	return cc.c.CreateTable(cluster.TableSpec{Name: name, Groups: groups})
 }
 
 // Put writes a row version (auto-commit, durable on return); the
 // version timestamp comes from the deployment's timestamp authority.
-func (c *client) Put(ctx context.Context, table, group string, key, value []byte) error {
+func (cc *ClusterClient) Put(ctx context.Context, table, group string, key, value []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	ctx, sp := c.root(ctx, "store.put", table)
+	ctx, sp := cc.root(ctx, "store.put", table)
 	defer sp.Finish()
-	return c.put(ctx, table, group, key, value)
+	return cc.routed(ctx, func(cl *cluster.Client) error { return cl.Put(table, group, key, value) })
 }
 
 // Delete removes a row (persisting an invalidation record).
-func (c *client) Delete(ctx context.Context, table, group string, key []byte) error {
+func (cc *ClusterClient) Delete(ctx context.Context, table, group string, key []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	ctx, sp := c.root(ctx, "store.delete", table)
+	ctx, sp := cc.root(ctx, "store.delete", table)
 	defer sp.Finish()
-	return c.del(ctx, table, group, key)
+	return cc.routed(ctx, func(cl *cluster.Client) error { return cl.Delete(table, group, key) })
 }
 
 // Read is the unified point read: the visible version of the row
@@ -159,18 +124,26 @@ func (c *client) Delete(ctx context.Context, table, group string, key []byte) er
 // inside the tablet server. A read pinned with WithSnapshot may be
 // served by a caught-up replica; an unpinned one always hits the
 // primary (read-your-writes).
-func (c *client) Read(ctx context.Context, table, group string, key []byte, opts ...ReadOption) ([]Row, error) {
+func (cc *ClusterClient) Read(ctx context.Context, table, group string, key []byte, opts ...ReadOption) ([]Row, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	ctx, sp := c.root(ctx, "store.read", table)
+	ctx, sp := cc.root(ctx, "store.read", table)
 	defer sp.Finish()
-	return c.read(ctx, table, group, key, resolveReadOptions(opts))
+	return cc.read(ctx, table, group, key, resolveReadOptions(opts))
+}
+
+func (cc *ClusterClient) read(ctx context.Context, table, group string, key []byte, ro ReadOptions) (rows []Row, err error) {
+	err = cc.routed(ctx, func(cl *cluster.Client) error {
+		rows, err = cl.Read(table, group, key, ro)
+		return err
+	})
+	return rows, err
 }
 
 // Get returns the latest version of a row: Read with no options.
-func (c *client) Get(ctx context.Context, table, group string, key []byte) (Row, error) {
-	rows, err := c.Read(ctx, table, group, key)
+func (cc *ClusterClient) Get(ctx context.Context, table, group string, key []byte) (Row, error) {
+	rows, err := cc.Read(ctx, table, group, key)
 	if err != nil {
 		return Row{}, err
 	}
@@ -184,20 +157,30 @@ func (c *client) Get(ctx context.Context, table, group string, key []byte) (Row,
 // the prefix are evaluated inside the tablet servers, and the stream
 // resumes by range through splits, moves and failovers. Always Close
 // the iterator.
-func (c *client) Scan(ctx context.Context, table, group string, start, end []byte, opts ...ReadOption) Iterator {
-	ro := c.pinned(opts)
+func (cc *ClusterClient) Scan(ctx context.Context, table, group string, start, end []byte, opts ...ReadOption) Iterator {
+	ro := cc.pinned(opts)
 	if ro.BatchSize <= 0 {
-		// One fetch/hand-off granularity on both backends: the tablet
-		// server reads ahead at most one iterator batch.
+		// One fetch/hand-off granularity: the tablet server reads ahead at
+		// most one iterator batch.
 		ro.BatchSize = defaultIterBatch
 	}
 	return newRowIter(ctx, func(ctx context.Context, emit func([]Row) error) error {
 		// The root span lives inside the producer so it covers the whole
 		// streamed scan (the Scan call itself returns immediately); every
 		// per-tablet server scan and its WAL reads hang off it via ctx.
-		ctx, sp := c.root(ctx, "store.scan", table)
+		ctx, sp := cc.root(ctx, "store.scan", table)
 		defer sp.Finish()
-		return c.scan(ctx, table, group, start, end, ro, emit)
+		return cc.scan(ctx, table, group, start, end, ro, emit)
+	})
+}
+
+// scan streams the rows of [start, end) visible at the pinned ro to
+// emit in batches.
+func (cc *ClusterClient) scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error {
+	return cc.routed(ctx, func(cl *cluster.Client) error {
+		return batched(emit, ro.Limit, func(fn func(Row) bool) error {
+			return cl.ScanOpts(ctx, table, group, start, end, ro, fn)
+		})
 	})
 }
 
@@ -205,12 +188,16 @@ func (c *client) Scan(ctx context.Context, table, group string, start, end []byt
 // path), tablet by tablet, with push-down options evaluated in each
 // server's log sweep (WithReverse is ignored: the contract is log
 // order). Always Close the iterator.
-func (c *client) FullScan(ctx context.Context, table, group string, opts ...ReadOption) Iterator {
-	ro := c.pinned(opts)
+func (cc *ClusterClient) FullScan(ctx context.Context, table, group string, opts ...ReadOption) Iterator {
+	ro := cc.pinned(opts)
 	return newRowIter(ctx, func(ctx context.Context, emit func([]Row) error) error {
-		ctx, sp := c.root(ctx, "store.fullscan", table)
+		ctx, sp := cc.root(ctx, "store.fullscan", table)
 		defer sp.Finish()
-		return c.fullScan(ctx, table, group, ro, emit)
+		return cc.routed(ctx, func(cl *cluster.Client) error {
+			return batched(emit, ro.Limit, func(fn func(Row) bool) error {
+				return cl.FullScanOpts(ctx, table, group, ro, fn)
+			})
+		})
 	})
 }
 
@@ -219,16 +206,17 @@ func (c *client) FullScan(ctx context.Context, table, group string, opts ...Read
 // also makes the scan replica-eligible: a watermark at or above the
 // pin means the replica's state at the pin is identical to the
 // primary's, the caller's own earlier writes included.
-func (c *client) pinned(opts []ReadOption) ReadOptions {
+func (cc *ClusterClient) pinned(opts []ReadOption) ReadOptions {
 	ro := resolveReadOptions(opts)
-	ro.Snapshot = c.pinTS(ro.Snapshot)
+	ro.Snapshot = cc.pinTS(ro.Snapshot)
 	return ro
 }
 
-// pinTS resolves a snapshot timestamp: 0 means now.
-func (c *client) pinTS(ts int64) int64 {
+// pinTS resolves a snapshot timestamp: 0 means now, the newest issued
+// commit timestamp.
+func (cc *ClusterClient) pinTS(ts int64) int64 {
 	if ts == 0 {
-		return c.lastTS()
+		return cc.c.Coord().LastTimestamp()
 	}
 	return ts
 }
@@ -236,17 +224,27 @@ func (c *client) pinTS(ts int64) int64 {
 // Batch returns an empty WriteBatch bound to this store: flushing it
 // routes every buffered mutation to its owning tablet server and
 // applies them as one append sweep per server — the bulk-load path.
-func (c *client) Batch() *WriteBatch { return &WriteBatch{b: c.backend} }
+func (cc *ClusterClient) Batch() *WriteBatch { return &WriteBatch{cc: cc} }
 
 // Watch subscribes a changefeed over table: committed Put/Delete events
 // for keys in [start, end) (nil bounds = open; group "" = all column
-// groups). On the embedded backend events arrive in LSN order and
-// fromLSN > 0 resumes after a previously observed cursor (pass
-// cursor+1). A cluster feed merges every tablet server's feed, each
-// key's events in commit-timestamp order, across splits, migrations and
-// failovers; per-server LSN spaces are not comparable, so there fromLSN
-// must be 0. Cancel via ctx or Close.
-func (c *client) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
+// groups). The feed merges every tablet server's feed, each key's
+// events in commit-timestamp order, across splits, migrations and
+// failovers; per-server LSN spaces are not comparable, so fromLSN must
+// be 0 (a DB, whose one server has one log, resumes by LSN). Cancel via
+// ctx or Close.
+func (cc *ClusterClient) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
+	return cc.watch(ctx, table, opts, func(ctx context.Context, o WatchOptions) (ChangeFeed, error) {
+		if fromLSN != 0 {
+			return nil, errors.New("logbase: cluster changefeeds are not LSN-addressable; Watch with fromLSN 0 and dedupe by event TS")
+		}
+		return cc.c.Watch(ctx, table, group, start, end, o)
+	})
+}
+
+// watch opens a changefeed with subscribe under the request's root
+// span.
+func (cc *ClusterClient) watch(ctx context.Context, table string, opts []WatchOptions, subscribe func(context.Context, WatchOptions) (ChangeFeed, error)) (ChangeFeed, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -254,9 +252,9 @@ func (c *client) Watch(ctx context.Context, table, group string, start, end []by
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	ctx, sp := c.root(ctx, "store.watch", table)
+	ctx, sp := cc.root(ctx, "store.watch", table)
 	defer sp.Finish()
-	return c.watch(ctx, table, group, start, end, fromLSN, o)
+	return subscribe(ctx, o)
 }
 
 // SetRetention installs a per-table retention policy on every tablet
@@ -264,18 +262,18 @@ func (c *client) Watch(ctx context.Context, table, group string, start, end []by
 // enforced by compaction, including the auto-compactor: keep the newest
 // KeepVersions per key, drop versions older than KeepFor, or both. A
 // table without a policy, or with the zero policy, keeps everything.
-func (c *client) SetRetention(table string, p RetentionPolicy) error {
-	if _, err := c.tabletsIn(table, "", nil, nil); err != nil {
+func (cc *ClusterClient) SetRetention(table string, p RetentionPolicy) error {
+	if _, err := cc.c.Router(table); err != nil {
 		return err
 	}
 	// Primaries first, then a fresh look at the replica sets: a replica
 	// started concurrently either is listed by the second pass or copies
-	// the policy from its primary (DB.StartReplica).
-	for _, s := range c.servers() {
-		s.srv.SetRetention(table, p)
+	// the policy from its primary (Cluster.StartReplica).
+	for _, id := range cc.c.LiveServers() {
+		cc.c.Server(id).SetRetention(table, p)
 	}
-	for _, s := range c.servers() {
-		for _, r := range s.replicas {
+	for _, id := range cc.c.LiveServers() {
+		for _, r := range cc.c.Replicas(id) {
 			r.SetRetention(table, p)
 		}
 	}
@@ -286,9 +284,44 @@ func (c *client) SetRetention(table string, p RetentionPolicy) error {
 // deployment's background resources (replicas, auto-compaction loops,
 // open changefeeds). Data is already durable — appends are synchronous
 // — so Close never loses writes. The store is not usable afterwards.
-func (c *client) Close() error {
-	c.views.closeAll()
-	return c.close()
+func (cc *ClusterClient) Close() error {
+	cc.views.closeAll()
+	return cc.c.Close()
+}
+
+// --- secondary indexes ------------------------------------------------
+
+// Extractor derives a secondary-index key from a row's value; nil means
+// "don't index this row".
+type Extractor = core.Extractor
+
+// RegisterSecondaryIndex creates a secondary index over a table's
+// column group on every owning tablet server (the paper's §5
+// future-work extension): rows become findable by an extracted
+// attribute at the cost of one extra in-memory index per tablet, with
+// lookups costing an index descent plus batched log reads of the
+// matches. Existing rows are backfilled; see
+// Cluster.RegisterSecondaryIndex.
+func (cc *ClusterClient) RegisterSecondaryIndex(name, table, group string, extract Extractor) error {
+	return cc.c.RegisterSecondaryIndex(name, table, group, extract)
+}
+
+// LookupSecondary returns rows whose extracted attribute equals
+// secKey, in primary-key order, gathered from all tablet servers.
+func (cc *ClusterClient) LookupSecondary(name string, secKey []byte) (rows []Row, err error) {
+	err = cc.routed(context.Background(), func(cl *cluster.Client) error {
+		rows, err = cl.LookupSecondary(name, secKey)
+		return err
+	})
+	return rows, err
+}
+
+// ScanSecondaryRange streams rows whose extracted attribute falls in
+// [start, end), ordered by (attribute, primary key) cluster-wide.
+func (cc *ClusterClient) ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r Row) bool) error {
+	return cc.routed(context.Background(), func(cl *cluster.Client) error {
+		return cl.ScanSecondaryRange(name, start, end, fn)
+	})
 }
 
 // --- transactions -----------------------------------------------------
@@ -297,22 +330,33 @@ func (c *client) Close() error {
 // Tx by resolving table-addressed keys to the tablets the transaction
 // manager works in.
 type Txn struct {
-	b backend
-	t *txn.Txn
+	cc *ClusterClient
+	t  *txn.Txn
 }
 
 var _ Tx = (*Txn)(nil)
 
-// Begin starts a snapshot-isolation transaction (cluster-wide on a
-// cluster).
-func (c *client) Begin(ctx context.Context) Tx { return &Txn{b: c.backend, t: c.beginTxn()} }
+// Begin starts a cluster-wide snapshot-isolation transaction.
+func (cc *ClusterClient) Begin(ctx context.Context) Tx {
+	return &Txn{cc: cc, t: cc.c.TxnManager().Begin()}
+}
+
+// tabletFor resolves a key to its tablet id: transactions address
+// tablets.
+func (tx *Txn) tabletFor(table string, key []byte) (tab string, err error) {
+	err = tx.cc.routed(context.Background(), func(cl *cluster.Client) error {
+		tab, err = cl.TabletFor(table, key)
+		return err
+	})
+	return tab, err
+}
 
 // Get reads a row at the transaction snapshot.
 func (tx *Txn) Get(ctx context.Context, table, group string, key []byte) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	tab, err := tx.b.tabletFor(table, group, key)
+	tab, err := tx.tabletFor(table, key)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +365,7 @@ func (tx *Txn) Get(ctx context.Context, table, group string, key []byte) ([]byte
 
 // Put buffers a transactional write.
 func (tx *Txn) Put(table, group string, key, value []byte) error {
-	tab, err := tx.b.tabletFor(table, group, key)
+	tab, err := tx.tabletFor(table, key)
 	if err != nil {
 		return err
 	}
@@ -330,7 +374,7 @@ func (tx *Txn) Put(table, group string, key, value []byte) error {
 
 // Delete buffers a transactional delete.
 func (tx *Txn) Delete(table, group string, key []byte) error {
-	tab, err := tx.b.tabletFor(table, group, key)
+	tab, err := tx.tabletFor(table, key)
 	if err != nil {
 		return err
 	}
@@ -340,13 +384,13 @@ func (tx *Txn) Delete(table, group string, key []byte) error {
 // Scan streams snapshot-visible rows in [start, end), tablet by tablet
 // in key order, until fn returns false.
 func (tx *Txn) Scan(ctx context.Context, table, group string, start, end []byte, fn func(Row) bool) error {
-	tabs, err := tx.b.tabletsIn(table, group, start, end)
+	router, err := tx.cc.c.Router(table)
 	if err != nil {
 		return err
 	}
 	more := true
-	for _, tab := range tabs {
-		err := tx.t.Scan(ctx, tab, group, start, end, func(r Row) bool {
+	for _, tab := range router.Overlapping(start, end) {
+		err := tx.t.Scan(ctx, tab.ID, group, start, end, func(r Row) bool {
 			more = fn(r)
 			return more
 		})
@@ -370,15 +414,15 @@ func (tx *Txn) Abort() { tx.t.Abort() }
 
 // --- admin ------------------------------------------------------------
 //
-// The admin surface is the same on both backends: every call fans out
-// over the live tablet servers (one for an embedded DB) in id order.
+// Every admin call fans out over the live tablet servers (one for a
+// DB) in id order.
 
 // Checkpoint writes every tablet server's recovery checkpoint: its
 // in-memory indexes and the log position redo starts from, one file per
 // server.
-func (c *client) Checkpoint() error {
-	for _, s := range c.servers() {
-		if err := s.srv.Checkpoint(); err != nil {
+func (cc *ClusterClient) Checkpoint() error {
+	for _, id := range cc.c.LiveServers() {
+		if err := cc.c.Server(id).Checkpoint(); err != nil {
 			return err
 		}
 	}
@@ -391,10 +435,10 @@ func (c *client) Checkpoint() error {
 // are summed over the servers. With AutoCompact enabled this is rarely
 // needed — the background compactor keeps the log clustered
 // incrementally.
-func (c *client) Compact() (core.CompactionStats, error) {
+func (cc *ClusterClient) Compact() (core.CompactionStats, error) {
 	var sum core.CompactionStats
-	for _, s := range c.servers() {
-		st, err := s.srv.Compact()
+	for _, id := range cc.c.LiveServers() {
+		st, err := cc.c.Server(id).Compact()
 		if err != nil {
 			return sum, err
 		}
@@ -414,10 +458,10 @@ func (c *client) Compact() (core.CompactionStats, error) {
 // every replica is corrupt — one report per server. The first I/O error
 // aborts the sweep; corruption findings are in the reports, not the
 // error. A second Scrub after a repair pass reports zero defects.
-func (c *client) Scrub() ([]ScrubReport, error) {
+func (cc *ClusterClient) Scrub() ([]ScrubReport, error) {
 	var out []ScrubReport
-	for _, s := range c.servers() {
-		rep, err := s.srv.Scrub()
+	for _, id := range cc.c.LiveServers() {
+		rep, err := cc.c.Server(id).Scrub()
 		if err != nil {
 			return out, err
 		}
@@ -428,10 +472,10 @@ func (c *client) Scrub() ([]ScrubReport, error) {
 
 // Stats returns one mutually-consistent counter snapshot per tablet
 // server (see core.StatsView).
-func (c *client) Stats() []core.StatsView {
+func (cc *ClusterClient) Stats() []core.StatsView {
 	var out []core.StatsView
-	for _, s := range c.servers() {
-		out = append(out, s.srv.StatsView())
+	for _, id := range cc.c.LiveServers() {
+		out = append(out, cc.c.Server(id).StatsView())
 	}
 	return out
 }
@@ -439,11 +483,11 @@ func (c *client) Stats() []core.StatsView {
 // ReplicaStats snapshots every read replica's shipping state (applied
 // cursor, lag, watermark, reads served), keyed by primary server id;
 // servers without replicas have no entry.
-func (c *client) ReplicaStats() map[string][]ReplicaStats {
+func (cc *ClusterClient) ReplicaStats() map[string][]ReplicaStats {
 	out := make(map[string][]ReplicaStats)
-	for _, s := range c.servers() {
-		for _, r := range s.replicas {
-			out[s.srv.ID()] = append(out[s.srv.ID()], r.Stats())
+	for _, id := range cc.c.LiveServers() {
+		for _, r := range cc.c.Replicas(id) {
+			out[id] = append(out[id], r.Stats())
 		}
 	}
 	return out

@@ -28,9 +28,10 @@
 // back.
 //
 // The server is written once against the logbase.Store contract and
-// the admin surface both backends share: -servers 0 serves an embedded
-// DB, -servers N>0 serves an in-process N-server cluster through the
-// exact same code path.
+// the admin surface of logbase.ClusterClient: -servers 0 serves an
+// embedded DB (a one-server cluster), -servers N>0 an in-process
+// N-server cluster, through the exact same code path. Only the DB's
+// WATCH ... FROM resumes by LSN: it has one log.
 package main
 
 import (
@@ -48,8 +49,9 @@ import (
 )
 
 // backend is what the server needs of a deployment: the Store contract
-// plus the uniform admin surface. *logbase.DB and *logbase.ClusterClient
-// both provide it through the one client they embed.
+// plus the uniform admin surface. *logbase.ClusterClient provides it,
+// and *logbase.DB through the ClusterClient it embeds, with its own
+// LSN-resumable Watch.
 type backend interface {
 	logbase.Store
 	Checkpoint() error
@@ -82,8 +84,7 @@ type serverConfig struct {
 	cache   int64
 	servers int
 	// replicas is the number of WAL-shipping read replicas per tablet
-	// server (0 disables replication). Embedded and cluster backends
-	// honour it alike.
+	// server (0 disables replication), embedded DB included.
 	replicas int
 	// metricsAddr, when non-empty, serves Prometheus-text /metrics and
 	// net/http/pprof on its own listener (":0" picks a free port).
@@ -109,7 +110,7 @@ func startServer(cfg serverConfig) (*server, error) {
 	var st backend
 	if cfg.servers > 0 {
 		// Same knobs as the embedded path, applied to every tablet
-		// server: the two backends must behave alike behind one flag.
+		// server: the two deployments must behave alike behind one flag.
 		c, err := logbase.NewCluster(cfg.dir, logbase.ClusterConfig{
 			NumServers:      cfg.servers,
 			Replicas:        cfg.replicas,

@@ -88,7 +88,7 @@ func TestServerEndToEnd(t *testing.T) {
 	body := httpGet(t, "http://"+srv.MetricsAddr()+"/metrics")
 	for _, want := range []string{
 		"# TYPE logbase_op_duration_seconds histogram",
-		`logbase_op_duration_seconds_count{op="put",server="embedded"} 1`,
+		`logbase_op_duration_seconds_count{op="put",server="ts00"} 1`,
 		"# TYPE logbase_compactions gauge",
 		"logbase_server_writes",
 	} {
@@ -113,7 +113,7 @@ func TestAdminSurfaceBothBackends(t *testing.T) {
 		servers int
 		ids     []string // STAT/SCRUB server ids, in reply order
 	}{
-		{"embedded", 0, []string{"embedded"}},
+		{"embedded", 0, []string{"ts00"}},
 		{"cluster", 3, []string{"ts00", "ts01", "ts02"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -241,14 +241,14 @@ func TestClusterGroupCommitPath(t *testing.T) {
 func TestAggregateFeedsReplicaBreaker(t *testing.T) {
 	const probeAfter = 100 * time.Millisecond
 	c, err := New(t.TempDir(), Config{
-		NumServers:        1,
-		Replicas:          1,
-		Tables:            []TableSpec{{Name: "t", Groups: []string{"g"}}},
-		BreakerProbeAfter: probeAfter,
+		NumServers: 1,
+		Replicas:   1,
+		Tables:     []TableSpec{{Name: "t", Groups: []string{"g"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.breakers.probeAfter = probeAfter
 	t.Cleanup(func() { c.Close() })
 	cl := c.NewClient()
 	ctx := context.Background()
@@ -262,11 +262,11 @@ func TestAggregateFeedsReplicaBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := c.Replicas("ts00")[0]
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		c.breakers.failure("replica:" + rep.BaseID())
 	}
 	if n := c.breakers.openCount(); n != 1 {
-		t.Fatalf("openCount = %d after %d routing failures, want 1", n, defaultBreakerThreshold)
+		t.Fatalf("openCount = %d after %d routing failures, want 1", n, breakerThreshold)
 	}
 	time.Sleep(probeAfter + 10*time.Millisecond)
 

@@ -129,7 +129,7 @@ func retryableRouting(err error) bool {
 	return errors.Is(err, core.ErrUnknownTablet) || errors.Is(err, ErrServerDown)
 }
 
-// retryStale runs op under the cluster's unified RetryPolicy,
+// retryStale runs op under the cluster's unified retry policy,
 // refreshing the metadata cache and backing off (exponential,
 // jittered) while the op keeps hitting a moved/frozen tablet or a dead
 // server. A split or failover invalidates the cache instantly (one
@@ -140,7 +140,7 @@ func retryableRouting(err error) bool {
 func (cl *Client) retryStale(table string, key []byte, op func(srv *core.Server, tablet string) error) error {
 	pol := cl.c.retry
 	var err error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < pol.maxAttempts; attempt++ {
 		if attempt > 0 {
 			cl.refresh()
 			cl.c.obsStaleRetries.Inc()
@@ -240,7 +240,7 @@ func (cl *Client) eachTablet(ctx context.Context, table string, start, end []byt
 		switch {
 		case err == nil || errors.Is(err, errStopScan):
 			return nil
-		case !retryableRouting(err) || attempt >= cl.c.retry.MaxAttempts:
+		case !retryableRouting(err) || attempt >= cl.c.retry.maxAttempts:
 			return err
 		}
 		if err := cl.resume(ctx, "tablet="+failed, attempt, err); err != nil {
@@ -348,7 +348,7 @@ func (cl *Client) Aggregate(ctx context.Context, table, group string, ts int64, 
 	}
 	for attempt := 0; ; attempt++ {
 		res, err := cl.aggregateOnce(ctx, table, group, ts, f, fold, attempt == 0)
-		if err == nil || !retryableRouting(err) || attempt >= cl.c.retry.MaxAttempts {
+		if err == nil || !retryableRouting(err) || attempt >= cl.c.retry.maxAttempts {
 			return res, err
 		}
 		if err := cl.resume(ctx, "", attempt, err); err != nil {
@@ -637,7 +637,7 @@ func (cl *Client) ApplyBatch(ops []BatchOp) ([]int, error) {
 		if len(failed) == 0 {
 			return nil, nil
 		}
-		if attempt >= pol.MaxAttempts-1 {
+		if attempt >= pol.maxAttempts-1 {
 			sort.Ints(failed)
 			return failed, lastErr
 		}

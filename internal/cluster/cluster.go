@@ -2,15 +2,23 @@
 // §3.3) in one process: N tablet servers over a shared DFS, a master
 // (elected through the coordination service) that assigns tablets and
 // handles tablet-server failures by reassigning and recovering their
-// tablets, and clients that route by key through cached metadata.
+// tablets, and clients that route by key through cached metadata. It is
+// the one deployment: the embedded logbase.DB is a cluster of one.
 //
 // The in-process substitution keeps every architectural interaction —
 // registration via ephemeral nodes, master election, tablet assignment,
 // log-split failover, stale routing caches — while replacing RPC with
-// method calls.
+// method calls. StartReplica adds a WAL-shipping read replica to a
+// server at runtime (Config.Replicas does the same at startup). Reopen
+// is a crash-restart of the whole deployment over the same live DFS: a
+// fresh coordination service and master, the same server ids reopening
+// their logs; Recover then rebuilds every server's indexes from its
+// checkpoint and log tail, advances the timestamp oracle past them, and
+// restarts the configured replicas from their durable cursors.
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -64,16 +72,6 @@ type Config struct {
 	// every traced op).
 	SlowOpLog       func(tree string)
 	SlowOpThreshold time.Duration
-	// Retry is the unified client retry policy (stale-routing retries,
-	// scan resumes, batch re-routes). Zero fields take the defaults in
-	// retry.go.
-	Retry RetryPolicy
-	// BreakerThreshold and BreakerProbeAfter tune the client circuit
-	// breaker: after BreakerThreshold consecutive routing failures a
-	// server/replica stops receiving traffic for BreakerProbeAfter,
-	// then one probe decides whether it reopens. Zero = defaults.
-	BreakerThreshold  int
-	BreakerProbeAfter time.Duration
 }
 
 // ErrServerDown is returned for operations routed to a killed server.
@@ -110,6 +108,9 @@ type Cluster struct {
 	txns     *txn.Manager
 	balancer *Balancer
 	replRR   atomic.Uint32 // round-robin cursor for replica reads
+	// replicasDue marks a reopened cluster whose Config.Replicas start
+	// at the end of Recover.
+	replicasDue bool
 
 	metrics *obs.Registry
 	tracer  *obs.Tracer
@@ -118,9 +119,9 @@ type Cluster struct {
 	obsScanResumes   *obs.Counter
 	obsRetryAttempts *obs.Counter
 
-	// retry is the resolved client retry policy; breakers the shared
+	// retry is the client retry policy; breakers the shared
 	// circuit-breaker table; clientSeq seeds each client's jitter rng.
-	retry     RetryPolicy
+	retry     retryPolicy
 	breakers  *breakers
 	clientSeq atomic.Int64
 
@@ -141,6 +142,9 @@ type serverState struct {
 	sess     *coord.Session
 	alive    bool
 	replicas []*replicaState
+	// replicaSeq numbers the server's replicas (<server>.r<seq>); it
+	// only grows, so a replica that failed to start leaves its id unused.
+	replicaSeq int
 }
 
 // New builds and starts a cluster under dir.
@@ -159,17 +163,36 @@ func New(dir string, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One registry for the whole cluster: servers distinguish their
-	// series with a {server} label, and the client-side counters live
-	// beside them.
-	if cfg.Server.Metrics == nil {
-		if cfg.Metrics == nil {
-			cfg.Metrics = obs.NewRegistry()
-		}
-		cfg.Server.Metrics = cfg.Metrics
-	} else {
-		cfg.Metrics = cfg.Server.Metrics
+	c, err := start(fs, cfg)
+	if err != nil {
+		return nil, err
 	}
+	if err := c.startReplicas(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reopen simulates a crash-restart of the whole deployment over the
+// same DFS: every in-memory structure is discarded, and a fresh
+// coordination service and master come up with the configured servers
+// (same ids, so each reopens its own log) and Config.Tables. Tables
+// created later must be declared again; then call Recover, which also
+// restarts Config.Replicas: each resumes shipping from its durable
+// cursor, which only a recovered primary's log reaches past. Splits,
+// moves and failovers are not recorded, so the restart has the
+// configured topology. The old cluster is left as it is: Close it.
+func (c *Cluster) Reopen() (*Cluster, error) {
+	r, err := start(c.fs, c.cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.replicasDue = true
+	return r, nil
+}
+
+// start brings up a cluster over fs.
+func start(fs *dfs.DFS, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:         cfg,
 		fs:          fs,
@@ -180,16 +203,22 @@ func New(dir string, cfg Config) (*Cluster, error) {
 		tableGroups: make(map[string][]string),
 		routers:     make(map[string]*partition.Router),
 		tabletSeq:   make(map[string]int),
+		retry:       defaultRetryPolicy,
+		breakers:    newBreakers(breakerThreshold, breakerProbeAfter),
 	}
-	c.metrics = cfg.Metrics
+	// One registry for the whole cluster: servers distinguish their
+	// series with a {server} label, and the client-side counters live
+	// beside them.
+	c.metrics = cmp.Or(cfg.Server.Metrics, cfg.Metrics)
+	if c.metrics == nil {
+		c.metrics = obs.NewRegistry()
+	}
 	c.obsStaleRetries = c.metrics.Counter("logbase_client_stale_retries_total",
 		"client operations retried on stale routing (split/move/failover)", nil)
 	c.obsScanResumes = c.metrics.Counter("logbase_client_scan_resumes_total",
 		"multi-tablet operations resumed after a routing change", nil)
 	c.obsRetryAttempts = c.metrics.Counter("logbase_retry_attempts_total",
 		"client attempts retried under the unified backoff policy", nil)
-	c.retry = cfg.Retry.withDefaults()
-	c.breakers = newBreakers(cfg.BreakerThreshold, cfg.BreakerProbeAfter)
 	c.metrics.GaugeFunc("logbase_breaker_open", "circuit breakers currently open or probing", nil,
 		func() float64 { return float64(c.breakers.openCount()) })
 	if cfg.SlowOpLog != nil {
@@ -201,7 +230,7 @@ func New(dir string, cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.NumServers; i++ {
 		id := fmt.Sprintf("ts%02d", i)
-		srv, err := core.NewServer(fs, id, cfg.Server)
+		srv, err := core.NewServer(fs, id, c.serverConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -210,14 +239,6 @@ func New(dir string, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.servers[id] = &serverState{srv: srv, sess: sess, alive: true}
-	}
-	// Replicas exist before the initial tables (CreateTable mirrors
-	// tablet specs to them) but start shipping after, so no record ever
-	// precedes its tablet declaration.
-	if cfg.Replicas > 0 {
-		if err := c.newReplicas(); err != nil {
-			return nil, err
-		}
 	}
 	c.master = newMaster(c)
 	if err := c.master.start(); err != nil {
@@ -228,13 +249,46 @@ func New(dir string, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if cfg.Replicas > 0 {
-		if err := c.startReplicas(); err != nil {
-			return nil, err
-		}
-	}
 	c.txns = txn.NewManager(c.svc, txn.ResolverFunc(c.ServerFor))
 	return c, nil
+}
+
+// serverConfig is Config.Server with the cluster's shared registry.
+func (c *Cluster) serverConfig() core.Config {
+	sc := c.cfg.Server
+	sc.Metrics = c.metrics
+	return sc
+}
+
+// Recover rebuilds every live server's in-memory state after Reopen:
+// the indexes of its last checkpoint plus a redo of its log tail. The
+// returned stats are summed over the servers (MaxTS is their maximum),
+// and the timestamp oracle is advanced past every restored commit, so
+// "latest" snapshot reads see the recovered data immediately. The first
+// Recover after Reopen then starts Config.Replicas.
+func (c *Cluster) Recover() (core.RecoveryStats, error) {
+	var sum core.RecoveryStats
+	for _, id := range c.LiveServers() {
+		st, err := c.Server(id).Recover()
+		if err != nil {
+			return sum, err
+		}
+		sum.UsedCheckpoint = sum.UsedCheckpoint || st.UsedCheckpoint
+		sum.IndexesLoaded += st.IndexesLoaded
+		sum.RecordsScanned += st.RecordsScanned
+		sum.EntriesRestored += st.EntriesRestored
+		sum.MaxTS = max(sum.MaxTS, st.MaxTS)
+		sum.Elapsed += st.Elapsed
+	}
+	c.svc.AdvanceTo(sum.MaxTS)
+	// A replica resumes from its durable cursor: started before its
+	// primary knew the end of its log, it would skip the records past
+	// the cursor.
+	if c.replicasDue {
+		c.replicasDue = false
+		return sum, c.startReplicas()
+	}
+	return sum, nil
 }
 
 // FS returns the cluster's DFS.

@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/fault"
 	"repro/internal/readopt"
 	"repro/internal/txn"
 )
@@ -381,5 +384,175 @@ func TestUnknownTableErrors(t *testing.T) {
 	}
 	if err := c.CreateTable(TableSpec{Name: "users", Groups: []string{"x"}}); err == nil {
 		t.Error("duplicate CreateTable succeeded")
+	}
+}
+
+// TestReopenRecoversEveryServer restarts a 3-server cluster with one
+// replica per server over its DFS after writes, deletes, a checkpoint, a
+// whole-log compaction and an uncheckpointed tail of both: after Reopen
+// and Recover every acknowledged key reads its last value, no deleted
+// key comes back, and the timestamp oracle is at or past every recovered
+// version. The replicas stop shipping before the tail, so their durable
+// cursors lag the logs at the restart; once restarted they must ship the
+// tail and serve a pinned scan identical to the primaries'.
+func TestReopenRecoversEveryServer(t *testing.T) {
+	faults := fault.New(1)
+	c, err := New(t.TempDir(), Config{
+		NumServers: 3,
+		Replicas:   1,
+		Tables:     []TableSpec{{Name: "users", Groups: []string{"profile", "activity"}}},
+		Server:     core.Config{SegmentSize: 1 << 20, Faults: faults},
+		DFS:        dfs.Config{BlockSize: 1 << 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient()
+	oracle := map[string]string{} // key -> last value, "" = deleted
+	key := func(i int) []byte { return []byte{byte(i), byte(i >> 8), 'k'} }
+	put := func(i int, v string) {
+		t.Helper()
+		if err := cl.Put("users", "profile", key(i), []byte(v)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		oracle[string(key(i))] = v
+	}
+	del := func(i int) {
+		t.Helper()
+		if err := cl.Delete("users", "profile", key(i)); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+		oracle[string(key(i))] = ""
+	}
+	const n = 600
+	for i := 0; i < n; i++ {
+		put(i, fmt.Sprintf("v1-%d", i))
+	}
+	for i := 0; i < n; i += 7 {
+		del(i)
+	}
+	for _, id := range c.LiveServers() {
+		if err := c.Server(id).Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %s: %v", id, err)
+		}
+	}
+	for i := 0; i < n; i += 3 {
+		put(i, fmt.Sprintf("v2-%d", i))
+	}
+	if err := c.CompactAll(); err != nil {
+		t.Fatalf("CompactAll: %v", err)
+	}
+	// Every replica fails at its first record of the tail: the tail is
+	// in the primaries' logs only.
+	if err := c.WaitForReplicaTS(c.Coord().LastTimestamp(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stalled := errors.New("replica stopped before the tail")
+	var applyPoints []string
+	for _, id := range c.LiveServers() {
+		p := "repl." + id + ".r0.apply"
+		faults.Arm(p, fault.Policy{Err: stalled})
+		applyPoints = append(applyPoints, p)
+	}
+	// The uncheckpointed tail: overwrites, deletes of live keys, and a
+	// deleted key written again.
+	for i := 1; i < n; i += 5 {
+		put(i, fmt.Sprintf("v3-%d", i))
+	}
+	for i := 2; i < n; i += 11 {
+		del(i)
+	}
+	put(7, "v4-7")
+	for _, id := range c.LiveServers() {
+		rep := c.Replicas(id)[0]
+		for deadline := time.Now().Add(5 * time.Second); !errors.Is(rep.Err(), stalled); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s did not stop at the tail (err %v)", rep.BaseID(), rep.Err())
+			}
+		}
+	}
+
+	c2, err := c.Reopen()
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	c.Close()
+	t.Cleanup(func() { c2.Close() })
+	if reps := c2.Replicas("ts00"); len(reps) != 0 {
+		t.Fatalf("reopened cluster runs %d replicas before Recover", len(reps))
+	}
+	for _, p := range applyPoints {
+		faults.Disarm(p)
+	}
+	st, err := c2.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !st.UsedCheckpoint || st.RecordsScanned == 0 {
+		t.Fatalf("Recover = %+v, want checkpoints plus a redone tail", st)
+	}
+	last := c2.Coord().LastTimestamp()
+	if last < st.MaxTS {
+		t.Fatalf("oracle at %d, below the recovered maximum %d", last, st.MaxTS)
+	}
+	cl2 := c2.NewClient()
+	for k, want := range oracle {
+		rows, err := cl2.Read("users", "profile", []byte(k), readopt.Options{AllVersions: true})
+		if err != nil {
+			t.Fatalf("versions of %q: %v", k, err)
+		}
+		for _, r := range rows {
+			if r.TS > last {
+				t.Fatalf("%q has a version at ts %d, past the oracle's %d", k, r.TS, last)
+			}
+		}
+		row, err := cl2.Get("users", "profile", []byte(k))
+		switch {
+		case want == "" && !errors.Is(err, core.ErrNotFound):
+			t.Fatalf("deleted key %q came back: %q, %v", k, row.Value, err)
+		case want != "" && (err != nil || string(row.Value) != want):
+			t.Fatalf("key %q = %q, %v; want %q", k, row.Value, err, want)
+		}
+	}
+
+	// The restarted replicas ship the tail: a pinned scan they serve
+	// equals the primaries'.
+	if err := c2.WaitForReplicaTS(last, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(ro readopt.Options) []string {
+		t.Helper()
+		var rows []string
+		if err := cl2.ScanOpts(context.Background(), "users", "profile", nil, nil, ro, func(r core.Row) bool {
+			rows = append(rows, string(r.Key)+"="+string(r.Value))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	served := map[string]int64{}
+	for _, id := range c2.LiveServers() {
+		reps := c2.Replicas(id)
+		if len(reps) != 1 || reps[0].Err() != nil {
+			t.Fatalf("server %s has replicas %v after Recover, want one healthy", id, reps)
+		}
+		served[id] = reps[0].Stats().ReadsServed
+	}
+	byReplica := scan(readopt.Options{Snapshot: last})
+	for _, id := range c2.LiveServers() {
+		if c2.Replicas(id)[0].Stats().ReadsServed <= served[id] {
+			t.Fatalf("the pinned scan was not served by %s's replica", id)
+		}
+	}
+	byPrimary := scan(readopt.Options{Snapshot: last, Primary: true})
+	live := 0
+	for _, v := range oracle {
+		if v != "" {
+			live++
+		}
+	}
+	if len(byPrimary) != live || !slices.Equal(byReplica, byPrimary) {
+		t.Fatalf("replica-served scan has %d rows, primary-served %d; want %d identical", len(byReplica), len(byPrimary), live)
 	}
 }

@@ -1,10 +1,12 @@
 package cluster
 
-// Read replicas, cluster side: every tablet server gets Config.Replicas
-// WAL-shipping standbys (internal/repl), registered in the coordination
-// service under ephemeral /replicas/<id> nodes. The read router
-// (client.go) sends pinned snapshot reads whose timestamp a
-// replica's watermark covers to that replica, round-robin, falling back
+// Read replicas, cluster side: StartReplica makes every WAL-shipping
+// standby (internal/repl) — Config.Replicas per server at startup (a
+// reopened cluster's once Recover has run), or one at runtime — and
+// registers it in the coordination service under
+// an ephemeral /replicas/<id> node. The read router (client.go) sends
+// pinned snapshot reads whose timestamp a replica's watermark covers to
+// that replica, round-robin, falling back
 // to the primary on the first staleness or failure; topology changes
 // (split, migration, failover) mirror to the affected replicas so their
 // tablet layout tracks the primary's. When a primary dies, the master
@@ -13,10 +15,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/readopt"
 	"repro/internal/repl"
@@ -30,49 +34,97 @@ type replicaState struct {
 	sess *coord.Session
 }
 
-// newReplicas creates (but does not start) Config.Replicas standbys per
-// tablet server. Runs before any table exists so CreateTable's mirror
-// loop reaches them; startReplicas launches shipping once the initial
-// tables are declared.
-func (c *Cluster) newReplicas() error {
-	ids := make([]string, 0, len(c.servers))
-	for id := range c.servers {
-		ids = append(ids, id)
+// StartReplica starts a WAL-shipping read replica of a live server
+// and registers it with the read router. The replica mirrors the
+// server's current tablets and retention policies (tablets and
+// policies that arrive later reach it like every replica) and begins
+// catching up at once. Its id is <server>.r<n>, n counting the server's
+// replicas from 0 in each incarnation of the cluster, so a restarted
+// deployment's replica resumes from its durable cursor. Close the
+// cluster to stop it.
+func (c *Cluster) StartReplica(serverID string) (*repl.Replica, error) {
+	c.mu.Lock()
+	st, ok := c.servers[serverID]
+	if !ok || !st.alive {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("cluster: no live server %s", serverID)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		st := c.servers[id]
+	base := fmt.Sprintf("%s.r%d", serverID, st.replicaSeq)
+	st.replicaSeq++
+	c.mu.Unlock()
+	// Opening the replica's server reads the DFS; routing does not wait
+	// on it.
+	rep, err := repl.New(c.fs, st.srv, base, repl.Config{
+		LastTS: c.svc.LastTimestamp,
+		Server: c.replicaConfig(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: replica %s: %w", base, err)
+	}
+	// Holding mu from the tablet snapshot through the registration means
+	// every tablet the server gains is either in the snapshot or mirrored
+	// by CreateTable, a split or a failover.
+	c.mu.Lock()
+	if !st.alive {
+		c.mu.Unlock()
+		rep.Close()
+		return nil, fmt.Errorf("cluster: no live server %s", serverID)
+	}
+	tables := map[string]bool{}
+	for tab, owner := range c.assignments {
+		if owner == serverID {
+			spec := c.tabletSpecs[tab]
+			rep.AddTablet(spec, c.tableGroups[spec.Table])
+			tables[spec.Table] = true
+		}
+	}
+	sess := c.svc.NewSession()
+	if err := sess.CreateEphemeral("/replicas/"+base, []byte(serverID)); err != nil {
+		c.mu.Unlock()
+		rep.Close()
+		return nil, err
+	}
+	rp := &replicaState{rep: rep, sess: sess}
+	st.replicas = append(st.replicas, rp)
+	c.mu.Unlock()
+	// After the registration, so a concurrent SetRetention either lists
+	// this replica or set the primary's policy before it is copied here.
+	for table := range tables {
+		if p, ok := st.srv.Retention(table); ok {
+			rep.SetRetention(table, p)
+		}
+	}
+	if err := rep.Start(); err != nil {
+		c.mu.Lock()
+		st.replicas = slices.DeleteFunc(st.replicas, func(x *replicaState) bool { return x == rp })
+		c.mu.Unlock()
+		rep.Close()
+		sess.Close()
+		return nil, err
+	}
+	return rep, nil
+}
+
+// startReplicas starts Config.Replicas replicas of every live server.
+func (c *Cluster) startReplicas() error {
+	for _, id := range c.LiveServers() {
 		for j := 0; j < c.cfg.Replicas; j++ {
-			base := fmt.Sprintf("%s.r%d", id, j)
-			rep, err := repl.New(c.fs, st.srv, base, repl.Config{
-				LastTS: c.svc.LastTimestamp,
-				Server: c.cfg.Server,
-			})
-			if err != nil {
-				return fmt.Errorf("cluster: replica %s: %w", base, err)
-			}
-			sess := c.svc.NewSession()
-			if err := sess.CreateEphemeral("/replicas/"+base, []byte(id)); err != nil {
+			if _, err := c.StartReplica(id); err != nil {
 				return err
 			}
-			st.replicas = append(st.replicas, &replicaState{rep: rep, sess: sess})
 		}
 	}
 	return nil
 }
 
-// startReplicas launches every replica's shipping loop.
-func (c *Cluster) startReplicas() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, st := range c.servers {
-		for _, rp := range st.replicas {
-			if err := rp.rep.Start(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// replicaConfig configures a replica's own server: the primaries'
+// tuning, registry and fault registry, but no background compaction —
+// its log is already the primary's committed stream, and compaction
+// (with the crash points it fires) stays on the primaries.
+func (c *Cluster) replicaConfig() core.Config {
+	sc := c.serverConfig()
+	sc.AutoCompact = core.AutoCompactConfig{}
+	return sc
 }
 
 // replicasOf snapshots a server's replica list.

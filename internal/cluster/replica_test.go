@@ -435,3 +435,97 @@ func TestMoveTabletHoldsReplicaWatermarkUntilDrained(t *testing.T) {
 		t.Fatalf("pinned scan after catch-up = %d rows, want %d", rows, n)
 	}
 }
+
+// TestStartReplicaAtRuntime starts a replica of one server of a running
+// 3-server cluster after its table, a retention policy and a split
+// exist: the replica declares exactly its server's tablets and carries
+// the policy, serves a pinned scan of them in place of its primary with
+// the primary's answer, and is promoted when the primary dies.
+func TestStartReplicaAtRuntime(t *testing.T) {
+	c, err := New(t.TempDir(), Config{NumServers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.CreateTable(TableSpec{Name: "t", Groups: []string{"g"}}); err != nil {
+		t.Fatal(err)
+	}
+	policy := core.RetentionPolicy{KeepVersions: 2}
+	for _, id := range c.LiveServers() {
+		c.Server(id).SetRetention("t", policy)
+	}
+	cl := c.NewClient()
+	const n = 256
+	for i := 0; i < n; i++ {
+		if err := cl.Put("t", "g", []byte{byte(i), 'k'}, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// SplitUniform(3) gives ts01 the middle third of the keyspace.
+	mid, err := cl.TabletFor("t", []byte{0x80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.SplitTablet(mid); err != nil {
+		t.Fatalf("SplitTablet: %v", err)
+	}
+
+	rep, err := c.StartReplica("ts01")
+	if err != nil {
+		t.Fatalf("StartReplica: %v", err)
+	}
+	if rep.BaseID() != "ts01.r0" {
+		t.Errorf("replica id %s, want ts01.r0", rep.BaseID())
+	}
+	primary := c.Server("ts01")
+	got, want := rep.Server().Tablets(), primary.Tablets()
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) != 2 || !slices.Equal(got, want) {
+		t.Fatalf("replica declares tablets %v, its server %v (want the two split children)", got, want)
+	}
+	if p, ok := rep.Server().Retention("t"); !ok || p != policy {
+		t.Fatalf("replica retention = %+v, %v; want %+v", p, ok, policy)
+	}
+
+	ts := c.Coord().LastTimestamp()
+	if err := c.WaitForReplicaTS(ts, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	scan := func(ro readopt.Options) []string {
+		t.Helper()
+		var rows []string
+		if err := cl.ScanOpts(ctx, "t", "g", nil, nil, ro, func(r core.Row) bool {
+			rows = append(rows, string(r.Key)+"="+string(r.Value))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	reads, served := primary.Stats().LogReads.Load(), rep.Stats().ReadsServed
+	byReplica := scan(readopt.Options{Snapshot: ts})
+	if rep.Stats().ReadsServed <= served {
+		t.Fatal("the pinned scan was not served by the replica")
+	}
+	if after := primary.Stats().LogReads.Load(); after != reads {
+		t.Fatalf("ts01's log reads moved %d -> %d: its replica did not serve its tablets", reads, after)
+	}
+	byPrimary := scan(readopt.Options{Snapshot: ts, Primary: true})
+	if len(byReplica) != n || !slices.Equal(byReplica, byPrimary) {
+		t.Fatalf("replica-served scan has %d rows, primary-served %d; want %d identical", len(byReplica), len(byPrimary), n)
+	}
+
+	if err := c.KillServer("ts01"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range want {
+		if owner := c.Assignments()[tab]; owner != "ts01.r0" {
+			t.Fatalf("tablet %s owned by %s after ts01 died, want its promoted replica ts01.r0", tab, owner)
+		}
+	}
+	if after := scan(readopt.Options{Snapshot: ts}); !slices.Equal(after, byPrimary) {
+		t.Fatalf("after promotion the pinned scan has %d rows, want the %d it had", len(after), len(byPrimary))
+	}
+}

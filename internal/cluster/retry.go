@@ -3,7 +3,7 @@ package cluster
 // Unified client retry machinery. Every routing loop in the client —
 // point-op stale retries, the multi-tablet loop (eachTablet: scans,
 // secondary-index gathers), aggregate re-runs, batch re-routing —
-// shares ONE RetryPolicy (context-aware
+// shares ONE retry policy (context-aware
 // exponential backoff with jitter and a per-operation attempt budget)
 // and one circuit-breaker table that stops routing to a server or read
 // replica after consecutive failures until a probe succeeds. Before
@@ -17,63 +17,47 @@ import (
 	"time"
 )
 
-// RetryPolicy governs one client operation's retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the per-operation attempt budget, including the
+// retryPolicy governs one client operation's retry loop.
+type retryPolicy struct {
+	// maxAttempts is the per-operation attempt budget, including the
 	// first try.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it up to MaxDelay.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter is the fraction of each delay that is randomised (0..1):
-	// the slept time is uniform in [d*(1-Jitter), d]. Jitter breaks the
+	maxAttempts int
+	// baseDelay is the backoff before the first retry; each further
+	// retry doubles it up to maxDelay.
+	baseDelay time.Duration
+	maxDelay  time.Duration
+	// jitter is the fraction of each delay that is randomised (0..1):
+	// the slept time is uniform in [d*(1-jitter), d]. Jitter breaks the
 	// convoy of many clients retrying a moved tablet in lockstep.
-	Jitter float64
+	jitter float64
 }
 
-// defaultRetryPolicy preserves the pre-unification totals: 12 attempts
-// with sub-millisecond early backoff, so a migration-cutover window
+// defaultRetryPolicy is every cluster's policy: 12 attempts with
+// sub-millisecond early backoff, so a migration-cutover window
 // (typically < 10ms) is ridden out without adding visible latency to
 // the common one-retry case.
-var defaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 12,
-	BaseDelay:   250 * time.Microsecond,
-	MaxDelay:    8 * time.Millisecond,
-	Jitter:      0.25,
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultRetryPolicy.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = defaultRetryPolicy.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = defaultRetryPolicy.MaxDelay
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = defaultRetryPolicy.Jitter
-	}
-	return p
+var defaultRetryPolicy = retryPolicy{
+	maxAttempts: 12,
+	baseDelay:   250 * time.Microsecond,
+	maxDelay:    8 * time.Millisecond,
+	jitter:      0.25,
 }
 
 // delay returns the backoff before retry `attempt` (1-based):
-// exponential from BaseDelay, capped at MaxDelay, jittered via rng.
-func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
+// exponential from baseDelay, capped at maxDelay, jittered via rng.
+func (p retryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := p.BaseDelay
-	for i := 1; i < attempt && d < p.MaxDelay; i++ {
+	d := p.baseDelay
+	for i := 1; i < attempt && d < p.maxDelay; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > p.maxDelay {
+		d = p.maxDelay
 	}
-	if p.Jitter > 0 && rng != nil {
-		cut := time.Duration(p.Jitter * float64(d) * rng.Float64())
+	if p.jitter > 0 && rng != nil {
+		cut := time.Duration(p.jitter * float64(d) * rng.Float64())
 		d -= cut
 	}
 	return d
@@ -82,7 +66,7 @@ func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 // sleep blocks for delay(attempt), honouring ctx's deadline and
 // cancellation: an op whose context expires mid-backoff stops retrying
 // immediately and returns ctx.Err().
-func (p RetryPolicy) sleep(ctx context.Context, attempt int, rng *rand.Rand) error {
+func (p retryPolicy) sleep(ctx context.Context, attempt int, rng *rand.Rand) error {
 	d := p.delay(attempt, rng)
 	if ctx == nil {
 		time.Sleep(d)
@@ -100,13 +84,13 @@ func (p RetryPolicy) sleep(ctx context.Context, attempt int, rng *rand.Rand) err
 
 // ---- circuit breaker ----------------------------------------------------
 
-// Breaker defaults: breakerThreshold consecutive failures open a
-// target's breaker; an open breaker rejects routing for
+// Every cluster's breakers: breakerThreshold consecutive failures open
+// a target's breaker; an open breaker rejects routing for
 // breakerProbeAfter, then admits ONE probe (half-open) — a probe
 // success closes it, a probe failure re-opens the window.
 const (
-	defaultBreakerThreshold  = 5
-	defaultBreakerProbeAfter = 2 * time.Millisecond
+	breakerThreshold  = 5
+	breakerProbeAfter = 2 * time.Millisecond
 )
 
 type breakerState int
@@ -134,12 +118,6 @@ type breakers struct {
 }
 
 func newBreakers(threshold int, probeAfter time.Duration) *breakers {
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if probeAfter <= 0 {
-		probeAfter = defaultBreakerProbeAfter
-	}
 	return &breakers{threshold: threshold, probeAfter: probeAfter, m: make(map[string]*breakerEntry)}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 func TestRetryPolicyDelaySchedule(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}.withDefaults()
+	p := retryPolicy{maxAttempts: 8, baseDelay: time.Millisecond, maxDelay: 8 * time.Millisecond}
 	// No jitter (rng nil): pure doubling capped at MaxDelay.
 	want := []time.Duration{
 		1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
@@ -31,7 +31,7 @@ func TestRetryPolicyDelaySchedule(t *testing.T) {
 }
 
 func TestRetryPolicyJitterBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0.5}.withDefaults()
+	p := retryPolicy{baseDelay: time.Millisecond, maxDelay: 8 * time.Millisecond, jitter: 0.5}
 	rng := rand.New(rand.NewSource(42))
 	for attempt := 1; attempt <= 6; attempt++ {
 		full := p.delay(attempt, nil)
@@ -56,7 +56,7 @@ func TestRetryPolicyDeterministicWithSeed(t *testing.T) {
 }
 
 func TestRetrySleepHonoursContext(t *testing.T) {
-	p := RetryPolicy{BaseDelay: time.Second, MaxDelay: time.Second}.withDefaults()
+	p := retryPolicy{baseDelay: time.Second, maxDelay: time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -32,9 +32,6 @@ import (
 type Config struct {
 	// NumDataNodes is the number of datanodes to start.
 	NumDataNodes int
-	// Racks is the number of racks datanodes are spread over
-	// (round-robin). Zero means 2.
-	Racks int
 	// ReplicationFactor is the number of synchronous replicas per block.
 	// Zero means 3 (the HDFS and paper default). Clamped to the number
 	// of datanodes.
@@ -53,10 +50,10 @@ type Config struct {
 	Faults *fault.Registry
 }
 
+// racks is the number of racks datanodes are spread over, round-robin.
+const racks = 2
+
 func (c Config) withDefaults() Config {
-	if c.Racks <= 0 {
-		c.Racks = 2
-	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 3
 	}
@@ -131,7 +128,7 @@ func New(dir string, cfg Config) (*DFS, error) {
 			return nil, err
 		}
 		disk.SetFaults(cfg.Faults, fmt.Sprintf("disk.dn%d", i))
-		dn := &DataNode{id: i, rack: i % cfg.Racks, disk: disk, faults: cfg.Faults,
+		dn := &DataNode{id: i, rack: i % racks, disk: disk, faults: cfg.Faults,
 			readPoint:  fmt.Sprintf("dfs.dn%d.read", i),
 			writePoint: fmt.Sprintf("dfs.dn%d.write", i)}
 		dn.alive.Store(true)
@@ -314,22 +311,6 @@ func (d *DFS) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// Rename atomically renames a file within the namespace.
-func (d *DFS) Rename(from, to string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fm, ok := d.files[from]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, from)
-	}
-	if _, ok := d.files[to]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, to)
-	}
-	delete(d.files, from)
-	d.files[to] = fm
-	return nil
 }
 
 // List returns all paths with the given prefix, sorted.

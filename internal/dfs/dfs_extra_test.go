@@ -57,18 +57,6 @@ func TestOpenAppendMissing(t *testing.T) {
 	}
 }
 
-func TestRenameErrors(t *testing.T) {
-	d := newTestDFS(t, Config{})
-	d.Create("a")
-	d.Create("b")
-	if err := d.Rename("missing", "x"); err == nil {
-		t.Error("rename of missing file succeeded")
-	}
-	if err := d.Rename("a", "b"); err == nil {
-		t.Error("rename onto existing file succeeded")
-	}
-}
-
 func TestUnderReplicatedCounts(t *testing.T) {
 	d := newTestDFS(t, Config{NumDataNodes: 4, ReplicationFactor: 3, BlockSize: 128})
 	w, _ := d.Create("f")

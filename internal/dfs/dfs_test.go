@@ -214,7 +214,7 @@ func TestReplicationFactor(t *testing.T) {
 }
 
 func TestRackAwarePlacement(t *testing.T) {
-	d := newTestDFS(t, Config{NumDataNodes: 6, Racks: 2, ReplicationFactor: 3, BlockSize: 64})
+	d := newTestDFS(t, Config{NumDataNodes: 6, ReplicationFactor: 3, BlockSize: 64})
 	w, _ := d.Create("f")
 	w.Write(make([]byte, 64*8))
 
@@ -272,24 +272,6 @@ func TestDeleteRemovesBlocks(t *testing.T) {
 		if len(names) != 0 {
 			t.Errorf("dn%d still holds blocks %v after delete", i, names)
 		}
-	}
-}
-
-func TestRename(t *testing.T) {
-	d := newTestDFS(t, Config{})
-	w, _ := d.Create("tmp/x")
-	w.Write([]byte("payload"))
-	if err := d.Rename("tmp/x", "final/x"); err != nil {
-		t.Fatalf("Rename: %v", err)
-	}
-	if d.Exists("tmp/x") || !d.Exists("final/x") {
-		t.Error("rename did not move the file")
-	}
-	r, _ := d.Open("final/x")
-	buf := make([]byte, 7)
-	r.ReadAt(buf, 0)
-	if string(buf) != "payload" {
-		t.Errorf("content after rename = %q", buf)
 	}
 }
 
@@ -458,7 +440,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if cfg.ReplicationFactor != 2 { // clamped from default 3 to cluster size
 		t.Errorf("replication factor = %d, want 2 (clamped)", cfg.ReplicationFactor)
 	}
-	if cfg.Racks != 2 {
-		t.Errorf("racks = %d, want default 2", cfg.Racks)
+	if r0, r1 := d.DataNode(0).Rack(), d.DataNode(1).Rack(); r0 != 0 || r1 != 1 {
+		t.Errorf("racks = %d, %d, want the nodes spread over 2 racks", r0, r1)
 	}
 }

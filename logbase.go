@@ -13,25 +13,28 @@
 //
 // # The Store interface
 //
-// One engine, two deployments, one client. The layering is client →
-// backend → tablet server:
+// One engine, one architecture, one client. The layering is client →
+// cluster → tablet server:
 //
 //   - Store (store.go) is the client contract: CreateTable, Put, Get /
 //     Read, Delete, Scan / FullScan, Exec, Watch, materialized views,
 //     retention, transactions (Begin / RunTx), WriteBatch, Close.
-//   - client (client.go) implements it exactly once — context checks,
-//     option resolution and snapshot pinning, one trace root per request,
-//     iterators, statement execution, views — on top of a small backend
-//     primitive set.
-//   - There are two backends. Open returns an embedded single-server
-//     *DB — the quickest way to use the engine as a library.
-//     NewCluster starts a simulated multi-server deployment (tablet
-//     servers over a replicated DFS with a master and failover), the
-//     configuration the paper evaluates at 3–24 nodes; NewClusterClient
-//     puts the same client in front of it.
+//   - ClusterClient (client.go) implements it exactly once — context
+//     checks, option resolution and snapshot pinning, one trace root per
+//     request, iterators, statement execution, views — routing every
+//     request through the cluster's key router to the owning tablet
+//     server.
+//   - Every deployment is a cluster: tablet servers over a replicated
+//     DFS with a master and failover (internal/cluster). NewCluster
+//     starts one at the paper's 3–24 nodes and NewClusterClient puts the
+//     client in front of it; Open starts a one-server cluster and
+//     returns it as an embedded *DB — the quickest way to use the engine
+//     as a library — which adds what one server's single log allows
+//     (an LSN-resumable Watch, Reopen / Recover, replicas of the server,
+//     storage gauges).
 //
 // Code written against Store — harnesses, examples, protocol servers —
-// runs unmodified on either backend. Every method takes a
+// runs unmodified on a DB or a cluster of any size. Every method takes a
 // context.Context: cancellation and deadlines propagate down into the
 // tablet-server scan loops and the cluster scatter-gather, so a slow
 // analytical read can be abandoned mid-flight without leaking
@@ -61,18 +64,14 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/query"
+	"repro/internal/repl"
 	"repro/internal/txn"
 )
 
@@ -133,40 +132,19 @@ type Options struct {
 	Faults *fault.Registry
 }
 
-// DB is an embedded single-server LogBase instance: the client over
-// the embedded backend — one tablet server, one whole-keyspace tablet
-// per table, plus any StartReplica standbys. Every Store method and the
-// admin surface come from the embedded client; what is declared here is
-// the backend and the embedded-only extras (Reopen, Recover, replicas,
-// incremental compaction, storage gauges). Safe for concurrent use
-// (including CreateTable racing reads from other goroutines, e.g.
-// concurrent protocol sessions).
+// DB is an embedded LogBase instance: the Store client in front of a
+// one-server cluster — one tablet server, one whole-keyspace tablet per
+// table, plus any StartReplica standbys. Every Store method and the
+// admin surface come from the embedded *ClusterClient; declared here
+// are what a deployment with one server and so one log adds (an
+// LSN-resumable Watch, Reopen, Recover, replicas of the server,
+// incremental compaction, storage gauges). Safe for concurrent use.
 type DB struct {
-	client
-
-	fs     *dfs.DFS
-	svc    *coord.Service
-	server *core.Server
-	txns   *txn.Manager
-	tmu    sync.RWMutex
-	tables map[string]tableMeta
-	opts   Options
-	dir    string
-
-	// rmu guards the read-replica set (logbase_repl.go); rrNext is the
-	// round-robin routing counter, replicaSeq the id allocator.
-	rmu        sync.RWMutex
-	replicas   []*Replica
-	replicaSeq int
-	rrNext     atomic.Uint32
+	*ClusterClient
 }
 
-var _ backend = (*DB)(nil)
-
-type tableMeta struct {
-	tablet string
-	groups []string
-}
+// dbServer is the id of the one tablet server of a DB.
+const dbServer = "ts00"
 
 // Open creates (or reopens) an embedded DB rooted at dir. Reopening a
 // directory with existing data requires declaring the same tables with
@@ -176,242 +154,97 @@ func Open(dir string, opts Options) (*DB, error) {
 	if nodes <= 0 {
 		nodes = 3
 	}
-	fs, err := dfs.New(dir, dfs.Config{
-		NumDataNodes:      nodes,
-		ReplicationFactor: opts.Replication,
-		BlockSize:         4 << 20,
-		Faults:            opts.Faults,
+	c, err := cluster.New(dir, cluster.Config{
+		NumServers: 1,
+		Server: core.Config{
+			SegmentSize:      opts.SegmentSize,
+			ReadCacheBytes:   opts.ReadCacheBytes,
+			GroupCommit:      opts.GroupCommit,
+			GroupCommitBatch: opts.GroupCommitBatch,
+			AutoCompact:      opts.AutoCompact,
+			DisableMetrics:   opts.DisableMetrics,
+			Faults:           opts.Faults,
+		},
+		DFS: dfs.Config{
+			NumDataNodes:      nodes,
+			ReplicationFactor: opts.Replication,
+			BlockSize:         4 << 20,
+			Faults:            opts.Faults,
+		},
+		Metrics:         opts.Metrics,
+		SlowOpLog:       opts.SlowOpLog,
+		SlowOpThreshold: opts.SlowOpThreshold,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return openOn(fs, dir, opts)
+	return embedded(c), nil
 }
 
-func openOn(fs *dfs.DFS, dir string, opts Options) (*DB, error) {
-	server, err := core.NewServer(fs, "embedded", core.Config{
-		SegmentSize:      opts.SegmentSize,
-		ReadCacheBytes:   opts.ReadCacheBytes,
-		GroupCommit:      opts.GroupCommit,
-		GroupCommitBatch: opts.GroupCommitBatch,
-		AutoCompact:      opts.AutoCompact,
-		Metrics:          opts.Metrics,
-		DisableMetrics:   opts.DisableMetrics,
-		Faults:           opts.Faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{
-		fs:     fs,
-		svc:    coord.New(),
-		server: server,
-		tables: make(map[string]tableMeta),
-		opts:   opts,
-		dir:    dir,
-	}
-	db.client = client{backend: db, kind: "embedded"}
-	if opts.SlowOpLog != nil {
-		db.tracer = &obs.Tracer{
-			Threshold: opts.SlowOpThreshold,
-			Sink:      opts.SlowOpLog,
-			SlowOps:   server.Metrics().Counter("logbase_slow_ops_total", "traces emitted to the slow-op log", nil),
+// embedded puts the client in front of a one-server cluster.
+func embedded(c *Cluster) *DB {
+	cc := NewClusterClient(c)
+	cc.kind = "embedded"
+	return &DB{cc}
+}
+
+// Watch is Store.Watch over the one server's log: events arrive in LSN
+// order, and fromLSN > 0 resumes after a previously observed cursor
+// (pass cursor+1). It is the one Store method DB declares itself: only
+// a deployment with one log has one LSN space.
+func (db *DB) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
+	return db.watch(ctx, table, opts, func(_ context.Context, o WatchOptions) (ChangeFeed, error) {
+		groups := db.c.Groups(table)
+		if len(groups) == 0 {
+			return nil, errors.New("logbase: unknown table " + table)
 		}
-	}
-	db.txns = txn.NewManager(db.svc, txn.ResolverFunc(func(string) (*core.Server, error) {
-		return db.server, nil
-	}))
-	return db, nil
-}
-
-// --- the embedded backend ---------------------------------------------
-
-func (db *DB) createTable(name string, groups []string) error {
-	db.tmu.Lock()
-	defer db.tmu.Unlock()
-	if _, ok := db.tables[name]; ok {
-		return nil
-	}
-	spec := partition.Tablet{ID: name + "/0000", Table: name}
-	db.server.AddTablet(spec, groups)
-	db.tables[name] = tableMeta{tablet: spec.ID, groups: append([]string(nil), groups...)}
-	db.rmu.RLock()
-	for _, r := range db.replicas {
-		r.AddTablet(spec, groups)
-	}
-	db.rmu.RUnlock()
-	return nil
-}
-
-// table resolves a table (and, unless group is "", checks it has that
-// column group) to its single whole-keyspace tablet.
-func (db *DB) table(name, group string) (string, error) {
-	db.tmu.RLock()
-	tm, ok := db.tables[name]
-	db.tmu.RUnlock()
-	if !ok {
-		return "", errors.New("logbase: unknown table " + name)
-	}
-	if group != "" && !slices.Contains(tm.groups, group) {
-		return "", errors.New("logbase: table " + name + " has no column group " + group)
-	}
-	return tm.tablet, nil
-}
-
-func (db *DB) tabletFor(table, group string, _ []byte) (string, error) {
-	return db.table(table, group)
-}
-
-func (db *DB) tabletsIn(table, group string, _, _ []byte) ([]string, error) {
-	tab, err := db.table(table, group)
-	return []string{tab}, err
-}
-
-func (db *DB) lastTS() int64 { return db.svc.LastTimestamp() }
-
-func (db *DB) put(_ context.Context, table, group string, key, value []byte) error {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return err
-	}
-	return db.server.Write(tab, group, key, db.svc.NextTimestamp(), value)
-}
-
-func (db *DB) del(_ context.Context, table, group string, key []byte) error {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return err
-	}
-	return db.server.Delete(tab, group, key, db.svc.NextTimestamp())
-}
-
-// applyBatch persists ops through one atomic server append: on any
-// error nothing was applied, so the nil index slice tells Flush to
-// keep the whole batch for retry.
-func (db *DB) applyBatch(_ context.Context, ops []batchOp) ([]int, error) {
-	writes := make([]core.BatchWrite, len(ops))
-	for i, op := range ops {
-		tab, err := db.table(op.table, op.group)
-		if err != nil {
-			return nil, err
+		if group != "" && !slices.Contains(groups, group) {
+			return nil, errors.New("logbase: table " + table + " has no column group " + group)
 		}
-		writes[i] = core.BatchWrite{
-			Tablet: tab, Group: op.group, Key: op.key, Value: op.value,
-			TS: db.svc.NextTimestamp(), Delete: op.delete,
-		}
-	}
-	return nil, db.server.ApplyBatch(writes)
-}
-
-func (db *DB) read(_ context.Context, table, group string, key []byte, ro ReadOptions) ([]Row, error) {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return nil, err
-	}
-	return db.readServer(ro.Snapshot, ro).ReadRow(tab, group, key, ro)
-}
-
-func (db *DB) scan(ctx context.Context, table, group string, start, end []byte, ro ReadOptions, emit func([]Row) error) error {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return err
-	}
-	return db.readServer(ro.Snapshot, ro).ParallelScan(ctx, tab, group, core.ReadScanOptions(start, end, ro.Snapshot, ro), emit)
-}
-
-func (db *DB) fullScan(ctx context.Context, table, group string, ro ReadOptions, emit func([]Row) error) error {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return err
-	}
-	return batched(emit, ro.Limit, func(fn func(Row) bool) error {
-		return db.readServer(ro.Snapshot, ro).FullScanOpts(ctx, tab, group, ro, fn)
+		return db.Server().Watch(table, group, start, end, fromLSN, o)
 	})
 }
-
-func (db *DB) aggregate(ctx context.Context, table, group string, ts int64, f query.RelFilter, fold query.Fold) (QueryResult, error) {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return query.FoldScan(ctx, db.readServer(ts, ReadOptions{}), []string{tab}, group, ts, f, fold)
-}
-
-func (db *DB) watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64, o WatchOptions) (ChangeFeed, error) {
-	if _, err := db.table(table, group); err != nil {
-		return nil, err
-	}
-	return db.server.Watch(table, group, start, end, fromLSN, o)
-}
-
-func (db *DB) beginTxn() *txn.Txn { return db.txns.Begin() }
-
-func (db *DB) servers() []serverSet {
-	return []serverSet{{srv: db.server, replicas: db.Replicas()}}
-}
-
-// close stops the replicas, then the server: its auto-compaction loop
-// is joined and open changefeeds are closed.
-func (db *DB) close() error {
-	db.rmu.Lock()
-	reps := db.replicas
-	db.replicas = nil
-	db.rmu.Unlock()
-	for _, r := range reps {
-		r.Close()
-	}
-	return db.server.Close()
-}
-
-// Metrics returns the registry holding the engine's counters, gauges,
-// and latency histograms (Options.Metrics, or the DB's private
-// registry).
-func (db *DB) Metrics() *obs.Registry { return db.server.Metrics() }
-
-// Extractor derives a secondary-index key from a row's value; nil means
-// "don't index this row".
-type Extractor = core.Extractor
-
-// RegisterSecondaryIndex creates a secondary index over a column group;
-// see the backend interface.
-func (db *DB) RegisterSecondaryIndex(name, table, group string, extract Extractor) error {
-	tab, err := db.table(table, group)
-	if err != nil {
-		return err
-	}
-	return db.server.RegisterSecondaryIndex(name, tab, group, extract)
-}
-
-// LookupSecondary returns rows whose extracted attribute equals secKey,
-// in primary-key order.
-func (db *DB) LookupSecondary(name string, secKey []byte) ([]Row, error) {
-	return db.server.LookupSecondary(name, secKey)
-}
-
-// ScanSecondaryRange streams rows whose extracted attribute falls in
-// [start, end), ordered by (attribute, primary key).
-func (db *DB) ScanSecondaryRange(name string, start, end []byte, fn func(secKey []byte, r Row) bool) error {
-	return db.server.ScanSecondaryRange(name, start, end, fn)
-}
-
-// --- embedded-only extras ---------------------------------------------
 
 // Reopen simulates a crash-restart over the same storage: in-memory
 // state is discarded; call CreateTable for the schema and Recover to
-// rebuild the indexes.
-func (db *DB) Reopen() (*DB, error) { return openOn(db.fs, db.dir, db.opts) }
+// rebuild the indexes. See Cluster.Reopen.
+func (db *DB) Reopen() (*DB, error) {
+	c, err := db.c.Reopen()
+	if err != nil {
+		return nil, err
+	}
+	return embedded(c), nil
+}
 
 // Recover rebuilds in-memory state after Reopen: the indexes of the
 // last checkpoint plus a redo of the log tail. The timestamp oracle is
 // advanced past every restored commit so "latest" snapshot reads (e.g.
 // unpinned scans) see the recovered data immediately.
-func (db *DB) Recover() (core.RecoveryStats, error) {
-	st, err := db.server.Recover()
-	if err == nil {
-		db.svc.AdvanceTo(st.MaxTS)
-	}
-	return st, err
-}
+func (db *DB) Recover() (core.RecoveryStats, error) { return db.c.Recover() }
+
+// StartReplica starts a WAL-shipping read replica of the DB's server
+// (see Cluster.StartReplica). Pinned snapshot reads — Scan / FullScan,
+// Read with WithSnapshot, and Exec statements — whose timestamp is at
+// or below a replica's watermark are served by a replica, round-robin,
+// falling back to the primary when none qualifies; WithPrimary opts a
+// read out, WithMaxLag bounds the serving replica's shipping lag. Use
+// the returned handle's WaitForTS to block until its watermark covers a
+// timestamp. Close the DB to stop it.
+func (db *DB) StartReplica() (*Replica, error) { return db.c.StartReplica(dbServer) }
+
+// Replicas returns the DB's read replicas.
+func (db *DB) Replicas() []*Replica { return db.c.Replicas(dbServer) }
+
+// Replica is a WAL-shipping read replica (see internal/repl).
+type Replica = repl.Replica
+
+// ReplicaStats is a point-in-time view of one replica's shipping state.
+type ReplicaStats = repl.Stats
+
+// RetentionPolicy bounds a table's retained version history (keep the
+// newest N versions per key, drop versions older than T, or both); see
+// SetRetention.
+type RetentionPolicy = core.RetentionPolicy
 
 // AutoCompactConfig tunes the background incremental compactor; see
 // Options.AutoCompact.
@@ -430,26 +263,26 @@ type ScrubReport = core.ScrubReport
 // re-clustered into fresh sorted segments and the inputs reclaimed,
 // while reads and writes keep flowing.
 func (db *DB) CompactSegments(nums []uint32) (core.CompactionStats, error) {
-	return db.server.CompactSegments(nums)
+	return db.Server().CompactSegments(nums)
 }
 
 // CompactionInfo reports cumulative compaction counters and the
 // current segment layout (sorted fraction, per-segment garbage).
-func (db *DB) CompactionInfo() CompactionInfo { return db.server.CompactionInfo() }
+func (db *DB) CompactionInfo() CompactionInfo { return db.Server().CompactionInfo() }
 
 // SortedFraction is the fraction of live log bytes in sorted segments
 // (1.0 = fully clustered; analytical scans are sequential reads).
-func (db *DB) SortedFraction() float64 { return db.server.SortedFraction() }
+func (db *DB) SortedFraction() float64 { return db.Server().SortedFraction() }
 
 // IndexMemBytes estimates in-memory index size (the paper budgets ~24
 // bytes per entry).
-func (db *DB) IndexMemBytes() int64 { return db.server.IndexMemBytes() }
+func (db *DB) IndexMemBytes() int64 { return db.Server().IndexMemBytes() }
 
 // LogSize returns the live log size in bytes.
-func (db *DB) LogSize() int64 { return db.server.Log().Size() }
+func (db *DB) LogSize() int64 { return db.Server().Log().Size() }
 
 // Server exposes the underlying tablet server for advanced use.
-func (db *DB) Server() *core.Server { return db.server }
+func (db *DB) Server() *core.Server { return db.c.Server(dbServer) }
 
 // Cluster re-exports the simulated multi-server deployment.
 type Cluster = cluster.Cluster

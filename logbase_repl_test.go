@@ -36,7 +36,7 @@ func TestReplicaServesSnapshotIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := db.svc.LastTimestamp()
+	ts := db.Cluster().Coord().LastTimestamp()
 	if err := rep.WaitForTS(ts, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestReplicaDeleteAndLatestRouting(t *testing.T) {
 	if err := db.Put(ctx, "t", "g", []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	keepTS := db.svc.LastTimestamp()
+	keepTS := db.Cluster().Coord().LastTimestamp()
 	if err := db.Delete(ctx, "t", "g", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	ts := db.svc.LastTimestamp()
+	ts := db.Cluster().Coord().LastTimestamp()
 	if err := rep.WaitForTS(ts, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ package logbase
 // registered views before falling back to the scan executor — a
 // matching aggregate statement is answered in O(1) per group from the
 // view, stamped with the view's watermark timestamp. It is all written
-// against the client's own Watch and Scan, so both backends share it.
+// against the client's own Watch and Scan.
 
 import (
 	"bytes"
@@ -71,8 +71,8 @@ func (rv *runningView) broken() error {
 // changefeed subscription, then a snapshot scan, then incremental
 // maintenance until Close. It returns once the snapshot scan has been
 // folded in; the feed keeps the view fresh in the background.
-func (c *client) CreateMView(ctx context.Context, spec MViewSpec) error {
-	vs, reg := &c.views, c.Metrics()
+func (cc *ClusterClient) CreateMView(ctx context.Context, spec MViewSpec) error {
+	vs, reg := &cc.views, cc.Metrics()
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (c *client) CreateMView(ctx context.Context, spec MViewSpec) error {
 	// misses arrives as events, everything both see is deduplicated by
 	// the per-key timestamp guard.
 	fctx, cancel := context.WithCancel(context.Background())
-	feed, err := c.Watch(fctx, spec.Table, spec.Group, spec.Start, spec.End, 0)
+	feed, err := cc.Watch(fctx, spec.Table, spec.Group, spec.Start, spec.End, 0)
 	if err != nil {
 		cancel()
 		return err
@@ -120,7 +120,7 @@ func (c *client) CreateMView(ctx context.Context, spec MViewSpec) error {
 	// scan under write load cannot overflow the feed buffer.
 	go rv.run(fctx)
 
-	it := c.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)
+	it := cc.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)
 	for it.Next() {
 		rv.view.ApplySnapshotRow(it.Row())
 	}
@@ -196,11 +196,11 @@ func (vs *viewSet) closeAll() {
 
 // MViewQuery materialises a registered view: every spec aggregate per
 // group, stamped with the view's watermark timestamp.
-func (c *client) MViewQuery(ctx context.Context, name string) (QueryResult, error) {
+func (cc *ClusterClient) MViewQuery(ctx context.Context, name string) (QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return QueryResult{}, err
 	}
-	rv, err := c.views.get(name)
+	rv, err := cc.views.get(name)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -211,8 +211,8 @@ func (c *client) MViewQuery(ctx context.Context, name string) (QueryResult, erro
 }
 
 // MViewStats snapshots a registered view's counters and watermark.
-func (c *client) MViewStats(name string) (MViewStats, error) {
-	rv, err := c.views.get(name)
+func (cc *ClusterClient) MViewStats(name string) (MViewStats, error) {
+	rv, err := cc.views.get(name)
 	if err != nil {
 		return MViewStats{}, err
 	}

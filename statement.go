@@ -3,7 +3,7 @@ package logbase
 // The composable query-statement API: one serializable statement form
 // — Q(table).Range(...).Join(other, On{...}).GroupBy(n).Agg(Count) —
 // the one way to ask an analytical question, executed identically by
-// both backends and the textproto QUERY command, by one executor
+// every Store and the textproto QUERY command, by one executor
 // (internal/query) at one pinned snapshot. A join-free statement is the
 // one-step plan: every tablet server aggregates its own piece and only
 // mergeable partials come back (it is answered from a matching
@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 
+	"repro/internal/cluster"
 	"repro/internal/query"
 )
 
@@ -56,8 +57,8 @@ var (
 // the view; everything else is planned and run by the one statement
 // executor over a snapshot pinned once for every relation (timestamps
 // are issued globally, so one ts is consistent across tables).
-func (c *client) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
-	return c.exec(ctx, stmt, ExecOptions{}, true)
+func (cc *ClusterClient) Exec(ctx context.Context, stmt *Statement) (QueryResult, error) {
+	return cc.exec(ctx, stmt, ExecOptions{}, true)
 }
 
 // ExecOptions tune statement execution: a forced join order and
@@ -69,13 +70,13 @@ type ExecOptions = query.ExecOptions
 
 // ExecWith executes a statement with explicit options, bypassing the
 // materialized-view matcher (Exec is the normal entry point).
-func (c *client) ExecWith(ctx context.Context, stmt *Statement, opts ExecOptions) (QueryResult, error) {
-	return c.exec(ctx, stmt, opts, false)
+func (cc *ClusterClient) ExecWith(ctx context.Context, stmt *Statement, opts ExecOptions) (QueryResult, error) {
+	return cc.exec(ctx, stmt, opts, false)
 }
 
 // exec is the one body behind Exec and ExecWith; views puts the
 // materialized-view matcher in front of the executor.
-func (c *client) exec(ctx context.Context, stmt *Statement, opts ExecOptions, views bool) (QueryResult, error) {
+func (cc *ClusterClient) exec(ctx context.Context, stmt *Statement, opts ExecOptions, views bool) (QueryResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return QueryResult{}, err
 	}
@@ -83,23 +84,23 @@ func (c *client) exec(ctx context.Context, stmt *Statement, opts ExecOptions, vi
 		return QueryResult{}, err
 	}
 	if views {
-		if res, ok := c.views.serveStmt(stmt); ok {
+		if res, ok := cc.views.serveStmt(stmt); ok {
 			return res, nil
 		}
 	}
-	ctx, sp := c.root(ctx, "store.exec", stmt.Base.Table)
+	ctx, sp := cc.root(ctx, "store.exec", stmt.Base.Table)
 	defer sp.Finish()
-	sf := &relFetcher{c: c, rels: stmt.Rels(), ts: c.pinTS(stmt.AtTS)}
+	sf := &relFetcher{cc: cc, rels: stmt.Rels(), ts: cc.pinTS(stmt.AtTS)}
 	return query.ExecStatement(ctx, stmt, sf.ts, sf, opts)
 }
 
-// relFetcher is the statement executor's Fetcher over the client's
-// backend: every relation is fetched — as rows through the routed scan
-// primitive, or as partial aggregates — pinned at the SAME statement
-// timestamp, so a fetch that lands mid-split resumes against the new
-// topology exactly like a plain Scan.
+// relFetcher is the statement executor's Fetcher over the client:
+// every relation is fetched — as rows through the routed scan, or as
+// partial aggregates — pinned at the SAME statement timestamp, so a
+// fetch that lands mid-split resumes against the new topology exactly
+// like a plain Scan.
 type relFetcher struct {
-	c    *client
+	cc   *ClusterClient
 	rels []query.Rel
 	ts   int64
 }
@@ -108,16 +109,23 @@ func (sf *relFetcher) Fetch(ctx context.Context, rel int, f query.RelFilter) ([]
 	r := sf.rels[rel]
 	ro := ReadOptions{Snapshot: sf.ts, Key: f.Key, Value: f.Value}
 	var rows []Row
-	err := sf.c.scan(ctx, r.Table, r.Group, f.Start, f.End, ro, func(batch []Row) error {
+	err := sf.cc.scan(ctx, r.Table, r.Group, f.Start, f.End, ro, func(batch []Row) error {
 		rows = append(rows, batch...)
 		return nil
 	})
 	return rows, err
 }
 
-func (sf *relFetcher) FetchPartial(ctx context.Context, rel int, f query.RelFilter, fold query.Fold) (QueryResult, error) {
+// FetchPartial is the partial strategy: every tablet server holding a
+// piece of f's key range folds its rows under f at the statement
+// snapshot, and the mergeable partials are merged.
+func (sf *relFetcher) FetchPartial(ctx context.Context, rel int, f query.RelFilter, fold query.Fold) (res QueryResult, err error) {
 	r := sf.rels[rel]
-	return sf.c.aggregate(ctx, r.Table, r.Group, sf.ts, f, fold)
+	err = sf.cc.routed(ctx, func(cl *cluster.Client) error {
+		res, err = cl.Aggregate(ctx, r.Table, r.Group, sf.ts, f, fold)
+		return err
+	})
+	return res, err
 }
 
 // FetchSecondary fetches join partners by registered secondary-index
@@ -130,13 +138,13 @@ func (sf *relFetcher) FetchSecondary(ctx context.Context, rel int, index string,
 	seen := map[string]bool{}
 	var rows []Row
 	for _, v := range vals {
-		got, err := sf.c.LookupSecondary(index, v)
+		got, err := sf.cc.LookupSecondary(index, v)
 		if err != nil {
 			return nil, err
 		}
 		for _, row := range got {
 			if row.TS > sf.ts {
-				pinned, err := sf.c.read(ctx, r.Table, r.Group, row.Key, ReadOptions{Snapshot: sf.ts})
+				pinned, err := sf.cc.read(ctx, r.Table, r.Group, row.Key, ReadOptions{Snapshot: sf.ts})
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}

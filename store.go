@@ -4,8 +4,8 @@ package logbase
 // four data-access operations plus transactions, queries, changefeeds
 // and views — arXiv:1207.0140 §3.6–§3.7), the pull-based Iterator, the
 // Tx adapter's interface and the WriteBatch bulk path. The interface is
-// implemented exactly once, by the client type in client.go, on top of
-// whichever backend (embedded or cluster) stands behind it.
+// implemented exactly once, by ClusterClient in client.go, in front of
+// a cluster of any size (Open's DB is a one-server one).
 //
 // Reads are pull-based and composable: Scan/FullScan return an
 // Iterator and, together with the unified point read Read, accept
@@ -22,11 +22,13 @@ import (
 	"errors"
 	"iter"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
-// Store is the LogBase client interface: one way per thing, served
-// identically by the embedded *DB and the distributed *ClusterClient.
+// Store is the LogBase client interface: one way per thing, served by
+// *ClusterClient in front of any cluster — the embedded *DB is one in
+// front of a one-server cluster.
 // Every method takes a context.Context; cancellation and deadlines are
 // honoured at batch granularity inside scans and queries.
 type Store interface {
@@ -59,7 +61,7 @@ type Store interface {
 	// Exec executes a composable query statement (build with Q):
 	// select push-down, multi-table equi-joins, grouping and
 	// aggregates, planned and run by one executor at one pinned
-	// snapshot, identically on both backends. A join-free statement is
+	// snapshot, identically on every deployment. A join-free statement is
 	// aggregated at the tablet servers (only partials come back) — or
 	// answered from a matching materialized view when one is
 	// registered; joins are greedy-ordered. Statement.At pins a
@@ -70,9 +72,10 @@ type Store interface {
 	// streamed in commit order — historical catch-up from the retained
 	// log, then a live tail. fromLSN 0 starts at the beginning of the
 	// retained log; fromLSN > 0 resumes after a previous event's Cursor
-	// (embedded backend only — cluster feeds are not LSN-addressable
-	// across servers and reject a non-zero fromLSN). Always Close the
-	// feed.
+	// on a DB opened with Open, whose one server has one log (a
+	// multi-server cluster's feeds are not LSN-addressable across
+	// servers, and its ClusterClient rejects a non-zero fromLSN). Always
+	// Close the feed.
 	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error)
 	// CreateMView registers a materialized aggregate view and
 	// bootstraps it (changefeed subscription, then snapshot scan, then
@@ -302,13 +305,6 @@ func batched(emit func([]Row) error, limit int, produce func(fn func(Row) bool) 
 
 // --- WriteBatch -------------------------------------------------------
 
-// batchOp is one buffered WriteBatch mutation.
-type batchOp struct {
-	table, group string
-	key, value   []byte
-	delete       bool
-}
-
 // WriteBatch buffers row mutations and flushes them as ONE append
 // sweep through the log (per tablet server), instead of one durable
 // append per record. This is the bulk-load path: on a sequential-log
@@ -322,26 +318,26 @@ type batchOp struct {
 // and a mid-flush crash may persist a prefix. Use transactions for
 // atomicity. Not safe for concurrent use.
 type WriteBatch struct {
-	ops []batchOp
-	b   backend
+	ops []cluster.BatchOp
+	cc  *ClusterClient
 }
 
 // Put buffers a write. Key and value are copied, so callers may reuse
 // their slices.
 func (b *WriteBatch) Put(table, group string, key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		table: table, group: group,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
+	b.ops = append(b.ops, cluster.BatchOp{
+		Table: table, Group: group,
+		Key:   append([]byte(nil), key...),
+		Value: append([]byte(nil), value...),
 	})
 }
 
 // Delete buffers a delete.
 func (b *WriteBatch) Delete(table, group string, key []byte) {
-	b.ops = append(b.ops, batchOp{
-		table: table, group: group,
-		key:    append([]byte(nil), key...),
-		delete: true,
+	b.ops = append(b.ops, cluster.BatchOp{
+		Table: table, Group: group,
+		Key:    append([]byte(nil), key...),
+		Delete: true,
 	})
 }
 
@@ -352,11 +348,11 @@ func (b *WriteBatch) Len() int { return len(b.ops) }
 func (b *WriteBatch) Reset() { b.ops = b.ops[:0] }
 
 // Flush durably applies every buffered mutation as one group append
-// sweep and resets the batch for reuse. On error the batch keeps
-// exactly the mutations that were not durably applied — on the
-// embedded backend that is all of them (its flush is one atomic
-// append); on a cluster a partial failure prunes the sub-batches that
-// landed — so calling Flush again retries without duplicating writes.
+// sweep per tablet server and resets the batch for reuse. On error the
+// batch keeps exactly the mutations that were not durably applied — a
+// partial failure prunes the sub-batches that landed, and a DB's flush
+// is one atomic append, so there it keeps all of them — so calling
+// Flush again retries without duplicating writes.
 func (b *WriteBatch) Flush(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -367,10 +363,14 @@ func (b *WriteBatch) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	unapplied, err := b.b.applyBatch(ctx, b.ops)
+	var unapplied []int
+	err := b.cc.routed(ctx, func(cl *cluster.Client) (err error) {
+		unapplied, err = cl.ApplyBatch(b.ops)
+		return err
+	})
 	if err != nil {
 		if unapplied != nil {
-			kept := make([]batchOp, 0, len(unapplied))
+			kept := make([]cluster.BatchOp, 0, len(unapplied))
 			for _, i := range unapplied {
 				kept = append(kept, b.ops[i])
 			}
