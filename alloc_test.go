@@ -10,33 +10,35 @@ import (
 
 // TestAllocBudget is the client's allocation ceiling per key operation,
 // on a DB and on a 3-server cluster: a Put and a Get of a 256 B value,
-// a LIMIT-10 Scan drained and closed, and a RunTx that reads one key
-// and writes two. Keys are built before the measured closures. Each
-// ceiling is the measured value: lower it when a change removes an
-// allocation; a change that adds one fails here.
+// a LIMIT-10 Scan drained and closed, a RunTx that reads one key and
+// writes two, and the same LIMIT-10 Scan once Compact has moved every
+// row into sorted segments (the clustered read). Keys are built before
+// the measured closures. Each ceiling is the measured value: lower it
+// when a change removes an allocation; a change that adds one fails
+// here.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	for _, tc := range []struct {
-		name                string
-		open                func(t *testing.T) logbase.Store
-		put, get, scan, txn float64
+		name                           string
+		open                           func(t *testing.T) *logbase.ClusterClient
+		put, get, scan, txn, clustered float64
 	}{
-		{"embedded", func(t *testing.T) logbase.Store {
+		{"embedded", func(t *testing.T) *logbase.ClusterClient {
 			db, err := logbase.Open(t.TempDir(), logbase.Options{})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			return db
-		}, 7, 11, 69, 43},
-		{"cluster", func(t *testing.T) logbase.Store {
+			return db.ClusterClient
+		}, 7, 11, 66, 43, 67},
+		{"cluster", func(t *testing.T) *logbase.ClusterClient {
 			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}
 			return logbase.NewClusterClient(c)
-		}, 7, 11, 70, 43},
+		}, 7, 11, 67, 43, 68},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open(t)
@@ -76,7 +78,7 @@ func TestAllocBudget(t *testing.T) {
 				_, err := st.Get(bg, "t", "g", keys[i])
 				return err
 			})
-			measure("scan", tc.scan, func(i int) error {
+			scan := func(i int) error {
 				it := st.Scan(bg, "t", "g", keys[i], nil, logbase.WithLimit(10))
 				n := 0
 				for it.Next() {
@@ -86,7 +88,8 @@ func TestAllocBudget(t *testing.T) {
 					return fmt.Errorf("%d rows, want 10", n)
 				}
 				return it.Close()
-			})
+			}
+			measure("scan", tc.scan, scan)
 			measure("txn", tc.txn, func(i int) error {
 				a, b := keys[2*i], keys[2*i+1]
 				return logbase.RunTx(bg, st, func(tx logbase.Tx) error {
@@ -99,6 +102,10 @@ func TestAllocBudget(t *testing.T) {
 					return tx.Put("t", "g", b, value)
 				})
 			})
+			if _, err := st.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			measure("clustered scan", tc.clustered, scan)
 		})
 	}
 }

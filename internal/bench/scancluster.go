@@ -4,11 +4,13 @@ package bench
 // (SortedFraction == 1.0 after incremental compaction has produced
 // several overlapping sorted segments — the steady state the background
 // compactor maintains), scanned end to end twice by the same serial
-// scan: once through the clustered fast path (sequential segment
-// streams, k-way merged), once with Config.NoClusteredScan forcing the
-// index-driven path (per-key index resolution + batched log fetches). On the modelled disk the index path pays a head seek
-// whenever consecutive keys resolve to different overlapping segments;
-// the clustered path pays transfer plus one seek per read-ahead refill.
+// scan: once through the clustered read (one forward reader per sorted
+// segment, decoding the rows the index walk names), once with
+// Config.NoClusteredScan forcing the index-driven path (batched log
+// fetches of the same entries). On the modelled disk the index path
+// pays a head seek whenever consecutive keys resolve to different
+// overlapping segments; the clustered read pays transfer plus one seek
+// per read-ahead refill.
 // The shape: the clustered path costs at most HALF the index path's
 // modelled disk time per row, once the fixture carries enough data for
 // per-row costs to dominate the handful of fixed segment-open seeks

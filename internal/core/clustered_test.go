@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,14 +53,19 @@ func sealAndCompactUnsorted(t *testing.T, s *Server) CompactionStats {
 // scanAll drains a serial index-order scan at snapshot ts.
 func scanAll(t *testing.T, s *Server, ts int64, start, end []byte) []Row {
 	t.Helper()
+	return scanRows(t, s, testTablet, ScanOptions{Start: start, End: end, TS: ts, Workers: 1})
+}
+
+// scanRows drains a scan of tablet under opt, copying every row out.
+func scanRows(t *testing.T, s *Server, tablet string, opt ScanOptions) []Row {
+	t.Helper()
 	var out []Row
-	err := s.ParallelScan(bg, testTablet, testGroup, ScanOptions{Start: start, End: end, TS: ts, Workers: 1},
-		func(rows []Row) error {
-			for _, r := range rows {
-				out = append(out, Row{Key: append([]byte(nil), r.Key...), TS: r.TS, Value: append([]byte(nil), r.Value...)})
-			}
-			return nil
-		})
+	err := s.ParallelScan(bg, tablet, testGroup, opt, func(rows []Row) error {
+		for _, r := range rows {
+			out = append(out, Row{Key: append([]byte(nil), r.Key...), TS: r.TS, Value: append([]byte(nil), r.Value...)})
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -67,36 +73,40 @@ func scanAll(t *testing.T, s *Server, ts int64, start, end []byte) []Row {
 }
 
 // TestClusteredScanAgreesWithIndexPath builds overlapping sorted
-// segments plus an unsorted tail plus deletes, and checks the fast
-// path and the forced index path return identical rows for a spread of
-// ranges and snapshots.
+// segments (one holding two versions of some keys) plus an unsorted
+// tail plus deletes, and checks the clustered read and the forced index
+// path return identical rows: for a spread of ranges and snapshots, a
+// value predicate with a LIMIT, a MinTS/MaxTS window, a reverse scan, a
+// 4-worker scan, a full scan, and the two children of a split tablet.
 func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 	build := func(noClustered bool) *Server {
 		s, _ := newTestServer(t, Config{NoClusteredScan: noClustered})
 		ts := int64(0)
+		write := func(k int, v string) {
+			ts++
+			if err := s.Write(testTablet, testGroup, k6(k), ts, []byte(v)); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+		}
 		// Two interleaved rounds, compacted separately -> overlapping
-		// sorted segments.
+		// sorted segments. Round 0 also overwrites every fourth of its
+		// keys (ts 401..500) before its compaction, so its sorted segment
+		// holds two versions of each: key k6(8j) gets "v0b" at ts 401+j.
 		for r := 0; r < 2; r++ {
 			for i := 0; i < 400; i++ {
-				ts++
-				if err := s.Write(testTablet, testGroup, k6(i*2+r), ts, []byte(fmt.Sprintf("v%d-%d", r, i))); err != nil {
-					t.Fatalf("Write: %v", err)
-				}
+				write(i*2+r, fmt.Sprintf("v%d-%d", r, i))
+			}
+			for i := 0; r == 0 && i < 400; i += 4 {
+				write(i*2, fmt.Sprintf("v0b-%d", i))
 			}
 			sealAndCompactUnsorted(t, s)
 		}
 		// Unsorted tail: overwrites and fresh keys.
 		for i := 0; i < 100; i++ {
-			ts++
-			if err := s.Write(testTablet, testGroup, k6(i*3), ts, []byte(fmt.Sprintf("tail%d", i))); err != nil {
-				t.Fatalf("tail Write: %v", err)
-			}
+			write(i*3, fmt.Sprintf("tail%d", i))
 		}
 		for i := 900; i < 950; i++ {
-			ts++
-			if err := s.Write(testTablet, testGroup, k6(i), ts, []byte("fresh")); err != nil {
-				t.Fatalf("fresh Write: %v", err)
-			}
+			write(i, "fresh")
 		}
 		// Deletes of keys living in sorted segments.
 		for i := 0; i < 40; i++ {
@@ -113,37 +123,72 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 		t.Fatalf("fixture has no sorted segments (fraction %v)", f)
 	}
 
+	// same scans tablet under opt on both servers and requires identical
+	// rows (in key order when a sharded scan leaves batch order open). It
+	// returns the clustered side's rows and how many clustered scans it
+	// counted.
+	same := func(what, tablet string, opt ScanOptions) ([]Row, int64) {
+		t.Helper()
+		scans := fast.obs.clusteredScans.Load()
+		got := scanRows(t, fast, tablet, opt)
+		scans = fast.obs.clusteredScans.Load() - scans
+		want := scanRows(t, slow, tablet, opt)
+		if opt.Workers > 1 {
+			byKey := func(a, b Row) int { return bytes.Compare(a.Key, b.Key) }
+			slices.SortFunc(got, byKey)
+			slices.SortFunc(want, byKey)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: clustered %d rows, index %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Key, want[i].Key) || got[i].TS != want[i].TS || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("%s row %d: clustered %q@%d %q, index %q@%d %q",
+					what, i, got[i].Key, got[i].TS, got[i].Value, want[i].Key, want[i].TS, want[i].Value)
+			}
+		}
+		return got, scans
+	}
+
 	ranges := []struct{ start, end []byte }{
 		{nil, nil},
 		{k6(100), k6(700)},
 		{k6(850), nil},
 		{nil, k6(10)},
 	}
-	for _, ts := range []int64{1 << 40, 500, 850, 1} {
+	for _, ts := range []int64{1 << 40, 450, 500, 850, 1} {
 		for _, rg := range ranges {
-			got := scanAll(t, fast, ts, rg.start, rg.end)
-			want := scanAll(t, slow, ts, rg.start, rg.end)
-			if len(got) != len(want) {
-				t.Fatalf("ts=%d [%q,%q): clustered %d rows, index %d", ts, rg.start, rg.end, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i].Key, want[i].Key) || got[i].TS != want[i].TS || !bytes.Equal(got[i].Value, want[i].Value) {
-					t.Fatalf("ts=%d row %d: clustered %q@%d %q, index %q@%d %q",
-						ts, i, got[i].Key, got[i].TS, got[i].Value, want[i].Key, want[i].TS, want[i].Value)
-				}
-			}
+			same(fmt.Sprintf("ts=%d [%q,%q)", ts, rg.start, rg.end), testTablet, ScanOptions{Start: rg.start, End: rg.end, TS: ts, Workers: 1})
 		}
 	}
 
-	// Limit + key predicate push-down on the fast path.
-	opt := ScanOptions{TS: 1 << 40, Limit: 25, Workers: 1, KeyPred: readopt.Contains([]byte("3"))}
-	var limited []Row
-	if err := fast.ParallelScan(bg, testTablet, testGroup, opt, func(rows []Row) error {
-		limited = append(limited, rows...)
-		return nil
-	}); err != nil {
-		t.Fatalf("limited scan: %v", err)
+	// At ts 450 key k6(400) (j=50) sees its older version, which lies in
+	// the same sorted segment as its newer one.
+	old, scans := same("older version in a sorted segment", testTablet, ScanOptions{Start: k6(400), End: k6(401), TS: 450, Workers: 1})
+	if len(old) != 1 || string(old[0].Value) != "v0-200" || scans != 1 {
+		t.Fatalf("k6(400) at ts 450: %d rows %q over %d clustered scans, want the older v0-200 read clustered", len(old), old, scans)
 	}
+
+	// Push-down predicates: a value predicate under a LIMIT, a commit
+	// time window.
+	if rows, _ := same("value predicate, LIMIT 30", testTablet, ScanOptions{TS: 1 << 40, Limit: 30, ValuePred: readopt.Contains([]byte("v1-")), Workers: 1}); len(rows) != 30 {
+		t.Fatalf("value predicate under LIMIT 30 returned %d rows", len(rows))
+	}
+	if rows, _ := same("MinTS/MaxTS window", testTablet, ScanOptions{TS: 1 << 40, MinTS: 300, MaxTS: 700, Workers: 1}); len(rows) == 0 {
+		t.Fatal("the time window selected no rows")
+	}
+
+	// A reverse scan falls back to the index path; a 4-worker scan reads
+	// clustered in every shard.
+	if _, scans := same("reverse", testTablet, ScanOptions{TS: 1 << 40, Reverse: true}); scans != 0 {
+		t.Fatalf("a reverse scan counted %d clustered scans, want 0", scans)
+	}
+	if _, scans := same("4 workers", testTablet, ScanOptions{TS: 1 << 40, Workers: 4}); scans < 2 {
+		t.Fatalf("a 4-worker scan counted %d clustered scans, want one per shard", scans)
+	}
+
+	// Limit + key predicate push-down on the clustered read.
+	limited, _ := same("key predicate, LIMIT 25", testTablet, ScanOptions{TS: 1 << 40, Limit: 25, Workers: 1, KeyPred: readopt.Contains([]byte("3"))})
 	if len(limited) != 25 {
 		t.Fatalf("limited clustered scan returned %d rows, want 25", len(limited))
 	}
@@ -153,7 +198,7 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 		}
 	}
 
-	// FullScan over the clustered path sees exactly the live rows.
+	// FullScan over the clustered read sees exactly the live rows.
 	fastRows, slowRows := 0, 0
 	if err := fast.FullScanOpts(bg, testTablet, testGroup, readopt.Options{}, func(Row) bool { fastRows++; return true }); err != nil {
 		t.Fatalf("FullScan fast: %v", err)
@@ -163,6 +208,28 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 	}
 	if fastRows != slowRows {
 		t.Fatalf("FullScan clustered saw %d rows, fallback %d", fastRows, slowRows)
+	}
+
+	// A split tablet: both children read the parent's sorted segments,
+	// each through its own slice of the index.
+	lr, rr, err := partition.Range{}.Split(k6(451))
+	if err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	left := partition.Tablet{ID: "users/0001", Table: "users", Range: lr}
+	right := partition.Tablet{ID: "users/0002", Table: "users", Range: rr}
+	for _, s := range []*Server{fast, slow} {
+		if err := s.SplitTablet(testTablet, left, right); err != nil {
+			t.Fatalf("SplitTablet: %v", err)
+		}
+	}
+	for _, child := range []string{left.ID, right.ID} {
+		for _, ts := range []int64{1 << 40, 450, 850} {
+			if _, scans := same(fmt.Sprintf("child %s ts=%d", child, ts), child, ScanOptions{TS: ts, Workers: 1}); scans != 1 {
+				t.Fatalf("child %s ts=%d counted %d clustered scans, want 1", child, ts, scans)
+			}
+		}
+		same(fmt.Sprintf("child %s [k6(300), k6(600))", child), child, ScanOptions{Start: k6(300), End: k6(600), TS: 1 << 40, Workers: 1})
 	}
 }
 
@@ -203,8 +270,9 @@ func diskBytesRead(fs *dfs.DFS) int64 {
 	return n
 }
 
-// hookCtx runs hook on every Err call. clusteredScan checks its context
-// once per merged key, so a hook can act between two keys of one page.
+// hookCtx runs hook on every Err call. scanShard checks its context
+// before each page's index walk and again before that page's fetch, so
+// call 2 runs between the first page's collection and its fetch.
 type hookCtx struct {
 	context.Context
 	calls int
@@ -278,10 +346,11 @@ func TestClusteredLimitScanReadsOnlyWhatItReturns(t *testing.T) {
 		t.Fatalf("LIMIT %d over %d sorted segments read %d bytes, want <= %d", limit, sorted, read, budget)
 	}
 
-	// Concurrent delete: before the first key, overwrite keys 0..39 into
-	// a segment the scan has not pinned; after 60 keys, delete every
-	// fourth of them and compact that segment away. The first page's
-	// fetch then fails and is salvaged row by row, dropping the 10
+	// Concurrent delete: before the first index walk, overwrite keys
+	// 0..39 into a segment the scan has not pinned; after the walk has
+	// collected them, before the fetch, delete every fourth of them and
+	// compact that segment away. The first page's batch read then fails
+	// and is salvaged row by row through readEntry, dropping the 10
 	// deleted rows; the second page is capped at those 10.
 	overwrite := func(s *Server) {
 		s.Log().Rotate()
@@ -303,12 +372,12 @@ func TestClusteredLimitScanReadsOnlyWhatItReturns(t *testing.T) {
 		switch call {
 		case 1:
 			overwrite(fast)
-		case 61:
+		case 2:
 			deleteAndCompact(fast)
 		}
 	}}
 	got, pages := limitScan(fast, ctx)
-	if ctx.calls < 61 {
+	if ctx.calls < 2 {
 		t.Fatalf("scan checked its context %d times, never reached the concurrent delete", ctx.calls)
 	}
 	overwrite(slow)

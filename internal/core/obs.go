@@ -30,11 +30,10 @@ type serverObs struct {
 	compact               *obs.Histogram
 	walAppend             *obs.Histogram
 
-	// Clustered-scan planner counters.
+	// Clustered-scan counters.
 	clusteredScans    *obs.Counter
 	clusteredSegments *obs.Counter
 	overlayRows       *obs.Counter
-	validationRejects *obs.Counter
 
 	// Compaction counters beyond the ServerStats atomics.
 	compactRepoints *obs.Counter
@@ -78,10 +77,9 @@ func newServerObs(s *Server) *serverObs {
 		obs.Labels{"server": id})
 
 	sl := obs.Labels{"server": id}
-	o.clusteredScans = reg.Counter("logbase_clustered_scans_total", "scans served by the clustered fast path", sl)
-	o.clusteredSegments = reg.Counter("logbase_clustered_segments_total", "sorted segments merged by clustered scans", sl)
-	o.overlayRows = reg.Counter("logbase_clustered_overlay_rows_total", "rows served from the index overlay during clustered scans", sl)
-	o.validationRejects = reg.Counter("logbase_clustered_validation_rejects_total", "clustered-scan keys rejected by MVCC index validation", sl)
+	o.clusteredScans = reg.Counter("logbase_clustered_scans_total", "scans that read rows through sorted-segment windows", sl)
+	o.clusteredSegments = reg.Counter("logbase_clustered_segments_total", "sorted segments read through forward windows by clustered scans", sl)
+	o.overlayRows = reg.Counter("logbase_clustered_overlay_rows_total", "rows resolved outside sorted-segment windows", sl)
 	o.compactRepoints = reg.Counter("logbase_compact_repoints_total", "index entries repointed by compaction", sl)
 	o.compactStalls = reg.Counter("logbase_compact_stalls_total", "compaction ticks stalled waiting for index recovery", sl)
 	o.cdcEvents = reg.Counter("logbase_cdc_events_total", "changefeed events delivered to consumers", sl)

@@ -84,7 +84,7 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 			page = page[:remaining]
 		}
 		kept = kept[len(page):]
-		rows, err := s.fetchRows(context.TODO(), t, g, group, page, false)
+		rows, err := s.fetchRows(context.TODO(), t, g, group, page, false, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -101,15 +101,16 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 	return out, nil
 }
 
-// FullScanOpts streams live records of the column group in log order
-// with the push-down options applied server-side: Prefix and Key
-// restrict which records qualify, Snapshot pins visibility (a record
-// counts when it is the version visible at the snapshot, so a
+// FullScanOpts streams live records of the column group in storage
+// order — key order when sorted segments cover the range, log order
+// otherwise — with the push-down options applied server-side: Prefix
+// and Key restrict which records qualify, Snapshot pins visibility (a
+// record counts when it is the version visible at the snapshot, so a
 // historical full scan sees the table as of that timestamp), Value
-// filters on the fetched payload, and Limit stops the log sweep as soon
-// as enough surviving rows have streamed. Reverse is ignored: a full
-// scan's contract is log order, not key order. Cancelling ctx aborts
-// within scanCheckEvery records.
+// filters on the fetched payload, and Limit stops the scan as soon as
+// enough surviving rows have streamed. Reverse is ignored: a full
+// scan's contract is storage order. Cancelling ctx aborts within one
+// page, or within scanCheckEvery records of the log-order sweep.
 func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro readopt.Options, fn func(Row) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,27 +130,29 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 	}
 	start, end := ro.ClampRange(nil, nil)
 
-	// Clustered fast path: on a compacted log the full scan streams the
-	// sorted segments (merged with the index overlay for the tail) in
-	// key order — sequential reads, no per-record index probe per log
-	// byte. The contract stays "storage order, every visible row"; only
-	// uncompacted logs take the log-order sweep below.
+	// On a compacted log the full scan runs the forward scan loop in key
+	// order, reading the sorted segments front to back — sequential
+	// reads, no per-record index probe per log byte. The contract stays
+	// "storage order, every visible row"; only logs without a sorted
+	// segment covering the range take the log-order sweep below.
 	opt := ReadScanOptions(start, end, ts, ro)
 	opt.Reverse = false // a full scan's order is unspecified; never decline on it
-	stop := errors.New("limit")
-	handled, cerr := s.clusteredScan(ctx, t, g, group, opt, opt.Start, opt.End, func(rows []Row) error {
-		for _, r := range rows {
-			if !fn(r) {
-				return stop
+	if s.sortedWindows(t, group, opt.Start, opt.End, false) != nil {
+		pinned := s.log.PinAll()
+		defer s.log.Unpin(pinned...)
+		stop := errors.New("limit")
+		err := s.scanShard(ctx, t, g, group, opt, opt.Start, opt.End, func(rows []Row) error {
+			for _, r := range rows {
+				if !fn(r) {
+					return stop
+				}
 			}
-		}
-		return nil
-	})
-	if handled {
-		if errors.Is(cerr, stop) {
+			return nil
+		})
+		if errors.Is(err, stop) {
 			return nil
 		}
-		return cerr
+		return err
 	}
 
 	inRange := func(key []byte) bool {

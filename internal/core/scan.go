@@ -7,9 +7,12 @@ package core
 // for filtered-out rows), and resolves the surviving entries through
 // the read buffer plus batched log reads (wal.Log.ReadBatch) so a scan
 // costs a few sequential sweeps per segment instead of one seek per
-// row. readEntry and fetchRows, at the bottom, are the only code that
-// turns index entries into rows: point reads, version histories, the
-// clustered planner and secondary-index reads resolve through them too.
+// row. scanShard's page loop is the only forward-scan loop: on a
+// compacted log the same loop reads the rows that live in sorted
+// segments through forward segment readers (clustered.go). readEntry
+// and fetchRows, at the bottom, are the only code that turns index
+// entries into rows: point reads, version histories and
+// secondary-index reads resolve through them too.
 //
 // Every scan takes a context.Context and honours cancellation at batch
 // granularity: between index pages, before each log fetch, and in every
@@ -122,9 +125,6 @@ func (s *Server) ParallelScan(ctx context.Context, tabletID, group string, opt S
 	if err != nil {
 		return err
 	}
-	if opt.Batch <= 0 {
-		opt.Batch = defaultScanBatch
-	}
 	// Hold the scan's segment snapshot: entries collected from the index
 	// carry wal.Ptrs that a racing compaction would otherwise delete the
 	// files behind before the batched fetch runs.
@@ -199,8 +199,14 @@ var errScanCanceled = errors.New("core: scan canceled")
 // emitted, and the scan re-descends at the successor of the last key
 // (or, for reverse scans, just below it). Memory stays O(Batch)
 // regardless of range size, and the log I/O never happens under the
-// index latch. The context is checked once per page, bounding
-// post-cancellation work to a single batch.
+// index latch. The context is checked before each page's index walk and
+// again before its fetch, bounding post-cancellation work to a single
+// batch.
+//
+// The walk gives each key's visible version, so it is the scan's only
+// MVCC check. When sorted segments cover the range (a forward scan on a
+// compacted log), entries pointing into them are read through one
+// forward reader per segment (sortedWindows); the rest are batch-read.
 //
 // A Limit both truncates the emitted stream and bounds the I/O: when no
 // post-fetch predicate is in play, index pages are capped at the rows
@@ -208,14 +214,11 @@ var errScanCanceled = errors.New("core: scan canceled")
 // residual value predicate the scan keeps paging but stops the moment
 // the limit-th surviving row has been emitted.
 func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group string, opt ScanOptions, start, end []byte, emit func([]Row) error) error {
-	// Clustered fast path: when compaction has laid down sorted segments
-	// covering this range, stream them sequentially (k-way-merged with an
-	// index overlay for the unsorted tail) instead of resolving each key
-	// through ReadBatch. Falls through to the index path for reverse
-	// scans and uncompacted ranges.
-	if handled, err := s.clusteredScan(ctx, t, g, group, opt, start, end, emit); handled {
-		return err
+	if opt.Batch <= 0 {
+		opt.Batch = defaultScanBatch
 	}
+	wins := s.sortedWindows(t, group, start, end, opt.Reverse)
+	defer wins.close(s)
 	remaining := opt.Limit // 0 = unlimited
 	// Sized by the first page's goal, which no later page exceeds: a
 	// LIMIT-50 scan holds 50 entries, not a full batch.
@@ -243,7 +246,10 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 			g.tree().RangeLatest(cursor, end, opt.TS, collect)
 		}
 		if len(entries) > 0 {
-			rows, err := s.fetchRows(ctx, t, g, group, entries, opt.UseCache)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			rows, err := s.fetchRows(ctx, t, g, group, entries, opt.UseCache, wins)
 			if err != nil {
 				return err
 			}
@@ -345,15 +351,26 @@ func (s *Server) readEntry(g *columnGroup, key []byte, ts int64, ptr wal.Ptr) (w
 // near-adjacent frames, turning random per-row seeks into sequential
 // sweeps. With useCache the read buffer is consulted first (worth it
 // only for small scans over hot ranges; see ScanOptions.UseCache).
-// Entries whose records moved (or vanished) under a racing compaction
-// are re-resolved per row through readEntry; vanished rows are
-// dropped.
-func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group string, entries []index.Entry, useCache bool) ([]Row, error) {
+// A clustered scan passes its sorted-segment readers (wins, else nil):
+// an entry one of them can decode is read there, ahead of the buffer
+// and the batch. Entries whose records moved (or vanished) under a
+// racing compaction are re-resolved per row through readEntry; vanished
+// rows are dropped.
+func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group string, entries []index.Entry, useCache bool, wins *segWindows) ([]Row, error) {
 	rows := make([]Row, len(entries))
 	missIdx := make([]int, 0, len(entries))
 	missPtrs := make([]wal.Ptr, 0, len(entries))
-	var cacheHits int64
+	var cacheHits, windowed int64
 	for i, e := range entries {
+		rec, ok, err := wins.at(e.Ptr)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			rows[i] = Row{Key: e.Key, TS: e.TS, Value: rec.Value}
+			windowed++
+			continue
+		}
 		if useCache {
 			if b, ok := s.readCache.Get(cacheKey(t.table, group, e.Key)); ok {
 				if cts, v := decodeCached(b); cts == e.TS {
@@ -368,6 +385,9 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 	}
 	if cacheHits > 0 {
 		s.stats.CacheHits.Add(cacheHits)
+	}
+	if windowed > 0 {
+		s.stats.LogReads.Add(windowed)
 	}
 	var dropped []int
 	if len(missPtrs) > 0 {

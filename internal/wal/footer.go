@@ -4,10 +4,10 @@ package wal
 // segment with a footer describing what is inside — the min/max
 // clustering key (table, column group, record key), row and LSN ranges,
 // and a sparse block index sampling one record position every
-// sparseIndexStride bytes. The clustered scan planner uses the min/max
-// keys to pick only the segments covering a requested range and the
-// sparse index to start streaming near the range's first key instead of
-// at the segment head.
+// sparseIndexStride bytes. The clustered scan uses the min/max keys to
+// pick only the segments covering a requested range; it needs no seek
+// offset from the sparse index, because the index walk hands it each
+// row's exact record pointer (SegmentScanner.At).
 //
 // Layout: the footer payload is appended after the last record, then a
 // fixed-size trailer [u32 payloadLen | u32 crc32(payload) | 8-byte
@@ -104,21 +104,6 @@ func (m *SegmentMeta) Covers(table, group string, start, end []byte) bool {
 		return false
 	}
 	return true
-}
-
-// SeekOffset returns the best byte offset at which to start a
-// sequential scan that must observe every record with clustering key >=
-// target: the largest sampled position whose key is <= target (the
-// record area start if none).
-func (m *SegmentMeta) SeekOffset(target RecordKey) int64 {
-	off := int64(segHeaderSize)
-	for _, se := range m.Sparse {
-		if se.Key.Compare(target) > 0 {
-			break
-		}
-		off = se.Off
-	}
-	return off
 }
 
 func putRecordKey(buf []byte, k RecordKey) []byte {

@@ -96,45 +96,6 @@ func TestSegmentFooterRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSegmentMetaSeekOffset(t *testing.T) {
-	_, l := footerTestLog(t)
-	nums := writeSortedSegment(t, l, 2000)
-	meta := l.SegmentMeta(nums[0])
-	if meta == nil {
-		t.Fatal("no meta")
-	}
-	target := RecordKey{Table: "tab", Group: "g", Key: []byte("key001500")}
-	off := meta.SeekOffset(target)
-	if off <= segHeaderSize {
-		t.Fatalf("SeekOffset did not advance: %d", off)
-	}
-	// Streaming from the offset must still observe key001500.
-	sc, err := l.OpenSegmentScanner(nums[0], off)
-	if err != nil {
-		t.Fatalf("OpenSegmentScanner: %v", err)
-	}
-	defer sc.Close()
-	found := false
-	first := true
-	for sc.Next() {
-		k := string(sc.Record().Key)
-		if first && k > "key001500" {
-			t.Fatalf("stream started past the target: %q", k)
-		}
-		first = false
-		if k == "key001500" {
-			found = true
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("segment scan: %v", err)
-	}
-	if !found {
-		t.Fatal("target key not reachable from SeekOffset")
-	}
-}
-
 func TestSegmentMetaCovers(t *testing.T) {
 	m := &SegmentMeta{
 		Min: RecordKey{Table: "t", Group: "g", Key: []byte("b")},

@@ -15,10 +15,11 @@ const (
 	readBatchMaxRun = 4 << 20
 )
 
-// readBatchScratch holds the grow-only coalescing buffers ReadBatch
-// reads runs into. Decode copies key and value out of the buffer, so
-// one batch's scratch never aliases another batch's records.
-var readBatchScratch = sync.Pool{New: func() any { return new([]byte) }}
+// readScratch holds the grow-only buffers ReadBatch reads coalesced
+// runs into and SegmentScanner windows refill. Decode copies key and
+// value out of the buffer, so one reader's scratch never aliases
+// another's records.
+var readScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadBatch fetches the records at ptrs, returning them in input order.
 // Pointers are grouped by segment and visited in offset order; runs of
@@ -69,8 +70,8 @@ func (l *Log) ReadBatch(ptrs []Ptr) ([]Record, error) {
 	}
 	// One pooled grow-only scratch buffer serves every coalesced run, so
 	// a batch allocates at most O(max run) and usually nothing.
-	scratch := readBatchScratch.Get().(*[]byte)
-	defer readBatchScratch.Put(scratch)
+	scratch := readScratch.Get().(*[]byte)
+	defer readScratch.Put(scratch)
 	for i := 0; i < len(order); {
 		seg := ptrs[order[i]].Seg
 		r, err := l.reader(seg)

@@ -7,26 +7,28 @@ import (
 )
 
 // segScanChunkSize caps the SegmentScanner read-ahead. Larger than the
-// log Scanner's: the clustered scan path k-way-merges several segment
-// streams, and each stream switch moves the disk head, so fewer, bigger
-// refills keep a long merge transfer-bound instead of seek-bound.
+// log Scanner's: a clustered scan reads several sorted segments forward
+// at once, and each switch between them moves the disk head, so fewer,
+// bigger refills keep a long scan transfer-bound instead of seek-bound.
 const segScanChunkSize = 2 << 20
 
-// SegmentScanner streams one segment's records sequentially, without
-// touching the per-key index — the clustered read path over sorted
-// segments (paper §3.6.4: post-compaction scans are sequential reads).
-// It pins the segment for its lifetime, so a concurrent compaction
-// cannot delete the file underneath it; always Close.
+// SegmentScanner reads one segment's records forward, without touching
+// the per-key index — the clustered read path over sorted segments
+// (paper §3.6.4: post-compaction scans are sequential reads). Next
+// streams every record; At decodes only the record a pointer names,
+// skipping forward to it. It pins the segment for its lifetime, so a
+// concurrent compaction cannot delete the file underneath it; always
+// Close.
 //
 // Refills are contiguous (the partial frame at the buffer tail is
 // carried over, never re-read), so a full stream costs one seek per
 // refill at most and pure sequential transfer otherwise. The read-ahead
 // grows with the stream: the first refill is one sparse-index block
-// (sparseIndexStride, the most a SeekOffset start can need before its
-// target key), each later one is as large as the stream has consumed so
-// far, capped at segScanChunkSize. A LIMIT scan that stops after a few
-// rows therefore reads kilobytes per segment, while a full scan reaches
-// the 2 MB refill after a handful of doublings.
+// (sparseIndexStride), each later one is as large as the stream has
+// travelled so far, capped at segScanChunkSize. A LIMIT scan that stops
+// after a few rows therefore reads kilobytes per segment, while a full
+// scan reaches the 2 MB refill after a handful of doublings. The window
+// buffer comes from the pool ReadBatch uses and goes back on Close.
 type SegmentScanner struct {
 	l     *Log
 	num   uint32
@@ -38,9 +40,8 @@ type SegmentScanner struct {
 	// a torn frame there ends its data rather than reporting corruption.
 	tail bool
 
-	win readWindow
-
-	pinned bool
+	win     readWindow
+	scratch *[]byte // the pooled buffer behind win; nil once closed
 
 	rec Record
 	ptr Ptr
@@ -49,8 +50,7 @@ type SegmentScanner struct {
 
 // OpenSegmentScanner returns a scanner over segment num starting at
 // byte offset from (0 or anything below the header means "from the
-// first record"). from must be a record boundary — typically
-// SegmentMeta.SeekOffset or a Ptr.Off.
+// first record"). from must be a record boundary — typically a Ptr.Off.
 func (l *Log) OpenSegmentScanner(num uint32, from int64) (*SegmentScanner, error) {
 	l.mu.Lock()
 	st, ok := l.segs[num]
@@ -69,26 +69,37 @@ func (l *Log) OpenSegmentScanner(num uint32, from int64) (*SegmentScanner, error
 	if from < segHeaderSize {
 		from = segHeaderSize
 	}
-	return &SegmentScanner{l: l, num: num, r: r, end: end, start: from, off: from, tail: tail, pinned: true}, nil
+	scratch := readScratch.Get().(*[]byte)
+	return &SegmentScanner{l: l, num: num, r: r, end: end, start: from, off: from, tail: tail,
+		win: readWindow{buf: (*scratch)[:0]}, scratch: scratch}, nil
 }
 
-// Close releases the segment pin. Idempotent.
+// Close releases the segment pin and returns the window buffer to its
+// pool. Idempotent.
 func (s *SegmentScanner) Close() {
-	if s.pinned {
-		s.l.Unpin(s.num)
-		s.pinned = false
+	if s.scratch == nil {
+		return
 	}
+	s.l.Unpin(s.num)
+	*s.scratch = s.win.buf[:0] // a refill may have grown it
+	readScratch.Put(s.scratch)
+	s.scratch, s.win = nil, readWindow{}
+}
+
+// readAhead is the next refill's size: what the stream has travelled so
+// far, at least one sparse-index block and at most segScanChunkSize.
+func (s *SegmentScanner) readAhead() int {
+	return min(max(int(s.off-s.start), sparseIndexStride), segScanChunkSize)
 }
 
 // Next advances to the next record, returning false at the end of the
 // record area or on error (check Err). Exhaustion does NOT unpin — the
-// merge may still resolve Ptrs into the segment; Close does.
+// caller may still resolve Ptrs into the segment; Close does.
 func (s *SegmentScanner) Next() bool {
 	if s.err != nil || s.off >= s.end {
 		return false
 	}
-	chunk := min(max(int(s.off-s.start), sparseIndexStride), segScanChunkSize)
-	rec, n, err := s.win.next(s.r, s.num, s.off, s.end, chunk, s.tail)
+	rec, n, err := s.win.next(s.r, s.num, s.off, s.end, s.readAhead(), s.tail)
 	if err != nil || n == 0 {
 		s.err = err
 		return false
@@ -97,6 +108,29 @@ func (s *SegmentScanner) Next() bool {
 	s.ptr = Ptr{Seg: s.num, Off: s.off, Len: uint32(n)}
 	s.off += int64(n)
 	return true
+}
+
+// At decodes the record at p and moves the scanner just past it. It
+// reads forward only, and decodes nothing but p's frame: a p within one
+// read-ahead of what the window holds is reached by reading through the
+// gap (no seek), a farther one by a jump to p. ok=false, with a nil
+// error, means p is not this scanner's to read — another segment's, past
+// the record area, or behind the position — and the caller resolves it
+// another way.
+func (s *SegmentScanner) At(p Ptr) (Record, bool, error) {
+	if s.err != nil {
+		return Record{}, false, s.err
+	}
+	if p.Seg != s.num || p.Off < s.off || p.Off >= s.end {
+		return Record{}, false, nil
+	}
+	rec, n, err := s.win.next(s.r, s.num, p.Off, s.end, s.readAhead(), s.tail)
+	if err != nil || n == 0 {
+		s.err = err
+		return Record{}, false, err
+	}
+	s.off = p.Off + int64(n)
+	return rec, true, nil
 }
 
 // Record returns the current record.

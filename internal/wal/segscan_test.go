@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/dfs"
@@ -75,20 +74,44 @@ func TestDecodedRecordsSurviveBufferReuse(t *testing.T) {
 	}
 }
 
-// A SegmentScanner opened at the sparse-index offset of a mid-segment
-// key reads at most one sparse-index block before its first record, and
-// its growing read-ahead still reads every byte of the rest of the
-// stream exactly once.
+// seeks sums the modelled-disk head movements across every datanode.
+func seeks(fs *dfs.DFS) int64 {
+	var n int64
+	for i := 0; i < fs.NumDataNodes(); i++ {
+		n += fs.DataNode(i).Disk().Stats().Seeks
+	}
+	return n
+}
+
+// segmentPtrs streams segment num from its head and returns every
+// record's pointer.
+func segmentPtrs(t *testing.T, l *Log, num uint32) []Ptr {
+	t.Helper()
+	sc, err := l.OpenSegmentScanner(num, 0)
+	if err != nil {
+		t.Fatalf("OpenSegmentScanner: %v", err)
+	}
+	defer sc.Close()
+	var ptrs []Ptr
+	for sc.Next() {
+		ptrs = append(ptrs, sc.Ptr())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	return ptrs
+}
+
+// A SegmentScanner opened at a mid-segment record reads at most one
+// sparse-index block before its first record, and its growing
+// read-ahead still reads every byte of the rest of the stream exactly
+// once.
 func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	fs, l := footerTestLog(t)
-	const n = 5000 // ~700 KB: the seek target sits several sparse blocks in
+	const n = 5000 // ~800 KB: the start sits several sparse blocks in
 	nums := writeSortedSegment(t, l, n)
-	meta := l.SegmentMeta(nums[0])
-	target := RecordKey{Table: "tab", Group: "g", Key: []byte(fmt.Sprintf("key%06d", n/2))}
-	from := meta.SeekOffset(target)
-	if from <= segHeaderSize {
-		t.Fatalf("SeekOffset(%q) = %d: the target is not mid-segment", target.Key, from)
-	}
+	ptrs := segmentPtrs(t, l, nums[0])
+	from := ptrs[n/2].Off
 	sc, err := l.OpenSegmentScanner(nums[0], from)
 	if err != nil {
 		t.Fatalf("OpenSegmentScanner: %v", err)
@@ -102,8 +125,8 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	if got := bytesRead(fs) - before; got > sparseIndexStride {
 		t.Fatalf("first record cost %d bytes read, want <= %d", got, sparseIndexStride)
 	}
-	if bytes.Compare(sc.Record().Key, target.Key) > 0 {
-		t.Fatalf("stream starts at %q, past the target %q", sc.Record().Key, target.Key)
+	if want := sortedRecord(n / 2).Key; !bytes.Equal(sc.Record().Key, want) {
+		t.Fatalf("stream starts at %q, want %q", sc.Record().Key, want)
 	}
 	rows := 1
 	for sc.Next() {
@@ -115,7 +138,72 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	if got, want := bytesRead(fs)-before, sc.end-from; got != want {
 		t.Fatalf("full stream read %d bytes, want exactly the %d bytes after the seek offset", got, want)
 	}
-	if rows < n/2 {
-		t.Fatalf("streamed %d records from the seek offset, want >= %d", rows, n/2)
+	if rows != n-n/2 {
+		t.Fatalf("streamed %d records from the start offset, want %d", rows, n-n/2)
+	}
+}
+
+// At reads forward only. Two pointers within one read-ahead of each
+// other cost one seek between them: the second is reached by reading
+// through the gap. A pointer behind the position answers ok=false. A
+// far pointer jumps: one more seek, and the gap is not read.
+func TestSegmentScannerAtReadsForward(t *testing.T) {
+	fs, l := footerTestLog(t)
+	const n = 5000
+	nums := writeSortedSegment(t, l, n)
+	ptrs := segmentPtrs(t, l, nums[0])
+	// first returns the first record at least dist bytes past record i.
+	first := func(i int, dist int64) int {
+		for j := i; j < len(ptrs); j++ {
+			if ptrs[j].Off >= ptrs[i].Off+dist {
+				return j
+			}
+		}
+		t.Fatalf("no record %d bytes past record %d", dist, i)
+		return 0
+	}
+	const a = 100
+	// b lies past the first refill (one sparse block from a) but within
+	// one read-ahead of its end; far lies several read-aheads past b.
+	b := first(a, sparseIndexStride*3/2)
+	far := first(b, 4*sparseIndexStride)
+
+	sc, err := l.OpenSegmentScanner(nums[0], ptrs[a].Off)
+	if err != nil {
+		t.Fatalf("OpenSegmentScanner: %v", err)
+	}
+	defer sc.Close()
+	at := func(i int) {
+		t.Helper()
+		rec, ok, err := sc.At(ptrs[i])
+		if err != nil || !ok {
+			t.Fatalf("At(record %d) = ok %v, err %v", i, ok, err)
+		}
+		if want := sortedRecord(i); !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
+			t.Fatalf("At(record %d) decoded %q, want %q", i, rec.Key, want.Key)
+		}
+	}
+
+	seeks0, read0 := seeks(fs), bytesRead(fs)
+	at(a)
+	at(b)
+	if got := seeks(fs) - seeks0; got != 1 {
+		t.Fatalf("records %d and %d, %d bytes apart, cost %d seeks, want 1", a, b, ptrs[b].Off-ptrs[a].Off, got)
+	}
+	if got := bytesRead(fs) - read0; got <= sparseIndexStride {
+		t.Fatalf("read %d bytes for two records past one refill, want a second (read-through) refill", got)
+	}
+
+	if _, ok, err := sc.At(ptrs[b-1]); ok || err != nil {
+		t.Fatalf("At(record behind the position) = ok %v, err %v, want ok=false and no error", ok, err)
+	}
+
+	seeks1, read1 := seeks(fs), bytesRead(fs)
+	at(far)
+	if got := seeks(fs) - seeks1; got != 1 {
+		t.Fatalf("a jump of %d bytes cost %d seeks, want 1", ptrs[far].Off-ptrs[b].Off, got)
+	}
+	if got, gap := bytesRead(fs)-read1, ptrs[far].Off-ptrs[b].Off; got >= gap {
+		t.Fatalf("the jump read %d bytes, want fewer than the %d-byte gap", got, gap)
 	}
 }

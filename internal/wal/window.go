@@ -13,7 +13,8 @@ import (
 // sweep is contiguous I/O — no per-chunk seek charge on the modelled
 // disk, and no re-read of the tail bytes. The buffer is reused across
 // refills (and segment switches) and only grows with chunk: Decode
-// copies every key and value out, so no returned Record aliases it.
+// copies every key and value out, so no returned Record aliases it, and
+// the SegmentScanner can hand its buffer back to a pool on Close.
 type readWindow struct {
 	buf      []byte
 	bufStart int64
@@ -27,7 +28,11 @@ func (w *readWindow) reset() {
 }
 
 // at returns at least want bytes starting at off (or everything up to
-// end), refilling from r in chunk-sized contiguous reads.
+// end), refilling from r in chunk-sized contiguous reads. An off past
+// the buffer's end by at most one chunk is read through: the refill
+// starts where the previous read ended, so a short forward skip costs
+// transfer, not a seek. A farther off (or an empty buffer) reads from
+// off itself.
 func (w *readWindow) at(r io.ReaderAt, off, end int64, want, chunk int) ([]byte, error) {
 	rel := off - w.bufStart
 	var tail []byte
@@ -38,10 +43,12 @@ func (w *readWindow) at(r io.ReaderAt, off, end int64, want, chunk int) ([]byte,
 		return tail, nil
 	}
 	readFrom := off
-	if tail != nil {
-		readFrom = w.bufStart + int64(len(w.buf))
+	if bufEnd := w.bufStart + int64(len(w.buf)); tail != nil || (len(w.buf) > 0 && off > bufEnd && off-bufEnd <= int64(chunk)) {
+		readFrom = bufEnd
 	}
-	n := int64(max(chunk, want-len(tail)))
+	// From readFrom, off+want lies off-readFrom+want bytes on (fewer than
+	// want when the tail already holds some of them).
+	n := int64(max(chunk, int(off-readFrom)+want))
 	if rem := end - readFrom; n > rem {
 		n = rem
 	}
@@ -59,8 +66,10 @@ func (w *readWindow) at(r io.ReaderAt, off, end int64, want, chunk int) ([]byte,
 		return nil, err
 	}
 	w.buf = buf[:len(tail)+m]
-	w.bufStart = off
-	return w.buf, nil
+	w.bufStart = readFrom - int64(len(tail))
+	// A short read (end of file) can stop before a read-through reaches
+	// off: that is an empty window, which the frame decode reports torn.
+	return w.buf[min(off-w.bufStart, int64(len(w.buf))):], nil
 }
 
 // next decodes the frame at off in segment seg, whose record area ends
