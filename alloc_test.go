@@ -1,11 +1,17 @@
 package logbase_test
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 
 	logbase "repro"
+	"repro/internal/readopt"
+	"repro/internal/textproto"
 )
 
 // TestAllocBudget is the client's allocation ceiling per key operation,
@@ -31,14 +37,14 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			return db.ClusterClient
-		}, 7, 11, 66, 43, 67},
+		}, 7, 10, 65, 43, 66},
 		{"cluster", func(t *testing.T) *logbase.ClusterClient {
 			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}
 			return logbase.NewClusterClient(c)
-		}, 7, 11, 67, 43, 68},
+		}, 7, 10, 66, 43, 67},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open(t)
@@ -107,5 +113,98 @@ func TestAllocBudget(t *testing.T) {
 			}
 			measure("clustered scan", tc.clustered, scan)
 		})
+	}
+}
+
+// wireStore is a DB as a textproto.Store, adapted the way
+// logbase-server adapts it: the wire hands Read and Scan a decoded
+// option set.
+type wireStore struct{ *logbase.DB }
+
+func (w wireStore) Read(ctx context.Context, table, group string, key []byte, opt readopt.Options) ([]textproto.Row, error) {
+	return w.DB.Read(ctx, table, group, key, logbase.WithReadOptions(opt))
+}
+
+func (w wireStore) Scan(ctx context.Context, table, group string, start, end []byte, opt readopt.Options) textproto.Iterator {
+	return w.DB.Scan(ctx, table, group, start, end, logbase.WithReadOptions(opt))
+}
+
+// TestWireAllocBudget is the protocol's allocation ceiling per command:
+// a PUT and a GET of a 256 B value and a SCAN ... LIMIT 10, each written
+// to a textproto.Serve session over net.Pipe on a DB and its reply read
+// back whole. The count covers the session loop, the DB below it and
+// the client's side of the pipe. Each ceiling is the measured value.
+func TestWireAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	db, err := logbase.Open(t.TempDir(), logbase.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("t", "g"); err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	srv, cli := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- textproto.Serve(context.Background(), srv, wireStore{db}) }()
+	defer func() {
+		cli.Close()
+		<-served
+	}()
+	replies := bufio.NewReader(cli)
+	// roundTrip sends one command line and reads its reply lines.
+	roundTrip := func(cmd []byte, lines int) error {
+		if _, err := cli.Write(cmd); err != nil {
+			return err
+		}
+		for range lines {
+			line, err := replies.ReadSlice('\n')
+			if err != nil {
+				return err
+			}
+			if bytes.HasPrefix(line, []byte("ERR")) {
+				return fmt.Errorf("reply %q", line)
+			}
+		}
+		return nil
+	}
+
+	const runs, loaded = 200, 1000
+	value := strings.Repeat("v", 256)
+	var puts, gets, scans [][]byte
+	for i := range loaded + runs + 1 { // AllocsPerRun adds a warm-up run
+		key := fmt.Sprintf("user%06d", i)
+		puts = append(puts, []byte("PUT t g "+key+" "+value+"\n"))
+		gets = append(gets, []byte("GET t g "+key+"\n"))
+		scans = append(scans, []byte("SCAN t g "+key+" * LIMIT 10\n"))
+	}
+	for _, cmd := range puts[:loaded] {
+		if err := roundTrip(cmd, 1); err != nil {
+			t.Fatalf("PUT: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		op      string
+		cmds    [][]byte
+		lines   int // reply lines: SCAN's 10 ROWs and its END
+		ceiling float64
+	}{
+		{"PUT", puts[loaded:], 1, 11},
+		{"GET", gets, 1, 14},
+		{"SCAN LIMIT 10", scans, 11, 89},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := roundTrip(tc.cmds[i], tc.lines); err != nil {
+				t.Fatalf("%s: %v", tc.op, err)
+			}
+			i++
+		})
+		t.Logf("%s: %v allocs", tc.op, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s: %v allocs, want <= %v", tc.op, allocs, tc.ceiling)
+		}
 	}
 }

@@ -109,11 +109,7 @@ func ElasticHotRange(s Scale) (Table, error) {
 	if _, err := ycsb.Load(db2, records, s.ValueSize, elasticServers, 1); err != nil {
 		return t, err
 	}
-	b := c2.StartBalancer(cluster.BalancerConfig{
-		Interval: time.Hour, // ticked manually: deterministic rounds
-		MinOps:   64,
-		Cooldown: 2,
-	})
+	b := c2.NewBalancer(cluster.BalancerConfig{MinOps: 64, Cooldown: 2})
 	// Warm-up rounds: workload slices interleaved with balancer ticks,
 	// so the master sees settled load windows between actions.
 	for round := 0; round < 10; round++ {
@@ -127,7 +123,6 @@ func ElasticHotRange(s Scale) (Table, error) {
 		return t, err
 	}
 	st := b.Stats()
-	b.Stop()
 	spreadElastic := workloadSpread(c2, records)
 	tabElastic := tabletCount(c2)
 
@@ -163,8 +158,7 @@ func elasticSmoke(rows, opsPerRound int64, rounds int) error {
 	if _, err := ycsb.Load(db, rows, 64, 2, 1); err != nil {
 		return err
 	}
-	b := c.StartBalancer(cluster.BalancerConfig{Interval: time.Hour, MinOps: 32, Cooldown: 1})
-	defer b.Stop()
+	b := c.NewBalancer(cluster.BalancerConfig{MinOps: 32, Cooldown: 1})
 	w := hotRangeWorkload(rows, 64)
 	for r := 0; r < rounds; r++ {
 		if _, err := ycsb.Run(db, w, opsPerRound, 2, int64(r)); err != nil {

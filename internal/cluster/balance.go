@@ -1,64 +1,50 @@
 package cluster
 
-// The load balancer is the Master's elasticity duty (paper §3.3 gives
+// The load balancer is the master's elasticity duty (paper §3.3 gives
 // the master "the load balance of the system" next to tablet
-// assignment): tablet servers publish windowed per-tablet load reports
-// into the coordination service, and the balancer — gated on master
-// leadership — reads them back, finds the hot server, and picks ONE
-// action per tick:
+// assignment): each Tick samples every live server's windowed
+// per-tablet load, finds the hot server, and picks ONE action:
 //
 //   - move the hottest tablet that improves the hot/cold spread, or
 //   - split the hot server's dominant tablet when no move helps (a
 //     single hot tablet cannot be shed whole; its halves can).
 //
-// One action per tick plus a per-tablet cooldown keeps decisions on
-// settled windows and prevents thrash; the routing epoch bump in each
-// action is what drags client caches along.
+// The caller ticks the balancer, so tests and benches drive it in
+// deterministic rounds. One action per tick plus a per-tablet cooldown
+// keeps decisions on settled windows and prevents thrash; the routing
+// epoch bump in each action is what drags client caches along.
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/coord"
 	"repro/internal/core"
 )
 
-// BalancerConfig tunes the Master's balancer loop. Zero values take the
-// documented defaults.
+const (
+	// balanceMoveRatio is the hottest/coldest server op ratio above
+	// which the cluster counts as imbalanced.
+	balanceMoveRatio = 2.0
+	// balanceSplitShare is the share of its server's ops a single tablet
+	// must carry to be split when no migration helps.
+	balanceSplitShare = 0.5
+)
+
+// BalancerConfig tunes the balancer. Zero values take the documented
+// defaults.
 type BalancerConfig struct {
-	// Interval between ticks (default 100ms).
-	Interval time.Duration
 	// MinOps: below this many windowed ops on the hottest server the
 	// cluster is idle and no action is taken (default 512).
 	MinOps int64
-	// MoveRatio: hottest/coldest server op ratio above which the
-	// cluster counts as imbalanced (default 2.0).
-	MoveRatio float64
-	// SplitShare: share of its server's ops a single tablet must carry
-	// to be split when no migration helps (default 0.5).
-	SplitShare float64
 	// Cooldown: ticks a tablet (or a split's children) rests after an
 	// action, letting load windows resettle (default 4).
 	Cooldown int64
 }
 
 func (cfg BalancerConfig) withDefaults() BalancerConfig {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
 	if cfg.MinOps <= 0 {
 		cfg.MinOps = 512
-	}
-	if cfg.MoveRatio <= 1 {
-		cfg.MoveRatio = 2.0
-	}
-	if cfg.SplitShare <= 0 || cfg.SplitShare > 1 {
-		cfg.SplitShare = 0.5
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 4
@@ -71,16 +57,10 @@ type BalancerStats struct {
 	Ticks, Splits, Moves, Errors int64
 }
 
-// Balancer is the background rebalancing loop. Create via
-// Cluster.StartBalancer; Stop (or Cluster.Close) ends it.
+// Balancer rebalances the cluster one Tick at a time.
 type Balancer struct {
-	c    *Cluster
-	cfg  BalancerConfig
-	sess *coord.Session
-
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	stopOnce sync.Once
+	c   *Cluster
+	cfg BalancerConfig
 
 	ticks, splits, moves, errs atomic.Int64
 
@@ -89,33 +69,9 @@ type Balancer struct {
 	cooldown map[string]int64 // tablet id -> tick until which it rests
 }
 
-// StartBalancer launches the balancer loop. Only one balancer per
-// cluster; a second call returns the running one.
-func (c *Cluster) StartBalancer(cfg BalancerConfig) *Balancer {
-	c.mu.Lock()
-	if c.balancer != nil {
-		b := c.balancer
-		c.mu.Unlock()
-		return b
-	}
-	b := &Balancer{
-		c:        c,
-		cfg:      cfg.withDefaults(),
-		sess:     c.svc.NewSession(),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		cooldown: make(map[string]int64),
-	}
-	c.balancer = b
-	c.mu.Unlock()
-	go b.loop()
-	return b
-}
-
-// Stop ends the balancer loop and waits for it to exit. Idempotent.
-func (b *Balancer) Stop() {
-	b.stopOnce.Do(func() { close(b.stopCh) })
-	<-b.doneCh
+// NewBalancer returns a balancer over the cluster.
+func (c *Cluster) NewBalancer(cfg BalancerConfig) *Balancer {
+	return &Balancer{c: c, cfg: cfg.withDefaults(), cooldown: make(map[string]int64)}
 }
 
 // Stats returns the balancer's counters.
@@ -128,135 +84,53 @@ func (b *Balancer) Stats() BalancerStats {
 	}
 }
 
-func (b *Balancer) loop() {
-	defer close(b.doneCh)
-	ticker := time.NewTicker(b.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.stopCh:
-			return
-		case <-ticker.C:
-			b.Tick()
-		}
-	}
-}
-
-// loadNode is the coord path carrying one server's load report.
-func loadNode(serverID string) string { return "/load/" + serverID }
-
-// encodeLoads renders a load report for a coord node (one tablet per
-// line; fields are \x1f-separated since tablet ids contain '/').
-func encodeLoads(loads []core.TabletLoad) []byte {
-	var buf bytes.Buffer
-	for _, l := range loads {
-		fmt.Fprintf(&buf, "%s\x1f%s\x1f%d\x1f%d\x1f%d\n", l.Tablet, l.Table, l.Ops, l.Rows, l.Bytes)
-	}
-	return buf.Bytes()
-}
-
-// decodeLoads parses a load report read back from coord.
-func decodeLoads(data []byte) ([]core.TabletLoad, error) {
-	var out []core.TabletLoad
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		parts := bytes.Split(sc.Bytes(), []byte{0x1f})
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("cluster: bad load report line %q", sc.Text())
-		}
-		var l core.TabletLoad
-		l.Tablet, l.Table = string(parts[0]), string(parts[1])
-		if _, err := fmt.Sscanf(string(parts[2]), "%d", &l.Ops); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscanf(string(parts[3]), "%d", &l.Rows); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscanf(string(parts[4]), "%d", &l.Bytes); err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-	}
-	return out, sc.Err()
-}
-
-// serverLoad aggregates one server's report.
+// serverLoad aggregates one server's load sample.
 type serverLoad struct {
-	id      string
-	ops     int64
-	tablets []core.TabletLoad
+	id       string
+	srv      *core.Server
+	replicas int
+	ops      int64
+	tablets  []core.TabletLoad
 }
 
-// Tick runs one balancing round: publish every live server's load
-// report to its coord node, read the reports back through coord, and
-// take at most one split or move. Exported so tests and benches can
-// drive the balancer deterministically instead of racing a timer.
+// Tick runs one balancing round: sample every live server's load
+// window and take at most one split or move.
 func (b *Balancer) Tick() {
 	b.ticks.Add(1)
-	if !b.c.Master().IsLeader() {
-		return
-	}
 	b.mu.Lock()
 	b.tick++
 	now := b.tick
 	b.mu.Unlock()
 
-	// Report phase: each tablet server samples its load window and
-	// publishes the report under its own coord session.
 	c := b.c
 	c.mu.RLock()
-	type srvRef struct {
-		id   string
-		srv  *core.Server
-		sess *coord.Session
-	}
-	var refs []srvRef
+	var loads []serverLoad
 	for id, st := range c.servers {
 		if st.alive {
-			refs = append(refs, srvRef{id, st.srv, st.sess})
+			loads = append(loads, serverLoad{id: id, srv: st.srv, replicas: len(st.replicas)})
 		}
 	}
 	c.mu.RUnlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
-	for _, r := range refs {
-		if err := r.sess.SetOrCreate(loadNode(r.id), encodeLoads(r.srv.SampleLoad())); err != nil {
-			b.errs.Add(1)
-		}
-	}
-
-	// Gather phase: the master reads the reports back from coord.
-	loads := make([]serverLoad, 0, len(refs))
-	for _, r := range refs {
-		data, err := b.sess.Get(loadNode(r.id))
-		if err != nil {
-			b.errs.Add(1)
-			continue
-		}
-		tablets, err := decodeLoads(data)
-		if err != nil {
-			b.errs.Add(1)
-			continue
-		}
-		sl := serverLoad{id: r.id, tablets: tablets}
-		for _, t := range tablets {
+	sort.Slice(loads, func(i, j int) bool { return loads[i].id < loads[j].id })
+	for i := range loads {
+		sl := &loads[i]
+		sl.tablets = sl.srv.SampleLoad()
+		for _, t := range sl.tablets {
 			sl.ops += t.Ops
 		}
 		// Read replicas are scan capacity: pinned analytical reads that
 		// would land on this primary are absorbed by its standbys, so a
-		// server with R replicas weighs in at 1/(1+R) of its reported
-		// ops — it takes proportionally more load before the balancer
-		// calls it hot.
-		if n := b.c.replicaCount(r.id); n > 0 {
-			sl.ops /= int64(1 + n)
-		}
-		loads = append(loads, sl)
+		// server with R replicas weighs in at 1/(1+R) of its sampled ops
+		// — it takes proportionally more load before the balancer calls
+		// it hot.
+		sl.ops /= int64(1 + sl.replicas)
 	}
 	if act := b.decide(loads, now); act != nil {
 		act()
 	}
 }
 
-// decide picks at most one action from the gathered reports.
+// decide picks at most one action from the sampled loads.
 func (b *Balancer) decide(loads []serverLoad, now int64) func() {
 	if len(loads) < 2 {
 		return nil
@@ -273,7 +147,7 @@ func (b *Balancer) decide(loads []serverLoad, now int64) func() {
 	if hot.ops < b.cfg.MinOps {
 		return nil // idle cluster
 	}
-	if float64(hot.ops) <= b.cfg.MoveRatio*float64(cold.ops) {
+	if float64(hot.ops) <= balanceMoveRatio*float64(cold.ops) {
 		return nil // balanced enough
 	}
 	tablets := append([]core.TabletLoad(nil), hot.tablets...)
@@ -308,7 +182,7 @@ func (b *Balancer) decide(loads []serverLoad, now int64) func() {
 	// No move helps: the hot server is dominated by one hot tablet.
 	// Split it so the halves can be separated on a later tick.
 	top := tablets[0]
-	if cooling(top.Tablet) || float64(top.Ops) < b.cfg.SplitShare*float64(hot.ops) {
+	if cooling(top.Tablet) || float64(top.Ops) < balanceSplitShare*float64(hot.ops) {
 		return nil
 	}
 	b.cooldown[top.Tablet] = now + b.cfg.Cooldown

@@ -15,6 +15,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/query"
 	"repro/internal/readopt"
+	"repro/internal/repl"
 	"repro/internal/txn"
 )
 
@@ -109,16 +110,15 @@ func (cl *Client) route(table string, key []byte) (*core.Server, string, error) 
 // primary for a pinned snapshot read (Cluster.replicaFor): watermark
 // covers ts, healthy, within any MaxLag bound, breaker admitting.
 // Only first attempts may go to a replica: retries set ro.Primary or
-// read the primary directly, the always-correct fallback. The returned
-// note func MUST be called with the read's outcome so the chosen
-// target's circuit breaker observes it.
-func (cl *Client) readTarget(srv *core.Server, ts int64, ro readopt.Options) (*core.Server, func(error)) {
+// read the primary directly, the always-correct fallback. It returns
+// the server to read and the replica behind it (nil for the primary),
+// whose outcome the caller MUST report through noteReplica so the
+// replica's circuit breaker observes it.
+func (cl *Client) readTarget(srv *core.Server, ts int64, ro readopt.Options) (*core.Server, *repl.Replica) {
 	if rep := cl.c.replicaFor(srv.ID(), ts, ro); rep != nil {
-		target := "replica:" + rep.BaseID()
-		return rep.Server(), func(err error) { cl.c.breakers.note(target, err) }
+		return rep.Server(), rep
 	}
-	id := srv.ID()
-	return srv, func(err error) { cl.c.breakers.noteServer(id, err) }
+	return srv, nil
 }
 
 // retryableRouting reports whether err means "routing metadata is
@@ -136,7 +136,6 @@ func retryableRouting(err error) bool {
 // refresh suffices), but a live-migration cutover has a window where
 // the source already rejects mutations (ErrTabletFrozen) and the
 // routing flip has not landed yet — backoff rides that window out.
-// Each op outcome feeds the owning server's circuit breaker.
 func (cl *Client) retryStale(table string, key []byte, op func(srv *core.Server, tablet string) error) error {
 	pol := cl.c.retry
 	var err error
@@ -153,7 +152,6 @@ func (cl *Client) retryStale(table string, key []byte, op func(srv *core.Server,
 		srv, tab, err = cl.route(table, key)
 		if err == nil {
 			err = op(srv, tab)
-			cl.c.breakers.noteServer(srv.ID(), err)
 		}
 		if err == nil || !retryableRouting(err) {
 			return err
@@ -163,9 +161,11 @@ func (cl *Client) retryStale(table string, key []byte, op func(srv *core.Server,
 }
 
 // Put writes a row version into a column group (auto-commit); the
-// version timestamp comes from the global timestamp authority.
+// version timestamp comes from the global timestamp authority, in
+// flight (coord.Service.Issue) until Put returns.
 func (cl *Client) Put(table, group string, key, value []byte) error {
-	ts := cl.c.svc.NextTimestamp()
+	ts := cl.c.svc.Issue()
+	defer cl.c.svc.Release(ts)
 	return cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		return srv.Write(tablet, group, key, ts, value)
 	})
@@ -183,7 +183,8 @@ func (cl *Client) Get(table, group string, key []byte) (core.Row, error) {
 
 // Delete removes a row from a column group.
 func (cl *Client) Delete(table, group string, key []byte) error {
-	ts := cl.c.svc.NextTimestamp()
+	ts := cl.c.svc.Issue()
+	defer cl.c.svc.Release(ts)
 	return cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		return srv.Delete(tablet, group, key, ts)
 	})
@@ -198,7 +199,7 @@ var errStopScan = errors.New("cluster: scan consumer stopped")
 // [start, end), in key order (descending with ro.Reverse), on the
 // tablet's owner — or, on the first attempt only, on a qualifying read
 // replica of it (readTarget at ts; ts 0 and every later attempt stay
-// on the primary). Every outcome feeds the target's circuit breaker.
+// on the primary). A replica's outcome feeds its circuit breaker.
 // errStopScan from visit ends the loop cleanly. On a routing error the
 // router is re-read and tablets whose range a finished visit already
 // covered are skipped: topology only splits and moves tablets, so a
@@ -227,9 +228,9 @@ func (cl *Client) eachTablet(ctx context.Context, table string, start, end []byt
 			if srv, err = cl.c.ServerFor(tab.ID); err == nil {
 				pick := ro
 				pick.Primary = ro.Primary || attempt > 0
-				target, note := cl.readTarget(srv, ts, pick)
+				target, rep := cl.readTarget(srv, ts, pick)
 				err = visit(tab, target)
-				note(err)
+				cl.c.noteReplica(rep, err)
 			}
 			if err != nil {
 				failed = tab.ID
@@ -369,7 +370,7 @@ func (cl *Client) aggregateOnce(ctx context.Context, table, group string, ts int
 	// the first push-down: whole servers can drop out of the scatter).
 	type shard struct {
 		target  *core.Server
-		note    func(error)
+		rep     *repl.Replica
 		tablets []string
 	}
 	byPrimary := make(map[string]*shard)
@@ -382,7 +383,7 @@ func (cl *Client) aggregateOnce(ctx context.Context, table, group string, ts int
 		sh := byPrimary[srv.ID()]
 		if sh == nil {
 			sh = &shard{}
-			sh.target, sh.note = cl.readTarget(srv, ts, readopt.Options{Primary: !useReplicas})
+			sh.target, sh.rep = cl.readTarget(srv, ts, readopt.Options{Primary: !useReplicas})
 			byPrimary[srv.ID()] = sh
 			shards = append(shards, sh)
 		}
@@ -403,7 +404,7 @@ func (cl *Client) aggregateOnce(ctx context.Context, table, group string, ts int
 		sp.LabelInt("tablets", int64(len(sh.tablets)))
 		part, err := query.FoldScan(sctx, sh.target, sh.tablets, group, ts, f, fold)
 		sp.Finish()
-		sh.note(err)
+		cl.c.noteReplica(sh.rep, err)
 		mu.Lock()
 		defer mu.Unlock()
 		if err == nil {
@@ -448,9 +449,9 @@ func (cl *Client) Read(table, group string, key []byte, ro readopt.Options) ([]c
 	err := cl.retryStale(table, key, func(srv *core.Server, tablet string) error {
 		if first {
 			first = false
-			if target, note := cl.readTarget(srv, ro.Snapshot, ro); target != srv {
+			if target, rep := cl.readTarget(srv, ro.Snapshot, ro); rep != nil {
 				r, rerr := target.ReadRow(tablet, group, key, ro)
-				note(rerr)
+				cl.c.noteReplica(rep, rerr)
 				if !retryableRouting(rerr) {
 					rows = r
 					return rerr
@@ -571,14 +572,16 @@ type BatchOp struct {
 // ApplyBatch routes every mutation to its owning tablet server and
 // applies them as ONE append sweep per server (core.Server.ApplyBatch)
 // — the cluster bulk-load path. Each mutation gets its own timestamp
-// from the global authority; there is no cross-server atomicity (use
-// transactions for that). On stale routing only the mutations whose
-// sub-batches failed are re-routed and retried once — sub-batches that
-// already landed are never re-applied (a blanket retry would append
-// duplicate versions). On error, the returned indices identify the
-// ops (positions in the input slice) that were NOT durably applied,
-// so the caller can retry exactly those; nil indices with a nil error
-// means everything applied.
+// from the global authority; the first is in flight
+// (coord.Service.Issue) until ApplyBatch returns, which keeps every
+// later one above the low-water mark too. There is no cross-server
+// atomicity (use transactions for that). On stale routing only the
+// mutations whose sub-batches failed are re-routed and retried once —
+// sub-batches that already landed are never re-applied (a blanket retry
+// would append duplicate versions). On error, the returned indices
+// identify the ops (positions in the input slice) that were NOT durably
+// applied, so the caller can retry exactly those; nil indices with a
+// nil error means everything applied.
 func (cl *Client) ApplyBatch(ops []BatchOp) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -587,6 +590,9 @@ func (cl *Client) ApplyBatch(ops []BatchOp) ([]int, error) {
 	for i := range ops {
 		remaining[i] = i
 	}
+	first := cl.c.svc.Issue()
+	defer cl.c.svc.Release(first)
+	issued := false
 	pol := cl.c.retry
 	for attempt := 0; ; attempt++ {
 		byServer := make(map[*core.Server][]core.BatchWrite)
@@ -610,15 +616,19 @@ func (cl *Client) ApplyBatch(ops []BatchOp) ([]int, error) {
 			if _, ok := byServer[srv]; !ok {
 				order = append(order, srv)
 			}
+			ts := first
+			if issued {
+				ts = cl.c.svc.NextTimestamp()
+			}
+			issued = true
 			byServer[srv] = append(byServer[srv], core.BatchWrite{
 				Tablet: tab, Group: op.Group, Key: op.Key, Value: op.Value,
-				TS: cl.c.svc.NextTimestamp(), Delete: op.Delete,
+				TS: ts, Delete: op.Delete,
 			})
 			idxOf[srv] = append(idxOf[srv], oi)
 		}
 		for j, srv := range order {
 			err := srv.ApplyBatch(byServer[srv])
-			cl.c.breakers.noteServer(srv.ID(), err)
 			if err != nil {
 				if retryableRouting(err) {
 					failed = append(failed, idxOf[srv]...)

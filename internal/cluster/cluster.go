@@ -1,20 +1,22 @@
 // Package cluster assembles LogBase's distributed architecture (paper
-// §3.3) in one process: N tablet servers over a shared DFS, a master
-// (elected through the coordination service) that assigns tablets and
-// handles tablet-server failures by reassigning and recovering their
-// tablets, and clients that route by key through cached metadata. It is
+// §3.3) in one process: N tablet servers over a shared DFS, the master's
+// duties — tablet assignment, failover of a dead server's tablets to
+// its promoted replica or the survivors, load balancing — as Cluster
+// methods, and clients that route by key through cached metadata. It is
 // the one deployment: the embedded logbase.DB is a cluster of one.
 //
-// The in-process substitution keeps every architectural interaction —
-// registration via ephemeral nodes, master election, tablet assignment,
-// log-split failover, stale routing caches — while replacing RPC with
-// method calls. StartReplica adds a WAL-shipping read replica to a
-// server at runtime (Config.Replicas does the same at startup). Reopen
-// is a crash-restart of the whole deployment over the same live DFS: a
-// fresh coordination service and master, the same server ids reopening
-// their logs; Recover then rebuilds every server's indexes from its
-// checkpoint and log tail, advances the timestamp oracle past them, and
-// restarts the configured replicas from their durable cursors.
+// The in-process substitution keeps the interactions a client can
+// observe — tablet assignment, log-split failover, stale routing caches,
+// commit timestamps and MVOCC locks from the coordination service —
+// while replacing RPC with method calls. Liveness is the server table's
+// alive flag, and there is one master, so nothing registers with the
+// coordination service or elects. StartReplica adds a WAL-shipping read
+// replica to a server at runtime (Config.Replicas does the same at
+// startup). Reopen is a crash-restart of the whole deployment over the
+// same live DFS: a fresh coordination service, the same server ids
+// reopening their logs; Recover then rebuilds every server's indexes
+// from its checkpoint and log tail, advances the timestamp oracle past
+// them, and restarts the configured replicas from their durable cursors.
 package cluster
 
 import (
@@ -31,6 +33,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/repl"
 	"repro/internal/simdisk"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -103,11 +106,9 @@ type Cluster struct {
 	routers     map[string]*partition.Router // table -> router
 	tabletSeq   map[string]int               // table -> next tablet number (split children)
 	epoch       int64                        // bumped on reassignment; invalidates client caches
-	master      *Master
 
-	txns     *txn.Manager
-	balancer *Balancer
-	replRR   atomic.Uint32 // round-robin cursor for replica reads
+	txns   *txn.Manager
+	replRR atomic.Uint32 // round-robin cursor for replica reads
 	// replicasDue marks a reopened cluster whose Config.Replicas start
 	// at the end of Recover.
 	replicasDue bool
@@ -119,7 +120,7 @@ type Cluster struct {
 	obsScanResumes   *obs.Counter
 	obsRetryAttempts *obs.Counter
 
-	// retry is the client retry policy; breakers the shared
+	// retry is the client retry policy; breakers the shared read-replica
 	// circuit-breaker table; clientSeq seeds each client's jitter rng.
 	retry     retryPolicy
 	breakers  *breakers
@@ -139,9 +140,8 @@ type secondaryReg struct {
 
 type serverState struct {
 	srv      *core.Server
-	sess     *coord.Session
 	alive    bool
-	replicas []*replicaState
+	replicas []*repl.Replica
 	// replicaSeq numbers the server's replicas (<server>.r<seq>); it
 	// only grows, so a replica that failed to start leaves its id unused.
 	replicaSeq int
@@ -175,7 +175,7 @@ func New(dir string, cfg Config) (*Cluster, error) {
 
 // Reopen simulates a crash-restart of the whole deployment over the
 // same DFS: every in-memory structure is discarded, and a fresh
-// coordination service and master come up with the configured servers
+// coordination service comes up with the configured servers
 // (same ids, so each reopens its own log) and Config.Tables. Tables
 // created later must be declared again; then call Recover, which also
 // restarts Config.Replicas: each resumes shipping from its durable
@@ -234,15 +234,7 @@ func start(fs *dfs.DFS, cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := c.svc.NewSession()
-		if err := sess.CreateEphemeral("/servers/"+id, []byte(id)); err != nil {
-			return nil, err
-		}
-		c.servers[id] = &serverState{srv: srv, sess: sess, alive: true}
-	}
-	c.master = newMaster(c)
-	if err := c.master.start(); err != nil {
-		return nil, err
+		c.servers[id] = &serverState{srv: srv, alive: true}
 	}
 	for _, ts := range cfg.Tables {
 		if err := c.CreateTable(ts); err != nil {
@@ -366,8 +358,8 @@ func (c *Cluster) CreateTable(ts TableSpec) error {
 		// Mirror to the owner's replicas in the same critical section:
 		// the router installs below, so no record for this tablet can
 		// ship before the replicas have it declared.
-		for _, rp := range c.servers[owner].replicas {
-			rp.rep.AddTablet(tab, ts.Groups)
+		for _, rep := range c.servers[owner].replicas {
+			rep.AddTablet(tab, ts.Groups)
 		}
 	}
 	c.epoch++
@@ -417,13 +409,7 @@ func (c *Cluster) ServerFor(tablet string) (*core.Server, error) {
 	}
 	st := c.servers[owner]
 	if !st.alive {
-		c.breakers.failure("server:" + owner)
 		return nil, fmt.Errorf("%w: %s (tablet %s)", ErrServerDown, owner, tablet)
-	}
-	// An open breaker sheds routing to a server that kept failing even
-	// though it is nominally alive, until a probe attempt succeeds.
-	if !c.breakers.allow("server:" + owner) {
-		return nil, fmt.Errorf("%w: %s (circuit open, tablet %s)", ErrServerDown, owner, tablet)
 	}
 	return st.srv, nil
 }
@@ -525,11 +511,12 @@ func (c *Cluster) secondaryRegistration(name string) (secondaryReg, error) {
 	return reg, nil
 }
 
-// KillServer simulates a tablet-server machine failure: the server's
-// session expires (its ephemeral node vanishes, waking the master) and
-// the master reassigns and recovers its tablets from the shared DFS.
-// The co-located datanode is NOT killed (the paper treats those
-// failures separately; use FS().KillDataNode for that).
+// KillServer simulates a tablet-server machine failure: routing stops
+// resolving to the server at once, and its tablets fail over — to its
+// most caught-up replica, or reassigned and recovered from the shared
+// DFS (handleServerFailure). The co-located datanode is NOT killed (the
+// paper treats those failures separately; use FS().KillDataNode for
+// that).
 func (c *Cluster) KillServer(id string) error {
 	// Serialise against splits, migrations and other failovers.
 	c.topoMu.Lock()
@@ -541,30 +528,19 @@ func (c *Cluster) KillServer(id string) error {
 		return fmt.Errorf("cluster: no live server %s", id)
 	}
 	st.alive = false
-	sess := st.sess
-	master := c.master
 	c.mu.Unlock()
-	sess.Close() // fires the master's watch in real deployments
-	return master.handleServerFailure(id)
+	return c.handleServerFailure(id)
 }
 
 // Close releases every tablet server's background resources (auto-
-// compaction loops, changefeeds) and stops the balancer if one is
-// running. The cluster is not usable afterwards.
+// compaction loops, changefeeds, replicas). The cluster is not usable
+// afterwards.
 func (c *Cluster) Close() error {
-	c.mu.Lock()
-	b := c.balancer
-	c.balancer = nil
-	c.mu.Unlock()
-	if b != nil {
-		b.Stop()
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, st := range c.servers {
-		for _, rp := range st.replicas {
-			rp.rep.Close()
-			rp.sess.Close()
+		for _, rep := range st.replicas {
+			rep.Close()
 		}
 		st.srv.Close()
 	}
@@ -593,46 +569,20 @@ func (c *Cluster) AutoCompactTick() error {
 	return nil
 }
 
-// Master is the cluster's metadata/failover authority. Multiple
-// instances can run; one wins the election and the rest stand by
-// (paper §3.3).
-type Master struct {
-	c      *Cluster
-	sess   *coord.Session
-	leader bool
-}
-
-func newMaster(c *Cluster) *Master {
-	return &Master{c: c, sess: c.svc.NewSession()}
-}
-
-func (m *Master) start() error {
-	won, err := m.sess.Elect("/master", []byte("master"))
-	if err != nil {
-		return err
-	}
-	m.leader = won
-	return nil
-}
-
-// IsLeader reports whether this master won the election.
-func (m *Master) IsLeader() bool { return m.leader }
-
 // handleServerFailure reassigns a dead server's tablets across the
 // survivors and recovers their data by scanning the dead server's log
 // in the shared DFS (paper §3.8 failover). The caller holds topoMu;
 // failMu is write-held for the WHOLE failover — reassignment and log
 // recovery — so Assignments/Epoch readers never observe routing whose
 // heirs have not finished replaying.
-func (m *Master) handleServerFailure(deadID string) error {
-	c := m.c
+func (c *Cluster) handleServerFailure(deadID string) error {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
 	// A dead server with a usable replica is not scattered at all: the
 	// replica already holds (nearly) everything in its own log and
-	// indexes, so the master promotes it and replays only the unshipped
-	// delta (see promoteReplica).
-	if done, err := m.promoteReplica(deadID); done {
+	// indexes, so it is promoted and replays only the unshipped delta
+	// (see promoteReplica).
+	if done, err := c.promoteReplica(deadID); done {
 		return err
 	}
 	c.mu.Lock()
@@ -675,47 +625,23 @@ func (m *Master) handleServerFailure(deadID string) error {
 		// holds each replica's public watermark at 0 until it is closed
 		// below, and closing it restarts the watermark from 0 until that
 		// history has drained.
-		heirReps := c.replicasOf(heirID)
-		for _, rp := range heirReps {
-			rp.rep.BeginTopologySync()
+		heirReps := c.Replicas(heirID)
+		for _, rep := range heirReps {
+			rep.BeginTopologySync()
 			for _, tab := range tabs {
-				rp.rep.AddTablet(specs[tab], groupsOf[tab])
+				rep.AddTablet(specs[tab], groupsOf[tab])
 			}
 		}
 		for _, tab := range tabs {
 			heir.AddTablet(specs[tab], groupsOf[tab])
 		}
 		_, err := heir.RecoverTablets(deadID, wal.Position{}, tabs)
-		for _, rp := range heirReps {
-			rp.rep.EndTopologySync()
+		for _, rep := range heirReps {
+			rep.EndTopologySync()
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: recover tablets from %s on %s: %w", deadID, heirID, err)
 		}
 	}
 	return nil
-}
-
-// FailoverMaster simulates the active master dying: a standby master is
-// created, notices the vacancy, and wins the election.
-func (c *Cluster) FailoverMaster() *Master {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	c.mu.Lock()
-	old := c.master
-	c.mu.Unlock()
-	old.sess.Close()
-	standby := newMaster(c)
-	standby.start() //nolint:errcheck // election on fresh session cannot fail here
-	c.mu.Lock()
-	c.master = standby
-	c.mu.Unlock()
-	return standby
-}
-
-// Master returns the current (possibly failed-over) master.
-func (c *Cluster) Master() *Master {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.master
 }

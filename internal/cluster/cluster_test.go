@@ -225,26 +225,6 @@ func TestTransactionsThroughCluster(t *testing.T) {
 	}
 }
 
-func TestMasterFailover(t *testing.T) {
-	c := newTestCluster(t, 2)
-	if !c.master.IsLeader() {
-		t.Fatal("initial master not leader")
-	}
-	standby := c.FailoverMaster()
-	if !standby.IsLeader() {
-		t.Error("standby did not take over after master death")
-	}
-	// Cluster still works: server failover handled by the new master.
-	cl := c.NewClient()
-	cl.Put("users", "profile", []byte{0x05}, []byte("v"))
-	if err := c.KillServer(c.LiveServers()[0]); err != nil {
-		t.Fatalf("KillServer under new master: %v", err)
-	}
-	if _, err := cl.Get("users", "profile", []byte{0x05}); err != nil {
-		t.Errorf("data lost across master+server failover: %v", err)
-	}
-}
-
 func TestConcurrentClientsScale(t *testing.T) {
 	c := newTestCluster(t, 4)
 	var wg sync.WaitGroup

@@ -105,8 +105,8 @@ func (c *Cluster) SplitTablet(tabletID string) (leftID, rightID string, err erro
 	// section, so a read routed at the new epoch finds the child tablet
 	// ids on the replica too. A failed mirror poisons that replica (it
 	// stops serving reads); the primary split stands.
-	for _, rp := range c.servers[owner].replicas {
-		rp.rep.SplitTablet(tabletID, left, right) //nolint:errcheck // poisons the replica itself
+	for _, rep := range c.servers[owner].replicas {
+		rep.SplitTablet(tabletID, left, right) //nolint:errcheck // poisons the replica itself
 	}
 	// Cluster-wide secondary indexes are sliced per tablet id; the
 	// children need their own slices or lookups on the table break.
@@ -193,17 +193,17 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 	// arriving before its tablet declaration would be skipped for good.
 	// Their watermark reads 0 (open topology sync) while the tablet's
 	// pre-move history is replayed into the destination's log.
-	destReps := c.replicasOf(destID)
-	for _, rp := range destReps {
-		rp.rep.BeginTopologySync()
-		rp.rep.AddTablet(spec, groups)
+	destReps := c.Replicas(destID)
+	for _, rep := range destReps {
+		rep.BeginTopologySync()
+		rep.AddTablet(spec, groups)
 	}
 	abort := func(err error) error {
 		src.UnfreezeTablet(tabletID) //nolint:errcheck // rollback; tablet may not be frozen yet
 		dest.RemoveTablet(tabletID)
-		for _, rp := range destReps {
-			rp.rep.RemoveTablet(tabletID)
-			rp.rep.EndTopologySync()
+		for _, rep := range destReps {
+			rep.RemoveTablet(tabletID)
+			rep.EndTopologySync()
 		}
 		return err
 	}
@@ -267,11 +267,11 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 	// tablet before the bulk phase, so the destination's own log ships
 	// them the whole replayed history. Closing the sync restarts their
 	// watermark from 0 until that history has drained.
-	for _, rp := range destReps {
-		rp.rep.EndTopologySync()
+	for _, rep := range destReps {
+		rep.EndTopologySync()
 	}
-	for _, rp := range c.replicasOf(srcID) {
-		rp.rep.RemoveTablet(tabletID)
+	for _, rep := range c.Replicas(srcID) {
+		rep.RemoveTablet(tabletID)
 	}
 	return nil
 }

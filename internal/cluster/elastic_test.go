@@ -310,11 +310,7 @@ func TestAssignmentsEpochSafeDuringFailover(t *testing.T) {
 // server.
 func TestBalancerSplitsAndMovesHotTablet(t *testing.T) {
 	c := newElasticCluster(t, 2, 2)
-	b := c.StartBalancer(BalancerConfig{
-		Interval: time.Hour, // ticked manually
-		MinOps:   100,
-	})
-	defer b.Stop()
+	b := c.NewBalancer(BalancerConfig{MinOps: 100})
 	cl := c.NewClient()
 	written := 0
 	drive := func(n int) {
@@ -530,8 +526,7 @@ func TestTransactionsDuringBalancing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := c.StartBalancer(BalancerConfig{Interval: time.Hour, MinOps: 64, Cooldown: 1})
-	defer b.Stop()
+	b := c.NewBalancer(BalancerConfig{MinOps: 64, Cooldown: 1})
 
 	commits := 0
 	for round := 0; round < 8; round++ {

@@ -3,15 +3,16 @@ package cluster
 // Read replicas, cluster side: StartReplica makes every WAL-shipping
 // standby (internal/repl) — Config.Replicas per server at startup (a
 // reopened cluster's once Recover has run), or one at runtime — and
-// registers it in the coordination service under
-// an ephemeral /replicas/<id> node. The read router (client.go) sends
-// pinned snapshot reads whose timestamp a replica's watermark covers to
-// that replica, round-robin, falling back
-// to the primary on the first staleness or failure; topology changes
-// (split, migration, failover) mirror to the affected replicas so their
-// tablet layout tracks the primary's. When a primary dies, the master
-// promotes its most caught-up replica into a first-class tablet server
-// instead of scattering the tablets (see promoteReplica).
+// lists it on its primary's server entry. A replica's watermark samples
+// the coordination service's low-water mark, the newest timestamp below
+// every write still in flight (coord.Service.LowWater). The read router
+// (client.go) sends pinned snapshot reads whose timestamp a replica's
+// watermark covers to that replica, round-robin, falling back to the
+// primary on the first staleness or failure; topology changes (split,
+// migration, failover) mirror to the affected replicas so their tablet
+// layout tracks the primary's. When a primary dies, its most caught-up
+// replica is promoted into a first-class tablet server instead of
+// scattering the tablets (see promoteReplica).
 
 import (
 	"fmt"
@@ -19,20 +20,12 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/readopt"
 	"repro/internal/repl"
 	"repro/internal/wal"
 )
-
-// replicaState pairs a running replica with its coordination-service
-// registration.
-type replicaState struct {
-	rep  *repl.Replica
-	sess *coord.Session
-}
 
 // StartReplica starts a WAL-shipping read replica of a live server
 // and registers it with the read router. The replica mirrors the
@@ -55,7 +48,7 @@ func (c *Cluster) StartReplica(serverID string) (*repl.Replica, error) {
 	// Opening the replica's server reads the DFS; routing does not wait
 	// on it.
 	rep, err := repl.New(c.fs, st.srv, base, repl.Config{
-		LastTS: c.svc.LastTimestamp,
+		LastTS: c.svc.LowWater,
 		Server: c.replicaConfig(),
 	})
 	if err != nil {
@@ -78,14 +71,7 @@ func (c *Cluster) StartReplica(serverID string) (*repl.Replica, error) {
 			tables[spec.Table] = true
 		}
 	}
-	sess := c.svc.NewSession()
-	if err := sess.CreateEphemeral("/replicas/"+base, []byte(serverID)); err != nil {
-		c.mu.Unlock()
-		rep.Close()
-		return nil, err
-	}
-	rp := &replicaState{rep: rep, sess: sess}
-	st.replicas = append(st.replicas, rp)
+	st.replicas = append(st.replicas, rep)
 	c.mu.Unlock()
 	// After the registration, so a concurrent SetRetention either lists
 	// this replica or set the primary's policy before it is copied here.
@@ -96,10 +82,9 @@ func (c *Cluster) StartReplica(serverID string) (*repl.Replica, error) {
 	}
 	if err := rep.Start(); err != nil {
 		c.mu.Lock()
-		st.replicas = slices.DeleteFunc(st.replicas, func(x *replicaState) bool { return x == rp })
+		st.replicas = slices.DeleteFunc(st.replicas, func(x *repl.Replica) bool { return x == rep })
 		c.mu.Unlock()
 		rep.Close()
-		sess.Close()
 		return nil, err
 	}
 	return rep, nil
@@ -127,36 +112,15 @@ func (c *Cluster) replicaConfig() core.Config {
 	return sc
 }
 
-// replicasOf snapshots a server's replica list.
-func (c *Cluster) replicasOf(serverID string) []*replicaState {
+// Replicas snapshots a server's read replicas (nil if it has none).
+func (c *Cluster) Replicas(serverID string) []*repl.Replica {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st, ok := c.servers[serverID]
 	if !ok {
 		return nil
 	}
-	return append([]*replicaState(nil), st.replicas...)
-}
-
-// Replicas returns a server's read replicas (nil if it has none).
-func (c *Cluster) Replicas(serverID string) []*repl.Replica {
-	states := c.replicasOf(serverID)
-	out := make([]*repl.Replica, len(states))
-	for i, rp := range states {
-		out[i] = rp.rep
-	}
-	return out
-}
-
-// replicaCount returns how many replicas a server has (balancer
-// capacity weighting).
-func (c *Cluster) replicaCount(serverID string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if st, ok := c.servers[serverID]; ok {
-		return len(st.replicas)
-	}
-	return 0
+	return slices.Clone(st.replicas)
 }
 
 // replicaFor picks a replica of the named primary able to serve a read
@@ -179,7 +143,7 @@ func (c *Cluster) replicaFor(primaryID string, ts int64, ro readopt.Options) *re
 	start := int(c.replRR.Add(1)-1) % n
 	var pick *repl.Replica
 	for i := 0; i < n; i++ {
-		r := reps[(start+i)%n].rep
+		r := reps[(start+i)%n]
 		// A replica whose circuit breaker is open is shedding reads
 		// until a probe succeeds; round-robin on to the next candidate.
 		if !r.Serves(ts, ro) || !c.breakers.allow("replica:"+r.BaseID()) {
@@ -201,9 +165,7 @@ func (c *Cluster) WaitForReplicaTS(ts int64, timeout time.Duration) error {
 	c.mu.RLock()
 	var all []*repl.Replica
 	for _, st := range c.servers {
-		for _, rp := range st.replicas {
-			all = append(all, rp.rep)
-		}
+		all = append(all, st.replicas...)
 	}
 	c.mu.RUnlock()
 	for _, r := range all {
@@ -222,23 +184,22 @@ func (c *Cluster) WaitForReplicaTS(ts int64, timeout time.Duration) error {
 // through its shipping cursor in its OWN log and indexes, so promotion
 // is a ReplaySession over the dead primary's log with the high-water
 // set to that cursor — only the unshipped delta replays — followed by a
-// first-class registration (ephemeral /servers node, assignment flip,
-// epoch bump). Every tablet keeps ONE owner; the dead server's other
-// replicas are closed (their primary is gone). Returns false when the
-// dead server has no usable replica, sending the caller down the
-// scatter-recovery path. Caller holds topoMu and failMu.
-func (m *Master) promoteReplica(deadID string) (bool, error) {
-	c := m.c
+// first-class server entry (assignment flip, epoch bump). Every tablet
+// keeps ONE owner; the dead server's other replicas are closed (their
+// primary is gone). Returns false when the dead server has no usable
+// replica, sending the caller down the scatter-recovery path. Caller
+// holds topoMu and failMu.
+func (c *Cluster) promoteReplica(deadID string) (bool, error) {
 	c.mu.Lock()
 	deadSt, ok := c.servers[deadID]
 	if !ok || len(deadSt.replicas) == 0 {
 		c.mu.Unlock()
 		return false, nil
 	}
-	var best *replicaState
-	var rest []*replicaState
+	var best *repl.Replica
+	var rest []*repl.Replica
 	for _, rp := range deadSt.replicas {
-		if rp.rep.Err() == nil && (best == nil || rp.rep.AppliedLSN() > best.rep.AppliedLSN()) {
+		if rp.Err() == nil && (best == nil || rp.AppliedLSN() > best.AppliedLSN()) {
 			if best != nil {
 				rest = append(rest, best)
 			}
@@ -267,8 +228,8 @@ func (m *Master) promoteReplica(deadID string) (bool, error) {
 	c.mu.Unlock()
 
 	// Shipping stops; the replica's server survives under our control.
-	srv := best.rep.Detach()
-	hw := best.rep.AppliedLSN()
+	srv := best.Detach()
+	hw := best.AppliedLSN()
 	if len(specs) > 0 {
 		rs, err := srv.NewReplaySession(deadSrv.Log(), wal.Position{}, specs)
 		if err != nil {
@@ -281,17 +242,11 @@ func (m *Master) promoteReplica(deadID string) (bool, error) {
 	}
 
 	newID := srv.ID()
-	sess := c.svc.NewSession()
-	if err := sess.CreateEphemeral("/servers/"+newID, []byte(newID)); err != nil {
-		return true, err
-	}
-	best.sess.Close() // drops the ephemeral /replicas node
 	for _, rp := range rest {
-		rp.rep.Close()
-		rp.sess.Close()
+		rp.Close()
 	}
 	c.mu.Lock()
-	c.servers[newID] = &serverState{srv: srv, sess: sess, alive: true}
+	c.servers[newID] = &serverState{srv: srv, alive: true}
 	for _, tab := range orphans {
 		c.assignments[tab] = newID
 	}

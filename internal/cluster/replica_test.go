@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -527,5 +528,78 @@ func TestStartReplicaAtRuntime(t *testing.T) {
 	}
 	if after := scan(readopt.Options{Snapshot: ts}); !slices.Equal(after, byPrimary) {
 		t.Fatalf("after promotion the pinned scan has %d rows, want the %d it had", len(after), len(byPrimary))
+	}
+}
+
+// TestWatermarkStopsBelowInFlightDelete pins the replica watermark to the
+// oldest write still on its way to the log. A Delete takes its
+// timestamp, then finds its tablet frozen (a migration cutover) and
+// keeps retrying with that timestamp; meanwhile a Put to the other
+// tablet takes a later one, lands and ships. The replica has everything
+// its primary's log holds, yet its watermark must stay below the
+// delete's timestamp until the delete's append returns: a read pinned
+// there would otherwise miss the delete. It then covers both.
+func TestWatermarkStopsBelowInFlightDelete(t *testing.T) {
+	c, err := New(t.TempDir(), Config{
+		NumServers: 1,
+		Replicas:   1,
+		Tables:     []TableSpec{{Name: "t", Groups: []string{"g"}, Tablets: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	rep := c.Replicas("ts00")[0]
+	cl := c.NewClient()
+	doomed, other := []byte{0x10}, []byte{0xF0} // one key per tablet
+	if err := cl.Put("t", "g", doomed, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := cl.TabletFor("t", doomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Server("ts00").FreezeTablet(tab); err != nil {
+		t.Fatal(err)
+	}
+	issuedBefore := c.Coord().LastTimestamp()
+	deleted := make(chan error, 1)
+	go func() { deleted <- c.NewClient().Delete("t", "g", doomed) }()
+	for c.Coord().LastTimestamp() == issuedBefore {
+		runtime.Gosched()
+	}
+	delTS := issuedBefore + 1
+	if err := cl.Put("t", "g", other, []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	putTS := c.Coord().LastTimestamp()
+	// Let the replica ship the put and refresh its watermark on it.
+	tip := c.Server("ts00").Log().NextLSN() - 1
+	for deadline := time.Now().Add(5 * time.Second); rep.AppliedLSN() < tip; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at LSN %d, primary tip %d", rep.AppliedLSN(), tip)
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	if wm := rep.WatermarkTS(); wm >= delTS {
+		t.Fatalf("watermark %d covers the in-flight delete at ts %d (put at ts %d shipped)", wm, delTS, putTS)
+	}
+	select {
+	case err := <-deleted:
+		t.Fatalf("delete returned %v while its tablet was frozen", err)
+	default:
+	}
+
+	if err := c.Server("ts00").UnfreezeTablet(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete after the unfreeze: %v", err)
+	}
+	if err := rep.WaitForTS(putTS, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Read("t", "g", doomed, readopt.Options{Snapshot: putTS}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("pinned read after the delete = %v, want ErrNotFound", err)
 	}
 }

@@ -4,17 +4,19 @@ package cluster
 // point-op stale retries, the multi-tablet loop (eachTablet: scans,
 // secondary-index gathers), aggregate re-runs, batch re-routing —
 // shares ONE retry policy (context-aware
-// exponential backoff with jitter and a per-operation attempt budget)
-// and one circuit-breaker table that stops routing to a server or read
-// replica after consecutive failures until a probe succeeds. Before
-// this lived here, each loop carried its own ad-hoc linear sleep.
+// exponential backoff with jitter and a per-operation attempt budget).
+// Reads a replica serves also feed one circuit-breaker table that stops
+// routing to a read replica after consecutive failures until a probe
+// succeeds. A primary needs no breaker: routing already refuses a dead
+// server, and a live one answers every call.
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/repl"
 )
 
 // retryPolicy governs one client operation's retry loop.
@@ -108,8 +110,7 @@ type breakerEntry struct {
 }
 
 // breakers is the per-target circuit-breaker table, shared by every
-// client of a cluster. Targets are names like "server:ts01" or
-// "replica:ts01.r0".
+// client of a cluster. Targets are names like "replica:ts01.r0".
 type breakers struct {
 	mu         sync.Mutex
 	threshold  int
@@ -215,15 +216,11 @@ func (b *breakers) note(target string, err error) {
 	}
 }
 
-// noteServer folds an op outcome into a SERVER breaker. Unlike replica
-// breakers, only ErrServerDown counts against a server: a tablet-level
-// routing error (moved, split, frozen) is the server responding
-// correctly about a tablet it no longer owns, and must not shed
-// traffic for the tablets it still serves.
-func (b *breakers) noteServer(id string, err error) {
-	if err != nil && errors.Is(err, ErrServerDown) {
-		b.failure("server:" + id)
-	} else {
-		b.success("server:" + id)
+// noteReplica folds the outcome of a read readTarget sent to rep into
+// the replica's breaker; a nil rep (the read went to the primary) is a
+// no-op.
+func (c *Cluster) noteReplica(rep *repl.Replica, err error) {
+	if rep != nil {
+		c.breakers.note("replica:"+rep.BaseID(), err)
 	}
 }

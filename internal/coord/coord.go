@@ -1,77 +1,51 @@
-// Package coord is the reproduction's ZooKeeper (paper §3.3, §3.7): an
-// in-process coordination service providing the four facilities LogBase
-// delegates to ZooKeeper — ephemeral registration with watches (server
-// liveness and discovery), master election, a distributed lock service
-// (MVOCC validation-phase write locks), and a timestamp authority that
-// issues globally ordered commit timestamps.
+// Package coord is the reproduction's ZooKeeper (paper §3.3, §3.7),
+// reduced to the two services the in-process cluster reads: the
+// timestamp oracle that totally orders commits, and the session-owned
+// lock table MVOCC's validation phase takes its write locks from.
+// LogBase also hands ZooKeeper server liveness and master election; in
+// one process the cluster's server table is the liveness record and
+// there is one master, so neither is modelled.
 //
-// Only the semantics matter for the reproduction, not the wire
-// protocol, so the service is a small, strictly synchronised state
-// machine. Sessions mirror ZooKeeper sessions: closing one removes its
-// ephemeral nodes and releases its locks, which is what drives failover.
+// The oracle also knows which issued timestamps are not yet durable. An
+// operation that takes its timestamp from Issue holds LowWater below it
+// until it calls Release, so a replica watermark built on LowWater never
+// covers a write still on its way to the log.
 package coord
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// EventType describes a watch notification.
-type EventType int
-
-const (
-	// EventCreated fires when a watched path appears.
-	EventCreated EventType = iota
-	// EventDeleted fires when a watched path disappears.
-	EventDeleted
-	// EventChanged fires when a watched path's data changes.
-	EventChanged
-)
-
-// Event is a watch notification.
-type Event struct {
-	Type EventType
-	Path string
-}
-
-// ErrNodeExists is returned when creating an existing path.
-var ErrNodeExists = errors.New("coord: node exists")
-
-// ErrNoNode is returned for operations on a missing path.
-var ErrNoNode = errors.New("coord: no such node")
-
 // ErrSessionClosed is returned for operations on a closed session.
 var ErrSessionClosed = errors.New("coord: session closed")
-
-type znode struct {
-	data  []byte
-	owner int64 // session id for ephemerals; 0 = persistent
-}
 
 // Service is the coordination service. One instance serves a whole
 // simulated cluster.
 type Service struct {
-	mu       sync.Mutex
-	nodes    map[string]*znode
-	watches  map[string][]chan Event
-	sessions map[int64]*Session
-	locks    map[string]*lockState
+	clock atomic.Int64
 
-	nextSession atomic.Int64
-	clock       atomic.Int64
+	// flight lists the timestamps Issue registered and Release has not
+	// yet released, ascending: Issue appends under flightMu in the same
+	// step that advances the clock.
+	flightMu sync.Mutex
+	flight   []inFlight
+
+	mu    sync.Mutex
+	locks map[string]*lockState
+}
+
+type inFlight struct {
+	ts       int64
+	released bool
 }
 
 // New creates an empty coordination service.
 func New() *Service {
-	return &Service{
-		nodes:    make(map[string]*znode),
-		watches:  make(map[string][]chan Event),
-		sessions: make(map[int64]*Session),
-		locks:    make(map[string]*lockState),
-	}
+	return &Service{locks: make(map[string]*lockState)}
 }
 
 // NextTimestamp issues the next globally ordered timestamp. LogBase
@@ -96,276 +70,113 @@ func (s *Service) AdvanceTo(ts int64) {
 	}
 }
 
-// Session is one client's connection to the service.
+// Issue issues the next timestamp, like NextTimestamp, and registers it
+// as in flight until Release(ts). A write operation issues its first
+// timestamp here and releases it when it returns, durable or failed;
+// any later timestamp it takes from NextTimestamp is above the first,
+// so the one registration covers them all.
+func (s *Service) Issue() int64 {
+	s.flightMu.Lock()
+	ts := s.clock.Add(1)
+	s.flight = append(s.flight, inFlight{ts: ts})
+	s.flightMu.Unlock()
+	return ts
+}
+
+// Release ends the registration Issue made for ts.
+func (s *Service) Release(ts int64) {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	i, ok := slices.BinarySearchFunc(s.flight, ts, func(f inFlight, ts int64) int { return cmp.Compare(f.ts, ts) })
+	if !ok {
+		return
+	}
+	s.flight[i].released = true
+	n := 0
+	for n < len(s.flight) && s.flight[n].released {
+		n++
+	}
+	s.flight = s.flight[:copy(s.flight, s.flight[n:])]
+}
+
+// LowWater is the newest timestamp at or below which every registered
+// operation has returned: the oldest timestamp still in flight minus 1,
+// or LastTimestamp when none is.
+func (s *Service) LowWater() int64 {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if len(s.flight) > 0 {
+		return s.flight[0].ts - 1
+	}
+	return s.clock.Load()
+}
+
+// Session owns locks. Closing it releases every lock it still holds,
+// as when a ZooKeeper client dies. A session is used by one goroutine.
 type Session struct {
 	svc    *Service
-	id     int64
-	closed atomic.Bool
+	held   int // locks owned; Close scans the table only when some are
+	closed bool
 }
 
 // NewSession opens a session.
-func (s *Service) NewSession() *Session {
-	sess := &Session{svc: s, id: s.nextSession.Add(1)}
-	s.mu.Lock()
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-	return sess
-}
+func (s *Service) NewSession() *Session { return &Session{svc: s} }
 
-// ID returns the session's id.
-func (s *Session) ID() int64 { return s.id }
-
-// Close expires the session: its ephemeral nodes vanish (firing
-// watches) and its locks are released, exactly as when a ZooKeeper
-// client dies.
+// Close releases the session's locks; later Locks fail. Idempotent.
 func (s *Session) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.held == 0 {
 		return
 	}
 	svc := s.svc
 	svc.mu.Lock()
-	delete(svc.sessions, s.id)
-	var dead []string
-	for path, n := range svc.nodes {
-		if n.owner == s.id {
-			dead = append(dead, path)
-		}
-	}
-	for _, path := range dead {
-		delete(svc.nodes, path)
-	}
-	var unlock []string
+	var wake []chan struct{}
 	for key, ls := range svc.locks {
-		if ls.owner == s.id {
-			unlock = append(unlock, key)
+		if ls.owner == s {
+			if next := svc.releaseLocked(key, ls); next != nil {
+				wake = append(wake, next)
+			}
 		}
 	}
 	svc.mu.Unlock()
-	for _, path := range dead {
-		svc.notify(path, EventDeleted)
+	s.held = 0
+	for _, next := range wake {
+		close(next)
 	}
-	for _, key := range unlock {
-		svc.unlock(s.id, key)
-	}
-}
-
-func (s *Session) check() error {
-	if s.closed.Load() {
-		return ErrSessionClosed
-	}
-	return nil
-}
-
-// Create creates a persistent node.
-func (s *Session) Create(path string, data []byte) error {
-	return s.create(path, data, 0)
-}
-
-// CreateEphemeral creates a node tied to the session's lifetime.
-func (s *Session) CreateEphemeral(path string, data []byte) error {
-	return s.create(path, data, s.id)
-}
-
-func (s *Session) create(path string, data []byte, owner int64) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	if _, ok := svc.nodes[path]; ok {
-		svc.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNodeExists, path)
-	}
-	svc.nodes[path] = &znode{data: append([]byte(nil), data...), owner: owner}
-	svc.mu.Unlock()
-	svc.notify(path, EventCreated)
-	return nil
-}
-
-// Set replaces a node's data.
-func (s *Session) Set(path string, data []byte) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	n, ok := svc.nodes[path]
-	if !ok {
-		svc.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	n.data = append([]byte(nil), data...)
-	svc.mu.Unlock()
-	svc.notify(path, EventChanged)
-	return nil
-}
-
-// SetOrCreate writes a node's data, creating the node if it does not
-// exist (persistent when created here). Load-report publication uses
-// this: the first report creates /load/<server>, later reports update
-// it in place, and each write fires EventChanged/EventCreated watches.
-func (s *Session) SetOrCreate(path string, data []byte) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	n, ok := svc.nodes[path]
-	if ok {
-		n.data = append([]byte(nil), data...)
-	} else {
-		svc.nodes[path] = &znode{data: append([]byte(nil), data...)}
-	}
-	svc.mu.Unlock()
-	if ok {
-		svc.notify(path, EventChanged)
-	} else {
-		svc.notify(path, EventCreated)
-	}
-	return nil
-}
-
-// Get reads a node's data.
-func (s *Session) Get(path string) ([]byte, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	n, ok := svc.nodes[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	return append([]byte(nil), n.data...), nil
-}
-
-// Delete removes a node.
-func (s *Session) Delete(path string) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	if _, ok := svc.nodes[path]; !ok {
-		svc.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	delete(svc.nodes, path)
-	svc.mu.Unlock()
-	svc.notify(path, EventDeleted)
-	return nil
-}
-
-// Exists reports whether a path exists.
-func (s *Session) Exists(path string) bool {
-	svc := s.svc
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	_, ok := svc.nodes[path]
-	return ok
-}
-
-// List returns sorted paths with the given prefix.
-func (s *Session) List(prefix string) []string {
-	svc := s.svc
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	var out []string
-	for p := range svc.nodes {
-		if len(p) >= len(prefix) && p[:len(prefix)] == prefix {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Watch registers for events on path. The returned channel is buffered;
-// slow consumers drop events (ZooKeeper watches are one-shot and lossy
-// too — consumers must re-read state).
-func (s *Session) Watch(path string) <-chan Event {
-	ch := make(chan Event, 16)
-	svc := s.svc
-	svc.mu.Lock()
-	svc.watches[path] = append(svc.watches[path], ch)
-	svc.mu.Unlock()
-	return ch
-}
-
-func (s *Service) notify(path string, t EventType) {
-	s.mu.Lock()
-	chans := append([]chan Event(nil), s.watches[path]...)
-	s.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- Event{Type: t, Path: path}:
-		default:
-		}
-	}
-}
-
-// Elect attempts to become leader for path by creating an ephemeral
-// node carrying data. It reports whether this session won; losers can
-// watch the path for EventDeleted and retry.
-func (s *Session) Elect(path string, data []byte) (bool, error) {
-	err := s.CreateEphemeral(path, data)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, ErrNodeExists) {
-		return false, nil
-	}
-	return false, err
 }
 
 // lockState holds a lock's owner and FIFO waiter queue.
 type lockState struct {
-	owner   int64
+	owner   *Session
 	waiters []chan struct{}
 }
 
-// TryLock attempts to acquire the named lock without blocking. Locks
-// are re-entrant per session (a session already holding it succeeds).
-func (s *Session) TryLock(key string) (bool, error) {
-	if err := s.check(); err != nil {
-		return false, err
-	}
-	svc := s.svc
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	ls, ok := svc.locks[key]
-	if !ok || ls.owner == 0 {
-		svc.locks[key] = &lockState{owner: s.id}
-		return true, nil
-	}
-	if ls.owner == s.id {
-		return true, nil
-	}
-	return false, nil
-}
-
 // Lock blocks until the named lock is acquired (FIFO order among
-// waiters). MVOCC acquires locks in sorted key order, which prevents
-// deadlock (paper §3.7.1), so the service itself does not detect them.
+// waiters). Locks are re-entrant per session. MVOCC acquires locks in
+// sorted key order, which prevents deadlock (paper §3.7.1), so the
+// service itself does not detect them.
 func (s *Session) Lock(key string) error {
+	svc := s.svc
 	for {
-		if err := s.check(); err != nil {
-			return err
+		if s.closed {
+			return ErrSessionClosed
 		}
-		svc := s.svc
 		svc.mu.Lock()
 		ls, ok := svc.locks[key]
-		if !ok || ls.owner == 0 {
+		if !ok || ls.owner == nil {
 			if !ok {
 				ls = &lockState{}
 				svc.locks[key] = ls
 			}
-			ls.owner = s.id
+			ls.owner = s
 			svc.mu.Unlock()
+			s.held++
 			return nil
 		}
-		if ls.owner == s.id {
+		if ls.owner == s {
 			svc.mu.Unlock()
 			return nil
 		}
@@ -378,28 +189,32 @@ func (s *Session) Lock(key string) error {
 
 // Unlock releases the named lock if held by this session.
 func (s *Session) Unlock(key string) {
-	s.svc.unlock(s.id, key)
-}
-
-func (s *Service) unlock(session int64, key string) {
-	s.mu.Lock()
-	ls, ok := s.locks[key]
-	if !ok || ls.owner != session {
-		s.mu.Unlock()
+	svc := s.svc
+	svc.mu.Lock()
+	ls, ok := svc.locks[key]
+	if !ok || ls.owner != s {
+		svc.mu.Unlock()
 		return
 	}
-	ls.owner = 0
-	var next chan struct{}
-	if len(ls.waiters) > 0 {
-		next = ls.waiters[0]
-		ls.waiters = ls.waiters[1:]
-	} else {
-		delete(s.locks, key)
-	}
-	s.mu.Unlock()
+	next := svc.releaseLocked(key, ls)
+	svc.mu.Unlock()
+	s.held--
 	if next != nil {
 		close(next)
 	}
+}
+
+// releaseLocked frees a held lock and returns the waiter to wake (nil if
+// none; the caller closes it after dropping mu). Callers hold mu.
+func (s *Service) releaseLocked(key string, ls *lockState) chan struct{} {
+	ls.owner = nil
+	if len(ls.waiters) == 0 {
+		delete(s.locks, key)
+		return nil
+	}
+	next := ls.waiters[0]
+	ls.waiters = ls.waiters[1:]
+	return next
 }
 
 // LockHeld reports whether any session currently holds the named lock.
@@ -410,18 +225,5 @@ func (s *Service) LockHeld(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ls, ok := s.locks[key]
-	return ok && ls.owner != 0
-}
-
-// HeldLocks reports how many locks the session holds (for tests).
-func (s *Service) HeldLocks(session int64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ls := range s.locks {
-		if ls.owner == session {
-			n++
-		}
-	}
-	return n
+	return ok && ls.owner != nil
 }

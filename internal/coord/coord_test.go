@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -37,160 +36,84 @@ func TestTimestampOracleMonotonic(t *testing.T) {
 	}
 }
 
-func TestCreateGetSetDelete(t *testing.T) {
+// TestLowWaterStopsBelowOldestInFlight pins the low-water mark: it
+// trails the oldest registered timestamp whatever order registrations
+// are released in, timestamps issued without one only raise it once
+// nothing older is in flight, and it is LastTimestamp when nothing is.
+func TestLowWaterStopsBelowOldestInFlight(t *testing.T) {
 	svc := New()
-	s := svc.NewSession()
-	if err := s.Create("/a", []byte("1")); err != nil {
-		t.Fatalf("Create: %v", err)
+	svc.AdvanceTo(10)
+	if got := svc.LowWater(); got != 10 {
+		t.Fatalf("idle LowWater = %d, want 10", got)
 	}
-	if err := s.Create("/a", []byte("2")); !errors.Is(err, ErrNodeExists) {
-		t.Errorf("duplicate Create err = %v", err)
-	}
-	v, err := s.Get("/a")
-	if err != nil || string(v) != "1" {
-		t.Errorf("Get = %q, %v", v, err)
-	}
-	if err := s.Set("/a", []byte("2")); err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-	v, _ = s.Get("/a")
-	if string(v) != "2" {
-		t.Errorf("after Set, Get = %q", v)
-	}
-	if err := s.Delete("/a"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := s.Get("/a"); !errors.Is(err, ErrNoNode) {
-		t.Errorf("Get after delete err = %v", err)
-	}
-}
-
-func TestEphemeralRemovedOnClose(t *testing.T) {
-	svc := New()
-	s1 := svc.NewSession()
-	s2 := svc.NewSession()
-	s1.CreateEphemeral("/servers/s1", []byte("addr"))
-	s1.Create("/persistent", []byte("stays"))
-	if !s2.Exists("/servers/s1") {
-		t.Fatal("ephemeral not visible to other session")
-	}
-	s1.Close()
-	if s2.Exists("/servers/s1") {
-		t.Error("ephemeral survived session close")
-	}
-	if !s2.Exists("/persistent") {
-		t.Error("persistent node removed on close")
-	}
-	if err := s1.Create("/x", nil); !errors.Is(err, ErrSessionClosed) {
-		t.Errorf("closed session Create err = %v", err)
-	}
-}
-
-func TestList(t *testing.T) {
-	svc := New()
-	s := svc.NewSession()
-	s.Create("/servers/a", nil)
-	s.Create("/servers/b", nil)
-	s.Create("/other", nil)
-	got := s.List("/servers/")
-	want := []string{"/servers/a", "/servers/b"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("List = %v", got)
-	}
-}
-
-func TestWatchFires(t *testing.T) {
-	svc := New()
-	s1 := svc.NewSession()
-	s2 := svc.NewSession()
-	ch := s2.Watch("/node")
-	s1.Create("/node", []byte("x"))
-	select {
-	case ev := <-ch:
-		if ev.Type != EventCreated || ev.Path != "/node" {
-			t.Errorf("event = %+v", ev)
+	a, b, c := svc.Issue(), svc.Issue(), svc.Issue() // 11, 12, 13
+	svc.NextTimestamp()                              // 14, unregistered
+	for _, step := range []struct {
+		release int64
+		want    int64
+	}{
+		{b, a - 1}, // a is still the oldest
+		{a, c - 1},
+		{c, 14},
+	} {
+		svc.Release(step.release)
+		if got := svc.LowWater(); got != step.want {
+			t.Fatalf("after Release(%d): LowWater = %d, want %d", step.release, got, step.want)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("no create event")
 	}
-	s1.Set("/node", []byte("y"))
-	if ev := <-ch; ev.Type != EventChanged {
-		t.Errorf("event = %+v, want changed", ev)
-	}
-	s1.Delete("/node")
-	if ev := <-ch; ev.Type != EventDeleted {
-		t.Errorf("event = %+v, want deleted", ev)
+	svc.Release(c) // a second release is a no-op
+	if got := svc.LowWater(); got != 14 {
+		t.Fatalf("after a repeated Release: LowWater = %d, want 14", got)
 	}
 }
 
-func TestWatchEphemeralDeath(t *testing.T) {
+// TestLowWaterNeverCoversInFlight races writers that each issue,
+// "append" (record their timestamp) and release, against a reader that
+// checks every timestamp at or below LowWater was recorded.
+func TestLowWaterNeverCoversInFlight(t *testing.T) {
 	svc := New()
-	master := svc.NewSession()
-	standby := svc.NewSession()
-	master.CreateEphemeral("/master", []byte("m1"))
-	ch := standby.Watch("/master")
-	master.Close()
-	select {
-	case ev := <-ch:
-		if ev.Type != EventDeleted {
-			t.Errorf("event = %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no deletion event after session death")
-	}
-	// Standby can now win the election.
-	won, err := standby.Elect("/master", []byte("m2"))
-	if err != nil || !won {
-		t.Errorf("standby election: won=%v err=%v", won, err)
-	}
-}
-
-func TestElectionSingleWinner(t *testing.T) {
-	svc := New()
-	const n = 10
-	var winners int32
 	var mu sync.Mutex
+	durable := map[int64]bool{}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			s := svc.NewSession()
-			won, err := s.Elect("/master", []byte{byte(i)})
-			if err != nil {
-				t.Errorf("Elect: %v", err)
-			}
-			if won {
+			for i := 0; i < 2000; i++ {
+				ts := svc.Issue()
 				mu.Lock()
-				winners++
+				durable[ts] = true
 				mu.Unlock()
+				svc.Release(ts)
 			}
-		}(i)
+		}()
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		checked := int64(0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lw := svc.LowWater()
+			mu.Lock()
+			for ; checked < lw; checked++ {
+				if !durable[checked+1] {
+					t.Errorf("LowWater %d covers in-flight timestamp %d", lw, checked+1)
+				}
+			}
+			mu.Unlock()
+		}
+	}()
 	wg.Wait()
-	if winners != 1 {
-		t.Errorf("%d election winners, want exactly 1", winners)
-	}
-}
-
-func TestTryLock(t *testing.T) {
-	svc := New()
-	a := svc.NewSession()
-	b := svc.NewSession()
-	ok, _ := a.TryLock("k")
-	if !ok {
-		t.Fatal("first TryLock failed")
-	}
-	// Re-entrant for the same session.
-	if ok, _ := a.TryLock("k"); !ok {
-		t.Error("re-entrant TryLock failed")
-	}
-	if ok, _ := b.TryLock("k"); ok {
-		t.Error("TryLock on held lock succeeded")
-	}
-	a.Unlock("k")
-	if ok, _ := b.TryLock("k"); !ok {
-		t.Error("TryLock after unlock failed")
+	close(stop)
+	<-done
+	if got := svc.LowWater(); got != 8000 {
+		t.Fatalf("LowWater after every release = %d, want 8000", got)
 	}
 }
 
@@ -229,8 +152,8 @@ func TestLocksReleasedOnSessionClose(t *testing.T) {
 	b := svc.NewSession()
 	a.Lock("x")
 	a.Lock("y")
-	if svc.HeldLocks(a.ID()) != 2 {
-		t.Fatalf("HeldLocks = %d", svc.HeldLocks(a.ID()))
+	if !svc.LockHeld("x") || !svc.LockHeld("y") {
+		t.Fatal("acquired locks not reported held")
 	}
 	done := make(chan struct{})
 	go func() {
@@ -244,8 +167,25 @@ func TestLocksReleasedOnSessionClose(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("lock not released by session close")
 	}
-	if svc.HeldLocks(a.ID()) != 0 {
+	if svc.LockHeld("y") {
 		t.Error("dead session still holds locks")
+	}
+	if !svc.LockHeld("x") {
+		t.Error("waiter did not take over the released lock")
+	}
+}
+
+func TestDoubleCloseSafe(t *testing.T) {
+	svc := New()
+	s := svc.NewSession()
+	s.Lock("k")
+	s.Close()
+	s.Close() // must be a no-op
+	if svc.LockHeld("k") {
+		t.Fatal("lock survived its session")
+	}
+	if err := s.Lock("k"); err != ErrSessionClosed {
+		t.Fatalf("Lock on a closed session = %v, want ErrSessionClosed", err)
 	}
 }
 

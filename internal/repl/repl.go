@@ -15,10 +15,10 @@
 //   - The watermark (WatermarkTS) is the snapshot-consistency frontier:
 //     a read pinned at ts <= watermark served by the replica returns
 //     exactly what the primary would. It advances by the T-before-E
-//     protocol: sample T = the coordinator's last issued timestamp,
-//     THEN observe the primary log tip E; once the feed has drained
-//     through E, every commit at or below T is applied and the
-//     watermark may rise to T.
+//     protocol: sample T = the coordinator's low-water mark (every
+//     write at or below it has returned from its append), THEN observe
+//     the primary log tip E; once the feed has drained through E, every
+//     commit at or below T is applied and the watermark may rise to T.
 //   - The applied cursor is made durable (a small DFS file) every
 //     cursorFlushEvery records and on Close, always lagging what was
 //     actually applied; a restarted replica recovers its own log
@@ -60,9 +60,9 @@ import (
 
 // Config tunes a replica.
 type Config struct {
-	// LastTS returns the coordinator's last issued timestamp
-	// (coord.Service.LastTimestamp). Required: it is the T of the
-	// watermark protocol.
+	// LastTS returns the newest timestamp at or below which every write
+	// has returned from its append (coord.Service.LowWater). Required:
+	// it is the T of the watermark protocol.
 	LastTS func() int64
 	// Server configures the replica's own tablet server (segment size,
 	// caches, auto-compaction...). Replicas usually run without

@@ -364,8 +364,11 @@ func (t *Txn) Commit() error {
 		}
 	}
 
-	// Write phase: commit timestamp from the authority, then persist.
-	commitTS := t.m.svc.NextTimestamp()
+	// Write phase: commit timestamp from the authority, in flight until
+	// Commit returns (so no replica watermark covers it before every
+	// participant has its records), then persist.
+	commitTS := t.m.svc.Issue()
+	defer t.m.svc.Release(commitTS)
 	byServer := map[*core.Server][]core.TxnWrite{}
 	var servers []*core.Server
 	for _, lk := range t.order {

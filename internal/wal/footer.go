@@ -1,13 +1,11 @@
 package wal
 
 // Segment footer metadata (paper §3.6.5): compaction writes each sorted
-// segment with a footer describing what is inside — the min/max
-// clustering key (table, column group, record key), row and LSN ranges,
-// and a sparse block index sampling one record position every
-// sparseIndexStride bytes. The clustered scan uses the min/max keys to
+// segment with a footer bounding the clustering keys (table, column
+// group, record key) inside it. The clustered scan uses the bounds to
 // pick only the segments covering a requested range; it needs no seek
-// offset from the sparse index, because the index walk hands it each
-// row's exact record pointer (SegmentScanner.At).
+// offset within a segment, because the index walk hands it each row's
+// exact record pointer (SegmentScanner.At).
 //
 // Layout: the footer payload is appended after the last record, then a
 // fixed-size trailer [u32 payloadLen | u32 crc32(payload) | 8-byte
@@ -30,9 +28,8 @@ var footerMagic = []byte{'L', 'B', 'S', 'F', 'T', 'R', '0', '1'}
 
 const footerTrailerSize = 16 // u32 len + u32 crc + 8-byte magic
 
-// sparseIndexStride is the sparse block index granularity: one entry
-// per this many record bytes.
-const sparseIndexStride = 64 << 10
+// footerVersion is the payload layout: u16 version | min key | max key.
+const footerVersion = 2
 
 // RecordKey is the clustering key compaction sorts by: (table, column
 // group, record key).
@@ -60,26 +57,10 @@ func (k RecordKey) Compare(o RecordKey) int {
 	return bytes.Compare(k.Key, o.Key)
 }
 
-// SparseEntry is one sparse block index sample: the clustering key and
-// timestamp of the record starting at Off.
-type SparseEntry struct {
-	Key RecordKey
-	TS  int64
-	Off int64
-}
-
 // SegmentMeta is the decoded footer of one sorted segment.
 type SegmentMeta struct {
 	// Min and Max bound the clustering keys present (inclusive).
 	Min, Max RecordKey
-	// Rows is the number of records in the segment.
-	Rows uint32
-	// MinLSN and MaxLSN bound the record LSNs present.
-	MinLSN, MaxLSN uint64
-	// Sparse samples record positions roughly every sparseIndexStride
-	// bytes, ascending by clustering key and offset. The first record of
-	// the segment is always sampled.
-	Sparse []SparseEntry
 }
 
 // Covers reports whether [lo, hi) intersects the segment's key range
@@ -129,19 +110,10 @@ func (p *payloadReader) recordKey() RecordKey {
 
 // encodeFooter serialises the footer: payload + trailer.
 func encodeFooter(m *SegmentMeta) []byte {
-	buf := make([]byte, 0, 256+len(m.Sparse)*48)
-	buf = binary.LittleEndian.AppendUint16(buf, 1) // version
+	buf := make([]byte, 0, 256)
+	buf = binary.LittleEndian.AppendUint16(buf, footerVersion)
 	buf = putRecordKey(buf, m.Min)
 	buf = putRecordKey(buf, m.Max)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Rows)
-	buf = binary.LittleEndian.AppendUint64(buf, m.MinLSN)
-	buf = binary.LittleEndian.AppendUint64(buf, m.MaxLSN)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Sparse)))
-	for _, se := range m.Sparse {
-		buf = putRecordKey(buf, se.Key)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(se.TS))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(se.Off))
-	}
 	out := make([]byte, 0, len(buf)+footerTrailerSize)
 	out = append(out, buf...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(buf)))
@@ -151,26 +123,12 @@ func encodeFooter(m *SegmentMeta) []byte {
 
 func decodeFooterPayload(payload []byte) (*SegmentMeta, error) {
 	pr := &payloadReader{b: payload}
-	if v := pr.u16(); v != 1 {
+	if v := pr.u16(); v != footerVersion {
 		return nil, fmt.Errorf("%w: footer version %d", ErrCorrupt, v)
 	}
 	m := &SegmentMeta{}
 	m.Min = pr.recordKey()
 	m.Max = pr.recordKey()
-	m.Rows = pr.u32()
-	m.MinLSN = pr.u64()
-	m.MaxLSN = pr.u64()
-	n := pr.u32()
-	if pr.err == nil && int(n) <= len(payload) {
-		m.Sparse = make([]SparseEntry, 0, n)
-		for i := uint32(0); i < n && pr.err == nil; i++ {
-			var se SparseEntry
-			se.Key = pr.recordKey()
-			se.TS = int64(pr.u64())
-			se.Off = int64(pr.u64())
-			m.Sparse = append(m.Sparse, se)
-		}
-	}
 	if pr.err != nil {
 		return nil, fmt.Errorf("%w: segment footer", ErrCorrupt)
 	}

@@ -617,7 +617,7 @@ func (l *Log) End() Position {
 // sorted segments, used by compaction to lay down sorted runs while the
 // main log keeps serving appends. Every segment it finishes carries the
 // sorted flag, which tells compaction output from an append segment, and
-// a footer (min/max clustering key, row/LSN counts, sparse block index).
+// a footer (the min/max clustering key).
 type SegmentWriter struct {
 	l    *Log
 	cur  uint32
@@ -625,8 +625,8 @@ type SegmentWriter struct {
 	size int64
 	nums []uint32
 
-	meta       SegmentMeta
-	lastSample int64 // record-area bytes at the last sparse sample
+	meta SegmentMeta
+	rows int // records in the current segment
 }
 
 // NewSegmentWriter starts a writer for fresh (not yet installed)
@@ -651,8 +651,7 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 			return Ptr{}, err
 		}
 		s.cur, s.w, s.size = num, w, segHeaderSize
-		s.meta = SegmentMeta{}
-		s.lastSample = -1
+		s.meta, s.rows = SegmentMeta{}, 0
 		s.nums = append(s.nums, num)
 	}
 	off := s.size
@@ -660,7 +659,7 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 		return Ptr{}, fmt.Errorf("wal: compaction append seg %d: %w", s.cur, err)
 	}
 	s.size += int64(len(frame))
-	s.noteRecord(rec, off)
+	s.noteRecord(rec)
 	s.l.mu.Lock()
 	st := s.l.segs[s.cur]
 	st.size = s.size
@@ -670,31 +669,15 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 }
 
 // noteRecord folds one appended record into the pending footer.
-func (s *SegmentWriter) noteRecord(rec *Record, off int64) {
+func (s *SegmentWriter) noteRecord(rec *Record) {
 	k := RecordKey{Table: rec.Table, Group: rec.Group, Key: rec.Key}
-	if s.meta.Rows == 0 {
-		s.meta.Min, s.meta.Max = k, k
-		s.meta.MinLSN, s.meta.MaxLSN = rec.LSN, rec.LSN
-	} else {
-		if k.Compare(s.meta.Min) < 0 {
-			s.meta.Min = k
-		}
-		if k.Compare(s.meta.Max) > 0 {
-			s.meta.Max = k
-		}
-		if rec.LSN < s.meta.MinLSN {
-			s.meta.MinLSN = rec.LSN
-		}
-		if rec.LSN > s.meta.MaxLSN {
-			s.meta.MaxLSN = rec.LSN
-		}
+	if s.rows == 0 || k.Compare(s.meta.Min) < 0 {
+		s.meta.Min = k
 	}
-	s.meta.Rows++
-	if s.lastSample < 0 || off-s.lastSample >= sparseIndexStride {
-		kc := RecordKey{Table: k.Table, Group: k.Group, Key: append([]byte(nil), k.Key...)}
-		s.meta.Sparse = append(s.meta.Sparse, SparseEntry{Key: kc, TS: rec.TS, Off: off})
-		s.lastSample = off
+	if s.rows == 0 || k.Compare(s.meta.Max) > 0 {
+		s.meta.Max = k
 	}
+	s.rows++
 }
 
 // finishSegment closes the current output segment, writing its footer.
@@ -702,7 +685,7 @@ func (s *SegmentWriter) finishSegment() error {
 	if s.w == nil {
 		return nil
 	}
-	if s.meta.Rows > 0 {
+	if s.rows > 0 {
 		footer := encodeFooter(&s.meta)
 		if _, err := s.w.Write(footer); err != nil {
 			return fmt.Errorf("wal: segment %d footer: %w", s.cur, err)

@@ -12,6 +12,10 @@ import (
 // bigger refills keep a long scan transfer-bound instead of seek-bound.
 const segScanChunkSize = 2 << 20
 
+// segScanFirstRefill is the SegmentScanner's first read-ahead: small
+// enough that a LIMIT scan stopping after a few rows reads kilobytes.
+const segScanFirstRefill = 64 << 10
+
 // SegmentScanner reads one segment's records forward, without touching
 // the per-key index — the clustered read path over sorted segments
 // (paper §3.6.4: post-compaction scans are sequential reads). Next
@@ -23,8 +27,8 @@ const segScanChunkSize = 2 << 20
 // Refills are contiguous (the partial frame at the buffer tail is
 // carried over, never re-read), so a full stream costs one seek per
 // refill at most and pure sequential transfer otherwise. The read-ahead
-// grows with the stream: the first refill is one sparse-index block
-// (sparseIndexStride), each later one is as large as the stream has
+// grows with the stream: the first refill is 64 KB
+// (segScanFirstRefill), each later one is as large as the stream has
 // travelled so far, capped at segScanChunkSize. A LIMIT scan that stops
 // after a few rows therefore reads kilobytes per segment, while a full
 // scan reaches the 2 MB refill after a handful of doublings. The window
@@ -87,9 +91,9 @@ func (s *SegmentScanner) Close() {
 }
 
 // readAhead is the next refill's size: what the stream has travelled so
-// far, at least one sparse-index block and at most segScanChunkSize.
+// far, at least segScanFirstRefill and at most segScanChunkSize.
 func (s *SegmentScanner) readAhead() int {
-	return min(max(int(s.off-s.start), sparseIndexStride), segScanChunkSize)
+	return min(max(int(s.off-s.start), segScanFirstRefill), segScanChunkSize)
 }
 
 // Next advances to the next record, returning false at the end of the

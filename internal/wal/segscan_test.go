@@ -122,8 +122,8 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	if !sc.Next() {
 		t.Fatalf("empty stream: %v", sc.Err())
 	}
-	if got := bytesRead(fs) - before; got > sparseIndexStride {
-		t.Fatalf("first record cost %d bytes read, want <= %d", got, sparseIndexStride)
+	if got := bytesRead(fs) - before; got > segScanFirstRefill {
+		t.Fatalf("first record cost %d bytes read, want <= %d", got, segScanFirstRefill)
 	}
 	if want := sortedRecord(n / 2).Key; !bytes.Equal(sc.Record().Key, want) {
 		t.Fatalf("stream starts at %q, want %q", sc.Record().Key, want)
@@ -165,8 +165,8 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	const a = 100
 	// b lies past the first refill (one sparse block from a) but within
 	// one read-ahead of its end; far lies several read-aheads past b.
-	b := first(a, sparseIndexStride*3/2)
-	far := first(b, 4*sparseIndexStride)
+	b := first(a, segScanFirstRefill*3/2)
+	far := first(b, 4*segScanFirstRefill)
 
 	sc, err := l.OpenSegmentScanner(nums[0], ptrs[a].Off)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	if got := seeks(fs) - seeks0; got != 1 {
 		t.Fatalf("records %d and %d, %d bytes apart, cost %d seeks, want 1", a, b, ptrs[b].Off-ptrs[a].Off, got)
 	}
-	if got := bytesRead(fs) - read0; got <= sparseIndexStride {
+	if got := bytesRead(fs) - read0; got <= segScanFirstRefill {
 		t.Fatalf("read %d bytes for two records past one refill, want a second (read-through) refill", got)
 	}
 
