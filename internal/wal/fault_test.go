@@ -279,3 +279,47 @@ func TestWALReadFaultSingleReplica(t *testing.T) {
 		t.Fatal("replica read fault never fired")
 	}
 }
+
+// Compaction lays its sorted output above the segment open for append,
+// so after a crash the torn segment need not be the last one. Reopen
+// must still find and truncate the torn frame: a sorted segment on top
+// does not mean there is no active tail below it.
+func TestWALTornTailBelowCompactionOutputRepairedOnReopen(t *testing.T) {
+	l, fs, reg, _ := newFaultLog(t, 1)
+	appendN(t, l, 0, 10)
+	sw := l.NewSegmentWriter()
+	if _, err := sw.Append(&Record{Kind: KindWrite, LSN: 1, Table: "t", Tablet: "t/0", Group: "cg",
+		Key: []byte("sorted"), Value: []byte("v")}); err != nil {
+		t.Fatalf("SegmentWriter.Append: %v", err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatalf("SegmentWriter.Close: %v", err)
+	}
+	if active, top := l.ActiveSegment(), sw.Segments()[0]; top <= active {
+		t.Fatalf("compaction output seg %d not above active seg %d", top, active)
+	}
+
+	reg.Arm("wal.append", fault.Policy{Times: 1, Partial: 0.5, Crash: true})
+	_, err := l.Append(&Record{Kind: KindWrite, Table: "t", Tablet: "t/0", Group: "cg",
+		Key: []byte("torn"), TS: 99, Value: []byte("v")})
+	if !fault.Crashed(err) {
+		t.Fatalf("torn crash append err = %v, want crash", err)
+	}
+	path := l.SegmentPath(l.ActiveSegment())
+	pre, _ := fs.Size(path)
+
+	l2, err := Open(fs, "wal", Options{SegmentSize: 1 << 20})
+	if err != nil {
+		t.Fatalf("reopen after torn tail: %v", err)
+	}
+	if post, _ := fs.Size(path); post >= pre {
+		t.Fatalf("torn tail below compaction output not truncated: size %d -> %d", pre, post)
+	}
+	keys, err := scanAll(l2)
+	if err != nil {
+		t.Fatalf("scan after reopen: %v", err)
+	}
+	if len(keys) != 11 || keys[0] != "k0000" || keys[9] != "k0009" || keys[10] != "sorted" {
+		t.Fatalf("records after reopen = %v, want k0000..k0009 then sorted", keys)
+	}
+}

@@ -95,16 +95,8 @@ func putRecordKey(buf []byte, k RecordKey) []byte {
 }
 
 func (p *payloadReader) recordKey() RecordKey {
-	var k RecordKey
-	k.Table = p.str()
-	k.Group = p.str()
-	n := p.u32()
-	if p.err != nil || p.off+int(n) > len(p.b) {
-		p.fail()
-		return RecordKey{}
-	}
-	k.Key = append([]byte(nil), p.b[p.off:p.off+int(n)]...)
-	p.off += int(n)
+	k := RecordKey{Table: string(p.str()), Group: string(p.str())}
+	k.Key = append([]byte(nil), p.take(int(p.u32()))...)
 	return k
 }
 

@@ -148,23 +148,27 @@ func Open(fs *dfs.DFS, dir string, opts Options) (*Log, error) {
 }
 
 // repairTailOnOpen physically truncates a torn frame at the end of the
-// last (previously active) segment. A crash mid-append leaves the torn
-// bytes on disk; recovery's scan would skip them, but they must also
-// be cut from the file — the next session appends to a *new* segment,
-// and a torn frame in a then-sealed segment would read as interior
-// corruption on any later recovery. Interior corruption found here
-// (a CRC mismatch before the tail) fails the open loudly.
+// segment that was open for append: the highest-numbered unsorted one.
+// It need not be the last segment — compaction writes its sorted output
+// above the append segment while appends go on — and sorted segments,
+// sealed by compaction and footer-checked above, never carry an active
+// tail. A crash mid-append leaves the torn bytes on disk; recovery's
+// scan would skip them, but they must also be cut from the file — the
+// next session appends to a *new* segment, and a torn frame in a
+// then-sealed segment would read as interior corruption on any later
+// recovery. The check is VerifySegment's, which copies nothing out of
+// the frames. Interior corruption found here (a CRC mismatch before the
+// tail) fails the open loudly.
 func (l *Log) repairTailOnOpen() error {
-	if len(l.order) == 0 {
+	i := len(l.order) - 1
+	for i >= 0 && l.segs[l.order[i]].sorted {
+		i--
+	}
+	if i < 0 || l.segs[l.order[i]].size <= segHeaderSize {
 		return nil
 	}
-	num := l.order[len(l.order)-1]
+	num := l.order[i]
 	st := l.segs[num]
-	if st.sorted || st.size <= segHeaderSize {
-		// Sorted segments were sealed by compaction and footer-checked
-		// above; they cannot carry an active tail.
-		return nil
-	}
 	path := l.SegmentPath(num)
 	r, err := l.fs.Open(path)
 	if err != nil {

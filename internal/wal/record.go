@@ -12,6 +12,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -220,30 +221,25 @@ func (p *payloadReader) u64() uint64 {
 	return v
 }
 
-func (p *payloadReader) str() string {
-	n := int(p.u16())
+// take returns the next n payload bytes as a sub-slice: the field
+// readers copy nothing.
+func (p *payloadReader) take(n int) []byte {
 	if p.err != nil || p.off+n > len(p.b) {
 		p.fail()
-		return ""
+		return nil
 	}
-	s := string(p.b[p.off : p.off+n])
+	b := p.b[p.off : p.off+n]
 	p.off += n
-	return s
+	return b
 }
 
+func (p *payloadReader) str() []byte { return p.take(int(p.u16())) }
+
 func (p *payloadReader) bytes() []byte {
-	n := p.u32()
-	if n == math.MaxUint32 {
-		return nil
+	if n := p.u32(); n != math.MaxUint32 {
+		return p.take(int(n))
 	}
-	if p.err != nil || p.off+int(n) > len(p.b) {
-		p.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, p.b[p.off:])
-	p.off += int(n)
-	return out
+	return nil
 }
 
 func (p *payloadReader) fail() {
@@ -252,52 +248,75 @@ func (p *payloadReader) fail() {
 	}
 }
 
-// decodePayload parses a record body.
-func decodePayload(payload []byte) (Record, error) {
-	pr := &payloadReader{b: payload}
-	var r Record
-	r.Kind = Kind(pr.u8())
-	r.LSN = pr.u64()
-	r.TxnID = pr.u64()
-	r.TS = int64(pr.u64())
-	r.Table = pr.str()
-	r.Tablet = pr.str()
-	r.Group = pr.str()
-	r.Key = pr.bytes()
-	r.Value = pr.bytes()
+// frameView is one checked frame. Its fields are sub-slices of the
+// frame bytes, valid only as long as those are.
+type frameView struct {
+	kind                 Kind
+	lsn, txnID           uint64
+	ts                   int64
+	table, tablet, group []byte
+	key, value           []byte // nil when absent
+	size                 int    // framed length; 0 unless the frame checked out
+}
+
+// parseFrame checks the frame at the front of b — length, CRC, payload
+// structure, kind, no trailing bytes — and fills f with its fields,
+// without allocating. A short buffer returns ErrTorn; every other defect
+// ErrCorrupt. It is the one record parser: Decode copies out what it
+// fills, and VerifySegment stops at the check. f is filled in place
+// because copying the view out costs as much as parsing it.
+func parseFrame(b []byte, f *frameView) error {
+	f.size = 0
+	if len(b) < frameHeaderSize {
+		return ErrTorn
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if len(b) < frameHeaderSize+n {
+		return ErrTorn
+	}
+	payload := b[frameHeaderSize : frameHeaderSize+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return ErrCorrupt
+	}
+	pr := payloadReader{b: payload}
+	f.kind = Kind(pr.u8())
+	f.lsn = pr.u64()
+	f.txnID = pr.u64()
+	f.ts = int64(pr.u64())
+	f.table = pr.str()
+	f.tablet = pr.str()
+	f.group = pr.str()
+	f.key = pr.bytes()
+	f.value = pr.bytes()
 	if pr.err != nil {
-		return Record{}, pr.err
+		return pr.err
 	}
 	if pr.off != len(payload) {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-pr.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-pr.off)
 	}
-	switch r.Kind {
+	switch f.kind {
 	case KindWrite, KindDelete, KindCommit, KindCheckpoint:
 	default:
-		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, r.Kind)
+		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, f.kind)
 	}
-	return r, nil
+	f.size = frameHeaderSize + n
+	return nil
+}
+
+// record copies the frame's fields into a Record that aliases nothing.
+func (f *frameView) record() Record {
+	return Record{Kind: f.kind, LSN: f.lsn, TxnID: f.txnID, TS: f.ts,
+		Table: string(f.table), Tablet: string(f.tablet), Group: string(f.group),
+		Key: bytes.Clone(f.key), Value: bytes.Clone(f.value)}
 }
 
 // Decode parses one framed record from b, returning the record and the
 // total number of bytes consumed. A short buffer returns ErrTorn; a CRC
-// mismatch returns ErrCorrupt.
+// mismatch or a malformed payload returns ErrCorrupt.
 func Decode(b []byte) (Record, int, error) {
-	if len(b) < frameHeaderSize {
-		return Record{}, 0, ErrTorn
-	}
-	n := binary.LittleEndian.Uint32(b)
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if len(b) < frameHeaderSize+int(n) {
-		return Record{}, 0, ErrTorn
-	}
-	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, ErrCorrupt
-	}
-	rec, err := decodePayload(payload)
-	if err != nil {
+	var f frameView
+	if err := parseFrame(b, &f); err != nil {
 		return Record{}, 0, err
 	}
-	return rec, frameHeaderSize + int(n), nil
+	return f.record(), f.size, nil
 }

@@ -3,15 +3,18 @@ package wal
 import "io"
 
 // VerifySegment checks a raw segment image of the given size read via
-// r: the header magic, every record frame's length and CRC, and — for
-// sorted segments — the footer trailer and its CRC. activeTail marks
-// the segment that was open for append when the image was taken; only
-// there is a trailing torn frame expected (and accepted). The first
-// defect is returned as a *CorruptionError locating it; a clean image
-// returns nil.
+// r: the header magic, every record frame (length, CRC, payload
+// structure, kind: the checks Decode makes, through the same parser)
+// and — for sorted segments — the footer trailer and its CRC. It copies
+// no record out, so a sweep allocates per segment, not per record.
+// activeTail marks the segment that was open for append when the image
+// was taken; only there is a trailing torn frame expected (and
+// accepted). The first defect is returned as a *CorruptionError
+// locating it; a clean image returns nil.
 //
-// The scrubber runs this per replica so a single corrupt copy is
-// pinned to one datanode while the healthy copies vouch for the data.
+// Open runs it to repair a torn tail; the scrubber runs it per replica
+// so a single corrupt copy is pinned to one datanode while the healthy
+// copies vouch for the data.
 func VerifySegment(r io.ReaderAt, size int64, seg uint32, activeTail bool) error {
 	hdr := make([]byte, segHeaderSize)
 	if n, err := r.ReadAt(hdr, 0); err != nil && err != io.EOF {
@@ -32,12 +35,11 @@ func VerifySegment(r io.ReaderAt, size int64, seg uint32, activeTail bool) error
 		}
 	}
 	var win readWindow
-	for off := int64(segHeaderSize); off < dataEnd; {
-		_, n, err := win.next(r, seg, off, dataEnd, scanChunkSize, activeTail)
-		if err != nil || n == 0 {
+	var f frameView
+	for off := int64(segHeaderSize); off < dataEnd; off += int64(f.size) {
+		if err := win.frame(r, seg, off, dataEnd, scanChunkSize, activeTail, &f); err != nil || f.size == 0 {
 			return err
 		}
-		off += int64(n)
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dfs"
 )
 
 func TestScannerRecordLargerThanChunk(t *testing.T) {
@@ -138,5 +140,34 @@ func TestAppendCoalescesIntoOneDFSWrite(t *testing.T) {
 	after := fs.DataNode(0).Disk().Stats().WriteOps
 	if ops := after - before; ops > 10 {
 		t.Errorf("batch append issued %d write ops on one datanode; coalescing broken", ops)
+	}
+}
+
+// Open checks the active segment's frames for a torn tail without
+// copying a record out, so what it allocates does not grow with the
+// number of records in that segment. One 1 MB DFS block holds either
+// segment, so the DFS's per-block read bookkeeping stays out of the count.
+func TestOpenAllocsIndependentOfRecordCount(t *testing.T) {
+	opts := Options{SegmentSize: 64 << 20}
+	openAllocs := func(records int) float64 {
+		fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 1 << 20})
+		if err != nil {
+			t.Fatalf("dfs.New: %v", err)
+		}
+		l, err := Open(fs, "wal", opts)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		appendN(t, l, 0, records)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Open(fs, "wal", opts); err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+		})
+	}
+	small, large := openAllocs(1000), openAllocs(10000)
+	t.Logf("Open allocs: %v at 1 K records, %v at 10 K", small, large)
+	if large > 64 || large > small+32 {
+		t.Fatalf("Open allocs: %v at 1 K records, %v at 10 K; want <= 64 at 10 K and <= the 1 K count + 32", small, large)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // next chunk from exactly where the previous physical read ended, so a
 // sweep is contiguous I/O — no per-chunk seek charge on the modelled
 // disk, and no re-read of the tail bytes. The buffer is reused across
-// refills (and segment switches) and only grows with chunk: Decode
-// copies every key and value out, so no returned Record aliases it, and
-// the SegmentScanner can hand its buffer back to a pool on Close.
+// refills (and segment switches) and only grows with chunk: next copies
+// every key and value out, so no returned Record aliases it, and the
+// SegmentScanner can hand its buffer back to a pool on Close.
 type readWindow struct {
 	buf      []byte
 	bufStart int64
@@ -72,32 +72,40 @@ func (w *readWindow) at(r io.ReaderAt, off, end int64, want, chunk int) ([]byte,
 	return w.buf[min(off-w.bufStart, int64(len(w.buf))):], nil
 }
 
-// next decodes the frame at off in segment seg, whose record area ends
-// at end, refilling in chunk-sized reads. It returns the record and its
-// framed length. Length 0 with a nil error means a torn frame ended the
-// data, which only tail allows: the segment was open for append, and
-// its in-flight write died mid-frame unacknowledged. Any other torn
-// frame, and any corrupt one, is a *CorruptionError locating it —
-// durable, possibly acknowledged records are damaged, and treating the
-// damage as an end would silently drop every record after it.
-func (w *readWindow) next(r io.ReaderAt, seg uint32, off, end int64, chunk int, tail bool) (Record, int, error) {
+// frame fetches the frame at off in segment seg, whose record area ends
+// at end, refilling in chunk-sized reads, and checks it into f
+// (parseFrame). f aliases the window: it is valid until the next call.
+// f.size 0 with a nil error means a torn frame ended the data, which
+// only tail allows: the segment was open for append, and its in-flight
+// write died mid-frame unacknowledged. Any other torn frame, and any
+// corrupt one, is a *CorruptionError locating it — durable, possibly
+// acknowledged records are damaged, and treating the damage as an end
+// would silently drop every record after it.
+func (w *readWindow) frame(r io.ReaderAt, seg uint32, off, end int64, chunk int, tail bool, f *frameView) error {
 	frame, err := w.at(r, off, end, frameHeaderSize, chunk)
 	if err != nil {
-		return Record{}, 0, err
+		return err
 	}
 	if len(frame) >= frameHeaderSize {
 		if n := frameHeaderSize + int(binary.LittleEndian.Uint32(frame)); len(frame) < n {
 			if frame, err = w.at(r, off, end, n, chunk); err != nil {
-				return Record{}, 0, err
+				return err
 			}
 		}
 	}
-	rec, n, err := Decode(frame)
-	switch {
-	case err == nil:
-		return rec, n, nil
-	case errors.Is(err, ErrTorn) && tail:
-		return Record{}, 0, nil
+	err = parseFrame(frame, f)
+	if err == nil || errors.Is(err, ErrTorn) && tail {
+		return nil
 	}
-	return Record{}, 0, &CorruptionError{Segment: seg, Off: off, Err: err}
+	return &CorruptionError{Segment: seg, Off: off, Err: err}
+}
+
+// next is frame copied out: the record at off and its framed length,
+// under the same end-of-data and error contract.
+func (w *readWindow) next(r io.ReaderAt, seg uint32, off, end int64, chunk int, tail bool) (Record, int, error) {
+	var f frameView
+	if err := w.frame(r, seg, off, end, chunk, tail, &f); err != nil || f.size == 0 {
+		return Record{}, 0, err
+	}
+	return f.record(), f.size, nil
 }
