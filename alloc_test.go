@@ -37,14 +37,14 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			return db.ClusterClient
-		}, 7, 10, 65, 43, 66},
+		}, 5, 10, 65, 36, 66},
 		{"cluster", func(t *testing.T) *logbase.ClusterClient {
 			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}
 			return logbase.NewClusterClient(c)
-		}, 7, 10, 66, 43, 67},
+		}, 5, 10, 66, 36, 67},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open(t)

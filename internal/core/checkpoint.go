@@ -39,7 +39,7 @@ func (s *Server) checkpoint() error {
 	end := s.log.End()
 	pos := binary.LittleEndian.AppendUint32(nil, end.Seg)
 	pos = binary.LittleEndian.AppendUint64(pos, uint64(end.Off))
-	file := wal.Encode(&wal.Record{Kind: wal.KindCheckpoint, LSN: s.log.NextLSN() - 1, Value: pos})
+	file := wal.AppendFrame(nil, &wal.Record{Kind: wal.KindCheckpoint, LSN: s.log.NextLSN() - 1, Value: pos})
 
 	s.mu.RLock()
 	tablets := make([]*Tablet, 0, len(s.tablets))
@@ -52,7 +52,7 @@ func (s *Server) checkpoint() error {
 		t.mu.RLock()
 		for gname, g := range t.groups {
 			entries, _ = g.tree().Encode(entries[:0])
-			file = append(file, wal.Encode(&wal.Record{Kind: wal.KindCheckpoint, Tablet: t.id, Group: gname, Value: entries})...)
+			file = wal.AppendFrame(file, &wal.Record{Kind: wal.KindCheckpoint, Tablet: t.id, Group: gname, Value: entries})
 		}
 		t.mu.RUnlock()
 	}

@@ -18,6 +18,7 @@ package core
 // and they are vacuumed.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -191,6 +192,9 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 		prepared bool
 	}
 	var keep []survivor
+	if whole { // the survivors are the live writes, each once in an index
+		keep = make([]survivor, 0, s.indexEntries())
+	}
 	for _, num := range input {
 		sc, err := s.log.OpenSegmentScanner(num, 0)
 		if err != nil {
@@ -231,18 +235,20 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 	// Cluster by (table, group, key, ts); ties (same composite key) by
 	// LSN so replay order stays deterministic. Commit records sort by
 	// their (empty) keys first — position is irrelevant for them, only
-	// presence.
-	sort.SliceStable(keep, func(i, j int) bool {
+	// presence. The sort permutes indexes, not survivors, and the index
+	// breaks what ties remain, which keeps it stable.
+	order := make([]int32, len(keep))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
 		a, b := &keep[i].rec, &keep[j].rec
 		ka := wal.RecordKey{Table: a.Table, Group: a.Group, Key: a.Key}
 		kb := wal.RecordKey{Table: b.Table, Group: b.Group, Key: b.Key}
 		if c := ka.Compare(kb); c != 0 {
-			return c < 0
+			return c
 		}
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.LSN < b.LSN
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.LSN, b.LSN), cmp.Compare(i, j))
 	})
 
 	// Retention, once per key: a live version is vacuumed when the index
@@ -255,16 +261,17 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 	var moves []recordMove
 	var versions []index.Entry // the index's versions of key of, ascending timestamp
 	var of wal.RecordKey
-	kept := keep[:0]
-	for _, v := range keep {
+	kept := order[:0]
+	for _, i := range order {
+		v := &keep[i]
 		rec := &v.rec
 		if rec.Kind != wal.KindWrite || v.prepared {
-			kept = append(kept, v)
+			kept = append(kept, i)
 			continue
 		}
 		b := bounds(rec.Table)
 		if b.keep <= 0 && b.cutoff <= 0 {
-			kept = append(kept, v)
+			kept = append(kept, i)
 			continue
 		}
 		if k := (wal.RecordKey{Table: rec.Table, Group: rec.Group, Key: rec.Key}); versions == nil || k.Compare(of) != 0 {
@@ -282,10 +289,10 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 			maxDropped = max(maxDropped, rec.LSN)
 			continue
 		}
-		kept = append(kept, v)
+		kept = append(kept, i)
 	}
-	keep = kept
-	st.RecordsKept = len(keep)
+	order = kept
+	st.RecordsKept = len(order)
 	st.Dropped = st.RecordsIn - st.RecordsKept
 
 	// Raise the feed prune horizon BEFORE the inputs can disappear
@@ -301,26 +308,27 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 	// record that may be vacuumed later.
 	sw := s.log.NewSegmentWriter()
 	remap := map[wal.Ptr]wal.Ptr{} // registered preparations only
-	moves = slices.Grow(moves, len(keep))
-	for i := range keep {
-		rec := keep[i].rec
-		if rec.Kind == wal.KindWrite && !keep[i].prepared {
+	moves = slices.Grow(moves, len(order))
+	for _, i := range order {
+		v := &keep[i]
+		rec := &v.rec
+		if rec.Kind == wal.KindWrite && !v.prepared {
 			rec.TxnID = 0
 		}
-		ptr, err := sw.Append(&rec)
+		ptr, err := sw.Append(rec)
 		if err != nil {
 			return st, err
 		}
 		if rec.Kind != wal.KindWrite {
 			continue
 		}
-		if keep[i].prepared {
-			remap[keep[i].old] = ptr
+		if v.prepared {
+			remap[v.old] = ptr
 		}
 		moves = append(moves, recordMove{
 			table: rec.Table, tablet: rec.Tablet, group: rec.Group, key: rec.Key,
 			value: rec.Value, ts: rec.TS, lsn: rec.LSN,
-			old: keep[i].old, new: ptr, prepared: keep[i].prepared,
+			old: v.old, new: ptr, prepared: v.prepared,
 		})
 	}
 	if err := sw.Close(); err != nil {

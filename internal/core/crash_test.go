@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -43,10 +44,11 @@ func (o oracle) del(key string) { delete(o, key) }
 
 // crashEnv is one harnessed server lifetime over a shared DFS.
 type crashEnv struct {
-	t   *testing.T
-	fs  *dfs.DFS
-	reg *fault.Registry
-	srv *Server
+	t       *testing.T
+	fs      *dfs.DFS
+	reg     *fault.Registry
+	srv     *Server
+	segSize int64 // log segment size; zero means 1 MB
 }
 
 func newCrashEnv(t *testing.T, seed int64) *crashEnv {
@@ -61,7 +63,7 @@ func newCrashEnv(t *testing.T, seed int64) *crashEnv {
 }
 
 func (e *crashEnv) config() Config {
-	return Config{SegmentSize: 1 << 20, Faults: e.reg}
+	return Config{SegmentSize: cmp.Or(e.segSize, 1<<20), Faults: e.reg}
 }
 
 func (e *crashEnv) open() *Server {

@@ -466,13 +466,23 @@ func (s *Server) IndexLen(tabletID, group string) int {
 
 // IndexMemBytes returns the estimated index memory across all tablets.
 func (s *Server) IndexMemBytes() int64 {
+	return s.sumIndexes((*index.Tree).MemBytes)
+}
+
+// indexEntries counts the entries of every primary index.
+func (s *Server) indexEntries() int {
+	return int(s.sumIndexes(func(t *index.Tree) int64 { return int64(t.Len()) }))
+}
+
+// sumIndexes adds f over every tablet's column-group indexes.
+func (s *Server) sumIndexes(f func(*index.Tree) int64) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var n int64
 	for _, t := range s.tablets {
 		t.mu.RLock()
 		for _, g := range t.groups {
-			n += g.tree().MemBytes()
+			n += f(g.tree())
 		}
 		t.mu.RUnlock()
 	}

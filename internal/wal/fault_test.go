@@ -323,3 +323,68 @@ func TestWALTornTailBelowCompactionOutputRepairedOnReopen(t *testing.T) {
 		t.Fatalf("records after reopen = %v, want k0000..k0009 then sorted", keys)
 	}
 }
+
+// A crash that tears the header write of a fresh segment leaves a file
+// shorter than the header, holding no records. Reopening must drop it
+// (Peer: pass it over) and keep serving; a short file that is not a
+// header prefix stays loud.
+func TestTornSegmentHeaderDroppedOnOpen(t *testing.T) {
+	l, fs, reg, _ := newFaultLog(t, 7)
+	appendN(t, l, 0, 10)
+	l.Rotate()
+	for i := 0; i < 3; i++ {
+		reg.Arm(fmt.Sprintf("dfs.dn%d.write", i), fault.Policy{Times: 1, Partial: 0.5, Crash: true})
+	}
+	if _, err := l.Append(&Record{Kind: KindWrite, Table: "t", Tablet: "t/0", Group: "cg",
+		Key: []byte("torn"), TS: 99, Value: []byte("v")}); !fault.Crashed(err) {
+		t.Fatalf("append into a segment with a torn header: err = %v, want crash", err)
+	}
+	reg.Reset()
+	torn := l.SegmentPath(2)
+	if size, err := fs.Size(torn); err != nil || size >= SegmentHeaderSize {
+		t.Fatalf("torn segment: size %d, err %v; want a file shorter than the header", size, err)
+	}
+	// A header prefix that did reach the disk is torn all the same.
+	w, err := fs.Create(l.SegmentPath(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(segMagic[:3]); err != nil {
+		t.Fatal(err)
+	}
+
+	peer, err := Open(fs, "wal", Options{Peer: true})
+	if err != nil {
+		t.Fatalf("peer open over torn headers: %v", err)
+	}
+	if got := len(peer.Segments()); got != 1 || !fs.Exists(torn) {
+		t.Fatalf("peer open: %d segments, torn file kept %v; want 1 and true", got, fs.Exists(torn))
+	}
+	for pass := 0; pass < 2; pass++ {
+		l2, err := Open(fs, "wal", Options{SegmentSize: 1 << 20})
+		if err != nil {
+			t.Fatalf("reopen %d after torn segment header: %v", pass, err)
+		}
+		if pass == 0 && (fs.Exists(torn) || fs.Exists(l.SegmentPath(3))) {
+			t.Fatalf("reopen %d kept a torn-header segment", pass)
+		}
+		keys, err := scanAll(l2)
+		if err != nil || len(keys) != 10+pass {
+			t.Fatalf("reopen %d: %d records (%v), want %d", pass, len(keys), err, 10+pass)
+		}
+		l2.SetNextLSN(100)
+		appendN(t, l2, 10+pass, 1)
+	}
+
+	// Anything else short of a header is damage.
+	w, err = fs.Create(l.SegmentPath(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("LBX")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(fs, "wal", Options{}); err == nil {
+		t.Fatal("open over a short non-header segment succeeded; want bad segment magic")
+	}
+}

@@ -188,3 +188,32 @@ func FuzzFrameParse(f *testing.F) {
 		checkFrameAgreement(t, reframe(b))
 	})
 }
+
+// TestAppendFrameInPlace: AppendFrame extends its caller's buffer with
+// exactly frameSize bytes that decode back to the record, leaves the
+// bytes before them alone, and allocates nothing when the buffer has
+// room.
+func TestAppendFrameInPlace(t *testing.T) {
+	buf := make([]byte, 0, 1<<10)
+	for _, r := range agreementBases() {
+		buf = append(buf[:0], "prefix"...)
+		buf = AppendFrame(buf, &r)
+		if string(buf[:6]) != "prefix" || len(buf)-6 != frameSize(&r) {
+			t.Fatalf("%+v: prefix %q, frame %d bytes, want %d", r, buf[:6], len(buf)-6, frameSize(&r))
+		}
+		got, n, err := Decode(buf[6:])
+		if err != nil || n != len(buf)-6 {
+			t.Fatalf("%+v: Decode = %d bytes, %v", r, n, err)
+		}
+		if r.Kind == KindDelete {
+			r.Value = nil // a delete carries no value
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip: got %#v, want %#v", got, r)
+		}
+	}
+	r := agreementBases()[len(agreementBases())-2]
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], &r) }); allocs != 0 {
+		t.Fatalf("AppendFrame into a buffer with room: %v allocs, want 0", allocs)
+	}
+}

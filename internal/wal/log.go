@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -128,6 +129,14 @@ func Open(fs *dfs.DFS, dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 		sorted, meta, dataEnd, err := l.readSegHeaderFooter(path, size)
+		if errors.Is(err, errTornHeader) {
+			// The crash tore the header write of a segment that never
+			// held a record.
+			if !opts.Peer {
+				fs.Delete(path) //nolint:errcheck // listed above, so it exists
+			}
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -190,6 +199,11 @@ func (l *Log) repairTailOnOpen() error {
 	return verr
 }
 
+// errTornHeader reports a segment file shorter than its header whose
+// bytes are a prefix of one: the header write was torn, so the segment
+// holds no records.
+var errTornHeader = errors.New("wal: torn segment header")
+
 // readSegHeaderFooter validates a segment's header and, for sorted
 // segments, decodes the trailing footer.
 func (l *Log) readSegHeaderFooter(path string, size int64) (sorted bool, meta *SegmentMeta, dataEnd int64, err error) {
@@ -199,13 +213,15 @@ func (l *Log) readSegHeaderFooter(path string, size int64) (sorted bool, meta *S
 	}
 	defer r.Close()
 	hdr := make([]byte, segHeaderSize)
-	if _, err := r.ReadAt(hdr, 0); err != nil && err != io.EOF {
+	n, err := r.ReadAt(hdr, 0)
+	if err != nil && err != io.EOF {
 		return false, nil, 0, err
 	}
-	for i, m := range segMagic {
-		if hdr[i] != m {
-			return false, nil, 0, fmt.Errorf("wal: %s: bad segment magic", path)
-		}
+	if n < segHeaderSize && bytes.HasPrefix(segMagic, hdr[:min(n, len(segMagic))]) {
+		return false, nil, 0, errTornHeader
+	}
+	if !bytes.HasPrefix(hdr, segMagic) {
+		return false, nil, 0, fmt.Errorf("wal: %s: bad segment magic", path)
 	}
 	sorted = hdr[6]&segFlagSorted != 0
 	dataEnd = size
@@ -277,25 +293,20 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ptrs := make([]Ptr, 0, len(recs))
-	var batch []byte
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := l.flushBatchLocked(batch); err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return nil
+	size := 0
+	for _, r := range recs {
+		size += frameSize(r)
 	}
+	batch := make([]byte, 0, size) // every frame is written into it in place
 	for _, r := range recs {
 		r.LSN = l.nextLSN
 		l.nextLSN++
-		frame := Encode(r)
-		if l.curW == nil || l.segs[l.cur].size+int64(len(frame)) > l.opts.SegmentSize {
-			if err := flush(); err != nil {
+		n := int64(frameSize(r))
+		if l.curW == nil || l.segs[l.cur].size+n > l.opts.SegmentSize {
+			if err := l.flushBatchLocked(batch); err != nil {
 				return nil, err
 			}
+			batch = batch[:0]
 			num, w, err := l.newSegmentLocked(false)
 			if err != nil {
 				return nil, err
@@ -303,13 +314,12 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 			l.cur, l.curW = num, w
 		}
 		st := l.segs[l.cur]
-		off := st.size
-		batch = append(batch, frame...)
-		st.size += int64(len(frame))
+		ptrs = append(ptrs, Ptr{Seg: l.cur, Off: st.size, Len: uint32(n)})
+		batch = AppendFrame(batch, r)
+		st.size += n
 		st.dataEnd = st.size
-		ptrs = append(ptrs, Ptr{Seg: l.cur, Off: off, Len: uint32(len(frame))})
 	}
-	if err := flush(); err != nil {
+	if err := l.flushBatchLocked(batch); err != nil {
 		return nil, err
 	}
 	if l.hook != nil {
@@ -333,6 +343,9 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 // outcome leaves the torn bytes on disk, exactly as a dead process
 // would.
 func (l *Log) flushBatchLocked(batch []byte) error {
+	if len(batch) == 0 {
+		return nil
+	}
 	st := l.segs[l.cur]
 	start := st.size - int64(len(batch))
 	fail := func(written int, err error) error {
@@ -621,17 +634,24 @@ func (l *Log) End() Position {
 // sorted segments, used by compaction to lay down sorted runs while the
 // main log keeps serving appends. Every segment it finishes carries the
 // sorted flag, which tells compaction output from an append segment, and
-// a footer (the min/max clustering key).
+// a footer (the min/max clustering key). Frames gather in a buffer that
+// goes to the DFS in one append per writeChunkSize bytes, and with the
+// footer when a segment is finished.
 type SegmentWriter struct {
 	l    *Log
 	cur  uint32
 	w    *dfs.Writer
-	size int64
+	size int64  // logical record-area end: durable bytes plus buf
+	buf  []byte // frames not yet written
 	nums []uint32
 
 	meta SegmentMeta
 	rows int // records in the current segment
 }
+
+// writeChunkSize is how many buffered bytes a SegmentWriter gathers
+// before it writes them in one DFS append.
+const writeChunkSize = 1 << 20
 
 // NewSegmentWriter starts a writer for fresh (not yet installed)
 // segments. The segments are live for reads as soon as written but only
@@ -641,10 +661,12 @@ func (l *Log) NewSegmentWriter() *SegmentWriter {
 	return &SegmentWriter{l: l}
 }
 
-// Append writes rec (keeping its existing LSN) and returns its pointer.
+// Append buffers rec (keeping its existing LSN) and returns its pointer.
+// The frame is durable once its chunk is written — at the latest by
+// Close — so the pointer must not be read before then.
 func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
-	frame := Encode(rec)
-	if s.w == nil || s.size+int64(len(frame)) > s.l.opts.SegmentSize {
+	n := int64(frameSize(rec))
+	if s.w == nil || s.size+n > s.l.opts.SegmentSize {
 		if err := s.finishSegment(); err != nil {
 			return Ptr{}, err
 		}
@@ -658,18 +680,33 @@ func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
 		s.meta, s.rows = SegmentMeta{}, 0
 		s.nums = append(s.nums, num)
 	}
-	off := s.size
-	if _, err := s.w.Write(frame); err != nil {
-		return Ptr{}, fmt.Errorf("wal: compaction append seg %d: %w", s.cur, err)
-	}
-	s.size += int64(len(frame))
+	ptr := Ptr{Seg: s.cur, Off: s.size, Len: uint32(n)}
+	s.buf = AppendFrame(s.buf, rec)
+	s.size += n
 	s.noteRecord(rec)
+	if len(s.buf) >= writeChunkSize {
+		if err := s.flush(); err != nil {
+			return Ptr{}, err
+		}
+	}
+	return ptr, nil
+}
+
+// flush writes the buffered bytes in one DFS append and only then
+// publishes them, so no reader sees the segment's size run past its
+// durable bytes. The record area ends at s.size: a footer in the buffer
+// lies beyond it.
+func (s *SegmentWriter) flush() error {
+	if _, err := s.w.Write(s.buf); err != nil {
+		return fmt.Errorf("wal: compaction append seg %d: %w", s.cur, err)
+	}
 	s.l.mu.Lock()
 	st := s.l.segs[s.cur]
-	st.size = s.size
+	st.size += int64(len(s.buf))
 	st.dataEnd = s.size
 	s.l.mu.Unlock()
-	return Ptr{Seg: s.cur, Off: off, Len: uint32(len(frame))}, nil
+	s.buf = s.buf[:0]
+	return nil
 }
 
 // noteRecord folds one appended record into the pending footer.
@@ -684,23 +721,21 @@ func (s *SegmentWriter) noteRecord(rec *Record) {
 	s.rows++
 }
 
-// finishSegment closes the current output segment, writing its footer.
+// finishSegment writes the current output segment's last frames and its
+// footer in one append, then closes it.
 func (s *SegmentWriter) finishSegment() error {
 	if s.w == nil {
 		return nil
 	}
-	if s.rows > 0 {
-		footer := encodeFooter(&s.meta)
-		if _, err := s.w.Write(footer); err != nil {
-			return fmt.Errorf("wal: segment %d footer: %w", s.cur, err)
-		}
-		s.l.mu.Lock()
-		st := s.l.segs[s.cur]
-		st.size += int64(len(footer))
-		m := s.meta // value copy; the writer's meta resets on rotation
-		st.meta = &m
-		s.l.mu.Unlock()
+	// Every segment holds a record: Append opens one only to add one.
+	s.buf = append(s.buf, encodeFooter(&s.meta)...)
+	if err := s.flush(); err != nil {
+		return err
 	}
+	m := s.meta // value copy; the writer's meta resets on rotation
+	s.l.mu.Lock()
+	s.l.segs[s.cur].meta = &m
+	s.l.mu.Unlock()
 	err := s.w.Close()
 	s.w = nil
 	return err
@@ -709,7 +744,8 @@ func (s *SegmentWriter) finishSegment() error {
 // Segments returns the segment numbers written so far.
 func (s *SegmentWriter) Segments() []uint32 { return append([]uint32(nil), s.nums...) }
 
-// Close finishes the writer, sealing the last segment with its footer.
+// Close finishes the writer, writing what it buffered and sealing the
+// last segment with its footer.
 func (s *SegmentWriter) Close() error {
 	return s.finishSegment()
 }

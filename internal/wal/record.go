@@ -151,29 +151,46 @@ func putBytes(buf []byte, b []byte, present bool) []byte {
 	return append(buf, b...)
 }
 
-// encodePayload serialises the record body (without framing).
-func encodePayload(r *Record) []byte {
-	buf := make([]byte, 0, 64+len(r.Key)+len(r.Value))
-	buf = append(buf, byte(r.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, r.LSN)
-	buf = binary.LittleEndian.AppendUint64(buf, r.TxnID)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.TS))
-	buf = putString(buf, r.Table)
-	buf = putString(buf, r.Tablet)
-	buf = putString(buf, r.Group)
-	buf = putBytes(buf, r.Key, r.Key != nil)
-	buf = putBytes(buf, r.Value, r.Value != nil && r.Kind != KindDelete)
-	return buf
+// frameSize is the framed length of r: what AppendFrame adds.
+func frameSize(r *Record) int {
+	n := frameHeaderSize + 1 + 3*8 + 3*2 + len(r.Table) + len(r.Tablet) + len(r.Group) + 4 + len(r.Key) + 4
+	if r.Kind != KindDelete {
+		n += len(r.Value)
+	}
+	return n
 }
 
-// Encode frames the record for appending: header + payload.
-func Encode(r *Record) []byte {
-	payload := encodePayload(r)
-	out := make([]byte, 0, frameHeaderSize+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+// AppendFrame appends r's frame (u32 payloadLen | u32 crc32(payload) |
+// payload) to dst and returns the extended slice. It is the one frame
+// encoder: dst grows once, header and payload are written in place, and
+// the length and CRC are filled in afterwards, so a caller appending
+// into a buffer of its own (Log.Append's batch, SegmentWriter's chunk,
+// a checkpoint file) allocates nothing per record.
+func AppendFrame(dst []byte, r *Record) []byte {
+	start := len(dst)
+	if n := frameSize(r); cap(dst)-start < n {
+		// Grow once, doubling: slices.Grow allocates twice under -race,
+		// where the allocation ceilings are checked too.
+		dst = append(make([]byte, 0, max(2*cap(dst), start+n)), dst...)
+	}
+	dst = dst[:start+frameHeaderSize]
+	dst = append(dst, byte(r.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = binary.LittleEndian.AppendUint64(dst, r.TxnID)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.TS))
+	dst = putString(dst, r.Table)
+	dst = putString(dst, r.Tablet)
+	dst = putString(dst, r.Group)
+	dst = putBytes(dst, r.Key, r.Key != nil)
+	dst = putBytes(dst, r.Value, r.Value != nil && r.Kind != KindDelete)
+	payload := dst[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
+
+// Encode frames the record for appending: AppendFrame into a new slice.
+func Encode(r *Record) []byte { return AppendFrame(nil, r) }
 
 type payloadReader struct {
 	b   []byte
