@@ -565,3 +565,59 @@ func TestTransactionsDuringBalancing(t *testing.T) {
 		t.Logf("balancer stats: %+v (no split this run)", st)
 	}
 }
+
+// TestIdleBalancerLeavesAdoptedTabletAlone: a tablet adopted in a
+// failover or moved by a migration arrives with its history replayed
+// into its new server, and that history is not load. A default
+// balancer ticking over the idle cluster afterwards leaves it alone.
+func TestIdleBalancerLeavesAdoptedTabletAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handOff func(c *Cluster, hot, owner string) error
+	}{
+		{"failover", func(c *Cluster, _, owner string) error { return c.KillServer(owner) }},
+		{"move", func(c *Cluster, hot, owner string) error {
+			for _, id := range c.LiveServers() {
+				if id != owner {
+					return c.MoveTablet(hot, id)
+				}
+			}
+			return fmt.Errorf("no server besides %s", owner)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newElasticCluster(t, 3, 3)
+			cl := c.NewClient()
+			const n = 2000
+			for i := 0; i < n; i++ {
+				if err := cl.Put("users", "profile", hotKey(i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The writes age out of every load window without an action.
+			settle := c.NewBalancer(BalancerConfig{MinOps: 1 << 40})
+			for range 10 {
+				settle.Tick()
+			}
+			hot, err := cl.TabletFor("users", hotKey(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.handOff(c, hot, c.Assignments()[hot]); err != nil {
+				t.Fatal(err)
+			}
+			b := c.NewBalancer(BalancerConfig{})
+			for range 10 {
+				b.Tick()
+			}
+			if st := b.Stats(); st.Splits != 0 || st.Moves != 0 {
+				t.Fatalf("balancer acted on an idle cluster after the %s: %+v", tc.name, st)
+			}
+			for i := 0; i < n; i += 97 {
+				if _, err := cl.Get("users", "profile", hotKey(i)); err != nil {
+					t.Fatalf("key %d lost in the %s: %v", i, tc.name, err)
+				}
+			}
+		})
+	}
+}

@@ -4,8 +4,10 @@ package core
 // in-memory state, for live writes, commits, restart redo, migration and
 // failover replay and replica apply alike (README "Apply path"):
 // resolve, stage/install, and ReplaySession.round with its redo and
-// reappend sinks. Compaction moves records without applying them: it
-// asks the index which are live and repoints the entries.
+// re-append sinks. The re-append sink (CatchUp) buffers what a round
+// emits and reappend lands it a batch at a time: one latch hold and one
+// log append per batch. Compaction moves records without applying them:
+// it asks the index which are live and repoints the entries.
 //
 // Delete ordering. A tombstone removes exactly the versions of its key
 // that reached this log before it and do not carry a later timestamp
@@ -164,13 +166,15 @@ func (s *Server) applyOne(m mutation) error {
 		return err
 	}
 	s.install(m, ptrs[0], rec.LSN)
+	s.countOp(m)
 	return nil
 }
 
 // applyGroup appends recs — the framed muts, then any commit record —
-// in one sweep, fires the named crash point, and installs the mutations.
-// Callers hold installMu shared.
-func (s *Server) applyGroup(muts []mutation, recs []*wal.Record, point string) error {
+// in one sweep, fires the named crash point, and installs the mutations;
+// a client's mutations also count as its operations (countOp), a
+// replay's do not. Callers hold installMu shared.
+func (s *Server) applyGroup(muts []mutation, recs []*wal.Record, point string, client bool) error {
 	ptrs, err := s.append(recs...)
 	if err != nil {
 		return err
@@ -180,13 +184,15 @@ func (s *Server) applyGroup(muts []mutation, recs []*wal.Record, point string) e
 	}
 	for i, m := range muts {
 		s.install(m, ptrs[i], recs[i].LSN)
+		if client {
+			s.countOp(m)
+		}
 	}
 	return nil
 }
 
-// install reflects one durable record of a live operation: the state
-// change (reflect), then what serves the running workload — read
-// buffer, operation counters, tablet load, the index-flush counter.
+// install reflects one durable record: the state change (reflect), then
+// the read-buffer rule.
 func (s *Server) install(m mutation, ptr wal.Ptr, lsn uint64) {
 	_, newest := s.reflect(m, ptr, lsn)
 	if s.cfg.ReadCacheBytes > 0 {
@@ -197,6 +203,11 @@ func (s *Server) install(m mutation, ptr wal.Ptr, lsn uint64) {
 			s.readCache.Invalidate(ck)
 		}
 	}
+}
+
+// countOp counts a client mutation in the operation counters and its
+// tablet's load (the balancer's input); a replayed record is not load.
+func (s *Server) countOp(m mutation) {
 	if m.del {
 		s.stats.Deletes.Add(1)
 	} else {
@@ -269,34 +280,50 @@ func (s *Server) redo(rec *wal.Record, ptr wal.Ptr) (bool, error) {
 	return changed, nil
 }
 
-// reappend is the re-append replay sink (migration, failover, replica
-// promotion and apply): a record from another log is appended here
-// under its ORIGINAL timestamp, reproducing the multiversion history,
-// and installed. Resolve and install share one hold of the install
-// latch, so a concurrent SplitTablet lands the record in the parent
-// before the split or in the covering child after it. Returns false
-// when no (adopted) served tablet covers the record.
-func (s *Server) reappend(rec *wal.Record, adopted map[string]bool) (bool, error) {
+// reappendBatchBytes bounds one re-append batch, in source frame bytes.
+const reappendBatchBytes = 1 << 20
+
+// reappend re-appends records from another log (migration, failover,
+// replica promotion and apply) under their ORIGINAL timestamps: one log
+// append in the given order, so fresh LSNs follow it, then the installs
+// in that order, all under one hold of the install latch, so a
+// concurrent SplitTablet lands each record wholly before or after it.
+// Records no (adopted) served tablet covers are skipped; it returns how
+// many it installed, and none on an error.
+func (s *Server) reappend(recs []wal.Record, adopted map[string]bool) (int, error) {
 	s.installMu.RLock()
 	defer s.installMu.RUnlock()
-	t, ok := s.resolve(rec.Table, rec.Tablet, rec.Key, adopted)
-	if !ok {
-		return false, nil
+	muts := make([]mutation, 0, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		t, ok := s.resolve(rec.Table, rec.Tablet, rec.Key, adopted)
+		if !ok {
+			continue
+		}
+		m, err := stageOn(t, rec.Group, rec.Key, rec.Value, rec.TS, rec.Kind == wal.KindDelete)
+		if err != nil {
+			return 0, err
+		}
+		muts = append(muts, m)
 	}
-	m, err := stageOn(t, rec.Group, rec.Key, rec.Value, rec.TS, rec.Kind == wal.KindDelete)
-	if err != nil {
-		return false, err
+	if len(muts) == 0 {
+		return 0, nil
 	}
-	return true, s.applyOne(m)
+	// Crash point: the whole batch is durable; none of it is installed.
+	if err := s.applyGroup(muts, frame(muts, 0), "crash.batch.pre-index", false); err != nil {
+		return 0, err
+	}
+	return len(muts), nil
 }
 
 // ApplyReplicated applies one shipped log record (internal/repl)
-// through the re-append sink; the feed already delivers committed
-// records in commit order. Returns false (and no error) when no served
-// tablet covers the record: the tablet migrated off the replica's
-// primary, and its new owner's replica carries it.
+// through reappend, as a batch of one; the feed already delivers
+// committed records in commit order. Returns false (and no error) when
+// no served tablet covers the record: the tablet migrated off the
+// replica's primary, and its new owner's replica carries it.
 func (s *Server) ApplyReplicated(rec *wal.Record) (bool, error) {
-	return s.reappend(rec, nil)
+	n, err := s.reappend([]wal.Record{*rec}, nil)
+	return n == 1, err
 }
 
 // ReplaySession is a resumable replay of a log's committed records

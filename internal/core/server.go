@@ -508,7 +508,7 @@ func (s *Server) ApplyTxn(txnID uint64, commitTS int64, writes []TxnWrite) error
 	recs := append(frame(muts, txnID), &wal.Record{Kind: wal.KindCommit, TxnID: txnID, TS: commitTS})
 	// Crash point: writes AND commit record are durable, indexes are
 	// not touched yet — recovery must surface the whole transaction.
-	return s.applyGroup(muts, recs, "crash.txn.pre-index")
+	return s.applyGroup(muts, recs, "crash.txn.pre-index", true)
 }
 
 // BatchWrite is one mutation of a write batch: a plain write or delete
@@ -543,7 +543,7 @@ func (s *Server) ApplyBatch(writes []BatchWrite) error {
 	}
 	// Crash point: the whole batch is durable in one sweep; none of it
 	// is indexed yet.
-	return s.applyGroup(muts, frame(muts, 0), "crash.batch.pre-index")
+	return s.applyGroup(muts, frame(muts, 0), "crash.batch.pre-index", true)
 }
 
 // Close releases the server's background resources: the auto-compaction

@@ -209,6 +209,9 @@ func (s *Server) OpenPeerLog(srcServerID string) (*wal.Log, error) {
 // this round; call it repeatedly until the returned count is small,
 // freeze the source tablet, then call it once more to drain the tail.
 //
+// The round's records are buffered in order and handed to reappend in
+// batches of at most reappendBatchBytes, the last before CatchUp returns.
+//
 // A round is bounded by one position, and an incremental compaction's
 // output sits ABOVE the segment still open for append, beyond End: when
 // such output exists CatchUp seals the source's active segment, so that
@@ -220,10 +223,27 @@ func (rs *ReplaySession) CatchUp() (int, error) {
 			rs.srcLog.Rotate()
 		}
 	}
+	batch, size := []wal.Record(nil), 0
+	flush := func() error {
+		n, err := rs.dst.reappend(batch, rs.adopted)
+		rs.applied += n
+		batch, size = batch[:0], 0
+		return err
+	}
 	// Bound the round at the end observed on entry: anything appended
 	// while it scans is left for the next round.
 	err := rs.round(rs.srcLog.End(), func(rec *wal.Record, _ wal.Ptr) (bool, error) {
-		return rs.dst.reappend(rec, rs.adopted)
+		n := wal.FrameSize(rec)
+		if size+n > reappendBatchBytes {
+			if err := flush(); err != nil {
+				return false, err
+			}
+		}
+		batch, size = append(batch, *rec), size+n
+		return false, nil // counted by flush
 	})
+	if err == nil {
+		err = flush()
+	}
 	return rs.applied - before, err
 }

@@ -87,6 +87,7 @@ func (s *Server) CommitTxn(txnID uint64, commitTS int64, p *Prepared) error {
 	s.prepMu.Unlock()
 	for i, m := range muts {
 		s.install(m, ptrs[i], p.lsns[i])
+		s.countOp(m)
 	}
 	return nil
 }

@@ -190,7 +190,7 @@ func FuzzFrameParse(f *testing.F) {
 }
 
 // TestAppendFrameInPlace: AppendFrame extends its caller's buffer with
-// exactly frameSize bytes that decode back to the record, leaves the
+// exactly FrameSize bytes that decode back to the record, leaves the
 // bytes before them alone, and allocates nothing when the buffer has
 // room.
 func TestAppendFrameInPlace(t *testing.T) {
@@ -198,8 +198,8 @@ func TestAppendFrameInPlace(t *testing.T) {
 	for _, r := range agreementBases() {
 		buf = append(buf[:0], "prefix"...)
 		buf = AppendFrame(buf, &r)
-		if string(buf[:6]) != "prefix" || len(buf)-6 != frameSize(&r) {
-			t.Fatalf("%+v: prefix %q, frame %d bytes, want %d", r, buf[:6], len(buf)-6, frameSize(&r))
+		if string(buf[:6]) != "prefix" || len(buf)-6 != FrameSize(&r) {
+			t.Fatalf("%+v: prefix %q, frame %d bytes, want %d", r, buf[:6], len(buf)-6, FrameSize(&r))
 		}
 		got, n, err := Decode(buf[6:])
 		if err != nil || n != len(buf)-6 {

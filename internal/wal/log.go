@@ -295,13 +295,13 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 	ptrs := make([]Ptr, 0, len(recs))
 	size := 0
 	for _, r := range recs {
-		size += frameSize(r)
+		size += FrameSize(r)
 	}
 	batch := make([]byte, 0, size) // every frame is written into it in place
 	for _, r := range recs {
 		r.LSN = l.nextLSN
 		l.nextLSN++
-		n := int64(frameSize(r))
+		n := int64(FrameSize(r))
 		if l.curW == nil || l.segs[l.cur].size+n > l.opts.SegmentSize {
 			if err := l.flushBatchLocked(batch); err != nil {
 				return nil, err
@@ -665,7 +665,7 @@ func (l *Log) NewSegmentWriter() *SegmentWriter {
 // The frame is durable once its chunk is written — at the latest by
 // Close — so the pointer must not be read before then.
 func (s *SegmentWriter) Append(rec *Record) (Ptr, error) {
-	n := int64(frameSize(rec))
+	n := int64(FrameSize(rec))
 	if s.w == nil || s.size+n > s.l.opts.SegmentSize {
 		if err := s.finishSegment(); err != nil {
 			return Ptr{}, err

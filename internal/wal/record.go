@@ -151,8 +151,8 @@ func putBytes(buf []byte, b []byte, present bool) []byte {
 	return append(buf, b...)
 }
 
-// frameSize is the framed length of r: what AppendFrame adds.
-func frameSize(r *Record) int {
+// FrameSize is the framed length of r: what AppendFrame adds.
+func FrameSize(r *Record) int {
 	n := frameHeaderSize + 1 + 3*8 + 3*2 + len(r.Table) + len(r.Tablet) + len(r.Group) + 4 + len(r.Key) + 4
 	if r.Kind != KindDelete {
 		n += len(r.Value)
@@ -168,7 +168,7 @@ func frameSize(r *Record) int {
 // a checkpoint file) allocates nothing per record.
 func AppendFrame(dst []byte, r *Record) []byte {
 	start := len(dst)
-	if n := frameSize(r); cap(dst)-start < n {
+	if n := FrameSize(r); cap(dst)-start < n {
 		// Grow once, doubling: slices.Grow allocates twice under -race,
 		// where the allocation ceilings are checked too.
 		dst = append(make([]byte, 0, max(2*cap(dst), start+n)), dst...)
