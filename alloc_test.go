@@ -37,14 +37,14 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			return db.ClusterClient
-		}, 5, 10, 65, 36, 66},
+		}, 5, 10, 36, 36, 38},
 		{"cluster", func(t *testing.T) *logbase.ClusterClient {
 			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}
 			return logbase.NewClusterClient(c)
-		}, 5, 10, 66, 36, 67},
+		}, 5, 10, 37, 36, 39},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open(t)
@@ -193,7 +193,7 @@ func TestWireAllocBudget(t *testing.T) {
 	}{
 		{"PUT", puts[loaded:], 1, 11},
 		{"GET", gets, 1, 14},
-		{"SCAN LIMIT 10", scans, 11, 89},
+		{"SCAN LIMIT 10", scans, 11, 60},
 	} {
 		i := 0
 		allocs := testing.AllocsPerRun(runs, func() {

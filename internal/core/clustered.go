@@ -8,8 +8,10 @@ package core
 // racing writes and the push-down predicates resolve exactly as on the
 // index path — and this file only changes how its entries are read.
 // Each sorted segment covering the scan gets one forward reader
-// (wal.SegmentScanner.At) that decodes just the frame an entry points
-// at. Everything else goes through fetchRows: the unsorted tail, a
+// (wal.SegmentScanner.ValueAt) that checks just the frame an entry
+// points at and hands fetchRows a view of its value, which fetchRows
+// filters and copies exactly as it does a batch-read one. Everything
+// else goes through fetchRows' other paths: the unsorted tail, a
 // segment written since the scan started, a pointer behind its reader.
 //
 // Cost shape on the modelled disk: each reader moves through its
@@ -77,11 +79,12 @@ func (s *Server) sortedWindows(t *Tablet, group string, start, end []byte, rever
 	return w
 }
 
-// at decodes the record at p through its segment's reader. ok=false
-// (with a nil error) sends the entry to the batched fetch.
-func (w *segWindows) at(p wal.Ptr) (wal.Record, bool, error) {
+// at returns the value of the record at p, read through its segment's
+// reader: a view valid until the next call (wal.SegmentScanner.ValueAt).
+// ok=false (with a nil error) sends the entry to the batched fetch.
+func (w *segWindows) at(p wal.Ptr) ([]byte, bool, error) {
 	if w == nil {
-		return wal.Record{}, false, nil
+		return nil, false, nil
 	}
 	for i := range w.segs {
 		sw := &w.segs[i]
@@ -99,14 +102,14 @@ func (w *segWindows) at(p wal.Ptr) (wal.Record, bool, error) {
 			sw.sc = sc
 			w.opened++
 		}
-		rec, ok, err := sw.sc.At(p)
+		v, ok, err := sw.sc.ValueAt(p)
 		if ok || err != nil {
-			return rec, ok, err
+			return v, ok, err
 		}
 		break
 	}
 	w.overlay++
-	return wal.Record{}, false, nil
+	return nil, false, nil
 }
 
 // close releases the readers and counts the scan as clustered when it

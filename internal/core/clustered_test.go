@@ -235,11 +235,11 @@ func TestClusteredScanAgreesWithIndexPath(t *testing.T) {
 
 // limitFixture writes three interleaved rounds of 2000 keys, compacting
 // each into its own sorted segment spanning the whole keyspace, then an
-// unsorted tail overwriting every tenth of the first 200 keys. It
-// returns the last timestamp used.
-func limitFixture(t *testing.T, noClustered bool) (*Server, *dfs.DFS, int64) {
+// unsorted tail overwriting every tenth of the first 200 keys, on a
+// server with cfg. It returns the last timestamp used.
+func limitFixture(t *testing.T, cfg Config) (*Server, *dfs.DFS, int64) {
 	t.Helper()
-	s, fs := newTestServer(t, Config{NoClusteredScan: noClustered})
+	s, fs := newTestServer(t, cfg)
 	pad := bytes.Repeat([]byte{'.'}, 200)
 	ts := int64(0)
 	write := func(k int, v string) {
@@ -293,8 +293,8 @@ func (c *hookCtx) Err() error {
 // the next page asks only for the rows still owed.
 func TestClusteredLimitScanReadsOnlyWhatItReturns(t *testing.T) {
 	const limit = 100
-	fast, fs, ts := limitFixture(t, false)
-	slow, _, _ := limitFixture(t, true)
+	fast, fs, ts := limitFixture(t, Config{})
+	slow, _, _ := limitFixture(t, Config{NoClusteredScan: true})
 	sorted, tailBytes := 0, int64(0)
 	for _, si := range fast.Log().Segments() {
 		if si.Sorted {

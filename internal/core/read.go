@@ -84,7 +84,7 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 			page = page[:remaining]
 		}
 		kept = kept[len(page):]
-		rows, err := s.fetchRows(context.TODO(), t, g, group, page, false, nil)
+		rows, err := s.fetchRows(context.TODO(), t, g, group, page, false, ro.Value, nil)
 		if err != nil {
 			return nil, err
 		}

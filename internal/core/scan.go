@@ -5,14 +5,16 @@ package core
 // shards the index keyspace across worker goroutines, pushes key/time
 // predicates down to the index entries (skipping the log fetch entirely
 // for filtered-out rows), and resolves the surviving entries through
-// the read buffer plus batched log reads (wal.Log.ReadBatch) so a scan
+// the read buffer plus batched log reads (wal.Log.ReadValues) so a scan
 // costs a few sequential sweeps per segment instead of one seek per
 // row. scanShard's page loop is the only forward-scan loop: on a
 // compacted log the same loop reads the rows that live in sorted
 // segments through forward segment readers (clustered.go). readEntry
 // and fetchRows, at the bottom, are the only code that turns index
 // entries into rows: point reads, version histories and
-// secondary-index reads resolve through them too.
+// secondary-index reads resolve through them too. fetchRows works on
+// views of the log frames: it evaluates the value predicate on the view
+// and copies a row's value only when the row is returned.
 //
 // Every scan takes a context.Context and honours cancellation at batch
 // granularity: between index pages, before each log fetch, and in every
@@ -20,6 +22,7 @@ package core
 // within one batch boundary and leaks nothing.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -49,9 +52,10 @@ type ScanOptions struct {
 	// decided from the index entry alone, so rejected rows cost no log
 	// I/O.
 	KeyPred *readopt.Predicate
-	// ValuePred is the serializable value predicate, evaluated after
-	// the log read but still inside the tablet server — filtered rows
-	// never reach the wire.
+	// ValuePred is the serializable value predicate, evaluated on the
+	// checked log frame as the row is fetched, before its value is
+	// copied: a rejected row costs its share of the log read but no
+	// copy, and never reaches the wire.
 	ValuePred *readopt.Predicate
 	// Limit caps the rows emitted (after all filtering); 0 = no limit.
 	// Once the limit is reached the scan stops issuing log reads: with
@@ -209,7 +213,7 @@ var errScanCanceled = errors.New("core: scan canceled")
 // forward reader per segment (sortedWindows); the rest are batch-read.
 //
 // A Limit both truncates the emitted stream and bounds the I/O: when no
-// post-fetch predicate is in play, index pages are capped at the rows
+// value predicate is in play, index pages are capped at the rows
 // still owed, so the scan performs at most Limit log reads; with a
 // residual value predicate the scan keeps paging but stops the moment
 // the limit-th surviving row has been emitted.
@@ -249,7 +253,7 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rows, err := s.fetchRows(ctx, t, g, group, entries, opt.UseCache, wins)
+			rows, err := s.fetchRows(ctx, t, g, group, entries, opt.UseCache, opt.ValuePred, wins)
 			if err != nil {
 				return err
 			}
@@ -287,7 +291,7 @@ func (opt *ScanOptions) admits(key []byte, ts int64) bool {
 }
 
 // pageGoal is how many entries the next page asks for: a full batch,
-// or — with a Limit and no post-fetch value predicate, so that every
+// or — with a Limit and no value predicate, so that every
 // accepted row is emitted — only the rows still owed.
 func (opt *ScanOptions) pageGoal(remaining int) int {
 	if opt.Limit > 0 && opt.ValuePred == nil && remaining < opt.Batch {
@@ -297,19 +301,10 @@ func (opt *ScanOptions) pageGoal(remaining int) int {
 }
 
 // emitPage is the tail every scan page shares, however its rows were
-// resolved: the residual value predicate, the limit (remaining rows
-// still owed), load accounting for the elasticity balancer, then emit.
-// It returns how many rows it emitted.
+// resolved (fetchRows has already applied the value predicate): the
+// limit (remaining rows still owed), load accounting for the elasticity
+// balancer, then emit. It returns how many rows it emitted.
 func emitPage(t *Tablet, opt *ScanOptions, remaining int, rows []Row, emit func([]Row) error) (int, error) {
-	if opt.ValuePred != nil {
-		kept := rows[:0]
-		for _, r := range rows {
-			if opt.ValuePred.Match(r.Value) {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
 	if opt.Limit > 0 && len(rows) > remaining {
 		rows = rows[:remaining]
 	}
@@ -346,35 +341,77 @@ func (s *Server) readEntry(g *columnGroup, key []byte, ts int64, ptr wal.Ptr) (w
 	return rec, err
 }
 
-// fetchRows resolves index entries to rows through one batched log
-// read: wal.ReadBatch sorts the pointers by log offset and coalesces
-// near-adjacent frames, turning random per-row seeks into sequential
-// sweeps. With useCache the read buffer is consulted first (worth it
-// only for small scans over hot ranges; see ScanOptions.UseCache).
-// A clustered scan passes its sorted-segment readers (wins, else nil):
-// an entry one of them can decode is read there, ahead of the buffer
-// and the batch. Entries whose records moved (or vanished) under a
-// racing compaction are re-resolved per row through readEntry; vanished
-// rows are dropped.
-func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group string, entries []index.Entry, useCache bool, wins *segWindows) ([]Row, error) {
+// Value arena chunk sizes: a page's first chunk is 4 KB and each later
+// one doubles, up to 32 KB; a larger value gets its own allocation.
+const (
+	arenaFirstChunk = 4 << 10
+	arenaMaxChunk   = 32 << 10
+)
+
+// valueArena copies one page's returned values into shared chunks, so a
+// page of small rows costs a few allocations rather than one per row.
+// It is fresh per page and never pooled: the rows escape to the caller,
+// and a retained value keeps its chunk alive.
+type valueArena struct{ chunk []byte }
+
+// copy returns an owned copy of v with bytes.Clone's contract (nil for
+// nil, non-nil for empty), its capacity cut at its length so that an
+// append to one row reallocates instead of overwriting the next.
+func (a *valueArena) copy(v []byte) []byte {
+	switch {
+	case v == nil:
+		return nil
+	case len(v) == 0:
+		return []byte{}
+	case len(v) > arenaMaxChunk:
+		return bytes.Clone(v)
+	case len(v) > cap(a.chunk)-len(a.chunk):
+		a.chunk = make([]byte, 0, max(min(2*cap(a.chunk), arenaMaxChunk), arenaFirstChunk, len(v)))
+	}
+	n := len(a.chunk)
+	a.chunk = append(a.chunk, v...)
+	return a.chunk[n:len(a.chunk):len(a.chunk)]
+}
+
+// fetchRows resolves index entries to rows, in entry order. Every path
+// hands it a view of the row's value, and it evaluates pred (the value
+// predicate, nil = keep all) on that view: a rejected row is dropped
+// having copied nothing, and a kept row's value is copied once, into the
+// page's valueArena. The paths, in order: a clustered scan's
+// sorted-segment readers (wins, else nil) take the entries they can
+// reach; with useCache the read buffer is consulted next (worth it only
+// for small scans over hot ranges; see ScanOptions.UseCache); the rest
+// go through one batched log read (wal.ReadValues), which sorts the
+// pointers by log offset and coalesces near-adjacent frames, turning
+// random per-row seeks into sequential sweeps. Entries whose records
+// moved (or vanished) under a racing compaction are re-resolved per row
+// through readEntry; vanished rows are dropped.
+func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group string, entries []index.Entry, useCache bool, pred *readopt.Predicate, wins *segWindows) ([]Row, error) {
 	rows := make([]Row, len(entries))
+	kept := make([]bool, len(entries))
+	var arena valueArena
+	take := func(i int, v []byte) {
+		if kept[i] = pred.Match(v); kept[i] {
+			rows[i] = Row{Key: entries[i].Key, TS: entries[i].TS, Value: arena.copy(v)}
+		}
+	}
 	missIdx := make([]int, 0, len(entries))
 	missPtrs := make([]wal.Ptr, 0, len(entries))
 	var cacheHits, windowed int64
 	for i, e := range entries {
-		rec, ok, err := wins.at(e.Ptr)
+		v, ok, err := wins.at(e.Ptr)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			rows[i] = Row{Key: e.Key, TS: e.TS, Value: rec.Value}
+			take(i, v)
 			windowed++
 			continue
 		}
 		if useCache {
 			if b, ok := s.readCache.Get(cacheKey(t.table, group, e.Key)); ok {
 				if cts, v := decodeCached(b); cts == e.TS {
-					rows[i] = Row{Key: e.Key, TS: cts, Value: append([]byte(nil), v...)}
+					take(i, v)
 					cacheHits++
 					continue
 				}
@@ -389,47 +426,34 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 	if windowed > 0 {
 		s.stats.LogReads.Add(windowed)
 	}
-	var dropped []int
 	if len(missPtrs) > 0 {
 		_, sp := obs.StartSpan(ctx, "wal.readbatch")
 		sp.LabelInt("entries", int64(len(missPtrs)))
 		sp.LabelInt("cache_hits", cacheHits)
 		defer sp.Finish()
-		recs, err := s.log.ReadBatch(missPtrs)
-		if err != nil {
-			// The batch hit a reclaimed segment; salvage row by row.
+		if err := s.log.ReadValues(missPtrs, func(j int, v []byte) { take(missIdx[j], v) }); err != nil {
+			// The batch hit a reclaimed segment; salvage row by row,
+			// deciding each row afresh (the batch may have taken some).
 			for _, i := range missIdx {
 				e := entries[i]
 				rec, rerr := s.readEntry(g, e.Key, e.TS, e.Ptr)
 				if errors.Is(rerr, errRowVanished) {
-					dropped = append(dropped, i)
+					kept[i] = false
 					continue
 				}
 				if rerr != nil {
 					return nil, rerr
 				}
-				rows[i] = Row{Key: e.Key, TS: e.TS, Value: rec.Value}
-			}
-		} else {
-			for j, i := range missIdx {
-				e := entries[i]
-				rows[i] = Row{Key: e.Key, TS: e.TS, Value: recs[j].Value}
+				take(i, rec.Value)
 			}
 		}
 		s.stats.LogReads.Add(int64(len(missPtrs)))
 	}
-	if len(dropped) > 0 {
-		kept := rows[:0]
-		drop := make(map[int]bool, len(dropped))
-		for _, i := range dropped {
-			drop[i] = true
+	out := rows[:0]
+	for i := range rows {
+		if kept[i] {
+			out = append(out, rows[i])
 		}
-		for i := range rows {
-			if !drop[i] {
-				kept = append(kept, rows[i])
-			}
-		}
-		rows = kept
 	}
-	return rows, nil
+	return out, nil
 }

@@ -234,7 +234,7 @@ func (s *Server) pageRows(t *Tablet, g *columnGroup, from []byte, walk func(from
 				prim[i].Key = toPrimary(prim[i].Key)
 			}
 		}
-		rows, err := s.fetchRows(context.TODO(), t, g, g.name, prim, false, nil)
+		rows, err := s.fetchRows(context.TODO(), t, g, g.name, prim, false, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -82,7 +82,9 @@ var ErrUnknownTablet = errors.New("core: tablet not served here")
 // the new owner once the cutover lands.
 var ErrTabletFrozen = fmt.Errorf("%w: frozen for migration", ErrUnknownTablet)
 
-// Row is one record version returned by reads and scans.
+// Row is one record version returned by reads and scans. The caller
+// owns Value. A scan copies the values of one page into shared chunks
+// of at most 32 KB, so a retained Value keeps its chunk alive.
 type Row struct {
 	Key   []byte
 	TS    int64

@@ -15,24 +15,46 @@ const (
 	readBatchMaxRun = 4 << 20
 )
 
-// readScratch holds the grow-only buffers ReadBatch reads coalesced
-// runs into and SegmentScanner windows refill. Decode copies key and
-// value out of the buffer, so one reader's scratch never aliases
-// another's records.
+// readScratch holds the grow-only buffers ReadValues reads coalesced
+// runs into and SegmentScanner windows refill. A view handed out of one
+// is valid only until the next call, and ReadBatch and Decode copy out,
+// so nothing a caller keeps aliases a pooled buffer.
 var readScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// ReadBatch fetches the records at ptrs, returning them in input order.
-// Pointers are grouped by segment and visited in offset order; runs of
-// nearby frames are coalesced into single large reads, so a batch costs
-// a few sequential sweeps instead of one random access per record. This
-// is the amortisation behind the analytical scan path (paper §3.6.4:
-// post-compaction scans read clustered data sequentially; ReadBatch
-// recovers most of that locality even on uncompacted logs whenever the
-// requested rows were appended near each other).
+// ReadBatch fetches the records at ptrs, returning them in input order:
+// ReadValues' walk, each frame copied out whole into a Record.
 func (l *Log) ReadBatch(ptrs []Ptr) ([]Record, error) {
 	out := make([]Record, len(ptrs))
+	if err := l.readFrames(ptrs, func(i int, f frameView) { out[i] = f.record() }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadValues fetches the frames at ptrs and calls fn(i, value) for each,
+// i indexing ptrs. Pointers are grouped by segment and visited in offset
+// order; runs of nearby frames are coalesced into single large reads, so
+// a batch costs a few sequential sweeps instead of one random access per
+// record. This is the amortisation behind the analytical scan path
+// (paper §3.6.4: post-compaction scans read clustered data sequentially;
+// a batch recovers most of that locality even on uncompacted logs
+// whenever the requested rows were appended near each other).
+//
+// value is a view of the frame in the batch's scratch buffer, CRC-checked
+// before the call, nil for a delete frame. It is valid only until fn
+// returns: a caller that keeps it copies it. fn runs in log order, not
+// input order, and on an error it may already have run for some ptrs.
+func (l *Log) ReadValues(ptrs []Ptr, fn func(i int, value []byte)) error {
+	return l.readFrames(ptrs, func(i int, f frameView) { fn(i, f.value) })
+}
+
+// readFrames is the walk behind ReadValues and ReadBatch: it checks the
+// frame at each of ptrs into a view of the run's scratch and hands it to
+// fn with the pointer's index. The view goes by value: a pointer to it
+// would escape through fn and cost an allocation per batch.
+func (l *Log) readFrames(ptrs []Ptr, fn func(i int, f frameView)) error {
 	if len(ptrs) == 0 {
-		return out, nil
+		return nil
 	}
 	// Pin every segment the batch touches for the duration of the call:
 	// a compaction installing concurrently may doom these segments, and
@@ -76,7 +98,7 @@ func (l *Log) ReadBatch(ptrs []Ptr) ([]Record, error) {
 		seg := ptrs[order[i]].Seg
 		r, err := l.reader(seg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Extend the run while frames stay in this segment, near-adjacent,
 		// and under the run size cap.
@@ -102,17 +124,17 @@ func (l *Log) ReadBatch(ptrs []Ptr) ([]Record, error) {
 		}
 		buf := (*scratch)[:end-start]
 		if _, err := r.ReadAt(buf, start); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("wal: batch read seg %d: %w", seg, err)
+			return fmt.Errorf("wal: batch read seg %d: %w", seg, err)
 		}
 		for k := i; k < j; k++ {
+			var f frameView
 			p := ptrs[order[k]]
-			rec, _, derr := Decode(buf[p.Off-start : p.Off-start+int64(p.Len)])
-			if derr != nil {
-				return nil, fmt.Errorf("wal: decode %v: %w", p, derr)
+			if err := parseFrame(buf[p.Off-start:p.Off-start+int64(p.Len)], &f); err != nil {
+				return fmt.Errorf("wal: decode %v: %w", p, err)
 			}
-			out[order[k]] = rec
+			fn(order[k], f)
 		}
 		i = j
 	}
-	return out, nil
+	return nil
 }

@@ -97,3 +97,66 @@ func TestReadBatchEmptyAndDuplicates(t *testing.T) {
 		}
 	}
 }
+
+// The value views ValueAt and ReadValues hand out equal the values
+// Decode copies out, nil-ness included: a write's value, a write's empty
+// value (non-nil), and a delete's nil.
+func TestValueViewsMatchDecode(t *testing.T) {
+	_, l := footerTestLog(t)
+	recs := []*Record{
+		{Kind: KindWrite, Table: "t", Group: "g", Key: []byte("a"), TS: 1, Value: []byte("value")},
+		{Kind: KindWrite, Table: "t", Group: "g", Key: []byte("b"), TS: 2, Value: []byte{}},
+		{Kind: KindDelete, Table: "t", Group: "g", Key: []byte("c"), TS: 3},
+		{Kind: KindWrite, Table: "t", Group: "g", Key: []byte("d"), TS: 4, Value: bytes.Repeat([]byte("x"), 300)},
+	}
+	ptrs, err := l.Append(recs...)
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	want := make([][]byte, len(ptrs))
+	for i, p := range ptrs {
+		rec, err := l.Read(p)
+		if err != nil {
+			t.Fatalf("Read %v: %v", p, err)
+		}
+		want[i] = rec.Value
+	}
+	if want[1] == nil || want[2] != nil {
+		t.Fatalf("Decode values %q: want the empty value non-nil and the delete's nil", want)
+	}
+	same := func(how string, i int, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want[i]) || (got == nil) != (want[i] == nil) {
+			t.Fatalf("%s record %d: view %q (nil %v), Decode %q (nil %v)", how, i, got, got == nil, want[i], want[i] == nil)
+		}
+	}
+
+	sc, err := l.OpenSegmentScanner(ptrs[0].Seg, 0)
+	if err != nil {
+		t.Fatalf("OpenSegmentScanner: %v", err)
+	}
+	defer sc.Close()
+	for i, p := range ptrs {
+		v, ok, err := sc.ValueAt(p)
+		if !ok || err != nil {
+			t.Fatalf("ValueAt record %d: ok %v, err %v", i, ok, err)
+		}
+		same("ValueAt", i, v)
+	}
+
+	calls := 0
+	order := []int{3, 0, 2, 1}
+	req := make([]Ptr, len(order))
+	for i, j := range order {
+		req[i] = ptrs[j]
+	}
+	if err := l.ReadValues(req, func(i int, v []byte) {
+		calls++
+		same("ReadValues", order[i], v)
+	}); err != nil {
+		t.Fatalf("ReadValues: %v", err)
+	}
+	if calls != len(req) {
+		t.Fatalf("ReadValues called fn %d times, want %d", calls, len(req))
+	}
+}

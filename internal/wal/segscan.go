@@ -19,10 +19,10 @@ const segScanFirstRefill = 64 << 10
 // SegmentScanner reads one segment's records forward, without touching
 // the per-key index — the clustered read path over sorted segments
 // (paper §3.6.4: post-compaction scans are sequential reads). Next
-// streams every record; At decodes only the record a pointer names,
-// skipping forward to it. It pins the segment for its lifetime, so a
-// concurrent compaction cannot delete the file underneath it; always
-// Close.
+// streams every record; ValueAt checks only the frame a pointer names,
+// skipping forward to it, and hands out a view of its value. It pins
+// the segment for its lifetime, so a concurrent compaction cannot
+// delete the file underneath it; always Close.
 //
 // Refills are contiguous (the partial frame at the buffer tail is
 // carried over, never re-read), so a full stream costs one seek per
@@ -32,7 +32,7 @@ const segScanFirstRefill = 64 << 10
 // travelled so far, capped at segScanChunkSize. A LIMIT scan that stops
 // after a few rows therefore reads kilobytes per segment, while a full
 // scan reaches the 2 MB refill after a handful of doublings. The window
-// buffer comes from the pool ReadBatch uses and goes back on Close.
+// buffer comes from the pool ReadValues uses and goes back on Close.
 type SegmentScanner struct {
 	l     *Log
 	num   uint32
@@ -114,27 +114,31 @@ func (s *SegmentScanner) Next() bool {
 	return true
 }
 
-// At decodes the record at p and moves the scanner just past it. It
-// reads forward only, and decodes nothing but p's frame: a p within one
-// read-ahead of what the window holds is reached by reading through the
-// gap (no seek), a farther one by a jump to p. ok=false, with a nil
-// error, means p is not this scanner's to read — another segment's, past
-// the record area, or behind the position — and the caller resolves it
-// another way.
-func (s *SegmentScanner) At(p Ptr) (Record, bool, error) {
+// ValueAt checks the frame at p and returns its value, moving the
+// scanner just past it. It reads forward only, and parses nothing but
+// p's frame: a p within one read-ahead of what the window holds is
+// reached by reading through the gap (no seek), a farther one by a jump
+// to p. ok=false, with a nil error, means p is not this scanner's to
+// read — another segment's, past the record area, or behind the
+// position — and the caller resolves it another way.
+//
+// The value is a view of the scanner's window, CRC-checked, nil for a
+// delete frame. It is valid until the next call on the scanner: a
+// caller that keeps it copies it.
+func (s *SegmentScanner) ValueAt(p Ptr) ([]byte, bool, error) {
 	if s.err != nil {
-		return Record{}, false, s.err
+		return nil, false, s.err
 	}
 	if p.Seg != s.num || p.Off < s.off || p.Off >= s.end {
-		return Record{}, false, nil
+		return nil, false, nil
 	}
-	rec, n, err := s.win.next(s.r, s.num, p.Off, s.end, s.readAhead(), s.tail)
-	if err != nil || n == 0 {
+	var f frameView
+	if err := s.win.frame(s.r, s.num, p.Off, s.end, s.readAhead(), s.tail, &f); err != nil || f.size == 0 {
 		s.err = err
-		return Record{}, false, err
+		return nil, false, err
 	}
-	s.off = p.Off + int64(n)
-	return rec, true, nil
+	s.off = p.Off + int64(f.size)
+	return f.value, true, nil
 }
 
 // Record returns the current record.

@@ -143,7 +143,7 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	}
 }
 
-// At reads forward only. Two pointers within one read-ahead of each
+// ValueAt reads forward only. Two pointers within one read-ahead of each
 // other cost one seek between them: the second is reached by reading
 // through the gap. A pointer behind the position answers ok=false. A
 // far pointer jumps: one more seek, and the gap is not read.
@@ -175,12 +175,12 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	defer sc.Close()
 	at := func(i int) {
 		t.Helper()
-		rec, ok, err := sc.At(ptrs[i])
+		v, ok, err := sc.ValueAt(ptrs[i])
 		if err != nil || !ok {
-			t.Fatalf("At(record %d) = ok %v, err %v", i, ok, err)
+			t.Fatalf("ValueAt(record %d) = ok %v, err %v", i, ok, err)
 		}
-		if want := sortedRecord(i); !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
-			t.Fatalf("At(record %d) decoded %q, want %q", i, rec.Key, want.Key)
+		if want := sortedRecord(i); !bytes.Equal(v, want.Value) {
+			t.Fatalf("ValueAt(record %d) = %.8q, want %.8q", i, v, want.Value)
 		}
 	}
 
@@ -194,8 +194,8 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 		t.Fatalf("read %d bytes for two records past one refill, want a second (read-through) refill", got)
 	}
 
-	if _, ok, err := sc.At(ptrs[b-1]); ok || err != nil {
-		t.Fatalf("At(record behind the position) = ok %v, err %v, want ok=false and no error", ok, err)
+	if _, ok, err := sc.ValueAt(ptrs[b-1]); ok || err != nil {
+		t.Fatalf("ValueAt(record behind the position) = ok %v, err %v, want ok=false and no error", ok, err)
 	}
 
 	seeks1, read1 := seeks(fs), bytesRead(fs)

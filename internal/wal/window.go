@@ -13,8 +13,9 @@ import (
 // sweep is contiguous I/O — no per-chunk seek charge on the modelled
 // disk, and no re-read of the tail bytes. The buffer is reused across
 // refills (and segment switches) and only grows with chunk: next copies
-// every key and value out, so no returned Record aliases it, and the
-// SegmentScanner can hand its buffer back to a pool on Close.
+// every key and value out, so no returned Record aliases it; a view from
+// frame aliases it until the next call. The SegmentScanner can hand the
+// buffer back to a pool on Close.
 type readWindow struct {
 	buf      []byte
 	bufStart int64

@@ -27,8 +27,8 @@ package logbase
 // Operands %-escape spaces, '%', '*', and control bytes (see
 // internal/readopt). Key predicates are evaluated on index entries
 // BEFORE any log read — a rejected row costs zero I/O; value predicates
-// run after the log read but still inside the server, so rejected rows
-// never reach the wire.
+// run on the log frame as it is read, inside the server, so a rejected
+// row is never copied and never reaches the wire.
 
 import "repro/internal/readopt"
 
@@ -76,8 +76,8 @@ func WithPrefix(p []byte) ReadOption {
 func WithKeyFilter(pred *Predicate) ReadOption { return func(o *ReadOptions) { o.Key = pred } }
 
 // WithValueFilter keeps only rows whose value matches pred. Evaluated
-// after the log fetch, still inside the tablet server: rejected rows
-// never cross the wire.
+// on the log frame as the tablet server reads it, before the row is
+// copied: rejected rows cost no copy and never cross the wire.
 func WithValueFilter(pred *Predicate) ReadOption { return func(o *ReadOptions) { o.Value = pred } }
 
 // WithTimeRange keeps only rows whose visible version was committed in

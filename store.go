@@ -119,7 +119,9 @@ type Store interface {
 // The producing scan runs only inside Next, as a coroutine of the
 // caller; Close releases it — abandoning an unfinished iterator without
 // Close leaks the suspended scan and the log segments it pins.
-// Iterators are not safe for concurrent use.
+// Iterators are not safe for concurrent use. A Row stays valid after
+// Next and Close, and the caller owns its Value; a retained Value keeps
+// alive the chunk (at most 32 KB) its scan page copied it into.
 type Iterator interface {
 	Next() bool
 	Row() Row
