@@ -37,14 +37,14 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			return db.ClusterClient
-		}, 5, 10, 36, 36, 38},
+		}, 4, 10, 36, 35, 38},
 		{"cluster", func(t *testing.T) *logbase.ClusterClient {
 			c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{NumServers: 3})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}
 			return logbase.NewClusterClient(c)
-		}, 5, 10, 37, 36, 39},
+		}, 4, 10, 37, 35, 39},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open(t)
@@ -191,7 +191,7 @@ func TestWireAllocBudget(t *testing.T) {
 		lines   int // reply lines: SCAN's 10 ROWs and its END
 		ceiling float64
 	}{
-		{"PUT", puts[loaded:], 1, 11},
+		{"PUT", puts[loaded:], 1, 8},
 		{"GET", gets, 1, 14},
 		{"SCAN LIMIT 10", scans, 11, 60},
 	} {

@@ -3,12 +3,12 @@ package logbase_test
 // Model-based changefeed tests: interleaved writes, deletes,
 // incremental compaction ticks, and (on the cluster) tablet split +
 // migration, all consumed through a deliberately LAGGING Watch cursor
-// with a tiny buffer. The consumer overflows (ErrSlowConsumer), resumes
-// by cursor, gets refused when compaction has truncated its resume
-// point (ErrCursorTruncated), and re-bootstraps from LSN 0 — and
-// through all of it the folded stream must reconstruct exactly the
-// engine's final state. This is the retention/truncation contract
-// exercised end to end.
+// with a tiny buffer. The feed overflows and re-reads its gap from the
+// log (counted in logbase_cdc_feed_rereads_total); when compaction has
+// reclaimed that gap first, Next returns ErrCursorTruncated and the
+// consumer re-bootstraps from LSN 0 — and through all of it the folded
+// stream must reconstruct exactly the engine's final state. This is
+// the retention/truncation contract exercised end to end.
 
 import (
 	"context"
@@ -20,39 +20,32 @@ import (
 	"time"
 
 	logbase "repro"
+	"repro/internal/obs"
 )
 
 // laggingConsumer drives a feed that deliberately falls behind: it
-// drains only a few events per round and handles overflow/truncation by
-// resuming or re-bootstrapping.
+// drains only a few events per round and re-bootstraps on truncation.
 type laggingConsumer struct {
-	st      logbase.Store
-	cluster bool // cluster feeds: no LSN resume, always re-bootstrap
-	feed    logbase.ChangeFeed
-	fold    foldState
-	cursor  uint64
+	st   logbase.Store
+	feed logbase.ChangeFeed
+	fold foldState
 }
 
-func (lc *laggingConsumer) open(t *testing.T, fromLSN uint64) {
+// open re-bootstraps: a fresh fold and a Watch from 0, the only replay
+// that is state-correct after the gap was reclaimed.
+func (lc *laggingConsumer) open(t *testing.T) {
 	t.Helper()
-	if fromLSN == 0 {
-		lc.fold = foldState{} // re-bootstrap: replay is only state-correct from 0
-	}
-	feed, err := lc.st.Watch(bg, "t", "g", nil, nil, fromLSN, logbase.WatchOptions{Buffer: 8})
-	if errors.Is(err, logbase.ErrCursorTruncated) {
-		// The resume point fell behind the compaction reclaim horizon:
-		// the documented recovery is a fresh bootstrap.
-		lc.open(t, 0)
-		return
-	}
+	lc.fold = foldState{}
+	feed, err := lc.st.Watch(bg, "t", "g", nil, nil, 0, logbase.WatchOptions{Buffer: 8})
 	if err != nil {
-		t.Fatalf("Watch(from %d): %v", fromLSN, err)
+		t.Fatalf("Watch: %v", err)
 	}
 	lc.feed = feed
 }
 
-// drain pulls up to max events (0 = until idle), reopening the feed on
-// overflow. Returns the number of events folded.
+// drain pulls up to max events (0 = until idle), re-bootstrapping when
+// compaction reclaimed the lagging feed's gap. Returns the number of
+// events folded.
 func (lc *laggingConsumer) drain(t *testing.T, max int, idle time.Duration) int {
 	t.Helper()
 	n := 0
@@ -63,19 +56,25 @@ func (lc *laggingConsumer) drain(t *testing.T, max int, idle time.Duration) int 
 		switch {
 		case err == nil:
 			lc.fold.apply(ev)
-			lc.cursor = ev.Cursor
 			n++
 		case errors.Is(err, context.DeadlineExceeded):
 			return n
-		case errors.Is(err, logbase.ErrSlowConsumer):
+		case errors.Is(err, logbase.ErrCursorTruncated):
 			lc.feed.Close()
-			if lc.cluster {
-				lc.open(t, 0) // cluster feeds are not LSN-addressable
-			} else {
-				lc.open(t, lc.cursor+1)
-			}
+			lc.open(t)
 		default:
 			t.Fatalf("Next: %v", err)
+		}
+	}
+	return n
+}
+
+// rereads sums logbase_cdc_feed_rereads_total over every server.
+func rereads(st logbase.Store) float64 {
+	var n float64
+	for _, m := range st.(interface{ Metrics() *obs.Registry }).Metrics().Snapshot() {
+		if m.Name == "logbase_cdc_feed_rereads_total" {
+			n += m.Value
 		}
 	}
 	return n
@@ -84,7 +83,7 @@ func (lc *laggingConsumer) drain(t *testing.T, max int, idle time.Duration) int 
 // runChangefeedModel mutates in rounds with the consumer lagging
 // behind, then drains fully and compares the folded state against the
 // engine.
-func runChangefeedModel(t *testing.T, st logbase.Store, cluster bool, tick func(t *testing.T, round int), seed int64, rounds int) bool {
+func runChangefeedModel(t *testing.T, st logbase.Store, tick func(t *testing.T, round int), seed int64, rounds int) bool {
 	t.Helper()
 	if err := st.CreateTable("t", "g"); err != nil {
 		t.Fatalf("CreateTable: %v", err)
@@ -92,8 +91,8 @@ func runChangefeedModel(t *testing.T, st logbase.Store, cluster bool, tick func(
 	rng := rand.New(rand.NewSource(seed))
 	const keySpace = 80
 
-	lc := &laggingConsumer{st: st, cluster: cluster}
-	lc.open(t, 0)
+	lc := &laggingConsumer{st: st}
+	lc.open(t)
 	defer func() { lc.feed.Close() }()
 
 	for round := 0; round < rounds; round++ {
@@ -112,12 +111,16 @@ func runChangefeedModel(t *testing.T, st logbase.Store, cluster bool, tick func(
 		}
 		tick(t, round)
 		// Lag: consume far fewer events than the round produced, so the
-		// tiny buffer overflows and resume/re-bootstrap paths fire.
+		// tiny buffer overflows and reread/re-bootstrap paths fire.
 		lc.drain(t, 15, 100*time.Millisecond)
 	}
 
 	// Catch up completely, then check the fold against the engine.
 	for lc.drain(t, 0, 500*time.Millisecond) > 0 {
+	}
+	if rereads(st) == 0 {
+		t.Logf("seed %d: no feed re-read its gap; the overflow path never ran", seed)
+		return false
 	}
 	live := map[string]logbase.Row{}
 	it := st.Scan(bg, "t", "g", nil, nil)
@@ -161,7 +164,7 @@ func TestChangefeedModelEmbedded(t *testing.T) {
 				t.Fatalf("AutoCompactTick: %v", err)
 			}
 		}
-		return runChangefeedModel(t, db, false, tick, seed, 6)
+		return runChangefeedModel(t, db, tick, seed, 6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestChangefeedModelCluster(t *testing.T) {
 				}
 			}
 		}
-		return runChangefeedModel(t, cc, true, tick, seed, 5)
+		return runChangefeedModel(t, cc, tick, seed, 5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2, Rand: rand.New(rand.NewSource(37))}); err != nil {
 		t.Fatal(err)

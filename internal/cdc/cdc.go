@@ -87,9 +87,9 @@ type Feed interface {
 
 // Options configures a Watch.
 type Options struct {
-	// Buffer is the live-tail buffer capacity in events; a consumer that
-	// falls further behind than this blocks the flush path is NOT an
-	// option in LogBase, so the feed instead fails with ErrSlowConsumer.
+	// Buffer bounds the live records held for a consumer. The append
+	// path never waits for a feed: once a consumer falls this far
+	// behind, its next Next re-reads the gap from the log instead.
 	// Zero means DefaultBuffer.
 	Buffer int
 }
@@ -105,9 +105,3 @@ func (o Options) WithDefaults() Options {
 	}
 	return o
 }
-
-// ErrSlowConsumer reports that a live feed's buffer overflowed: the
-// consumer fell too far behind the write rate. The cursor of the last
-// delivered event is still valid — resume from there (the gap replays
-// from the log).
-var ErrSlowConsumer = errors.New("cdc: consumer too slow; resume from last cursor")

@@ -169,10 +169,11 @@ func (f *clusterFeed) pump(id string, feed *core.Feed) {
 			f.mu.Lock()
 			delete(f.feeds, id)
 			f.mu.Unlock()
-			if errors.Is(err, cdc.ErrSlowConsumer) {
-				// The server-side buffer overflowed: events were lost and
-				// a cluster feed has no LSN cursor to replay them from,
-				// so the whole feed is terminally broken.
+			if errors.Is(err, cdc.ErrCursorTruncated) {
+				// A lagging server feed's gap was compacted away, and with
+				// it maybe a delete the consumer never saw: a replay from
+				// 0 cannot bring that back, so the consumer must
+				// re-bootstrap.
 				f.fail(err)
 			}
 			return

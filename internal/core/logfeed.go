@@ -10,13 +10,15 @@ package core
 //
 //   - Historical catch-up: a sequential sweep over the segments pinned
 //     at subscribe time (pinning keeps compaction from reclaiming the
-//     files mid-read). Segments are swept in file order and the
+//     files mid-read). It runs on its own goroutine and hands its events
+//     to Next once, sorted: segments are swept in file order and the
 //     matching records sorted by LSN — compaction relocates records
 //     into key-clustered segments, so file order is not LSN order.
 //   - Live tail: records published from the append path itself (the
 //     wal append hook fires under the log's append lock, so the live
 //     stream is totally LSN-ordered across concurrent writers and both
-//     the direct and group-commit paths).
+//     the direct and group-commit paths). Next reads it only after the
+//     catch-up events are all returned.
 //
 // The handoff is exact: subscribing takes the install latch
 // exclusively, which drains every in-flight mutation (they hold it
@@ -25,6 +27,13 @@ package core
 // before any new append can start. Everything below the boundary is
 // durable in the pinned segments; everything at or above it arrives
 // through the hub. No record is missed or delivered twice.
+//
+// A consumer that falls behind just lags. The live tail is bounded
+// (cdc.Options.Buffer) and the publisher never blocks on it: when it
+// fills, the hub drops the subscriber, and the feed subscribes again at
+// its last returned cursor + 1 through the same barrier, re-reading the
+// gap from the log. Only when compaction reclaimed the gap first does
+// the feed end, with cdc.ErrCursorTruncated.
 //
 // Transactional mutations become visible at their commit record, so
 // their events carry Cursor = the commit's LSN (the resume point that
@@ -67,16 +76,16 @@ type feedSub struct {
 	// match selects the data records this subscriber observes (commit
 	// records are always delivered; they carry no table).
 	match func(*wal.Record) bool
-	// ch carries matching data records plus every commit record. The
-	// publisher never blocks on it: a full channel marks the subscriber
-	// overflowed and closes it (the feed surfaces cdc.ErrSlowConsumer
-	// and the consumer resumes from its last cursor).
+	// ch carries matching data records plus every commit record; it is
+	// open exactly while the subscriber is registered. The publisher
+	// never blocks on it: a full channel drops the subscriber, and its
+	// feed subscribes again and re-reads the gap from the log.
 	ch chan wal.Record
-	// closed/overflow are guarded by the hub mutex; the channel close
-	// is the publication barrier that lets the feed goroutine read
-	// overflow afterwards.
-	closed   bool
-	overflow bool
+	// overflow and released are guarded by the hub mutex; the channel
+	// close publishes them to the feed. overflow marks a subscriber the
+	// hub dropped; released one whose feed or server closed, which is
+	// never registered again.
+	overflow, released bool
 	// cursor is the last cursor delivered to the consumer (feed-lag
 	// metric).
 	cursor atomic.Uint64
@@ -86,41 +95,52 @@ type feedSub struct {
 // the wal append lock, so it must stay cheap: per-subscriber filtering
 // and a non-blocking channel send.
 type cdcHub struct {
-	mu   sync.Mutex
-	subs map[*feedSub]struct{}
+	mu     sync.Mutex
+	subs   map[*feedSub]struct{}
+	closed bool // server shut down: nothing registers again
 }
 
-func (h *cdcHub) add(sub *feedSub) {
+// add registers sub with a fresh live-tail channel. It refuses a
+// released subscriber and a closed hub.
+func (h *cdcHub) add(sub *feedSub, ch chan wal.Record) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed || sub.released {
+		return false
+	}
 	if h.subs == nil {
 		h.subs = make(map[*feedSub]struct{})
 	}
+	sub.ch, sub.overflow = ch, false
 	h.subs[sub] = struct{}{}
+	return true
 }
 
-// remove unregisters a subscriber, closing its channel so the feed
-// goroutine drains and exits.
+// dropLocked unregisters a subscriber and closes its channel. The
+// caller holds h.mu.
+func (h *cdcHub) dropLocked(sub *feedSub) {
+	if _, ok := h.subs[sub]; ok {
+		delete(h.subs, sub)
+		close(sub.ch)
+	}
+}
+
+// remove releases a subscriber for good (its feed closed).
 func (h *cdcHub) remove(sub *feedSub) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	delete(h.subs, sub)
-	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-	}
+	sub.released = true
+	h.dropLocked(sub)
 }
 
 // closeAll tears down every subscription (server shutdown).
 func (h *cdcHub) closeAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.closed = true
 	for sub := range h.subs {
-		delete(h.subs, sub)
-		if !sub.closed {
-			sub.closed = true
-			close(sub.ch)
-		}
+		sub.released = true
+		h.dropLocked(sub)
 	}
 }
 
@@ -148,10 +168,10 @@ func (h *cdcHub) maxLag(nextLSN uint64) uint64 {
 
 // publish fans an appended record batch out to subscribers. Invoked by
 // the wal append hook while the append lock is held — publications are
-// therefore strictly LSN-ordered. Commit records go to every
-// subscriber (they carry no table and may commit records already
-// buffered by the feed); checkpoint markers are dropped.
-func (h *cdcHub) publish(recs []wal.Record) {
+// therefore strictly LSN-ordered. Commit and checkpoint records go to
+// every subscriber (they carry no table; a commit may resolve records
+// the feed holds as pending).
+func (h *cdcHub) publish(recs []*wal.Record) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.subs) == 0 {
@@ -162,9 +182,8 @@ func (h *cdcHub) publish(recs []wal.Record) {
 	}
 }
 
-func (h *cdcHub) deliver(sub *feedSub, recs []wal.Record) {
-	for i := range recs {
-		rec := &recs[i]
+func (h *cdcHub) deliver(sub *feedSub, recs []*wal.Record) {
+	for _, rec := range recs {
 		switch rec.Kind {
 		case wal.KindCommit, wal.KindCheckpoint:
 			// Always delivered: commits resolve buffered transactional
@@ -182,13 +201,10 @@ func (h *cdcHub) deliver(sub *feedSub, recs []wal.Record) {
 		case sub.ch <- *rec:
 		default:
 			// Overflow: delivering later records would hide a gap, so
-			// the subscription dies here. The consumer's cursor is
-			// still exact — it resumes and replays the gap from the
-			// log.
+			// the subscriber is dropped here. Its feed's cursor is still
+			// exact — it subscribes again and re-reads the gap.
 			sub.overflow = true
-			sub.closed = true
-			close(sub.ch)
-			delete(h.subs, sub)
+			h.dropLocked(sub)
 			return
 		}
 	}
@@ -198,30 +214,40 @@ func (h *cdcHub) deliver(sub *feedSub, recs []wal.Record) {
 // records: historical catch-up from pinned segments, then the live
 // append tail, in commit order with exactly-once handoff.
 type RecordFeed struct {
-	s   *Server
-	sub *feedSub
+	s      *Server
+	sub    *feedSub
+	buffer int
 
-	fromLSN  uint64
-	boundary uint64   // first live LSN; catch-up covers [fromLSN, boundary)
-	pinned   []uint32 // segments pinned for catch-up
+	done chan struct{}
+	once sync.Once
 
-	events chan RecordEvent
-	done   chan struct{}
-	err    error // set before events is closed
-	once   sync.Once
+	// Consumer state, owned by Next. fromLSN is the resume point: the
+	// last returned cursor + 1, or the subscribe position until an
+	// event is returned.
+	fromLSN uint64
+	sweep   chan catchUpResult      // the outstanding catch-up; nil once taken
+	live    chan wal.Record         // the live tail; nil until the catch-up is taken
+	queue   []RecordEvent           // events ready to return, in order
+	mark    uint64                  // LSN the queue covers through
+	pending map[uint64][]wal.Record // open transactions, by TxnID
+	err     error                   // terminal: every later Next returns it
 
-	// pending buffers transactional records whose commit has not been
-	// seen yet, keyed by TxnID; it hands over seamlessly from the
-	// catch-up phase to the live phase.
-	pending map[uint64][]wal.Record
-
-	// processed is the highest LSN the feed goroutine has fully handled:
-	// every record at or below it was emitted, buffered as pending, or
-	// carried no data (commit/checkpoint markers). It advances only
-	// after the corresponding emits complete, so processed >= L plus an
-	// empty events channel means the consumer holds everything through
-	// L. Replication's watermark protocol reads it via Drained.
+	// processed is the highest LSN the consumer holds everything
+	// through: every record at or below it was returned by Next, waits
+	// for a commit above it, or carried no data (commit/checkpoint
+	// markers). Next moves it only when its queue is empty, so it never
+	// moves backwards: a re-subscribe's boundary lies past every record
+	// the old live tail carried. Replication's watermark protocol reads
+	// it via Drained.
 	processed atomic.Uint64
+}
+
+// catchUpResult is one catch-up sweep's output.
+type catchUpResult struct {
+	evs     []RecordEvent           // below the boundary, in commit order
+	pending map[uint64][]wal.Record // transactions still open at the boundary
+	live    chan wal.Record         // the live tail that follows
+	err     error
 }
 
 // subscribeRecords opens a record feed: match selects the data records
@@ -236,95 +262,149 @@ func (s *Server) subscribeRecords(match func(*wal.Record) bool, fromLSN uint64, 
 	if buffer <= 0 {
 		buffer = cdc.DefaultBuffer
 	}
-	sub := &feedSub{match: match, ch: make(chan wal.Record, buffer)}
-	sub.cursor.Store(fromLSN)
 	f := &RecordFeed{
 		s:       s,
-		sub:     sub,
-		fromLSN: fromLSN,
-		events:  make(chan RecordEvent, 256),
+		sub:     &feedSub{match: match},
+		buffer:  buffer,
 		done:    make(chan struct{}),
-		pending: make(map[uint64][]wal.Record),
+		fromLSN: fromLSN,
 	}
-	// Subscribe barrier: taking the install latch exclusively drains
-	// every in-flight mutation (writers hold it shared from append
-	// through index install, and group-commit flushes complete inside
-	// that window). With writers excluded, the boundary LSN, the pinned
-	// segment set, and the hub registration form one consistent cut of
-	// the log.
-	s.installMu.Lock()
-	if fromLSN > 0 && fromLSN <= s.pruneHorizon.Load() {
-		s.installMu.Unlock()
-		return nil, cdc.ErrCursorTruncated
+	f.sub.cursor.Store(fromLSN)
+	if err := f.subscribe(); err != nil {
+		return nil, err
 	}
-	f.boundary = s.log.NextLSN()
-	f.pinned = s.log.PinAll()
-	s.cdc.add(sub)
-	s.installMu.Unlock()
-	go f.run()
 	return f, nil
+}
+
+// subscribe registers the live tail at the feed's resume point and
+// starts the catch-up sweep below the boundary. Taking the install
+// latch exclusively drains every in-flight mutation (writers hold it
+// shared from append through index install, and group-commit flushes
+// complete inside that window). With writers excluded, the boundary
+// LSN, the pinned segment set, and the hub registration form one
+// consistent cut of the log.
+func (f *RecordFeed) subscribe() error {
+	s, ch := f.s, make(chan wal.Record, f.buffer)
+	s.installMu.Lock()
+	if f.fromLSN > 0 && f.fromLSN <= s.pruneHorizon.Load() {
+		s.installMu.Unlock()
+		return cdc.ErrCursorTruncated
+	}
+	boundary := s.log.NextLSN()
+	pinned := s.log.PinAll()
+	ok := s.cdc.add(f.sub, ch)
+	s.installMu.Unlock()
+	if !ok {
+		s.log.Unpin(pinned...)
+		return cdc.ErrFeedClosed
+	}
+	f.live, f.mark = nil, boundary-1
+	f.sweep = make(chan catchUpResult, 1)
+	go f.catchUp(f.fromLSN, boundary, pinned, ch, f.sweep)
+	return nil
 }
 
 // SubscribeRecords opens the replication stream: every committed
 // write/delete record on this server from fromLSN onward, in commit
 // order. It shares the changefeed's cursor/pinning engine — same
-// resume contract, same cdc.ErrCursorTruncated / cdc.ErrSlowConsumer
-// semantics. buffer <= 0 uses cdc.DefaultBuffer.
+// resume contract, same cdc.ErrCursorTruncated semantics. buffer <= 0
+// uses cdc.DefaultBuffer.
 func (s *Server) SubscribeRecords(fromLSN uint64, buffer int) (*RecordFeed, error) {
 	return s.subscribeRecords(nil, fromLSN, buffer)
 }
 
 // Next returns the next committed record in feed order. It blocks until
-// one arrives, ctx is cancelled, or the feed terminates
-// (cdc.ErrSlowConsumer on live buffer overflow, cdc.ErrFeedClosed after
-// Close).
+// one arrives, ctx is cancelled, or the feed ends: cdc.ErrCursorTruncated
+// when compaction reclaimed the gap a lagging feed had to re-read,
+// cdc.ErrFeedClosed after Close or server shutdown. The catch-up sweep
+// runs on its own goroutine, so a ctx deadline only bounds the wait.
 func (f *RecordFeed) Next(ctx context.Context) (RecordEvent, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case ev, ok := <-f.events:
-		if !ok {
-			if f.err != nil {
-				return RecordEvent{}, f.err
+	for len(f.queue) == 0 {
+		if f.err != nil {
+			return RecordEvent{}, f.err
+		}
+		select {
+		case r := <-f.sweep:
+			f.sweep = nil
+			f.queue, f.pending, f.live, f.err = r.evs, r.pending, r.live, r.err
+		case rec, ok := <-f.live:
+			if !ok {
+				// A released subscriber ends the feed. One the hub dropped
+				// on overflow subscribes again at the resume point, and its
+				// catch-up re-reads the gap from the log, pending
+				// transactions included.
+				f.err = cdc.ErrFeedClosed
+				if f.sub.overflow {
+					f.s.obs.cdcRereads.Inc()
+					f.err = f.subscribe()
+				}
+				continue
 			}
+			f.take(rec)
+		case <-ctx.Done():
+			return RecordEvent{}, ctx.Err()
+		case <-f.done:
 			return RecordEvent{}, cdc.ErrFeedClosed
 		}
-		f.sub.cursor.Store(ev.Cursor)
-		return ev, nil
-	case <-ctx.Done():
-		return RecordEvent{}, ctx.Err()
-	case <-f.done:
-		return RecordEvent{}, cdc.ErrFeedClosed
+		if len(f.queue) == 0 {
+			f.processed.Store(f.mark) // nothing to return: handled through mark
+		}
 	}
+	ev := f.queue[0]
+	if f.queue = f.queue[1:]; len(f.queue) == 0 {
+		f.queue = nil // a drained catch-up's array is not kept
+		f.processed.Store(f.mark)
+	}
+	f.fromLSN = ev.Cursor + 1
+	f.sub.cursor.Store(ev.Cursor)
+	return ev, nil
 }
 
-// Lag returns how many records through tip the consumer has not taken
-// yet: those the feed goroutine has not handled plus the events waiting
-// in its buffer.
-func (f *RecordFeed) Lag(tip uint64) uint64 {
-	var n uint64
-	if p := f.processed.Load(); tip > p {
-		n = tip - p
+// take folds one live-tail record into the queue: an auto-commit record
+// is ready at once, a transactional one waits in pending, and a commit
+// releases its transaction's records in record order, all sharing the
+// commit's cursor. Checkpoint markers carry no data but move the mark.
+func (f *RecordFeed) take(rec wal.Record) {
+	switch {
+	case rec.Kind == wal.KindCommit:
+		for _, r := range f.pending[rec.TxnID] {
+			f.queue = append(f.queue, RecordEvent{Rec: r, Cursor: rec.LSN})
+		}
+		delete(f.pending, rec.TxnID)
+	case rec.Kind == wal.KindCheckpoint:
+	case rec.TxnID != 0:
+		f.pending[rec.TxnID] = append(f.pending[rec.TxnID], rec)
+	default:
+		f.queue = append(f.queue, RecordEvent{Rec: rec, Cursor: rec.LSN})
 	}
-	return n + uint64(len(f.events))
+	f.mark = rec.LSN
+}
+
+// Lag returns how many LSNs through tip the consumer has not taken yet.
+func (f *RecordFeed) Lag(tip uint64) uint64 {
+	if p := f.processed.Load(); tip > p {
+		return tip - p
+	}
+	return 0
 }
 
 // Drained reports whether the consumer holds every committed record
-// with LSN <= tip: the feed goroutine has processed past tip and the
-// event buffer is empty. Only meaningful on an unfiltered feed
+// with LSN <= tip. Only meaningful on an unfiltered feed
 // (SubscribeRecords) — filtered records never reach the feed, so a
 // filtered feed's mark can stall — and only exact when called from the
-// consumer's own goroutine between Next calls (an event popped by a
-// concurrent Next would be invisible to both checks). Replication's
-// watermark protocol is the intended caller.
+// consumer's own goroutine between Next calls (Next moves the mark just
+// before it returns the event). Replication's watermark protocol is the
+// intended caller.
 func (f *RecordFeed) Drained(tip uint64) bool {
-	return f.processed.Load() >= tip && len(f.events) == 0
+	return f.processed.Load() >= tip
 }
 
-// Close releases the feed: the live subscription is unregistered, the
-// catch-up's segment pins drop, and any blocked Next returns.
-// Idempotent.
+// Close releases the feed: the live subscription is unregistered, an
+// unfinished catch-up stops and drops its segment pins, and any blocked
+// Next returns. Idempotent.
 func (f *RecordFeed) Close() error {
 	f.once.Do(func() {
 		close(f.done)
@@ -333,42 +413,18 @@ func (f *RecordFeed) Close() error {
 	return nil
 }
 
-// run is the feed's producer goroutine: historical catch-up, then the
-// live tail.
-func (f *RecordFeed) run() {
-	defer close(f.events)
-	if ok := f.catchUp(); !ok {
-		return
-	}
-	f.live()
-}
-
-// emit hands one record to the consumer, honouring fromLSN filtering
-// and feed shutdown. Returns false when the feed is closing.
-func (f *RecordFeed) emit(ev RecordEvent) bool {
-	if f.fromLSN > 0 && ev.Cursor < f.fromLSN {
-		return true // resumed past it: already delivered in a previous feed
-	}
-	select {
-	case f.events <- ev:
-		return true
-	case <-f.done:
-		return false
-	}
-}
-
 // catchUpCheckEvery bounds how many records are scanned between feed
 // shutdown checks.
 const catchUpCheckEvery = 1024
 
 // catchUp sweeps the pinned segments for records below the boundary,
-// resolves transactional visibility, and emits the survivors in commit
-// order. Returns false when the feed shut down mid-way.
-func (f *RecordFeed) catchUp() bool {
-	defer func() {
-		f.s.log.Unpin(f.pinned...)
-		f.pinned = nil
-	}()
+// resolves transactional visibility, and hands the survivors from
+// fromLSN on to Next in commit order. It releases its pins before the
+// hand-off and stops early when the feed closes.
+func (f *RecordFeed) catchUp(fromLSN, boundary uint64, pinned []uint32, live chan wal.Record, out chan<- catchUpResult) {
+	res := catchUpResult{pending: make(map[uint64][]wal.Record), live: live}
+	defer func() { out <- res }() // buffered: never blocks
+	defer f.s.log.Unpin(pinned...)
 
 	// Collect matching data records and every commit below the
 	// boundary. Compaction can briefly leave a record live in both its
@@ -378,11 +434,11 @@ func (f *RecordFeed) catchUp() bool {
 	commits := make(map[uint64]wal.Record) // TxnID -> commit record
 	seen := make(map[uint64]struct{})
 	scanned := 0
-	for _, num := range f.pinned {
+	for _, num := range pinned {
 		sc, err := f.s.log.OpenSegmentScanner(num, 0)
 		if err != nil {
-			f.err = err
-			return false
+			res.err = err
+			return
 		}
 		for sc.Next() {
 			scanned++
@@ -390,12 +446,12 @@ func (f *RecordFeed) catchUp() bool {
 				select {
 				case <-f.done:
 					sc.Close()
-					return false
+					return
 				default:
 				}
 			}
 			rec := sc.Record()
-			if rec.LSN >= f.boundary {
+			if rec.LSN >= boundary {
 				continue // appended after subscribe; the live tail has it
 			}
 			if _, dup := seen[rec.LSN]; dup {
@@ -424,8 +480,8 @@ func (f *RecordFeed) catchUp() bool {
 		err = sc.Err()
 		sc.Close()
 		if err != nil {
-			f.err = err
-			return false
+			res.err = err
+			return
 		}
 	}
 
@@ -433,19 +489,23 @@ func (f *RecordFeed) catchUp() bool {
 	// transactional records adopt their commit's LSN as cursor; records
 	// of transactions not committed below the boundary carry into the
 	// live phase (their commit, if it ever lands, is at or above it).
+	// Events before fromLSN were returned by an earlier feed.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	evs := make([]RecordEvent, 0, len(recs))
 	for i := range recs {
 		rec := &recs[i]
-		if rec.TxnID == 0 {
-			evs = append(evs, RecordEvent{Rec: *rec, Cursor: rec.LSN})
-			continue
+		cursor := rec.LSN
+		if rec.TxnID != 0 {
+			c, ok := commits[rec.TxnID]
+			if !ok {
+				res.pending[rec.TxnID] = append(res.pending[rec.TxnID], *rec)
+				continue
+			}
+			cursor = c.LSN
 		}
-		if c, ok := commits[rec.TxnID]; ok {
-			evs = append(evs, RecordEvent{Rec: *rec, Cursor: c.LSN})
-			continue
+		if cursor >= fromLSN {
+			evs = append(evs, RecordEvent{Rec: *rec, Cursor: cursor})
 		}
-		f.pending[rec.TxnID] = append(f.pending[rec.TxnID], *rec)
 	}
 	// Commit order: by cursor, transactions internally by record LSN.
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -454,52 +514,5 @@ func (f *RecordFeed) catchUp() bool {
 		}
 		return evs[i].Rec.LSN < evs[j].Rec.LSN
 	})
-	for _, ev := range evs {
-		if !f.emit(ev) {
-			return false
-		}
-	}
-	if f.boundary > 0 {
-		f.processed.Store(f.boundary - 1)
-	}
-	return true
-}
-
-// live drains the hub subscription until the feed closes or the
-// subscriber overflows.
-func (f *RecordFeed) live() {
-	for rec := range f.sub.ch {
-		switch rec.Kind {
-		case wal.KindCommit:
-			// The transaction's buffered records become visible now, in
-			// record order, all sharing the commit's cursor.
-			if list, ok := f.pending[rec.TxnID]; ok {
-				delete(f.pending, rec.TxnID)
-				for i := range list {
-					if !f.emit(RecordEvent{Rec: list[i], Cursor: rec.LSN}) {
-						return
-					}
-				}
-			}
-		case wal.KindWrite, wal.KindDelete:
-			if rec.TxnID != 0 {
-				f.pending[rec.TxnID] = append(f.pending[rec.TxnID], rec)
-				f.processed.Store(rec.LSN)
-				continue
-			}
-			if !f.emit(RecordEvent{Rec: rec, Cursor: rec.LSN}) {
-				return
-			}
-		}
-		// Hub publications are strictly LSN-ordered and the emits above
-		// completed, so everything through this record is now with the
-		// consumer (or pending a future commit). Checkpoint markers land
-		// here too — they carry no data but move the mark.
-		f.processed.Store(rec.LSN)
-	}
-	// Channel closed: either the feed's own Close (err stays nil) or a
-	// live-tail overflow.
-	if f.sub.overflow {
-		f.err = cdc.ErrSlowConsumer
-	}
+	res.evs = evs
 }

@@ -40,8 +40,11 @@ type serverObs struct {
 	compactStalls   *obs.Counter
 
 	// Changefeed counters (events/sec derives from the counter at
-	// scrape time; feed count and lag are scrape-time gauges).
-	cdcEvents *obs.Counter
+	// scrape time; feed count and lag are scrape-time gauges). Rereads
+	// counts live-buffer overflows: each sends a feed back to the log
+	// for its gap (or to cdc.ErrCursorTruncated if compaction took it).
+	cdcEvents  *obs.Counter
+	cdcRereads *obs.Counter
 
 	// Scrub repairs (corrupt replica blocks rewritten from a healthy
 	// peer).
@@ -83,6 +86,7 @@ func newServerObs(s *Server) *serverObs {
 	o.compactRepoints = reg.Counter("logbase_compact_repoints_total", "index entries repointed by compaction", sl)
 	o.compactStalls = reg.Counter("logbase_compact_stalls_total", "compaction ticks stalled waiting for index recovery", sl)
 	o.cdcEvents = reg.Counter("logbase_cdc_events_total", "changefeed events delivered to consumers", sl)
+	o.cdcRereads = reg.Counter("logbase_cdc_feed_rereads_total", "changefeed live-buffer overflows, each re-read from the log", sl)
 	o.scrubRepaired = reg.Counter("logbase_scrub_repaired_total", "corrupt replica blocks repaired by scrub", sl)
 	if s.cfg.Faults != nil {
 		// The fault registry is shared across the layers it is wired into

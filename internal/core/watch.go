@@ -71,10 +71,6 @@ func (s *Server) Watch(table, group string, start, end []byte, fromLSN uint64, o
 	return &Feed{rf: rf}, nil
 }
 
-// PruneHorizon returns the highest LSN at or below which compaction
-// may have reclaimed records: resuming a feed there is refused.
-func (s *Server) PruneHorizon() uint64 { return s.pruneHorizon.Load() }
-
 // raisePruneHorizon lifts the reclaim horizon (never lowers it).
 func (s *Server) raisePruneHorizon(lsn uint64) {
 	for {
@@ -86,8 +82,9 @@ func (s *Server) raisePruneHorizon(lsn uint64) {
 }
 
 // Next returns the next event. It blocks until an event arrives, ctx
-// is cancelled, or the feed terminates (cdc.ErrSlowConsumer on live
-// buffer overflow, cdc.ErrFeedClosed after Close).
+// is cancelled, or the feed terminates (cdc.ErrCursorTruncated when a
+// lagging feed's gap was compacted away, cdc.ErrFeedClosed after
+// Close).
 func (f *Feed) Next(ctx context.Context) (cdc.Event, error) {
 	ev, err := f.rf.Next(ctx)
 	if err != nil {
@@ -99,9 +96,9 @@ func (f *Feed) Next(ctx context.Context) (cdc.Event, error) {
 	return eventFrom(&ev.Rec, ev.Cursor), nil
 }
 
-// Close releases the feed: the live subscription is unregistered, the
-// catch-up's segment pins drop, and any blocked Next returns.
-// Idempotent.
+// Close releases the feed: the live subscription is unregistered, an
+// unfinished catch-up drops its segment pins, and any blocked Next
+// returns. Idempotent.
 func (f *Feed) Close() error { return f.rf.Close() }
 
 func eventFrom(rec *wal.Record, cursor uint64) cdc.Event {

@@ -206,7 +206,7 @@ func TestWatchCursorTruncated(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if s.PruneHorizon() == 0 {
+	if s.pruneHorizon.Load() == 0 {
 		t.Fatal("whole-log compaction should raise the prune horizon")
 	}
 
@@ -240,6 +240,9 @@ func TestWatchCursorTruncated(t *testing.T) {
 	}
 }
 
+// TestWatchSlowConsumer floods a feed nobody reads: its live buffer (4)
+// overflows, and the consumer still gets every write exactly once, in
+// cursor order — the feed re-read its gap from the log.
 func TestWatchSlowConsumer(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	defer s.Close()
@@ -248,23 +251,164 @@ func TestWatchSlowConsumer(t *testing.T) {
 		t.Fatalf("Watch: %v", err)
 	}
 	defer f.Close()
-	// Nobody consumes: the live buffer (4) plus the feed's event channel
-	// eventually overflow and the subscription dies with a typed error.
-	for i := 0; i < 2000; i++ {
+	const n = 2000
+	for i := 0; i < n; i++ {
 		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%04d", i)), int64(i+1), []byte("v"))
 	}
-	evs, err := drainEvents(f, 5000)
-	if !errors.Is(err, cdc.ErrSlowConsumer) {
-		t.Fatalf("drained %d events, err = %v, want ErrSlowConsumer", len(evs), err)
+	evs, err := drainEvents(f, n)
+	if err != nil {
+		t.Fatalf("drained %d of %d events: %v", len(evs), n, err)
 	}
-	if len(evs) == 0 {
-		t.Error("expected some events before the overflow")
-	}
-	// The delivered prefix is gap-free: strictly ascending cursors.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Cursor <= evs[i-1].Cursor {
-			t.Fatalf("cursor regression at %d: %d -> %d", i, evs[i-1].Cursor, evs[i].Cursor)
+	for i, ev := range evs {
+		if want := fmt.Sprintf("k%04d", i); string(ev.Key) != want {
+			t.Fatalf("event %d is %q, want %q", i, ev.Key, want)
 		}
+		if i > 0 && ev.Cursor <= evs[i-1].Cursor {
+			t.Fatalf("cursor regression at %d: %d -> %d", i, evs[i-1].Cursor, ev.Cursor)
+		}
+	}
+	if got := s.obs.cdcRereads.Load(); got < 1 {
+		t.Errorf("rereads = %d, want >= 1: the buffer never overflowed", got)
+	}
+}
+
+// TestWatchOverflowKeepsTransactionsWhole floods an undrained feed with
+// three-write transactions, so overflows cut the live tail inside
+// transactions, while one prepared transaction stays open across the
+// re-read. Every transaction still arrives once, whole, in record
+// order and under one cursor: records a feed held for an open
+// transaction go with the old tail, and the re-read finds them again.
+func TestWatchOverflowKeepsTransactionsWhole(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer s.Close()
+	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	defer f.Close()
+	const txns = 500
+	write := func(key string) TxnWrite {
+		return TxnWrite{Tablet: testTablet, Group: testGroup, Key: []byte(key), Value: []byte("v")}
+	}
+	open, err := s.PrepareTxn(txns+1, txns+1, []TxnWrite{write("open-0"), write("open-1")})
+	if err != nil {
+		t.Fatalf("PrepareTxn: %v", err)
+	}
+	var want [][]string // keys per transaction, in commit order
+	for i := 0; i < txns; i++ {
+		keys := []string{fmt.Sprintf("t%03d-0", i), fmt.Sprintf("t%03d-1", i), fmt.Sprintf("t%03d-2", i)}
+		if err := s.ApplyTxn(uint64(i+1), int64(i+1), []TxnWrite{write(keys[0]), write(keys[1]), write(keys[2])}); err != nil {
+			t.Fatalf("ApplyTxn: %v", err)
+		}
+		want = append(want, keys)
+	}
+	want = append(want, []string{"open-0", "open-1"})
+	// The first Next meets the overflow and re-reads past the flood
+	// while "open" is still open; its commit lands on the new tail.
+	evs := []cdc.Event{nextEvent(t, f)}
+	if err := s.CommitTxn(txns+1, txns+1, open); err != nil {
+		t.Fatalf("CommitTxn: %v", err)
+	}
+	rest, err := drainEvents(f, 3*txns+1)
+	if err != nil {
+		t.Fatalf("drained %d more events: %v", len(rest), err)
+	}
+	evs = append(evs, rest...)
+	var prev uint64
+	for _, keys := range want {
+		cursor := evs[0].Cursor
+		if cursor <= prev {
+			t.Fatalf("transaction %v: cursor %d not past the previous %d", keys, cursor, prev)
+		}
+		for _, k := range keys {
+			if string(evs[0].Key) != k || evs[0].Cursor != cursor {
+				t.Fatalf("got %q at cursor %d, want %q at %d", evs[0].Key, evs[0].Cursor, k, cursor)
+			}
+			evs = evs[1:]
+		}
+		prev = cursor
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if ev, err := f.Next(ctx); err == nil {
+		t.Errorf("extra event %q after every transaction", ev.Key)
+	}
+	if got := s.obs.cdcRereads.Load(); got < 1 {
+		t.Errorf("rereads = %d, want >= 1: the buffer never overflowed", got)
+	}
+}
+
+// TestWatchOverflowIntoReclaimedGap: a feed overflows, and before its
+// consumer comes back a retention compaction reclaims the gap. The
+// feed returns what its live buffer held, then cdc.ErrCursorTruncated
+// and nothing after it.
+func TestWatchOverflowIntoReclaimedGap(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	s.SetRetention("users", RetentionPolicy{KeepVersions: 1})
+	defer s.Close()
+	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	defer f.Close()
+	s.Write(testTablet, testGroup, []byte("a"), 1, []byte("v"))
+	first := nextEvent(t, f)
+
+	for i := 0; i < 100; i++ {
+		s.Write(testTablet, testGroup, []byte("k"), int64(i+2), []byte{byte(i)})
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if h := s.pruneHorizon.Load(); h <= first.Cursor {
+		t.Fatalf("prune horizon %d does not cover the gap after cursor %d", h, first.Cursor)
+	}
+
+	evs, err := drainEvents(f, 200)
+	if !errors.Is(err, cdc.ErrCursorTruncated) {
+		t.Fatalf("drained %d events, err = %v, want ErrCursorTruncated", len(evs), err)
+	}
+	if len(evs) > 4 {
+		t.Errorf("%d events after the overflow, want at most the buffer's 4", len(evs))
+	}
+	last := first.Cursor
+	for _, ev := range evs {
+		if ev.Cursor <= last {
+			t.Fatalf("cursor regression: %d after %d", ev.Cursor, last)
+		}
+		last = ev.Cursor
+	}
+	for i := 0; i < 2; i++ {
+		if ev, err := f.Next(context.Background()); !errors.Is(err, cdc.ErrCursorTruncated) {
+			t.Fatalf("Next after truncation = %+v, %v; want ErrCursorTruncated again", ev, err)
+		}
+	}
+	if got := s.obs.cdcRereads.Load(); got != 1 {
+		t.Errorf("rereads = %d, want the 1 overflow", got)
+	}
+}
+
+// TestWatchOverflowThenServerClose: a feed whose live buffer overflowed
+// is outside the hub when its server shuts down. It still ends with
+// cdc.ErrFeedClosed, like a feed the shutdown found registered, instead
+// of subscribing again and waiting on a tail that never moves.
+func TestWatchOverflowThenServerClose(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	defer f.Close()
+	for i := 0; i < 100; i++ {
+		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%03d", i)), int64(i+1), []byte("v"))
+	}
+	s.Close()
+	evs, err := drainEvents(f, 200)
+	if !errors.Is(err, cdc.ErrFeedClosed) {
+		t.Fatalf("drained %d events, err = %v, want ErrFeedClosed", len(evs), err)
+	}
+	if len(evs) > 4 {
+		t.Errorf("%d events after the overflow, want at most the buffer's 4", len(evs))
 	}
 }
 

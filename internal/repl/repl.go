@@ -24,12 +24,12 @@
 //     actually applied; a restarted replica recovers its own log
 //     (core.Recover) and resumes the feed from the durable cursor —
 //     the overlap re-applies idempotently.
-//   - A slow replica that overflows the live tail resumes from its
-//     cursor (cdc.ErrSlowConsumer is internal; consumers never see a
-//     gap). If compaction on the primary has meanwhile reclaimed
-//     records past that cursor (cdc.ErrCursorTruncated — see the
-//     retention policy knob, core.SetRetention), resumption is
-//     impossible: the replica re-bootstraps into a FRESH server
+//   - A slow replica just lags: when it overflows the live tail, the
+//     feed itself re-reads the gap from the primary's log. If
+//     compaction on the primary has reclaimed records past the
+//     replica's cursor (cdc.ErrCursorTruncated, at subscribe or from
+//     Next — see the retention policy knob, core.SetRetention), the
+//     gap is gone: the replica re-bootstraps into a FRESH server
 //     (generation-bumped id) from LSN 0, because replaying coalesced
 //     history over existing state could resurrect vacuumed deletes.
 //     The watermark drops to 0 for the duration, routing reads back to
@@ -338,8 +338,8 @@ func (r *Replica) Err() error {
 	return nil
 }
 
-// run is the shipping loop: subscribe, consume, and on recoverable
-// stream loss (overflow, truncation) re-subscribe or re-bootstrap.
+// run is the shipping loop: subscribe and consume, re-bootstrapping
+// when the primary truncated the replica's cursor.
 func (r *Replica) run() {
 	defer r.wg.Done()
 	fromLSN := uint64(0)
@@ -348,35 +348,21 @@ func (r *Replica) run() {
 	}
 	for r.ctx.Err() == nil {
 		feed, err := r.primary.SubscribeRecords(fromLSN, r.cfg.Buffer)
+		if err == nil {
+			r.mu.Lock()
+			r.feed = feed
+			r.mu.Unlock()
+			err = r.consume(feed)
+			feed.Close()
+		}
 		if errors.Is(err, cdc.ErrCursorTruncated) {
 			// The primary compacted past our cursor (retention policy):
 			// the gap is unrecoverable in place. Fresh server, full
 			// replay — the retained log reconstructs current state.
-			if err := r.freshGeneration(); err != nil {
-				r.runErr.Store(err)
-				return
-			}
+			err = r.freshGeneration()
 			fromLSN = 0
-			continue
 		}
-		if err != nil {
-			r.runErr.Store(err)
-			return
-		}
-		r.mu.Lock()
-		r.feed = feed
-		r.mu.Unlock()
-		err = r.consume(feed)
-		feed.Close()
-		switch {
-		case errors.Is(err, cdc.ErrSlowConsumer):
-			// The live tail overflowed; the cursor is exact, so resume
-			// (the gap replays from the primary's segments). May hit
-			// truncation above if retention already reclaimed it.
-			fromLSN = r.appliedLSN.Load() + 1
-		case err == nil || errors.Is(err, context.Canceled):
-			return
-		default:
+		if err != nil && !errors.Is(err, context.Canceled) {
 			r.runErr.Store(err)
 			return
 		}

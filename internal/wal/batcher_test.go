@@ -26,14 +26,18 @@ func queueBehindHeldFlush(t *testing.T, l *Log, b *Batcher, groups ...[]*Record)
 	t.Helper()
 	held, release := make(chan struct{}), make(chan struct{})
 	first := true
-	l.SetAppendHook(func(recs []Record) {
+	l.SetAppendHook(func(recs []*Record) {
 		if first {
 			first = false
 			close(held)
 			<-release
 			return
 		}
-		flushes = append(flushes, recs)
+		flush := make([]Record, len(recs))
+		for i, r := range recs {
+			flush[i] = *r
+		}
+		flushes = append(flushes, flush)
 	})
 	defer l.SetAppendHook(nil)
 

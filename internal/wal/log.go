@@ -81,7 +81,7 @@ type Log struct {
 	nextSeg uint32
 	nextLSN uint64
 	readers map[uint32]*dfs.Reader
-	hook    func([]Record)
+	hook    func([]*Record)
 	dooming int // doomed segments whose files still exist
 }
 
@@ -323,11 +323,7 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 		return nil, err
 	}
 	if l.hook != nil {
-		published := make([]Record, len(recs))
-		for i, r := range recs {
-			published[i] = *r
-		}
-		l.hook(published)
+		l.hook(recs)
 	}
 	return ptrs, nil
 }
@@ -428,8 +424,9 @@ func (l *Log) repairTornLocked(num uint32, dataEnd int64) {
 // record batch, while the append lock is still held — so invocations
 // across concurrent writers are serialised in strict LSN order, which
 // is what a changefeed's live tail needs. The hook must be fast, must
-// not block, and must not call back into the Log. Pass nil to remove.
-func (l *Log) SetAppendHook(hook func([]Record)) {
+// not block, must not call back into the Log, and must copy what it
+// keeps: the records are the caller's. Pass nil to remove.
+func (l *Log) SetAppendHook(hook func([]*Record)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.hook = hook

@@ -31,8 +31,9 @@ type MViewSpec = mview.Spec
 type MViewStats = mview.Stats
 
 // ErrViewBroken is returned by MViewQuery when the view's feed died
-// (e.g. the consumer fell behind and the feed overflowed); the view is
-// stale forever and must be re-created to re-bootstrap.
+// (e.g. it fell behind and compaction reclaimed the gap it had to
+// re-read); the view is stale forever and must be re-created to
+// re-bootstrap.
 var ErrViewBroken = errors.New("logbase: materialized view feed broken; re-create the view")
 
 // viewSet is the client's registry of running materialized views. The
@@ -117,7 +118,8 @@ func (cc *ClusterClient) CreateMView(ctx context.Context, spec MViewSpec) error 
 	vs.mu.Unlock()
 
 	// Drain the feed concurrently with the bootstrap scan so a long
-	// scan under write load cannot overflow the feed buffer.
+	// scan under write load does not send the feed back to the log to
+	// re-read what overflowed its buffer.
 	go rv.run(fctx)
 
 	it := cc.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)

@@ -47,8 +47,3 @@ var ErrCursorTruncated = cdc.ErrCursorTruncated
 
 // ErrFeedClosed is returned by Next after the feed is closed.
 var ErrFeedClosed = cdc.ErrFeedClosed
-
-// ErrSlowConsumer reports that a live feed's buffer overflowed because
-// the consumer fell too far behind the write rate. The feed is closed;
-// resume a fresh Watch from the last delivered Cursor+1.
-var ErrSlowConsumer = cdc.ErrSlowConsumer
