@@ -257,16 +257,3 @@ func (s *Server) pageRows(t *Tablet, g *columnGroup, from []byte, walk func(from
 		from = append(append(make([]byte, 0, len(last)+1), last...), 0)
 	}
 }
-
-// SecondaryLen returns the number of indexed rows (for tests).
-func (s *Server) SecondaryLen(name string) int {
-	s.secMu.RLock()
-	si, ok := s.secondary[name]
-	s.secMu.RUnlock()
-	if !ok {
-		return 0
-	}
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.tree.Len()
-}

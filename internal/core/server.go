@@ -466,7 +466,7 @@ func (s *Server) IndexLen(tabletID, group string) int {
 	return g.tree().Len()
 }
 
-// IndexMemBytes returns the estimated index memory across all tablets.
+// IndexMemBytes returns the memory the indexes of all tablets hold.
 func (s *Server) IndexMemBytes() int64 {
 	return s.sumIndexes((*index.Tree).MemBytes)
 }

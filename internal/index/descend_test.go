@@ -44,8 +44,8 @@ func TestDescendRangeIsReverseOfAscendRange(t *testing.T) {
 	}
 	for _, b := range bounds {
 		var fwd, rev []Entry
-		tr.AscendRange(b[0], b[1], func(e Entry) bool { fwd = append(fwd, e); return true })
-		tr.DescendRange(b[0], b[1], func(e Entry) bool { rev = append(rev, e); return true })
+		tr.ascendRange(b[0], b[1], func(e Entry) bool { fwd = append(fwd, e); return true })
+		tr.descendRange(b[0], b[1], func(e Entry) bool { rev = append(rev, e); return true })
 		if len(fwd) != len(rev) {
 			t.Fatalf("range [%q,%q): ascend %d entries, descend %d", b[0], b[1], len(fwd), len(rev))
 		}
@@ -62,7 +62,7 @@ func TestDescendRangeIsReverseOfAscendRange(t *testing.T) {
 func TestDescendRangeEarlyStop(t *testing.T) {
 	tr := buildTree(t, 200, 2, 2)
 	var got []Entry
-	tr.DescendRange(nil, nil, func(e Entry) bool {
+	tr.descendRange(nil, nil, func(e Entry) bool {
 		got = append(got, e)
 		return len(got) < 5
 	})

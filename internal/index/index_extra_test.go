@@ -94,7 +94,7 @@ func TestAscendRangeVersionBoundaries(t *testing.T) {
 	}
 	// Range [c, d) must include all of c's versions and none of d's.
 	var got []string
-	tr.AscendRange([]byte("c"), []byte("d"), func(e Entry) bool {
+	tr.ascendRange([]byte("c"), []byte("d"), func(e Entry) bool {
 		got = append(got, fmt.Sprintf("%s@%d", e.Key, e.TS))
 		return true
 	})

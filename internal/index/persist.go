@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -21,48 +22,61 @@ var errTruncated = errors.New("index: truncated entry")
 // Encode appends a point-in-time snapshot of the tree's entries to buf
 // and returns the extended buffer and the number of entries written.
 func (t *Tree) Encode(buf []byte) ([]byte, int) {
-	count := 0
-	t.Ascend(func(e Entry) bool {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.TS))
-		buf = binary.LittleEndian.AppendUint32(buf, e.Ptr.Seg)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Ptr.Off))
-		buf = binary.LittleEndian.AppendUint32(buf, e.Ptr.Len)
-		buf = binary.LittleEndian.AppendUint64(buf, e.LSN)
-		count++
-		return true
-	})
-	return buf, count
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	size := len(buf)
+	for n := t.first(); n != nil; n = n.right {
+		for _, s := range n.slots {
+			size += entryFixed + int(s.klen)
+		}
+	}
+	if size > cap(buf) {
+		buf = append(make([]byte, 0, size), buf...)
+	}
+	for n := t.first(); n != nil; n = n.right {
+		for i, s := range n.slots {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(s.klen))
+			buf = append(buf, n.key(i)...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.ts))
+			buf = binary.LittleEndian.AppendUint32(buf, s.seg)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.poff))
+			buf = binary.LittleEndian.AppendUint32(buf, s.plen)
+			buf = binary.LittleEndian.AppendUint64(buf, s.lsn)
+		}
+	}
+	return buf, t.n
 }
 
-// Decode bulk-builds a tree from entries Encode wrote.
+// Decode bulk-builds a tree from entries Encode wrote, copying each
+// leaf's keys straight from b into the leaf's arena.
 func Decode(b []byte) (*Tree, error) {
-	entries := make([]Entry, 0, len(b)/entryFixed)
-	for len(b) > 0 {
-		if len(b) < 2 {
+	count := 0
+	for rest := b; len(rest) > 0; count++ {
+		if len(rest) < 2 {
 			return nil, errTruncated
 		}
-		kl := int(binary.LittleEndian.Uint16(b))
-		if len(b) < entryFixed+kl {
+		kl := int(binary.LittleEndian.Uint16(rest))
+		if len(rest) < entryFixed+kl {
 			return nil, errTruncated
 		}
-		key := make([]byte, kl)
-		copy(key, b[2:])
-		b = b[2+kl:]
-		entries = append(entries, Entry{
-			Key: key,
-			TS:  int64(binary.LittleEndian.Uint64(b)),
-			Ptr: wal.Ptr{
-				Seg: binary.LittleEndian.Uint32(b[8:]),
-				Off: int64(binary.LittleEndian.Uint64(b[12:])),
-				Len: binary.LittleEndian.Uint32(b[20:]),
-			},
-			LSN: binary.LittleEndian.Uint64(b[24:]),
-		})
-		b = b[entryFixed-2:]
+		rest = rest[entryFixed+kl:]
 	}
-	return Bulk(entries), nil
+	return build(count, func() Entry {
+		kl := int(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+		e := Entry{
+			Key: b[:kl:kl],
+			TS:  int64(binary.LittleEndian.Uint64(b[kl:])),
+			Ptr: wal.Ptr{
+				Seg: binary.LittleEndian.Uint32(b[kl+8:]),
+				Off: int64(binary.LittleEndian.Uint64(b[kl+12:])),
+				Len: binary.LittleEndian.Uint32(b[kl+20:]),
+			},
+			LSN: binary.LittleEndian.Uint64(b[kl+24:]),
+		}
+		b = b[kl+entryFixed-2:]
+		return e
+	}), nil
 }
 
 // Flush writes a snapshot of the tree to its own DFS file (replacing
@@ -81,70 +95,78 @@ func Load(fs *dfs.DFS, path string) (*Tree, error) {
 	return Decode(b)
 }
 
-// Bulk builds a tree from entries already sorted by composite key
-// (Encode writes them in order, so Decode can rebuild bottom-up).
+// Bulk builds a tree from entries already sorted by composite key.
 func Bulk(entries []Entry) *Tree {
-	t := New()
-	if len(entries) == 0 {
-		return t
+	i := 0
+	return build(len(entries), func() Entry {
+		i++
+		return entries[i-1]
+	})
+}
+
+// build bulk-loads a tree from count entries in composite-key order,
+// handed out one at a time by next: full leaves, each one slot slice and
+// one arena (the leaf nodes themselves share one allocation), under full
+// internal nodes.
+func build(count int, next func() Entry) *Tree {
+	if count == 0 {
+		return New()
 	}
-	// Build leaves at ~2/3 fill.
-	per := fanout * 2 / 3
-	var leaves []*node
-	var mem int64
-	for i := 0; i < len(entries); i += per {
-		j := i + per
-		if j > len(entries) {
-			j = len(entries)
+	t := &Tree{}
+	leaves := make([]node, (count+fanout-1)/fanout)
+	level := make([]*node, len(leaves))
+	highs := make([]Entry, len(leaves)) // each node's inclusive high key
+	var chunk [fanout]Entry
+	for l := range leaves {
+		es := chunk[:min(fanout, count-l*fanout)]
+		for j := range es {
+			es[j] = next()
 		}
-		chunk := make([]Entry, j-i)
-		copy(chunk, entries[i:j])
-		leaves = append(leaves, &node{leaf: true, entries: chunk})
-		for _, e := range chunk {
-			mem += entryMem(e)
+		n := &leaves[l]
+		n.fill(es)
+		if l > 0 {
+			leaves[l-1].right = n
 		}
+		level[l], highs[l] = n, n.entry(len(es)-1)
+		t.mem += n.bytes()
 	}
-	level := linkLevel(leaves)
 	for len(level) > 1 {
-		var parents []*node
-		for i := 0; i < len(level); i += per {
-			j := i + per
-			if j > len(level) {
-				j = len(level)
+		var up []*node
+		var upHighs []Entry
+		for i := 0; i < len(level); i += fanout {
+			j := min(i+fanout, len(level))
+			p := &node{children: append([]*node(nil), level[i:j]...)}
+			p.fill(highs[i : j-1])
+			if len(up) > 0 {
+				up[len(up)-1].right = p
 			}
-			p := &node{}
-			for _, c := range level[i:j] {
-				var hk Entry
-				if c.high != nil {
-					hk = *c.high
-				}
-				p.keys = append(p.keys, hk)
-				p.children = append(p.children, c)
-			}
-			parents = append(parents, p)
+			up, upHighs = append(up, p), append(upHighs, highs[j-1])
+			t.mem += p.bytes()
 		}
-		level = linkLevel(parents)
+		level, highs = up, upHighs
 	}
-	t.root = level[0]
-	t.n = len(entries)
-	t.mem = mem
+	t.root, t.n = level[0], count
 	return t
 }
 
-// linkLevel sets right links and high keys across one level.
-func linkLevel(nodes []*node) []*node {
-	for i, n := range nodes {
-		if i+1 < len(nodes) {
-			n.right = nodes[i+1]
-			var hk Entry
-			if n.leaf {
-				last := n.entries[len(n.entries)-1]
-				hk = Entry{Key: last.Key, TS: last.TS}
-			} else {
-				hk = n.keys[len(n.keys)-1]
-			}
-			n.high = &hk
+// fill sets n's slots to es, with an arena of exactly their keys (equal
+// neighbours sharing theirs).
+func (n *node) fill(es []Entry) {
+	size := 0
+	for j, e := range es {
+		if j == 0 || !bytes.Equal(e.Key, es[j-1].Key) {
+			size += len(e.Key)
 		}
 	}
-	return nodes
+	n.slots, n.arena = make([]slot, len(es)), make([]byte, 0, size)
+	for j, e := range es {
+		off := len(n.arena)
+		if j > 0 && bytes.Equal(e.Key, es[j-1].Key) {
+			off = int(n.slots[j-1].off)
+		} else {
+			n.arena = append(n.arena, e.Key...)
+		}
+		n.slots[j] = slot{off: uint32(off), klen: uint32(len(e.Key)), ts: e.TS}
+		n.slots[j].set(e.Ptr, e.LSN)
+	}
 }

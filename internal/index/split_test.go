@@ -31,7 +31,7 @@ func TestSplitKeys(t *testing.T) {
 		total := 0
 		for i := 0; i+1 < len(bounds); i++ {
 			cnt := 0
-			tr.AscendRange(bounds[i], bounds[i+1], func(Entry) bool { cnt++; return true })
+			tr.ascendRange(bounds[i], bounds[i+1], func(Entry) bool { cnt++; return true })
 			if cnt == 0 {
 				t.Fatalf("workers=%d: shard %d empty", workers, i)
 			}

@@ -8,20 +8,47 @@
 // concurrency control layer can read record versions straight from the
 // index during validation.
 //
-// The node layout follows the B-link tree the paper cites (right-sibling
-// links and high keys on every node, enabling range scans that walk the
-// leaf chain). Latching is deliberately coarse — one RWMutex for the
-// tree — which preserves the properties the paper exercises (ordered
-// range search, concurrent readers, version adjacency) while keeping
-// the structure easy to verify; writers are serialised upstream by the
-// log append mutex in any case. Deletions are lazy (no rebalancing), as
-// compaction rebuilds indexes wholesale.
+// # Layout
+//
+// Nodes follow the prefix B-tree layout (Bayer & Unterauer, TODS 1977)
+// with the leaves chained rightward for range scans. Every node holds a
+// slice of fixed-width, pointer-free slots and one key arena: a slot
+// carries its key's offset and length in the arena, the timestamp and,
+// in a leaf, the LSN and the packed log pointer. The garbage collector
+// therefore never scans entries, and a key costs its bytes plus one
+// 40-byte slot. In an internal node, slot i is the inclusive high key of
+// children[i] (the last child has none), and a descent binary-searches
+// the slots. Versions of one key in one leaf share their key bytes.
+//
+// Leaves split 50/50, except that an insert past the last entry of the
+// rightmost leaf starts a new leaf and leaves the full one as it is, so
+// append-order loads (every bulk load and every replay) fill leaves
+// completely. Splits propagate up the descent path.
+//
+// # Entry.Key aliasing
+//
+// A returned Entry.Key is a capacity-capped view into a leaf arena, not
+// a copy. Arena bytes are written once: later inserts append past every
+// key already handed out, and a split or a garbage reclaim builds new
+// arenas rather than rewriting the old one. The view therefore stays
+// valid and unchanged for as long as the caller holds it, whatever the
+// tree does meanwhile; callers must not write to it, and an append to it
+// reallocates instead of touching its neighbour. Put copies the key it
+// is given, so the caller may reuse its buffer.
+//
+// Latching is deliberately coarse — one RWMutex for the tree — which
+// preserves the properties the paper exercises (ordered range search,
+// concurrent readers, version adjacency) while keeping the structure easy
+// to verify; writers are serialised upstream by the log append mutex in
+// any case. Deletions are lazy (no rebalancing; a leaf keeps its
+// capacity), as compaction rebuilds indexes wholesale.
 package index
 
 import (
 	"bytes"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/wal"
 )
@@ -53,26 +80,141 @@ func compare(aKey []byte, aTS int64, bKey []byte, bTS int64) int {
 	}
 }
 
-const fanout = 64 // max entries per leaf / children per internal node
+const (
+	fanout = 64 // max entries per leaf / children per internal node
+	// maxHeight bounds a descent path. Every node but the rightmost of
+	// its level holds at least fanout/2 children, so 16 levels are far
+	// beyond any tree that fits in memory.
+	maxHeight = 16
+)
+
+// slot is one leaf entry or one internal separator, without a pointer:
+// its key is arena[off:off+klen] of its node.
+type slot struct {
+	off, klen uint32
+	ts        int64
+	lsn       uint64
+	seg, plen uint32
+	poff      int64
+}
 
 type node struct {
-	leaf bool
+	slots    []slot
+	arena    []byte  // append-only; bytes below len are never rewritten
+	children []*node // nil in a leaf
+	right    *node   // next node of the same level: the leaf chain
+}
 
-	// Leaf: entries, sorted by composite key.
-	entries []Entry
+const (
+	slotBytes = int64(unsafe.Sizeof(slot{}))
+	nodeBytes = int64(unsafe.Sizeof(node{}))
+)
 
-	// Internal: keys[i] is the high key of children[i]; len(children) ==
-	// len(keys). A descent picks the first child whose key bounds the
-	// target.
-	keys     []Entry // only Key+TS used
-	children []*node
+func (n *node) leaf() bool { return n.children == nil }
 
-	// right links nodes at the same level (B-link layout); the leaf
-	// chain drives range scans.
-	right *node
-	// high is the node's high key (inclusive upper bound). Nil for the
-	// rightmost node of a level.
-	high *Entry
+// bytes is the capacity n holds.
+func (n *node) bytes() int64 {
+	return nodeBytes + int64(cap(n.slots))*slotBytes + int64(cap(n.arena)) + int64(cap(n.children))*8
+}
+
+func (n *node) key(i int) []byte {
+	s := &n.slots[i]
+	return n.arena[s.off : s.off+s.klen : s.off+s.klen]
+}
+
+func (n *node) entry(i int) Entry {
+	s := &n.slots[i]
+	return Entry{Key: n.key(i), TS: s.ts, Ptr: wal.Ptr{Seg: s.seg, Off: s.poff, Len: s.plen}, LSN: s.lsn}
+}
+
+func (s *slot) set(p wal.Ptr, lsn uint64) { s.seg, s.poff, s.plen, s.lsn = p.Seg, p.Off, p.Len, lsn }
+
+func (n *node) cmp(i int, key []byte, ts int64) int { return compare(n.key(i), n.slots[i].ts, key, ts) }
+
+// search returns the index of the first slot >= (key, ts): in a leaf the
+// entry's position, in an internal node the child to descend into.
+func (n *node) search(key []byte, ts int64) int {
+	lo, hi := 0, len(n.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.cmp(mid, key, ts) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// room is the slot capacity for k slots: three quarters again, up to a
+// full node. A split half of 32 slots gets 56.
+func room(k int) int { return min(fanout, max(4, k+3*k/4)) }
+
+// insert opens slot i for (key, ts) and stores the key: shared with an
+// equal neighbour, or appended to the arena, which is rebuilt when full.
+func (n *node) insert(i int, key []byte, ts int64) *slot {
+	if len(n.slots) == cap(n.slots) {
+		n.slots = append(make([]slot, 0, room(len(n.slots))), n.slots...)
+	}
+	var off int
+	switch {
+	case i > 0 && bytes.Equal(n.key(i-1), key):
+		off = int(n.slots[i-1].off)
+	case i < len(n.slots) && bytes.Equal(n.key(i), key):
+		off = int(n.slots[i].off)
+	default:
+		if len(n.arena)+len(key) > cap(n.arena) {
+			n.rebuild(len(key))
+		}
+		off = len(n.arena)
+		n.arena = append(n.arena, key...)
+	}
+	n.slots = n.slots[:len(n.slots)+1]
+	copy(n.slots[i+1:], n.slots[i:])
+	n.slots[i] = slot{off: uint32(off), klen: uint32(len(key)), ts: ts}
+	return &n.slots[i]
+}
+
+// rebuild copies the live keys to a fresh arena with room for need more
+// bytes and for the free slots at the keys' average length, but never
+// more than twice the live bytes: one long key must not reserve a whole
+// node's worth of its length. The old arena is left as it is: returned
+// keys may alias it.
+func (n *node) rebuild(need int) {
+	live := need
+	for i, s := range n.slots {
+		if i == 0 || s.off != n.slots[i-1].off || s.klen != n.slots[i-1].klen {
+			live += int(s.klen)
+		}
+	}
+	arena := make([]byte, 0, max(live, min(2*live, live*cap(n.slots)/(len(n.slots)+1))))
+	var prev slot
+	for i := range n.slots {
+		s := &n.slots[i]
+		if i > 0 && s.off == prev.off && s.klen == prev.klen {
+			s.off = n.slots[i-1].off
+			continue
+		}
+		prev = *s
+		s.off = uint32(len(arena))
+		arena = append(arena, n.arena[prev.off:prev.off+prev.klen]...)
+	}
+	n.arena = arena
+}
+
+// cut splits n: slots [hi:] (children [hi:] in an internal node) move to
+// a new right node and n keeps slots [:lo]; both get fresh arenas.
+func (n *node) cut(lo, hi int) *node {
+	r := &node{slots: append(make([]slot, 0, room(len(n.slots)-hi)), n.slots[hi:]...), arena: n.arena}
+	n.slots = append(make([]slot, 0, room(lo)), n.slots[:lo]...)
+	if !n.leaf() {
+		r.children = append([]*node(nil), n.children[hi:]...)
+		n.children = append([]*node(nil), n.children[:hi]...)
+	}
+	n.rebuild(0)
+	r.rebuild(0)
+	r.right, n.right = n.right, r
+	return r
 }
 
 // Tree is a multiversion index for one column group of one tablet.
@@ -86,7 +228,9 @@ type Tree struct {
 
 // New returns an empty index.
 func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
+	t := &Tree{root: &node{}}
+	t.mem = t.root.bytes()
+	return t
 }
 
 // Len returns the number of entries.
@@ -96,45 +240,31 @@ func (t *Tree) Len() int {
 	return t.n
 }
 
-// MemBytes estimates resident memory: the paper budgets ~24 bytes per
-// entry (8B key + 8B ts + 8B ptr) plus key material.
+// MemBytes returns the memory the index holds: every node with the full
+// capacity of its slots, key arena and child list, so garbage that lazy
+// deletion leaves behind counts until a split or a reclaim drops it.
 func (t *Tree) MemBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.mem
 }
 
-func entryMem(e Entry) int64 { return int64(len(e.Key)) + 8 + 16 + 8 }
-
-// findLeaf descends to the leaf that should contain (key, ts),
-// following right links where the high key is exceeded.
+// findLeaf descends to the leaf that should contain (key, ts).
 func (t *Tree) findLeaf(key []byte, ts int64) *node {
 	n := t.root
-	for !n.leaf {
-		i := 0
-		for i < len(n.keys)-1 && compare(key, ts, n.keys[i].Key, n.keys[i].TS) > 0 {
-			i++
-		}
-		n = n.children[i]
-		for n.high != nil && compare(key, ts, n.high.Key, n.high.TS) > 0 && n.right != nil {
-			n = n.right
-		}
+	for !n.leaf() {
+		n = n.children[n.search(key, ts)]
 	}
 	return n
 }
 
-// search returns the index of the first entry >= (key, ts) in the leaf.
-func searchLeaf(n *node, key []byte, ts int64) int {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compare(n.entries[mid].Key, n.entries[mid].TS, key, ts) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// first returns the leftmost leaf.
+func (t *Tree) first() *node {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[0]
 	}
-	return lo
+	return n
 }
 
 // Put inserts or overwrites the entry for (e.Key, e.TS). An existing
@@ -145,6 +275,12 @@ func (t *Tree) Put(e Entry) bool {
 	return changed
 }
 
+// step is one level of a descent: the node and the child taken.
+type step struct {
+	n *node
+	i int
+}
+
 // PutNewest is Put that also reports whether e is now the key's newest
 // version — the record-apply path's read-buffer and secondary-index
 // rule needs that, and versions of a key are adjacent, so the answer
@@ -152,128 +288,113 @@ func (t *Tree) Put(e Entry) bool {
 func (t *Tree) PutNewest(e Entry) (changed, newest bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leaf := t.findLeaf(e.Key, e.TS)
-	i := searchLeaf(leaf, e.Key, e.TS)
-	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, e.Key, e.TS) == 0 {
-		if e.LSN < leaf.entries[i].LSN {
+	var path [maxHeight]step
+	depth := 0
+	n := t.root
+	for !n.leaf() {
+		i := n.search(e.Key, e.TS)
+		path[depth] = step{n, i}
+		depth++
+		n = n.children[i]
+	}
+	i := n.search(e.Key, e.TS)
+	if i < len(n.slots) && n.cmp(i, e.Key, e.TS) == 0 {
+		s := &n.slots[i]
+		if e.LSN < s.lsn {
 			return false, false
 		}
-		t.mem += entryMem(e) - entryMem(leaf.entries[i])
-		leaf.entries[i] = e
-		return true, !nextHasKey(leaf, i+1, e.Key)
+		s.set(e.Ptr, e.LSN)
+		return true, !nextHasKey(n, i+1, e.Key)
 	}
-	leaf.entries = append(leaf.entries, Entry{})
-	copy(leaf.entries[i+1:], leaf.entries[i:])
-	leaf.entries[i] = e
+	if len(n.slots) == fanout {
+		n, i = t.splitLeaf(path[:depth], n, i, e.Key)
+	}
+	before := n.bytes()
+	n.insert(i, e.Key, e.TS).set(e.Ptr, e.LSN)
+	t.mem += n.bytes() - before
 	t.n++
-	t.mem += entryMem(e)
-	newest = !nextHasKey(leaf, i+1, e.Key)
-	if len(leaf.entries) > fanout {
-		t.splitLeaf(leaf)
-	}
-	return true, newest
+	return true, !nextHasKey(n, i+1, e.Key)
 }
 
 // nextHasKey reports whether the entry at position i of the leaf chain
 // starting at n (skipping leaves emptied by lazy deletion) carries key.
 func nextHasKey(n *node, i int, key []byte) bool {
 	for ; n != nil; n, i = n.right, 0 {
-		if i < len(n.entries) {
-			return bytes.Equal(n.entries[i].Key, key)
+		if i < len(n.slots) {
+			return bytes.Equal(n.key(i), key)
 		}
 	}
 	return false
 }
 
-// splitLeaf splits an overfull leaf and propagates upward.
-func (t *Tree) splitLeaf(leaf *node) {
-	mid := len(leaf.entries) / 2
-	rightEntries := make([]Entry, len(leaf.entries)-mid)
-	copy(rightEntries, leaf.entries[mid:])
-	r := &node{leaf: true, entries: rightEntries, right: leaf.right, high: leaf.high}
-	leaf.entries = leaf.entries[:mid]
-	hk := leaf.entries[mid-1]
-	leaf.high = &Entry{Key: hk.Key, TS: hk.TS}
-	leaf.right = r
-	t.insertParent(leaf, r)
-}
-
-// insertParent threads a freshly split (left,right) pair into the
-// parent, splitting internal nodes as needed. With the coarse latch we
-// can simply re-descend from the root to find each parent.
-func (t *Tree) insertParent(left, right *node) {
-	if t.root == left {
-		t.root = &node{
-			keys:     []Entry{*left.high, {}},
-			children: []*node{left, right},
-		}
-		// The rightmost child is unbounded; keys[last] is a sentinel
-		// never compared (descend stops at len(keys)-1).
-		return
-	}
-	parent := t.findParent(t.root, left)
-	// Replace left's slot high key and splice right in after it.
-	for i, c := range parent.children {
-		if c == left {
-			parent.keys = append(parent.keys, Entry{})
-			parent.children = append(parent.children, nil)
-			copy(parent.keys[i+1:], parent.keys[i:])
-			copy(parent.children[i+1:], parent.children[i:])
-			parent.keys[i] = *left.high
-			parent.children[i+1] = right
-			// right inherits left's previous upper bound slot (already
-			// shifted into position i+1).
-			break
-		}
-	}
-	if len(parent.children) > fanout {
-		t.splitInternal(parent)
-	}
-}
-
-func (t *Tree) splitInternal(n *node) {
-	mid := len(n.children) / 2
-	rKeys := make([]Entry, len(n.keys)-mid)
-	copy(rKeys, n.keys[mid:])
-	rChildren := make([]*node, len(n.children)-mid)
-	copy(rChildren, n.children[mid:])
-	r := &node{keys: rKeys, children: rChildren, right: n.right, high: n.high}
-	sep := n.keys[mid-1]
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid]
-	n.high = &Entry{Key: sep.Key, TS: sep.TS}
-	n.right = r
-	t.insertParent(n, r)
-}
-
-// findParent locates the parent of target by structural descent.
-func (t *Tree) findParent(from, target *node) *node {
-	if from.leaf {
-		return nil
-	}
-	for _, c := range from.children {
-		if c == target {
-			return from
-		}
-	}
-	// Descend toward target's high key (or +inf for rightmost chains).
-	var n *node
-	if target.high != nil {
-		i := 0
-		for i < len(from.keys)-1 && compare(target.high.Key, target.high.TS, from.keys[i].Key, from.keys[i].TS) > 0 {
-			i++
-		}
-		n = from.children[i]
+// splitLeaf makes room in the full leaf n for an insert at position i of
+// key, and returns the leaf and position the insert goes to. Past the
+// last entry of the rightmost leaf it starts a new leaf, its arena sized
+// like n's; elsewhere it splits n 50/50.
+func (t *Tree) splitLeaf(path []step, n *node, i int, key []byte) (*node, int) {
+	before := n.bytes()
+	var r *node
+	if i == len(n.slots) && n.right == nil {
+		r = &node{slots: make([]slot, 0, fanout), arena: make([]byte, 0, len(n.arena))}
+		n.right = r
 	} else {
-		n = from.children[len(from.children)-1]
+		r = n.cut(fanout/2, fanout/2)
 	}
-	for n != nil {
-		if p := t.findParent(n, target); p != nil {
-			return p
+	t.mem += n.bytes() - before + r.bytes()
+	last := len(n.slots) - 1
+	t.insertChild(path, n.key(last), n.slots[last].ts, r)
+	if i >= len(n.slots) {
+		return r, i - len(n.slots)
+	}
+	return n, i
+}
+
+// insertChild threads c into the tree right of path's last child, whose
+// new inclusive high key is (key, ts), splitting full parents upward.
+func (t *Tree) insertChild(path []step, key []byte, ts int64, c *node) {
+	for d := len(path) - 1; d >= 0; d-- {
+		p, i := path[d].n, path[d].i
+		before := p.bytes()
+		if len(p.children) < fanout {
+			p.addChild(i, key, ts, c)
+			t.mem += p.bytes() - before
+			return
 		}
-		n = n.right
+		var q *node
+		var upKey []byte
+		var upTS int64
+		if i == fanout-1 && p.right == nil {
+			// Appending past the rightmost node: start a new one.
+			q = &node{slots: make([]slot, 0, fanout-1), arena: make([]byte, 0, len(p.arena)), children: make([]*node, 1, fanout)}
+			q.children[0] = c
+			p.right = q
+			upKey, upTS = key, ts
+		} else {
+			mid := fanout / 2
+			upKey, upTS = p.key(mid-1), p.slots[mid-1].ts
+			q = p.cut(mid-1, mid)
+			if i >= mid {
+				q.addChild(i-mid, key, ts, c)
+			} else {
+				p.addChild(i, key, ts, c)
+			}
+		}
+		t.mem += p.bytes() - before + q.bytes()
+		key, ts, c = upKey, upTS, q
 	}
-	return nil
+	root := &node{children: []*node{t.root, c}}
+	root.insert(0, key, ts)
+	t.root = root
+	t.mem += root.bytes()
+}
+
+// addChild inserts c right of children[i], with (key, ts) as the new
+// high key of children[i].
+func (n *node) addChild(i int, key []byte, ts int64, c *node) {
+	n.insert(i, key, ts)
+	n.children = append(n.children, nil)
+	copy(n.children[i+2:], n.children[i+1:])
+	n.children[i+1] = c
 }
 
 // Get returns the entry with exactly (key, ts).
@@ -281,9 +402,9 @@ func (t *Tree) Get(key []byte, ts int64) (Entry, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	leaf := t.findLeaf(key, ts)
-	i := searchLeaf(leaf, key, ts)
-	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, key, ts) == 0 {
-		return leaf.entries[i], true
+	i := leaf.search(key, ts)
+	if i < len(leaf.slots) && leaf.cmp(i, key, ts) == 0 {
+		return leaf.entry(i), true
 	}
 	return Entry{}, false
 }
@@ -300,49 +421,40 @@ func (t *Tree) LatestAt(key []byte, ts int64) (Entry, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	leaf := t.findLeaf(key, ts)
-	i := searchLeaf(leaf, key, ts)
+	i := leaf.search(key, ts)
 	// The candidate is the entry just before the first entry > (key,ts).
-	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, key, ts) == 0 {
-		return leaf.entries[i], true
+	if i < len(leaf.slots) && leaf.cmp(i, key, ts) == 0 {
+		return leaf.entry(i), true
 	}
-	prev := func(n *node, i int) (Entry, bool) {
-		if i > 0 {
-			e := n.entries[i-1]
-			if bytes.Equal(e.Key, key) {
-				return e, true
-			}
-		}
-		return Entry{}, false
-	}
-	if e, ok := prev(leaf, i); ok {
-		return e, ok
+	if i > 0 && bytes.Equal(leaf.key(i-1), key) {
+		return leaf.entry(i - 1), true
 	}
 	// (key, ts) may sort to the start of a leaf whose left sibling holds
 	// the versions; since leaves have no left links, re-descend with
 	// ts = -inf and walk the chain.
 	first := t.findLeaf(key, -1<<62)
-	j := searchLeaf(first, key, -1<<62)
+	j := first.search(key, -1<<62)
 	var best Entry
 	found := false
 	for n := first; n != nil; n = n.right {
-		for ; j < len(n.entries); j++ {
-			e := n.entries[j]
-			if !bytes.Equal(e.Key, key) {
+		for ; j < len(n.slots); j++ {
+			k := n.key(j)
+			if !bytes.Equal(k, key) {
 				if found {
 					return best, true
 				}
-				if bytes.Compare(e.Key, key) > 0 {
+				if bytes.Compare(k, key) > 0 {
 					return Entry{}, false
 				}
 				continue
 			}
-			if e.TS > ts {
+			if n.slots[j].ts > ts {
 				if found {
 					return best, true
 				}
 				return Entry{}, false
 			}
-			best, found = e, true
+			best, found = n.entry(j), true
 		}
 		j = 0
 	}
@@ -359,17 +471,16 @@ func (t *Tree) NthFromNewest(key []byte, n int) (Entry, bool) {
 	ring := make([]Entry, n+1)
 	count := 0
 	leaf := t.findLeaf(key, -1<<62)
-	i := searchLeaf(leaf, key, -1<<62)
+	i := leaf.search(key, -1<<62)
 	for nd := leaf; nd != nil; nd = nd.right {
-		for ; i < len(nd.entries); i++ {
-			e := nd.entries[i]
-			c := bytes.Compare(e.Key, key)
+		for ; i < len(nd.slots); i++ {
+			c := bytes.Compare(nd.key(i), key)
 			if c > 0 {
 				nd = nil
 				break
 			}
 			if c == 0 {
-				ring[count%(n+1)] = e
+				ring[count%(n+1)] = nd.entry(i)
 				count++
 			}
 		}
@@ -391,16 +502,15 @@ func (t *Tree) Versions(key []byte, dst []Entry) []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	leaf := t.findLeaf(key, -1<<62)
-	i := searchLeaf(leaf, key, -1<<62)
+	i := leaf.search(key, -1<<62)
 	for n := leaf; n != nil; n = n.right {
-		for ; i < len(n.entries); i++ {
-			e := n.entries[i]
-			c := bytes.Compare(e.Key, key)
+		for ; i < len(n.slots); i++ {
+			c := bytes.Compare(n.key(i), key)
 			if c > 0 {
 				return dst
 			}
 			if c == 0 {
-				dst = append(dst, e)
+				dst = append(dst, n.entry(i))
 			}
 		}
 		i = 0
@@ -434,20 +544,20 @@ func (t *Tree) DeleteCovered(key []byte, ts int64, lsn uint64, removed func(Entr
 	defer t.mu.Unlock()
 	count := 0
 	n := t.findLeaf(key, -1<<62)
-	i := searchLeaf(n, key, -1<<62)
+	i := n.search(key, -1<<62)
 	for ; n != nil; n, i = n.right, 0 {
-		for i < len(n.entries) {
-			e := n.entries[i]
+		for i < len(n.slots) {
+			s := n.slots[i]
 			// Versions are adjacent in ascending timestamp order.
-			if !bytes.Equal(e.Key, key) || e.TS > ts {
+			if !bytes.Equal(n.key(i), key) || s.ts > ts {
 				return count
 			}
-			if e.LSN >= lsn {
+			if s.lsn >= lsn {
 				i++
 				continue
 			}
-			t.mem -= entryMem(e)
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			e := n.entry(i)
+			n.slots = append(n.slots[:i], n.slots[i+1:]...)
 			t.n--
 			count++
 			if removed != nil {
@@ -467,11 +577,10 @@ func (t *Tree) Repoint(key []byte, ts int64, lsn uint64, old, new wal.Ptr) bool 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leaf := t.findLeaf(key, ts)
-	i := searchLeaf(leaf, key, ts)
-	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, key, ts) == 0 {
-		e := &leaf.entries[i]
-		if e.LSN == lsn && e.Ptr == old {
-			e.Ptr = new
+	i := leaf.search(key, ts)
+	if i < len(leaf.slots) && leaf.cmp(i, key, ts) == 0 {
+		if e := leaf.entry(i); e.LSN == lsn && e.Ptr == old {
+			leaf.slots[i].set(new, lsn)
 			return true
 		}
 	}
@@ -483,10 +592,9 @@ func (t *Tree) DeleteVersion(key []byte, ts int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leaf := t.findLeaf(key, ts)
-	i := searchLeaf(leaf, key, ts)
-	if i < len(leaf.entries) && compare(leaf.entries[i].Key, leaf.entries[i].TS, key, ts) == 0 {
-		t.mem -= entryMem(leaf.entries[i])
-		leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
+	i := leaf.search(key, ts)
+	if i < len(leaf.slots) && leaf.cmp(i, key, ts) == 0 {
+		leaf.slots = append(leaf.slots[:i], leaf.slots[i+1:]...)
 		t.n--
 		return true
 	}
@@ -499,33 +607,28 @@ func (t *Tree) DeleteVersion(key []byte, ts int64) bool {
 func (t *Tree) Ascend(fn func(Entry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.right {
-		for _, e := range n.entries {
-			if !fn(e) {
+	for n := t.first(); n != nil; n = n.right {
+		for i := range n.slots {
+			if !fn(n.entry(i)) {
 				return
 			}
 		}
 	}
 }
 
-// AscendRange calls fn for entries with start <= Key < end (all
+// ascendRange calls fn for entries with start <= Key < end (all
 // versions), in order. A nil end means "to the end of the keyspace".
-func (t *Tree) AscendRange(start, end []byte, fn func(Entry) bool) {
+func (t *Tree) ascendRange(start, end []byte, fn func(Entry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	leaf := t.findLeaf(start, -1<<62)
-	i := searchLeaf(leaf, start, -1<<62)
+	i := leaf.search(start, -1<<62)
 	for n := leaf; n != nil; n = n.right {
-		for ; i < len(n.entries); i++ {
-			e := n.entries[i]
-			if end != nil && bytes.Compare(e.Key, end) >= 0 {
+		for ; i < len(n.slots); i++ {
+			if end != nil && bytes.Compare(n.key(i), end) >= 0 {
 				return
 			}
-			if !fn(e) {
+			if !fn(n.entry(i)) {
 				return
 			}
 		}
@@ -533,7 +636,7 @@ func (t *Tree) AscendRange(start, end []byte, fn func(Entry) bool) {
 	}
 }
 
-// DescendRange calls fn for entries with start <= Key < end (all
+// descendRange calls fn for entries with start <= Key < end (all
 // versions), in REVERSE composite-key order (descending key, and
 // descending timestamp within a key). A nil end means "from the end of
 // the keyspace"; empty start means "down to the first key". Because
@@ -541,43 +644,43 @@ func (t *Tree) AscendRange(start, end []byte, fn func(Entry) bool) {
 // children are visited in reverse under the read latch, pruning
 // subtrees wholly outside the range — the descending-traversal
 // primitive behind reverse scans.
-func (t *Tree) DescendRange(start, end []byte, fn func(Entry) bool) {
+func (t *Tree) descendRange(start, end []byte, fn func(Entry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.descendNode(t.root, start, end, fn)
+	descendNode(t.root, start, end, fn)
 }
 
 // descendNode visits n's entries in reverse order, reporting whether
 // the caller should keep descending (false = fn stopped the walk or the
 // walk went below start).
-func (t *Tree) descendNode(n *node, start, end []byte, fn func(Entry) bool) bool {
-	if n.leaf {
-		for i := len(n.entries) - 1; i >= 0; i-- {
-			e := n.entries[i]
-			if end != nil && bytes.Compare(e.Key, end) >= 0 {
+func descendNode(n *node, start, end []byte, fn func(Entry) bool) bool {
+	if n.leaf() {
+		for i := len(n.slots) - 1; i >= 0; i-- {
+			k := n.key(i)
+			if end != nil && bytes.Compare(k, end) >= 0 {
 				continue
 			}
-			if len(start) > 0 && bytes.Compare(e.Key, start) < 0 {
+			if len(start) > 0 && bytes.Compare(k, start) < 0 {
 				return false
 			}
-			if !fn(e) {
+			if !fn(n.entry(i)) {
 				return false
 			}
 		}
 		return true
 	}
 	for i := len(n.children) - 1; i >= 0; i-- {
-		// keys[i-1] is child i-1's inclusive high key, so child i holds
+		// Slot i-1 is child i-1's inclusive high key, so child i holds
 		// only keys greater than it: skip the child when that low bound
 		// already reaches end, stop entirely once it falls below start
 		// (children to the left are smaller still).
-		if i > 0 && end != nil && bytes.Compare(n.keys[i-1].Key, end) >= 0 {
+		if i > 0 && end != nil && bytes.Compare(n.key(i-1), end) >= 0 {
 			continue
 		}
-		if !t.descendNode(n.children[i], start, end, fn) {
+		if !descendNode(n.children[i], start, end, fn) {
 			return false
 		}
-		if i > 0 && len(start) > 0 && bytes.Compare(n.keys[i-1].Key, start) < 0 {
+		if i > 0 && len(start) > 0 && bytes.Compare(n.key(i-1), start) < 0 {
 			return false
 		}
 	}
@@ -592,7 +695,7 @@ func (t *Tree) descendNode(n *node, start, end []byte, fn func(Entry) bool) bool
 func (t *Tree) RangeLatestRev(start, end []byte, ts int64, fn func(Entry) bool) {
 	var lastKey []byte
 	haveKey, emitted := false, false
-	t.DescendRange(start, end, func(e Entry) bool {
+	t.descendRange(start, end, func(e Entry) bool {
 		if !haveKey || !bytes.Equal(e.Key, lastKey) {
 			lastKey, haveKey, emitted = e.Key, true, false
 		}
@@ -621,10 +724,10 @@ func (t *Tree) SplitKeys(start, end []byte, n int) [][]byte {
 	// Sample from the second intersecting leaf on: the first leaf's first
 	// key may sit at (or before) start, which would make an empty shard.
 	for nd := leaf.right; nd != nil; nd = nd.right {
-		if len(nd.entries) == 0 {
+		if len(nd.slots) == 0 {
 			continue
 		}
-		first := nd.entries[0].Key
+		first := nd.key(0)
 		if end != nil && bytes.Compare(first, end) >= 0 {
 			break
 		}
@@ -658,7 +761,7 @@ func (t *Tree) SplitKeys(start, end []byte, n int) [][]byte {
 func (t *Tree) RangeLatest(start, end []byte, ts int64, fn func(Entry) bool) {
 	var cur Entry
 	have := false
-	t.AscendRange(start, end, func(e Entry) bool {
+	t.ascendRange(start, end, func(e Entry) bool {
 		if have && !bytes.Equal(cur.Key, e.Key) {
 			if !fn(cur) {
 				have = false
@@ -682,7 +785,7 @@ func (t *Tree) depth() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	d := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
+	for n := t.root; !n.leaf(); n = n.children[0] {
 		d++
 	}
 	return d

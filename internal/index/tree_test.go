@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -180,7 +180,7 @@ func TestAscendRange(t *testing.T) {
 		tr.Put(mkEntry(fmt.Sprintf("%03d", i), 1, uint64(i+1)))
 	}
 	var keys []string
-	tr.AscendRange([]byte("020"), []byte("030"), func(e Entry) bool {
+	tr.ascendRange([]byte("020"), []byte("030"), func(e Entry) bool {
 		keys = append(keys, string(e.Key))
 		return true
 	})
@@ -189,13 +189,13 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Open-ended range.
 	count := 0
-	tr.AscendRange([]byte("095"), nil, func(e Entry) bool { count++; return true })
+	tr.ascendRange([]byte("095"), nil, func(e Entry) bool { count++; return true })
 	if count != 5 {
 		t.Errorf("open range returned %d", count)
 	}
 	// Early stop.
 	count = 0
-	tr.AscendRange(nil, nil, func(e Entry) bool { count++; return count < 7 })
+	tr.ascendRange(nil, nil, func(e Entry) bool { count++; return count < 7 })
 	if count != 7 {
 		t.Errorf("early stop visited %d", count)
 	}
@@ -228,48 +228,6 @@ func TestRangeLatest(t *testing.T) {
 	tr.RangeLatest(nil, nil, 5, func(Entry) bool { n++; return true })
 	if n != 0 {
 		t.Errorf("pre-history snapshot returned %d keys", n)
-	}
-}
-
-func TestQuickTreeMatchesSortedMap(t *testing.T) {
-	type op struct {
-		Key byte
-		TS  int8
-	}
-	f := func(ops []op) bool {
-		tr := New()
-		model := map[string]Entry{}
-		lsn := uint64(0)
-		for _, o := range ops {
-			lsn++
-			key := fmt.Sprintf("k%02d", o.Key%32)
-			ts := int64(o.TS%8) + 8
-			e := mkEntry(key, ts, lsn)
-			tr.Put(e)
-			model[fmt.Sprintf("%s@%d", key, ts)] = e
-		}
-		if tr.Len() != len(model) {
-			return false
-		}
-		// Every model entry must be found with the latest LSN.
-		for _, e := range model {
-			got, ok := tr.Get(e.Key, e.TS)
-			if !ok || got.LSN != e.LSN {
-				return false
-			}
-		}
-		// Ascend must be sorted and complete.
-		var all []Entry
-		tr.Ascend(func(e Entry) bool { all = append(all, e); return true })
-		if len(all) != len(model) {
-			return false
-		}
-		return sort.SliceIsSorted(all, func(i, j int) bool {
-			return compare(all[i].Key, all[i].TS, all[j].Key, all[j].TS) < 0
-		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -335,18 +293,62 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 }
 
+// TestMemBytes checks that MemBytes reports the capacity the tree holds:
+// an empty tree is one empty leaf, a put adds at least its slot and its
+// key, lazy deletion keeps the capacity, and the running count always
+// equals a walk over every node.
 func TestMemBytes(t *testing.T) {
 	tr := New()
-	if tr.MemBytes() != 0 {
-		t.Errorf("empty tree mem = %d", tr.MemBytes())
+	if got := tr.MemBytes(); got != nodeBytes {
+		t.Errorf("empty tree mem = %d, want one empty leaf (%d)", got, nodeBytes)
 	}
-	tr.Put(mkEntry("12345678", 1, 1)) // 8B key + 32B fixed
-	if got := tr.MemBytes(); got != 40 {
-		t.Errorf("MemBytes = %d, want 40 (paper's ~24B + key)", got)
+	tr.Put(mkEntry("12345678", 1, 1))
+	one := tr.MemBytes()
+	if one < nodeBytes+slotBytes+8 {
+		t.Errorf("MemBytes = %d after one put, want >= %d (node, slot and key)", one, nodeBytes+slotBytes+8)
 	}
 	tr.DeleteKey([]byte("12345678"))
-	if tr.MemBytes() != 0 {
-		t.Errorf("mem after delete = %d", tr.MemBytes())
+	if got := tr.MemBytes(); got != one {
+		t.Errorf("mem after delete = %d, want the %d still held", got, one)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		tr.Put(mkEntry(fmt.Sprintf("key-%05d", rng.Intn(3000)), int64(i%4), uint64(i+2)))
+		if i%7 == 0 {
+			tr.DeleteKey([]byte(fmt.Sprintf("key-%05d", rng.Intn(3000))))
+		}
+	}
+	if got, want := tr.MemBytes(), recount(tr); got != want {
+		t.Errorf("MemBytes = %d, recount %d", got, want)
+	}
+	enc, _ := tr.Encode(nil)
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.MemBytes(), recount(back); got != want {
+		t.Errorf("decoded MemBytes = %d, recount %d", got, want)
+	}
+}
+
+// TestLongKeyReservesLittle checks that a long key costs about its own
+// length however it arrives: past the end of a full rightmost leaf
+// (which starts a new leaf) or into the middle of one (a split).
+func TestLongKeyReservesLittle(t *testing.T) {
+	long := strings.Repeat("z", 64<<10)
+	for _, at := range []string{long, "key-00031" + long} {
+		tr := New()
+		for i := 0; i < fanout; i++ {
+			tr.Put(mkEntry(fmt.Sprintf("key-%05d", i), 1, uint64(i+1)))
+		}
+		before := tr.MemBytes()
+		tr.Put(mkEntry(at, 1, 1000))
+		if grew := tr.MemBytes() - before; grew > 3*int64(len(at)) {
+			t.Errorf("a %d-byte key at %.9q grew MemBytes by %d, want <= %d", len(at), at, grew, 3*len(at))
+		}
+		if got, want := tr.MemBytes(), recount(tr); got != want {
+			t.Errorf("MemBytes = %d, recount %d", got, want)
+		}
 	}
 }
 
@@ -457,7 +459,7 @@ func TestBulkLarge(t *testing.T) {
 	}
 	// Range over loaded tree crosses many leaves.
 	count := 0
-	tr.AscendRange([]byte("k000100"), []byte("k000200"), func(Entry) bool { count++; return true })
+	tr.ascendRange([]byte("k000100"), []byte("k000200"), func(Entry) bool { count++; return true })
 	if count != 300 {
 		t.Errorf("range count = %d, want 300", count)
 	}

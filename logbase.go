@@ -274,8 +274,10 @@ func (db *DB) CompactionInfo() CompactionInfo { return db.Server().CompactionInf
 // (1.0 = fully clustered; analytical scans are sequential reads).
 func (db *DB) SortedFraction() float64 { return db.Server().SortedFraction() }
 
-// IndexMemBytes estimates in-memory index size (the paper budgets ~24
-// bytes per entry).
+// IndexMemBytes returns the memory the in-memory indexes hold: every
+// node's slots, key arenas and child lists at their full capacity. The
+// paper budgets about 24 bytes per entry plus the key; a 40-byte slot
+// plus the key is what a full leaf costs here.
 func (db *DB) IndexMemBytes() int64 { return db.Server().IndexMemBytes() }
 
 // LogSize returns the live log size in bytes.
