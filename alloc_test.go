@@ -17,8 +17,9 @@ import (
 // TestAllocBudget is the client's allocation ceiling per key operation,
 // on a DB and on a 3-server cluster: a Put and a Get of a 256 B value,
 // a LIMIT-10 Scan drained and closed, a RunTx that reads one key and
-// writes two, and the same LIMIT-10 Scan once Compact has moved every
-// row into sorted segments (the clustered read). Keys are built before
+// writes two, the same LIMIT-10 Scan once Compact has moved every row
+// into sorted segments (the clustered read), and the Put again on a
+// store with an open changefeed nobody reads. Keys are built before
 // the measured closures. Each ceiling is the measured value: lower it
 // when a change removes an allocation; a change that adds one fails
 // here.
@@ -112,6 +113,30 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("Compact: %v", err)
 			}
 			measure("clustered scan", tc.clustered, scan)
+
+			// An open feed nobody reads costs a put nothing: the log keeps
+			// the batch it wrote as its in-memory tail and wakes only a
+			// waiting reader. The feed opens before the rows load, so a
+			// cluster feed's pumps have filled its event channel and
+			// stopped reading by the time the puts are measured.
+			idle := tc.open(t)
+			defer idle.Close()
+			if err := idle.CreateTable("t", "g"); err != nil {
+				t.Fatalf("CreateTable: %v", err)
+			}
+			feed, err := idle.Watch(bg, "t", "g", nil, nil, 0)
+			if err != nil {
+				t.Fatalf("Watch: %v", err)
+			}
+			defer feed.Close()
+			for _, k := range keys[:loaded] {
+				if err := idle.Put(bg, "t", "g", k, value); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			measure("put with an idle open feed", tc.put, func(i int) error {
+				return idle.Put(bg, "t", "g", keys[loaded+i], value)
+			})
 		})
 	}
 }

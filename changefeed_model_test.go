@@ -3,8 +3,9 @@ package logbase_test
 // Model-based changefeed tests: interleaved writes, deletes,
 // incremental compaction ticks, and (on the cluster) tablet split +
 // migration, all consumed through a deliberately LAGGING Watch cursor
-// with a tiny buffer. The feed overflows and re-reads its gap from the
-// log (counted in logbase_cdc_feed_rereads_total); when compaction has
+// over logs with 4 KB segments, and so 4 KB in-memory tails. The feed
+// falls off the tail and re-reads its gap from the segments (counted in
+// logbase_cdc_feed_rereads_total); when compaction has
 // reclaimed that gap first, Next returns ErrCursorTruncated and the
 // consumer re-bootstraps from LSN 0 — and through all of it the folded
 // stream must reconstruct exactly the engine's final state. This is
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	logbase "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -36,7 +38,7 @@ type laggingConsumer struct {
 func (lc *laggingConsumer) open(t *testing.T) {
 	t.Helper()
 	lc.fold = foldState{}
-	feed, err := lc.st.Watch(bg, "t", "g", nil, nil, 0, logbase.WatchOptions{Buffer: 8})
+	feed, err := lc.st.Watch(bg, "t", "g", nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -111,7 +113,7 @@ func runChangefeedModel(t *testing.T, st logbase.Store, tick func(t *testing.T, 
 		}
 		tick(t, round)
 		// Lag: consume far fewer events than the round produced, so the
-		// tiny buffer overflows and reread/re-bootstrap paths fire.
+		// feed falls off the tail and reread/re-bootstrap paths fire.
 		lc.drain(t, 15, 100*time.Millisecond)
 	}
 
@@ -119,7 +121,7 @@ func runChangefeedModel(t *testing.T, st logbase.Store, tick func(t *testing.T, 
 	for lc.drain(t, 0, 500*time.Millisecond) > 0 {
 	}
 	if rereads(st) == 0 {
-		t.Logf("seed %d: no feed re-read its gap; the overflow path never ran", seed)
+		t.Logf("seed %d: no feed re-read its gap; the fall-off path never ran", seed)
 		return false
 	}
 	live := map[string]logbase.Row{}
@@ -149,9 +151,13 @@ func runChangefeedModel(t *testing.T, st logbase.Store, tick func(t *testing.T, 
 	return true
 }
 
+// modelSegment is the model stores' segment size: a round's writes
+// outgrow the 4 KB in-memory tail it bounds.
+const modelSegment = 4 << 10
+
 func TestChangefeedModelEmbedded(t *testing.T) {
 	f := func(seed int64) bool {
-		db, err := logbase.Open(t.TempDir(), logbase.Options{SegmentSize: 1 << 20})
+		db, err := logbase.Open(t.TempDir(), logbase.Options{SegmentSize: modelSegment})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -173,7 +179,16 @@ func TestChangefeedModelEmbedded(t *testing.T) {
 
 func TestChangefeedModelCluster(t *testing.T) {
 	f := func(seed int64) bool {
-		cc, c := newClusterStore(t, 3, 3)
+		c, err := logbase.NewCluster(t.TempDir(), logbase.ClusterConfig{
+			NumServers: 3,
+			Tables:     []logbase.TableSpec{{Name: "t", Groups: []string{"g"}, Tablets: 3}},
+			Server:     core.Config{SegmentSize: modelSegment},
+		})
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		cc := logbase.NewClusterClient(c)
+		defer cc.Close()
 		tick := func(t *testing.T, round int) {
 			t.Helper()
 			for _, id := range c.LiveServers() {

@@ -233,28 +233,24 @@ func (cc *ClusterClient) Batch() *WriteBatch { return &WriteBatch{cc: cc} }
 // failovers; per-server LSN spaces are not comparable, so fromLSN must
 // be 0 (a DB, whose one server has one log, resumes by LSN). Cancel via
 // ctx or Close.
-func (cc *ClusterClient) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
-	return cc.watch(ctx, table, opts, func(ctx context.Context, o WatchOptions) (ChangeFeed, error) {
+func (cc *ClusterClient) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (ChangeFeed, error) {
+	return cc.watch(ctx, table, func(ctx context.Context) (ChangeFeed, error) {
 		if fromLSN != 0 {
 			return nil, errors.New("logbase: cluster changefeeds are not LSN-addressable; Watch with fromLSN 0 and dedupe by event TS")
 		}
-		return cc.c.Watch(ctx, table, group, start, end, o)
+		return cc.c.Watch(ctx, table, group, start, end)
 	})
 }
 
 // watch opens a changefeed with subscribe under the request's root
 // span.
-func (cc *ClusterClient) watch(ctx context.Context, table string, opts []WatchOptions, subscribe func(context.Context, WatchOptions) (ChangeFeed, error)) (ChangeFeed, error) {
+func (cc *ClusterClient) watch(ctx context.Context, table string, subscribe func(context.Context) (ChangeFeed, error)) (ChangeFeed, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	var o WatchOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
 	ctx, sp := cc.root(ctx, "store.watch", table)
 	defer sp.Finish()
-	return subscribe(ctx, o)
+	return subscribe(ctx)
 }
 
 // SetRetention installs a per-table retention policy on every tablet

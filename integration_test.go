@@ -323,7 +323,7 @@ func TestClusterWatchSkipsMigratedAwayHistory(t *testing.T) {
 	if _, err := owner.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	feed, err := cl.Watch(bg, "t", "g", nil, nil, 0, logbase.WatchOptions{})
+	feed, err := cl.Watch(bg, "t", "g", nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}

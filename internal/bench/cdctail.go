@@ -4,16 +4,16 @@ package bench
 //
 // Catch-up replays retained history by sweeping pinned segments —
 // sequential reads whose modelled disk cost amortizes per event.
-// The live tail is published straight from the append path: events
-// cross a channel, never the disk, so a subscribed feed must add
-// ~zero modelled disk over the writes themselves. That is the paper's
-// "log is the only repository" claim applied to CDC — no second
-// pipeline, no double write — and the shape states it: the write phase
-// with a live subscriber may cost at most overheadTolerance more
-// modelled disk than the identical phase with no subscriber (the
-// publish path touches no I/O, so any real delta is a wiring bug, e.g.
-// the hub forcing log reads on delivery), while catch-up pays real
-// disk for its sweep.
+// A caught-up feed reads new records from the log's in-memory tail,
+// the batches the append path already wrote, never from the disk, so a
+// subscribed feed must add ~zero modelled disk over the writes
+// themselves. That is the paper's "log is the only repository" claim
+// applied to CDC — no second pipeline, no double write — and the shape
+// states it: the write phase with a live subscriber may cost at most
+// overheadTolerance more modelled disk than the identical phase with no
+// subscriber (reading the tail touches no I/O, so any real delta is a
+// wiring bug, e.g. a feed falling off the tail and sweeping segments),
+// while catch-up pays real disk for its sweep.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cdc"
 	"repro/internal/core"
 	"repro/internal/simdisk"
 )
@@ -112,9 +111,7 @@ func CDCTail(s Scale) (Table, error) {
 	}
 	history := int(ts)
 	catch, err := phase("cdc-catchup", history, func() (err error) {
-		// Buffer sized so the later live phase can run writes and drain
-		// sequentially without overflowing.
-		feed, err = srv.Watch(benchTable, benchGroup, nil, nil, 0, cdc.Options{Buffer: ops + 1024})
+		feed, err = srv.Watch(benchTable, benchGroup, nil, nil, 0)
 		if err != nil {
 			return err
 		}

@@ -8,8 +8,8 @@ package bench
 // shape has two halves: (1) the pinned scan on the replica charges ZERO
 // modelled disk to the primary; (2) a caught-up replica draining the
 // live tail adds at most overheadTolerance modelled disk to the
-// primary's write path, because the tail ships from the append path's
-// in-memory hub, never from a second read of the log. The historical
+// primary's write path, because the tail ships from the primary log's
+// in-memory tail, never from a second read of the log. The historical
 // catch-up — the one phase that DOES read the primary's segments — is
 // reported separately at its sequential-sweep cost.
 
@@ -113,7 +113,6 @@ func ReplicaScan(s Scale) (Table, error) {
 	rep, err := repl.New(rfs, primary, "prim.r0", repl.Config{
 		LastTS: ts.Load,
 		Server: core.Config{SegmentSize: 16 << 20},
-		Buffer: 1 << 16,
 	})
 	if err != nil {
 		return t, err
@@ -145,7 +144,8 @@ func ReplicaScan(s Scale) (Table, error) {
 
 	// Live shipping: the identical write workload with the caught-up
 	// replica attached and fully drained. Only the primary's clock is
-	// charged — the tail crosses a channel, not the primary's disks.
+	// charged — the tail is read from the primary log's memory, not its
+	// disks.
 	shipped, err := measured(pclock, int64(ops), func() error {
 		if err := writes(ops); err != nil {
 			return err

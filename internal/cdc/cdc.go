@@ -9,8 +9,9 @@
 // already durable, LSN-ordered, and addressable in the WAL, so a
 // changefeed needs no second pipeline: it is a resumable cursor over
 // committed log records. Historical catch-up is a sequential sweep of
-// pinned segments; the live tail is published straight from the append
-// path. The only genuinely new state is the cursor itself.
+// pinned segments; new records come from the log's in-memory tail, and
+// no writer waits on a feed. The only genuinely new state is the
+// cursor itself.
 package cdc
 
 import (
@@ -80,28 +81,7 @@ var ErrFeedClosed = errors.New("cdc: feed closed")
 type Feed interface {
 	// Next returns the next event in feed order.
 	Next(ctx context.Context) (Event, error)
-	// Close releases the feed's resources (segment pins, live-tail
-	// subscription). Idempotent.
+	// Close releases the feed's resources (segment pins, goroutines).
+	// Idempotent.
 	Close() error
-}
-
-// Options configures a Watch.
-type Options struct {
-	// Buffer bounds the live records held for a consumer. The append
-	// path never waits for a feed: once a consumer falls this far
-	// behind, its next Next re-reads the gap from the log instead.
-	// Zero means DefaultBuffer.
-	Buffer int
-}
-
-// DefaultBuffer is the live-tail buffer capacity when Options.Buffer is
-// zero.
-const DefaultBuffer = 4096
-
-// WithDefaults fills zero fields.
-func (o Options) WithDefaults() Options {
-	if o.Buffer <= 0 {
-		o.Buffer = DefaultBuffer
-	}
-	return o
 }

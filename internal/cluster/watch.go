@@ -31,6 +31,10 @@ import (
 	"repro/internal/core"
 )
 
+// feedEvents sizes the merged event channel. It only smooths the
+// handoff: a lagging consumer leaves its server feeds behind in the logs.
+const feedEvents = 64
+
 // feedPollInterval paces the supervisor's topology poll. The in-process
 // "RPC" makes this cheap; it only bounds how quickly a feed notices a
 // newly live server or a failover heir.
@@ -44,7 +48,7 @@ const feedPollInterval = 10 * time.Millisecond
 // them and absorbing replayed history through the timestamp watermark.
 // Close the feed (or cancel ctx passed to Next) to release the
 // per-server subscriptions.
-func (c *Cluster) Watch(ctx context.Context, table, group string, start, end []byte, opts cdc.Options) (cdc.Feed, error) {
+func (c *Cluster) Watch(ctx context.Context, table, group string, start, end []byte) (cdc.Feed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -66,7 +70,6 @@ func (c *Cluster) Watch(ctx context.Context, table, group string, start, end []b
 			return nil, fmt.Errorf("cluster: table %s has no column group %s", table, group)
 		}
 	}
-	o := opts.WithDefaults()
 	fctx, cancel := context.WithCancel(context.Background())
 	f := &clusterFeed{
 		c:      c,
@@ -74,8 +77,7 @@ func (c *Cluster) Watch(ctx context.Context, table, group string, start, end []b
 		group:  group,
 		start:  append([]byte(nil), start...),
 		end:    append([]byte(nil), end...),
-		opts:   o,
-		events: make(chan cdc.Event, o.Buffer),
+		events: make(chan cdc.Event, feedEvents),
 		done:   make(chan struct{}),
 		ctx:    fctx,
 		cancel: cancel,
@@ -95,7 +97,6 @@ type clusterFeed struct {
 	c            *Cluster
 	table, group string
 	start, end   []byte
-	opts         cdc.Options
 
 	events chan cdc.Event
 	done   chan struct{}
@@ -147,7 +148,7 @@ func (f *clusterFeed) resubscribe() {
 		if srv == nil {
 			continue
 		}
-		feed, err := srv.Watch(f.table, f.group, f.start, f.end, 0, f.opts)
+		feed, err := srv.Watch(f.table, f.group, f.start, f.end, 0)
 		if err != nil {
 			continue // server mid-shutdown; next poll retries
 		}

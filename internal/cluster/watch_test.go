@@ -7,20 +7,29 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cdc"
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/readopt"
 )
 
 // TestClusterWatchSurvivesOverflow floods a two-server cluster feed
-// that nobody drains: every per-server live buffer (4) overflows. The
-// feed re-reads each gap from its server's log, so a consumer that
-// comes back late still folds every key to exactly what a scan sees.
+// that nobody drains: once the merged event channel fills, every
+// per-server feed falls behind its log's 4 KB in-memory tail. Each
+// re-reads its gap from its server's segments, so a consumer that comes
+// back late still folds every key to exactly what a scan sees.
 func TestClusterWatchSurvivesOverflow(t *testing.T) {
-	c := newTestCluster(t, 2)
+	c, err := New(t.TempDir(), Config{
+		NumServers: 2,
+		Tables:     []TableSpec{{Name: "users", Groups: []string{"profile", "activity"}}},
+		Server:     core.Config{SegmentSize: 4 << 10},
+		DFS:        dfs.Config{BlockSize: 1 << 16},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
 	defer c.Close()
 	ctx := context.Background()
-	feed, err := c.Watch(ctx, "users", "profile", nil, nil, cdc.Options{Buffer: 4})
+	feed, err := c.Watch(ctx, "users", "profile", nil, nil)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -74,6 +83,6 @@ func TestClusterWatchSurvivesOverflow(t *testing.T) {
 		}
 	}
 	if rereads < 1 {
-		t.Errorf("rereads = %v, want >= 1: no server feed overflowed", rereads)
+		t.Errorf("rereads = %v, want >= 1: no server feed fell off its tail", rereads)
 	}
 }

@@ -102,7 +102,11 @@ func (s *Server) stage(w BatchWrite) (mutation, error) {
 }
 
 // stageOn validates one mutation against an already-resolved tablet.
+// Every write, batch and transaction passes through it.
 func stageOn(t *Tablet, group string, key, value []byte, ts int64, del bool) (mutation, error) {
+	if len(key) > math.MaxUint16 {
+		return mutation{}, fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))
+	}
 	if t.frozen.Load() {
 		return mutation{}, fmt.Errorf("%w: %s", ErrTabletFrozen, t.id)
 	}

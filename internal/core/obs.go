@@ -41,8 +41,9 @@ type serverObs struct {
 
 	// Changefeed counters (events/sec derives from the counter at
 	// scrape time; feed count and lag are scrape-time gauges). Rereads
-	// counts live-buffer overflows: each sends a feed back to the log
-	// for its gap (or to cdc.ErrCursorTruncated if compaction took it).
+	// counts feeds that fell off the log's in-memory tail: each reads its
+	// gap from the segments (or meets cdc.ErrCursorTruncated if
+	// compaction took it).
 	cdcEvents  *obs.Counter
 	cdcRereads *obs.Counter
 
@@ -86,7 +87,7 @@ func newServerObs(s *Server) *serverObs {
 	o.compactRepoints = reg.Counter("logbase_compact_repoints_total", "index entries repointed by compaction", sl)
 	o.compactStalls = reg.Counter("logbase_compact_stalls_total", "compaction ticks stalled waiting for index recovery", sl)
 	o.cdcEvents = reg.Counter("logbase_cdc_events_total", "changefeed events delivered to consumers", sl)
-	o.cdcRereads = reg.Counter("logbase_cdc_feed_rereads_total", "changefeed live-buffer overflows, each re-read from the log", sl)
+	o.cdcRereads = reg.Counter("logbase_cdc_feed_rereads_total", "changefeeds that fell off the in-memory tail and read segments", sl)
 	o.scrubRepaired = reg.Counter("logbase_scrub_repaired_total", "corrupt replica blocks repaired by scrub", sl)
 	if s.cfg.Faults != nil {
 		// The fault registry is shared across the layers it is wired into
@@ -115,9 +116,9 @@ func newServerObs(s *Server) *serverObs {
 	gauge("logbase_sorted_fraction", "fraction of log bytes in sorted segments", func() float64 { return s.SortedFraction() })
 	gauge("logbase_garbage_ratio", "garbage bytes / log bytes", func() float64 { return s.CompactionInfo().GarbageRatio })
 	gauge("logbase_index_mem_bytes", "in-memory index bytes", func() float64 { return float64(s.IndexMemBytes()) })
-	gauge("logbase_cdc_feeds", "open changefeed subscriptions", func() float64 { return float64(s.cdc.count()) })
-	gauge("logbase_cdc_feed_lag_lsns", "largest LSN distance between the log tip and any feed's delivered cursor",
-		func() float64 { return float64(s.cdc.maxLag(s.log.NextLSN())) })
+	gauge("logbase_cdc_feeds", "open changefeed subscriptions", func() float64 { n, _ := s.feeds.lag(0); return float64(n) })
+	gauge("logbase_cdc_feed_lag_lsns", "most LSNs through the log tip any open feed has not taken",
+		func() float64 { _, lag := s.feeds.lag(s.log.NextLSN() - 1); return float64(lag) })
 	gauge("logbase_cdc_prune_horizon", "highest LSN at or below which compaction reclaimed records",
 		func() float64 { return float64(s.pruneHorizon.Load()) })
 	return o

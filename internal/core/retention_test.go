@@ -118,7 +118,7 @@ func TestRetentionPolicyAgeBound(t *testing.T) {
 func TestRetentionTightensCursorSlack(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	writeVersions(t, s, 10, 2)
-	feed, err := s.SubscribeRecords(0, 0)
+	feed, err := s.SubscribeRecords(0)
 	if err != nil {
 		t.Fatalf("SubscribeRecords: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestRetentionTightensCursorSlack(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if _, err := s.SubscribeRecords(5, 0); !errors.Is(err, cdc.ErrCursorTruncated) {
+	if _, err := s.SubscribeRecords(5); !errors.Is(err, cdc.ErrCursorTruncated) {
 		t.Fatalf("resume below horizon err = %v, want cdc.ErrCursorTruncated", err)
 	}
 }

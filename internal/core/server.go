@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -81,6 +82,11 @@ var ErrUnknownTablet = errors.New("core: tablet not served here")
 // treat it as stale routing: refresh metadata and retry, converging on
 // the new owner once the cutover lands.
 var ErrTabletFrozen = fmt.Errorf("%w: frozen for migration", ErrUnknownTablet)
+
+// ErrKeyTooLong is returned for a write whose key is longer than
+// math.MaxUint16 bytes, the most a checkpoint can store. Nothing of the
+// write is logged.
+var ErrKeyTooLong = fmt.Errorf("core: key longer than %d bytes", math.MaxUint16)
 
 // Row is one record version returned by reads and scans. The caller
 // owns Value. A scan copies the values of one page into shared chunks
@@ -174,11 +180,11 @@ type Server struct {
 
 	readCache *cache.Cache
 
-	// cdc is the changefeed hub (watch.go): live subscriptions fed from
-	// the wal append hook. pruneHorizon is the highest LSN at or below
-	// which compaction may have reclaimed records — feeds cannot resume
-	// there (cdc.ErrCursorTruncated).
-	cdc          cdcHub
+	// feeds is the set of open changefeed and replication feeds
+	// (logfeed.go). pruneHorizon is the highest LSN at or below which
+	// compaction may have reclaimed records — feeds cannot resume there
+	// (cdc.ErrCursorTruncated).
+	feeds        feedSet
 	pruneHorizon atomic.Uint64
 
 	// secondary indexes (the §5 future-work extension; secondary.go).
@@ -223,12 +229,9 @@ func NewServer(fs *dfs.DFS, id string, cfg Config) (*Server, error) {
 		log:       log,
 		tablets:   make(map[string]*Tablet),
 		readCache: cache.New(cfg.ReadCacheBytes, nil),
+		feeds:     feedSet{open: make(map[*RecordFeed]struct{})},
 	}
 	s.obs = newServerObs(s)
-	// Changefeed live tail: every durable append publishes to the hub
-	// (under the append lock, so publications are LSN-ordered). Both the
-	// direct and the group-commit path funnel through log.Append.
-	log.SetAppendHook(s.cdc.publish)
 	if cfg.GroupCommit {
 		s.batcher = wal.NewBatcher(log, cfg.GroupCommitBatch, 0)
 		if !cfg.DisableMetrics {
@@ -558,7 +561,7 @@ func (s *Server) Close() error {
 			close(s.autoStop)
 			s.autoWG.Wait()
 		}
-		s.cdc.closeAll()
+		s.feeds.closeAll()
 	})
 	return nil
 }

@@ -1,8 +1,8 @@
 package core
 
 // Changefeeds off the log (the cdc subsystem's server half). The heavy
-// lifting — the subscribe barrier, pinned-segment catch-up, live tail,
-// and transactional cursor resolution — lives in the shared log-reader
+// lifting — pinned-segment catch-up, the log's in-memory tail, and
+// transactional cursor resolution — lives in the shared log-reader
 // (logfeed.go), which WAL-shipping replication rides too; this file is
 // only the cdc-facing shape: the table/group/range filter and the
 // wal.Record → cdc.Event conversion.
@@ -24,20 +24,25 @@ type feedFilter struct {
 	start, end []byte
 }
 
-func (f feedFilter) matches(rec *wal.Record) bool {
-	if rec.Table != f.table {
+// matches reports whether a feed with filter f selects rec; a nil
+// filter selects every record.
+func (f *feedFilter) matches(rec *wal.Record) bool {
+	return f == nil || f.selects(rec.Table == f.table, rec.Group == f.group, rec.Key)
+}
+
+// matchesView is matches on a frame of the log's tail, read in place.
+func (f *feedFilter) matchesView(v *wal.View) bool {
+	return f == nil || f.selects(string(v.Table()) == f.table, string(v.Group()) == f.group, v.Key())
+}
+
+func (f *feedFilter) selects(table, group bool, key []byte) bool {
+	if !table || (f.group != "" && !group) {
 		return false
 	}
-	if f.group != "" && rec.Group != f.group {
+	if len(f.start) > 0 && bytes.Compare(key, f.start) < 0 {
 		return false
 	}
-	if len(f.start) > 0 && bytes.Compare(rec.Key, f.start) < 0 {
-		return false
-	}
-	if f.end != nil && bytes.Compare(rec.Key, f.end) >= 0 {
-		return false
-	}
-	return true
+	return f.end == nil || bytes.Compare(key, f.end) < 0
 }
 
 // Feed is a server-local changefeed (implements cdc.Feed): the ordered
@@ -51,8 +56,8 @@ type Feed struct {
 // optional column group ("" = all groups), and key range [start, end)
 // (nil bounds = open). Events stream in commit order (ascending
 // Cursor), starting at fromLSN: historical records replay from the
-// log's segments, then the feed follows the live append stream with no
-// gap and no duplicates.
+// log's segments, then the feed follows the log's tail with no gap and
+// no duplicates.
 //
 // fromLSN semantics: 0 replays the full retained history (compaction
 // may have coalesced it — superseded versions and vacuumed rows are
@@ -61,10 +66,8 @@ type Feed struct {
 // Cursor + 1); if compaction has since reclaimed records above it, the
 // call fails with cdc.ErrCursorTruncated and the consumer must
 // re-bootstrap.
-func (s *Server) Watch(table, group string, start, end []byte, fromLSN uint64, opts cdc.Options) (*Feed, error) {
-	o := opts.WithDefaults()
-	filter := feedFilter{table: table, group: group, start: start, end: end}
-	rf, err := s.subscribeRecords(filter.matches, fromLSN, o.Buffer)
+func (s *Server) Watch(table, group string, start, end []byte, fromLSN uint64) (*Feed, error) {
+	rf, err := s.subscribeRecords(&feedFilter{table: table, group: group, start: start, end: end}, fromLSN)
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +99,8 @@ func (f *Feed) Next(ctx context.Context) (cdc.Event, error) {
 	return eventFrom(&ev.Rec, ev.Cursor), nil
 }
 
-// Close releases the feed: the live subscription is unregistered, an
-// unfinished catch-up drops its segment pins, and any blocked Next
-// returns. Idempotent.
+// Close releases the feed: an unfinished catch-up drops its segment
+// pins, and any blocked Next returns. Idempotent.
 func (f *Feed) Close() error { return f.rf.Close() }
 
 func eventFrom(rec *wal.Record, cursor uint64) cdc.Event {

@@ -45,7 +45,7 @@ func TestWatchCatchUpThenLive(t *testing.T) {
 	s.Write(testTablet, testGroup, []byte("alice"), 10, []byte("v1"))
 	s.Write(testTablet, testGroup, []byte("bob"), 20, []byte("v2"))
 
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestWatchFilters(t *testing.T) {
 	s.Write(testTablet, testGroup, []byte("c"), 4, []byte("pc"))
 
 	// Group filter.
-	f, err := s.Watch("users", "activity", nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", "activity", nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestWatchFilters(t *testing.T) {
 	f.Close()
 
 	// Key range [b, c): only b, across all groups.
-	f, err = s.Watch("users", "", []byte("b"), []byte("c"), 0, cdc.Options{})
+	f, err = s.Watch("users", "", []byte("b"), []byte("c"), 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestWatchResumeFromCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Write(testTablet, testGroup, []byte{byte('a' + i)}, int64(i+1), []byte("v"))
 	}
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestWatchResumeFromCursor(t *testing.T) {
 	// Resume after the last cursor: only later writes appear, exactly
 	// once.
 	s.Write(testTablet, testGroup, []byte("z"), 99, []byte("zz"))
-	f2, err := s.Watch("users", testGroup, nil, nil, last+1, cdc.Options{})
+	f2, err := s.Watch("users", testGroup, nil, nil, last+1)
 	if err != nil {
 		t.Fatalf("resume Watch: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestWatchTxnCommitCursor(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("ApplyTxn: %v", err)
 	}
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestWatchTxnCommitCursor(t *testing.T) {
 
 	// Resuming at commitCursor+1 replays neither txn; at commitCursor
 	// the whole second txn replays (a resume point never splits one).
-	f2, err := s.Watch("users", testGroup, nil, nil, ev3.Cursor, cdc.Options{})
+	f2, err := s.Watch("users", testGroup, nil, nil, ev3.Cursor)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -211,13 +211,13 @@ func TestWatchCursorTruncated(t *testing.T) {
 	}
 
 	// An exact resume at or below the horizon is refused...
-	if _, err := s.Watch("users", testGroup, nil, nil, 2, cdc.Options{}); !errors.Is(err, cdc.ErrCursorTruncated) {
+	if _, err := s.Watch("users", testGroup, nil, nil, 2); !errors.Is(err, cdc.ErrCursorTruncated) {
 		t.Fatalf("Watch below horizon: err = %v, want ErrCursorTruncated", err)
 	}
 
 	// ...but fromLSN 0 still replays the retained (coalesced) history
 	// and reconstructs the current state.
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch from 0: %v", err)
 	}
@@ -240,13 +240,14 @@ func TestWatchCursorTruncated(t *testing.T) {
 	}
 }
 
-// TestWatchSlowConsumer floods a feed nobody reads: its live buffer (4)
-// overflows, and the consumer still gets every write exactly once, in
-// cursor order — the feed re-read its gap from the log.
+// TestWatchSlowConsumer floods a feed nobody reads past the log's 4 KB
+// in-memory tail, and the consumer still gets every write exactly once,
+// in cursor order — the feed fell off the tail and re-read its gap from
+// the segments.
 func TestWatchSlowConsumer(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, _ := newTestServer(t, Config{SegmentSize: 4 << 10})
 	defer s.Close()
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -268,20 +269,21 @@ func TestWatchSlowConsumer(t *testing.T) {
 		}
 	}
 	if got := s.obs.cdcRereads.Load(); got < 1 {
-		t.Errorf("rereads = %d, want >= 1: the buffer never overflowed", got)
+		t.Errorf("rereads = %d, want >= 1: the feed never fell off the tail", got)
 	}
 }
 
 // TestWatchOverflowKeepsTransactionsWhole floods an undrained feed with
-// three-write transactions, so overflows cut the live tail inside
-// transactions, while one prepared transaction stays open across the
-// re-read. Every transaction still arrives once, whole, in record
-// order and under one cursor: records a feed held for an open
-// transaction go with the old tail, and the re-read finds them again.
+// three-write transactions past the log's 4 KB in-memory tail, so the
+// tail's first LSN falls inside a transaction, while one prepared
+// transaction stays open across the re-read. Every transaction still
+// arrives once, whole, in record order and under one cursor: the
+// re-read of the segments finds the records of a transaction the tail
+// only commits.
 func TestWatchOverflowKeepsTransactionsWhole(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, _ := newTestServer(t, Config{SegmentSize: 4 << 10})
 	defer s.Close()
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -303,8 +305,8 @@ func TestWatchOverflowKeepsTransactionsWhole(t *testing.T) {
 		want = append(want, keys)
 	}
 	want = append(want, []string{"open-0", "open-1"})
-	// The first Next meets the overflow and re-reads past the flood
-	// while "open" is still open; its commit lands on the new tail.
+	// The first Next falls off the tail and re-reads past the flood
+	// while "open" is still open; its commit lands on the tail.
 	evs := []cdc.Event{nextEvent(t, f)}
 	if err := s.CommitTxn(txns+1, txns+1, open); err != nil {
 		t.Fatalf("CommitTxn: %v", err)
@@ -334,19 +336,19 @@ func TestWatchOverflowKeepsTransactionsWhole(t *testing.T) {
 		t.Errorf("extra event %q after every transaction", ev.Key)
 	}
 	if got := s.obs.cdcRereads.Load(); got < 1 {
-		t.Errorf("rereads = %d, want >= 1: the buffer never overflowed", got)
+		t.Errorf("rereads = %d, want >= 1: the feed never fell off the tail", got)
 	}
 }
 
-// TestWatchOverflowIntoReclaimedGap: a feed overflows, and before its
-// consumer comes back a retention compaction reclaims the gap. The
-// feed returns what its live buffer held, then cdc.ErrCursorTruncated
+// TestWatchOverflowIntoReclaimedGap: a feed falls off the log's 4 KB
+// in-memory tail, and before its consumer comes back a retention
+// compaction reclaims the gap. The feed returns cdc.ErrCursorTruncated
 // and nothing after it.
 func TestWatchOverflowIntoReclaimedGap(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, _ := newTestServer(t, Config{SegmentSize: 4 << 10})
 	s.SetRetention("users", RetentionPolicy{KeepVersions: 1})
 	defer s.Close()
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -368,8 +370,8 @@ func TestWatchOverflowIntoReclaimedGap(t *testing.T) {
 	if !errors.Is(err, cdc.ErrCursorTruncated) {
 		t.Fatalf("drained %d events, err = %v, want ErrCursorTruncated", len(evs), err)
 	}
-	if len(evs) > 4 {
-		t.Errorf("%d events after the overflow, want at most the buffer's 4", len(evs))
+	if len(evs) > 0 {
+		t.Errorf("%d events after the gap, want none: the feed fell off before it read them", len(evs))
 	}
 	last := first.Cursor
 	for _, ev := range evs {
@@ -384,31 +386,77 @@ func TestWatchOverflowIntoReclaimedGap(t *testing.T) {
 		}
 	}
 	if got := s.obs.cdcRereads.Load(); got != 1 {
-		t.Errorf("rereads = %d, want the 1 overflow", got)
+		t.Errorf("rereads = %d, want the 1 fall-off", got)
 	}
 }
 
-// TestWatchOverflowThenServerClose: a feed whose live buffer overflowed
-// is outside the hub when its server shuts down. It still ends with
-// cdc.ErrFeedClosed, like a feed the shutdown found registered, instead
-// of subscribing again and waiting on a tail that never moves.
+// TestWatchOverflowThenServerClose: a feed fell off the log's 1 KB
+// in-memory tail and re-read its gap from the segments when its server
+// shuts down. It returns what the re-read queued, then ends with
+// cdc.ErrFeedClosed, like a feed the shutdown found reading the tail,
+// instead of waiting on a tail that never moves.
 func TestWatchOverflowThenServerClose(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{Buffer: 4})
+	s, _ := newTestServer(t, Config{SegmentSize: 1 << 10})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
 	defer f.Close()
-	for i := 0; i < 100; i++ {
+	const n = 100
+	for i := 0; i < n; i++ {
 		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%03d", i)), int64(i+1), []byte("v"))
 	}
+	nextEvent(t, f)
+	if got := s.obs.cdcRereads.Load(); got != 1 {
+		t.Fatalf("rereads = %d, want the 1 fall-off", got)
+	}
 	s.Close()
-	evs, err := drainEvents(f, 200)
+	evs, err := drainEvents(f, 2*n)
 	if !errors.Is(err, cdc.ErrFeedClosed) {
 		t.Fatalf("drained %d events, err = %v, want ErrFeedClosed", len(evs), err)
 	}
-	if len(evs) > 4 {
-		t.Errorf("%d events after the overflow, want at most the buffer's 4", len(evs))
+	if 1+len(evs) >= n {
+		t.Errorf("%d events, want only those the re-read queued below the tail", 1+len(evs))
+	}
+}
+
+// TestFollowerNeverTakesInstallLatch: a feed that fell off the log's
+// in-memory tail resumes from the segments while the install latch is
+// held shared, as every in-flight mutation holds it. No feed waits on a
+// writer.
+func TestFollowerNeverTakesInstallLatch(t *testing.T) {
+	s, _ := newTestServer(t, Config{SegmentSize: 4 << 10})
+	defer s.Close()
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	defer f.Close()
+	// More writes than any feed buffer held, and far past the tail.
+	const n = 5000
+	for i := 0; i < n; i++ {
+		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%04d", i)), int64(i+1), []byte("v"))
+	}
+	s.installMu.RLock()
+	defer s.installMu.RUnlock()
+	drained := make(chan error, 1)
+	go func() {
+		evs, err := drainEvents(f, n)
+		if err == nil && len(evs) != n {
+			err = fmt.Errorf("%d events, want %d", len(evs), n)
+		}
+		drained <- err
+	}()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain under the install latch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the feed still waits after 10s with the install latch held shared")
+	}
+	if got := s.obs.cdcRereads.Load(); got < 1 {
+		t.Errorf("rereads = %d, want >= 1: the feed never fell off the tail", got)
 	}
 }
 
@@ -449,7 +497,7 @@ func TestWatchReplayMatchesOracle(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 
-	f, err := s.Watch("users", testGroup, nil, nil, 0, cdc.Options{})
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -478,5 +526,42 @@ func TestWatchReplayMatchesOracle(t *testing.T) {
 		if want.ok && got.val != want.val {
 			t.Errorf("key %s: replay value %q, oracle %q", k, got.val, want.val)
 		}
+	}
+}
+
+// TestFeedGauges: logbase_cdc_feeds counts the open feeds and
+// logbase_cdc_feed_lag_lsns reports how far the slowest one trails the
+// log tip; a closed feed leaves both.
+func TestFeedGauges(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer s.Close()
+	gauge := func(name string) float64 {
+		t.Helper()
+		m, ok := metricAt(t, s.Metrics(), name)
+		if !ok {
+			t.Fatalf("no %s gauge", name)
+		}
+		return m.Value
+	}
+	f, err := s.Watch("users", testGroup, nil, nil, 0)
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%d", i)), int64(i+1), []byte("v"))
+	}
+	nextEvent(t, f)
+	if n, lag := gauge("logbase_cdc_feeds"), gauge("logbase_cdc_feed_lag_lsns"); n != 1 || lag != 4 {
+		t.Fatalf("with one feed that took 1 of 5 records: feeds %v, lag %v; want 1 and 4", n, lag)
+	}
+	for i := 0; i < 4; i++ {
+		nextEvent(t, f)
+	}
+	if lag := gauge("logbase_cdc_feed_lag_lsns"); lag != 0 {
+		t.Fatalf("caught up: lag %v, want 0", lag)
+	}
+	f.Close()
+	if n := gauge("logbase_cdc_feeds"); n != 0 {
+		t.Fatalf("after Close: feeds %v, want 0", n)
 	}
 }

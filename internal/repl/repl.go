@@ -4,8 +4,8 @@
 // multiversion indexes are built by replaying the primary's committed
 // log stream. The Replica rides the same resumable cursor engine as
 // changefeeds (core.Server.SubscribeRecords): historical catch-up from
-// the pinned segments, then the live append tail, in commit order,
-// exactly once.
+// the pinned segments, then the primary log's in-memory tail, in commit
+// order, exactly once.
 //
 // Contract:
 //
@@ -24,8 +24,8 @@
 //     actually applied; a restarted replica recovers its own log
 //     (core.Recover) and resumes the feed from the durable cursor —
 //     the overlap re-applies idempotently.
-//   - A slow replica just lags: when it overflows the live tail, the
-//     feed itself re-reads the gap from the primary's log. If
+//   - A slow replica just lags: when it falls off the in-memory tail,
+//     the feed itself re-reads the gap from the primary's segments. If
 //     compaction on the primary has reclaimed records past the
 //     replica's cursor (cdc.ErrCursorTruncated, at subscribe or from
 //     Next — see the retention policy knob, core.SetRetention), the
@@ -69,9 +69,6 @@ type Config struct {
 	// auto-compaction: their log is already the primary's committed
 	// stream.
 	Server core.Config
-	// Buffer sizes the shipping feed's live-tail channel; <= 0 uses
-	// cdc.DefaultBuffer.
-	Buffer int
 }
 
 // pollInterval paces the apply loop's idle ticks (watermark refresh,
@@ -347,7 +344,7 @@ func (r *Replica) run() {
 		fromLSN = r.resumeLSN + 1
 	}
 	for r.ctx.Err() == nil {
-		feed, err := r.primary.SubscribeRecords(fromLSN, r.cfg.Buffer)
+		feed, err := r.primary.SubscribeRecords(fromLSN)
 		if err == nil {
 			r.mu.Lock()
 			r.feed = feed

@@ -31,12 +31,18 @@ type harness struct {
 }
 
 func newHarness(t *testing.T) *harness {
+	return newHarnessSegments(t, 1<<18, nil)
+}
+
+// newHarnessSegments is newHarness with the primary's segment size (and
+// so its in-memory tail's bound) and fault registry.
+func newHarnessSegments(t *testing.T, segmentSize int64, faults *fault.Registry) *harness {
 	t.Helper()
 	fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 1, BlockSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewServer(fs, "ts0", core.Config{SegmentSize: 1 << 18})
+	p, err := core.NewServer(fs, "ts0", core.Config{SegmentSize: segmentSize, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +61,18 @@ func (h *harness) put(t *testing.T, i int, val string) int64 {
 	return ts
 }
 
-func (h *harness) newReplica(t *testing.T, buffer int) *Replica {
+func (h *harness) newReplica(t *testing.T) *Replica {
+	t.Helper()
+	return h.newReplicaFaults(t, nil)
+}
+
+// newReplicaFaults is newReplica with a fault registry on the replica's
+// server, whose apply point can stall shipping.
+func (h *harness) newReplicaFaults(t *testing.T, faults *fault.Registry) *Replica {
 	t.Helper()
 	r, err := New(h.fs, h.primary, "ts0.r0", Config{
 		LastTS: h.ts.Load,
-		Server: core.Config{SegmentSize: 1 << 18},
-		Buffer: buffer,
+		Server: core.Config{SegmentSize: 1 << 18, Faults: faults},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,21 +93,31 @@ func wantRow(t *testing.T, srv *core.Server, i int, ts int64, val string) {
 	}
 }
 
-// TestReplSlowConsumerResume floods a replica whose live tail holds a
-// single event: overflows resume from the exact cursor, so the replica
-// still converges to the complete state.
+// TestReplSlowConsumerResume stalls a caught-up replica's apply loop
+// and floods its primary far past the primary log's 4 KB in-memory
+// tail: the shipping feed falls off the tail and resumes from the exact
+// cursor by re-reading the primary's segments, so the replica still
+// converges to the complete state.
 func TestReplSlowConsumerResume(t *testing.T) {
-	h := newHarness(t)
-	rep := h.newReplica(t, 1)
+	h := newHarnessSegments(t, 4<<10, nil)
+	faults := fault.New(1)
+	rep := h.newReplicaFaults(t, faults)
 	defer rep.Close()
 	if err := rep.Start(); err != nil {
 		t.Fatal(err)
 	}
+	ts := h.put(t, 0, "v0")
+	if err := rep.WaitForTS(ts, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	faults.Arm("repl."+rep.BaseID()+".apply", fault.Policy{OnFire: func() { <-gate }})
 	const n = 2000
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		h.put(t, i, fmt.Sprintf("v%d", i))
 	}
-	ts := h.ts.Load()
+	close(gate)
+	ts = h.ts.Load()
 	if err := rep.WaitForTS(ts, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +129,16 @@ func TestReplSlowConsumerResume(t *testing.T) {
 		t.Fatalf("applied %d records, want %d (a resume gap dropped records?)", st.Applied, n)
 	}
 	if st.Generation != 0 {
-		t.Fatalf("generation %d, want 0 (overflow must resume, not re-bootstrap)", st.Generation)
+		t.Fatalf("generation %d, want 0 (a fall-off must resume, not re-bootstrap)", st.Generation)
+	}
+	var rereads float64
+	for _, m := range h.primary.Metrics().Snapshot() {
+		if m.Name == "logbase_cdc_feed_rereads_total" {
+			rereads += m.Value
+		}
+	}
+	if rereads < 1 {
+		t.Errorf("rereads = %v, want >= 1: the shipping feed never fell off the tail", rereads)
 	}
 }
 
@@ -117,7 +148,7 @@ func TestReplSlowConsumerResume(t *testing.T) {
 // generation, no re-bootstrap, complete state.
 func TestReplRestartResumesFromDurableCursor(t *testing.T) {
 	h := newHarness(t)
-	rep := h.newReplica(t, 0)
+	rep := h.newReplica(t)
 	if err := rep.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +170,7 @@ func TestReplRestartResumesFromDurableCursor(t *testing.T) {
 		h.put(t, i, fmt.Sprintf("v%d", i))
 	}
 
-	rep2 := h.newReplica(t, 0)
+	rep2 := h.newReplica(t)
 	defer rep2.Close()
 	if got := rep2.AppliedLSN(); got != cursor {
 		t.Fatalf("reopened cursor = %d, want durable %d", got, cursor)
@@ -170,7 +201,7 @@ func TestReplRestartResumesFromDurableCursor(t *testing.T) {
 // into a fresh generation and full-replays the retained log.
 func TestReplTruncationRebootstrap(t *testing.T) {
 	h := newHarness(t)
-	rep := h.newReplica(t, 0)
+	rep := h.newReplica(t)
 	if err := rep.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +223,7 @@ func TestReplTruncationRebootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep2 := h.newReplica(t, 0)
+	rep2 := h.newReplica(t)
 	defer rep2.Close()
 	if err := rep2.Start(); err != nil {
 		t.Fatal(err)
@@ -221,7 +252,7 @@ func TestReplTruncationRebootstrap(t *testing.T) {
 func TestReplShippingModel(t *testing.T) {
 	scenario := func(seed int64) bool {
 		h := newHarness(t)
-		rep := h.newReplica(t, 0)
+		rep := h.newReplica(t)
 		closed := false
 		defer func() {
 			if !closed {

@@ -128,7 +128,7 @@ type Store interface {
 	Exec(ctx context.Context, stmt *query.Statement) (query.Result, error)
 	// Watch subscribes a changefeed (the WATCH command); the session
 	// streams the feed and Closes it.
-	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...cdc.Options) (cdc.Feed, error)
+	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (cdc.Feed, error)
 	// CreateMView, MViewQuery and MViewStats are the MVIEW subcommands.
 	CreateMView(ctx context.Context, spec mview.Spec) error
 	MViewQuery(ctx context.Context, name string) (query.Result, error)

@@ -267,7 +267,7 @@ func (f *fakeStore) Metrics() *obs.Registry { return f.reg }
 
 // Watch replays the recorded events matching the filter and then ends
 // the feed — a finite stream, so WATCH sessions terminate with END.
-func (f *fakeStore) Watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64, _ ...cdc.Options) (cdc.Feed, error) {
+func (f *fakeStore) Watch(_ context.Context, table, group string, start, end []byte, fromLSN uint64) (cdc.Feed, error) {
 	if _, ok := f.tables[table]; !ok {
 		return nil, fmt.Errorf("no table %s", table)
 	}

@@ -16,31 +16,22 @@ func batchRec(key string) *Record {
 	return &Record{Kind: KindWrite, Key: []byte(key), Value: []byte("v")}
 }
 
-// queueBehindHeldFlush starts a leader whose flush is held inside the
-// append hook, enqueues one follower per group in order (each confirmed
-// queued under b.mu before the next starts), then releases the leader.
-// It returns the records of every later Log.Append that succeeded, and
-// each group's Append error; a group's returned Ptrs are checked to
-// read back its own records.
+// queueBehindHeldFlush starts a leader whose flush is held on the log
+// lock, enqueues one follower per group in order (each confirmed queued
+// under b.mu before the next starts), then releases the leader. It
+// returns the records of every later Log.Append that succeeded, read
+// from the in-memory tail, and each group's Append error; a group's
+// returned Ptrs are checked to read back its own records.
 func queueBehindHeldFlush(t *testing.T, l *Log, b *Batcher, groups ...[]*Record) (flushes [][]Record, errs []error) {
 	t.Helper()
-	held, release := make(chan struct{}), make(chan struct{})
-	first := true
-	l.SetAppendHook(func(recs []*Record) {
-		if first {
-			first = false
-			close(held)
-			<-release
-			return
+	l.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			l.mu.Unlock()
 		}
-		flush := make([]Record, len(recs))
-		for i, r := range recs {
-			flush[i] = *r
-		}
-		flushes = append(flushes, flush)
-	})
-	defer l.SetAppendHook(nil)
-
+	}()
+	leaderLSN := l.nextLSN
 	errs = make([]error, len(groups))
 	var wg sync.WaitGroup
 	appendAsync := func(recs []*Record, errp *error) {
@@ -60,7 +51,12 @@ func queueBehindHeldFlush(t *testing.T, l *Log, b *Batcher, groups ...[]*Record)
 	}
 	var leaderErr error
 	appendAsync([]*Record{batchRec("leader")}, &leaderErr)
-	<-held
+	for took := false; !took; { // the leader took its entry and waits on the log
+		runtime.Gosched()
+		b.mu.Lock()
+		took = b.flushing && len(b.queue) == 0
+		b.mu.Unlock()
+	}
 	for i, g := range groups {
 		appendAsync(g, &errs[i])
 		for queued := 0; queued <= i; {
@@ -70,10 +66,25 @@ func queueBehindHeldFlush(t *testing.T, l *Log, b *Batcher, groups ...[]*Record)
 			b.mu.Unlock()
 		}
 	}
-	close(release)
+	held = false
+	l.mu.Unlock()
 	wg.Wait()
 	if leaderErr != nil {
 		t.Fatalf("leader Append: %v", leaderErr)
+	}
+	for _, tb := range l.tail {
+		if tb.first == leaderLSN {
+			continue
+		}
+		var flush []Record
+		for buf := tb.buf; len(buf) > 0; {
+			rec, n, err := Decode(buf)
+			if err != nil {
+				t.Fatalf("tail batch at LSN %d: %v", tb.first, err)
+			}
+			flush, buf = append(flush, rec), buf[n:]
+		}
+		flushes = append(flushes, flush)
 	}
 	return flushes, errs
 }

@@ -81,8 +81,13 @@ type Log struct {
 	nextSeg uint32
 	nextLSN uint64
 	readers map[uint32]*dfs.Reader
-	hook    func([]*Record)
 	dooming int // doomed segments whose files still exist
+
+	// The in-memory tail, oldest batch first, and its byte count
+	// (tail.go). tailMoved is made only when a follower waits.
+	tail      []tailBatch
+	tailSize  int
+	tailMoved chan struct{}
 }
 
 type segState struct {
@@ -285,7 +290,8 @@ func (l *Log) SetNextLSN(lsn uint64) {
 // updated in place. Records never span segment files. Consecutive
 // frames destined for the same segment are coalesced into one DFS
 // write, which is what makes group commit amortise the persistence
-// cost (paper §3.7.2).
+// cost (paper §3.7.2). Every batch written is kept in the in-memory
+// tail (Follow).
 func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -298,21 +304,24 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 		size += FrameSize(r)
 	}
 	batch := make([]byte, 0, size) // every frame is written into it in place
+	first := l.nextLSN
 	for _, r := range recs {
-		r.LSN = l.nextLSN
-		l.nextLSN++
 		n := int64(FrameSize(r))
 		if l.curW == nil || l.segs[l.cur].size+n > l.opts.SegmentSize {
 			if err := l.flushBatchLocked(batch); err != nil {
 				return nil, err
 			}
-			batch = batch[:0]
+			// The tail keeps the flushed array: the rest go to a fresh one.
+			l.keepLocked(first, batch)
+			batch, first = make([]byte, 0, cap(batch)-len(batch)), l.nextLSN
 			num, w, err := l.newSegmentLocked(false)
 			if err != nil {
 				return nil, err
 			}
 			l.cur, l.curW = num, w
 		}
+		r.LSN = l.nextLSN
+		l.nextLSN++
 		st := l.segs[l.cur]
 		ptrs = append(ptrs, Ptr{Seg: l.cur, Off: st.size, Len: uint32(n)})
 		batch = AppendFrame(batch, r)
@@ -322,9 +331,7 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 	if err := l.flushBatchLocked(batch); err != nil {
 		return nil, err
 	}
-	if l.hook != nil {
-		l.hook(recs)
-	}
+	l.keepLocked(first, batch)
 	return ptrs, nil
 }
 
@@ -420,18 +427,6 @@ func (l *Log) repairTornLocked(num uint32, dataEnd int64) {
 	st.dataEnd = dataEnd
 }
 
-// SetAppendHook installs a callback invoked with every durably appended
-// record batch, while the append lock is still held — so invocations
-// across concurrent writers are serialised in strict LSN order, which
-// is what a changefeed's live tail needs. The hook must be fast, must
-// not block, must not call back into the Log, and must copy what it
-// keeps: the records are the caller's. Pass nil to remove.
-func (l *Log) SetAppendHook(hook func([]*Record)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hook = hook
-}
-
 // Rotate forces the next append into a new segment.
 func (l *Log) Rotate() {
 	l.mu.Lock()
@@ -516,14 +511,8 @@ func (l *Log) Unpin(nums ...uint32) {
 // to Unpin when done). Long scans use it to hold the whole snapshot
 // they started on.
 func (l *Log) PinAll() []uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]uint32, 0, len(l.order))
-	for _, n := range l.order {
-		l.segs[n].pins++
-		out = append(out, n)
-	}
-	return out
+	pinned, _, _ := l.PinRetained()
+	return pinned
 }
 
 // Read fetches the record at ptr. This is the single-seek read path the

@@ -78,6 +78,10 @@ import (
 // ErrNotFound is returned when a key or version does not exist.
 var ErrNotFound = core.ErrNotFound
 
+// ErrKeyTooLong is returned for a write whose key is longer than
+// 65,535 bytes; nothing of the write is stored.
+var ErrKeyTooLong = core.ErrKeyTooLong
+
 // ErrConflict is returned when a transaction loses first-committer-wins
 // validation; retry the transaction (or use RunTx).
 var ErrConflict = txn.ErrConflict
@@ -192,8 +196,8 @@ func embedded(c *Cluster) *DB {
 // order, and fromLSN > 0 resumes after a previously observed cursor
 // (pass cursor+1). It is the one Store method DB declares itself: only
 // a deployment with one log has one LSN space.
-func (db *DB) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error) {
-	return db.watch(ctx, table, opts, func(_ context.Context, o WatchOptions) (ChangeFeed, error) {
+func (db *DB) Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (ChangeFeed, error) {
+	return db.watch(ctx, table, func(context.Context) (ChangeFeed, error) {
 		groups := db.c.Groups(table)
 		if len(groups) == 0 {
 			return nil, errors.New("logbase: unknown table " + table)
@@ -201,7 +205,7 @@ func (db *DB) Watch(ctx context.Context, table, group string, start, end []byte,
 		if group != "" && !slices.Contains(groups, group) {
 			return nil, errors.New("logbase: table " + table + " has no column group " + group)
 		}
-		return db.Server().Watch(table, group, start, end, fromLSN, o)
+		return db.Server().Watch(table, group, start, end, fromLSN)
 	})
 }
 

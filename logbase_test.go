@@ -1,6 +1,7 @@
 package logbase_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -171,6 +172,47 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	}
 	if _, err := db2.Get(bg, "events", "payload", []byte("tail")); err != nil {
 		t.Errorf("tail write lost: %v", err)
+	}
+}
+
+// TestKeyTooLongKeepsCheckpointLoadable: a checkpoint stores each key's
+// length in 16 bits, so a longer key is refused at the write — through
+// Put, a batch and a transaction alike — and the server's checkpoint
+// stays loadable: after Checkpoint, Reopen and Recover the short key
+// still reads.
+func TestKeyTooLongKeepsCheckpointLoadable(t *testing.T) {
+	db := openDB(t, logbase.Options{})
+	long := bytes.Repeat([]byte("k"), 1<<16)
+	if err := db.Put(bg, "events", "payload", long, []byte("v")); !errors.Is(err, logbase.ErrKeyTooLong) {
+		t.Fatalf("Put of a %d-byte key: err = %v, want ErrKeyTooLong", len(long), err)
+	}
+	b := db.Batch()
+	b.Put("events", "payload", long, []byte("v"))
+	if err := b.Flush(bg); !errors.Is(err, logbase.ErrKeyTooLong) {
+		t.Fatalf("batch with a %d-byte key: err = %v, want ErrKeyTooLong", len(long), err)
+	}
+	err := logbase.RunTx(bg, db, func(tx logbase.Tx) error {
+		return tx.Put("events", "payload", long, []byte("v"))
+	})
+	if !errors.Is(err, logbase.ErrKeyTooLong) {
+		t.Fatalf("transaction with a %d-byte key: err = %v, want ErrKeyTooLong", len(long), err)
+	}
+	if err := db.Put(bg, "events", "payload", []byte("short"), []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	db2, err := db.Reopen()
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	db2.CreateTable("events", "payload", "meta")
+	if _, err := db2.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if row, err := db2.Get(bg, "events", "payload", []byte("short")); err != nil || string(row.Value) != "v" {
+		t.Fatalf("Get(short) after recovery = %+v, %v", row, err)
 	}
 }
 

@@ -118,8 +118,8 @@ func (cc *ClusterClient) CreateMView(ctx context.Context, spec MViewSpec) error 
 	vs.mu.Unlock()
 
 	// Drain the feed concurrently with the bootstrap scan so a long
-	// scan under write load does not send the feed back to the log to
-	// re-read what overflowed its buffer.
+	// scan under write load does not leave the feed behind the log's
+	// in-memory tail, to re-read its gap from the segments.
 	go rv.run(fctx)
 
 	it := cc.Scan(ctx, spec.Table, spec.Group, spec.Start, spec.End)

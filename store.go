@@ -76,7 +76,7 @@ type Store interface {
 	// multi-server cluster's feeds are not LSN-addressable across
 	// servers, and its ClusterClient rejects a non-zero fromLSN). Always
 	// Close the feed.
-	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64, opts ...WatchOptions) (ChangeFeed, error)
+	Watch(ctx context.Context, table, group string, start, end []byte, fromLSN uint64) (ChangeFeed, error)
 	// CreateMView registers a materialized aggregate view and
 	// bootstraps it (changefeed subscription, then snapshot scan, then
 	// incremental maintenance until Close).

@@ -5,9 +5,9 @@ package logbase
 // stream — there is no second pipeline to build or keep consistent.
 // Watch returns a pull-based feed that first catches up through the
 // retained log segments (historical events, oldest first) and then
-// switches seamlessly to a live tail fed from the group-commit flush
-// path, in total LSN order, without missing or duplicating events
-// across the handoff.
+// switches seamlessly to the log's in-memory tail, in total LSN order,
+// without missing or duplicating events across the handoff; a consumer
+// the tail has moved past reads its gap from the segments again.
 //
 // Cursor contract: every event carries a Cursor; after consuming event
 // e a client may resume with fromLSN = e.Cursor+1 and observe exactly
@@ -35,9 +35,6 @@ const (
 // ChangeFeed is a pull-based changefeed: call Next until it returns an
 // error, then Close. See cdc.Feed.
 type ChangeFeed = cdc.Feed
-
-// WatchOptions tunes a changefeed subscription.
-type WatchOptions = cdc.Options
 
 // ErrCursorTruncated reports that a feed's resume LSN has fallen behind
 // the compaction reclaim horizon: the exact event history below that
