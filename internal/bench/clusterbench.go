@@ -71,7 +71,6 @@ func newYCSBCluster(n int) (*cluster.Cluster, string, error) {
 		// Group commit on: the YCSB runs drive each server from many
 		// concurrent clients, exactly the workload §3.7.2 batches.
 		cfg.Server.GroupCommit = true
-		cfg.Server.GroupCommitBatch = 64
 	})
 }
 

@@ -175,8 +175,13 @@ func ReplicaScan(s Scale) (Table, error) {
 		}
 		return nil
 	}
+	// Stop shipping first: Detach flushes the replica's durable cursor,
+	// which an idle shipping loop would otherwise write mid-scan and
+	// charge to it. The detached server serves the scan.
+	rsrv := rep.Detach()
+	defer rsrv.Close()
 	idle := pclock.Elapsed()
-	rscan, err := measured(rclock, int64(total), func() error { return scan(rep.Server()) })
+	rscan, err := measured(rclock, int64(total), func() error { return scan(rsrv) })
 	if err != nil {
 		return t, err
 	}

@@ -185,10 +185,7 @@ func AutoCompactChurn(s Scale) (Table, error) {
 		Header: []string{"ops", "disk µs/op", "final sorted fraction"},
 		Shape:  "SortedFraction stays >= 0.5 with no manual Compact",
 	}
-	srv, clock, dir, err := newServerFixture("autocompact", core.Config{
-		SegmentSize: 1 << 20,
-		AutoCompact: core.AutoCompactConfig{GarbageRatio: 0.30, MaxSegmentsPerRun: 4},
-	})
+	srv, clock, dir, err := newServerFixture("autocompact", core.Config{SegmentSize: 1 << 20})
 	if dir != "" {
 		defer os.RemoveAll(dir)
 	}

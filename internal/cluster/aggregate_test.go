@@ -186,9 +186,8 @@ func TestClusterGroupCommitPath(t *testing.T) {
 		NumServers: 3,
 		Tables:     []TableSpec{{Name: "metrics", Groups: []string{"v"}}},
 		Server: core.Config{
-			SegmentSize:      1 << 20,
-			GroupCommit:      true,
-			GroupCommitBatch: 16,
+			SegmentSize: 1 << 20,
+			GroupCommit: true,
 		},
 	})
 	if err != nil {

@@ -559,7 +559,7 @@ func (c *Cluster) CompactAll() error {
 
 // AutoCompactTick runs one incremental compaction pass on every live
 // server — the deterministic form of the background loop that
-// Config.Server.AutoCompact.Interval starts on each tablet server.
+// Config.Server.AutoCompactInterval starts on each tablet server.
 func (c *Cluster) AutoCompactTick() error {
 	for _, id := range c.LiveServers() {
 		if _, _, err := c.Server(id).AutoCompactTick(); err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -121,7 +122,7 @@ func TestMoveTabletLiveMigration(t *testing.T) {
 	if asg[hot] != dest {
 		t.Fatalf("tablet %s assigned to %s, want %s", hot, asg[hot], dest)
 	}
-	if got := c.Server(src).Tablets(); containsString(got, hot) {
+	if serves(c.Server(src), hot, "profile") {
 		t.Errorf("source still serves %s after migration", hot)
 	}
 	// Stale client converges; data intact with exactly one version each.
@@ -136,13 +137,11 @@ func TestMoveTabletLiveMigration(t *testing.T) {
 	}
 }
 
-func containsString(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
+// serves reports whether srv serves tablet tab: a read of group there
+// does not fail with ErrUnknownTablet.
+func serves(srv *core.Server, tab, group string) bool {
+	_, err := srv.Get(tab, group, []byte("probe"))
+	return !errors.Is(err, core.ErrUnknownTablet)
 }
 
 // TestConcurrentWritersDuringSplitAndMigration is the convergence test
@@ -280,7 +279,7 @@ func TestAssignmentsEpochSafeDuringFailover(t *testing.T) {
 				// owner must serve its data NOW.
 				for tab, owner := range asg {
 					srv := c.Server(owner)
-					if srv == nil || !containsString(srv.Tablets(), tab) {
+					if srv == nil || !serves(srv, tab, "profile") {
 						violations.Add(1)
 						return
 					}

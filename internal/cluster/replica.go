@@ -108,7 +108,7 @@ func (c *Cluster) startReplicas() error {
 // (with the crash points it fires) stays on the primaries.
 func (c *Cluster) replicaConfig() core.Config {
 	sc := c.serverConfig()
-	sc.AutoCompact = core.AutoCompactConfig{}
+	sc.AutoCompactInterval = 0
 	return sc
 }
 

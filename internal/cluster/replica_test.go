@@ -479,11 +479,18 @@ func TestStartReplicaAtRuntime(t *testing.T) {
 		t.Errorf("replica id %s, want ts01.r0", rep.BaseID())
 	}
 	primary := c.Server("ts01")
-	got, want := rep.Server().Tablets(), primary.Tablets()
-	slices.Sort(got)
-	slices.Sort(want)
-	if len(want) != 2 || !slices.Equal(got, want) {
-		t.Fatalf("replica declares tablets %v, its server %v (want the two split children)", got, want)
+	asg, _ := c.RoutingSnapshot()
+	var want []string
+	for tab, owner := range asg {
+		if owner == "ts01" {
+			want = append(want, tab)
+		}
+		if got := serves(rep.Server(), tab, "g"); got != (owner == "ts01") {
+			t.Fatalf("replica serves tablet %s: %v, but its owner is %s", tab, got, owner)
+		}
+	}
+	if len(want) != 2 {
+		t.Fatalf("ts01 owns tablets %v, want the two split children", want)
 	}
 	if p, ok := rep.Server().Retention("t"); !ok || p != policy {
 		t.Fatalf("replica retention = %+v, %v; want %+v", p, ok, policy)

@@ -2,7 +2,7 @@ package core
 
 // Garbage-triggered background compaction pacing (paper §3.6.5
 // generalised): instead of waiting for a whole-log Compact, a paced
-// background loop (Config.AutoCompact) picks the segments whose
+// background loop (Config.AutoCompactInterval) picks the segments whose
 // accumulated garbage (superseded versions, deleted rows) or unsorted
 // layout makes them worth reclustering and hands them to the compaction
 // engine (compaction.go) on every tablet server, so the log STAYS
@@ -19,42 +19,27 @@ import (
 	"repro/internal/wal"
 )
 
-// AutoCompactConfig tunes the background incremental compactor.
-type AutoCompactConfig struct {
-	// GarbageRatio is the garbage/size fraction above which a sorted
+const (
+	// autoGarbageRatio is the garbage/size fraction above which a sorted
 	// segment becomes a rewrite candidate (unsorted sealed segments are
 	// always candidates — they are what drags SortedFraction down).
-	// Zero means 0.30.
-	GarbageRatio float64
-	// Interval paces the background loop; <= 0 disables the loop
-	// (explicit AutoCompactTick still works).
-	Interval time.Duration
-	// MaxSegmentsPerRun bounds how many segments one run rewrites, so a
+	autoGarbageRatio = 0.30
+	// autoMaxSegments bounds how many segments one run rewrites, so a
 	// run's memory and I/O stay proportional to a few segments, not the
-	// log. Zero means 4.
-	MaxSegmentsPerRun int
-}
-
-func (c AutoCompactConfig) withDefaults() AutoCompactConfig {
-	if c.GarbageRatio <= 0 {
-		c.GarbageRatio = 0.30
-	}
-	if c.MaxSegmentsPerRun <= 0 {
-		c.MaxSegmentsPerRun = 4
-	}
-	return c
-}
+	// log.
+	autoMaxSegments = 4
+)
 
 // autoRotateFraction: the auto compactor seals the active segment once
 // it exceeds this fraction of the rotation size, so a slowly-filling
 // tail cannot keep the log's sorted fraction low between rotations.
 const autoRotateFraction = 8
 
-// compactionCandidates picks up to max segments worth rewriting,
-// highest payoff first: unsorted sealed segments (recluster + drop
-// garbage), then sorted segments whose garbage ratio crossed the
-// threshold. The active append segment is never a candidate.
-func (s *Server) compactionCandidates(max int, garbageRatio float64) []uint32 {
+// compactionCandidates picks up to autoMaxSegments segments worth
+// rewriting, highest payoff first: unsorted sealed segments (recluster
+// + drop garbage), then sorted segments whose garbage ratio crossed
+// autoGarbageRatio. The active append segment is never a candidate.
+func (s *Server) compactionCandidates() []uint32 {
 	active := s.log.ActiveSegment()
 	type cand struct {
 		num   uint32
@@ -71,7 +56,7 @@ func (s *Server) compactionCandidates(max int, garbageRatio float64) []uint32 {
 			// Unsorted segments always qualify: reclustering them is what
 			// holds SortedFraction up. Garbage breaks ties.
 			cands = append(cands, cand{si.Num, 1 + ratio})
-		case ratio >= garbageRatio:
+		case ratio >= autoGarbageRatio:
 			cands = append(cands, cand{si.Num, ratio})
 		}
 	}
@@ -81,8 +66,8 @@ func (s *Server) compactionCandidates(max int, garbageRatio float64) []uint32 {
 		}
 		return cands[i].num < cands[j].num
 	})
-	if len(cands) > max {
-		cands = cands[:max]
+	if len(cands) > autoMaxSegments {
+		cands = cands[:autoMaxSegments]
 	}
 	nums := make([]uint32, len(cands))
 	for i, c := range cands {
@@ -92,10 +77,10 @@ func (s *Server) compactionCandidates(max int, garbageRatio float64) []uint32 {
 	return nums
 }
 
-// AutoCompactTick runs one compaction pass with the configured (or
-// default) pacing knobs: seal an oversized active tail, pick the
+// AutoCompactTick runs one compaction pass: seal an oversized active tail, pick the
 // highest-garbage candidates, rewrite them. It reports whether a
-// rewrite ran. The background loop calls this every Interval; tests
+// rewrite ran. The background loop calls this every
+// Config.AutoCompactInterval; tests
 // and benches call it directly for deterministic pacing.
 func (s *Server) AutoCompactTick() (CompactionStats, bool, error) {
 	if !s.indexReady.Load() {
@@ -116,7 +101,6 @@ func (s *Server) AutoCompactTick() (CompactionStats, bool, error) {
 	// One wall-time→timestamp sample per tick: what age-based retention
 	// policies resolve their KeepFor cutoffs against.
 	s.SampleRetention()
-	cfg := s.cfg.AutoCompact.withDefaults()
 	// Seal a grown tail so its bytes become compactable.
 	segSize := s.cfg.SegmentSize
 	if segSize <= 0 {
@@ -130,7 +114,7 @@ func (s *Server) AutoCompactTick() (CompactionStats, bool, error) {
 			}
 		}
 	}
-	nums := s.compactionCandidates(cfg.MaxSegmentsPerRun, cfg.GarbageRatio)
+	nums := s.compactionCandidates()
 	if len(nums) == 0 {
 		return CompactionStats{}, false, nil
 	}
@@ -165,7 +149,7 @@ func (s *Server) auditGarbage() {
 }
 
 // autoCompactLoop is the paced background compactor started by
-// NewServer when Config.AutoCompact.Interval > 0.
+// NewServer when Config.AutoCompactInterval > 0.
 func (s *Server) autoCompactLoop(interval time.Duration, stop chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	ticker := time.NewTicker(interval)

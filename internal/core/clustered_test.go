@@ -555,9 +555,7 @@ func TestRecoveryAfterIncrementalCompaction(t *testing.T) {
 // layout and checks candidate selection honours the garbage threshold
 // and the active segment exclusion.
 func TestAutoCompactTickAndCandidates(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		AutoCompact: AutoCompactConfig{GarbageRatio: 0.5, MaxSegmentsPerRun: 2},
-	})
+	s, _ := newTestServer(t, Config{})
 	ts := int64(0)
 	for i := 0; i < 500; i++ {
 		ts++
@@ -607,8 +605,8 @@ func TestAutoCompactBackgroundLoop(t *testing.T) {
 		t.Fatalf("fs: %v", err)
 	}
 	s, err := NewServer(fs, "ts1", Config{
-		SegmentSize: 1 << 18,
-		AutoCompact: AutoCompactConfig{Interval: 2 * time.Millisecond, GarbageRatio: 0.3, MaxSegmentsPerRun: 8},
+		SegmentSize:         1 << 18,
+		AutoCompactInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -1016,9 +1014,7 @@ func TestGarbageAuditAfterRestart(t *testing.T) {
 		}
 	}
 
-	s2 := mustServer(t, fs, "ts1", Config{
-		AutoCompact: AutoCompactConfig{GarbageRatio: 0.3, MaxSegmentsPerRun: 8},
-	})
+	s2 := mustServer(t, fs, "ts1", Config{})
 	if _, err := s2.Recover(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

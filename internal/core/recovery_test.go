@@ -187,11 +187,14 @@ func TestTornTailIgnoredOnRecovery(t *testing.T) {
 	s.Write(testTablet, testGroup, []byte("good"), 1, []byte("v"))
 	// Torn write at the tail: claims 500 payload bytes, delivers 4.
 	segs := s.Log().Segments()
-	w, err := fs.OpenAppend(s.Log().SegmentPath(segs[len(segs)-1].Num))
+	path := s.Log().SegmentPath(segs[len(segs)-1].Num)
+	data, err := fs.ReadFile(path)
 	if err != nil {
-		t.Fatalf("OpenAppend: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
-	w.Write([]byte{0xF4, 0x01, 0, 0, 1, 2, 3, 4})
+	if err := fs.WriteFile(path, append(data, 0xF4, 0x01, 0, 0, 1, 2, 3, 4)); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
 
 	s2 := crashAndRestart(t, fs, "ts1", Config{})
 	if _, err := s2.Recover(); err != nil {

@@ -25,6 +25,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dfs"
@@ -45,12 +46,10 @@ type Config struct {
 	// GroupCommit enables batching of concurrent log appends (paper
 	// §3.7.2): leader/follower group commit, no wait when alone.
 	GroupCommit bool
-	// GroupCommitBatch caps the records one group-commit flush carries
-	// (0 = 64 records).
-	GroupCommitBatch int
-	// AutoCompact paces the background incremental compactor
-	// (autocompact.go); the loop runs only when Interval > 0.
-	AutoCompact AutoCompactConfig
+	// AutoCompactInterval paces the background incremental compactor
+	// (autocompact.go); <= 0 disables the loop (AutoCompactTick still
+	// works).
+	AutoCompactInterval time.Duration
 	// NoClusteredScan forces every scan onto the index-driven path even
 	// over sorted segments; benches use it to measure the clustered fast
 	// path against its fallback.
@@ -70,6 +69,9 @@ type Config struct {
 	// registered either way — they cost the request paths nothing.
 	DisableMetrics bool
 }
+
+// groupCommitBatch caps the records one group-commit flush carries.
+const groupCommitBatch = 64
 
 // ErrNotFound is returned when a key (or version) does not exist.
 var ErrNotFound = errors.New("core: not found")
@@ -233,7 +235,7 @@ func NewServer(fs *dfs.DFS, id string, cfg Config) (*Server, error) {
 	}
 	s.obs = newServerObs(s)
 	if cfg.GroupCommit {
-		s.batcher = wal.NewBatcher(log, cfg.GroupCommitBatch, 0)
+		s.batcher = wal.NewBatcher(log, groupCommitBatch, 0)
 		if !cfg.DisableMetrics {
 			s.batcher.SetMetrics(
 				s.obs.reg.Histogram("logbase_wal_flush_seconds", "group-commit flush latency", obs.Labels{"server": id}),
@@ -243,10 +245,10 @@ func NewServer(fs *dfs.DFS, id string, cfg Config) (*Server, error) {
 	}
 	s.indexReady.Store(log.Size() == 0)
 	s.garbageAudited.Store(log.Size() == 0)
-	if cfg.AutoCompact.Interval > 0 {
+	if cfg.AutoCompactInterval > 0 {
 		s.autoStop = make(chan struct{})
 		s.autoWG.Add(1)
-		go s.autoCompactLoop(cfg.AutoCompact.Interval, s.autoStop, &s.autoWG)
+		go s.autoCompactLoop(cfg.AutoCompactInterval, s.autoStop, &s.autoWG)
 	}
 	return s, nil
 }
@@ -300,17 +302,6 @@ func (s *Server) RemoveTablet(id string) {
 			return true
 		})
 	}
-}
-
-// Tablets lists served tablet ids.
-func (s *Server) Tablets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tablets))
-	for id := range s.tablets {
-		out = append(out, id)
-	}
-	return out
 }
 
 func (s *Server) tablet(id string) (*Tablet, error) {

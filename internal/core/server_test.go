@@ -258,9 +258,12 @@ func TestFullScan(t *testing.T) {
 }
 
 func TestGroupCommitPath(t *testing.T) {
-	s, _ := newTestServer(t, Config{GroupCommit: true, GroupCommitBatch: 8})
+	s, _ := newTestServer(t, Config{GroupCommit: true})
+	// Twice as many concurrent writers as one flush carries, so a full
+	// group spills into a second flush.
+	const writers = 2 * groupCommitBatch
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -271,7 +274,7 @@ func TestGroupCommitPath(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for g := 0; g < 16; g++ {
+	for g := 0; g < writers; g++ {
 		if _, err := s.Get(testTablet, testGroup, []byte(fmt.Sprintf("gc-%02d", g))); err != nil {
 			t.Errorf("Get gc-%02d: %v", g, err)
 		}
@@ -361,8 +364,8 @@ func TestRemoveTablet(t *testing.T) {
 	if err := s.Write(testTablet, testGroup, []byte("k2"), 2, []byte("v")); !errors.Is(err, ErrUnknownTablet) {
 		t.Errorf("write to removed tablet err = %v", err)
 	}
-	if len(s.Tablets()) != 0 {
-		t.Errorf("Tablets = %v", s.Tablets())
+	if _, err := s.Get(testTablet, testGroup, []byte("k")); !errors.Is(err, ErrUnknownTablet) {
+		t.Errorf("read of removed tablet err = %v", err)
 	}
 }
 

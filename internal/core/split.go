@@ -164,9 +164,6 @@ func (s *Server) NewReplaySession(srcLog *wal.Log, srcStart wal.Position, specs 
 	return newReplaySession(s, srcLog, srcStart, adopted), nil
 }
 
-// Applied returns the total number of records applied so far.
-func (rs *ReplaySession) Applied() int { return rs.applied }
-
 // SetHighWater seeds the replay's LSN high-water mark: source records
 // at or below lsn are treated as already covered and skipped. Replica
 // promotion uses it — the promoted standby already holds everything the

@@ -41,12 +41,6 @@ func (n *DataNode) setAlive(v bool) {
 // Alive reports whether the node is accepting I/O.
 func (n *DataNode) Alive() bool { return n.alive.Load() }
 
-// ID returns the node's cluster-wide id.
-func (n *DataNode) ID() int { return n.id }
-
-// Rack returns the rack the node is placed on.
-func (n *DataNode) Rack() int { return n.rack }
-
 // Disk exposes the node's disk for stats inspection in tests/benches.
 func (n *DataNode) Disk() *simdisk.Disk { return n.disk }
 

@@ -137,9 +137,6 @@ func New(dir string, cfg Config) (*DFS, error) {
 	return d, nil
 }
 
-// Config returns the (defaulted) configuration the cluster runs with.
-func (d *DFS) Config() Config { return d.cfg }
-
 // DataNode returns datanode i.
 func (d *DFS) DataNode(i int) *DataNode { return d.nodes[i] }
 
@@ -209,17 +206,6 @@ func (d *DFS) Create(path string) (*Writer, error) {
 	}
 	d.files[path] = &fileMeta{}
 	return &Writer{d: d, path: path}, nil
-}
-
-// OpenAppend opens an existing file for appending.
-func (d *DFS) OpenAppend(path string) (*Writer, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fm, ok := d.files[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return &Writer{d: d, path: path, off: fm.size()}, nil
 }
 
 // Open returns a reader for the file.
@@ -608,7 +594,6 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 type Writer struct {
 	d    *DFS
 	path string
-	off  int64
 }
 
 // Write appends p and returns its length.
@@ -622,16 +607,8 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if err := w.d.appendTo(fm, p); err != nil {
 		return 0, err
 	}
-	w.off += int64(len(p))
 	return len(p), nil
 }
-
-// Offset returns the file offset at which the next Write will land.
-func (w *Writer) Offset() int64 { return w.off }
-
-// Sync is a no-op placeholder: replication is already synchronous, so
-// data is durable (in the simulated sense) when Write returns.
-func (w *Writer) Sync() error { return nil }
 
 // Close releases the writer.
 func (w *Writer) Close() error { return nil }

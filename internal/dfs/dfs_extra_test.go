@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -52,8 +53,15 @@ func TestWritesAfterRestartGoEverywhere(t *testing.T) {
 
 func TestOpenAppendMissing(t *testing.T) {
 	d := newTestDFS(t, Config{})
-	if _, err := d.OpenAppend("ghost"); err == nil {
-		t.Error("OpenAppend on missing file succeeded")
+	w, err := d.Create("ghost")
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := d.Delete("ghost"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if _, err := w.Write([]byte("x")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("append to a deleted file = %v, want ErrNotFound", err)
 	}
 }
 
@@ -122,9 +130,8 @@ func TestManySmallFilesGC(t *testing.T) {
 	}
 	// All block files must be gone from every datanode.
 	for i := 0; i < 3; i++ {
-		names, _ := d.DataNode(i).Disk().List()
-		if len(names) != 0 {
-			t.Errorf("dn%d leaked %d block files", i, len(names))
+		if n := blockFiles(d, i); n != 0 {
+			t.Errorf("dn%d leaked %d block files", i, n)
 		}
 	}
 }

@@ -290,7 +290,7 @@ func TestTruncateAcrossBlocks(t *testing.T) {
 		}
 	}
 	// Appends continue at the cut.
-	w2, _ := fs.OpenAppend("f")
+	w2 := &Writer{d: fs, path: "f"}
 	if _, err := w2.Write([]byte{0xFF}); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
@@ -435,14 +435,10 @@ func TestWriteFileFailureKeepsOldContent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	blockFiles := func() int {
+	allBlockFiles := func() int {
 		n := 0
 		for i := 0; i < fs.NumDataNodes(); i++ {
-			names, err := fs.DataNode(i).Disk().List()
-			if err != nil {
-				t.Fatalf("List dn%d: %v", i, err)
-			}
-			n += len(names)
+			n += blockFiles(fs, i)
 		}
 		return n
 	}
@@ -450,7 +446,7 @@ func TestWriteFileFailureKeepsOldContent(t *testing.T) {
 	if err := fs.WriteFile("chk/a", old); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	installed := blockFiles()
+	installed := allBlockFiles()
 
 	for i := 0; i < fs.NumDataNodes(); i++ {
 		reg.Arm(fmt.Sprintf("dfs.dn%d.write", i), fault.Policy{After: 1})
@@ -462,7 +458,7 @@ func TestWriteFileFailureKeepsOldContent(t *testing.T) {
 	if got, err := fs.ReadFile("chk/a"); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("after a failed WriteFile: ReadFile = %d bytes, %v; want the previous %d bytes", len(got), err, len(old))
 	}
-	if n := blockFiles(); n != installed {
+	if n := allBlockFiles(); n != installed {
 		t.Fatalf("failed WriteFile left %d block files, want the previous content's %d", n, installed)
 	}
 	if got := fs.List(""); !slices.Equal(got, []string{"chk/a"}) {
@@ -475,8 +471,8 @@ func TestWriteFileFailureKeepsOldContent(t *testing.T) {
 	if got, err := fs.ReadFile("chk/a"); err != nil || string(got) != "short" {
 		t.Fatalf("ReadFile = %q, %v; want %q", got, err, "short")
 	}
-	if n := blockFiles(); n != fs.Config().ReplicationFactor {
-		t.Fatalf("%d block files after a one-block replace, want %d", n, fs.Config().ReplicationFactor)
+	if n := allBlockFiles(); n != fs.cfg.ReplicationFactor {
+		t.Fatalf("%d block files after a one-block replace, want %d", n, fs.cfg.ReplicationFactor)
 	}
 	if _, err := fs.ReadFile("chk/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ReadFile of a missing path = %v, want ErrNotFound", err)

@@ -223,7 +223,7 @@ func TestRackAwarePlacement(t *testing.T) {
 	for _, b := range d.files["f"].blocks {
 		racks := map[int]bool{}
 		for _, nid := range b.replicas {
-			racks[d.nodes[nid].Rack()] = true
+			racks[d.nodes[nid].rack] = true
 		}
 		if len(racks) < 2 {
 			t.Errorf("block %d replicas all on one rack: %v", b.id, b.replicas)
@@ -237,13 +237,10 @@ func TestAppendAfterReopen(t *testing.T) {
 	w.Write([]byte("first,"))
 	w.Close()
 
-	w2, err := d.OpenAppend("f")
-	if err != nil {
-		t.Fatalf("OpenAppend: %v", err)
+	if size, err := d.Size("f"); err != nil || size != 6 {
+		t.Errorf("size after close = %d, %v; want 6", size, err)
 	}
-	if w2.Offset() != 6 {
-		t.Errorf("append offset = %d, want 6", w2.Offset())
-	}
+	w2 := &Writer{d: d, path: "f"}
 	w2.Write([]byte("second"))
 
 	r, _ := d.Open("f")
@@ -252,6 +249,21 @@ func TestAppendAfterReopen(t *testing.T) {
 	if string(buf) != "first,second" {
 		t.Errorf("content = %q", buf)
 	}
+}
+
+// blockFiles counts the block files on datanode i's disk, over every
+// block id the namenode has handed out.
+func blockFiles(d *DFS, i int) int {
+	d.mu.Lock()
+	last := d.nextBlock
+	d.mu.Unlock()
+	n := 0
+	for id := blockID(1); id <= last; id++ {
+		if d.nodes[i].disk.Exists(fmt.Sprintf("blk_%012d", id)) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDeleteRemovesBlocks(t *testing.T) {
@@ -265,12 +277,8 @@ func TestDeleteRemovesBlocks(t *testing.T) {
 		t.Error("file exists after delete")
 	}
 	for i := 0; i < 3; i++ {
-		names, err := d.DataNode(i).Disk().List()
-		if err != nil {
-			t.Fatalf("List dn%d: %v", i, err)
-		}
-		if len(names) != 0 {
-			t.Errorf("dn%d still holds blocks %v after delete", i, names)
+		if n := blockFiles(d, i); n != 0 {
+			t.Errorf("dn%d still holds %d blocks after delete", i, n)
 		}
 	}
 }
@@ -436,11 +444,10 @@ func TestDiskCostPropagates(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	d := newTestDFS(t, Config{NumDataNodes: 2, BlockSize: 1024})
-	cfg := d.Config()
-	if cfg.ReplicationFactor != 2 { // clamped from default 3 to cluster size
-		t.Errorf("replication factor = %d, want 2 (clamped)", cfg.ReplicationFactor)
+	if d.cfg.ReplicationFactor != 2 { // clamped from default 3 to cluster size
+		t.Errorf("replication factor = %d, want 2 (clamped)", d.cfg.ReplicationFactor)
 	}
-	if r0, r1 := d.DataNode(0).Rack(), d.DataNode(1).Rack(); r0 != 0 || r1 != 1 {
+	if r0, r1 := d.DataNode(0).rack, d.DataNode(1).rack; r0 != 0 || r1 != 1 {
 		t.Errorf("racks = %d, %d, want the nodes spread over 2 racks", r0, r1)
 	}
 }

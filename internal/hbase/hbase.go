@@ -82,17 +82,6 @@ type Store struct {
 	mem      *lsm.Memtable
 	files    []*sstable.Reader // newest first
 	nextFile int
-
-	stats Stats
-}
-
-// Stats counts store activity.
-type Stats struct {
-	mu          sync.Mutex
-	Writes      int64
-	Flushes     int64
-	Compactions int64
-	FlushBytes  int64
 }
 
 // Open creates a store under dir.
@@ -109,16 +98,6 @@ func Open(fs *dfs.DFS, dir string, cfg Config) (*Store, error) {
 	return &Store{fs: fs, dir: dir, cfg: cfg, wal: w, bc: bc, mem: lsm.NewMemtable(), nextFile: 1}, nil
 }
 
-// WAL exposes the store's log for test inspection.
-func (s *Store) WAL() *wal.Log { return s.wal }
-
-// StatsSnapshot returns activity counters.
-func (s *Store) StatsSnapshot() (writes, flushes, compactions, flushBytes int64) {
-	s.stats.mu.Lock()
-	defer s.stats.mu.Unlock()
-	return s.stats.Writes, s.stats.Flushes, s.stats.Compactions, s.stats.FlushBytes
-}
-
 // Put writes a row version: first the WAL (durability), then the
 // memtable; a full memtable is flushed synchronously — the write stall
 // the paper observes ("the write has to wait until the memtable is
@@ -129,24 +108,6 @@ func (s *Store) Put(key []byte, ts int64, value []byte) error {
 	}
 	s.mu.Lock()
 	s.mem.Put(sstable.Entry{Key: key, TS: ts, Value: value})
-	s.stats.mu.Lock()
-	s.stats.Writes++
-	s.stats.mu.Unlock()
-	full := s.mem.ApproxBytes() >= s.cfg.MemtableBytes
-	s.mu.Unlock()
-	if full {
-		return s.Flush()
-	}
-	return nil
-}
-
-// Delete writes a tombstone.
-func (s *Store) Delete(key []byte, ts int64) error {
-	if _, err := s.wal.Append(&wal.Record{Kind: wal.KindDelete, Key: key, TS: ts}); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.mem.Put(sstable.Entry{Key: key, TS: ts, Tombstone: true})
 	full := s.mem.ApproxBytes() >= s.cfg.MemtableBytes
 	s.mu.Unlock()
 	if full {
@@ -176,13 +137,10 @@ func (s *Store) Flush() error {
 		return err
 	}
 	it := mem.Iterator(nil)
-	var bytesOut int64
 	for it.Next() {
-		e := it.Entry()
-		if err := w.Add(e); err != nil {
+		if err := w.Add(it.Entry()); err != nil {
 			return err
 		}
-		bytesOut += int64(len(e.Key) + len(e.Value) + 16)
 	}
 	if err := w.Finish(); err != nil {
 		return err
@@ -195,10 +153,6 @@ func (s *Store) Flush() error {
 	s.files = append([]*sstable.Reader{r}, s.files...)
 	tooMany := len(s.files) > s.cfg.MaxStoreFiles
 	s.mu.Unlock()
-	s.stats.mu.Lock()
-	s.stats.Flushes++
-	s.stats.FlushBytes += bytesOut
-	s.stats.mu.Unlock()
 	if tooMany {
 		return s.compactFilesLocked()
 	}
@@ -253,9 +207,6 @@ func (s *Store) compactFilesLocked() error {
 	for _, o := range inputs {
 		s.fs.Delete(o.Path()) //nolint:errcheck // best-effort GC
 	}
-	s.stats.mu.Lock()
-	s.stats.Compactions++
-	s.stats.mu.Unlock()
 	return nil
 }
 
@@ -344,52 +295,9 @@ func (s *Store) FullScan(fn func(Row) bool) error {
 	return s.Scan(nil, nil, math.MaxInt64, fn)
 }
 
-// Recover rebuilds the memtable from the WAL (store files are already
-// durable). The paper's point is that this replay-and-rebuild step —
-// plus flushing replayed data back out — delays HBase's recovery
-// relative to LogBase's index-only rebuild; the reproduction replays
-// the full WAL, conservative for HBase.
-func (s *Store) Recover() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem = lsm.NewMemtable()
-	n := 0
-	sc := s.wal.NewScanner(wal.Position{})
-	maxLSN := uint64(0)
-	for sc.Next() {
-		rec := sc.Record()
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
-		switch rec.Kind {
-		case wal.KindWrite:
-			s.mem.Put(sstable.Entry{Key: rec.Key, TS: rec.TS, Value: rec.Value})
-		case wal.KindDelete:
-			s.mem.Put(sstable.Entry{Key: rec.Key, TS: rec.TS, Tombstone: true})
-		default:
-			continue
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	s.wal.SetNextLSN(maxLSN + 1)
-	return n, nil
-}
-
 // NumStoreFiles reports the current store-file count.
 func (s *Store) NumStoreFiles() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.files)
-}
-
-// BlockCacheStats returns block-cache counters (zero stats when
-// disabled).
-func (s *Store) BlockCacheStats() cache.Stats {
-	if s.bc == nil {
-		return cache.Stats{}
-	}
-	return s.bc.Stats()
 }

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/lsm"
-	"repro/internal/sstable"
 	"repro/internal/wal"
 )
 
@@ -67,12 +66,6 @@ func Open(fs *dfs.DFS, dir string, cfg Config) (*Store, error) {
 	return &Store{fs: fs, log: log, idx: idx}, nil
 }
 
-// Log exposes the data log for test inspection.
-func (s *Store) Log() *wal.Log { return s.log }
-
-// Index exposes the LSM index for test inspection.
-func (s *Store) Index() *lsm.Tree { return s.idx }
-
 func encodePtr(p wal.Ptr) []byte {
 	out := make([]byte, 16)
 	binary.LittleEndian.PutUint32(out, p.Seg)
@@ -101,16 +94,6 @@ func (s *Store) Put(key []byte, ts int64, value []byte) error {
 		return err
 	}
 	return s.idx.Put(key, ts, encodePtr(ptrs[0]))
-}
-
-// Delete appends an invalidation record and a tombstone to the index.
-func (s *Store) Delete(key []byte, ts int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.log.Append(&wal.Record{Kind: wal.KindDelete, Key: key, TS: ts}); err != nil {
-		return err
-	}
-	return s.idx.Delete(key, ts)
 }
 
 // Get returns the newest version of key visible at ts: one LSM lookup
@@ -167,42 +150,4 @@ func (s *Store) FullScan(fn func(Row) bool) error {
 		}
 	}
 	return sc.Err()
-}
-
-// Scan streams the newest visible version of keys in [start, end) using
-// the LSM index order, one log read per row. Index entries arrive
-// (key asc, ts desc), so the first visible entry per key is the newest.
-func (s *Store) Scan(start, end []byte, ts int64, fn func(Row) bool) error {
-	var lastKey []byte
-	var scanErr error
-	err := s.idx.Scan(start, func(e sstable.Entry) bool {
-		if end != nil && string(e.Key) >= string(end) {
-			return false
-		}
-		if lastKey != nil && string(e.Key) == string(lastKey) {
-			return true // older version of an already-emitted key
-		}
-		if e.TS > ts {
-			return true // newer than the snapshot; keep looking
-		}
-		lastKey = append(lastKey[:0], e.Key...)
-		if e.Tombstone {
-			return true
-		}
-		ptr, perr := decodePtr(e.Value)
-		if perr != nil {
-			scanErr = perr
-			return false
-		}
-		rec, rerr := s.log.Read(ptr)
-		if rerr != nil {
-			scanErr = rerr
-			return false
-		}
-		return fn(Row{Key: rec.Key, TS: rec.TS, Value: rec.Value})
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	return err
 }

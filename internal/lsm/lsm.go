@@ -285,10 +285,11 @@ func (t *Tree) compact(l int) error {
 	return nil
 }
 
-// Scan merges the memtable and all runs from start (inclusive) and
+// scan merges the memtable and all runs from start (inclusive) and
 // streams entries in Compare order to fn until it returns false. The
-// caller sees raw versions including tombstones.
-func (t *Tree) Scan(start []byte, fn func(sstable.Entry) bool) error {
+// caller sees raw versions including tombstones. No experiment range-
+// scans the LRS index; the tests use it to check the merged order.
+func (t *Tree) scan(start []byte, fn func(sstable.Entry) bool) error {
 	t.mu.RLock()
 	sources := []sstable.Source{t.mem.Iterator(start)}
 	if t.imm != nil {
@@ -307,22 +308,4 @@ func (t *Tree) Scan(start []byte, fn func(sstable.Entry) bool) error {
 		}
 	}
 	return m.Err()
-}
-
-// Stats describes tree shape for tests and bench output.
-type Stats struct {
-	MemEntries   int
-	MemBytes     int64
-	RunsPerLevel []int
-}
-
-// Stats returns a snapshot of tree shape.
-func (t *Tree) Stats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s := Stats{MemEntries: t.mem.Len(), MemBytes: t.mem.ApproxBytes()}
-	for l := 0; l < numLevels; l++ {
-		s.RunsPerLevel = append(s.RunsPerLevel, len(t.levels[l]))
-	}
-	return s
 }

@@ -38,8 +38,8 @@ func TestFlushEmptyMemtableNoop(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush empty: %v", err)
 	}
-	if st := tr.Stats(); st.RunsPerLevel[0] != 0 {
-		t.Errorf("empty flush created a run: %+v", st)
+	if runs := runsPerLevel(tr); runs[0] != 0 {
+		t.Errorf("empty flush created a run: %v", runs)
 	}
 }
 
@@ -56,13 +56,13 @@ func TestDeepCompactionKeepsData(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	st := tr.Stats()
+	runs := runsPerLevel(tr)
 	deep := 0
-	for l := 2; l < len(st.RunsPerLevel); l++ {
-		deep += st.RunsPerLevel[l]
+	for l := 2; l < len(runs); l++ {
+		deep += runs[l]
 	}
 	if deep == 0 {
-		t.Logf("stats: %+v", st)
+		t.Logf("runs per level: %v", runs)
 		t.Skip("data never reached L2+ at this scale; compaction settings too lax")
 	}
 	for _, i := range []int{0, n / 2, n - 1} {
@@ -77,7 +77,7 @@ func TestScanSeesTombstones(t *testing.T) {
 	tr.Put([]byte("a"), 1, []byte("v"))
 	tr.Delete([]byte("a"), 2)
 	var kinds []string
-	tr.Scan(nil, func(e sstable.Entry) bool {
+	tr.scan(nil, func(e sstable.Entry) bool {
 		if e.Tombstone {
 			kinds = append(kinds, "tomb")
 		} else {

@@ -25,6 +25,17 @@ func newTree(t *testing.T, opts Options) *Tree {
 	return tr
 }
 
+// runsPerLevel reports the tree's shape: the number of runs per level.
+func runsPerLevel(t *Tree) []int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]int, numLevels)
+	for l := range out {
+		out[l] = len(t.levels[l])
+	}
+	return out
+}
+
 func TestMemtableOrderAndGet(t *testing.T) {
 	m := NewMemtable()
 	m.Put(sstable.Entry{Key: []byte("b"), TS: 1, Value: []byte("b1")})
@@ -83,12 +94,11 @@ func TestPutGetAcrossFlushes(t *testing.T) {
 			t.Errorf("Get(%s) = %q", key, v)
 		}
 	}
-	st := tr.Stats()
-	total := st.MemEntries
-	for _, r := range st.RunsPerLevel {
-		total += r
+	runs := 0
+	for _, r := range runsPerLevel(tr) {
+		runs += r
 	}
-	if total == st.MemEntries {
+	if runs == 0 {
 		t.Error("nothing was flushed despite small memtable budget")
 	}
 }
@@ -140,11 +150,11 @@ func TestL0CompactionTriggers(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Put([]byte(fmt.Sprintf("k%04d", i)), 1, make([]byte, 64))
 	}
-	st := tr.Stats()
-	if st.RunsPerLevel[0] >= 3 {
-		t.Errorf("L0 has %d runs, compaction never ran", st.RunsPerLevel[0])
+	runs := runsPerLevel(tr)
+	if runs[0] >= 3 {
+		t.Errorf("L0 has %d runs, compaction never ran", runs[0])
 	}
-	if st.RunsPerLevel[1] == 0 {
+	if runs[1] == 0 {
 		t.Error("L1 empty after compactions")
 	}
 	// Everything still readable.
@@ -166,7 +176,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	got := map[string]bool{}
 	var prev sstable.Entry
 	first := true
-	err := tr.Scan(nil, func(e sstable.Entry) bool {
+	err := tr.scan(nil, func(e sstable.Entry) bool {
 		if !first && sstable.Compare(prev.Key, prev.TS, e.Key, e.TS) >= 0 {
 			t.Fatal("scan out of order")
 		}
@@ -182,7 +192,7 @@ func TestScanMergesAllSources(t *testing.T) {
 	}
 	// Bounded scan.
 	n := 0
-	tr.Scan([]byte("k0290"), func(e sstable.Entry) bool { n++; return true })
+	tr.scan([]byte("k0290"), func(e sstable.Entry) bool { n++; return true })
 	if n != 10 {
 		t.Errorf("bounded scan saw %d, want 10", n)
 	}

@@ -1,5 +1,5 @@
 // Package obs is the repo-local observability kit: a dependency-free
-// metrics registry (atomic counters, gauges, log-scale latency
+// metrics registry (atomic counters, function-backed gauges, log-scale latency
 // histograms with quantile snapshots), lightweight request tracing
 // carried through context.Context, and a Prometheus-text + pprof HTTP
 // endpoint. Everything here is stdlib-only so the storage layers can
@@ -41,38 +41,10 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -84,7 +56,6 @@ type registered struct {
 	kind   metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -155,11 +126,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return r.get(name, help, labels, kindCounter, func(m *registered) { m.counter = &Counter{} }).counter
 }
 
-// Gauge returns the gauge for (name, labels), creating it if needed.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	return r.get(name, help, labels, kindGauge, func(m *registered) { m.gauge = &Gauge{} }).gauge
-}
-
 // GaugeFunc registers fn as the source for (name, labels); fn is
 // called at snapshot/export time, so existing atomic counters can be
 // surfaced with zero hot-path cost. Re-registering replaces fn.
@@ -204,9 +170,6 @@ func (r *Registry) Snapshot() []Metric {
 		case kindCounter:
 			e.Kind = "counter"
 			e.Value = float64(m.counter.Load())
-		case kindGauge:
-			e.Kind = "gauge"
-			e.Value = float64(m.gauge.Load())
 		case kindGaugeFunc:
 			e.Kind = "gauge"
 			if m.fn != nil {
@@ -251,9 +214,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindCounter:
 			header(m, "counter")
 			fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.counter.Load())
-		case kindGauge:
-			header(m, "gauge")
-			fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.gauge.Load())
 		case kindGaugeFunc:
 			header(m, "gauge")
 			var v float64

@@ -33,16 +33,15 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 	r.Counter("x", "", nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
+			t.Fatal("re-registering a counter as a histogram must panic")
 		}
 	}()
-	r.Gauge("x", "", nil)
+	r.Histogram("x", "", nil)
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("logbase_writes_total", "total writes", Labels{"server": "ts00"}).Add(7)
-	r.Gauge("logbase_segments", "open segments", nil).Set(4)
 	r.GaugeFunc("logbase_garbage_ratio", "garbage fraction", nil, func() float64 { return 0.25 })
 	h := r.Histogram("logbase_op_duration_seconds", "op latency", Labels{"op": "put"})
 	h.Observe(1 * time.Millisecond)
@@ -56,8 +55,7 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE logbase_writes_total counter",
 		`logbase_writes_total{server="ts00"} 7`,
-		"# TYPE logbase_segments gauge",
-		"logbase_segments 4",
+		"# TYPE logbase_garbage_ratio gauge",
 		"logbase_garbage_ratio 0.25",
 		"# TYPE logbase_op_duration_seconds histogram",
 		`logbase_op_duration_seconds_count{op="put"} 2`,
@@ -76,14 +74,11 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestNilMetricsAreSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
-	g.Add(2)
 	h.Observe(time.Second)
-	if c.Load() != 0 || g.Load() != 0 {
+	if c.Load() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 }

@@ -141,16 +141,6 @@ func (s *Span) Finish() {
 	}
 }
 
-// Duration returns the finished span's duration (0 before Finish).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dur
-}
-
 // Render formats the span and its descendants as an indented tree, one
 // span per line:
 //

@@ -278,11 +278,3 @@ func (r *Router) Overlapping(start, end []byte) []Tablet {
 
 // Tablets returns the router's tablets in key order.
 func (r *Router) Tablets() []Tablet { return append([]Tablet(nil), r.tablets...) }
-
-// EntityKey builds a key with an entity-group prefix (paper §3.2: "by
-// cleverly designing the key of records, all data related to a user
-// could have the same key prefix"), keeping a user's rows on one tablet
-// so transactions avoid two-phase commit.
-func EntityKey(entity, suffix string) []byte {
-	return []byte(entity + "/" + suffix)
-}

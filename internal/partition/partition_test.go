@@ -171,13 +171,14 @@ func TestQuickRouterTotalAndUnique(t *testing.T) {
 
 func TestEntityKeyClustering(t *testing.T) {
 	r := NewRouter(MakeTablets("t", SplitUniform(8)))
-	// All rows of one entity must land on the same tablet.
-	base, ok := r.Lookup(EntityKey("user42", "cart"))
+	// All rows of one entity share its key prefix (paper §3.2) and must
+	// land on the same tablet.
+	base, ok := r.Lookup([]byte("user42/cart"))
 	if !ok {
 		t.Fatal("lookup failed")
 	}
 	for _, suffix := range []string{"orders/1", "orders/2", "profile"} {
-		tab, ok := r.Lookup(EntityKey("user42", suffix))
+		tab, ok := r.Lookup([]byte("user42/" + suffix))
 		if !ok || tab.ID != base.ID {
 			t.Errorf("entity row %q routed to %v, want %v", suffix, tab.ID, base.ID)
 		}

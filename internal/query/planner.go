@@ -78,15 +78,6 @@ type Plan struct {
 	Steps []PlanStep
 }
 
-// Order returns the relation indices in execution order.
-func (p Plan) Order() []int {
-	out := make([]int, len(p.Steps))
-	for i, s := range p.Steps {
-		out[i] = s.Rel
-	}
-	return out
-}
-
 // Describe renders the plan for explain output and tests, e.g.
 // "orders(scan) -> customers(broadcast j0) -> items(hash j1)".
 func (p Plan) Describe(s *Statement) string {

@@ -46,9 +46,6 @@ func DefaultModel() Model {
 	}
 }
 
-// NullModel charges nothing; used by tests that only care about bytes.
-func NullModel() Model { return Model{} }
-
 // Stats are cumulative I/O counters for one Disk.
 type Stats struct {
 	Seeks        int64
@@ -107,9 +104,6 @@ func New(dir string, model Model, clock *Clock) (*Disk, error) {
 	}
 	return &Disk{dir: dir, model: model, clock: clock}, nil
 }
-
-// Dir returns the backing directory.
-func (d *Disk) Dir() string { return d.dir }
 
 // SetFaults attaches a fault registry. Reads fire "<prefix>.read" and
 // writes "<prefix>.write"; injected Delay advances the virtual clock
@@ -216,50 +210,6 @@ func (d *Disk) Exists(name string) bool {
 	return err == nil
 }
 
-// List returns the names of all files under the disk, relative to its
-// root, in lexical order.
-func (d *Disk) List() ([]string, error) {
-	var names []string
-	err := filepath.Walk(d.dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.IsDir() {
-			rel, rerr := filepath.Rel(d.dir, p)
-			if rerr != nil {
-				return rerr
-			}
-			names = append(names, filepath.ToSlash(rel))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("simdisk: list: %w", err)
-	}
-	return names, nil
-}
-
-// Size returns the current size of the named file.
-func (d *Disk) Size(name string) (int64, error) {
-	st, err := os.Stat(d.path(name))
-	if err != nil {
-		return 0, fmt.Errorf("simdisk: stat %s: %w", name, err)
-	}
-	return st.Size(), nil
-}
-
-// Name returns the file's disk-relative name.
-func (f *File) Name() string { return f.name }
-
-// Size returns the file's current size.
-func (f *File) Size() (int64, error) {
-	st, err := f.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("simdisk: stat %s: %w", f.name, err)
-	}
-	return st.Size(), nil
-}
-
 // WriteAt writes p at offset off, charging seek + transfer cost.
 // Injected faults can tear the write (a prefix reaches disk, then an
 // error), flip a bit of the payload on its way down, add latency, or
@@ -302,19 +252,6 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Append writes p at the end of the file and returns the offset at which
-// it was written.
-func (f *File) Append(p []byte) (int64, error) {
-	off, err := f.Size()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.WriteAt(p, off); err != nil {
-		return 0, err
-	}
-	return off, nil
-}
-
 // ReadAt reads len(p) bytes at offset off, charging seek + transfer cost.
 // Injected faults can fail the read, delay it, or flip a bit of the
 // returned data (the on-disk bytes stay intact — a transient read
@@ -352,14 +289,6 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 func (f *File) Truncate(size int64) error {
 	if err := f.f.Truncate(size); err != nil {
 		return fmt.Errorf("simdisk: truncate %s: %w", f.name, err)
-	}
-	return nil
-}
-
-// Sync flushes the file to the underlying OS file.
-func (f *File) Sync() error {
-	if err := f.f.Sync(); err != nil {
-		return fmt.Errorf("simdisk: sync %s: %w", f.name, err)
 	}
 	return nil
 }

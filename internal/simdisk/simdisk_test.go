@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +21,29 @@ func newTestDisk(t *testing.T, m Model) *Disk {
 	return d
 }
 
+// size returns f's size on the real file system.
+func size(t *testing.T, f *File) int64 {
+	t.Helper()
+	st, err := f.f.Stat()
+	if err != nil {
+		t.Fatalf("Stat: %v", err)
+	}
+	return st.Size()
+}
+
+// appendTo writes p at the end of f, the way the dfs appends to a block
+// file, and returns the offset it landed at.
+func appendTo(t *testing.T, f *File, p []byte) int64 {
+	t.Helper()
+	off := size(t, f)
+	if _, err := f.WriteAt(p, off); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	return off
+}
+
 func TestCreateWriteRead(t *testing.T) {
-	d := newTestDisk(t, NullModel())
+	d := newTestDisk(t, Model{})
 	f, err := d.Create("a/b/file1")
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -42,7 +64,7 @@ func TestCreateWriteRead(t *testing.T) {
 }
 
 func TestAppendReturnsOffsets(t *testing.T) {
-	d := newTestDisk(t, NullModel())
+	d := newTestDisk(t, Model{})
 	f, err := d.Create("log")
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -52,34 +74,24 @@ func TestAppendReturnsOffsets(t *testing.T) {
 	var want int64
 	for i := 0; i < 10; i++ {
 		chunk := bytes.Repeat([]byte{byte(i)}, i+1)
-		off, err := f.Append(chunk)
-		if err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-		if off != want {
+		if off := appendTo(t, f, chunk); off != want {
 			t.Errorf("append %d at offset %d, want %d", i, off, want)
 		}
 		want += int64(len(chunk))
 	}
-	size, err := f.Size()
-	if err != nil {
-		t.Fatalf("Size: %v", err)
-	}
-	if size != want {
-		t.Errorf("size = %d, want %d", size, want)
+	if got := size(t, f); got != want {
+		t.Errorf("size = %d, want %d", got, want)
 	}
 }
 
 func TestReadAtEOF(t *testing.T) {
-	d := newTestDisk(t, NullModel())
+	d := newTestDisk(t, Model{})
 	f, err := d.Create("f")
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Append([]byte("abc")); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
+	appendTo(t, f, []byte("abc"))
 	buf := make([]byte, 10)
 	n, err := f.ReadAt(buf, 0)
 	if err != io.EOF && err != nil && n != 3 {
@@ -102,9 +114,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	// Lay down 100 records of 100 bytes sequentially.
 	rec := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 100; i++ {
-		if _, err := f.Append(rec); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		appendTo(t, f, rec)
 	}
 	// Sequential appends after the create incur exactly one seek (the
 	// create resets the head to 0 and appends continue from there).
@@ -139,9 +149,7 @@ func TestContiguousReadNoSeek(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Append(bytes.Repeat([]byte("y"), 1000)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
+	appendTo(t, f, bytes.Repeat([]byte("y"), 1000))
 	d.ResetStats()
 
 	buf := make([]byte, 100)
@@ -157,23 +165,25 @@ func TestContiguousReadNoSeek(t *testing.T) {
 }
 
 func TestListAndRemove(t *testing.T) {
-	d := newTestDisk(t, NullModel())
+	dir := t.TempDir()
+	d, err := New(dir, Model{}, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	for _, name := range []string{"seg/000001", "seg/000002", "idx/cp1"} {
 		f, err := d.Create(name)
 		if err != nil {
 			t.Fatalf("Create %s: %v", name, err)
 		}
-		if _, err := f.Append([]byte(name)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		appendTo(t, f, []byte(name))
 		f.Close()
 	}
-	names, err := d.List()
+	names, err := filepath.Glob(filepath.Join(dir, "*", "*"))
 	if err != nil {
-		t.Fatalf("List: %v", err)
+		t.Fatalf("Glob: %v", err)
 	}
 	if len(names) != 3 {
-		t.Fatalf("List returned %v, want 3 entries", names)
+		t.Fatalf("disk holds %v, want 3 files", names)
 	}
 	if err := d.Remove("seg/000001"); err != nil {
 		t.Fatalf("Remove: %v", err)
@@ -187,15 +197,13 @@ func TestListAndRemove(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	d := newTestDisk(t, NullModel())
+	d := newTestDisk(t, Model{})
 	f, err := d.Create("f")
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Append(make([]byte, 128)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
+	appendTo(t, f, make([]byte, 128))
 	buf := make([]byte, 64)
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatalf("ReadAt: %v", err)
@@ -243,9 +251,7 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Append(make([]byte, 4096)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
+	appendTo(t, f, make([]byte, 4096))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -93,27 +93,3 @@ func (m *MergeIterator) Entry() Entry { return m.cur }
 
 // Err returns the first error encountered.
 func (m *MergeIterator) Err() error { return m.err }
-
-// SliceSource adapts an in-memory sorted slice to a Source.
-type SliceSource struct {
-	entries []Entry
-	i       int
-}
-
-// NewSliceSource wraps entries (already in Compare order).
-func NewSliceSource(entries []Entry) *SliceSource { return &SliceSource{entries: entries} }
-
-// Next advances the slice cursor.
-func (s *SliceSource) Next() bool {
-	if s.i >= len(s.entries) {
-		return false
-	}
-	s.i++
-	return true
-}
-
-// Entry returns the current entry.
-func (s *SliceSource) Entry() Entry { return s.entries[s.i-1] }
-
-// Err always returns nil.
-func (s *SliceSource) Err() error { return nil }

@@ -209,9 +209,6 @@ func (t *Writer) Finish() error {
 	return t.w.Close()
 }
 
-// Count returns entries added so far.
-func (t *Writer) Count() uint64 { return t.count }
-
 // Reader serves point and range reads from one table.
 type Reader struct {
 	fs    *dfs.DFS
@@ -219,7 +216,6 @@ type Reader struct {
 	r     *dfs.Reader
 	index []indexEntry
 	bloom *bloom
-	count uint64
 	// blocks caches decoded blocks; shared across readers (HBase's
 	// block cache).
 	blocks *cache.Cache
@@ -259,9 +255,8 @@ func OpenReader(fs *dfs.DFS, path string, blockCache *cache.Cache) (*Reader, err
 	idxLen := int64(binary.LittleEndian.Uint64(f[14:]))
 	bloomOff := int64(binary.LittleEndian.Uint64(f[22:]))
 	bloomLen := int64(binary.LittleEndian.Uint64(f[30:]))
-	count := binary.LittleEndian.Uint64(f[38:])
 
-	t := &Reader{fs: fs, path: path, r: r, count: count, blocks: blockCache, idxOff: idxOff, idxLen: idxLen}
+	t := &Reader{fs: fs, path: path, r: r, blocks: blockCache, idxOff: idxOff, idxLen: idxLen}
 	idxBuf := make([]byte, idxLen)
 	if _, err := r.ReadAt(idxBuf, idxOff); err != nil && err != io.EOF {
 		return nil, err
@@ -301,9 +296,6 @@ func OpenReader(fs *dfs.DFS, path string, blockCache *cache.Cache) (*Reader, err
 	}
 	return t, nil
 }
-
-// Count returns the number of entries in the table.
-func (t *Reader) Count() uint64 { return t.count }
 
 // Path returns the table's DFS path.
 func (t *Reader) Path() string { return t.path }

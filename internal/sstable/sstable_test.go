@@ -60,8 +60,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
 	}
-	if r.Count() != 1000 {
-		t.Errorf("Count = %d", r.Count())
+	n := 0
+	for it := r.NewIterator(nil); it.Next(); {
+		n++
+	}
+	if n != 1000 {
+		t.Errorf("table holds %d entries, want 1000", n)
 	}
 	for _, probe := range []int{0, 1, 499, 999} {
 		e, ok, err := r.Get(entries[probe].Key, math.MaxInt64)
@@ -278,6 +282,29 @@ func TestQuickRandomTables(t *testing.T) {
 	}
 }
 
+// sliceSource adapts an in-memory sorted slice to a Source.
+type sliceSource struct {
+	entries []Entry
+	i       int
+}
+
+// newsliceSource wraps entries (already in Compare order).
+func newsliceSource(entries []Entry) *sliceSource { return &sliceSource{entries: entries} }
+
+// Next advances the slice cursor.
+func (s *sliceSource) Next() bool {
+	if s.i >= len(s.entries) {
+		return false
+	}
+	s.i++
+	return true
+}
+
+// Entry returns the current entry.
+func (s *sliceSource) Entry() Entry { return s.entries[s.i-1] }
+
+func (s *sliceSource) Err() error { return nil }
+
 func TestMergeIterator(t *testing.T) {
 	a := []Entry{
 		{Key: []byte("a"), TS: 2, Value: []byte("a2-new")},
@@ -288,7 +315,7 @@ func TestMergeIterator(t *testing.T) {
 		{Key: []byte("a"), TS: 1, Value: []byte("a1")},
 		{Key: []byte("b"), TS: 1, Value: []byte("b1")},
 	}
-	m := NewMergeIterator(NewSliceSource(a), NewSliceSource(b))
+	m := NewMergeIterator(newsliceSource(a), newsliceSource(b))
 	var got []string
 	for m.Next() {
 		e := m.Entry()

@@ -50,17 +50,6 @@ func Tables() []cluster.TableSpec {
 	}
 }
 
-// CreateTables declares the schema through the Store interface (for
-// backends whose tables were not pre-declared at cluster start).
-func CreateTables(st logbase.Store) error {
-	for _, ts := range Tables() {
-		if err := st.CreateTable(ts.Name, ts.Groups...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func itemKey(i int64) []byte     { return []byte(fmt.Sprintf("item%010d", i)) }
 func customerKey(c int64) []byte { return []byte(fmt.Sprintf("cust%010d", c)) }
 func orderKey(c, seq int64) []byte {

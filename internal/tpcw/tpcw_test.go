@@ -119,7 +119,7 @@ func TestEntityGroupKeysAvoid2PC(t *testing.T) {
 }
 
 // The driver is written against logbase.Store, so it must also run on
-// the embedded backend: declare the schema through CreateTables, load,
+// the embedded backend: declare the schema through the Store, load,
 // and run a mix on a plain *logbase.DB.
 func TestEmbeddedBackendRunsSameDriver(t *testing.T) {
 	db, err := logbase.Open(t.TempDir(), logbase.Options{})
@@ -127,8 +127,10 @@ func TestEmbeddedBackendRunsSameDriver(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer db.Close()
-	if err := CreateTables(db); err != nil {
-		t.Fatalf("CreateTables: %v", err)
+	for _, ts := range Tables() {
+		if err := db.CreateTable(ts.Name, ts.Groups...); err != nil {
+			t.Fatalf("CreateTable %s: %v", ts.Name, err)
+		}
 	}
 	if err := Load(db, 60, 30, 2); err != nil {
 		t.Fatalf("Load: %v", err)

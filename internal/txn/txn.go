@@ -52,21 +52,12 @@ type Manager struct {
 	svc     *coord.Service
 	resolve Resolver
 	nextID  atomic.Uint64
-
-	commits  atomic.Int64
-	aborts   atomic.Int64
-	restarts atomic.Int64
 }
 
 // NewManager creates a transaction manager using svc as timestamp
 // authority and lock service (the ZooKeeper roles, paper §3.7.1).
 func NewManager(svc *coord.Service, resolve Resolver) *Manager {
 	return &Manager{svc: svc, resolve: resolve}
-}
-
-// Stats returns (commits, aborts, restarts) counters.
-func (m *Manager) Stats() (int64, int64, int64) {
-	return m.commits.Load(), m.aborts.Load(), m.restarts.Load()
 }
 
 // Txn is one transaction. Not safe for concurrent use (one goroutine
@@ -114,9 +105,6 @@ func (m *Manager) Begin() *Txn {
 		writes: make(map[string]*write),
 	}
 }
-
-// ReadTS returns the transaction's snapshot timestamp.
-func (t *Txn) ReadTS() int64 { return t.readTS }
 
 // Get reads a key at the transaction's snapshot, observing the
 // transaction's own buffered writes first.
@@ -309,7 +297,6 @@ func (t *Txn) Abort() {
 	}
 	t.done = true
 	t.sess.Close()
-	t.m.aborts.Add(1)
 }
 
 // Commit runs the MVOCC validation and write phases. On conflict it
@@ -323,7 +310,6 @@ func (t *Txn) Commit() error {
 	t.done = true
 	defer t.sess.Close()
 	if len(t.writes) == 0 {
-		t.m.commits.Add(1)
 		return nil
 	}
 
@@ -359,7 +345,6 @@ func (t *Txn) Commit() error {
 		}
 		if cur != t.reads[lk] {
 			unlock()
-			t.m.restarts.Add(1)
 			return fmt.Errorf("%w: %q v%d != read v%d", ErrConflict, w.w.Key, cur, t.reads[lk])
 		}
 	}
@@ -426,7 +411,6 @@ func (t *Txn) Commit() error {
 		}
 	}
 	unlock()
-	t.m.commits.Add(1)
 	return nil
 }
 

@@ -244,9 +244,6 @@ func (l *Log) SegmentPath(num uint32) string {
 	return fmt.Sprintf("%s/seg-%08d", l.dir, num)
 }
 
-// Dir returns the log's DFS directory.
-func (l *Log) Dir() string { return l.dir }
-
 // newSegmentLocked creates a fresh segment file and writes its header.
 func (l *Log) newSegmentLocked(sorted bool) (uint32, *dfs.Writer, error) {
 	num := l.nextSeg

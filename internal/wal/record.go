@@ -85,9 +85,6 @@ type Ptr struct {
 	Len uint32
 }
 
-// Zero reports whether the pointer is the zero value.
-func (p Ptr) Zero() bool { return p == Ptr{} }
-
 func (p Ptr) String() string { return fmt.Sprintf("seg%d@%d+%d", p.Seg, p.Off, p.Len) }
 
 // Position is a scan cursor: everything at or after it is "the tail".

@@ -119,9 +119,6 @@ func TestPositionLessAndPtrString(t *testing.T) {
 	if p.String() != "seg3@42+7" {
 		t.Errorf("Ptr.String = %q", p.String())
 	}
-	if p.Zero() || (Ptr{}).Zero() == false {
-		t.Error("Ptr.Zero broken")
-	}
 }
 
 func TestAppendCoalescesIntoOneDFSWrite(t *testing.T) {

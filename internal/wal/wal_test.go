@@ -216,11 +216,14 @@ func TestScannerStopsAtTornTail(t *testing.T) {
 	// promised length at the end of the current segment.
 	segs := l.Segments()
 	last := segs[len(segs)-1]
-	w, err := fs.OpenAppend(l.SegmentPath(last.Num))
+	data, err := fs.ReadFile(l.SegmentPath(last.Num))
 	if err != nil {
-		t.Fatalf("OpenAppend: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
-	w.Write([]byte{200, 0, 0, 0, 1, 2, 3}) // claims 200-byte payload, provides 3
+	// Claims a 200-byte payload, provides 3.
+	if err := fs.WriteFile(l.SegmentPath(last.Num), append(data, 200, 0, 0, 0, 1, 2, 3)); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
 	l.mu.Lock()
 	l.segs[last.Num].size += 7
 	l.mu.Unlock()

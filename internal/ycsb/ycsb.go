@@ -1,7 +1,7 @@
 // Package ycsb re-implements the parts of the Yahoo! Cloud Serving
 // Benchmark the paper's evaluation uses (§4.1, §4.3): key generators
-// (Zipfian with coefficient ~1.0 over a 2·10^9 key domain, plus uniform
-// and latest), a parallel loading phase, and mixed read/update phases
+// (Zipfian with coefficient ~1.0 over a 2·10^9 key domain, uniform and
+// a hot range), a parallel loading phase, and mixed read/update phases
 // with throughput and per-operation latency reporting.
 package ycsb
 
@@ -9,13 +9,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
-
-// MaxKeyDomain is the paper's YCSB key domain bound (2e9).
-const MaxKeyDomain = 2_000_000_000
 
 // Generator produces item indexes in [0, n).
 type Generator interface {
@@ -86,34 +82,6 @@ func (z *Zipfian) Next(rng *rand.Rand) int64 {
 	return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-// ScrambledZipfian spreads the Zipfian head over the whole key domain
-// (YCSB's default request distribution).
-type ScrambledZipfian struct {
-	z *Zipfian
-	n int64
-}
-
-// NewScrambledZipfian builds the scrambled variant over [0, n).
-func NewScrambledZipfian(n int64, theta float64) *ScrambledZipfian {
-	return &ScrambledZipfian{z: NewZipfian(n, theta), n: n}
-}
-
-// Next implements Generator.
-func (s *ScrambledZipfian) Next(rng *rand.Rand) int64 {
-	v := s.z.Next(rng)
-	return int64(fnv64(uint64(v)) % uint64(s.n))
-}
-
-func fnv64(v uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
 // HotRange concentrates a fraction of draws on one contiguous band of
 // the key domain: with probability Hot the draw is uniform in [Lo, Hi),
 // otherwise uniform over [0, N). Unlike (scrambled) Zipfian — whose hot
@@ -134,24 +102,6 @@ func (h HotRange) Next(rng *rand.Rand) int64 {
 	return rng.Int63n(h.N)
 }
 
-// Latest favours recently inserted items (the paper's workloads are
-// write-heavy on fresh data).
-type Latest struct {
-	z *Zipfian
-}
-
-// NewLatest builds a latest-skewed generator over [0, n).
-func NewLatest(n int64) *Latest { return &Latest{z: NewZipfian(n, 0.99)} }
-
-// Next implements Generator.
-func (l *Latest) Next(rng *rand.Rand) int64 {
-	v := l.z.n - 1 - l.z.Next(rng)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Key renders item index i as the benchmark key (zero-padded so lexical
 // order matches numeric order).
 func Key(i int64) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
@@ -164,41 +114,18 @@ type DB interface {
 	Read(key []byte) error
 }
 
-// Histogram records latencies with ~1.6% relative precision using
-// log-spaced buckets.
+// Histogram accumulates latency samples: their count and mean.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [256]int64
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-}
-
-func bucketOf(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	// 16 sub-buckets per power of two of microseconds.
-	us := float64(d) / float64(time.Microsecond)
-	b := int(16 * math.Log2(us+1))
-	if b < 0 {
-		b = 0
-	}
-	if b > 255 {
-		b = 255
-	}
-	return b
+	mu    sync.Mutex
+	count int64
+	sum   time.Duration
 }
 
 // Record adds one latency sample.
 func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
-	h.buckets[bucketOf(d)]++
 	h.count++
 	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
 	h.mu.Unlock()
 }
 
@@ -213,25 +140,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return h.sum / time.Duration(h.count)
-}
-
-// Percentile returns the latency at quantile p in [0, 1].
-func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := int64(p * float64(h.count))
-	var cum int64
-	for b, n := range h.buckets {
-		cum += n
-		if cum > target {
-			us := math.Pow(2, float64(b)/16) - 1
-			return time.Duration(us * float64(time.Microsecond))
-		}
-	}
-	return h.max
 }
 
 // Workload describes one benchmark phase mix.
@@ -352,33 +260,4 @@ func Run(db DB, w Workload, ops int64, workers int, seed int64) (Result, error) 
 		res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
 	}
 	return res, nil
-}
-
-// Skew quantifies a sample of generator outputs: the fraction of draws
-// landing in the hottest 1% of the key space (tests assert Zipfian ≫
-// uniform).
-func Skew(g Generator, n int64, draws int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	counts := map[int64]int{}
-	for i := 0; i < draws; i++ {
-		counts[g.Next(rng)]++
-	}
-	type kv struct {
-		k int64
-		n int
-	}
-	var all []kv
-	for k, c := range counts {
-		all = append(all, kv{k, c})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].n > all[j].n })
-	top := int(float64(n) / 100)
-	if top < 1 {
-		top = 1
-	}
-	hot := 0
-	for i := 0; i < len(all) && i < top; i++ {
-		hot += all[i].n
-	}
-	return float64(hot) / float64(draws)
 }

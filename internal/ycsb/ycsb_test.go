@@ -22,9 +22,20 @@ func TestZipfianRange(t *testing.T) {
 }
 
 func TestZipfianSkewVsUniform(t *testing.T) {
-	const n = 10000
-	zs := Skew(NewZipfian(n, 0.99), n, 200000, 42)
-	us := Skew(Uniform{N: n}, n, 200000, 42)
+	const n, draws = 10000, 200000
+	// The share of draws landing on the first 1% of items: Zipfian's
+	// hottest items are its lowest ranks.
+	hotShare := func(g Generator) float64 {
+		rng := rand.New(rand.NewSource(42))
+		hot := 0
+		for i := 0; i < draws; i++ {
+			if g.Next(rng) < n/100 {
+				hot++
+			}
+		}
+		return float64(hot) / draws
+	}
+	zs, us := hotShare(NewZipfian(n, 0.99)), hotShare(Uniform{N: n})
 	if zs < 0.3 {
 		t.Errorf("Zipfian hot-1%% share = %.3f, want heavy skew", zs)
 	}
@@ -51,56 +62,28 @@ func TestZipfianHeadOrdered(t *testing.T) {
 	}
 }
 
+// keyDomain is the paper's YCSB key domain bound (2e9).
+const keyDomain = 2_000_000_000
+
 func TestZipfianLargeDomain(t *testing.T) {
 	// The paper's 2e9 domain must construct quickly and stay in range.
 	start := time.Now()
-	z := NewZipfian(MaxKeyDomain, 0.99)
+	z := NewZipfian(keyDomain, 0.99)
 	if time.Since(start) > 2*time.Second {
 		t.Errorf("construction over 2e9 domain took %v", time.Since(start))
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		v := z.Next(rng)
-		if v < 0 || v >= MaxKeyDomain {
+		if v < 0 || v >= keyDomain {
 			t.Fatalf("out of range: %d", v)
 		}
-	}
-}
-
-func TestScrambledZipfianSpreads(t *testing.T) {
-	s := NewScrambledZipfian(1000, 0.99)
-	rng := rand.New(rand.NewSource(5))
-	seen := map[int64]bool{}
-	for i := 0; i < 10000; i++ {
-		v := s.Next(rng)
-		if v < 0 || v >= 1000 {
-			t.Fatalf("out of range: %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) < 300 {
-		t.Errorf("scrambled zipfian touched only %d distinct keys", len(seen))
-	}
-}
-
-func TestLatestFavoursRecent(t *testing.T) {
-	l := NewLatest(1000)
-	rng := rand.New(rand.NewSource(9))
-	recent := 0
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		if l.Next(rng) >= 900 {
-			recent++
-		}
-	}
-	if frac := float64(recent) / draws; frac < 0.5 {
-		t.Errorf("latest generator drew only %.2f from the newest 10%%", frac)
 	}
 }
 
 func TestKeyOrdering(t *testing.T) {
 	f := func(a, b uint32) bool {
-		x, y := int64(a%MaxKeyDomain), int64(b%MaxKeyDomain)
+		x, y := int64(a%keyDomain), int64(b%keyDomain)
 		ka, kb := Key(x), Key(y)
 		switch {
 		case x < y:
@@ -127,14 +110,6 @@ func TestHistogram(t *testing.T) {
 	mean := h.Mean()
 	if mean < 400*time.Microsecond || mean > 600*time.Microsecond {
 		t.Errorf("Mean = %v, want ~500µs", mean)
-	}
-	p50 := h.Percentile(0.5)
-	if p50 < 300*time.Microsecond || p50 > 700*time.Microsecond {
-		t.Errorf("p50 = %v, want ~500µs", p50)
-	}
-	p99 := h.Percentile(0.99)
-	if p99 < p50 {
-		t.Errorf("p99 %v < p50 %v", p99, p50)
 	}
 }
 

@@ -98,16 +98,13 @@ type Options struct {
 	// GroupCommit batches concurrent log appends: writers that arrive
 	// during a log write share the next one; a lone writer never waits.
 	GroupCommit bool
-	// GroupCommitBatch caps the records one log write carries (0 = 64
-	// records).
-	GroupCommitBatch int
-	// AutoCompact paces the background incremental compactor: unsorted
-	// tail segments and segments whose garbage ratio crosses
-	// AutoCompact.GarbageRatio are rewritten into sorted, footed
-	// segments every AutoCompact.Interval (zero interval disables the
-	// loop). This is what keeps the clustered scan fast path engaged
-	// under sustained write+scan load without manual Compact calls.
-	AutoCompact AutoCompactConfig
+	// AutoCompactInterval paces the background incremental compactor:
+	// unsorted tail segments and sorted segments that are at least 30 %
+	// garbage are rewritten into sorted, footed segments, up to four per
+	// run, every AutoCompactInterval (zero disables the loop). This is
+	// what keeps the clustered scan fast path engaged under sustained
+	// write+scan load without manual Compact calls.
+	AutoCompactInterval time.Duration
 	// Replication is the DFS replication factor (default 3, clamped to
 	// DataNodes).
 	Replication int
@@ -161,13 +158,12 @@ func Open(dir string, opts Options) (*DB, error) {
 	c, err := cluster.New(dir, cluster.Config{
 		NumServers: 1,
 		Server: core.Config{
-			SegmentSize:      opts.SegmentSize,
-			ReadCacheBytes:   opts.ReadCacheBytes,
-			GroupCommit:      opts.GroupCommit,
-			GroupCommitBatch: opts.GroupCommitBatch,
-			AutoCompact:      opts.AutoCompact,
-			DisableMetrics:   opts.DisableMetrics,
-			Faults:           opts.Faults,
+			SegmentSize:         opts.SegmentSize,
+			ReadCacheBytes:      opts.ReadCacheBytes,
+			GroupCommit:         opts.GroupCommit,
+			AutoCompactInterval: opts.AutoCompactInterval,
+			DisableMetrics:      opts.DisableMetrics,
+			Faults:              opts.Faults,
 		},
 		DFS: dfs.Config{
 			NumDataNodes:      nodes,
@@ -249,10 +245,6 @@ type ReplicaStats = repl.Stats
 // newest N versions per key, drop versions older than T, or both); see
 // SetRetention.
 type RetentionPolicy = core.RetentionPolicy
-
-// AutoCompactConfig tunes the background incremental compactor; see
-// Options.AutoCompact.
-type AutoCompactConfig = core.AutoCompactConfig
 
 // CompactionInfo is the storage-layout observability snapshot: see
 // DB.CompactionInfo and the STATS protocol command.

@@ -28,7 +28,7 @@ func coreScanOptions(batch, workers int) core.ScanOptions {
 }
 
 func coreGroupCommitConfig() core.Config {
-	return core.Config{GroupCommit: true, GroupCommitBatch: 32}
+	return core.Config{GroupCommit: true}
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -383,10 +383,7 @@ func TestWriteBatchSemantics(t *testing.T) {
 
 func TestCloseStopsGroupCommitBatcher(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	db, err := logbase.Open(t.TempDir(), logbase.Options{
-		GroupCommit:      true,
-		GroupCommitBatch: 32,
-	})
+	db, err := logbase.Open(t.TempDir(), logbase.Options{GroupCommit: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
