@@ -364,10 +364,6 @@ type ReplaySession struct {
 // server and reports whether it took effect.
 type replaySink func(rec *wal.Record, ptr wal.Ptr) (bool, error)
 
-// logEnd bounds a round that must reach every segment (compaction
-// output may sit above the active segment, beyond Log.End).
-var logEnd = wal.Position{Seg: math.MaxUint32}
-
 // parkedRecord is a transactional record awaiting its commit.
 type parkedRecord struct {
 	rec wal.Record
@@ -381,8 +377,8 @@ type tombstone struct {
 	applied bool // handed to a sink
 }
 
-func replayKey(rec *wal.Record) string {
-	return rec.Table + "\x00" + rec.Group + "\x00" + string(rec.Key)
+func replayKey(table, group string, key []byte) string {
+	return table + "\x00" + group + "\x00" + string(key)
 }
 
 func newReplaySession(dst *Server, srcLog *wal.Log, from wal.Position, adopted map[string]bool) *ReplaySession {
@@ -414,32 +410,17 @@ func (rs *ReplaySession) noteDelete(key string, ts int64, lsn uint64) {
 	rs.deletes[key] = append(keep, tombstone{ts: ts, lsn: lsn})
 }
 
-// scan streams the source records in [rs.pos, end) to fn. It is a
-// sequential pass: nothing is materialised or sorted.
-func (rs *ReplaySession) scan(end wal.Position, fn func(rec *wal.Record, ptr wal.Ptr) error) error {
+// round replays the source log from the session's cursor to its end as
+// the round finds it — Log.End, and the compaction output numbered above
+// it — into sink, and advances the cursor to that End. Both passes read
+// the one list of segments the round starts with, as frame views: pass
+// 1 copies nothing, pass 2 only the records it applies or parks.
+func (rs *ReplaySession) round(sink replaySink) error {
 	sc := rs.srcLog.NewScanner(rs.pos)
 	defer sc.Close()
-	var rec wal.Record
-	for sc.Next() {
-		p := sc.Ptr()
-		at := wal.Position{Seg: p.Seg, Off: p.Off}
-		if at.Less(rs.pos) {
-			continue // the scanner rewinds to a framing boundary before pos
-		}
-		if !at.Less(end) {
-			break
-		}
-		rec = sc.Record()
-		if err := fn(&rec, p); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
+	again := sc.Rescan()
+	defer again.Close()
 
-// round replays the source log from the session's cursor up to end
-// into sink and advances the cursor to end.
-func (rs *ReplaySession) round(end wal.Position, sink replaySink) error {
 	// Pass 1: learn this round's commits and fold its delete records
 	// into the per-key resolution. A transactional delete is visible
 	// only once its commit is seen, and the high-water mark covers it
@@ -452,20 +433,20 @@ func (rs *ReplaySession) round(end wal.Position, sink replaySink) error {
 		txnID uint64
 	}
 	var txnDels []txnDelete
-	err := rs.scan(end, func(rec *wal.Record, _ wal.Ptr) error {
-		switch rec.Kind {
+	for sc.Next() {
+		v := sc.View()
+		switch v.Kind() {
 		case wal.KindCommit:
-			rs.committed[rec.TxnID] = rec.LSN
+			rs.committed[v.TxnID()] = v.LSN()
 		case wal.KindDelete:
-			if rec.TxnID != 0 {
-				txnDels = append(txnDels, txnDelete{replayKey(rec), rec.TS, rec.LSN, rec.TxnID})
-			} else if rec.LSN > rs.highWater {
-				rs.noteDelete(replayKey(rec), rec.TS, rec.LSN)
+			if v.TxnID() != 0 {
+				txnDels = append(txnDels, txnDelete{replayKey(string(v.Table()), string(v.Group()), v.Key()), v.TS(), v.LSN(), v.TxnID()})
+			} else if v.LSN() > rs.highWater {
+				rs.noteDelete(replayKey(string(v.Table()), string(v.Group()), v.Key()), v.TS(), v.LSN())
 			}
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := sc.Err(); err != nil {
 		return err
 	}
 	for _, td := range txnDels {
@@ -476,24 +457,24 @@ func (rs *ReplaySession) round(end wal.Position, sink replaySink) error {
 
 	// Pass 2: apply. Records at or below the high-water mark were
 	// covered by earlier rounds and are skipped. The mark advances to
-	// the highest non-commit LSN THIS pass iterates: a source-side
-	// compaction between the passes can relocate records beyond this
-	// round's bound (clearing their TxnID), and their LSNs must stay
-	// below the mark so the next round still applies them.
+	// the highest non-commit LSN this pass iterates: a source-side
+	// compaction during the round can relocate records into segments the
+	// round does not read (clearing their TxnID), and their LSNs must
+	// stay below the mark so the next round still applies them.
 	var roundMax uint64
-	err = rs.scan(end, func(rec *wal.Record, ptr wal.Ptr) error {
-		if rec.LSN > rs.maxLSN {
-			rs.maxLSN = rec.LSN
-		}
-		if rec.Kind == wal.KindCommit {
+	for again.Next() {
+		v := again.View()
+		lsn, txnID := v.LSN(), v.TxnID()
+		rs.maxLSN = max(rs.maxLSN, lsn)
+		if v.Kind() == wal.KindCommit {
 			// Records parked by an earlier round become visible now:
 			// fold their deletes into the per-key resolution BEFORE
 			// applying, so the transaction's surviving writes follow them.
-			parked := rs.pending[rec.TxnID]
-			delete(rs.pending, rec.TxnID)
+			parked := rs.pending[txnID]
+			delete(rs.pending, txnID)
 			for i := range parked {
 				if pr := &parked[i].rec; pr.Kind == wal.KindDelete {
-					rs.noteDelete(replayKey(pr), pr.TS, pr.LSN)
+					rs.noteDelete(replayKey(pr.Table, pr.Group, pr.Key), pr.TS, pr.LSN)
 				}
 			}
 			for i := range parked {
@@ -501,43 +482,42 @@ func (rs *ReplaySession) round(end wal.Position, sink replaySink) error {
 					return err
 				}
 			}
-			return nil
+			continue
 		}
-		if rec.LSN > roundMax {
-			roundMax = rec.LSN
-		}
-		if rec.Kind != wal.KindWrite && rec.Kind != wal.KindDelete {
-			return nil
+		roundMax = max(roundMax, lsn)
+		if v.Kind() != wal.KindWrite && v.Kind() != wal.KindDelete {
+			continue
 		}
 		rs.scanned++
 		// A record is covered once the STREAM covered it: for a
 		// transactional record that is its commit's LSN, for everything
 		// else its own.
-		cover, committed := rec.LSN, false
-		if rec.TxnID != 0 {
+		cover, committed := lsn, false
+		if txnID != 0 {
 			var commitLSN uint64
-			if commitLSN, committed = rs.committed[rec.TxnID]; committed {
+			if commitLSN, committed = rs.committed[txnID]; committed {
 				cover = commitLSN
 			}
 		}
 		if cover <= rs.highWater {
-			return nil
+			continue
 		}
-		if rec.TxnID != 0 && !committed {
-			if _, ok := rs.dst.resolve(rec.Table, rec.Tablet, rec.Key, rs.adopted); ok {
-				rs.pending[rec.TxnID] = append(rs.pending[rec.TxnID], parkedRecord{*rec, ptr})
+		if txnID != 0 && !committed {
+			if _, ok := rs.dst.resolve(string(v.Table()), string(v.Tablet()), v.Key(), rs.adopted); ok {
+				rs.pending[txnID] = append(rs.pending[txnID], parkedRecord{v.Record(), again.Ptr()})
 			}
-			return nil
+			continue
 		}
-		return rs.apply(rec, ptr, sink)
-	})
-	if err != nil {
+		rec := v.Record()
+		if err := rs.apply(&rec, again.Ptr(), sink); err != nil {
+			return err
+		}
+	}
+	if err := again.Err(); err != nil {
 		return err
 	}
-	if roundMax > rs.highWater {
-		rs.highWater = roundMax
-	}
-	rs.pos = end
+	rs.highWater = max(rs.highWater, roundMax)
+	rs.pos = sc.End()
 	return nil
 }
 
@@ -549,7 +529,7 @@ func (rs *ReplaySession) apply(rec *wal.Record, ptr wal.Ptr, sink replaySink) er
 	}
 	var ds []tombstone
 	if len(rs.deletes) > 0 {
-		ds = rs.deletes[replayKey(rec)]
+		ds = rs.deletes[replayKey(rec.Table, rec.Group, rec.Key)]
 	}
 	if rec.Kind == wal.KindWrite {
 		for _, d := range ds {

@@ -264,7 +264,8 @@ func TestRemoveTabletPurgesReadBuffer(t *testing.T) {
 }
 
 // An incremental compaction writes its output into a segment numbered
-// above the one still open for append; a migration round must reach it.
+// above the one still open for append; a migration round must reach it,
+// and must read the source's log without sealing its active segment.
 func TestCatchUpAfterIncrementalCompaction(t *testing.T) {
 	src, fs := newTestServer(t, Config{})
 	spec := elasticTablet()
@@ -296,12 +297,22 @@ func TestCatchUpAfterIncrementalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.CatchUp(); err != nil {
-		t.Fatal(err)
+	catchUp := func() int {
+		t.Helper()
+		active := src.Log().ActiveSegment()
+		n, err := rs.CatchUp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := src.Log().ActiveSegment(); got != active {
+			t.Fatalf("CatchUp moved the source's active segment from %d to %d", active, got)
+		}
+		return n
 	}
+	catchUp()
 	write(120, 130)
-	if n, err := rs.CatchUp(); err != nil || n != 10 {
-		t.Fatalf("second round applied %d (err %v), want the 10 new rows", n, err)
+	if n := catchUp(); n != 10 {
+		t.Fatalf("second round applied %d, want the 10 new rows", n)
 	}
 	if got := dst.IndexLen(spec.ID, testGroup); got != 130 {
 		t.Fatalf("migrated %d rows, want 130", got)

@@ -137,7 +137,7 @@ func (s *Server) auditGarbage() {
 		}
 		var dead int64
 		for sc.Next() {
-			if rec := sc.Record(); rec.Kind == wal.KindWrite && !s.live(&rec, sc.Ptr()) {
+			if v := sc.View(); v.Kind() == wal.KindWrite && !s.live(v, sc.Ptr()) {
 				dead += int64(sc.Ptr().Len)
 			}
 		}

@@ -8,7 +8,7 @@ package core
 // racing writes and the push-down predicates resolve exactly as on the
 // index path — and this file only changes how its entries are read.
 // Each sorted segment covering the scan gets one forward reader
-// (wal.SegmentScanner.ValueAt) that checks just the frame an entry
+// (wal.Scanner.ValueAt) that checks just the frame an entry
 // points at and hands fetchRows a view of its value, which fetchRows
 // filters and copies exactly as it does a batch-read one. Everything
 // else goes through fetchRows' other paths: the unsorted tail, a
@@ -44,7 +44,7 @@ type segWindows struct {
 
 type segWindow struct {
 	num uint32
-	sc  *wal.SegmentScanner // opened at the first entry that lands here
+	sc  *wal.Scanner // opened at the first entry that lands here
 }
 
 // sortedWindows plans the clustered read of a serial scan of [start,
@@ -80,7 +80,7 @@ func (s *Server) sortedWindows(t *Tablet, group string, start, end []byte, rever
 }
 
 // at returns the value of the record at p, read through its segment's
-// reader: a view valid until the next call (wal.SegmentScanner.ValueAt).
+// reader: a view valid until the next call (wal.Scanner.ValueAt).
 // ok=false (with a nil error) sends the entry to the batched fetch.
 func (w *segWindows) at(p wal.Ptr) ([]byte, bool, error) {
 	if w == nil {

@@ -84,14 +84,14 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 }
 
 // live reports whether the index still points at exactly this copy of a
-// write record: committed, not deleted, not superseded by a rewrite of
-// the same (key, timestamp), not relocated.
-func (s *Server) live(rec *wal.Record, ptr wal.Ptr) bool {
-	_, g, ok := s.resolveGroup(rec.Table, rec.Tablet, rec.Group, rec.Key)
+// write record, read in place: committed, not deleted, not superseded by
+// a rewrite of the same (key, timestamp), not relocated.
+func (s *Server) live(v *wal.View, ptr wal.Ptr) bool {
+	_, g, ok := s.resolveGroup(string(v.Table()), string(v.Tablet()), string(v.Group()), v.Key())
 	if !ok {
 		return false // stray: no tablet served here covers it
 	}
-	e, ok := g.tree().Get(rec.Key, rec.TS)
+	e, ok := g.tree().Get(v.Key(), v.TS())
 	return ok && e.Ptr == ptr
 }
 
@@ -200,28 +200,29 @@ func (s *Server) rewrite(nums []uint32) (CompactionStats, error) {
 		if err != nil {
 			return st, err
 		}
+		// Only survivors are copied out of the scanner's window.
 		for sc.Next() {
-			rec, ptr := sc.Record(), sc.Ptr()
-			switch rec.Kind {
+			v, ptr := sc.View(), sc.Ptr()
+			switch v.Kind() {
 			case wal.KindWrite:
 				st.RecordsIn++
 				switch {
-				case s.live(&rec, ptr):
+				case s.live(v, ptr):
 					// The rewrite clears the TxnID, silently moving the
 					// record's cursor from its commit's LSN to its own; a feed
 					// resuming in between would skip it. The commit's LSN is
 					// unknown here (it may sit in a non-input segment).
-					toTip = toTip || rec.TxnID != 0
-					keep = append(keep, survivor{rec: rec, old: ptr})
-				case rec.TxnID != 0 && regTxns[rec.TxnID]:
-					keep = append(keep, survivor{rec: rec, old: ptr, prepared: true})
+					toTip = toTip || v.TxnID() != 0
+					keep = append(keep, survivor{rec: v.Record(), old: ptr})
+				case v.TxnID() != 0 && regTxns[v.TxnID()]:
+					keep = append(keep, survivor{rec: v.Record(), old: ptr, prepared: true})
 				default: // deleted, superseded, or never committed
-					maxDropped = max(maxDropped, rec.LSN)
+					maxDropped = max(maxDropped, v.LSN())
 				}
 			case wal.KindDelete, wal.KindCommit:
 				st.RecordsIn++
 				if !whole {
-					keep = append(keep, survivor{rec: rec, old: ptr})
+					keep = append(keep, survivor{rec: v.Record(), old: ptr})
 				}
 			}
 		}

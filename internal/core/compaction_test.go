@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dfs"
+	"repro/internal/readopt"
 	"repro/internal/wal"
 )
 
@@ -329,5 +331,71 @@ func TestGetAtVersionPrunedBeforeRead(t *testing.T) {
 	}
 	if e.TS != 2 || string(rec.Value) != "v2" {
 		t.Fatalf("readVisible = ts %d %q, want ts 2 \"v2\"", e.TS, rec.Value)
+	}
+}
+
+// sweepFixture is a server on one large segment and one large DFS
+// block, holding n 256 B rows written at timestamp ts, so a sweep's
+// allocations count neither segment switches nor the DFS's per-block
+// read bookkeeping.
+func sweepFixture(t *testing.T, n int) *Server {
+	t.Helper()
+	fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustServer(t, fs, "ts1", Config{SegmentSize: 64 << 20})
+	writeRows(t, s, n, 1)
+	return s
+}
+
+// writeRows writes keys 0..n-1 at timestamp ts with 256 B values, a
+// thousand to a batch.
+func writeRows(t *testing.T, s *Server, n int, ts int64) {
+	t.Helper()
+	batch := make([]BatchWrite, 0, 1000)
+	for i := 0; i < n; i++ {
+		batch = append(batch, BatchWrite{Tablet: testTablet, Group: testGroup, Key: k6(i), Value: make([]byte, 256), TS: ts})
+		if len(batch) == cap(batch) || i == n-1 {
+			if err := s.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+}
+
+// The log-order sweeps filter each frame in place and copy only what
+// they keep. An index-less full scan whose value filter rejects every
+// row, and the garbage audit of a segment whose every record is dead,
+// allocate the same over 10 K records as over 40 K (give or take the
+// window buffers a -race build's sync.Pool drops): per segment, not per
+// record.
+func TestSweepsRejectingEveryRecordAllocatePerSegment(t *testing.T) {
+	fullScan := func(n int) float64 {
+		s := sweepFixture(t, n)
+		ro := readopt.Options{Value: readopt.Contains([]byte("absent"))}
+		return testing.AllocsPerRun(10, func() {
+			err := s.FullScanOpts(bg, testTablet, testGroup, ro, func(Row) bool {
+				t.Fatal("the value filter passed a row")
+				return false
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	audit := func(n int) float64 {
+		s := sweepFixture(t, n)
+		s.Log().Rotate()
+		writeRows(t, s, n, 2) // supersedes every record of the first segment
+		return testing.AllocsPerRun(10, s.auditGarbage)
+	}
+	for name, allocs := range map[string]func(int) float64{"full scan": fullScan, "audit": audit} {
+		small, large := allocs(10000), allocs(40000)
+		t.Logf("%s allocs: %v at 10 K records, %v at 40 K", name, small, large)
+		if large > small+6 || large > 16 {
+			t.Fatalf("%s allocs: %v at 10 K records, %v at 40 K; want the same, and <= 16", name, small, large)
+		}
 	}
 }

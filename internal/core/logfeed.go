@@ -171,17 +171,17 @@ func (s *Server) SubscribeRecords(fromLSN uint64) (*RecordFeed, error) {
 // input segments can go, so the horizon read after the pin covers every
 // record the pinned segments lack: the feed waits for no writer.
 func (f *RecordFeed) catchUp(open bool) error {
-	pinned, boundary, next := f.s.log.PinRetained()
+	sc, boundary, next := f.s.log.PinRetained()
 	if open {
 		boundary = next
 	}
 	if f.fromLSN > 0 && f.fromLSN <= f.s.pruneHorizon.Load() {
-		f.s.log.Unpin(pinned...)
+		sc.Close()
 		return cdc.ErrCursorTruncated
 	}
 	f.tail, f.mark = f.s.log.Follow(boundary), boundary-1
 	f.sweep = make(chan catchUpResult, 1)
-	go f.sweepBelow(f.fromLSN, boundary, pinned, f.sweep)
+	go f.sweepBelow(f.fromLSN, boundary, sc, f.sweep)
 	return nil
 }
 
@@ -305,72 +305,60 @@ func (f *RecordFeed) Close() error {
 // shutdown checks.
 const catchUpCheckEvery = 1024
 
-// sweepBelow sweeps the pinned segments for records below the
+// sweepBelow sweeps the scanner's segments for records below the
 // boundary, resolves transactional visibility, and hands the survivors
-// from fromLSN on to Next in commit order. It releases its pins before
-// the hand-off and stops early when the feed closes.
-func (f *RecordFeed) sweepBelow(fromLSN, boundary uint64, pinned []uint32, out chan<- catchUpResult) {
+// from fromLSN on to Next in commit order. It releases the scanner
+// before the hand-off and stops early when the feed closes.
+func (f *RecordFeed) sweepBelow(fromLSN, boundary uint64, sc *wal.Scanner, out chan<- catchUpResult) {
 	res := catchUpResult{pending: make(map[uint64][]wal.Record)}
 	defer func() { out <- res }() // buffered: never blocks
-	defer f.s.log.Unpin(pinned...)
+	defer sc.Close()
 
 	// Collect matching data records and every commit below the
 	// boundary. Compaction can briefly leave a record live in both its
 	// input and output segment (originals keep their LSNs), so the scan
-	// deduplicates by LSN.
+	// deduplicates by LSN. Only matching records are copied out.
 	var recs []wal.Record
-	commits := make(map[uint64]wal.Record) // TxnID -> commit record
+	commits := make(map[uint64]uint64) // TxnID -> commit record LSN
 	seen := make(map[uint64]struct{})
-	scanned := 0
-	for _, num := range pinned {
-		sc, err := f.s.log.OpenSegmentScanner(num, 0)
-		if err != nil {
-			res.err = err
-			return
+	for scanned := 1; sc.Next(); scanned++ {
+		if scanned%catchUpCheckEvery == 0 {
+			select {
+			case <-f.done:
+				return
+			default:
+			}
 		}
-		for sc.Next() {
-			scanned++
-			if scanned%catchUpCheckEvery == 0 {
-				select {
-				case <-f.done:
-					sc.Close()
-					return
-				default:
-				}
-			}
-			rec := sc.Record()
-			if rec.LSN >= boundary {
-				continue // the tail has it
-			}
-			if _, dup := seen[rec.LSN]; dup {
+		v := sc.View()
+		lsn := v.LSN()
+		if lsn >= boundary {
+			continue // the tail has it
+		}
+		if _, dup := seen[lsn]; dup {
+			continue
+		}
+		switch v.Kind() {
+		case wal.KindCommit:
+			seen[lsn] = struct{}{}
+			commits[v.TxnID()] = lsn
+		case wal.KindWrite, wal.KindDelete:
+			if !f.filter.matchesView(v) {
 				continue
 			}
-			switch rec.Kind {
-			case wal.KindCommit:
-				seen[rec.LSN] = struct{}{}
-				commits[rec.TxnID] = rec
-			case wal.KindWrite, wal.KindDelete:
-				if !f.filter.matches(&rec) {
-					continue
-				}
-				// History of a tablet that migrated away belongs to its new
-				// owner's log, which holds all of it; the copy left here is
-				// stale, and a delete the new owner has since vacuumed
-				// together with the rows it covered would leave this copy
-				// to resurrect them in a bootstrapping consumer.
-				if _, ok := f.s.resolve(rec.Table, rec.Tablet, rec.Key, nil); !ok {
-					continue
-				}
-				seen[rec.LSN] = struct{}{}
-				recs = append(recs, rec)
+			// History of a tablet that migrated away belongs to its new
+			// owner's log, which holds all of it; the copy left here is
+			// stale, and a delete the new owner has since vacuumed
+			// together with the rows it covered would leave this copy
+			// to resurrect them in a bootstrapping consumer.
+			if _, ok := f.s.resolve(string(v.Table()), string(v.Tablet()), v.Key(), nil); !ok {
+				continue
 			}
+			seen[lsn] = struct{}{}
+			recs = append(recs, v.Record())
 		}
-		err = sc.Err()
-		sc.Close()
-		if err != nil {
-			res.err = err
-			return
-		}
+	}
+	if res.err = sc.Err(); res.err != nil {
+		return
 	}
 
 	// Resolve visibility: auto-commit records stand alone; committed
@@ -389,7 +377,7 @@ func (f *RecordFeed) sweepBelow(fromLSN, boundary uint64, pinned []uint32, out c
 				res.pending[rec.TxnID] = append(res.pending[rec.TxnID], *rec)
 				continue
 			}
-			cursor = c.LSN
+			cursor = c
 		}
 		if cursor >= fromLSN {
 			evs = append(evs, RecordEvent{Rec: *rec, Cursor: cursor})

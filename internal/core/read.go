@@ -172,13 +172,15 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 				return err
 			}
 		}
-		rec := sc.Record()
+		// Filter on the frame in place: only a returned row is copied.
 		// By table and range, not by tablet id: records written before a
 		// split carry the parent's.
-		if rec.Kind != wal.KindWrite || rec.Table != t.table || rec.Group != group || !t.rng.Contains(rec.Key) {
+		v := sc.View()
+		key := v.Key()
+		if v.Kind() != wal.KindWrite || string(v.Table()) != t.table || string(v.Group()) != group || !t.rng.Contains(key) {
 			continue
 		}
-		if !inRange(rec.Key) || !ro.Key.Match(rec.Key) {
+		if !inRange(key) || !ro.Key.Match(key) {
 			continue
 		}
 		// Only the version visible at the snapshot counts, and only the
@@ -186,25 +188,25 @@ func (s *Server) FullScanOpts(ctx context.Context, tabletID, group string, ro re
 		var cur index.Entry
 		var ok bool
 		if ts == maxTS {
-			cur, ok = g.tree().Latest(rec.Key)
+			cur, ok = g.tree().Latest(key)
 		} else {
-			cur, ok = g.tree().LatestAt(rec.Key, ts)
+			cur, ok = g.tree().LatestAt(key, ts)
 		}
 		if !ok || cur.Ptr != sc.Ptr() {
 			continue
 		}
-		if ro.MinTS != 0 && rec.TS < ro.MinTS {
+		if ro.MinTS != 0 && v.TS() < ro.MinTS {
 			continue
 		}
-		if ro.MaxTS != 0 && rec.TS > ro.MaxTS {
+		if ro.MaxTS != 0 && v.TS() > ro.MaxTS {
 			continue
 		}
-		if !ro.Value.Match(rec.Value) {
+		if !ro.Value.Match(v.Value()) {
 			continue
 		}
 		loadRows++
-		loadBytes += int64(len(rec.Value))
-		if !fn(Row{Key: rec.Key, TS: rec.TS, Value: rec.Value}) {
+		loadBytes += int64(len(v.Value()))
+		if !fn(Row{Key: bytes.Clone(key), TS: v.TS(), Value: bytes.Clone(v.Value())}) {
 			return nil
 		}
 		if emitted++; ro.Limit > 0 && emitted >= ro.Limit {

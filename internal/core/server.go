@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,7 +132,9 @@ func (t *Tablet) group(name string) (*columnGroup, error) {
 	defer t.mu.RUnlock()
 	g, ok := t.groups[name]
 	if !ok {
-		return nil, fmt.Errorf("core: tablet %s has no column group %q", t.id, name)
+		// A clone, so name does not escape: a sweep passes a frame's
+		// group bytes converted on its stack.
+		return nil, fmt.Errorf("core: tablet %s has no column group %q", t.id, strings.Clone(name))
 	}
 	return g, nil
 }

@@ -27,9 +27,8 @@ import (
 
 // FreezeTablet blocks mutations on a tablet (reads still serve). It
 // waits for in-flight mutations to drain, so when it returns every
-// accepted write is durable in this server's log — the migration
-// cutover reads Log().End() after freezing to bound its final catch-up
-// pass. Idempotent.
+// accepted write is durable in this server's log, and a catch-up round
+// that starts after it returns reads them all. Idempotent.
 func (s *Server) FreezeTablet(tabletID string) error {
 	t, err := s.tablet(tabletID)
 	if err != nil {
@@ -209,17 +208,12 @@ func (s *Server) OpenPeerLog(srcServerID string) (*wal.Log, error) {
 // The round's records are buffered in order and handed to reappend in
 // batches of at most reappendBatchBytes, the last before CatchUp returns.
 //
-// A round is bounded by one position, and an incremental compaction's
-// output sits ABOVE the segment still open for append, beyond End: when
-// such output exists CatchUp seals the source's active segment, so that
-// the bound covers both and the source's next append opens a new one.
+// A round reads the source's log as it finds it on entry: up to End in
+// the segment open for append, and the incremental compaction output
+// numbered above that segment. Anything appended while it scans is left
+// for the next round. The source's log is only read, never rotated.
 func (rs *ReplaySession) CatchUp() (int, error) {
 	before := rs.applied
-	if active := rs.srcLog.ActiveSegment(); active != 0 {
-		if segs := rs.srcLog.Segments(); segs[len(segs)-1].Num > active {
-			rs.srcLog.Rotate()
-		}
-	}
 	batch, size := []wal.Record(nil), 0
 	flush := func() error {
 		n, err := rs.dst.reappend(batch, rs.adopted)
@@ -227,9 +221,7 @@ func (rs *ReplaySession) CatchUp() (int, error) {
 		batch, size = batch[:0], 0
 		return err
 	}
-	// Bound the round at the end observed on entry: anything appended
-	// while it scans is left for the next round.
-	err := rs.round(rs.srcLog.End(), func(rec *wal.Record, _ wal.Ptr) (bool, error) {
+	err := rs.round(func(rec *wal.Record, _ wal.Ptr) (bool, error) {
 		n := wal.FrameSize(rec)
 		if size+n > reappendBatchBytes {
 			if err := flush(); err != nil {

@@ -24,13 +24,8 @@ type feedFilter struct {
 	start, end []byte
 }
 
-// matches reports whether a feed with filter f selects rec; a nil
-// filter selects every record.
-func (f *feedFilter) matches(rec *wal.Record) bool {
-	return f == nil || f.selects(rec.Table == f.table, rec.Group == f.group, rec.Key)
-}
-
-// matchesView is matches on a frame of the log's tail, read in place.
+// matchesView reports whether a feed with filter f selects the frame v,
+// read in place; a nil filter selects every frame.
 func (f *feedFilter) matchesView(v *wal.View) bool {
 	return f == nil || f.selects(string(v.Table()) == f.table, string(v.Group()) == f.group, v.Key())
 }

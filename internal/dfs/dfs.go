@@ -528,15 +528,21 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 	size := fm.size()
 	blockSize := d.cfg.BlockSize
 	type blockSnap struct {
-		id       blockID
-		size     int64
-		replicas []int
+		id     blockID
+		size   int64
+		lo, hi int // its datanode ids: replicas[lo:hi]
 	}
 	first := int(off / blockSize)
 	last := min(int((off+int64(len(p))-1)/blockSize), len(fm.blocks)-1)
-	var blocks []blockSnap
+	// The snapshot of a read within two blocks stays on the stack: a
+	// sweep's reads allocate nothing.
+	var blockBuf [2]blockSnap
+	var replicaBuf [8]int
+	blocks, replicas := blockBuf[:0], replicaBuf[:0]
 	for _, b := range fm.blocks[min(first, len(fm.blocks)) : last+1] {
-		blocks = append(blocks, blockSnap{id: b.id, size: b.size, replicas: append([]int(nil), b.replicas...)})
+		lo := len(replicas)
+		replicas = append(replicas, b.replicas...)
+		blocks = append(blocks, blockSnap{id: b.id, size: b.size, lo: lo, hi: len(replicas)})
 	}
 	d.mu.Unlock()
 
@@ -563,7 +569,7 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 			err  error
 			read bool
 		)
-		for _, nid := range b.replicas {
+		for _, nid := range replicas[b.lo:b.hi] {
 			node := d.nodes[nid]
 			if !node.Alive() {
 				continue

@@ -159,14 +159,8 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// compactFiles is the minor compaction: merge all store files into one.
-func (s *Store) compactFiles() error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	return s.compactFilesLocked()
-}
-
-// compactFilesLocked requires flushMu held.
+// compactFilesLocked is the minor compaction: merge all store files
+// into one. It requires flushMu held.
 func (s *Store) compactFilesLocked() error {
 	s.mu.Lock()
 	inputs := append([]*sstable.Reader(nil), s.files...)

@@ -12,6 +12,7 @@
 package lrs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,12 +127,13 @@ func (s *Store) GetLatest(key []byte) (Row, error) { return s.Get(key, math.MaxI
 // scan gap in Figure 21.
 func (s *Store) FullScan(fn func(Row) bool) error {
 	sc := s.log.NewScanner(wal.Position{})
+	defer sc.Close()
 	for sc.Next() {
-		rec := sc.Record()
-		if rec.Kind != wal.KindWrite {
+		v := sc.View()
+		if v.Kind() != wal.KindWrite {
 			continue
 		}
-		cur, ok, err := s.idx.Get(rec.Key, math.MaxInt64)
+		cur, ok, err := s.idx.Get(v.Key(), math.MaxInt64)
 		if err != nil {
 			return err
 		}
@@ -145,7 +147,7 @@ func (s *Store) FullScan(fn func(Row) bool) error {
 		if ptr != sc.Ptr() {
 			continue // stale version
 		}
-		if !fn(Row{Key: rec.Key, TS: rec.TS, Value: rec.Value}) {
+		if !fn(Row{Key: bytes.Clone(v.Key()), TS: v.TS(), Value: bytes.Clone(v.Value())}) {
 			return nil
 		}
 	}

@@ -84,7 +84,7 @@ func TestDelete(t *testing.T) {
 	found := false
 	sc := s.log.NewScanner(wal.Position{})
 	for sc.Next() {
-		if sc.Record().Kind.String() == "delete" {
+		if sc.View().Kind() == wal.KindDelete {
 			found = true
 		}
 	}

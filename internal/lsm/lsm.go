@@ -284,28 +284,3 @@ func (t *Tree) compact(l int) error {
 	}
 	return nil
 }
-
-// scan merges the memtable and all runs from start (inclusive) and
-// streams entries in Compare order to fn until it returns false. The
-// caller sees raw versions including tombstones. No experiment range-
-// scans the LRS index; the tests use it to check the merged order.
-func (t *Tree) scan(start []byte, fn func(sstable.Entry) bool) error {
-	t.mu.RLock()
-	sources := []sstable.Source{t.mem.Iterator(start)}
-	if t.imm != nil {
-		sources = append(sources, t.imm.Iterator(start))
-	}
-	for l := 0; l < numLevels; l++ {
-		for _, r := range t.levels[l] {
-			sources = append(sources, r.NewIterator(start))
-		}
-	}
-	t.mu.RUnlock()
-	m := sstable.NewMergeIterator(sources...)
-	for m.Next() {
-		if !fn(m.Entry()) {
-			return nil
-		}
-	}
-	return m.Err()
-}

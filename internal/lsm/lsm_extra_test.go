@@ -72,25 +72,6 @@ func TestDeepCompactionKeepsData(t *testing.T) {
 	}
 }
 
-func TestScanSeesTombstones(t *testing.T) {
-	tr := newTree(t, Options{})
-	tr.Put([]byte("a"), 1, []byte("v"))
-	tr.Delete([]byte("a"), 2)
-	var kinds []string
-	tr.scan(nil, func(e sstable.Entry) bool {
-		if e.Tombstone {
-			kinds = append(kinds, "tomb")
-		} else {
-			kinds = append(kinds, "val")
-		}
-		return true
-	})
-	// Raw scan order: (a,2 tombstone) then (a,1 value).
-	if len(kinds) != 2 || kinds[0] != "tomb" || kinds[1] != "val" {
-		t.Errorf("scan kinds = %v", kinds)
-	}
-}
-
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	tr := newTree(t, Options{MemtableBytes: 4 << 10})
 	for i := 0; i < 200; i++ {

@@ -165,36 +165,24 @@ func TestL0CompactionTriggers(t *testing.T) {
 	}
 }
 
-func TestScanMergesAllSources(t *testing.T) {
+// Every key stays readable through Get wherever it sits: the memtable,
+// an L0 run, or a run compaction merged into a deeper level.
+func TestGetMergesAllSources(t *testing.T) {
 	tr := newTree(t, Options{MemtableBytes: 1024, L0CompactionTrigger: 2})
-	want := map[string]bool{}
-	for i := 0; i < 300; i++ {
-		key := fmt.Sprintf("k%04d", i)
-		tr.Put([]byte(key), 1, []byte("v"))
-		want[key] = true
-	}
-	got := map[string]bool{}
-	var prev sstable.Entry
-	first := true
-	err := tr.scan(nil, func(e sstable.Entry) bool {
-		if !first && sstable.Compare(prev.Key, prev.TS, e.Key, e.TS) >= 0 {
-			t.Fatal("scan out of order")
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%04d", i)), 1, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
 		}
-		prev, first = e, false
-		got[string(e.Key)] = true
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("scan saw %d keys, want %d", len(got), len(want))
+	if runs := runsPerLevel(tr); runs[1] == 0 {
+		t.Fatalf("runs per level %v: compaction never merged a run into L1", runs)
 	}
-	// Bounded scan.
-	n := 0
-	tr.scan([]byte("k0290"), func(e sstable.Entry) bool { n++; return true })
-	if n != 10 {
-		t.Errorf("bounded scan saw %d, want 10", n)
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("k%04d", i))
+		if v, ok, err := tr.Get(key, math.MaxInt64); err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Get(%s) = %q, %v, %v", key, v, ok, err)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func appendN(t *testing.T, l *Log, from, n int) {
 func scanAll(l *Log) (keys []string, err error) {
 	s := l.NewScanner(Position{})
 	for s.Next() {
-		keys = append(keys, string(s.Record().Key))
+		keys = append(keys, string(s.View().Record().Key))
 	}
 	return keys, s.Err()
 }
@@ -189,9 +189,9 @@ func TestWALInteriorCorruptionFailsLoudly(t *testing.T) {
 }
 
 // A torn frame in a sealed segment is interior damage, not a clean end:
-// the SegmentScanner (compaction, the clustered scan and changefeed
-// catch-up read through it) must report it where the Scanner does,
-// instead of ending the segment after the records before it.
+// a one-segment scanner (OpenSegmentScanner) must report it where a
+// scanner over the whole log does, instead of ending the segment after
+// the records before it.
 func TestSegmentScannerTornFrameInSealedSegment(t *testing.T) {
 	l, fs, _, _ := newFaultLog(t, 1)
 	var offs []int64

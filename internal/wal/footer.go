@@ -5,7 +5,7 @@ package wal
 // group, record key) inside it. The clustered scan uses the bounds to
 // pick only the segments covering a requested range; it needs no seek
 // offset within a segment, because the index walk hands it each row's
-// exact record pointer (SegmentScanner.ValueAt).
+// exact record pointer (Scanner.ValueAt).
 //
 // Layout: the footer payload is appended after the last record, then a
 // fixed-size trailer [u32 payloadLen | u32 crc32(payload) | 8-byte

@@ -186,7 +186,59 @@ func FuzzFrameParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkFrameAgreement(t, b)
 		checkFrameAgreement(t, reframe(b))
+		checkCursorAgreement(t, b, reframe(b))
 	})
+}
+
+// checkCursorAgreement appends the records that frames decode to (if
+// any) to a fresh log and sweeps it with a Scanner: every View must
+// read, accessor by accessor, as Decode reads the same bytes, and the
+// pointers must tile the segment from its header to its end.
+func checkCursorAgreement(t *testing.T, frames ...[]byte) {
+	var recs []*Record
+	for _, b := range frames {
+		if rec, _, err := Decode(b); err == nil {
+			recs = append(recs, &rec)
+		}
+	}
+	if len(recs) == 0 {
+		return
+	}
+	l, fs := newTestLog(t, Options{})
+	if _, err := l.Append(recs...); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	end := l.End()
+	r, err := fs.Open(l.SegmentPath(end.Seg))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sc := l.NewScanner(Position{})
+	n, off := 0, int64(segHeaderSize)
+	for ; sc.Next(); n++ {
+		p, v := sc.Ptr(), sc.View()
+		if p.Seg != end.Seg || p.Off != off {
+			t.Fatalf("frame %d at %v, want seg %d offset %d", n, p, end.Seg, off)
+		}
+		raw := make([]byte, p.Len)
+		if _, err := r.ReadAt(raw, p.Off); err != nil {
+			t.Fatalf("ReadAt %v: %v", p, err)
+		}
+		want, size, err := Decode(raw)
+		if err != nil || size != int(p.Len) {
+			t.Fatalf("Decode %v: %d bytes, %v", p, size, err)
+		}
+		got := Record{Kind: v.Kind(), LSN: v.LSN(), TxnID: v.TxnID(), TS: v.TS(),
+			Table: string(v.Table()), Tablet: string(v.Tablet()), Group: string(v.Group()),
+			Key: v.Key(), Value: v.Value()}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(v.Record(), want) {
+			t.Fatalf("frame %d: view %#v, Record %#v, Decode %#v", n, got, v.Record(), want)
+		}
+		off += int64(p.Len)
+	}
+	if err := sc.Err(); err != nil || n != len(recs) || off != end.Off {
+		t.Fatalf("swept %d of %d frames to offset %d of %d: %v", n, len(recs), off, end.Off, err)
+	}
 }
 
 // TestAppendFrameInPlace: AppendFrame extends its caller's buffer with

@@ -508,8 +508,12 @@ func (l *Log) Unpin(nums ...uint32) {
 // to Unpin when done). Long scans use it to hold the whole snapshot
 // they started on.
 func (l *Log) PinAll() []uint32 {
-	pinned, _, _ := l.PinRetained()
-	return pinned
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, n := range l.order {
+		l.segs[n].pins++
+	}
+	return slices.Clone(l.order)
 }
 
 // Read fetches the record at ptr. This is the single-seek read path the
@@ -603,6 +607,10 @@ func (l *Log) Size() int64 {
 func (l *Log) End() Position {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.endLocked()
+}
+
+func (l *Log) endLocked() Position {
 	if l.cur == 0 {
 		if len(l.order) == 0 {
 			return Position{}
@@ -838,118 +846,3 @@ func (l *Log) finalizeRemove(num uint32) error {
 	}
 	return err
 }
-
-// Scanner iterates records in log order starting at a position. The
-// recovery redo pass and compaction both use it. Reads are buffered in
-// large chunks so scanning is sequential I/O: each refill continues
-// exactly where the previous read ended (the partial frame at the
-// buffer tail is carried over, not re-read), so a sweep costs one seek
-// per segment plus pure transfer. The scanner pins the segments it will
-// visit; they unpin automatically at end-of-log, or on Close for
-// early-exiting callers.
-type Scanner struct {
-	l    *Log
-	segs []uint32
-	idx  int
-	r    *dfs.Reader
-	size int64
-	off  int64
-	tail bool // the current segment is the one open for append
-
-	win readWindow
-
-	pinned []uint32
-
-	rec Record
-	ptr Ptr
-	err error
-}
-
-// scanChunkSize is the scanner's read-ahead unit.
-const scanChunkSize = 256 << 10
-
-// NewScanner returns a scanner positioned at from (zero value = start of
-// log). Only segments >= from.Seg are visited. Call Close when
-// abandoning the scan before the end of the log; a scan driven to
-// completion releases its segment pins automatically.
-func (l *Log) NewScanner(from Position) *Scanner {
-	l.mu.Lock()
-	var segs []uint32
-	for _, n := range l.order {
-		if n >= from.Seg {
-			segs = append(segs, n)
-			l.segs[n].pins++
-		}
-	}
-	l.mu.Unlock()
-	s := &Scanner{l: l, segs: segs, pinned: append([]uint32(nil), segs...)}
-	if len(segs) > 0 && segs[0] == from.Seg && from.Off > segHeaderSize {
-		s.off = from.Off
-	}
-	return s
-}
-
-// Close releases the scanner's segment pins. Idempotent; Next returning
-// false calls it automatically.
-func (s *Scanner) Close() {
-	if s.pinned != nil {
-		s.l.Unpin(s.pinned...)
-		s.pinned = nil
-	}
-}
-
-// Next advances to the next record, returning false at end of log or on
-// error (check Err).
-func (s *Scanner) Next() bool {
-	for {
-		if s.r == nil {
-			if s.idx >= len(s.segs) {
-				s.Close()
-				return false
-			}
-			num := s.segs[s.idx]
-			r, err := s.l.reader(num)
-			if err != nil {
-				s.err = err
-				s.Close()
-				return false
-			}
-			s.l.mu.Lock()
-			s.size, s.tail = s.l.segs[num].dataEnd, num == s.l.cur
-			s.l.mu.Unlock()
-			s.r = r
-			if s.off < segHeaderSize {
-				s.off = segHeaderSize
-			}
-		}
-		if s.off < s.size {
-			rec, n, err := s.win.next(s.r, s.segs[s.idx], s.off, s.size, scanChunkSize, s.tail)
-			if err != nil {
-				s.err = err
-				s.Close()
-				return false
-			}
-			if n > 0 {
-				s.rec = rec
-				s.ptr = Ptr{Seg: s.segs[s.idx], Off: s.off, Len: uint32(n)}
-				s.off += int64(n)
-				return true
-			}
-		}
-		// The segment's data ended (a torn tail of the active segment
-		// included): go on with the next one.
-		s.r = nil
-		s.idx++
-		s.off = 0
-		s.win.reset()
-	}
-}
-
-// Record returns the current record.
-func (s *Scanner) Record() Record { return s.rec }
-
-// Ptr returns the current record's location.
-func (s *Scanner) Ptr() Ptr { return s.ptr }
-
-// Err returns the first error encountered.
-func (s *Scanner) Err() error { return s.err }

@@ -16,9 +16,9 @@ const (
 )
 
 // readScratch holds the grow-only buffers ReadValues reads coalesced
-// runs into and SegmentScanner windows refill. A view handed out of one
-// is valid only until the next call, and ReadBatch and Decode copy out,
-// so nothing a caller keeps aliases a pooled buffer.
+// runs into and Scanner windows refill. A view handed out of one is
+// valid only until the next call, and ReadBatch and View.Record copy
+// out, so nothing a caller keeps aliases a pooled buffer.
 var readScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadBatch fetches the records at ptrs, returning them in input order:

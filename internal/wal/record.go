@@ -93,14 +93,6 @@ type Position struct {
 	Off int64
 }
 
-// Less orders positions by (segment, offset).
-func (p Position) Less(q Position) bool {
-	if p.Seg != q.Seg {
-		return p.Seg < q.Seg
-	}
-	return p.Off < q.Off
-}
-
 // Framing: u32 payloadLen | u32 crc32(payload) | payload.
 const frameHeaderSize = 8
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/dfs"
@@ -16,7 +17,7 @@ func bytesRead(fs *dfs.DFS) int64 {
 	return n
 }
 
-// A record handed out by the SegmentScanner or by ReadBatch owns its
+// A record copied out of a Scanner's view or by ReadBatch owns its
 // bytes: walking on through several read-ahead refills (which reuse the
 // window's buffer) and several more batches (which reuse the pooled
 // coalescing scratch) must leave a held record's key and value intact.
@@ -34,10 +35,10 @@ func TestDecodedRecordsSurviveBufferReuse(t *testing.T) {
 	if !sc.Next() {
 		t.Fatalf("empty stream: %v", sc.Err())
 	}
-	held := sc.Record()
+	held := sc.View().Record()
 	ptrs := []Ptr{sc.Ptr()}
 	for i := 1; sc.Next(); i++ {
-		if rec := sc.Record(); string(rec.Key) != string(sortedRecord(i).Key) {
+		if rec := sc.View().Record(); string(rec.Key) != string(sortedRecord(i).Key) {
 			t.Fatalf("record %d key %q, want %q", i, rec.Key, sortedRecord(i).Key)
 		}
 		ptrs = append(ptrs, sc.Ptr())
@@ -102,7 +103,7 @@ func segmentPtrs(t *testing.T, l *Log, num uint32) []Ptr {
 	return ptrs
 }
 
-// A SegmentScanner opened at a mid-segment record reads at most one
+// A one-segment scanner opened at a mid-segment record reads at most one
 // sparse-index block before its first record, and its growing
 // read-ahead still reads every byte of the rest of the stream exactly
 // once.
@@ -122,11 +123,11 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	if !sc.Next() {
 		t.Fatalf("empty stream: %v", sc.Err())
 	}
-	if got := bytesRead(fs) - before; got > segScanFirstRefill {
-		t.Fatalf("first record cost %d bytes read, want <= %d", got, segScanFirstRefill)
+	if got := bytesRead(fs) - before; got > scanFirstRefill {
+		t.Fatalf("first record cost %d bytes read, want <= %d", got, scanFirstRefill)
 	}
-	if want := sortedRecord(n / 2).Key; !bytes.Equal(sc.Record().Key, want) {
-		t.Fatalf("stream starts at %q, want %q", sc.Record().Key, want)
+	if want := sortedRecord(n / 2).Key; !bytes.Equal(sc.View().Record().Key, want) {
+		t.Fatalf("stream starts at %q, want %q", sc.View().Record().Key, want)
 	}
 	rows := 1
 	for sc.Next() {
@@ -135,7 +136,7 @@ func TestSegmentScannerFirstRefillIsOneSparseBlock(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if got, want := bytesRead(fs)-before, sc.end-from; got != want {
+	if got, want := bytesRead(fs)-before, sc.spans[0].end-from; got != want {
 		t.Fatalf("full stream read %d bytes, want exactly the %d bytes after the seek offset", got, want)
 	}
 	if rows != n-n/2 {
@@ -165,8 +166,8 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	const a = 100
 	// b lies past the first refill (one sparse block from a) but within
 	// one read-ahead of its end; far lies several read-aheads past b.
-	b := first(a, segScanFirstRefill*3/2)
-	far := first(b, 4*segScanFirstRefill)
+	b := first(a, scanFirstRefill*3/2)
+	far := first(b, 4*scanFirstRefill)
 
 	sc, err := l.OpenSegmentScanner(nums[0], ptrs[a].Off)
 	if err != nil {
@@ -190,7 +191,7 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	if got := seeks(fs) - seeks0; got != 1 {
 		t.Fatalf("records %d and %d, %d bytes apart, cost %d seeks, want 1", a, b, ptrs[b].Off-ptrs[a].Off, got)
 	}
-	if got := bytesRead(fs) - read0; got <= segScanFirstRefill {
+	if got := bytesRead(fs) - read0; got <= scanFirstRefill {
 		t.Fatalf("read %d bytes for two records past one refill, want a second (read-through) refill", got)
 	}
 
@@ -205,5 +206,52 @@ func TestSegmentScannerAtReadsForward(t *testing.T) {
 	}
 	if got, gap := bytesRead(fs)-read1, ptrs[far].Off-ptrs[b].Off; got >= gap {
 		t.Fatalf("the jump read %d bytes, want fewer than the %d-byte gap", got, gap)
+	}
+}
+
+// A sweep reads frames in place, so what it allocates depends on the
+// segments it visits, not on the records in them: a copy per record
+// would cost 5 allocations each. The same sweep over 10 K and over 40 K
+// records of 256 B values allocates the same, give or take the few
+// window buffers a -race build's sync.Pool drops on purpose. One DFS
+// block holds either log, so the DFS's per-block read bookkeeping stays
+// out of the count.
+func TestScannerSweepAllocsPerSegment(t *testing.T) {
+	sweepAllocs := func(records int) float64 {
+		fs, err := dfs.New(t.TempDir(), dfs.Config{NumDataNodes: 3, BlockSize: 16 << 20})
+		if err != nil {
+			t.Fatalf("dfs.New: %v", err)
+		}
+		l, err := Open(fs, "wal", Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		batch := make([]*Record, 1000)
+		for i := 0; i < records; i += len(batch) {
+			for j := range batch {
+				batch[j] = &Record{Kind: KindWrite, Table: "t", Tablet: "t/0", Group: "cg",
+					Key: fmt.Appendf(nil, "k%06d", i+j), TS: int64(i + j), Value: make([]byte, 256)}
+			}
+			if _, err := l.Append(batch...); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			sc := l.NewScanner(Position{})
+			n := 0
+			for sc.Next() {
+				if len(sc.View().Value()) == 256 {
+					n++
+				}
+			}
+			if err := sc.Err(); err != nil || n != records {
+				t.Fatalf("swept %d of %d records: %v", n, records, err)
+			}
+		})
+	}
+	small, large := sweepAllocs(10000), sweepAllocs(40000)
+	t.Logf("sweep allocs: %v at 10 K records, %v at 40 K", small, large)
+	if large > small+6 || large > 8 {
+		t.Fatalf("sweep allocs: %v at 10 K records, %v at 40 K; want the same, and <= 8 for one segment", small, large)
 	}
 }

@@ -54,33 +54,32 @@ func (l *Log) tailFirstLocked() uint64 {
 	return l.nextLSN
 }
 
-// PinRetained pins every live segment and returns them (pass them to
-// Unpin when done) with two LSNs read in the same step: tail, below
-// which every record is only in the pinned segments (from it on the
-// in-memory tail holds them all), and next, below which every record
-// is in the pinned segments.
-func (l *Log) PinRetained() (pinned []uint32, tail, next uint64) {
+// PinRetained returns a scanner over every live segment, as
+// NewScanner(Position{}) does, with two LSNs read in the same step:
+// tail, below which every record is only in the scanner's segments
+// (from it on the in-memory tail holds them all), and next, below which
+// every record is in the scanner's segments.
+func (l *Log) PinRetained() (sc *Scanner, tail, next uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	pinned = make([]uint32, 0, len(l.order))
-	for _, n := range l.order {
-		l.segs[n].pins++
-		pinned = append(pinned, n)
-	}
-	return pinned, l.tailFirstLocked(), l.nextLSN
+	return l.scanLocked(Position{}), l.tailFirstLocked(), l.nextLSN
 }
 
-// View is one CRC-checked frame of the in-memory tail. Kind, LSN,
-// TxnID, Table, Group and Key read it in place (the tail's bytes never
-// change); Record copies it out.
+// View is one CRC-checked frame, read in place: a frame of the
+// in-memory tail (Follower) or of a Scanner's window. Its accessors
+// alias the frame bytes, so they are valid only as long as the view;
+// Record copies it out.
 type View struct{ f frameView }
 
 func (v *View) Kind() Kind     { return v.f.kind }
 func (v *View) LSN() uint64    { return v.f.lsn }
 func (v *View) TxnID() uint64  { return v.f.txnID }
+func (v *View) TS() int64      { return v.f.ts }
 func (v *View) Table() []byte  { return v.f.table }
+func (v *View) Tablet() []byte { return v.f.tablet }
 func (v *View) Group() []byte  { return v.f.group }
 func (v *View) Key() []byte    { return v.f.key }
+func (v *View) Value() []byte  { return v.f.value }
 func (v *View) Record() Record { return v.f.record() }
 
 // Follower reads the in-memory tail forward (Log.Follow).

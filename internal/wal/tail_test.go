@@ -97,8 +97,8 @@ func TestFollowFallsOffBoundedTail(t *testing.T) {
 	if _, _, err := fl.Next(); !errors.Is(err, ErrFellOff) {
 		t.Fatalf("Next on an evicted LSN: err = %v, want ErrFellOff", err)
 	}
-	pinned, tail, next := l.PinRetained()
-	defer l.Unpin(pinned...)
+	sc, tail, next := l.PinRetained()
+	defer sc.Close()
 	if tail <= 1 || tail >= next || next != 101 {
 		t.Fatalf("PinRetained = tail %d, next %d; want 1 < tail < next = 101", tail, next)
 	}

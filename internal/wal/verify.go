@@ -4,9 +4,10 @@ import "io"
 
 // VerifySegment checks a raw segment image of the given size read via
 // r: the header magic, every record frame (length, CRC, payload
-// structure, kind: the checks Decode makes, through the same parser)
-// and — for sorted segments — the footer trailer and its CRC. It copies
-// no record out, so a sweep allocates per segment, not per record.
+// structure, kind: the checks Decode makes, through the same parser and
+// read-ahead as a Scanner) and — for sorted segments — the footer
+// trailer and its CRC. It copies no record out, so a sweep allocates per
+// segment, not per record.
 // activeTail marks the segment that was open for append when the image
 // was taken; only there is a trailing torn frame expected (and
 // accepted). The first defect is returned as a *CorruptionError
@@ -37,7 +38,7 @@ func VerifySegment(r io.ReaderAt, size int64, seg uint32, activeTail bool) error
 	var win readWindow
 	var f frameView
 	for off := int64(segHeaderSize); off < dataEnd; off += int64(f.size) {
-		if err := win.frame(r, seg, off, dataEnd, scanChunkSize, activeTail, &f); err != nil || f.size == 0 {
+		if err := win.frame(r, seg, off, dataEnd, readAhead(off-segHeaderSize), activeTail, &f); err != nil || f.size == 0 {
 			return err
 		}
 	}

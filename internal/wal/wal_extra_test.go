@@ -12,7 +12,7 @@ import (
 
 func TestScannerRecordLargerThanChunk(t *testing.T) {
 	l, _ := newTestLog(t, Options{SegmentSize: 4 << 20})
-	big := bytes.Repeat([]byte("B"), scanChunkSize+1000) // exceeds read-ahead
+	big := bytes.Repeat([]byte("B"), scanMaxRefill+1000) // exceeds read-ahead
 	if _, err := l.Append(
 		&Record{Kind: KindWrite, Key: []byte("small1"), Value: []byte("v")},
 		&Record{Kind: KindWrite, Key: []byte("big"), Value: big},
@@ -23,7 +23,7 @@ func TestScannerRecordLargerThanChunk(t *testing.T) {
 	s := l.NewScanner(Position{})
 	var keys []string
 	for s.Next() {
-		rec := s.Record()
+		rec := s.View().Record()
 		keys = append(keys, string(rec.Key))
 		if string(rec.Key) == "big" && !bytes.Equal(rec.Value, big) {
 			t.Error("oversized record corrupted by chunked scan")
@@ -108,13 +108,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestPositionLessAndPtrString(t *testing.T) {
-	a := Position{Seg: 1, Off: 100}
-	b := Position{Seg: 1, Off: 200}
-	c := Position{Seg: 2, Off: 0}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
-		t.Error("Position.Less ordering broken")
-	}
+func TestPtrString(t *testing.T) {
 	p := Ptr{Seg: 3, Off: 42, Len: 7}
 	if p.String() != "seg3@42+7" {
 		t.Errorf("Ptr.String = %q", p.String())

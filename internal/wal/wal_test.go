@@ -159,7 +159,7 @@ func TestScannerFullLog(t *testing.T) {
 	s := l.NewScanner(Position{})
 	var got int
 	for s.Next() {
-		rec := s.Record()
+		rec := s.View().Record()
 		if rec.LSN != uint64(got+1) {
 			t.Errorf("scan order broken: LSN %d at position %d", rec.LSN, got)
 		}
@@ -195,7 +195,7 @@ func TestScannerFromPosition(t *testing.T) {
 	s := l.NewScanner(Position{Seg: mid.Seg, Off: mid.Off})
 	var lsns []uint64
 	for s.Next() {
-		lsns = append(lsns, s.Record().LSN)
+		lsns = append(lsns, s.View().Record().LSN)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("scan: %v", err)
@@ -267,8 +267,8 @@ func TestReopenDiscoversSegments(t *testing.T) {
 	var maxLSN uint64
 	for s.Next() {
 		n++
-		if s.Record().LSN > maxLSN {
-			maxLSN = s.Record().LSN
+		if s.View().Record().LSN > maxLSN {
+			maxLSN = s.View().Record().LSN
 		}
 	}
 	if n != 20 || maxLSN != 20 {
@@ -301,7 +301,7 @@ func TestSegmentWriterAndRemove(t *testing.T) {
 	var newPtrs []Ptr
 	s := l.NewScanner(Position{})
 	for s.Next() {
-		rec := s.Record()
+		rec := s.View().Record()
 		if rec.LSN > 10 {
 			p, err := sw.Append(&rec)
 			if err != nil {

@@ -7,15 +7,14 @@ import (
 )
 
 // readWindow is the contiguous read-ahead buffer and frame walker shared
-// by the log Scanner, the SegmentScanner and VerifySegment. Refills
-// carry the unconsumed tail (a partial frame) to the front and read the
-// next chunk from exactly where the previous physical read ended, so a
-// sweep is contiguous I/O — no per-chunk seek charge on the modelled
-// disk, and no re-read of the tail bytes. The buffer is reused across
-// refills (and segment switches) and only grows with chunk: next copies
-// every key and value out, so no returned Record aliases it; a view from
-// frame aliases it until the next call. The SegmentScanner can hand the
-// buffer back to a pool on Close.
+// by the Scanner and VerifySegment. Refills carry the unconsumed tail (a
+// partial frame) to the front and read the next chunk from exactly where
+// the previous physical read ended, so a sweep is contiguous I/O — no
+// per-chunk seek charge on the modelled disk, and no re-read of the tail
+// bytes. The buffer is reused across refills (and segment switches) and
+// only grows with chunk: a view from frame aliases it until the next
+// call, so what a caller keeps it copies out (View.Record). The Scanner
+// hands the buffer back to a pool when it is released.
 type readWindow struct {
 	buf      []byte
 	bufStart int64
@@ -99,14 +98,4 @@ func (w *readWindow) frame(r io.ReaderAt, seg uint32, off, end int64, chunk int,
 		return nil
 	}
 	return &CorruptionError{Segment: seg, Off: off, Err: err}
-}
-
-// next is frame copied out: the record at off and its framed length,
-// under the same end-of-data and error contract.
-func (w *readWindow) next(r io.ReaderAt, seg uint32, off, end int64, chunk int, tail bool) (Record, int, error) {
-	var f frameView
-	if err := w.frame(r, seg, off, end, chunk, tail, &f); err != nil || f.size == 0 {
-		return Record{}, 0, err
-	}
-	return f.record(), f.size, nil
 }
