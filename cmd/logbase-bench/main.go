@@ -89,8 +89,8 @@ const mdHeader = "# Experiments\n\nOutput of `go run ./cmd/logbase-bench -run al
 	"and byte, row, hit, op, split and move counts and sorted fractions (engine counters). " +
 	"**Wall time on the host that ran this**: columns headed \"wall\", ops/sec, TPS, Krec/s, events/s and latencies — " +
 	"and, in effect, the disk and count columns of the experiments that drive a cluster from concurrent clients " +
-	"(fig11-fig16, fig22, abl-group-commit, elastic-hotrange), whose group-commit batches fill as the scheduler allows. " +
-	"The replica-scan row of replica-scan is scheduler-dependent too: the replica flushes its shipping cursor " +
-	"on its first idle tick, 1 ms after its last apply, and that flush (two write seeks and the scan's seek back) " +
-	"lands inside the measured scan in most runs (14.08 disk µs/op), partly before it in about 1 run in 8 (13.19); " +
-	"the scan alone costs 11.42.\n\n"
+	"(fig11-fig16, fig22, elastic-hotrange), whose group-commit batches fill as the scheduler allows, " +
+	"and of the rows where parallel workers or concurrent writers share the modelled disk head: " +
+	"analytic-scan's \"snapshot scan x4\" and \"snapshot under N writes\" rows and analytic-mix's \"ParallelScan x4\" row. " +
+	"abl-group-commit drives 64 concurrent writers but holds each leader until every writer has queued, " +
+	"so its write counts repeat exactly.\n\n"

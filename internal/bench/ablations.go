@@ -3,10 +3,13 @@ package bench
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/wal"
 )
 
@@ -129,6 +132,12 @@ func AblationCachePolicy(s Scale) (Table, error) {
 // commit's whole point is issuing fewer of them. Wall time is reported
 // for reference (on fast local files it is dominated by CPU and the
 // leader hand-off, not the per-op cost the paper's HDFS pays).
+//
+// Each leader is held at the "wal.batch.lead" fault point until every
+// writer with records left has queued, so every batch is exactly
+// min(writers left, max batch) records and the count repeats on any
+// scheduler: without the hold, how full a batch gets depends on which
+// writers ran since the last flush.
 func AblationGroupCommit(s Scale) (Table, error) {
 	t := Table{
 		ID:     "abl-group-commit",
@@ -148,11 +157,19 @@ func AblationGroupCommit(s Scale) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		log, err := wal.Open(fx.fs, "log", wal.Options{SegmentSize: 16 << 20})
+		faults := fault.New(0)
+		log, err := wal.Open(fx.fs, "log", wal.Options{SegmentSize: 16 << 20, Faults: faults})
 		if err != nil {
 			return t, err
 		}
 		b := wal.NewBatcher(log, batch, 0)
+		var active atomic.Int64 // writers with records left
+		active.Store(writers)
+		faults.Arm("wal.batch.lead", fault.Policy{OnFire: func() {
+			for int64(b.Queued()) < active.Load() {
+				runtime.Gosched()
+			}
+		}})
 		val := value(s.ValueSize, 23)
 		fx.resetStats()
 		start := time.Now()
@@ -163,6 +180,7 @@ func AblationGroupCommit(s Scale) (Table, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				defer active.Add(-1)
 				for i := 0; i < per; i++ {
 					if _, err := b.Append(&wal.Record{Kind: wal.KindWrite, Key: key(w*per + i), TS: int64(i), Value: val}); err != nil {
 						errCh <- err

@@ -79,8 +79,7 @@ func TestAllExperimentsRun(t *testing.T) {
 // Not here, and only logged by TestAllExperimentsRun, are the shapes a
 // loaded or small host can flip: those stated in wall time (fig12-fig17,
 // fig22, bulk-load, and elastic-hotrange's throughput clause on hosts
-// with >= 4 CPUs) and abl-group-commit, whose write-op counts depend on
-// how the scheduler fills each batch.
+// with >= 4 CPUs).
 var assertedShapes = []struct {
 	id    string
 	scale Scale
@@ -101,6 +100,9 @@ var assertedShapes = []struct {
 	{"abl-cache-policy", tinyScale()},
 	{"abl-bloom", tinyScale()},
 	{"abl-vertical", tinyScale()},
+	// Its leaders wait until every writer has queued, so each batch size,
+	// and with it the write-op count, is fixed.
+	{"abl-group-commit", tinyScale()},
 	{"analytic-scan", tinyScale()},
 	{"analytic-mix", tinyScale()},
 	{"scan-pushdown", tinyScale()}, // loads its own 8000-row floor

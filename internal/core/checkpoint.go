@@ -89,17 +89,22 @@ type RecoveryStats struct {
 // loadCheckpoint installs the indexes a checkpoint file holds and seeds
 // the redo with where it starts and the LSN and timestamp high marks it
 // continues from.
+//
+// The file's frames are parsed in place: each index payload goes
+// straight from b to index.Decode, which copies only the keys it keeps.
 func (s *Server) loadCheckpoint(b []byte, rs *ReplaySession, st *RecoveryStats) error {
-	hdr, n, err := wal.Decode(b)
-	if err == nil && (hdr.Kind != wal.KindCheckpoint || len(hdr.Value) != 12) {
+	var v wal.View
+	n, err := v.Parse(b)
+	if err == nil && (v.Kind() != wal.KindCheckpoint || len(v.Value()) != 12) {
 		err = wal.ErrCorrupt
 	}
 	if err != nil {
 		return fmt.Errorf("core: checkpoint header: %w", err)
 	}
 	st.UsedCheckpoint = true
-	rs.pos = wal.Position{Seg: binary.LittleEndian.Uint32(hdr.Value), Off: int64(binary.LittleEndian.Uint64(hdr.Value[4:]))}
-	rs.maxLSN = hdr.LSN
+	pos := v.Value()
+	rs.pos = wal.Position{Seg: binary.LittleEndian.Uint32(pos), Off: int64(binary.LittleEndian.Uint64(pos[4:]))}
+	rs.maxLSN = v.LSN()
 	// Incremental compaction may have reclaimed segments AFTER the
 	// checkpoint was written: checkpointed entries pointing into
 	// removed segments are pruned. Relocated records re-add their
@@ -111,17 +116,17 @@ func (s *Server) loadCheckpoint(b []byte, rs *ReplaySession, st *RecoveryStats) 
 		liveSegs[si.Num] = true
 	}
 	for b = b[n:]; len(b) > 0; b = b[n:] {
-		var rec wal.Record
-		if rec, n, err = wal.Decode(b); err != nil {
+		if n, err = v.Parse(b); err != nil {
 			return fmt.Errorf("core: checkpoint: %w", err)
 		}
-		_, g, gerr := s.tabletGroup(rec.Tablet, rec.Group)
+		tablet, group := string(v.Tablet()), string(v.Group())
+		_, g, gerr := s.tabletGroup(tablet, group)
 		if gerr != nil {
 			continue // tablet reassigned elsewhere
 		}
-		tree, err := index.Decode(rec.Value)
+		tree, err := index.Decode(v.Value())
 		if err != nil {
-			return fmt.Errorf("core: checkpoint index %s/%s: %w", rec.Tablet, rec.Group, err)
+			return fmt.Errorf("core: checkpoint index %s/%s: %w", tablet, group, err)
 		}
 		var stale []index.Entry
 		tree.Ascend(func(e index.Entry) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dfs"
@@ -261,5 +262,50 @@ func TestCheckpointCostSplit(t *testing.T) {
 	}
 	if got := s2.IndexLen(testTablet, testGroup); got != 500 {
 		t.Errorf("restored index has %d entries", got)
+	}
+}
+
+// TestLoadCheckpointCopiesNoPayload: loading a checkpoint allocates the
+// indexes it builds and little else. The file's frames are parsed in
+// place, so no index payload is copied on the way to index.Decode: the
+// bytes allocated beyond the trees' own stay under half the payload's
+// size (copying it would cost all of it).
+func TestLoadCheckpointCopiesNoPayload(t *testing.T) {
+	s, fs := newTestServer(t, Config{})
+	const rows = 20_000
+	for i := 0; i < rows; i++ {
+		if err := s.Write(testTablet, testGroup, []byte(fmt.Sprintf("k%08d", i)), int64(i+1), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fs.ReadFile(s.checkpointPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := crashAndRestart(t, fs, "ts1", Config{})
+	rs := newReplaySession(s2, s2.log, wal.Position{}, nil)
+	var st RecoveryStats
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s2.loadCheckpoint(b, rs, &st); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if st.EntriesRestored != rows {
+		t.Fatalf("restored %d entries, want %d", st.EntriesRestored, rows)
+	}
+	_, g, err := s2.tabletGroup(testTablet, testGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := uint64(g.tree().MemBytes())
+	payload := uint64(len(b))
+	if extra := after.TotalAlloc - before.TotalAlloc - trees; extra > payload/2 {
+		t.Errorf("loadCheckpoint allocated %d bytes beyond the trees' %d; want <= %d (half the %d-byte file)",
+			extra, trees, payload/2, payload)
 	}
 }

@@ -87,8 +87,8 @@ var ErrUnknownTablet = errors.New("core: tablet not served here")
 var ErrTabletFrozen = fmt.Errorf("%w: frozen for migration", ErrUnknownTablet)
 
 // ErrKeyTooLong is returned for a write whose key is longer than
-// math.MaxUint16 bytes, the most a checkpoint can store. Nothing of the
-// write is logged.
+// math.MaxUint16 bytes, the public limit on a key's length. Nothing of
+// the write is logged.
 var ErrKeyTooLong = fmt.Errorf("core: key longer than %d bytes", math.MaxUint16)
 
 // Row is one record version returned by reads and scans. The caller

@@ -114,9 +114,16 @@ func TestEntryKeysSurviveWriters(t *testing.T) {
 	}
 }
 
-// goldenEncoding is what Encode wrote for goldenEntries before the
-// arena layout: the checkpoint format must not change with the layout.
-const goldenEncoding = "0000fdffffffffffffff000000000000000000010000000000000200000000000000" +
+// goldenEncoding is what Encode writes for goldenEntries: format 2,
+// varint fields and prefix-compressed keys. The checkpoint format must
+// not change with the in-memory layout.
+const goldenEncoding = "0205000005008080808080200002000300ff800a0311050400056170706c6502" +
+	"01002a0105000e028020ac020900096b30303030303034328080808080808004ffffffff0f959aef3a80808080" +
+	"08ffffffffffffffffff01"
+
+// goldenEncodingV1 is the same entries in the first format (fixed-width
+// fields, whole keys, no header), which Decode refuses.
+const goldenEncodingV1 = "0000fdffffffffffffff000000000000000000010000000000000200000000000000" +
 	"030000ff80050000000000000003000000110000000000000005000000040000000000000005006170706c6501" +
 	"000000000000000100000000000000000000002a000000010000000000000005006170706c650700000000000000" +
 	"0200000000100000000000002c010000090000000000000009006b30303030303034320000000000000400ffffff" +
@@ -134,6 +141,13 @@ func TestEncodeFormatGolden(t *testing.T) {
 	golden, err := hex.DecodeString(goldenEncoding)
 	if err != nil {
 		t.Fatal(err)
+	}
+	v1, err := hex.DecodeString(goldenEncodingV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v1); err == nil {
+		t.Fatal("Decode accepted the first format's bytes")
 	}
 	tr, err := Decode(golden)
 	if err != nil {

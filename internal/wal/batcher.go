@@ -90,11 +90,25 @@ func (b *Batcher) Append(recs ...*Record) ([]Ptr, error) {
 	return e.ptrs, e.err
 }
 
+// Queued returns the number of appenders in the queue, a leader that
+// has not yet taken its batch included.
+func (b *Batcher) Queued() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.queue)
+}
+
 // lead runs one group commit for the queue head, which is the caller:
 // it takes up to maxBatch records, appends them outside the mutex,
 // answers the followers and then promotes the next queued entry or
 // clears flushing.
+//
+// Before the take it consults the log's "wal.batch.lead" fault point,
+// outside the mutex, for its OnFire side effect alone: a harness that
+// holds it there until every writer has queued makes each batch exactly
+// min(queued, maxBatch) records, whatever the scheduler does.
 func (b *Batcher) lead() {
+	b.log.opts.Faults.Fire("wal.batch.lead")
 	b.mu.Lock()
 	n, count := 1, len(b.queue[0].recs)
 	for n < len(b.queue) && count+len(b.queue[n].recs) <= b.maxBatch {

@@ -28,8 +28,9 @@ var footerMagic = []byte{'L', 'B', 'S', 'F', 'T', 'R', '0', '1'}
 
 const footerTrailerSize = 16 // u32 len + u32 crc + 8-byte magic
 
-// footerVersion is the payload layout: u16 version | min key | max key.
-const footerVersion = 2
+// footerVersion is the payload layout: uvarint version | min key | max
+// key, each key its table, group and key as uvarint length + bytes.
+const footerVersion = 3
 
 // RecordKey is the clustering key compaction sorts by: (table, column
 // group, record key).
@@ -90,20 +91,20 @@ func (m *SegmentMeta) Covers(table, group string, start, end []byte) bool {
 func putRecordKey(buf []byte, k RecordKey) []byte {
 	buf = putString(buf, k.Table)
 	buf = putString(buf, k.Group)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k.Key)))
+	buf = binary.AppendUvarint(buf, uint64(len(k.Key)))
 	return append(buf, k.Key...)
 }
 
 func (p *payloadReader) recordKey() RecordKey {
 	k := RecordKey{Table: string(p.str()), Group: string(p.str())}
-	k.Key = append([]byte(nil), p.take(int(p.u32()))...)
+	k.Key = append([]byte(nil), p.str()...)
 	return k
 }
 
 // encodeFooter serialises the footer: payload + trailer.
 func encodeFooter(m *SegmentMeta) []byte {
 	buf := make([]byte, 0, 256)
-	buf = binary.LittleEndian.AppendUint16(buf, footerVersion)
+	buf = binary.AppendUvarint(buf, footerVersion)
 	buf = putRecordKey(buf, m.Min)
 	buf = putRecordKey(buf, m.Max)
 	out := make([]byte, 0, len(buf)+footerTrailerSize)
@@ -115,7 +116,7 @@ func encodeFooter(m *SegmentMeta) []byte {
 
 func decodeFooterPayload(payload []byte) (*SegmentMeta, error) {
 	pr := &payloadReader{b: payload}
-	if v := pr.u16(); v != footerVersion {
+	if v := pr.uvarint(); v != footerVersion {
 		return nil, fmt.Errorf("%w: footer version %d", ErrCorrupt, v)
 	}
 	m := &SegmentMeta{}

@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // referenceDecode is a second, deliberately naive statement of what a
 // valid frame is: the whole-record decode, field by field, with its
-// own bounds checks. parseFrame and Decode must agree with it on every
-// input — same frames accepted, same error class, same fields.
+// own varint reader and bounds checks. parseFrame and Decode must agree
+// with it on every input — same frames accepted, same error class, same
+// fields.
 func referenceDecode(b []byte) (Record, int, error) {
 	if len(b) < frameHeaderSize {
 		return Record{}, 0, ErrTorn
@@ -26,36 +28,50 @@ func referenceDecode(b []byte) (Record, int, error) {
 	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(b[4:]) {
 		return Record{}, 0, ErrCorrupt
 	}
-	if len(p) < 25 {
-		return Record{}, 0, ErrCorrupt
-	}
-	r := Record{Kind: Kind(p[0]), LSN: binary.LittleEndian.Uint64(p[1:]),
-		TxnID: binary.LittleEndian.Uint64(p[9:]), TS: int64(binary.LittleEndian.Uint64(p[17:]))}
-	p = p[25:]
-	for _, s := range []*string{&r.Table, &r.Tablet, &r.Group} {
-		if len(p) < 2 {
-			return Record{}, 0, ErrCorrupt
+	ok := len(p) > 0
+	// uvarint reads 7 bits a byte, low group first, and refuses more
+	// than 64 bits, a missing last byte, and a zero last byte after the
+	// first (a longer encoding than the value needs).
+	uvarint := func() uint64 {
+		var v uint64
+		for i := 0; ok && i < 10; i++ {
+			if i >= len(p) || (i == 9 && p[i] > 1) {
+				break
+			}
+			c := p[i]
+			v |= uint64(c&0x7f) << (7 * i)
+			if c < 0x80 {
+				ok = ok && (i == 0 || c != 0)
+				p = p[i+1:]
+				return v
+			}
 		}
-		l := int(binary.LittleEndian.Uint16(p))
-		if p = p[2:]; len(p) < l {
-			return Record{}, 0, ErrCorrupt
-		}
-		*s, p = string(p[:l]), p[l:]
+		ok = false
+		return 0
 	}
+	take := func(l uint64) []byte {
+		if !ok || uint64(len(p)) < l {
+			ok = false
+			return nil
+		}
+		out := append([]byte{}, p[:l]...)
+		p = p[l:]
+		return out
+	}
+	var r Record
+	if ok {
+		r.Kind, p = Kind(p[0]), p[1:]
+	}
+	r.LSN, r.TxnID = uvarint(), uvarint()
+	zz := uvarint()
+	r.TS = int64(zz>>1) ^ -int64(zz&1)
+	r.Table, r.Tablet, r.Group = string(take(uvarint())), string(take(uvarint())), string(take(uvarint()))
 	for _, f := range []*[]byte{&r.Key, &r.Value} {
-		if len(p) < 4 {
-			return Record{}, 0, ErrCorrupt
+		if l := uvarint(); l > 0 {
+			*f = take(l - 1)
 		}
-		l := binary.LittleEndian.Uint32(p)
-		if p = p[4:]; l == math.MaxUint32 {
-			continue // absent: stays nil
-		}
-		if uint64(len(p)) < uint64(l) {
-			return Record{}, 0, ErrCorrupt
-		}
-		*f, p = append([]byte{}, p[:l]...), p[l:]
 	}
-	if len(p) != 0 || r.Kind < KindWrite || r.Kind > KindCheckpoint {
+	if !ok || len(p) != 0 || r.Kind < KindWrite || r.Kind > KindCheckpoint || (r.Kind == KindDelete && r.Value != nil) {
 		return Record{}, 0, ErrCorrupt
 	}
 	return r, frameHeaderSize + n, nil
@@ -95,8 +111,8 @@ func checkFrameAgreement(t testing.TB, b []byte) {
 	if wantErr != nil {
 		return
 	}
-	if f.size != wantN || gotN != wantN {
-		t.Fatalf("frame %x: parse size %d, Decode %d, reference %d", b, f.size, gotN, wantN)
+	if f.size != wantN || gotN != wantN || FrameSize(&got) != wantN {
+		t.Fatalf("frame %x: parse size %d, Decode %d, FrameSize %d, reference %d", b, f.size, gotN, FrameSize(&got), wantN)
 	}
 	if !reflect.DeepEqual(got, want) { // DeepEqual tells nil from empty
 		t.Fatalf("frame %x: Decode %#v, reference %#v", b, got, want)
@@ -113,7 +129,29 @@ func agreementBases() []Record {
 				Table: "tbl", Tablet: "tbl/0", Group: "cg", Key: kv[0], Value: kv[1]})
 		}
 	}
-	return append(out, Record{Kind: KindWrite, LSN: math.MaxUint64, Key: []byte{0}})
+	return append(out,
+		Record{Kind: KindWrite, LSN: math.MaxUint64, Key: []byte{0}},
+		Record{Kind: KindCommit, LSN: math.MaxUint64, TxnID: math.MaxUint64, TS: math.MinInt64},
+		Record{Kind: KindDelete, LSN: 1 << 21, TxnID: 127, TS: math.MaxInt64, Key: []byte("k")})
+}
+
+// malformedPayloads break the varint rules under a valid header: an
+// overlong LSN (11 bytes, and 10 bytes past 64 bits), a truncated one,
+// a non-minimal one, a non-minimal key length, and a table length past
+// the end of the payload.
+func malformedPayloads() [][]byte {
+	tail := []byte{0, 0, 1, 't', 0, 0}
+	frame := func(head ...byte) []byte {
+		return reframe(append(append([]byte{byte(KindWrite)}, head...), tail...))
+	}
+	return [][]byte{
+		frame(0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0),
+		frame(0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0),
+		reframe([]byte{byte(KindWrite), 0x80}),
+		frame(0x81, 0x00, 0, 0),
+		reframe([]byte{byte(KindWrite), 1, 0, 0, 0, 0, 0, 0x82, 0x00, 'k', 0}),
+		reframe([]byte{byte(KindWrite), 1, 0, 0, 0xFF, 0x7F}),
+	}
 }
 
 // agreementFrames are the frames both decoders are held to: each base
@@ -144,11 +182,8 @@ func agreementFrames() [][]byte {
 			out = append(out, reframe(p))
 		}
 		out = append(out, reframe(append(append([]byte(nil), payload...), 0)))
-		long := append([]byte(nil), payload...)
-		binary.LittleEndian.PutUint16(long[25:], math.MaxUint16) // the table name's length
-		out = append(out, reframe(long))
 	}
-	return out
+	return append(out, malformedPayloads()...)
 }
 
 func TestFrameParseAgreesWithDecode(t *testing.T) {
@@ -169,7 +204,8 @@ func TestFrameParseAgreesWithDecode(t *testing.T) {
 // FuzzFrameParse holds the parser to the reference decode on arbitrary
 // bytes, both as a raw frame and as a payload under a valid header.
 // Plain `go test` runs the seed corpus: each base frame, its payload,
-// and one of each defect — torn, stale CRC, unknown kind, trailing byte.
+// one of each defect — torn, stale CRC, unknown kind, trailing byte —
+// and the malformed varints.
 func FuzzFrameParse(f *testing.F) {
 	for _, r := range agreementBases() {
 		frame := Encode(&r)
@@ -182,6 +218,9 @@ func FuzzFrameParse(f *testing.F) {
 		for _, seed := range [][]byte{frame, payload, frame[:len(frame)-1], stale, unknown, trailing} {
 			f.Add(seed)
 		}
+	}
+	for _, seed := range malformedPayloads() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkFrameAgreement(t, b)
@@ -267,5 +306,55 @@ func TestAppendFrameInPlace(t *testing.T) {
 	r := agreementBases()[len(agreementBases())-2]
 	if allocs := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], &r) }); allocs != 0 {
 		t.Fatalf("AppendFrame into a buffer with room: %v allocs, want 0", allocs)
+	}
+}
+
+// TestFrameSizeExact: FrameSize is the length AppendFrame writes, for
+// random records and for the extremes of every field — Log.Append sizes
+// its batch and CatchUp its re-append batches from it.
+func TestFrameSizeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	u64s := []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1 << 63, math.MaxUint64}
+	i64s := []int64{0, -1, 1, -64, 63, 64, -65, math.MinInt64, math.MaxInt64}
+	blobs := [][]byte{nil, {}, []byte("k"), make([]byte, 127), make([]byte, 128), make([]byte, 70_000)}
+	strs := []string{"", "t", string(make([]byte, 200))}
+	recs := append([]Record(nil), agreementBases()...)
+	for i := 0; i < 2000; i++ {
+		recs = append(recs, Record{
+			Kind: Kind(1 + rng.Intn(4)), LSN: u64s[rng.Intn(len(u64s))] ^ uint64(rng.Intn(3)),
+			TxnID: u64s[rng.Intn(len(u64s))], TS: i64s[rng.Intn(len(i64s))] + int64(rng.Intn(3)) - 1,
+			Table: strs[rng.Intn(len(strs))], Tablet: strs[rng.Intn(len(strs))], Group: strs[rng.Intn(len(strs))],
+			Key: blobs[rng.Intn(len(blobs))], Value: blobs[rng.Intn(len(blobs))],
+		})
+	}
+	for _, r := range recs {
+		frame := AppendFrame(nil, &r)
+		if FrameSize(&r) != len(frame) {
+			t.Fatalf("%v/%d/%d/%d: FrameSize %d, AppendFrame wrote %d", r.Kind, r.LSN, r.TxnID, r.TS, FrameSize(&r), len(frame))
+		}
+		got, n, err := Decode(frame)
+		if r.Kind == KindDelete {
+			r.Value = nil
+		}
+		if err != nil || n != len(frame) || !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip of %v/%d/%d/%d: %d bytes, %v", r.Kind, r.LSN, r.TxnID, r.TS, n, err)
+		}
+	}
+}
+
+// TestBenchmarkFrameSizes pins what a frame of the benchmark's record
+// costs — table "t", tablet "t/0000", group "g", a 9-byte key and a
+// 256-byte value, with LSN and timestamp at the top of their three-byte
+// varint ranges — against 320 and 64 bytes with fixed-width fields.
+func TestBenchmarkFrameSizes(t *testing.T) {
+	w := Record{Kind: KindWrite, LSN: 1<<21 - 1, TS: 1<<20 - 1, Table: "t", Tablet: "t/0000", Group: "g",
+		Key: []byte("k00000042"), Value: make([]byte, 256)}
+	d := w
+	d.Kind, d.Value = KindDelete, nil
+	if n := len(Encode(&w)); n > 295 {
+		t.Errorf("write frame: %d bytes, want <= 295", n)
+	}
+	if n := len(Encode(&d)); n > 38 {
+		t.Errorf("delete frame: %d bytes, want <= 38", n)
 	}
 }

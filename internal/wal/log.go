@@ -23,7 +23,9 @@ type Options struct {
 	// Faults, when non-nil, is consulted at the "wal.append" point on
 	// every batched segment write: injections can tear the batch
 	// (Partial), drop it whole (an fsync-lost suffix), or flip a bit
-	// on its way to disk. Nil injects nothing.
+	// on its way to disk. A Batcher over the log also consults
+	// "wal.batch.lead" before each leader takes its batch (Batcher.lead).
+	// Nil injects nothing.
 	Faults *fault.Registry
 	// Peer opens another server's log for replay: segments an unfinished
 	// removal lists (doomedPath) are passed over, not deleted as in Open.
@@ -37,8 +39,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Segment header: magic (6) + flags (1) + reserved (1).
-var segMagic = []byte{'L', 'B', 'S', 'E', 'G', 1}
+// Segment header: magic (5) + format version (1) + flags (1) + reserved
+// (1). Version 2 frames records with varint fields (record.go); version
+// 1, fixed-width fields, is refused rather than misread.
+var segMagic = []byte{'L', 'B', 'S', 'E', 'G', segVersion}
+
+const segVersion = 2
 
 const (
 	segHeaderSize  = 8
@@ -209,6 +215,9 @@ func (l *Log) repairTailOnOpen() error {
 // holds no records.
 var errTornHeader = errors.New("wal: torn segment header")
 
+// errSegVersion reports a segment written in another format version.
+var errSegVersion = errors.New("segment format version")
+
 // readSegHeaderFooter validates a segment's header and, for sorted
 // segments, decodes the trailing footer.
 func (l *Log) readSegHeaderFooter(path string, size int64) (sorted bool, meta *SegmentMeta, dataEnd int64, err error) {
@@ -225,8 +234,11 @@ func (l *Log) readSegHeaderFooter(path string, size int64) (sorted bool, meta *S
 	if n < segHeaderSize && bytes.HasPrefix(segMagic, hdr[:min(n, len(segMagic))]) {
 		return false, nil, 0, errTornHeader
 	}
-	if !bytes.HasPrefix(hdr, segMagic) {
+	if !bytes.HasPrefix(hdr, segMagic[:len(segMagic)-1]) {
 		return false, nil, 0, fmt.Errorf("wal: %s: bad segment magic", path)
+	}
+	if v := hdr[len(segMagic)-1]; v != segVersion {
+		return false, nil, 0, fmt.Errorf("wal: %s: %w %d (this build reads version %d only)", path, errSegVersion, v, segVersion)
 	}
 	sorted = hdr[6]&segFlagSorted != 0
 	dataEnd = size
@@ -297,7 +309,8 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 	defer l.mu.Unlock()
 	ptrs := make([]Ptr, 0, len(recs))
 	size := 0
-	for _, r := range recs {
+	for i, r := range recs {
+		r.LSN = l.nextLSN + uint64(i) // before sizing: the LSN is a varint
 		size += FrameSize(r)
 	}
 	batch := make([]byte, 0, size) // every frame is written into it in place
@@ -317,7 +330,6 @@ func (l *Log) Append(recs ...*Record) ([]Ptr, error) {
 			}
 			l.cur, l.curW = num, w
 		}
-		r.LSN = l.nextLSN
 		l.nextLSN++
 		st := l.segs[l.cur]
 		ptrs = append(ptrs, Ptr{Seg: l.cur, Off: st.size, Len: uint32(n)})

@@ -9,6 +9,18 @@
 // "invalidated" record whose value is null; transaction commits persist
 // a commit record. Records are length-prefixed and CRC-framed so a torn
 // tail write is detected and truncated during recovery scans.
+//
+// A frame is u32 payloadLen | u32 crc32(payload) | payload, and the
+// payload is
+//
+//	kind u8 | uvarint LSN | uvarint TxnID | varint TS (zigzag) |
+//	uvarint len + table | uvarint len + tablet | uvarint len + group |
+//	uvarint(len+1) + key | uvarint(len+1) + value
+//
+// where a key or value prefix of 0 means the field is absent (a
+// delete's value always is). Every integer takes the bytes its value
+// needs, and a frame whose fields are not minimally encoded is corrupt,
+// so FrameSize of the fields is exactly the frame's length.
 package wal
 
 import (
@@ -17,7 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"math/bits"
 )
 
 // Kind discriminates log record types.
@@ -93,7 +105,9 @@ type Position struct {
 	Off int64
 }
 
-// Framing: u32 payloadLen | u32 crc32(payload) | payload.
+// Framing: u32 payloadLen | u32 crc32(payload) | payload (package
+// comment). The header stays fixed-width, so a frame walker needs only
+// its first 8 bytes to step over it.
 const frameHeaderSize = 8
 
 var (
@@ -124,29 +138,45 @@ func (e *CorruptionError) Error() string {
 
 func (e *CorruptionError) Unwrap() error { return e.Err }
 
-func putString(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		panic("wal: string field too long")
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func putBytes(buf []byte, b []byte, present bool) []byte {
+// zigzag maps a signed value to the unsigned one binary.AppendVarint
+// encodes, so a small negative timestamp stays short.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// optField is what an optional field's length prefix holds: 0 when the
+// field is absent, its length plus one when present.
+func optField(b []byte, present bool) uint64 {
 	if !present {
-		return binary.LittleEndian.AppendUint32(buf, math.MaxUint32)
+		return 0
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
+	return uint64(len(b)) + 1
 }
 
 // FrameSize is the framed length of r: what AppendFrame adds.
 func FrameSize(r *Record) int {
-	n := frameHeaderSize + 1 + 3*8 + 3*2 + len(r.Table) + len(r.Tablet) + len(r.Group) + 4 + len(r.Key) + 4
-	if r.Kind != KindDelete {
-		n += len(r.Value)
+	n := frameHeaderSize + 1 + uvarintLen(r.LSN) + uvarintLen(r.TxnID) + uvarintLen(zigzag(r.TS))
+	for _, l := range [...]int{len(r.Table), len(r.Tablet), len(r.Group)} {
+		n += uvarintLen(uint64(l)) + l
+	}
+	for _, l := range [...]uint64{optField(r.Key, r.Key != nil), optField(r.Value, r.Value != nil && r.Kind != KindDelete)} {
+		n += uvarintLen(l) + int(max(l, 1)-1)
 	}
 	return n
+}
+
+func putString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func putOpt(buf []byte, b []byte, present bool) []byte {
+	buf = binary.AppendUvarint(buf, optField(b, present))
+	if present {
+		buf = append(buf, b...)
+	}
+	return buf
 }
 
 // AppendFrame appends r's frame (u32 payloadLen | u32 crc32(payload) |
@@ -164,14 +194,14 @@ func AppendFrame(dst []byte, r *Record) []byte {
 	}
 	dst = dst[:start+frameHeaderSize]
 	dst = append(dst, byte(r.Kind))
-	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
-	dst = binary.LittleEndian.AppendUint64(dst, r.TxnID)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.TS))
+	dst = binary.AppendUvarint(dst, r.LSN)
+	dst = binary.AppendUvarint(dst, r.TxnID)
+	dst = binary.AppendVarint(dst, r.TS)
 	dst = putString(dst, r.Table)
 	dst = putString(dst, r.Tablet)
 	dst = putString(dst, r.Group)
-	dst = putBytes(dst, r.Key, r.Key != nil)
-	dst = putBytes(dst, r.Value, r.Value != nil && r.Kind != KindDelete)
+	dst = putOpt(dst, r.Key, r.Key != nil)
+	dst = putOpt(dst, r.Value, r.Value != nil && r.Kind != KindDelete)
 	payload := dst[start+frameHeaderSize:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
@@ -197,53 +227,61 @@ func (p *payloadReader) u8() uint8 {
 	return v
 }
 
-func (p *payloadReader) u16() uint16 {
-	if p.err != nil || p.off+2 > len(p.b) {
-		p.fail()
-		return 0
+// uvarint reads one uvarint. Most fields take one byte, which is read
+// here; longer ones are uvarintLong's.
+func (p *payloadReader) uvarint() uint64 {
+	if p.off < len(p.b) && p.b[p.off] < 0x80 {
+		p.off++
+		return uint64(p.b[p.off-1])
 	}
-	v := binary.LittleEndian.Uint16(p.b[p.off:])
-	p.off += 2
-	return v
+	return p.uvarintLong()
 }
 
-func (p *payloadReader) u32() uint32 {
-	if p.err != nil || p.off+4 > len(p.b) {
-		p.fail()
-		return 0
+// uvarintLong reads a uvarint of more than one byte, refusing one that
+// is truncated, runs past 64 bits, or ends in a zero byte: a longer
+// encoding than its value needs. So every accepted frame is minimally
+// encoded, and FrameSize of its fields is its length.
+func (p *payloadReader) uvarintLong() uint64 {
+	var v uint64
+	for i, shift := p.off, 0; i < len(p.b) && shift < 64; i, shift = i+1, shift+7 {
+		c := p.b[i]
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			if (c == 0 && i > p.off) || (shift == 63 && c > 1) {
+				break
+			}
+			p.off = i + 1
+			return v
+		}
 	}
-	v := binary.LittleEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
+	p.fail()
+	return 0
 }
 
-func (p *payloadReader) u64() uint64 {
-	if p.err != nil || p.off+8 > len(p.b) {
-		p.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(p.b[p.off:])
-	p.off += 8
-	return v
+// varint reads one zigzag-encoded signed integer.
+func (p *payloadReader) varint() int64 {
+	u := p.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // take returns the next n payload bytes as a sub-slice: the field
 // readers copy nothing.
-func (p *payloadReader) take(n int) []byte {
-	if p.err != nil || p.off+n > len(p.b) {
+func (p *payloadReader) take(n uint64) []byte {
+	if p.err != nil || n > uint64(len(p.b)-p.off) {
 		p.fail()
 		return nil
 	}
-	b := p.b[p.off : p.off+n]
-	p.off += n
+	b := p.b[p.off : p.off+int(n)]
+	p.off += int(n)
 	return b
 }
 
-func (p *payloadReader) str() []byte { return p.take(int(p.u16())) }
+func (p *payloadReader) str() []byte { return p.take(p.uvarint()) }
 
-func (p *payloadReader) bytes() []byte {
-	if n := p.u32(); n != math.MaxUint32 {
-		return p.take(int(n))
+// opt reads an optional field: nil when absent.
+func (p *payloadReader) opt() []byte {
+	if n := p.uvarint(); n > 0 {
+		return p.take(n - 1)
 	}
 	return nil
 }
@@ -266,7 +304,8 @@ type frameView struct {
 }
 
 // parseFrame checks the frame at the front of b — length, CRC, payload
-// structure, kind, no trailing bytes — and fills f with its fields,
+// structure (no truncated or overlong varint), kind, no trailing bytes,
+// no value on a delete, minimal encoding — and fills f with its fields,
 // without allocating. A short buffer returns ErrTorn; every other defect
 // ErrCorrupt. It is the one record parser: Decode copies out what it
 // fills, and VerifySegment stops at the check. f is filled in place
@@ -286,14 +325,14 @@ func parseFrame(b []byte, f *frameView) error {
 	}
 	pr := payloadReader{b: payload}
 	f.kind = Kind(pr.u8())
-	f.lsn = pr.u64()
-	f.txnID = pr.u64()
-	f.ts = int64(pr.u64())
+	f.lsn = pr.uvarint()
+	f.txnID = pr.uvarint()
+	f.ts = pr.varint()
 	f.table = pr.str()
 	f.tablet = pr.str()
 	f.group = pr.str()
-	f.key = pr.bytes()
-	f.value = pr.bytes()
+	f.key = pr.opt()
+	f.value = pr.opt()
 	if pr.err != nil {
 		return pr.err
 	}
@@ -304,6 +343,9 @@ func parseFrame(b []byte, f *frameView) error {
 	case KindWrite, KindDelete, KindCommit, KindCheckpoint:
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, f.kind)
+	}
+	if f.kind == KindDelete && f.value != nil {
+		return fmt.Errorf("%w: a delete with a value", ErrCorrupt)
 	}
 	f.size = frameHeaderSize + n
 	return nil

@@ -66,10 +66,18 @@ func (l *Log) PinRetained() (sc *Scanner, tail, next uint64) {
 }
 
 // View is one CRC-checked frame, read in place: a frame of the
-// in-memory tail (Follower) or of a Scanner's window. Its accessors
-// alias the frame bytes, so they are valid only as long as the view;
-// Record copies it out.
+// in-memory tail (Follower), of a Scanner's window or of a buffer
+// (Parse). Its accessors alias the frame bytes, so they are valid only
+// as long as the view; Record copies it out.
 type View struct{ f frameView }
+
+// Parse checks the frame at the front of b into v, with the checks
+// Decode makes but copying nothing: v aliases b. It returns the frame's
+// length.
+func (v *View) Parse(b []byte) (int, error) {
+	err := parseFrame(b, &v.f)
+	return v.f.size, err
+}
 
 func (v *View) Kind() Kind     { return v.f.kind }
 func (v *View) LSN() uint64    { return v.f.lsn }

@@ -58,8 +58,10 @@ func TestFollowReadsAppendsInOrder(t *testing.T) {
 // frames after the rotation go to a fresh array, not over the kept one.
 func TestFollowAcrossMidAppendRotation(t *testing.T) {
 	l, _ := newTestLog(t, Options{SegmentSize: 1 << 10})
-	// 18 frames of 51 bytes leave room for one more in the first segment.
-	for i := 0; i < 18; i++ {
+	// Fill the first segment up to room for one more frame (every LSN
+	// here takes one varint byte, so every frame is the same size).
+	fill := (1<<10-segHeaderSize)/FrameSize(batchRec("a00")) - 1
+	for i := 0; i < fill; i++ {
 		if _, err := l.Append(batchRec(fmt.Sprintf("a%02d", i))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
@@ -74,9 +76,9 @@ func TestFollowAcrossMidAppendRotation(t *testing.T) {
 	if n := len(l.Segments()); n != 2 {
 		t.Fatalf("%d segments, want the append to rotate once", n)
 	}
-	keys, _ := readTail(t, l.Follow(19))
+	keys, _ := readTail(t, l.Follow(uint64(fill+1)))
 	if want := "[m00 m01 m02 m03 m04 m05 m06 m07 m08 m09]"; fmt.Sprint(keys) != want {
-		t.Fatalf("tail from LSN 19: %v, want %s", keys, want)
+		t.Fatalf("tail from LSN %d: %v, want %s", fill+1, keys, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -531,5 +532,25 @@ func TestRemovalIntent(t *testing.T) {
 	}
 	if fs.Exists(intent) || fs.Exists(l.SegmentPath(6)) {
 		t.Fatal("owner open left the removal unfinished")
+	}
+}
+
+// TestOpenRefusesVersion1Segment: a segment written in format version 1
+// (fixed-width frame fields) is refused by Open with an error naming
+// its version, not misread as version-2 frames.
+func TestOpenRefusesVersion1Segment(t *testing.T) {
+	l, fs := newTestLog(t, Options{})
+	appendN(t, l, 0, 3)
+	w, err := fs.Create(l.SegmentPath(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte{'L', 'B', 'S', 'E', 'G', 1, 0, 0}
+	if _, err := w.Write(append(v1, 20, 0, 0, 0, 1, 2, 3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(fs, "wal", Options{})
+	if !errors.Is(err, errSegVersion) || !strings.Contains(err.Error(), "version 1 ") {
+		t.Fatalf("Open over a version-1 segment: err = %v, want a format version error naming version 1", err)
 	}
 }

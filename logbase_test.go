@@ -175,8 +175,8 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	}
 }
 
-// TestKeyTooLongKeepsCheckpointLoadable: a checkpoint stores each key's
-// length in 16 bits, so a longer key is refused at the write — through
+// TestKeyTooLongKeepsCheckpointLoadable: a key is at most 65,535 bytes
+// long, so a longer key is refused at the write — through
 // Put, a batch and a transaction alike — and the server's checkpoint
 // stays loadable: after Checkpoint, Reopen and Recover the short key
 // still reads.
